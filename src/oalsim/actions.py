@@ -10,19 +10,19 @@ LABEL_QUERY = "label"
 EXAMPLE_QUERY = "example"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guess:
     kind: str = GUESS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelQuery:
     predicate: str
     region_id: str
     kind: str = LABEL_QUERY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleQuery:
     predicate: str
     kind: str = EXAMPLE_QUERY

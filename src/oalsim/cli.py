@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -114,11 +115,13 @@ def _apply_overrides(data: dict, args) -> dict:
 
 
 def cmd_run(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
     config = from_dict(_apply_overrides(data, args))
 
     out = _out_dir(args.out)
@@ -285,6 +288,10 @@ def main(argv=None) -> int:
         _emit_error(exc)
         return 3
     except OalsimError as exc:
+        _emit_error(exc)
+        return 4
+    except Exception as exc:  # a bug, not a reported failure: keep its traceback
+        traceback.print_exc()
         _emit_error(exc)
         return 4
 

@@ -58,9 +58,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.regions)
 
-    def features_of(self, region_id: str) -> np.ndarray:
-        return self.by_id[region_id].features
-
     def feature_map(self) -> dict[str, np.ndarray]:
         return {r.id: r.features for r in self.regions}
 

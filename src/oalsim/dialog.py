@@ -38,7 +38,7 @@ class RewardConfig:
             raise DataError("discount must lie in (0,1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class TranscriptStep:
     action: Action
     reward: float
@@ -61,6 +61,7 @@ class Episode:
         t_max: int,
         oracle_rng: np.random.Generator,
         guesser: Callable[[], str],
+        predicates: Sequence[str] = (),
     ):
         if not interaction.description_predicates:
             raise DataError("interaction has no description predicates")
@@ -78,16 +79,21 @@ class Episode:
         self.success = False
         self.pending_labels: list[tuple[str, str, int]] = []
         self._pending_index: dict[tuple[str, str], int] = {}
-        self.asked_examples: set[str] = set()
         self.transcript: list[TranscriptStep] = []
 
-    # -- label bookkeeping ------------------------------------------------
+        # Masks over the askable predicates (rows) and the active-train objects
+        # (columns): pairs labeled in the snapshot or this episode, and
+        # predicates already example-queried. The beam reads them every turn.
+        self._row = {p: i for i, p in enumerate(predicates)}
+        self._col = {rid: j for j, rid in enumerate(interaction.active_train)}
+        self.labeled = np.zeros((len(predicates), len(self._col)), dtype=bool)
+        for i, p in enumerate(predicates):
+            base = base_labels.get(p)
+            if base:
+                self.labeled[i] = [rid in base for rid in interaction.active_train]
+        self.asked = np.zeros(len(predicates), dtype=bool)
 
-    def labeled_pairs(self, predicate: str) -> set[str]:
-        """Region ids already labeled for the predicate (snapshot + this episode)."""
-        out = set(self._base_labels.get(predicate, {}))
-        out.update(rid for (p, rid) in self._pending_index if p == predicate)
-        return out
+    # -- label bookkeeping ------------------------------------------------
 
     def _record(self, predicate: str, region_id: str, label: int) -> None:
         base = self._base_labels.get(predicate, {})
@@ -106,6 +112,8 @@ class Episode:
             return
         self._pending_index[key] = len(self.pending_labels)
         self.pending_labels.append((predicate, region_id, label))
+        if predicate in self._row:
+            self.labeled[self._row[predicate], self._col[region_id]] = True
 
     # -- oracle -----------------------------------------------------------
 
@@ -157,7 +165,8 @@ class Episode:
             reward = self.rewards.per_query
         elif isinstance(action, ExampleQuery):
             self.answer_example_query(action.predicate)
-            self.asked_examples.add(action.predicate)
+            if action.predicate in self._row:
+                self.asked[self._row[action.predicate]] = True
             reward = self.rewards.per_query
         else:
             raise ProtocolError(f"unknown action {action!r}")

@@ -9,16 +9,18 @@ apply to an action type are exactly zero in its vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .actions import Action, ExampleQuery, Guess, LabelQuery
-from .corpus import Region
 from .errors import ConfigError
 from .grounding import GuessScores
-from .perception import DensityIndex, PredicateModel, decide, density_stats, margin
+from .perception import DensityIndex, density_stats
 from .policy import AgentStats
+
+if TYPE_CHECKING:
+    from .snapshot import EpisodeView
 
 
 @dataclass(frozen=True)
@@ -107,31 +109,25 @@ class FeatureContext:
     turn: int
     t_max: int
     description_predicates: tuple[str, ...]
-    models: Mapping[str, PredicateModel]
+    view: EpisodeView
     stats: AgentStats
     density: DensityIndex
-    guess_scores: GuessScores
-    active_test: Sequence[Region]
-    features_by_id: Mapping[str, np.ndarray]
+    guess: np.ndarray  # guess_features of the current grounding
     mask: np.ndarray | None = None
 
 
-def _f1_of(models: Mapping[str, PredicateModel], p: str) -> float:
-    m = models.get(p)
-    return m.f1 if m is not None else 0.0
-
-
 def featurize(action: Action, ctx: FeatureContext) -> np.ndarray:
-    vec = np.zeros(N_FEATURES)
+    if isinstance(action, Guess):
+        vec = ctx.guess.copy()
+        vec[INDEX["act_guess"]] = 1.0
+    else:
+        vec = np.zeros(N_FEATURES)
     vec[INDEX["turn_frac"]] = ctx.turn / ctx.t_max
 
-    if isinstance(action, Guess):
-        vec[INDEX["act_guess"]] = 1.0
-        _fill_guess(vec, ctx)
-    elif isinstance(action, LabelQuery):
+    if isinstance(action, LabelQuery):
         vec[INDEX["act_label_query"]] = 1.0
-        _fill_query(vec, ctx, action.predicate)
-        _fill_label_object(vec, ctx, action.predicate, action.region_id)
+        row = _fill_query(vec, ctx, action.predicate)
+        _fill_label_object(vec, ctx, row, action.region_id)
     elif isinstance(action, ExampleQuery):
         vec[INDEX["act_example_query"]] = 1.0
         _fill_query(vec, ctx, action.predicate)
@@ -141,20 +137,29 @@ def featurize(action: Action, ctx: FeatureContext) -> np.ndarray:
     return vec
 
 
-def _fill_guess(vec: np.ndarray, ctx: FeatureContext) -> None:
-    preds = ctx.description_predicates
+def guess_features(
+    description_predicates: Sequence[str], view: EpisodeView, scores: GuessScores
+) -> np.ndarray:
+    """The guess group's entries for one grounding, zero elsewhere.
+
+    They change only when a description predicate's classifier does, so the
+    harness computes them once per episode (and after an immediate refit of
+    such a classifier) and featurize copies them.
+    """
+    vec = np.zeros(N_FEATURES)
+    preds = description_predicates
     k = len(preds)
-    cs = np.array([_f1_of(ctx.models, p) for p in preds])
+    rows = [view.index[p] for p in preds]
+    cs = view.f1[rows]
     order = sorted(range(k), key=lambda i: (-cs[i], preds[i]))
-    best_p = preds[order[0]]
-    second_p = preds[order[1]] if k > 1 else best_p
+    best_row = rows[order[0]]
+    second_row = rows[order[1]] if k > 1 else best_row
 
     vec[INDEX["guess_f1_min"]] = cs.min()
     vec[INDEX["guess_f1_max"]] = cs.max()
     vec[INDEX["guess_f1_second"]] = cs[order[1]] if k > 1 else cs[order[0]]
     vec[INDEX["guess_f1_mean"]] = cs.mean()
 
-    scores = ctx.guess_scores
     weighted = np.array(scores.weighted)
     votes = np.array(scores.unweighted, dtype=float)
     top_w = weighted.max()
@@ -169,43 +174,39 @@ def _fill_guess(vec: np.ndarray, ctx: FeatureContext) -> None:
     vec[INDEX["guess_votes_gap_mean"]] = (top_v - votes.mean()) / k
 
     ranked = scores.ranked()
-    top_region = ctx.features_by_id[ranked[0]]
-    second_region = ctx.features_by_id[ranked[1]] if len(ranked) > 1 else top_region
-    best_model = ctx.models.get(best_p)
-    second_model = ctx.models.get(second_p)
-    d_best_top = decide(best_model, top_region)
-    d_second_top = decide(second_model, top_region)
-    d_best_all = np.array([decide(best_model, r.features) for r in ctx.active_test], dtype=float)
-    d_second_all = np.array([decide(second_model, r.features) for r in ctx.active_test], dtype=float)
+    top = view.test_col[ranked[0]]
+    runner_up = view.test_col[ranked[1]] if len(ranked) > 1 else top
+    d_best = view.decisions[best_row]
+    d_second = view.decisions[second_row]
 
-    vec[INDEX["guess_top2_clf_agree"]] = float(d_best_top == d_second_top)
-    vec[INDEX["guess_best_clf_decision"]] = d_best_top
-    vec[INDEX["guess_second_clf_decision"]] = d_second_top
-    vec[INDEX["guess_best_clf_decision_rel"]] = d_best_top - d_best_all.mean()
-    vec[INDEX["guess_second_clf_decision_rel"]] = d_second_top - d_second_all.mean()
-    vec[INDEX["guess_best_clf_top2_same"]] = float(
-        d_best_top == decide(best_model, second_region)
+    vec[INDEX["guess_top2_clf_agree"]] = float(d_best[top] == d_second[top])
+    vec[INDEX["guess_best_clf_decision"]] = d_best[top]
+    vec[INDEX["guess_second_clf_decision"]] = d_second[top]
+    vec[INDEX["guess_best_clf_decision_rel"]] = d_best[top] - d_best.astype(float).mean()
+    vec[INDEX["guess_second_clf_decision_rel"]] = (
+        d_second[top] - d_second.astype(float).mean()
     )
+    vec[INDEX["guess_best_clf_top2_same"]] = float(d_best[top] == d_best[runner_up])
+    return vec
 
 
-def _fill_query(vec: np.ndarray, ctx: FeatureContext, predicate: str) -> None:
-    model = ctx.models.get(predicate)
-    vec[INDEX["query_new_predicate"]] = float(model is None or model.weights is None)
-    vec[INDEX["query_predicate_f1"]] = model.f1 if model is not None else 0.0
+def _fill_query(vec: np.ndarray, ctx: FeatureContext, predicate: str) -> int:
+    row = ctx.view.index[predicate]
+    vec[INDEX["query_new_predicate"]] = float(not ctx.view.trained[row])
+    vec[INDEX["query_predicate_f1"]] = ctx.view.f1[row]
     used = ctx.stats.used.get(predicate, 0)
     if ctx.stats.dialogs > 0:
         vec[INDEX["query_usage_freq"]] = used / ctx.stats.dialogs
     if used > 0:
         vec[INDEX["query_usage_success"]] = ctx.stats.succeeded.get(predicate, 0) / used
     vec[INDEX["query_opportunistic"]] = float(predicate not in ctx.description_predicates)
+    return row
 
 
-def _fill_label_object(
-    vec: np.ndarray, ctx: FeatureContext, predicate: str, region_id: str
-) -> None:
-    model = ctx.models.get(predicate)
-    if model is not None and model.weights is not None:
-        vec[INDEX["label_margin"]] = margin(model, ctx.features_by_id[region_id])
-    avg_dist, unlabeled = density_stats(ctx.density, region_id, model)
+def _fill_label_object(vec: np.ndarray, ctx: FeatureContext, row: int, region_id: str) -> None:
+    view = ctx.view
+    if view.trained[row]:
+        vec[INDEX["label_margin"]] = view.margins[row, view.train_col[region_id]]
+    avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])
     vec[INDEX["label_avg_cos_dist"]] = avg_dist
     vec[INDEX["label_knn_unlabeled"]] = unlabeled

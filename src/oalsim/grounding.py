@@ -10,10 +10,12 @@ replays are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .corpus import Region
-from .perception import PredicateModel, decide
+import numpy as np
+
+if TYPE_CHECKING:
+    from .snapshot import EpisodeView
 
 
 @dataclass(frozen=True)
@@ -31,38 +33,30 @@ class GuessScores:
         )
         return [self.region_ids[i] for i in order]
 
-    def weighted_of(self, region_id: str) -> float:
-        return self.weighted[self.region_ids.index(region_id)]
 
+def score_objects(description_predicates: Sequence[str], view: EpisodeView) -> GuessScores:
+    """Weighted and unweighted decision sums over the view's active-test objects.
 
-def score_objects(
-    description_predicates: Sequence[str],
-    models: Mapping[str, PredicateModel],
-    active_test: Sequence[Region],
-) -> GuessScores:
+    The sums run over the description predicates in order, starting from 0.0,
+    as the scalar `w += decision * f1` loop does, so no sum is ever -0.0.
+    """
     if not description_predicates:
         raise ValueError("description predicates empty")
-    if not active_test:
+    ids = view.test_ids
+    if not ids:
         raise ValueError("active test set empty")
-    ids = tuple(r.id for r in active_test)
-    weighted = []
-    unweighted = []
-    for region in active_test:
-        w = 0.0
-        u = 0
-        for p in description_predicates:
-            model = models.get(p)
-            d = decide(model, region.features)
-            c = model.f1 if model is not None else 0.0
-            w += d * c
-            u += d
-        weighted.append(w)
-        unweighted.append(u)
-    best = min(range(len(ids)), key=lambda i: (-weighted[i], ids[i]))
+    weighted = np.zeros(len(ids))
+    unweighted = np.zeros(len(ids), dtype=np.int64)
+    for p in description_predicates:
+        row = view.index[p]
+        weighted += view.decisions[row] * view.f1[row]
+        unweighted += view.decisions[row]
+    weighted_t = tuple(weighted.tolist())
+    best = min(range(len(ids)), key=lambda i: (-weighted_t[i], ids[i]))
     return GuessScores(
         region_ids=ids,
-        weighted=tuple(weighted),
-        unweighted=tuple(unweighted),
+        weighted=weighted_t,
+        unweighted=tuple(unweighted.tolist()),
         argmax=ids[best],
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -34,9 +35,9 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, episode_return, transcript_records
+from .dialog import Episode, TranscriptStep, episode_return, transcript_records
 from .errors import CheckpointError
-from .features import FeatureContext, N_FEATURES, featurize, resolve_mask
+from .features import FeatureContext, N_FEATURES, featurize, guess_features, resolve_mask
 from .grounding import best_guess, score_objects
 from .perception import DensityIndex, PredicateModel, estimate_f1, train_classifier
 from .policy import (
@@ -48,6 +49,7 @@ from .policy import (
 )
 from .querygen import build_beam
 from .seeding import stream
+from .snapshot import EpisodeView, Snapshot
 from .stats import welch_t_test
 
 CHECKPOINT_VERSION = "oalsim-checkpoint/1"
@@ -82,8 +84,13 @@ class EpisodeOutcome:
     success: bool
     length: int
     n_queries: int
-    steps: list[tuple[np.ndarray, int, float]]
+    transcript: list[TranscriptStep]
     pending: list[tuple[str, str, int]]
+
+    @property
+    def steps(self) -> list[tuple[np.ndarray, int, float]]:
+        """(beam features, chosen index, reward) per turn, read off the transcript."""
+        return [(s.beam_features, s.chosen, s.reward) for s in self.transcript]
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,7 @@ class Experiment:
         self,
         interaction: Interaction,
         agent: Agent,
+        snapshot: Snapshot,
         theta: np.ndarray,
         policy_kind: str,
         phase_idx: int,
@@ -194,16 +202,23 @@ class Experiment:
     ) -> tuple[EpisodeOutcome, Episode]:
         cfg = self.config
         desc = interaction.description_predicates
-        episode_predicates = sorted(set(agent.predicates) | set(desc))
-        active_test = [self.corpus.by_id[rid] for rid in interaction.active_test]
+        view = EpisodeView(
+            snapshot,
+            agent.predicates | set(desc),
+            interaction.active_train,
+            interaction.active_test,
+            self.features_by_id,
+        )
 
         oracle_rng = stream(self.master, "oracle", phase_idx, batch_idx, ep_idx)
         beam_rng = stream(self.master, "beam", phase_idx, batch_idx, ep_idx)
         policy_rng = stream(self.master, "policy", phase_idx, batch_idx, ep_idx)
 
-        models = dict(agent.models)  # shallow view; replaced per-predicate if immediate
+        # Grounding and the guess features change only with the description's
+        # classifiers: once per episode, and after an immediate refit of one.
+        scores = score_objects(desc, view)
+        guess = guess_features(desc, view, scores)
         immediate = cfg.episode.immediate_updates
-        current_scores = {}
 
         episode = Episode(
             interaction=interaction,
@@ -212,35 +227,28 @@ class Experiment:
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
             oracle_rng=oracle_rng,
-            guesser=lambda: best_guess(current_scores["now"]),
+            guesser=lambda: best_guess(scores),  # the grounding current at the guess
+            predicates=view.predicates,
         )
 
-        steps: list[tuple[np.ndarray, int, float]] = []
         while not episode.terminated:
             beam = build_beam(
                 turn=episode.turn,
                 t_max=cfg.episode.t_max,
-                predicates=episode_predicates,
-                models=models,
-                active_train=interaction.active_train,
-                features=self.features_by_id,
-                labeled_pairs=episode.labeled_pairs,
-                asked_examples=episode.asked_examples,
-                params=cfg.triangular,
+                view=view,
+                labeled=episode.labeled,
+                asked=episode.asked,
                 cfg=cfg.beam,
                 rng=beam_rng,
             )
-            current_scores["now"] = score_objects(desc, models, active_test)
             ctx = FeatureContext(
                 turn=episode.turn,
                 t_max=cfg.episode.t_max,
                 description_predicates=desc,
-                models=models,
+                view=view,
                 stats=agent.stats,
                 density=self.density,
-                guess_scores=current_scores["now"],
-                active_test=active_test,
-                features_by_id=self.features_by_id,
+                guess=guess,
                 mask=self.mask,
             )
             beam_features = np.stack([featurize(a, ctx) for a in beam])
@@ -252,45 +260,48 @@ class Experiment:
                 probs = action_probabilities(theta, beam_features)
                 chosen = sample_action(probs, policy_rng)
             n_before = len(episode.pending_labels)
-            reward, _ = episode.step(beam[chosen], beam_features, chosen)
-            steps.append((beam_features, chosen, reward))
+            episode.step(beam[chosen], beam_features, chosen)
             if immediate and len(episode.pending_labels) > n_before:
-                models = self._refresh_models(
-                    models, episode.pending_labels[n_before:], agent
-                )
+                refit = self._refresh_models(view, episode.pending_labels[n_before:], agent)
+                if not refit.isdisjoint(desc):  # grounding reads description rows only
+                    scores = score_objects(desc, view)
+                    guess = guess_features(desc, view, scores)
 
         outcome = EpisodeOutcome(
             interaction=interaction,
             success=episode.success,
             length=episode.length(),
             n_queries=episode.n_queries(),
-            steps=steps,
+            transcript=episode.transcript,
             pending=list(episode.pending_labels),
         )
         return outcome, episode
 
     def _refresh_models(
         self,
-        models: dict[str, PredicateModel],
+        view: EpisodeView,
         new_labels: Sequence[tuple[str, str, int]],
         agent: Agent,
-    ) -> dict[str, PredicateModel]:
-        """Immediate-update variant: retrain affected classifiers mid-episode."""
-        out = dict(models)
-        touched = set()
+    ) -> set[str]:
+        """Immediate-update variant: retrain affected classifiers mid-episode.
+
+        The agent's own models stay untouched until the batch end; the episode
+        refits copies and swaps them into its view. Returns the refit predicates.
+        """
+        touched: dict[str, PredicateModel] = {}
         for p, rid, label in new_labels:
-            model = out.get(p)
+            model = touched.get(p) or view.models[view.index[p]]
             if model is None:
                 model = PredicateModel(predicate=p)
             elif model is agent.models.get(p):
                 model = model.clone()
             model.record_label(rid, label)
-            out[p] = model
-            touched.add(p)
-        for p in touched:
-            train_classifier(out[p], self.features_by_id, self.config.classifier)
-            out[p].f1 = estimate_f1(out[p], self.features_by_id, self.config.classifier)
-        return out
+            touched[p] = model
+        for p, model in touched.items():
+            train_classifier(model, self.features_by_id, self.config.classifier)
+            model.f1 = estimate_f1(model, self.features_by_id, self.config.classifier)
+            view.update(p, model)
+        return set(touched)
 
     # -- batch ----------------------------------------------------------------
 
@@ -307,13 +318,14 @@ class Experiment:
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, str], int] = {}
         base = agent.base_labels()
+        snapshot = Snapshot(agent.models, self.corpus.dim, cfg.triangular)
         for ep_idx in range(cfg.experiment.batch_size):
             rng = stream(self.master, "interaction", phase_idx, batch_idx, ep_idx)
             interaction = sample_interaction(
                 self.corpus, self.split, plan.side, cfg.episode.sizes(), rng
             )
             outcome, episode = self.run_episode(
-                interaction, agent, theta, plan.policy_kind, phase_idx, batch_idx, ep_idx
+                interaction, agent, snapshot, theta, plan.policy_kind, phase_idx, batch_idx, ep_idx
             )
             agent.predicates.update(interaction.description_predicates)
             for p, rid, label in outcome.pending:
@@ -415,7 +427,12 @@ class Experiment:
                 BatchMetrics(**row) for row in state["metrics"]
             ]
 
-        sink = open(transcript_path, "w", encoding="utf-8") if transcript_path else None
+        sink = None
+        if transcript_path:
+            kept = _transcript_kept_bytes(transcript_path, (start_phase, start_batch))
+            if kept:
+                os.truncate(transcript_path, kept)
+            sink = open(transcript_path, "a" if kept else "w", encoding="utf-8")
         try:
             plans = self.phase_plan()
             for phase_idx in range(start_phase, len(plans)):
@@ -492,10 +509,37 @@ class Experiment:
 
 
 def checkpoint_save(path, state: dict) -> None:
+    """Write the checkpoint whole or not at all: a temporary file, then a rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _transcript_kept_bytes(path, cursor: tuple[int, int]) -> int:
+    """Length of the records an earlier run wrote for the batches before the cursor.
+
+    A resumed run keeps those records and drops the rest (a batch the
+    interrupted run left partial); a fresh run, at cursor (0, 0), keeps none.
+    """
+    if cursor == (0, 0) or not Path(path).exists():
+        return 0
+    kept = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            phase, batch, _ = json.loads(line)["episode"].split("/")
+            if (PHASE_NAMES.index(phase), int(batch)) >= cursor:
+                break
+            kept += len(line)
+    return kept
 
 
 def checkpoint_load(path) -> dict:

@@ -161,12 +161,15 @@ def decide(model: PredicateModel | None, features: np.ndarray) -> int:
     return 1 if score(model, features) >= 0.0 else -1
 
 
+MARGIN_NORM_FLOOR = 1e-12  # weight norms below this give margin 0
+
+
 def margin(model: PredicateModel, features: np.ndarray) -> float:
     """Geometric distance of the feature point to the decision hyperplane."""
     if model.weights is None:
         raise UndefinedMarginError(f"predicate {model.predicate!r} has no hyperplane")
     norm = float(np.linalg.norm(model.weights[:-1]))
-    if norm < 1e-12:
+    if norm < MARGIN_NORM_FLOOR:
         return 0.0
     return abs(score(model, features)) / norm
 

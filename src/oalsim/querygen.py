@@ -6,18 +6,24 @@ back to w_min at F1=1. That focuses queries on classifiers that are improvable
 but not already good. Label queries pair the sampled predicate with the
 unlabeled active-train object closest to its hyperplane (uncertainty sampling);
 untrained predicates fall back to a uniform object pick.
+
+The beam reads the episode's arrays (snapshot.EpisodeView): sampling weights,
+trained flags and active-train margins per predicate, plus the episode's masks
+of labeled pairs and example-queried predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .actions import Action, ExampleQuery, Guess, LabelQuery
 from .errors import DataError
-from .perception import PredicateModel, margin
+
+if TYPE_CHECKING:
+    from .snapshot import EpisodeView
 
 
 @dataclass(frozen=True)
@@ -39,96 +45,100 @@ class BeamConfig:
     n_example: int = 3
 
 
+def triangular_weights(f1: np.ndarray, params: TriangularWeights) -> np.ndarray:
+    """Piecewise-linear sampling weights, peaked at c_max, floored at w_min.
+
+    An F1 outside [0,1] gets NaN, which sample_predicates refuses to draw from.
+    """
+    f1 = np.asarray(f1, dtype=np.float64)
+    span = params.w_max - params.w_min
+    rising = params.w_min + (f1 / params.c_max) * span
+    falling = params.w_min + ((1.0 - f1) / (1.0 - params.c_max)) * span
+    weights = np.where(f1 <= params.c_max, rising, falling)
+    weights[~((f1 >= 0.0) & (f1 <= 1.0))] = np.nan
+    return weights
+
+
 def predicate_weight(c: float, params: TriangularWeights) -> float:
-    """Piecewise-linear sampling weight, peaked at c_max, floored at w_min."""
+    """Sampling weight of one estimated F1."""
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"estimated F1 {c} outside [0,1]")
-    span = params.w_max - params.w_min
-    if c <= params.c_max:
-        return params.w_min + (c / params.c_max) * span
-    return params.w_min + ((1.0 - c) / (1.0 - params.c_max)) * span
+    return float(triangular_weights(np.array([c]), params)[0])
 
 
 def sample_predicates(
-    predicates: Sequence[str],
-    f1_of: Callable[[str], float],
-    count: int,
-    params: TriangularWeights,
-    rng: np.random.Generator,
-) -> list[str]:
-    """Sample without replacement under triangular weights; exhaust small pools."""
-    if not predicates:
+    weights: np.ndarray, count: int, rng: np.random.Generator
+) -> list[int]:
+    """Indices drawn without replacement under the weights; small pools come back whole.
+
+    Each draw is the inverse-CDF draw `Generator.choice(n, p=probs)` makes, so
+    it picks the same index and leaves the generator in the same state.
+    """
+    n = len(weights)
+    if n == 0:
         raise DataError("no predicates to sample from")
-    pool = list(predicates)
-    if len(pool) <= count:
-        return pool
-    weights = np.array([predicate_weight(f1_of(p), params) for p in pool])
-    chosen: list[str] = []
-    alive = np.ones(len(pool), dtype=bool)
+    if n <= count:
+        return list(range(n))
+    alive = np.array(weights, dtype=np.float64)
+    chosen: list[int] = []
     for _ in range(count):
-        w = weights * alive
-        probs = w / w.sum()
-        idx = int(rng.choice(len(pool), p=probs))
-        chosen.append(pool[idx])
-        alive[idx] = False
+        total = alive.sum()
+        if not total > 0.0:
+            raise ValueError("sampling weight of an estimated F1 outside [0,1]")
+        cdf = (alive / total).cumsum()
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
+        chosen.append(idx)
+        alive[idx] = 0.0
     return chosen
 
 
 def best_object_for_predicate(
-    predicate: str,
-    model: PredicateModel | None,
-    active_train: Sequence[str],
-    features: Mapping[str, np.ndarray],
-    labeled: frozenset[str] | set[str],
-    rng: np.random.Generator,
-) -> str:
-    """Minimal-margin unlabeled object; uniform fallback when no hyperplane exists."""
-    candidates = [rid for rid in active_train if rid not in labeled]
-    if not candidates:
-        raise DataError(f"all ({predicate!r}, object) pairs already labeled")
-    if model is None or model.weights is None:
-        return candidates[int(rng.integers(len(candidates)))]
-    return min(candidates, key=lambda rid: (margin(model, features[rid]), rid))
+    view: EpisodeView, row: int, free: np.ndarray, rng: np.random.Generator
+) -> int:
+    """Active-train column of the minimal-margin free object, ties to the lowest id.
+
+    Untrained predicates have no hyperplane and pick a free object uniformly.
+    """
+    trained = view.trained[row]
+    candidates = view.train_by_id[free[view.train_by_id]] if trained else np.flatnonzero(free)
+    if not len(candidates):
+        raise DataError(f"all ({view.predicates[row]!r}, object) pairs already labeled")
+    if not trained:
+        return int(candidates[rng.integers(len(candidates))])
+    return int(candidates[view.margins[row, candidates].argmin()])
 
 
 def build_beam(
     turn: int,
     t_max: int,
-    predicates: Sequence[str],
-    models: Mapping[str, PredicateModel],
-    active_train: Sequence[str],
-    features: Mapping[str, np.ndarray],
-    labeled_pairs: Callable[[str], set[str]],
-    asked_examples: frozenset[str] | set[str],
-    params: TriangularWeights,
+    view: EpisodeView,
+    labeled: np.ndarray,
+    asked: np.ndarray,
     cfg: BeamConfig,
     rng: np.random.Generator,
 ) -> list[Action]:
     """Guess plus up to n_label label queries and n_example example queries.
 
-    At the turn cap the beam collapses to the forced guess. Label candidates
-    skip predicates whose active-train pairs are all labeled; example
-    candidates skip predicates already example-queried this episode.
+    `labeled` marks the (predicate, active-train object) pairs with a label and
+    `asked` the predicates already example-queried this episode, both over the
+    view's predicates and columns. At the turn cap the beam collapses to the
+    forced guess. Label candidates skip predicates whose active-train pairs
+    are all labeled; example candidates skip asked predicates.
     """
     beam: list[Action] = [Guess()]
     if turn >= t_max:
         return beam
 
-    def f1_of(p: str) -> float:
-        m = models.get(p)
-        return m.f1 if m is not None else 0.0
-
-    ordered = sorted(predicates)
-    for p in sample_predicates(ordered, f1_of, cfg.n_label, params, rng):
-        done = labeled_pairs(p)
-        unlabeled = [rid for rid in active_train if rid not in done]
-        if not unlabeled:
+    for row in sample_predicates(view.sampling, cfg.n_label, rng):
+        free = ~labeled[row]
+        if not free.any():
             continue
-        obj = best_object_for_predicate(p, models.get(p), active_train, features, done, rng)
-        beam.append(LabelQuery(predicate=p, region_id=obj))
+        col = best_object_for_predicate(view, row, free, rng)
+        beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
 
-    example_pool = [p for p in ordered if p not in asked_examples]
-    if example_pool:
-        for p in sample_predicates(example_pool, f1_of, cfg.n_example, params, rng):
-            beam.append(ExampleQuery(predicate=p))
+    pool = np.flatnonzero(~asked)
+    if len(pool):
+        for k in sample_predicates(view.sampling[pool], cfg.n_example, rng):
+            beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
     return beam

@@ -1,0 +1,136 @@
+"""Batch-frozen classifier state, held once as arrays.
+
+Classifiers and their F1 estimates change only at batch ends (and, with
+immediate updates, for one predicate at a time inside an episode). A Snapshot
+stacks the agent's classifiers once per batch: feature weights, biases, weight
+norms, F1, trained flags and triangular sampling weights, one row per
+predicate plus a last row for every predicate without a classifier. An
+EpisodeView takes one interaction's rows and columns from it: margins on the
+active-train objects and decisions on the active-test objects. Beams,
+grounding and guess features read these arrays instead of calling the scalar
+classifier functions.
+
+Every entry equals its scalar counterpart in perception (score, margin,
+decide) bit for bit, so run outputs do not depend on which path computed
+them. Scores come from np.vecdot, one dot product per (predicate, object)
+pair: the same BLAS dot `score` calls. A matrix product sums in another order
+and differs in the last bits.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from .perception import MARGIN_NORM_FLOOR, PredicateModel
+from .querygen import TriangularWeights, triangular_weights
+
+
+class _Rows:
+    """Per-predicate arrays of a list of classifiers (None: no classifier)."""
+
+    def __init__(
+        self, models: Sequence[PredicateModel | None], dim: int, params: TriangularWeights
+    ):
+        n = len(models)
+        self.coef = np.zeros((n, dim))
+        self.bias = np.zeros(n)
+        self.norms = np.zeros(n)
+        self.f1 = np.zeros(n)
+        self.trained = np.zeros(n, dtype=bool)
+        for i, model in enumerate(models):
+            if model is None:
+                continue
+            self.f1[i] = model.f1
+            if model.weights is not None:
+                self.coef[i] = model.weights[:-1]
+                self.bias[i] = model.weights[-1]
+                self.norms[i] = np.linalg.norm(model.weights[:-1])
+                self.trained[i] = True
+        self.sampling = triangular_weights(self.f1, params)
+
+    def scores(self, rows, X: np.ndarray) -> np.ndarray:
+        """(len(rows), len(X)) linear scores, each equal to perception.score."""
+        return np.vecdot(X, self.coef[rows, None, :]) + self.bias[rows, None]
+
+    def margins(self, rows, X: np.ndarray) -> np.ndarray:
+        """Distances to the hyperplanes, each equal to perception.margin."""
+        norms = self.norms[rows, None]
+        flat = norms < MARGIN_NORM_FLOOR
+        return np.where(flat, 0.0, np.abs(self.scores(rows, X)) / np.where(flat, 1.0, norms))
+
+    def decisions(self, rows, X: np.ndarray) -> np.ndarray:
+        """+1/-1 decisions, each equal to perception.decide (-1 when untrained)."""
+        return np.where(self.trained[rows, None] & (self.scores(rows, X) >= 0.0), 1, -1)
+
+
+def _matrix(ids: Sequence[str], features: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
+    return np.stack([features[rid] for rid in ids]) if ids else np.zeros((0, dim))
+
+
+class Snapshot:
+    """The agent's classifiers stacked as arrays, built once per batch."""
+
+    def __init__(
+        self,
+        models: Mapping[str, PredicateModel],
+        dim: int,
+        params: TriangularWeights = TriangularWeights(),
+    ):
+        names = sorted(models)
+        self.dim = dim
+        self.params = params
+        self.row = {p: i for i, p in enumerate(names)}
+        self.models: list[PredicateModel | None] = [models[p] for p in names] + [None]
+        self.rows = _Rows(self.models, dim, params)
+
+
+class EpisodeView:
+    """One interaction's predicates (sorted) against its active-train and -test objects.
+
+    Row i is predicates[i]; train columns follow active_train, test columns
+    active_test. `update` swaps in a refit classifier for one predicate.
+    """
+
+    def __init__(
+        self,
+        snapshot: Snapshot,
+        predicates: Iterable[str],
+        active_train: Sequence[str],
+        active_test: Sequence[str],
+        features: Mapping[str, np.ndarray],
+    ):
+        self.predicates = tuple(sorted(predicates))
+        self.index = {p: i for i, p in enumerate(self.predicates)}
+        none = len(snapshot.models) - 1
+        rows = np.array([snapshot.row.get(p, none) for p in self.predicates], dtype=np.intp)
+        self.models = [snapshot.models[r] for r in rows]
+        src = snapshot.rows
+        self.f1 = src.f1[rows]
+        self.sampling = src.sampling[rows]
+        self.trained = src.trained[rows]
+
+        self.train_ids = tuple(active_train)
+        self.test_ids = tuple(active_test)
+        self.train_by_id = np.array(
+            sorted(range(len(self.train_ids)), key=self.train_ids.__getitem__), dtype=np.intp
+        )
+        self.train_col = {rid: j for j, rid in enumerate(self.train_ids)}
+        self.test_col = {rid: j for j, rid in enumerate(self.test_ids)}
+        self._train_X = _matrix(self.train_ids, features, snapshot.dim)
+        self._test_X = _matrix(self.test_ids, features, snapshot.dim)
+        self._snapshot = snapshot
+        self.margins = src.margins(rows, self._train_X)
+        self.decisions = src.decisions(rows, self._test_X)
+
+    def update(self, predicate: str, model: PredicateModel) -> None:
+        """Replace one predicate's classifier, as an immediate refit does."""
+        i = self.index[predicate]
+        fresh = _Rows([model], self._snapshot.dim, self._snapshot.params)
+        self.models[i] = model
+        self.f1[i] = fresh.f1[0]
+        self.sampling[i] = fresh.sampling[0]
+        self.trained[i] = fresh.trained[0]
+        self.margins[i] = fresh.margins([0], self._train_X)[0]
+        self.decisions[i] = fresh.decisions([0], self._test_X)[0]

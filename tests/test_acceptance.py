@@ -33,17 +33,14 @@ from oalsim.perception import (
     train_classifier,
 )
 from oalsim.policy import action_probabilities, grad_log_prob
-from oalsim.querygen import (
-    TriangularWeights,
-    best_object_for_predicate,
-    predicate_weight,
-    sample_predicates,
-)
+from oalsim.querygen import TriangularWeights, predicate_weight
 from oalsim.seeding import stream
 from oalsim.stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 from conftest import small_run_config
+from test_grounding import grounding_view
 from test_perception import _reference_cv_f1
+from test_querygen import best_object, sample_names
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 MASTER_SEEDS = (101, 505, 606)
@@ -243,7 +240,7 @@ class TestC05GroundingOracle:
                        annotations=frozenset({"x"}))
                 for i in range(4)
             ]
-            scores = score_objects(preds, models, regions)
+            scores = score_objects(preds, grounding_view(preds, models, regions))
             # independent evaluation of the weighted-decision sum
             expected = []
             for r in regions:
@@ -265,7 +262,10 @@ class TestC05GroundingOracle:
                 p: PredicateModel(predicate=p, weights=m.weights, f1=m.f1 * lam)
                 for p, m in models.items()
             }
-            assert score_objects(preds, scaled, regions).argmax == scores.argmax
+            assert (
+                score_objects(preds, grounding_view(preds, scaled, regions)).argmax
+                == scores.argmax
+            )
         report(5, "grounding matches exhaustive oracle", True, "1000 instances")
 
 
@@ -294,7 +294,7 @@ class TestC06TriangularSampling:
             rng = stream(34, "tri", si)
             counts = {p: 0 for p in preds}
             for _ in range(n):
-                counts[sample_predicates(preds, f1s.get, 1, params, rng)[0]] += 1
+                counts[sample_names(preds, f1s.get, 1, params, rng)[0]] += 1
             observed = [counts[p] for p in preds]
             _, p = sps.chisquare(observed, f_exp=n * probs)
             pvals.append(p)
@@ -326,9 +326,7 @@ class TestC07UncertaintySampling:
             excluded = set(
                 f"o{i}" for i in rng.choice(8, size=int(rng.integers(0, 4)), replace=False)
             )
-            got = best_object_for_predicate(
-                "p", model, sorted(pool), pool, excluded, stream(36, "x", trial)
-            )
+            got = best_object(model, sorted(pool), pool, excluded, stream(36, "x", trial))
             w = model.weights
             norm = np.linalg.norm(w[:dim])
             best = min(

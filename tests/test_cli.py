@@ -98,6 +98,26 @@ class TestRun:
         assert code == 2
         assert not (out / "metrics.csv").exists()
 
+    def test_missing_config_is_config_error(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "missing.json" in err["message"]
+
+    def test_unforeseen_exception_is_runtime_failure(
+        self, tmp_path, config_path, capsys, monkeypatch
+    ):
+        def broken(config):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("oalsim.cli.build_corpus", broken)
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "RuntimeError", "message": "disk on fire"}
+
     def test_unknown_ablation_name_is_config_error(self, tmp_path, config_path):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x"),
                      "--ablate", "bogus_feature"]) == 2

@@ -5,6 +5,16 @@ from oalsim.corpus import Region
 from oalsim.grounding import best_guess, score_objects
 from oalsim.perception import PredicateModel, decide
 from oalsim.seeding import stream
+from oalsim.snapshot import EpisodeView, Snapshot
+
+
+def grounding_view(preds, models, regions):
+    """The view score_objects reads: the models' rows, the regions as active-test columns."""
+    features = {r.id: r.features for r in regions}
+    dim = len(regions[0].features)
+    return EpisodeView(
+        Snapshot(models, dim), set(models) | set(preds), (), [r.id for r in regions], features
+    )
 
 
 def _region(rid, feats):
@@ -33,7 +43,7 @@ def worked_example():
 class TestScoreObjects:
     def test_worked_instance(self):
         preds, models, regions = worked_example()
-        scores = score_objects(preds, models, regions)
+        scores = score_objects(preds, grounding_view(preds, models, regions))
         assert scores.weighted == pytest.approx((0.5, -0.5, 1.3))
         assert scores.unweighted == (0, 0, 2)
         assert scores.argmax == "o3"
@@ -41,18 +51,19 @@ class TestScoreObjects:
 
     def test_all_untrained_ties_to_lowest_id(self):
         regions = [_region("b", (1.0, 1.0)), _region("a", (0.0, 1.0)), _region("c", (2.0, 0.0))]
-        scores = score_objects(["p1", "p2"], {}, regions)
+        scores = score_objects(["p1", "p2"], grounding_view(["p1", "p2"], {}, regions))
         assert all(w == 0.0 for w in scores.weighted)
         assert all(u == -2 for u in scores.unweighted)
         assert scores.argmax == "a"
 
     def test_single_predicate_single_region(self):
-        scores = score_objects(["p1"], {}, [_region("only", (1.0, 0.0))])
+        only = [_region("only", (1.0, 0.0))]
+        scores = score_objects(["p1"], grounding_view(["p1"], {}, only))
         assert scores.argmax == "only"
 
     def test_negation_changes_strict_argmax(self):
         preds, models, regions = worked_example()
-        scores = score_objects(preds, models, regions)
+        scores = score_objects(preds, grounding_view(preds, models, regions))
         neg_order = sorted(
             range(3), key=lambda i: (-(-scores.weighted[i]), scores.region_ids[i])
         )
@@ -62,8 +73,8 @@ class TestScoreObjects:
         preds, models, regions = worked_example()
         models = dict(models)
         models["p3"] = _axis_model("p3", 0, 0.0)
-        with_p3 = score_objects(preds + ["p3"], models, regions)
-        without = score_objects(preds, models, regions)
+        with_p3 = score_objects(preds + ["p3"], grounding_view(preds + ["p3"], models, regions))
+        without = score_objects(preds, grounding_view(preds, models, regions))
         assert with_p3.weighted == pytest.approx(without.weighted)
         # but the decision sums still register it
         assert with_p3.unweighted != without.unweighted
@@ -84,7 +95,7 @@ class TestScoreObjects:
                     predicate=name, weights=w, f1=float(rng.uniform(0, 1))
                 )
             regions = [_region(f"o{i}", rng.normal(size=dim)) for i in range(n)]
-            scores = score_objects(preds, models, regions)
+            scores = score_objects(preds, grounding_view(preds, models, regions))
             for i, region in enumerate(regions):
                 expected = sum(
                     decide(models[p], region.features) * models[p].f1 for p in preds
@@ -111,10 +122,10 @@ class TestScoreObjects:
                     f1=float(rng.uniform(0.05, 1.0)),
                 )
             regions = [_region(f"o{i}", rng.normal(size=4)) for i in range(4)]
-            before = score_objects(preds, models, regions).argmax
+            before = score_objects(preds, grounding_view(preds, models, regions)).argmax
             lam = float(rng.uniform(0.1, 5.0))
             scaled = {
                 p: PredicateModel(predicate=p, weights=m.weights, f1=m.f1 * lam)
                 for p, m in models.items()
             }
-            assert score_objects(preds, scaled, regions).argmax == before
+            assert score_objects(preds, grounding_view(preds, scaled, regions)).argmax == before

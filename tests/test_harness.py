@@ -184,6 +184,47 @@ class TestCheckpointing:
         write_metrics_csv(b, resumed.metrics)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_resume_keeps_earlier_transcripts(
+        self, small_corpus, small_split, small_density, tmp_path, monkeypatch
+    ):
+        cfg = small_run_config()
+        full = tmp_path / "full.jsonl"
+        Experiment(cfg, small_corpus, small_split, small_density).run(transcript_path=full)
+
+        class Interrupted(Exception):
+            pass
+
+        cut = tmp_path / "cut.jsonl"
+        exp = Experiment(cfg, small_corpus, small_split, small_density)
+
+        def run_episode(interaction, agent, snapshot, theta, kind, phase, batch, ep):
+            if (phase, batch, ep) == (1, 1, 5):
+                raise Interrupted
+            return Experiment.run_episode(
+                exp, interaction, agent, snapshot, theta, kind, phase, batch, ep
+            )
+
+        monkeypatch.setattr(exp, "run_episode", run_episode)
+        with pytest.raises(Interrupted):
+            exp.run(checkpoint_dir=tmp_path / "ck", transcript_path=cut)
+        assert '"train/1/4"' in cut.read_text()  # the interrupted batch is partial
+        resume = checkpoint_load(tmp_path / "ck" / "checkpoint_p1_b0.json")
+        Experiment(cfg, small_corpus, small_split, small_density).run(
+            resume=resume, transcript_path=cut
+        )
+        assert cut.read_bytes() == full.read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        checkpoint_save(path, {"version": CHECKPOINT_VERSION, "cursor": [0, 1]})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            checkpoint_save(
+                path, {"version": CHECKPOINT_VERSION, "cursor": [0, 2], "x": object()}
+            )
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_truncated_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": "oalsim-checkpoint/1", "cursor"')

@@ -10,6 +10,7 @@ from oalsim.features import (
     N_FEATURES,
     REGISTRY,
     featurize,
+    guess_features,
     registry_table,
     resolve_mask,
 )
@@ -24,6 +25,7 @@ from oalsim.policy import (
     static_policy_act,
 )
 from oalsim.seeding import stream
+from oalsim.snapshot import EpisodeView, Snapshot
 
 from test_grounding import worked_example
 
@@ -203,17 +205,17 @@ def _guess_context(models, stats=None, mask=None):
     models = models if models is not None else models_
     feats = {r.id: r.features for r in regions}
     density = DensityIndex(list(feats), np.stack(list(feats.values())), k=2)
-    scores = score_objects(preds, models, regions)
+    askable = set(models) | set(preds) | {"zeta", "unseen"}
+    view = EpisodeView(Snapshot(models, 2), askable, list(feats), list(feats), feats)
+    scores = score_objects(preds, view)
     return FeatureContext(
         turn=0,
         t_max=40,
         description_predicates=tuple(preds),
-        models=models,
+        view=view,
         stats=stats or AgentStats(),
         density=density,
-        guess_scores=scores,
-        active_test=regions,
-        features_by_id=feats,
+        guess=guess_features(preds, view, scores),
         mask=mask,
     )
 

@@ -12,10 +12,27 @@ from oalsim.querygen import (
     build_beam,
     predicate_weight,
     sample_predicates,
+    triangular_weights,
 )
 from oalsim.seeding import stream
+from oalsim.snapshot import EpisodeView, Snapshot
 
 DEFAULTS = TriangularWeights()
+
+
+def sample_names(predicates, f1_of, count, params, rng):
+    """Predicate names drawn by sample_predicates under the triangular weights of f1_of."""
+    weights = triangular_weights(np.array([f1_of(p) for p in predicates], dtype=float), params)
+    return [predicates[i] for i in sample_predicates(weights, count, rng)]
+
+
+def best_object(model, active_train, features, labeled, rng):
+    """best_object_for_predicate for predicate "p" on a view over active_train."""
+    dim = len(next(iter(features.values())))
+    models = {} if model is None else {"p": model}
+    view = EpisodeView(Snapshot(models, dim), ["p"], active_train, (), features)
+    free = np.array([rid not in labeled for rid in active_train])
+    return active_train[best_object_for_predicate(view, 0, free, rng)]
 
 
 class TestPredicateWeight:
@@ -51,7 +68,7 @@ class TestPredicateWeight:
 
 class TestSamplePredicates:
     def test_small_pool_exhausted(self):
-        out = sample_predicates(["a", "b"], lambda p: 0.0, 3, DEFAULTS, stream(1, "s"))
+        out = sample_names(["a", "b"], lambda p: 0.0, 3, DEFAULTS, stream(1, "s"))
         assert sorted(out) == ["a", "b"]
 
     def test_uniform_when_f1_equal(self):
@@ -60,7 +77,7 @@ class TestSamplePredicates:
         counts = {p: 0 for p in preds}
         n = 20_000
         for _ in range(n):
-            counts[sample_predicates(preds, lambda p: 0.3, 1, DEFAULTS, rng)[0]] += 1
+            counts[sample_names(preds, lambda p: 0.3, 1, DEFAULTS, rng)[0]] += 1
         _, pval = sps.chisquare(list(counts.values()))
         assert pval > 0.001
 
@@ -70,7 +87,7 @@ class TestSamplePredicates:
         n = 100_000
         hits = 0
         for _ in range(n):
-            if sample_predicates(["a", "b"], f1.get, 1, DEFAULTS, rng)[0] == "a":
+            if sample_names(["a", "b"], f1.get, 1, DEFAULTS, rng)[0] == "a":
                 hits += 1
         expected = 1.0 / 1.1  # weights 1.0 : 0.1
         sigma = (n * expected * (1 - expected)) ** 0.5
@@ -78,12 +95,12 @@ class TestSamplePredicates:
 
     def test_without_replacement(self):
         preds = [f"p{i}" for i in range(10)]
-        out = sample_predicates(preds, lambda p: 0.5, 6, DEFAULTS, stream(4, "s"))
+        out = sample_names(preds, lambda p: 0.5, 6, DEFAULTS, stream(4, "s"))
         assert len(out) == len(set(out)) == 6
 
     def test_empty_pool_rejected(self):
         with pytest.raises(DataError):
-            sample_predicates([], lambda p: 0.0, 1, DEFAULTS, stream(5, "s"))
+            sample_names([], lambda p: 0.0, 1, DEFAULTS, stream(5, "s"))
 
 
 def _trained_model(w):
@@ -99,9 +116,7 @@ class TestBestObject:
             "o2": np.array([0.9, 0.0]),
             "o3": np.array([-0.4, 2.0]),
         }
-        picked = best_object_for_predicate(
-            "p", model, ["o1", "o2", "o3"], feats, set(), stream(6, "s")
-        )
+        picked = best_object(model, ["o1", "o2", "o3"], feats, set(), stream(6, "s"))
         assert picked == "o1"
 
     def test_bruteforce_agreement(self):
@@ -120,7 +135,7 @@ class TestBestObject:
             ids = sorted(feats)
             unlabeled = [r for r in ids if r not in labeled]
             expected = min(unlabeled, key=lambda r: (margin(model, feats[r]), r))
-            got = best_object_for_predicate("p", model, ids, feats, labeled, stream(8, "s"))
+            got = best_object(model, ids, feats, labeled, stream(8, "s"))
             assert got == expected
 
     def test_untrained_uniform_fallback(self):
@@ -129,34 +144,28 @@ class TestBestObject:
         counts = {rid: 0 for rid in feats}
         n = 8000
         for _ in range(n):
-            counts[
-                best_object_for_predicate("p", None, sorted(feats), feats, set(), rng)
-            ] += 1
+            counts[best_object(None, sorted(feats), feats, set(), rng)] += 1
         _, pval = sps.chisquare(list(counts.values()))
         assert pval > 0.001
 
     def test_exhausted_pairs_rejected(self):
         feats = {"o1": np.zeros(2)}
         with pytest.raises(DataError):
-            best_object_for_predicate(
-                "p", None, ["o1"], feats, {"o1"}, stream(10, "s")
-            )
+            best_object(None, ["o1"], feats, {"o1"}, stream(10, "s"))
 
 
 class TestBuildBeam:
     def _beam(self, turn=0, predicates=("a", "b", "c", "d"), labeled=None, asked=(), t_max=40):
         feats = {f"t{i}": np.asarray([i - 3.5, 1.0]) for i in range(8)}
         labeled = labeled or {}
+        ids = sorted(feats)
+        view = EpisodeView(Snapshot({}, 2, DEFAULTS), predicates, ids, (), feats)
         return build_beam(
             turn=turn,
             t_max=t_max,
-            predicates=sorted(predicates),
-            models={},
-            active_train=sorted(feats),
-            features=feats,
-            labeled_pairs=lambda p: set(labeled.get(p, ())),
-            asked_examples=set(asked),
-            params=DEFAULTS,
+            view=view,
+            labeled=np.array([[rid in labeled.get(p, ()) for rid in ids] for p in view.predicates]),
+            asked=np.array([p in asked for p in view.predicates]),
             cfg=BeamConfig(),
             rng=stream(11, "beam"),
         )
