@@ -27,7 +27,7 @@ from .corpus import (
 )
 from .dialog import Episode, RewardConfig, episode_return
 from .features import FeatureContext, N_FEATURES, REGISTRY, featurize, resolve_mask
-from .grounding import GuessScores, best_guess, score_objects
+from .grounding import GuessScores, score_objects
 from .harness import (
     BatchMetrics,
     Experiment,
@@ -35,7 +35,6 @@ from .harness import (
     checkpoint_load,
     checkpoint_save,
     run_ablation,
-    run_experiment,
 )
 from .perception import (
     ClassifierConfig,

@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -19,18 +18,17 @@ import traceback
 from pathlib import Path
 
 from . import __version__
-from .config import from_dict
+from .config import from_dict, read_config
 from .corpus import Corpus, SyntheticConfig, generate_synthetic, write_regions
 from .errors import ConfigError, DataError, OalsimError
 from .features import registry_table
 from .harness import (
     Experiment,
-    build_corpus,
     checkpoint_load,
+    welch_vs_baseline,
     write_metrics_csv,
     write_summary,
 )
-from .stats import welch_t_test
 
 
 def _out_dir(raw: str) -> Path:
@@ -39,14 +37,6 @@ def _out_dir(raw: str) -> Path:
     if root and not path.is_absolute():
         path = Path(root) / path
     return path
-
-
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _write_manifest(out: Path, payload: dict) -> None:
@@ -115,19 +105,11 @@ def _apply_overrides(data: dict, args) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    config = from_dict(_apply_overrides(data, args))
+    config = from_dict(_apply_overrides(read_config(args.config), args))
 
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus = build_corpus(config)
-    experiment = Experiment(config, corpus=corpus)
+    experiment = Experiment(config)
 
     resume = checkpoint_load(args.resume) if args.resume else None
     checkpoint_dir = out / "checkpoints" if config.experiment.checkpoints else None
@@ -177,16 +159,16 @@ def _load_run(run_dir: Path) -> dict:
 
 def cmd_report(args) -> int:
     runs = [_load_run(_out_dir(d)) for d in args.run_dirs]
-    fingerprints = {r["manifest"]["corpus_fingerprint"] for r in runs}
-    if len(fingerprints) > 1:
-        raise DataError(
-            "runs were produced from different corpora; comparisons must share data"
-        )
     baseline_dir = _out_dir(args.baseline) if args.baseline else runs[0]["dir"]
     baseline = next((r for r in runs if r["dir"] == baseline_dir), None)
     if baseline is None:
         baseline = _load_run(baseline_dir)
         runs.append(baseline)
+    fingerprints = {r["manifest"]["corpus_fingerprint"] for r in runs}
+    if len(fingerprints) > 1:
+        raise DataError(
+            "runs were produced from different corpora; comparisons must share data"
+        )
 
     base_final = baseline["summary"]["final_test_batch"]
     rows = []
@@ -200,13 +182,10 @@ def cmd_report(args) -> int:
             "p_length": None,
         }
         if r is not baseline:
-            row["p_success"] = welch_t_test(
-                final["success_indicators"], base_final["success_indicators"]
-            ).p_two_sided
-            row["p_length"] = welch_t_test(
-                [float(v) for v in final["lengths"]],
-                [float(v) for v in base_final["lengths"]],
-            ).p_two_sided
+            row["p_success"], row["p_length"] = welch_vs_baseline(
+                final["success_indicators"], final["lengths"],
+                base_final["success_indicators"], base_final["lengths"],
+            )
         rows.append(row)
 
     def fmt_p(p):
@@ -225,9 +204,7 @@ def cmd_report(args) -> int:
         )
     if args.out:
         with open(_out_dir(args.out), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["run", "success_rate", "mean_length", "p_success", "p_length"]
-            )
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     return 0

@@ -118,14 +118,17 @@ def _build(cls, data: dict, where: str, coercions: dict | None = None):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _ablate_names(value) -> tuple[str, ...]:
+    # tuple("guess") would split a bare name into letters
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"experiment: ablate must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    known = {
-        "corpus", "split", "rewards", "beam", "triangular",
-        "classifier", "policy", "episode", "experiment",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"config: unknown sections {sorted(unknown)}")
     if "corpus" not in data:
@@ -162,17 +165,21 @@ def from_dict(data: dict) -> RunConfig:
         policy=section("policy", PolicyConfig),
         episode=section("episode", EpisodeConfig),
         experiment=section(
-            "experiment", ExperimentConfig, coercions={"ablate": tuple}
+            "experiment", ExperimentConfig, coercions={"ablate": _ablate_names}
         ),
     )
 
 
-def load_config(path) -> RunConfig:
+def read_config(path) -> dict:
+    """The JSON document of a config file, not yet validated."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return from_dict(data)
+
+
+def load_config(path) -> RunConfig:
+    return from_dict(read_config(path))

@@ -13,7 +13,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -60,12 +61,6 @@ class Corpus:
 
     def feature_map(self) -> dict[str, np.ndarray]:
         return {r.id: r.features for r in self.regions}
-
-    def predicates(self) -> set[str]:
-        out: set[str] = set()
-        for r in self.regions:
-            out |= r.annotations
-        return out
 
     def fingerprint(self) -> str:
         """Content hash over ids, features, annotations, and descriptions."""
@@ -153,15 +148,17 @@ def _region_from_record(
 
 
 def load_regions(path, fmt: str = "annotation-json") -> list[Region]:
-    """Read a region file. Formats: annotation-json (JSONL) or tabular (CSV)."""
+    """Read a region file. Formats: annotation-json (JSONL) or tabular (CSV).
+
+    The regions are checked as a Corpus is: one feature dimension, unique ids.
+    """
     if fmt == "annotation-json":
         regions = _load_jsonl(path)
     elif fmt == "tabular":
         regions = _load_tabular(path)
     else:
         raise CorpusError(f"unknown corpus format {fmt!r}")
-    _validate_regions(regions)
-    return regions
+    return Corpus(regions).regions
 
 
 def _load_jsonl(path) -> list[Region]:
@@ -226,21 +223,6 @@ def _load_tabular(path) -> list[Region]:
     return regions
 
 
-def _validate_regions(regions: list[Region]) -> None:
-    if not regions:
-        raise CorpusError("no regions in file")
-    dim = regions[0].features.shape[0]
-    seen: set[str] = set()
-    for r in regions:
-        if r.features.shape[0] != dim:
-            raise CorpusError(
-                f"region {r.id!r}: feature dimension {r.features.shape[0]} != {dim}"
-            )
-        if r.id in seen:
-            raise CorpusError(f"duplicate region id {r.id!r}")
-        seen.add(r.id)
-
-
 def write_regions(path, regions: list[Region]) -> None:
     """Write regions as JSONL, the same schema load_regions ingests."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -292,7 +274,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     # u.x ~ N(0,1) for unit u, so offset = isf(coverage) hits the target rate.
     coverages = rng.uniform(lo, hi, size=cfg.n_predicates)
-    offsets = np.array([_normal_isf(c) for c in coverages])
+    offsets = np.array([-NormalDist().inv_cdf(c) for c in coverages])
 
     regions = []
     for i in range(cfg.n_regions):
@@ -321,38 +303,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
             )
         )
     return regions
-
-
-def _normal_isf(p: float) -> float:
-    """Inverse survival function of the standard normal (Acklam's rational fit)."""
-    return -_normal_ppf(p)
-
-
-def _normal_ppf(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0,1)")
-    # Peter Acklam's approximation, |relative error| < 1.15e-9.
-    a = [-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00]
-    b = [-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00]
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > phigh:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
 
 
 @dataclass(frozen=True)

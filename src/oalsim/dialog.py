@@ -11,7 +11,6 @@ pairs remain askable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -179,9 +178,6 @@ class Episode:
 
     # -- derived quantities -------------------------------------------------
 
-    def rewards_seq(self) -> list[float]:
-        return [step.reward for step in self.transcript]
-
     def n_queries(self) -> int:
         return self.turn - 1 if self.terminated else self.turn
 
@@ -204,12 +200,6 @@ def episode_return(rewards: Sequence[float], gamma: float) -> list[float]:
     return out
 
 
-def returns_for(episode: Episode, gamma: float) -> list[float]:
-    if not episode.terminated:
-        raise ContractError("returns of an unterminated episode")
-    return episode_return(episode.rewards_seq(), gamma)
-
-
 def transcript_records(episode_id: str, episode: Episode):
     """One flat record per action: id, turn, descriptor, reward, chosen features."""
     for t, step in enumerate(episode.transcript):
@@ -224,10 +214,3 @@ def transcript_records(episode_id: str, episode: Episode):
             "features": feats,
         }
 
-
-def export_transcripts(path, episodes: Sequence[tuple[str, Episode]]) -> None:
-    """Line-delimited export for offline analysis."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for episode_id, ep in episodes:
-            for rec in transcript_records(episode_id, ep):
-                fh.write(json.dumps(rec) + "\n")

@@ -59,7 +59,3 @@ def score_objects(description_predicates: Sequence[str], view: EpisodeView) -> G
         unweighted=tuple(unweighted.tolist()),
         argmax=ids[best],
     )
-
-
-def best_guess(scores: GuessScores) -> str:
-    return scores.argmax

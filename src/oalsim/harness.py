@@ -38,7 +38,7 @@ from .corpus import (
 from .dialog import Episode, TranscriptStep, episode_return, transcript_records
 from .errors import CheckpointError
 from .features import FeatureContext, N_FEATURES, featurize, guess_features, resolve_mask
-from .grounding import best_guess, score_objects
+from .grounding import score_objects
 from .perception import DensityIndex, PredicateModel, estimate_f1, train_classifier
 from .policy import (
     PolicyParams,
@@ -160,17 +160,14 @@ class Experiment:
         self.config = config
         self.corpus = corpus if corpus is not None else build_corpus(config)
         self.split = split if split is not None else make_splits(self.corpus, config.split)
-        feats = np.stack([r.features for r in self.corpus.regions])
-        self.density = (
-            density
-            if density is not None
-            else DensityIndex(
+        if density is None:
+            density = DensityIndex(
                 self.corpus.ids,
-                feats,
+                np.stack([r.features for r in self.corpus.regions]),
                 k=config.classifier.knn_k,
                 avg_sample=config.classifier.density_avg_sample,
             )
-        )
+        self.density = density
         self.features_by_id = self.corpus.feature_map()
         mask = resolve_mask(config.experiment.ablate)
         self.mask = mask if mask.any() else None
@@ -227,7 +224,7 @@ class Experiment:
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
             oracle_rng=oracle_rng,
-            guesser=lambda: best_guess(scores),  # the grounding current at the guess
+            guesser=lambda: scores.argmax,  # the grounding current at the guess
             predicates=view.predicates,
         )
 
@@ -317,7 +314,6 @@ class Experiment:
         cfg = self.config
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, str], int] = {}
-        base = agent.base_labels()
         snapshot = Snapshot(agent.models, self.corpus.dim, cfg.triangular)
         for ep_idx in range(cfg.experiment.batch_size):
             rng = stream(self.master, "interaction", phase_idx, batch_idx, ep_idx)
@@ -328,9 +324,10 @@ class Experiment:
                 interaction, agent, snapshot, theta, plan.policy_kind, phase_idx, batch_idx, ep_idx
             )
             agent.predicates.update(interaction.description_predicates)
+            # Episode drops labels the agent held at the batch start, and the
+            # agent's models do not change within a batch.
             for p, rid, label in outcome.pending:
-                if rid not in base.get(p, {}):
-                    merged[(p, rid)] = label
+                merged[(p, rid)] = label
             outcomes.append(outcome)
             if transcript_sink is not None:
                 episode_id = f"{plan.name}/{batch_idx}/{ep_idx}"
@@ -555,16 +552,6 @@ def checkpoint_load(path) -> dict:
     return state
 
 
-def run_experiment(
-    config: RunConfig,
-    corpus: Corpus | None = None,
-    split: CorpusSplit | None = None,
-    density: DensityIndex | None = None,
-    **run_kwargs,
-) -> RunResult:
-    return Experiment(config, corpus=corpus, split=split, density=density).run(**run_kwargs)
-
-
 # -- metrics / summary files ------------------------------------------------------
 
 CSV_HEADER = ["phase", "batch", "success_rate", "mean_length", "mean_queries"]
@@ -585,7 +572,24 @@ def write_summary(path, result: RunResult) -> None:
         json.dump(summary, fh, indent=2, sort_keys=True)
 
 
-# -- ablation ---------------------------------------------------------------------
+# -- comparison against a baseline, ablation ---------------------------------------
+
+
+def welch_vs_baseline(
+    indicators: Sequence[int],
+    lengths: Sequence[int],
+    base_indicators: Sequence[int],
+    base_lengths: Sequence[int],
+) -> tuple[float, float]:
+    """Two-sided Welch p-values of a final test batch against a baseline's.
+
+    Returns (p on the success indicators, p on the dialog lengths).
+    """
+    p_success = welch_t_test(indicators, base_indicators).p_two_sided
+    p_length = welch_t_test(
+        [float(v) for v in lengths], [float(v) for v in base_lengths]
+    ).p_two_sided
+    return p_success, p_length
 
 
 @dataclass
@@ -605,47 +609,39 @@ class AblationResult:
                 "mean_length": final.mean_length,
             }
             for label, ref in (("static", static), ("full", full)):
-                if result.final_test_batch() is ref:
-                    row[f"p_success_vs_{label}"] = None
-                    row[f"p_length_vs_{label}"] = None
-                    continue
-                row[f"p_success_vs_{label}"] = welch_t_test(
-                    final.success_indicators, ref.success_indicators
-                ).p_two_sided
-                row[f"p_length_vs_{label}"] = welch_t_test(
-                    [float(v) for v in final.lengths], [float(v) for v in ref.lengths]
-                ).p_two_sided
+                p_success = p_length = None
+                if final is not ref:
+                    p_success, p_length = welch_vs_baseline(
+                        final.success_indicators, final.lengths,
+                        ref.success_indicators, ref.lengths,
+                    )
+                row[f"p_success_vs_{label}"] = p_success
+                row[f"p_length_vs_{label}"] = p_length
             rows.append(row)
         return rows
 
 
 def run_ablation(config: RunConfig, names: Sequence[str]) -> AblationResult:
-    """Rerun the experiment per ablated feature/group, plus full and static arms."""
+    """Rerun the experiment per ablated feature/group, plus full and static arms.
+
+    Every arm shares the first arm's corpus, split and density index.
+    """
     for name in names:
         resolve_mask([name])  # fail fast on unknown names
-    corpus = build_corpus(config)
-    split = make_splits(corpus, config.split)
-    feats = np.stack([r.features for r in corpus.regions])
-    density = DensityIndex(
-        corpus.ids,
-        feats,
-        k=config.classifier.knn_k,
-        avg_sample=config.classifier.density_avg_sample,
-    )
 
     def variant(**exp_overrides) -> RunConfig:
         experiment = dataclasses.replace(config.experiment, **exp_overrides)
         return dataclasses.replace(config, experiment=experiment)
 
+    full = Experiment(variant(policy_kind="learned", ablate=()))
+    shared = (full.corpus, full.split, full.density)
     result = AblationResult()
-    result.conditions["full"] = Experiment(
-        variant(policy_kind="learned", ablate=()), corpus, split, density
-    ).run()
+    result.conditions["full"] = full.run()
     result.conditions["static"] = Experiment(
-        variant(policy_kind="static", ablate=()), corpus, split, density
+        variant(policy_kind="static", ablate=()), *shared
     ).run()
     for name in names:
         result.conditions[name] = Experiment(
-            variant(policy_kind="learned", ablate=(name,)), corpus, split, density
+            variant(policy_kind="learned", ablate=(name,)), *shared
         ).run()
     return result

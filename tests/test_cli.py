@@ -112,7 +112,7 @@ class TestRun:
         def broken(config):
             raise RuntimeError("disk on fire")
 
-        monkeypatch.setattr("oalsim.cli.build_corpus", broken)
+        monkeypatch.setattr("oalsim.harness.build_corpus", broken)
         code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")])
         assert code == 4
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -166,6 +166,18 @@ class TestReport:
         self._run(config_path, a)
         self._run(other_path, b)
         assert main(["report", str(a), str(b)]) == 3
+
+    def test_fingerprint_mismatch_through_baseline(self, tmp_path):
+        final = {"success_rate": 0.5, "mean_length": 4.5,
+                 "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
+        for name, fingerprint in (("a", "AAA"), ("b", "BBB")):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": fingerprint}))
+            (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["report", a, b]) == 3
+        assert main(["report", a, "--baseline", b]) == 3
 
     def test_missing_summary(self, tmp_path):
         empty = tmp_path / "empty"

@@ -61,6 +61,15 @@ def test_invalid_policy_kind():
         from_dict(data)
 
 
+def test_ablate_must_be_a_list():
+    data = json.loads(json.dumps(BASE))
+    data["experiment"] = {"ablate": ["guess"]}
+    assert from_dict(data).experiment.ablate == ("guess",)
+    data["experiment"] = {"ablate": "guess"}
+    with pytest.raises(ConfigError, match="ablate"):
+        from_dict(data)
+
+
 def test_ablate_names_checked_at_experiment_build(small_corpus, small_split, small_density):
     from oalsim.harness import Experiment
     from conftest import small_run_config

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oalsim.corpus import Region
-from oalsim.grounding import best_guess, score_objects
+from oalsim.grounding import score_objects
 from oalsim.perception import PredicateModel, decide
 from oalsim.seeding import stream
 from oalsim.snapshot import EpisodeView, Snapshot
@@ -47,7 +47,6 @@ class TestScoreObjects:
         assert scores.weighted == pytest.approx((0.5, -0.5, 1.3))
         assert scores.unweighted == (0, 0, 2)
         assert scores.argmax == "o3"
-        assert best_guess(scores) == "o3"
 
     def test_all_untrained_ties_to_lowest_id(self):
         regions = [_region("b", (1.0, 1.0)), _region("a", (0.0, 1.0)), _region("c", (2.0, 0.0))]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from oalsim.actions import ExampleQuery
 from oalsim.agent import Agent
 from oalsim.errors import CheckpointError
 from oalsim.features import N_FEATURES, resolve_mask
@@ -86,6 +87,26 @@ class TestRunBatch:
         for o in outcomes:
             for p, rid, label in o.pending:
                 assert (label == 1) == (p in small_corpus.by_id[rid].annotations)
+
+    def test_pending_labels_exclude_base_labels(self, small_experiment):
+        # a second batch, where the agent already holds the first batch's labels
+        plan = small_experiment.phase_plan()[0]
+        agent = Agent()
+        _, merged, outcomes = small_experiment.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
+        small_experiment.apply_batch_end(agent, merged, outcomes)
+        base = agent.base_labels()
+        _, merged, outcomes = small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
+        asked = [
+            (step.action.predicate, rid)
+            for o in outcomes
+            for step in o.transcript
+            if isinstance(step.action, ExampleQuery)
+            for rid in o.interaction.active_train
+        ]
+        assert any(rid in base.get(p, {}) for p, rid in asked)
+        pending = [(p, rid) for o in outcomes for p, rid, _ in o.pending]
+        assert pending
+        assert not any(rid in base.get(p, {}) for p, rid in pending)
 
     def test_label_counts_sum_to_new_labels(self, small_experiment):
         plan = small_experiment.phase_plan()[0]
