@@ -160,7 +160,7 @@ def _load_run(run_dir: Path) -> dict:
 def cmd_report(args) -> int:
     runs = [_load_run(_out_dir(d)) for d in args.run_dirs]
     baseline_dir = _out_dir(args.baseline) if args.baseline else runs[0]["dir"]
-    baseline = next((r for r in runs if r["dir"] == baseline_dir), None)
+    baseline = next((r for r in runs if r["dir"].resolve() == baseline_dir.resolve()), None)
     if baseline is None:
         baseline = _load_run(baseline_dir)
         runs.append(baseline)

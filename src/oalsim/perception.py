@@ -117,17 +117,24 @@ class ClassifierConfig:
 
 
 def _fit_hinge(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
-    """Batch subgradient descent on l2-regularized hinge loss; bias unregularized."""
+    """Batch subgradient descent on l2-regularized hinge loss; bias unregularized.
+
+    Each row, with a bias column of ones appended, is multiplied by its label
+    once. y is +1 or -1 and negation commutes with rounding, so YX @ w equals
+    y * ([X, 1] @ w) bit for bit and the fit does not depend on which is used.
+    """
     n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
+    YX = y[:, None] * np.hstack([X, np.ones((n, 1))])
     w = np.zeros(d + 1)
+    grad = np.empty(d + 1)
     for t in range(cfg.iterations):
-        margins = y * (Xa @ w)
-        viol = margins < 1.0
-        grad = cfg.l2 * np.concatenate([w[:-1], [0.0]])
+        viol = YX @ w < 1.0
+        np.multiply(w, cfg.l2, out=grad)
+        grad[-1] = 0.0
         if viol.any():
-            grad -= (y[viol, None] * Xa[viol]).sum(axis=0) / n
-        w -= (cfg.step_size / (1.0 + cfg.step_decay * t)) * grad
+            grad -= YX[viol].sum(axis=0) / n
+        grad *= cfg.step_size / (1.0 + cfg.step_decay * t)
+        w -= grad
     return w
 
 
@@ -220,11 +227,49 @@ def estimate_f1(
     return 2 * tp / (2 * tp + fp + fn)
 
 
+DENSITY_BLOCK = 256  # distance-matrix rows held at once: memory O(N * DENSITY_BLOCK)
+
+
+def _mean_over_others(dist: np.ndarray, ref: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's mean distance over the reference columns, its own column left out.
+
+    A row with no other reference column gets 0. The columns kept for a row
+    form one contiguous row of a copy, so the mean sums them in the same
+    order as a 1-D mean over that row's other columns.
+    """
+    sub = dist if len(ref) == dist.shape[1] else dist[:, ref]
+    own = ref[None, :] == rows[:, None]
+    has = own.any(axis=1)
+    out = np.zeros(len(rows))
+    out[~has] = sub[~has].mean(axis=1)
+    if len(ref) > 1:
+        out[has] = sub[has[:, None] & ~own].reshape(-1, len(ref) - 1).mean(axis=1)
+    return out
+
+
+def _nearest(dist: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
+    """Column indices of each row's k smallest distances, ordered by (distance, id).
+
+    Candidates are every column at or below the row's k-th smallest distance,
+    so a tie at the cut is settled by id rank like every other tie.
+    """
+    n_rows = dist.shape[0]
+    if k <= 0:
+        return np.empty((n_rows, 0), dtype=np.intp)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+    row, col = np.nonzero(dist <= kth)
+    order = np.lexsort((id_rank[col], dist[row, col], row))
+    start = np.searchsorted(row, np.arange(n_rows))
+    return col[order][start[:, None] + np.arange(k)]
+
+
 class DensityIndex:
     """Per-region average cosine distance and k-NN lists over the full corpus.
 
     At desk scale the average runs over every other region; avg_sample caps the
     reference set (an evenly strided, id-sorted subset) for large corpora.
+    Neighbours are ordered by (distance, id). Distances are computed
+    DENSITY_BLOCK rows at a time, so no N x N matrix is ever held.
     """
 
     def __init__(
@@ -238,29 +283,34 @@ class DensityIndex:
         n = len(self.ids)
         if X.shape[0] != n:
             raise DataError("feature matrix row count does not match id count")
+        if not np.isfinite(X).all():
+            raise DataError("feature matrix holds a non-finite value")
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1e-12
         unit = X / norms
-        dist = 1.0 - unit @ unit.T
-        np.fill_diagonal(dist, 0.0)
         self.k = min(k, n - 1)
+        by_id = sorted(range(n), key=self.ids.__getitem__)
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[by_id] = np.arange(n)
         if avg_sample is not None and 0 < avg_sample < n:
-            by_id = sorted(range(n), key=lambda j: self.ids[j])
             stride = n / avg_sample
             ref = np.array(sorted(by_id[int(i * stride)] for i in range(avg_sample)))
         else:
             ref = np.arange(n)
-        self._avg = {}
-        for i, rid in enumerate(self.ids):
-            others = ref[ref != i]
-            self._avg[rid] = float(dist[i, others].mean()) if len(others) else 0.0
+        names = np.array(self.ids, dtype=object)
+        self._avg: dict[str, float] = {}
         self._knn: dict[str, tuple[str, ...]] = {}
-        for i, rid in enumerate(self.ids):
-            order = sorted(
-                (j for j in range(n) if j != i),
-                key=lambda j: (dist[i, j], self.ids[j]),
-            )
-            self._knn[rid] = tuple(self.ids[j] for j in order[: self.k])
+        for a in range(0, n, DENSITY_BLOCK):
+            b = min(a + DENSITY_BLOCK, n)
+            rows = np.arange(a, b)
+            dist = unit[a:b] @ unit.T
+            np.subtract(1.0, dist, out=dist)
+            avg = _mean_over_others(dist, ref, rows)
+            dist[rows - a, rows] = np.inf
+            near = names[_nearest(dist, self.k, id_rank)]
+            for i, mean, neighbours in zip(rows, avg, near):
+                self._avg[self.ids[i]] = float(mean)
+                self._knn[self.ids[i]] = tuple(neighbours)
 
     def avg_cosine_distance(self, region_id: str) -> float:
         if region_id not in self._avg:

@@ -120,17 +120,27 @@ class EpisodeView:
         self.test_col = {rid: j for j, rid in enumerate(self.test_ids)}
         self._train_X = _matrix(self.train_ids, features, snapshot.dim)
         self._test_X = _matrix(self.test_ids, features, snapshot.dim)
-        self._snapshot = snapshot
+        self._params = snapshot.params
         self.margins = src.margins(rows, self._train_X)
         self.decisions = src.decisions(rows, self._test_X)
 
     def update(self, predicate: str, model: PredicateModel) -> None:
-        """Replace one predicate's classifier, as an immediate refit does."""
+        """Replace one predicate's classifier, as an immediate refit does.
+
+        The row is written in place with the expressions _Rows uses, so its
+        entries equal those of a snapshot built with this classifier.
+        """
         i = self.index[predicate]
-        fresh = _Rows([model], self._snapshot.dim, self._snapshot.params)
         self.models[i] = model
-        self.f1[i] = fresh.f1[0]
-        self.sampling[i] = fresh.sampling[0]
-        self.trained[i] = fresh.trained[0]
-        self.margins[i] = fresh.margins([0], self._train_X)[0]
-        self.decisions[i] = fresh.decisions([0], self._test_X)[0]
+        self.f1[i] = model.f1
+        self.sampling[i] = triangular_weights(self.f1[i : i + 1], self._params)[0]
+        self.trained[i] = model.weights is not None
+        if model.weights is None:
+            self.margins[i] = 0.0
+            self.decisions[i] = -1
+            return
+        coef, bias = model.weights[:-1], model.weights[-1]
+        norm = np.linalg.norm(coef)
+        scores = np.vecdot(self._train_X, coef) + bias
+        self.margins[i] = 0.0 if norm < MARGIN_NORM_FLOOR else np.abs(scores) / norm
+        self.decisions[i] = np.where(np.vecdot(self._test_X, coef) + bias >= 0.0, 1, -1)

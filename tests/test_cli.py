@@ -179,6 +179,27 @@ class TestReport:
         assert main(["report", a, b]) == 3
         assert main(["report", a, "--baseline", b]) == 3
 
+    def test_baseline_matched_by_resolved_path(self, tmp_path, monkeypatch):
+        # a baseline named by another spelling of a listed run's path is that run
+        final = {"success_rate": 0.5, "mean_length": 4.5,
+                 "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
+        for name in ("learned", "static"):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
+            (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+        monkeypatch.delenv("OALSIM_OUTPUT_ROOT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "table.csv"
+        assert main(["report", "learned", "static", "--baseline", str(tmp_path / "learned"),
+                     "--out", str(table)]) == 0
+        rows = table.read_text().splitlines()
+        assert rows == [
+            "run,success_rate,mean_length,p_success,p_length",
+            "learned,0.5,4.5,,",
+            "static,0.5,4.5,1.0,1.0",
+        ]
+
     def test_missing_summary(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

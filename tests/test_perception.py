@@ -1,6 +1,12 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oalsim import perception
+from oalsim.config import load_config
+from oalsim.corpus import generate_synthetic
 from oalsim.errors import ContractError, DataError, UndefinedMarginError
 from oalsim.perception import (
     ClassifierConfig,
@@ -266,3 +272,136 @@ class TestDensity:
                 full.avg_cosine_distance(rid), abs=0.35
             )
             assert capped.knn(rid) == full.knn(rid)
+
+
+class _ReferenceDensityIndex:
+    """The dense N x N index with a Python sort per row, kept as the oracle."""
+
+    def __init__(self, ids, X, k=10, avg_sample=None):
+        self.ids = list(ids)
+        n = len(self.ids)
+        if X.shape[0] != n:
+            raise DataError("feature matrix row count does not match id count")
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        norms[norms < 1e-12] = 1e-12
+        unit = X / norms
+        dist = 1.0 - unit @ unit.T
+        np.fill_diagonal(dist, 0.0)
+        self.k = min(k, n - 1)
+        if avg_sample is not None and 0 < avg_sample < n:
+            by_id = sorted(range(n), key=lambda j: self.ids[j])
+            stride = n / avg_sample
+            ref = np.array(sorted(by_id[int(i * stride)] for i in range(avg_sample)))
+        else:
+            ref = np.arange(n)
+        self._avg = {}
+        for i, rid in enumerate(self.ids):
+            others = ref[ref != i]
+            self._avg[rid] = float(dist[i, others].mean()) if len(others) else 0.0
+        self._knn: dict[str, tuple[str, ...]] = {}
+        for i, rid in enumerate(self.ids):
+            order = sorted(
+                (j for j in range(n) if j != i),
+                key=lambda j: (dist[i, j], self.ids[j]),
+            )
+            self._knn[rid] = tuple(self.ids[j] for j in order[: self.k])
+
+
+def _assert_matches_reference(ids, X, **kwargs):
+    """Same k, same neighbour tuples in the same order, same averages to the bit."""
+    got = DensityIndex(ids, X, **kwargs)
+    want = _ReferenceDensityIndex(ids, X, **kwargs)
+    assert got.k == want.k
+    assert got.ids == want.ids
+    for rid in want.ids:
+        assert got.knn(rid) == want._knn[rid], rid
+        assert got.avg_cosine_distance(rid).hex() == want._avg[rid].hex(), rid
+
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+
+
+@pytest.fixture(scope="module")
+def desk_features():
+    regions = generate_synthetic(load_config(DESK_CONFIG).corpus.synthetic)
+    return [r.id for r in regions], np.stack([r.features for r in regions])
+
+
+def _tied_points():
+    """Points with exact distance ties, zero rows and duplicates; ids not in row order."""
+    X = np.array(
+        [[1, 0], [0, 1], [-1, 0], [0, 0], [1, 0], [0, -1], [1, 1], [0, 0], [-1, -1]],
+        dtype=float,
+    )
+    ids = ["r7", "r3", "r8", "r0", "r5", "r1", "r6", "r2", "r4"]
+    return ids, X
+
+
+class TestDensityAgainstReference:
+    def test_conftest_corpus(self, small_corpus):
+        X = np.stack([r.features for r in small_corpus.regions])
+        _assert_matches_reference(small_corpus.ids, X, k=10)
+        _assert_matches_reference(small_corpus.ids, X, k=10, avg_sample=37)
+
+    def test_desk_corpus(self, desk_features):
+        ids, X = desk_features
+        assert len(ids) == 600
+        _assert_matches_reference(ids, X, k=10)
+        _assert_matches_reference(ids, X, k=10, avg_sample=100)
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 256])
+    @pytest.mark.parametrize("k", [0, 1, 3, 8, 20])
+    def test_ties_duplicates_and_zero_rows(self, block, k, monkeypatch):
+        monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
+        ids, X = _tied_points()
+        _assert_matches_reference(ids, X, k=k)
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    @pytest.mark.parametrize("avg_sample", [1, 2, 4, 8])
+    def test_avg_sample_with_and_without_self(self, block, avg_sample, monkeypatch):
+        # the strided reference set holds some rows and leaves others out
+        monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
+        ids, X = _tied_points()
+        _assert_matches_reference(ids, X, k=3, avg_sample=avg_sample)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("avg_sample", [None, 1])
+    def test_tiny_sets(self, n, avg_sample):
+        ids, X = _tied_points()
+        _assert_matches_reference(ids[:n], X[:n], k=10, avg_sample=avg_sample)
+        idx = DensityIndex(ids[:n], X[:n], k=10)
+        assert idx.k == n - 1
+        for rid in ids[:n]:
+            assert len(idx.knn(rid)) == n - 1
+
+    def test_random_blocks_against_reference(self, monkeypatch):
+        rng = stream(5, "density-oracle")
+        X = rng.normal(size=(50, 5))
+        X[10] = X[3]
+        X[20] = 0.0
+        ids = [f"r{int(v):03d}" for v in rng.permutation(50)]
+        for block in (7, 50):
+            monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
+            _assert_matches_reference(ids, X, k=6)
+            _assert_matches_reference(ids, X, k=6, avg_sample=9)
+
+    def test_non_finite_features_rejected(self):
+        X = np.ones((3, 2))
+        X[1, 0] = np.nan
+        with pytest.raises(DataError):
+            DensityIndex(["a", "b", "c"], X)
+
+
+def test_density_index_memory_is_far_below_one_full_matrix():
+    # the dense build held two N x N float64 arrays; blocks of rows hold a few
+    # DENSITY_BLOCK x N ones
+    n = 2400
+    X = stream(6, "density-memory").normal(size=(n, 32))
+    ids = [f"r{i:05d}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        DensityIndex(ids, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2

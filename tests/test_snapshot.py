@@ -87,21 +87,43 @@ def test_f1_and_sampling_rows_follow_models(desk_agent):
         assert view.sampling[i] == triangular_weights(np.array([f1]), params)[0]
 
 
-def test_update_equals_fresh_snapshot(desk_agent):
-    # an immediate refit swaps one row; it must equal a snapshot built with that model
+def _update_and_rebuild(desk_agent, set_weights=None):
+    """A view after `update` and a view built fresh with the same swapped classifier."""
     exp, agent = desk_agent
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     ids = exp.corpus.ids[:40]
     view = EpisodeView(snapshot, agent.models, ids[:8], ids[8:12], exp.features_by_id)
-    donor = next(m for m in agent.models.values() if m.weights is not None)
+    donor = next(m for m in agent.models.values() if m.weights is not None and m.f1 > 0.0)
     target = next(p for p in view.predicates if p != donor.predicate)
     swapped = dataclasses.replace(donor.clone(), predicate=target)
+    if set_weights is not None:
+        swapped.weights = set_weights(exp.corpus.dim)
     view.update(target, swapped)
     models = dict(agent.models, **{target: swapped})
     fresh = EpisodeView(
         Snapshot(models, exp.corpus.dim, exp.config.triangular),
         models, ids[:8], ids[8:12], exp.features_by_id,
     )
+    return view, fresh
+
+
+def test_update_equals_fresh_snapshot(desk_agent):
+    # an immediate refit swaps one row; it must equal a snapshot built with that model
+    view, fresh = _update_and_rebuild(desk_agent)
+    for name in ("f1", "sampling", "trained", "margins", "decisions"):
+        assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize(
+    "set_weights",
+    [
+        lambda dim: None,  # untrained: margins 0, decisions -1
+        lambda dim: np.r_[np.full(dim, 1e-14), 0.3],  # norm under MARGIN_NORM_FLOOR: margins 0
+    ],
+    ids=["untrained", "flat"],
+)
+def test_update_without_a_usable_hyperplane_equals_fresh_snapshot(desk_agent, set_weights):
+    view, fresh = _update_and_rebuild(desk_agent, set_weights)
     for name in ("f1", "sampling", "trained", "margins", "decisions"):
         assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
 
