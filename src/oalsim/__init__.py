@@ -40,10 +40,8 @@ from .perception import (
     ClassifierConfig,
     DensityIndex,
     PredicateModel,
-    decide,
     estimate_f1,
     extract_predicates,
-    margin,
     train_classifier,
 )
 from .policy import (
@@ -60,7 +58,6 @@ from .querygen import (
     TriangularWeights,
     best_object_for_predicate,
     build_beam,
-    predicate_weight,
     sample_predicates,
 )
 from .stats import one_sample_t_test, welch_t_test

@@ -8,12 +8,14 @@ Classifier trust is the cross-validated F1 on the labels acquired so far.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContractError, DataError, UndefinedMarginError
+from .errors import ConfigError, ContractError, DataError
 
 # Small closed-class list; enough to strip function words from short object
 # descriptions ("the red box" -> red, box) without an NLP dependency.
@@ -115,27 +117,92 @@ class ClassifierConfig:
     knn_k: int = 10
     density_avg_sample: int | None = None  # cap the cosine-average reference set
 
+    def __post_init__(self):
+        for name in ("iterations", "folds", "knn_k", "density_avg_sample"):
+            value = getattr(self, name)
+            if name == "density_avg_sample" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+                raise ConfigError(f"classifier.{name} must be an integer >= 0, got {value!r}")
+        for name in ("step_size", "step_decay", "l2"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, numbers.Real)
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"classifier.{name} must be a finite number, got {value!r}")
+        if self.step_size <= 0:
+            raise ConfigError(f"classifier.step_size must be > 0, got {self.step_size}")
+        if self.step_decay < 0 or self.l2 < 0:
+            raise ConfigError("classifier.step_decay and classifier.l2 must be >= 0")
 
-def _fit_hinge(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
+
+def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
     """Batch subgradient descent on l2-regularized hinge loss; bias unregularized.
 
-    Each row, with a bias column of ones appended, is multiplied by its label
-    once. y is +1 or -1 and negation commutes with rounding, so YX @ w equals
-    y * ([X, 1] @ w) bit for bit and the fit does not depend on which is used.
+    YX holds the rows [x, 1], each multiplied by its label, of one problem of
+    n rows, (n, d+1), or of a stack of problems, (k, n_max, d+1) with each
+    problem's rows at the top of its slice, zero rows below and n the (k,)
+    row counts. y is +1 or -1 and negation commutes with rounding, so YX @ w
+    equals y * ([X, 1] @ w) bit for bit.
+
+    A stacked problem's weights equal its own 2-D fit bit for bit: each
+    problem's scores are one gemv, like the 2-D YX @ w; a `where=` sum adds its
+    violating rows in order and skips the rest, like summing the boolean
+    index; and it divides by its own n. The 2-D fit keeps the boolean index,
+    which is faster for one problem.
     """
-    n, d = X.shape
-    YX = y[:, None] * np.hstack([X, np.ones((n, 1))])
-    w = np.zeros(d + 1)
-    grad = np.empty(d + 1)
+    if YX.ndim == 2:
+
+        def mean_pull(w):
+            viol = YX @ w < 1.0
+            return YX[viol].sum(axis=0) / n if viol.any() else None
+
+    else:
+        k, rows, width = YX.shape
+        valid = (np.arange(rows) < n[:, None])[:, :, None]
+        counts = n[:, None]
+        scores = np.empty((k, rows, 1))
+        viol = np.empty((k, rows, 1), dtype=bool)
+        pull = np.empty((k, width))
+
+        def mean_pull(w):
+            np.matmul(YX, w[:, :, None], out=scores)
+            np.less(scores, 1.0, out=viol)
+            np.logical_and(viol, valid, out=viol)
+            np.add.reduce(YX, axis=1, where=viol, out=pull)
+            return np.divide(pull, counts, out=pull)
+
+    w = np.zeros(YX.shape[:-2] + YX.shape[-1:])
+    grad = np.empty_like(w)
     for t in range(cfg.iterations):
-        viol = YX @ w < 1.0
         np.multiply(w, cfg.l2, out=grad)
-        grad[-1] = 0.0
-        if viol.any():
-            grad -= YX[viol].sum(axis=0) / n
+        grad[..., -1] = 0.0
+        pull = mean_pull(w)
+        if pull is not None:
+            grad -= pull
         grad *= cfg.step_size / (1.0 + cfg.step_decay * t)
         w -= grad
     return w
+
+
+def _fit_subsets(YX: np.ndarray, subsets: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
+    """(k, d+1) weights, one fit per row of the (k, len(YX)) mask, as one stacked descent."""
+    n = subsets.sum(axis=1)
+    stack = np.zeros((len(n), n.max(), YX.shape[1]))
+    stack[np.arange(n.max()) < n[:, None]] = YX[subsets.nonzero()[1]]
+    return _fit_hinge(stack, n, cfg)
+
+
+def _labelled_rows(
+    model: PredicateModel, features: Mapping[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features, labels and label-signed rows [x, 1] * y, over the sorted label ids."""
+    ids = sorted(model.labels)
+    X = np.stack([features[rid] for rid in ids])
+    y = np.array([model.labels[rid] for rid in ids], dtype=np.float64)
+    return X, y, y[:, None] * np.hstack([X, np.ones((len(ids), 1))])
 
 
 def train_classifier(
@@ -148,41 +215,12 @@ def train_classifier(
         model.weights = None
         model.f1 = 0.0
         return model
-    ids = sorted(model.labels)
-    X = np.stack([features[rid] for rid in ids])
-    y = np.array([model.labels[rid] for rid in ids], dtype=np.float64)
-    model.weights = _fit_hinge(X, y, cfg)
+    _, y, YX = _labelled_rows(model, features)
+    model.weights = _fit_hinge(YX, len(y), cfg)
     return model
 
 
-def score(model: PredicateModel, features: np.ndarray) -> float:
-    if model.weights is None:
-        raise UndefinedMarginError(f"predicate {model.predicate!r} has no hyperplane")
-    return float(model.weights[:-1] @ features + model.weights[-1])
-
-
-def decide(model: PredicateModel | None, features: np.ndarray) -> int:
-    """Sign of the linear score; -1 when untrained; exact zero breaks to +1."""
-    if model is None or model.weights is None:
-        return -1
-    return 1 if score(model, features) >= 0.0 else -1
-
-
 MARGIN_NORM_FLOOR = 1e-12  # weight norms below this give margin 0
-
-
-def margin(model: PredicateModel, features: np.ndarray) -> float:
-    """Geometric distance of the feature point to the decision hyperplane."""
-    if model.weights is None:
-        raise UndefinedMarginError(f"predicate {model.predicate!r} has no hyperplane")
-    norm = float(np.linalg.norm(model.weights[:-1]))
-    if norm < MARGIN_NORM_FLOOR:
-        return 0.0
-    return abs(score(model, features)) / norm
-
-
-def _fold_of(rank: int, k: int) -> int:
-    return rank % k
 
 
 def estimate_f1(
@@ -196,35 +234,29 @@ def estimate_f1(
     the estimate depends only on the label set, never on insertion order.
     Degenerate sets (fewer than 4 labels, a single class, or fewer than 2
     usable folds) return 0.
+
+    The k fold fits run as one stacked descent (_fit_subsets), each equal to
+    train_classifier on that fold's training labels. A held-out row's score
+    is one np.vecdot, the BLAS dot of the scalar score w[:-1] @ x + w[-1]; a
+    fold trained on a single class decides -1, like an untrained classifier.
     """
     if len(model.labels) < 4 or not model.trainable():
         return 0.0
     k = min(cfg.folds, model.n_pos(), model.n_neg())
     if k < 2:
         return 0.0
-    pos = sorted(rid for rid, v in model.labels.items() if v > 0)
-    neg = sorted(rid for rid, v in model.labels.items() if v < 0)
-    fold_of_id = {rid: _fold_of(i, k) for i, rid in enumerate(pos)}
-    fold_of_id.update({rid: _fold_of(i, k) for i, rid in enumerate(neg)})
-
-    tp = fp = fn = 0
-    for fold in range(k):
-        train = {rid: lbl for rid, lbl in model.labels.items() if fold_of_id[rid] != fold}
-        held = [rid for rid in model.labels if fold_of_id[rid] == fold]
-        sub = PredicateModel(predicate=model.predicate, labels=train)
-        train_classifier(sub, features, cfg)
-        for rid in held:
-            pred = decide(sub, features[rid])
-            truth = model.labels[rid]
-            if pred == 1 and truth == 1:
-                tp += 1
-            elif pred == 1 and truth == -1:
-                fp += 1
-            elif pred == -1 and truth == 1:
-                fn += 1
-    if 2 * tp + fp + fn == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)
+    X, y, YX = _labelled_rows(model, features)
+    pos = y > 0
+    fold = (np.where(pos, pos.cumsum(), (~pos).cumsum()) - 1) % k  # rank within class
+    train = fold != np.arange(k)[:, None]
+    W = _fit_subsets(YX, train, cfg)
+    two_class = (train & pos).any(axis=1) & (train & ~pos).any(axis=1)
+    scores = np.vecdot(X, W[fold, :-1]) + W[fold, -1]
+    predicted = two_class[fold] & (scores >= 0.0)
+    tp = int(np.count_nonzero(predicted & pos))
+    fp = int(np.count_nonzero(predicted & ~pos))
+    fn = int(np.count_nonzero(~predicted & pos))
+    return 2 * tp / (2 * tp + fp + fn)  # tp + fn counts the positives: at least k
 
 
 DENSITY_BLOCK = 256  # distance-matrix rows held at once: memory O(N * DENSITY_BLOCK)

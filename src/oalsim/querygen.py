@@ -59,13 +59,6 @@ def triangular_weights(f1: np.ndarray, params: TriangularWeights) -> np.ndarray:
     return weights
 
 
-def predicate_weight(c: float, params: TriangularWeights) -> float:
-    """Sampling weight of one estimated F1."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"estimated F1 {c} outside [0,1]")
-    return float(triangular_weights(np.array([c]), params)[0])
-
-
 def sample_predicates(
     weights: np.ndarray, count: int, rng: np.random.Generator
 ) -> list[int]:

@@ -7,14 +7,16 @@ norms, F1, trained flags and triangular sampling weights, one row per
 predicate plus a last row for every predicate without a classifier. An
 EpisodeView takes one interaction's rows and columns from it: margins on the
 active-train objects and decisions on the active-test objects. Beams,
-grounding and guess features read these arrays instead of calling the scalar
-classifier functions.
+grounding and guess features read these arrays; nothing scores one object
+against one classifier at a time.
 
-Every entry equals its scalar counterpart in perception (score, margin,
-decide) bit for bit, so run outputs do not depend on which path computed
-them. Scores come from np.vecdot, one dot product per (predicate, object)
-pair: the same BLAS dot `score` calls. A matrix product sums in another order
-and differs in the last bits.
+Every entry equals its scalar form bit for bit: the score w[:-1] @ x + w[-1],
+its sign (+1 at exactly 0, -1 when untrained) and its distance to the
+hyperplane (0 below MARGIN_NORM_FLOOR). tests/classifier_oracle.py keeps
+those scalar functions as the reference. Scores come from np.vecdot, one dot
+product per (predicate, object) pair: the same BLAS dot as the 1-D
+w[:-1] @ x. A matrix product sums in another order and differs in the last
+bits.
 """
 
 from __future__ import annotations
@@ -51,17 +53,17 @@ class _Rows:
         self.sampling = triangular_weights(self.f1, params)
 
     def scores(self, rows, X: np.ndarray) -> np.ndarray:
-        """(len(rows), len(X)) linear scores, each equal to perception.score."""
+        """(len(rows), len(X)) linear scores, each equal to the scalar w[:-1] @ x + w[-1]."""
         return np.vecdot(X, self.coef[rows, None, :]) + self.bias[rows, None]
 
     def margins(self, rows, X: np.ndarray) -> np.ndarray:
-        """Distances to the hyperplanes, each equal to perception.margin."""
+        """Distances to the hyperplanes: |score| / ||w[:-1]||, 0 below MARGIN_NORM_FLOOR."""
         norms = self.norms[rows, None]
         flat = norms < MARGIN_NORM_FLOOR
         return np.where(flat, 0.0, np.abs(self.scores(rows, X)) / np.where(flat, 1.0, norms))
 
     def decisions(self, rows, X: np.ndarray) -> np.ndarray:
-        """+1/-1 decisions, each equal to perception.decide (-1 when untrained)."""
+        """+1/-1 decisions: +1 where the score is >= 0, -1 elsewhere and when untrained."""
         return np.where(self.trained[rows, None] & (self.scores(rows, X) >= 0.0), 1, -1)
 
 

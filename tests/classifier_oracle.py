@@ -1,0 +1,42 @@
+"""Scalar classifier functions, kept as oracles for the array code.
+
+The package scores, decides and weights predicates on arrays (the Snapshot
+rows, the stacked cross-validation folds, `triangular_weights`). These are
+the one-object, one-classifier forms the arrays must equal bit for bit.
+"""
+
+import numpy as np
+
+from oalsim.errors import UndefinedMarginError
+from oalsim.perception import MARGIN_NORM_FLOOR, PredicateModel
+from oalsim.querygen import TriangularWeights, triangular_weights
+
+
+def score(model: PredicateModel, features: np.ndarray) -> float:
+    if model.weights is None:
+        raise UndefinedMarginError(f"predicate {model.predicate!r} has no hyperplane")
+    return float(model.weights[:-1] @ features + model.weights[-1])
+
+
+def decide(model: PredicateModel | None, features: np.ndarray) -> int:
+    """Sign of the linear score; -1 when untrained; exact zero breaks to +1."""
+    if model is None or model.weights is None:
+        return -1
+    return 1 if score(model, features) >= 0.0 else -1
+
+
+def margin(model: PredicateModel, features: np.ndarray) -> float:
+    """Geometric distance of the feature point to the decision hyperplane."""
+    if model.weights is None:
+        raise UndefinedMarginError(f"predicate {model.predicate!r} has no hyperplane")
+    norm = float(np.linalg.norm(model.weights[:-1]))
+    if norm < MARGIN_NORM_FLOOR:
+        return 0.0
+    return abs(score(model, features)) / norm
+
+
+def predicate_weight(c: float, params: TriangularWeights) -> float:
+    """Sampling weight of one estimated F1."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"estimated F1 {c} outside [0,1]")
+    return float(triangular_weights(np.array([c]), params)[0])

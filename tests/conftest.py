@@ -1,9 +1,17 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oalsim.config import CorpusSource, ExperimentConfig, PolicyConfig, RunConfig
+from oalsim.agent import Agent
+from oalsim.config import CorpusSource, ExperimentConfig, PolicyConfig, RunConfig, load_config
 from oalsim.corpus import Corpus, SplitConfig, SyntheticConfig, generate_synthetic, make_splits
+from oalsim.features import N_FEATURES
+from oalsim.harness import Experiment
 from oalsim.perception import DensityIndex
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 
 SMALL_SYNTH = SyntheticConfig(
@@ -38,3 +46,25 @@ def small_split(small_corpus):
 def small_density(small_corpus):
     feats = np.stack([r.features for r in small_corpus.regions])
     return DensityIndex(small_corpus.ids, feats, k=10)
+
+
+@pytest.fixture(scope="session")
+def desk_agent():
+    """The desk experiment and an agent after two static batches and their refits.
+
+    Shared read-only: tests that change a classifier change a clone.
+    """
+    base = load_config(DESK_CONFIG)
+    cfg = dataclasses.replace(
+        base,
+        experiment=dataclasses.replace(
+            base.experiment, init_batches=2, train_batches=1, test_batches=1
+        ),
+    )
+    exp = Experiment(cfg)
+    agent = Agent()
+    plan = exp.phase_plan()[0]
+    for batch in range(2):
+        _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
+        exp.apply_batch_end(agent, merged, outcomes)
+    return exp, agent

@@ -33,10 +33,11 @@ from oalsim.perception import (
     train_classifier,
 )
 from oalsim.policy import action_probabilities, grad_log_prob
-from oalsim.querygen import TriangularWeights, predicate_weight
+from oalsim.querygen import TriangularWeights
 from oalsim.seeding import stream
 from oalsim.stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
+from classifier_oracle import predicate_weight
 from conftest import small_run_config
 from test_grounding import grounding_view
 from test_perception import _reference_cv_f1

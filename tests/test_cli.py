@@ -118,6 +118,21 @@ class TestRun:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "RuntimeError", "message": "disk on fire"}
 
+    def test_invalid_classifier_setting_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(config):
+            raise RuntimeError("corpus built for an invalid config")
+
+        monkeypatch.setattr("oalsim.harness.build_corpus", unreachable)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "classifier": {"iterations": 2.5}}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "iterations" in err["message"]
+
     def test_unknown_ablation_name_is_config_error(self, tmp_path, config_path):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x"),
                      "--ablate", "bogus_feature"]) == 2

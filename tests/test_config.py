@@ -101,3 +101,42 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("iterations", 2.5),
+        ("iterations", "150"),
+        ("iterations", -1),
+        ("iterations", True),
+        ("folds", 2.5),
+        ("folds", -2),
+        ("knn_k", 1.5),
+        ("knn_k", -1),
+        ("density_avg_sample", 2.5),
+        ("density_avg_sample", -1),
+        ("step_size", 0.0),
+        ("step_size", -0.5),
+        ("step_size", "0.5"),
+        ("step_size", float("nan")),
+        ("step_decay", -0.5),
+        ("l2", -0.01),
+        ("l2", float("inf")),
+    ],
+)
+def test_invalid_classifier_setting_rejected(key, value):
+    # each of these used to pass loading and fail at the first batch end
+    data = json.loads(json.dumps(BASE))
+    data["classifier"] = {key: value}
+    with pytest.raises(ConfigError, match=key):
+        from_dict(data)
+
+
+def test_classifier_boundary_settings_accepted():
+    data = json.loads(json.dumps(BASE))
+    data["classifier"] = {"iterations": 0, "folds": 0, "knn_k": 0, "step_decay": 0, "l2": 0,
+                          "density_avg_sample": None}
+    assert from_dict(data).classifier.iterations == 0
+    data["classifier"] = {"density_avg_sample": 50}
+    assert from_dict(data).classifier.density_avg_sample == 50

@@ -3,9 +3,11 @@ import pytest
 
 from oalsim.corpus import Region
 from oalsim.grounding import score_objects
-from oalsim.perception import PredicateModel, decide
+from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
 from oalsim.snapshot import EpisodeView, Snapshot
+
+from classifier_oracle import decide
 
 
 def grounding_view(preds, models, regions):

@@ -12,14 +12,14 @@ from oalsim.perception import (
     ClassifierConfig,
     DensityIndex,
     PredicateModel,
-    decide,
     density_stats,
     estimate_f1,
     extract_predicates,
-    margin,
     train_classifier,
 )
 from oalsim.seeding import stream
+
+from classifier_oracle import decide, margin
 
 CFG = ClassifierConfig()
 
@@ -124,36 +124,61 @@ class TestDecideAndMargin:
             assert decide(m, x) == (1 if s >= 0 else -1)
 
 
-def _reference_cv_f1(model: PredicateModel, feats, cfg: ClassifierConfig) -> float:
-    """Brute-force oracle: explicit folds, pooled confusion counts, textbook F1."""
+def _reference_folds(model: PredicateModel, cfg: ClassifierConfig):
+    """Explicit stratified folds as lists of region ids, or None for a degenerate set."""
     labels = model.labels
     if len(labels) < 4:
-        return 0.0
+        return None
     pos = sorted(r for r, v in labels.items() if v > 0)
     neg = sorted(r for r, v in labels.items() if v < 0)
     if not pos or not neg:
-        return 0.0
+        return None
     k = min(cfg.folds, len(pos), len(neg))
     if k < 2:
-        return 0.0
+        return None
     folds = [[] for _ in range(k)]
     for i, rid in enumerate(pos):
         folds[i % k].append(rid)
     for i, rid in enumerate(neg):
         folds[i % k].append(rid)
-    predictions = {}
+    return folds
+
+
+def _reference_fold_models(model: PredicateModel, feats, folds, cfg: ClassifierConfig):
+    """One serially trained classifier per fold, on every label outside it."""
+    subs = []
     for fold in folds:
         held = set(fold)
         sub = PredicateModel(
             predicate=model.predicate,
-            labels={r: v for r, v in labels.items() if r not in held},
+            labels={r: v for r, v in model.labels.items() if r not in held},
         )
-        train_classifier(sub, feats, cfg)
+        subs.append(train_classifier(sub, feats, cfg))
+    return subs
+
+
+def _reference_cv_counts(model: PredicateModel, feats, cfg: ClassifierConfig):
+    """Pooled (tp, fp, fn) of the held-out decisions, or None for a degenerate set."""
+    labels = model.labels
+    folds = _reference_folds(model, cfg)
+    if folds is None:
+        return None
+    predictions = {}
+    for fold, sub in zip(folds, _reference_fold_models(model, feats, folds, cfg)):
         for rid in fold:
             predictions[rid] = decide(sub, feats[rid])
     tp = sum(1 for r in labels if predictions[r] == 1 and labels[r] == 1)
     fp = sum(1 for r in labels if predictions[r] == 1 and labels[r] == -1)
     fn = sum(1 for r in labels if predictions[r] == -1 and labels[r] == 1)
+    return tp, fp, fn
+
+
+def _reference_cv_f1(model: PredicateModel, feats, cfg: ClassifierConfig) -> float:
+    """Brute-force oracle: explicit folds, pooled confusion counts, textbook F1."""
+    counts = _reference_cv_counts(model, feats, cfg)
+    if counts is None:
+        return 0.0
+    tp, fp, fn = counts
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0:
@@ -217,6 +242,144 @@ class TestEstimateF1:
             means.append(np.mean(vals))
         assert means[0] <= means[1] + 0.05
         assert means[1] <= means[2] + 0.05
+
+
+def _signed_rows(model: PredicateModel, feats):
+    """Sorted label ids and the rows [x, 1] * y a fit descends on, in that order."""
+    ids = sorted(model.labels)
+    X = np.stack([feats[rid] for rid in ids])
+    y = np.array([model.labels[rid] for rid in ids], dtype=np.float64)
+    return ids, y[:, None] * np.hstack([X, np.ones((len(ids), 1))])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.array_equal and the same bytes: -0.0 and 0.0 count as different."""
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _random_model(rng, n: int, dim: int, n_pos: int):
+    """n labels on normal points (one coordinate rounded, so exact zeros occur)."""
+    X = rng.normal(size=(n, dim))
+    X[:, 0] = np.round(X[:, 0])
+    labels = np.full(n, -1)
+    labels[rng.choice(n, size=n_pos, replace=False)] = 1
+    m = PredicateModel(predicate="p")
+    feats = {}
+    for i in range(n):
+        feats[f"r{i:03d}"] = X[i]
+        m.record_label(f"r{i:03d}", int(labels[i]))
+    return m, feats
+
+
+class TestStackedFits:
+    """Stacked descents against serial fits, bit for bit.
+
+    estimate_f1 fits a predicate's k folds as one zero-padded stack. A fold's
+    weights that differ in the last bit can flip a held-out decision and with
+    it the F1, the predicate sampling weights and every run output after it.
+    """
+
+    @staticmethod
+    def _check_folds(model, feats, cfg):
+        folds = _reference_folds(model, cfg)
+        ids, YX = _signed_rows(model, feats)
+        train = np.array([[rid not in set(fold) for rid in ids] for fold in folds])
+        stacked = perception._fit_subsets(YX, train, cfg)
+        serial = _reference_fold_models(model, feats, folds, cfg)
+        assert stacked.shape == (len(folds), YX.shape[1])
+        for w, sub in zip(stacked, serial):
+            assert _same_bits(w, sub.weights)
+
+    def test_desk_label_sets(self, desk_agent):
+        exp, agent = desk_agent
+        sizes = []
+        for p in sorted(agent.models):
+            model = agent.models[p]
+            if _reference_folds(model, exp.config.classifier) is not None:
+                self._check_folds(model, exp.features_by_id, exp.config.classifier)
+                sizes.append(len(model.labels))
+        assert len(sizes) >= 10
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_synthetic_sizes_cross_the_pairwise_sum_blocks(self, k):
+        # the four k together cover n = 4..300: fold sizes on both sides of 8 and 128 rows
+        cfg = ClassifierConfig(folds=k)
+        rng = stream(9, "stack", k)
+        fold_counts = set()
+        for n in range(k + 2, 301, 4):
+            dim = 32 if n % 3 else 3
+            model, feats = _random_model(rng, n, dim, int(rng.integers(2, n - 1)))
+            fold_counts.add(len(_reference_folds(model, cfg)))
+            self._check_folds(model, feats, cfg)
+        assert k in fold_counts
+
+    def test_problem_with_no_violating_row(self):
+        # two points far outside the margin: after the first step no row violates,
+        # while the other problems in the stack still have violating rows
+        rng = stream(10, "quiet")
+        far = np.array([[10.0, 10.0, 1.0], [10.0, 10.0, -1.0]])
+        YX = np.vstack([far, rng.normal(size=(9, 3))])
+        subsets = np.zeros((3, len(YX)), dtype=bool)
+        subsets[0, :2] = True
+        subsets[1, 2:] = True
+        subsets[2, :] = True
+        stacked = perception._fit_subsets(YX, subsets, CFG)
+        for w, rows in zip(stacked, subsets):
+            assert _same_bits(w, perception._fit_hinge(YX[rows], int(rows.sum()), CFG))
+        assert (far @ stacked[0] >= 1.0).all()
+
+    def test_subset_missing_a_class(self):
+        rng = stream(11, "oneclass")
+        model, feats = _random_model(rng, 14, 5, 6)
+        ids, YX = _signed_rows(model, feats)
+        pos = YX[:, -1] > 0
+        subsets = np.array([pos, ~pos, np.arange(len(ids)) != 3])
+        stacked = perception._fit_subsets(YX, subsets, CFG)
+        for w, rows in zip(stacked, subsets):
+            assert _same_bits(w, perception._fit_hinge(YX[rows], int(rows.sum()), CFG))
+
+    def test_single_fit_equals_a_stack_of_one(self):
+        rng = stream(12, "one")
+        model, feats = _random_model(rng, 40, 32, 15)
+        _, YX = _signed_rows(model, feats)
+        train_classifier(model, feats, CFG)
+        assert _same_bits(model.weights, perception._fit_subsets(YX, np.ones((1, 40), bool), CFG)[0])
+
+
+class TestEstimateF1Exact:
+    """estimate_f1 against the brute-force oracle's confusion counts, with ==.
+
+    The oracle's textbook F1 (from precision and recall) differs in the last
+    bit from 2tp / (2tp + fp + fn) for many count triples, so the exact check
+    puts the oracle's counts through the second form, which estimate_f1 uses.
+    """
+
+    @staticmethod
+    def _expected(model, feats, cfg):
+        counts = _reference_cv_counts(model, feats, cfg)
+        if counts is None:
+            return 0.0
+        tp, fp, fn = counts
+        return 2 * tp / (2 * tp + fp + fn)
+
+    def test_desk_label_sets(self, desk_agent):
+        exp, agent = desk_agent
+        cfg = exp.config.classifier
+        for p in sorted(agent.models):
+            model = agent.models[p]
+            got = estimate_f1(model, exp.features_by_id, cfg)
+            assert type(got) is float
+            assert got == self._expected(model, exp.features_by_id, cfg)
+
+    def test_random_sets(self):
+        rng = stream(13, "cvexact")
+        for trial in range(120):
+            n = int(rng.integers(1, 40))
+            pts = [(tuple(rng.normal(size=4)), int(rng.choice([-1, 1]))) for _ in range(n)]
+            m, feats = _balanced_model(pts)
+            got = estimate_f1(m, feats, CFG)
+            assert type(got) is float
+            assert got == self._expected(m, feats, CFG)
 
 
 class TestDensity:

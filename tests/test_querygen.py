@@ -10,12 +10,13 @@ from oalsim.querygen import (
     TriangularWeights,
     best_object_for_predicate,
     build_beam,
-    predicate_weight,
     sample_predicates,
     triangular_weights,
 )
 from oalsim.seeding import stream
 from oalsim.snapshot import EpisodeView, Snapshot
+
+from classifier_oracle import margin, predicate_weight
 
 DEFAULTS = TriangularWeights()
 
@@ -121,8 +122,6 @@ class TestBestObject:
 
     def test_bruteforce_agreement(self):
         rng = stream(7, "bf")
-        from oalsim.perception import margin
-
         for _ in range(300):
             w = rng.normal(size=5)
             model = _trained_model(w)

@@ -1,47 +1,22 @@
 """The batch snapshot against the scalar classifier functions, bit for bit.
 
 Run outputs stay byte-identical only while every array entry equals what
-perception.score / margin / decide return for the same classifier and object,
+the scalar score / margin / decide (classifier_oracle) return for the same classifier and object,
 and while the beam's inverse-CDF draw equals Generator.choice. These tests
 compare with np.array_equal, never allclose, on classifiers trained on the
 desk corpus: a numpy or BLAS change that breaks the equivalence fails here.
 """
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oalsim.agent import Agent
-from oalsim.config import load_config
-from oalsim.features import N_FEATURES
-from oalsim.harness import Experiment
-from oalsim.perception import decide, margin, score
 from oalsim.querygen import TriangularWeights, sample_predicates, triangular_weights
 from oalsim.seeding import stream
 from oalsim.snapshot import EpisodeView, Snapshot
 
-DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
-
-
-@pytest.fixture(scope="module")
-def desk_agent():
-    """The desk experiment and an agent after two static batches and their refits."""
-    base = load_config(DESK_CONFIG)
-    cfg = dataclasses.replace(
-        base,
-        experiment=dataclasses.replace(
-            base.experiment, init_batches=2, train_batches=1, test_batches=1
-        ),
-    )
-    exp = Experiment(cfg)
-    agent = Agent()
-    plan = exp.phase_plan()[0]
-    for batch in range(2):
-        _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
-        exp.apply_batch_end(agent, merged, outcomes)
-    return exp, agent
+from classifier_oracle import decide, margin, score
 
 
 def test_desk_agent_has_trained_and_untrained_classifiers(desk_agent):
