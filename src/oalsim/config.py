@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .corpus import InteractionSizes, SplitConfig, SyntheticConfig
 from .dialog import RewardConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .perception import ClassifierConfig
 from .querygen import BeamConfig, TriangularWeights
 
@@ -41,8 +41,7 @@ class PolicyConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.static_n_queries < 0:
-            raise ConfigError("static_n_queries must be >= 0")
+        check_int("policy.static_n_queries", self.static_n_queries, 0)
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,9 @@ class EpisodeConfig:
     immediate_updates: bool = False
 
     def __post_init__(self):
-        if self.t_max < 1:
-            raise ConfigError("t_max must be >= 1")
+        check_int("episode.t_max", self.t_max, 1)
+        check_int("episode.active_train_size", self.active_train_size, 0)
+        check_int("episode.active_test_size", self.active_test_size, 1)
 
     def sizes(self) -> InteractionSizes:
         return InteractionSizes(self.active_train_size, self.active_test_size)
@@ -73,8 +73,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("init_batches", "train_batches", "test_batches", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            check_int(f"experiment.{name}", getattr(self, name), 1)
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}")
 

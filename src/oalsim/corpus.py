@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -83,12 +84,25 @@ class CorpusSplit:
     policy_test_classifier_test: frozenset[str]
     held_out_predicates: frozenset[str]
 
-    def side(self, name: str) -> tuple[frozenset[str], frozenset[str]]:
-        if name == "policy-train":
-            return self.policy_train_classifier_train, self.policy_train_classifier_test
-        if name == "policy-test":
-            return self.policy_test_classifier_train, self.policy_test_classifier_test
-        raise ValueError(f"unknown split side {name!r}")
+    def side(self, name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The side's classifier-train and classifier-test ids, each sorted."""
+        if name not in self._sorted_sides:
+            raise ValueError(f"unknown split side {name!r}")
+        return self._sorted_sides[name]
+
+    @cached_property
+    def _sorted_sides(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Sorted once per split: every sampled interaction draws from these."""
+        return {
+            "policy-train": (
+                tuple(sorted(self.policy_train_classifier_train)),
+                tuple(sorted(self.policy_train_classifier_test)),
+            ),
+            "policy-test": (
+                tuple(sorted(self.policy_test_classifier_train)),
+                tuple(sorted(self.policy_test_classifier_test)),
+            ),
+        }
 
 
 @dataclass(frozen=True)
@@ -371,9 +385,7 @@ def sample_interaction(
     max_retries: int = 100,
 ) -> Interaction:
     """Draw one interaction: train/test sets without replacement, describable target."""
-    ct, cx = split.side(side)
-    train_pool = sorted(ct)
-    test_pool = sorted(cx)
+    train_pool, test_pool = split.side(side)
     if len(train_pool) < sizes.active_train:
         raise SamplingError(
             f"{side} classifier-train subset has {len(train_pool)} regions, "

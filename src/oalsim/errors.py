@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
 anything else raised past the command handler -> 4.
 """
 
+import numbers
+
 
 class OalsimError(Exception):
     """Base class for all package errors."""
@@ -59,3 +61,9 @@ class CheckpointError(OalsimError):
 
 class DegenerateVarianceError(OalsimError):
     """Welch t-test on samples whose variance structure admits no statistic."""
+
+
+def check_int(where: str, value, minimum: int) -> None:
+    """ConfigError unless `value` is an integer (not a bool) >= minimum."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")

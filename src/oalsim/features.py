@@ -4,16 +4,22 @@ The registry fixes the index, name, applicable action types, ablation group,
 and normalization of every feature, so ablation configs can address features
 by name and logged vectors stay comparable across runs. Entries that do not
 apply to an action type are exactly zero in its vector.
+
+A beam is featurized in one call, as one (len(beam), N_FEATURES) array. The
+inputs that stay fixed within an episode are built once into a
+FeatureContext: the guess row and a query table with one row per predicate.
+The per-action form is kept in tests/feature_oracle.py as the reference, and
+the array must equal it bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .actions import Action, ExampleQuery, Guess, LabelQuery
+from .actions import Action, LabelQuery
 from .errors import ConfigError
 from .grounding import GuessScores
 from .perception import DensityIndex, density_stats
@@ -69,6 +75,16 @@ REGISTRY: tuple[FeatureSpec, ...] = tuple(
 )
 N_FEATURES = len(REGISTRY)
 INDEX = {spec.name: spec.index for spec in REGISTRY}
+_TURN_FRAC = INDEX["turn_frac"]
+_ACT_GUESS = INDEX["act_guess"]
+_ACT_LABEL = INDEX["act_label_query"]
+_ACT_EXAMPLE = INDEX["act_example_query"]
+_NEW_PREDICATE = INDEX["query_new_predicate"]
+_PREDICATE_F1 = INDEX["query_predicate_f1"]
+_USAGE_FREQ = INDEX["query_usage_freq"]
+_USAGE_SUCCESS = INDEX["query_usage_success"]
+_OPPORTUNISTIC = INDEX["query_opportunistic"]
+_LABEL_OBJECT = slice(INDEX["label_margin"], INDEX["label_knn_unlabeled"] + 1)
 GROUPS = {
     "guess": tuple(s.name for s in REGISTRY if s.group == "guess"),
     "query": tuple(s.name for s in REGISTRY if s.group == "query"),
@@ -104,9 +120,16 @@ def resolve_mask(names: Sequence[str]) -> np.ndarray:
 
 @dataclass
 class FeatureContext:
-    """Everything featurize needs about the current turn, frozen for the step."""
+    """One episode's featurization state, built once per episode.
 
-    turn: int
+    `queries[0]` and `queries[1]` hold the label-query and example-query rows
+    of every view predicate (act flag, new-predicate, F1, usage frequency,
+    usage success, opportunistic; zero elsewhere). Agent stats and the
+    description do not change within an episode; after an immediate refit,
+    `refit` rewrites the refit predicates' rows and the harness replaces
+    `guess` when the grounding changed.
+    """
+
     t_max: int
     description_predicates: tuple[str, ...]
     view: EpisodeView
@@ -114,27 +137,59 @@ class FeatureContext:
     density: DensityIndex
     guess: np.ndarray  # guess_features of the current grounding
     mask: np.ndarray | None = None
+    queries: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        preds, stats = self.view.predicates, self.stats
+        used = np.array([stats.used.get(p, 0) for p in preds], dtype=np.float64)
+        succeeded = np.array([stats.succeeded.get(p, 0) for p in preds], dtype=np.float64)
+        desc = set(self.description_predicates)
+        self.queries = q = np.zeros((2, len(preds), N_FEATURES))
+        q[0, :, _ACT_LABEL] = 1.0
+        q[1, :, _ACT_EXAMPLE] = 1.0
+        q[:, :, _NEW_PREDICATE] = ~self.view.trained
+        q[:, :, _PREDICATE_F1] = self.view.f1
+        if stats.dialogs > 0:
+            q[:, :, _USAGE_FREQ] = used / stats.dialogs
+        q[:, :, _USAGE_SUCCESS] = np.divide(
+            succeeded, used, out=np.zeros(len(preds)), where=used > 0
+        )
+        q[:, :, _OPPORTUNISTIC] = [p not in desc for p in preds]
+
+    def refit(self, rows: list[int]) -> None:
+        """Rewrite the classifier-dependent entries of these view rows."""
+        self.queries[:, rows, _NEW_PREDICATE] = ~self.view.trained[rows]
+        self.queries[:, rows, _PREDICATE_F1] = self.view.f1[rows]
 
 
-def featurize(action: Action, ctx: FeatureContext) -> np.ndarray:
-    if isinstance(action, Guess):
-        vec = ctx.guess.copy()
-        vec[INDEX["act_guess"]] = 1.0
-    else:
-        vec = np.zeros(N_FEATURES)
-    vec[INDEX["turn_frac"]] = ctx.turn / ctx.t_max
+def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndarray:
+    """(len(beam), N_FEATURES) features of a beam whose first action is the guess.
 
-    if isinstance(action, LabelQuery):
-        vec[INDEX["act_label_query"]] = 1.0
-        row = _fill_query(vec, ctx, action.predicate)
-        _fill_label_object(vec, ctx, row, action.region_id)
-    elif isinstance(action, ExampleQuery):
-        vec[INDEX["act_example_query"]] = 1.0
-        _fill_query(vec, ctx, action.predicate)
-
+    Row 0 is the guess features; each query row is its predicate's row of the
+    query table, and label rows add the object's margin and density entries.
+    """
+    view = ctx.view
+    kinds, rows, labels = [], [], []
+    for i, action in enumerate(beam[1:], 1):
+        row = view.index[action.predicate]
+        rows.append(row)
+        if isinstance(action, LabelQuery):
+            kinds.append(0)
+            labels.append((i, row, action.region_id))
+        else:
+            kinds.append(1)
+    out = np.empty((len(beam), N_FEATURES))
+    out[0] = ctx.guess
+    out[0, _ACT_GUESS] = 1.0
+    out[1:] = ctx.queries[kinds, rows]
+    for i, row, region_id in labels:
+        margin = view.margins[row, view.train_col[region_id]] if view.trained[row] else 0.0
+        avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])
+        out[i, _LABEL_OBJECT] = margin, avg_dist, unlabeled
+    out[:, _TURN_FRAC] = turn / ctx.t_max
     if ctx.mask is not None:
-        vec[ctx.mask] = 0.0
-    return vec
+        out[:, ctx.mask] = 0.0
+    return out
 
 
 def guess_features(
@@ -188,25 +243,3 @@ def guess_features(
     )
     vec[INDEX["guess_best_clf_top2_same"]] = float(d_best[top] == d_best[runner_up])
     return vec
-
-
-def _fill_query(vec: np.ndarray, ctx: FeatureContext, predicate: str) -> int:
-    row = ctx.view.index[predicate]
-    vec[INDEX["query_new_predicate"]] = float(not ctx.view.trained[row])
-    vec[INDEX["query_predicate_f1"]] = ctx.view.f1[row]
-    used = ctx.stats.used.get(predicate, 0)
-    if ctx.stats.dialogs > 0:
-        vec[INDEX["query_usage_freq"]] = used / ctx.stats.dialogs
-    if used > 0:
-        vec[INDEX["query_usage_success"]] = ctx.stats.succeeded.get(predicate, 0) / used
-    vec[INDEX["query_opportunistic"]] = float(predicate not in ctx.description_predicates)
-    return row
-
-
-def _fill_label_object(vec: np.ndarray, ctx: FeatureContext, row: int, region_id: str) -> None:
-    view = ctx.view
-    if view.trained[row]:
-        vec[INDEX["label_margin"]] = view.margins[row, view.train_col[region_id]]
-    avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])
-    vec[INDEX["label_avg_cos_dist"]] = avg_dist
-    vec[INDEX["label_knn_unlabeled"]] = unlabeled

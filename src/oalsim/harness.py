@@ -214,7 +214,15 @@ class Experiment:
         # Grounding and the guess features change only with the description's
         # classifiers: once per episode, and after an immediate refit of one.
         scores = score_objects(desc, view)
-        guess = guess_features(desc, view, scores)
+        ctx = FeatureContext(
+            t_max=cfg.episode.t_max,
+            description_predicates=desc,
+            view=view,
+            stats=agent.stats,
+            density=self.density,
+            guess=guess_features(desc, view, scores),
+            mask=self.mask,
+        )
         immediate = cfg.episode.immediate_updates
 
         episode = Episode(
@@ -238,17 +246,7 @@ class Experiment:
                 cfg=cfg.beam,
                 rng=beam_rng,
             )
-            ctx = FeatureContext(
-                turn=episode.turn,
-                t_max=cfg.episode.t_max,
-                description_predicates=desc,
-                view=view,
-                stats=agent.stats,
-                density=self.density,
-                guess=guess,
-                mask=self.mask,
-            )
-            beam_features = np.stack([featurize(a, ctx) for a in beam])
+            beam_features = featurize(beam, episode.turn, ctx)
             if policy_kind == "static":
                 chosen = static_policy_act(
                     episode.turn, beam, cfg.policy.static_n_queries, policy_rng
@@ -260,9 +258,10 @@ class Experiment:
             episode.step(beam[chosen], beam_features, chosen)
             if immediate and len(episode.pending_labels) > n_before:
                 refit = self._refresh_models(view, episode.pending_labels[n_before:], agent)
+                ctx.refit([view.index[p] for p in refit])
                 if not refit.isdisjoint(desc):  # grounding reads description rows only
                     scores = score_objects(desc, view)
-                    guess = guess_features(desc, view, scores)
+                    ctx.guess = guess_features(desc, view, scores)
 
         outcome = EpisodeOutcome(
             interaction=interaction,

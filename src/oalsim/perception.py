@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, check_int
 
 # Small closed-class list; enough to strip function words from short object
 # descriptions ("the red box" -> red, box) without an NLP dependency.
@@ -122,8 +122,7 @@ class ClassifierConfig:
             value = getattr(self, name)
             if name == "density_avg_sample" and value is None:
                 continue
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-                raise ConfigError(f"classifier.{name} must be an integer >= 0, got {value!r}")
+            check_int(f"classifier.{name}", value, 0)
         for name in ("step_size", "step_decay", "l2"):
             value = getattr(self, name)
             if (

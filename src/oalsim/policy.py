@@ -69,7 +69,7 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over the fixed beam ordering."""
     r = rng.random()
     acc = 0.0
-    for i, p in enumerate(probs):
+    for i, p in enumerate(probs.tolist()):
         acc += p
         if r < acc:
             return i

@@ -8,22 +8,34 @@ unlabeled active-train object closest to its hyperplane (uncertainty sampling);
 untrained predicates fall back to a uniform object pick.
 
 The beam reads the episode's arrays (snapshot.EpisodeView): sampling weights,
-trained flags and active-train margins per predicate, plus the episode's masks
-of labeled pairs and example-queried predicates.
+trained flags and the active-train columns ordered by margin per predicate,
+plus the episode's masks of labeled pairs and example-queried predicates.
+The sampling CDFs are memoised per batch in the snapshot's `cdfs`.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .actions import Action, ExampleQuery, Guess, LabelQuery
-from .errors import DataError
+from .errors import DataError, check_int
 
 if TYPE_CHECKING:
     from .snapshot import EpisodeView
+
+
+# Most CDFs a batch's memo holds (sample_predicates): one per distinct live
+# weight vector, about 0.5 KB with its key at 24 predicates, so at most about
+# 1 MB. Immediate refits make new vectors; past the cap a CDF is computed and
+# not kept.
+CDF_MEMO_CAP = 2048
+
+_GUESS = Guess()  # every beam's first action; actions are immutable
 
 
 @dataclass(frozen=True)
@@ -44,6 +56,10 @@ class BeamConfig:
     n_label: int = 3
     n_example: int = 3
 
+    def __post_init__(self):
+        check_int("beam.n_label", self.n_label, 0)
+        check_int("beam.n_example", self.n_example, 0)
+
 
 def triangular_weights(f1: np.ndarray, params: TriangularWeights) -> np.ndarray:
     """Piecewise-linear sampling weights, peaked at c_max, floored at w_min.
@@ -60,27 +76,40 @@ def triangular_weights(f1: np.ndarray, params: TriangularWeights) -> np.ndarray:
 
 
 def sample_predicates(
-    weights: np.ndarray, count: int, rng: np.random.Generator
+    weights: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    cdfs: dict[bytes, array] | None = None,
 ) -> list[int]:
     """Indices drawn without replacement under the weights; small pools come back whole.
 
     Each draw is the inverse-CDF draw `Generator.choice(n, p=probs)` makes, so
-    it picks the same index and leaves the generator in the same state.
+    it picks the same index and leaves the generator in the same state. The
+    CDF of each live weight vector is looked up in `cdfs`, keyed by the
+    vector's bytes, and added there while it holds fewer than CDF_MEMO_CAP.
     """
     n = len(weights)
     if n == 0:
         raise DataError("no predicates to sample from")
     if n <= count:
         return list(range(n))
+    if cdfs is None:
+        cdfs = {}
     alive = np.array(weights, dtype=np.float64)
     chosen: list[int] = []
-    for _ in range(count):
-        total = alive.sum()
-        if not total > 0.0:
-            raise ValueError("sampling weight of an estimated F1 outside [0,1]")
-        cdf = (alive / total).cumsum()
-        cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
+    for r in rng.random(count).tolist():  # the doubles of `count` scalar draws
+        key = alive.tobytes()
+        cdf = cdfs.get(key)
+        if cdf is None:
+            total = alive.sum()
+            if not total > 0.0:
+                raise ValueError("sampling weight of an estimated F1 outside [0,1]")
+            probs = (alive / total).cumsum()
+            probs /= probs[-1]
+            cdf = array("d", probs.tobytes())
+            if len(cdfs) < CDF_MEMO_CAP:
+                cdfs[key] = cdf
+        idx = bisect_right(cdf, r)
         chosen.append(idx)
         alive[idx] = 0.0
     return chosen
@@ -91,15 +120,18 @@ def best_object_for_predicate(
 ) -> int:
     """Active-train column of the minimal-margin free object, ties to the lowest id.
 
-    Untrained predicates have no hyperplane and pick a free object uniformly.
+    The first free column of the view's `by_margin` row. Untrained predicates
+    have no hyperplane and pick a free object uniformly.
     """
-    trained = view.trained[row]
-    candidates = view.train_by_id[free[view.train_by_id]] if trained else np.flatnonzero(free)
-    if not len(candidates):
-        raise DataError(f"all ({view.predicates[row]!r}, object) pairs already labeled")
-    if not trained:
-        return int(candidates[rng.integers(len(candidates))])
-    return int(candidates[view.margins[row, candidates].argmin()])
+    if view.trained[row]:
+        for col in view.by_margin[row]:
+            if free[col]:
+                return col
+    else:
+        candidates = np.flatnonzero(free)
+        if len(candidates):
+            return int(candidates[rng.integers(len(candidates))])
+    raise DataError(f"all ({view.predicates[row]!r}, object) pairs already labeled")
 
 
 def build_beam(
@@ -119,19 +151,35 @@ def build_beam(
     forced guess. Label candidates skip predicates whose active-train pairs
     are all labeled; example candidates skip asked predicates.
     """
-    beam: list[Action] = [Guess()]
+    beam: list[Action] = [_GUESS]
     if turn >= t_max:
         return beam
 
-    for row in sample_predicates(view.sampling, cfg.n_label, rng):
+    for row in sample_predicates(view.sampling, cfg.n_label, rng, view.cdfs):
         free = ~labeled[row]
         if not free.any():
             continue
-        col = best_object_for_predicate(view, row, free, rng)
-        beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
+        beam.append(_query(view, row, best_object_for_predicate(view, row, free, rng)))
 
     pool = np.flatnonzero(~asked)
     if len(pool):
-        for k in sample_predicates(view.sampling[pool], cfg.n_example, rng):
-            beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
+        for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, view.cdfs):
+            beam.append(_query(view, int(pool[k])))
     return beam
+
+
+def _query(view: EpisodeView, row: int, col: int | None = None) -> Action:
+    """The label query (row, col), or the example query of row when col is None.
+
+    Built once per episode and kept in `view.actions`: beams repeat them turn
+    after turn, and an action object takes longer to build than to look up.
+    """
+    action = view.actions.get((row, col))
+    if action is None:
+        predicate = view.predicates[row]
+        if col is None:
+            action = ExampleQuery(predicate=predicate)
+        else:
+            action = LabelQuery(predicate=predicate, region_id=view.train_ids[col])
+        view.actions[row, col] = action
+    return action

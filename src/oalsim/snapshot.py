@@ -6,9 +6,11 @@ stacks the agent's classifiers once per batch: feature weights, biases, weight
 norms, F1, trained flags and triangular sampling weights, one row per
 predicate plus a last row for every predicate without a classifier. An
 EpisodeView takes one interaction's rows and columns from it: margins on the
-active-train objects and decisions on the active-test objects. Beams,
-grounding and guess features read these arrays; nothing scores one object
-against one classifier at a time.
+active-train objects (and each row's columns ordered by margin, then id)
+and decisions on the active-test objects. Beams, grounding and guess
+features read these arrays; nothing scores one object against one
+classifier at a time. The snapshot also holds the batch's memo of sampling
+CDFs (`cdfs`, see querygen.sample_predicates), which every view shares.
 
 Every entry equals its scalar form bit for bit: the score w[:-1] @ x + w[-1],
 its sign (+1 at exactly 0, -1 when untrained) and its distance to the
@@ -21,6 +23,7 @@ bits.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -86,6 +89,7 @@ class Snapshot:
         self.row = {p: i for i, p in enumerate(names)}
         self.models: list[PredicateModel | None] = [models[p] for p in names] + [None]
         self.rows = _Rows(self.models, dim, params)
+        self.cdfs: dict[bytes, array] = {}  # sample_predicates' memo for the batch
 
 
 class EpisodeView:
@@ -123,8 +127,20 @@ class EpisodeView:
         self._train_X = _matrix(self.train_ids, features, snapshot.dim)
         self._test_X = _matrix(self.test_ids, features, snapshot.dim)
         self._params = snapshot.params
+        self.cdfs = snapshot.cdfs
+        self.actions: dict = {}  # querygen's query actions, (row, col or None) -> action
         self.margins = src.margins(rows, self._train_X)
         self.decisions = src.decisions(rows, self._test_X)
+        self.by_margin = self._by_margin(self.margins)
+
+    def _by_margin(self, margins: np.ndarray) -> list:
+        """Train columns of each row by ascending margin, ties by ascending id.
+
+        A row's first free column is then its least-margin free column, the
+        one best_object_for_predicate picks.
+        """
+        order = np.argsort(margins[..., self.train_by_id], axis=-1, kind="stable")
+        return self.train_by_id[order].tolist()
 
     def update(self, predicate: str, model: PredicateModel) -> None:
         """Replace one predicate's classifier, as an immediate refit does.
@@ -140,9 +156,10 @@ class EpisodeView:
         if model.weights is None:
             self.margins[i] = 0.0
             self.decisions[i] = -1
-            return
-        coef, bias = model.weights[:-1], model.weights[-1]
-        norm = np.linalg.norm(coef)
-        scores = np.vecdot(self._train_X, coef) + bias
-        self.margins[i] = 0.0 if norm < MARGIN_NORM_FLOOR else np.abs(scores) / norm
-        self.decisions[i] = np.where(np.vecdot(self._test_X, coef) + bias >= 0.0, 1, -1)
+        else:
+            coef, bias = model.weights[:-1], model.weights[-1]
+            norm = np.linalg.norm(coef)
+            scores = np.vecdot(self._train_X, coef) + bias
+            self.margins[i] = 0.0 if norm < MARGIN_NORM_FLOOR else np.abs(scores) / norm
+            self.decisions[i] = np.where(np.vecdot(self._test_X, coef) + bias >= 0.0, 1, -1)
+        self.by_margin[i] = self._by_margin(self.margins[i])

@@ -133,6 +133,30 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert "iterations" in err["message"]
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("beam", "n_label", 2.5),
+            ("episode", "active_train_size", -3),
+            ("episode", "t_max", 2.5),
+            ("policy", "static_n_queries", 2.5),
+        ],
+    )
+    def test_invalid_integer_setting_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, section, key, value
+    ):
+        def unreachable(config):
+            raise RuntimeError("corpus built for an invalid config")
+
+        monkeypatch.setattr("oalsim.harness.build_corpus", unreachable)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert f"{section}.{key}" in err["message"]
+
     def test_unknown_ablation_name_is_config_error(self, tmp_path, config_path):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x"),
                      "--ablate", "bogus_feature"]) == 2

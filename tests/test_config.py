@@ -140,3 +140,40 @@ def test_classifier_boundary_settings_accepted():
     assert from_dict(data).classifier.iterations == 0
     data["classifier"] = {"density_avg_sample": 50}
     assert from_dict(data).classifier.density_avg_sample == 50
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("beam", "n_label", 2.5),
+        ("beam", "n_label", -1),
+        ("beam", "n_label", "3"),
+        ("beam", "n_example", 1.5),
+        ("beam", "n_example", True),
+        ("episode", "t_max", 2.5),
+        ("episode", "t_max", 0),
+        ("episode", "active_train_size", -3),
+        ("episode", "active_train_size", 8.0),
+        ("episode", "active_test_size", 0),
+        ("episode", "active_test_size", 2.5),
+        ("policy", "static_n_queries", 2.5),
+        ("policy", "static_n_queries", -1),
+        ("experiment", "batch_size", 2.5),
+        ("experiment", "init_batches", 0),
+    ],
+)
+def test_invalid_integer_setting_rejected(section, key, value):
+    # beam, episode and policy integers used to be checked for range only, or not at all
+    data = json.loads(json.dumps(BASE))
+    data[section] = {key: value}
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        from_dict(data)
+
+
+def test_integer_boundary_settings_accepted():
+    data = json.loads(json.dumps(BASE))
+    data["beam"] = {"n_label": 0, "n_example": 0}
+    data["episode"] = {"t_max": 1, "active_train_size": 0, "active_test_size": 1}
+    data["policy"] = {"static_n_queries": 0}
+    cfg = from_dict(data)
+    assert (cfg.beam.n_label, cfg.episode.t_max, cfg.policy.static_n_queries) == (0, 1, 0)

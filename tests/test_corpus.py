@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from oalsim.corpus import (
     Corpus,
+    Interaction,
     InteractionSizes,
     SplitConfig,
     SyntheticConfig,
@@ -260,6 +261,23 @@ class TestSampleInteraction:
         _, p = sps.chisquare(observed)
         assert p > 0.001
 
+    def test_draws_equal_those_from_freshly_sorted_pools(self, small_corpus, small_split):
+        # the split sorts its pools once; each draw must be the one the
+        # per-call sort of the frozensets gave, with the generator left alike
+        assert small_split.side("policy-test") is small_split.side("policy-test")
+        for side, (ct, cx) in (
+            ("policy-train", (small_split.policy_train_classifier_train,
+                              small_split.policy_train_classifier_test)),
+            ("policy-test", (small_split.policy_test_classifier_train,
+                             small_split.policy_test_classifier_test)),
+        ):
+            assert small_split.side(side) == (tuple(sorted(ct)), tuple(sorted(cx)))
+            for seed in range(200):
+                ours, theirs = stream(seed, "pools"), stream(seed, "pools")
+                got = sample_interaction(small_corpus, small_split, side, InteractionSizes(), ours)
+                assert got == _sample_from_sorted_lists(small_corpus, ct, cx, theirs)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_deterministic_stream(self, small_corpus, small_split):
         def draw_five(seed):
             rng = stream(seed, "s")
@@ -272,3 +290,25 @@ class TestSampleInteraction:
 
         assert draw_five(9) == draw_five(9)
         assert draw_five(9) != draw_five(10)
+
+
+def _sample_from_sorted_lists(corpus, ct, cx, rng, sizes=InteractionSizes()):
+    """sample_interaction as it was when it sorted both pools on every call."""
+    train_pool, test_pool = sorted(ct), sorted(cx)
+    while True:
+        train_idx = rng.choice(len(train_pool), size=sizes.active_train, replace=False)
+        test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
+        active_train = tuple(train_pool[i] for i in train_idx)
+        active_test = tuple(test_pool[i] for i in test_idx)
+        if not any(corpus.by_id[rid].describable() for rid in active_test):
+            continue
+        while True:
+            target = active_test[int(rng.integers(len(active_test)))]
+            if corpus.by_id[target].describable():
+                break
+        return Interaction(
+            active_train=active_train,
+            active_test=active_test,
+            target=target,
+            description_predicates=corpus.by_id[target].description_predicates,
+        )

@@ -1,0 +1,108 @@
+"""The beam form of featurize against the one-action oracle, every turn of real runs."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from oalsim import harness
+from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.agent import Agent
+from oalsim.features import N_FEATURES, FeatureContext, guess_features
+from oalsim.grounding import score_objects
+from oalsim.harness import Experiment
+from oalsim.snapshot import EpisodeView, Snapshot
+
+from conftest import small_run_config
+from feature_oracle import featurize_beam
+
+
+def _config(immediate, ablate):
+    cfg = small_run_config(ablate=ablate)
+    if immediate:
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "immediate, ablate",
+    [
+        (False, ()),
+        (False, ("query", "turn_frac")),
+        (True, ()),
+        (True, ("guess", "label_margin")),
+    ],
+    ids=["learned", "learned-masked", "immediate", "immediate-masked"],
+)
+def test_every_beam_equals_the_stacked_oracle(
+    immediate, ablate, small_corpus, small_split, small_density, monkeypatch
+):
+    seen = {"turns": 0, "labels": 0, "after_refit": 0}
+    refits = []
+    beam_form = harness.featurize
+    refresh = Experiment._refresh_models
+
+    def checked(beam, turn, ctx):
+        got = beam_form(beam, turn, ctx)
+        want = featurize_beam(beam, turn, ctx)
+        assert got.shape == (len(beam), N_FEATURES)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
+        seen["turns"] += 1
+        seen["labels"] += sum(isinstance(a, LabelQuery) for a in beam)
+        seen["after_refit"] += bool(refits)
+        return got
+
+    def counted(self, *args):
+        refit = refresh(self, *args)
+        refits.append(refit)
+        return refit
+
+    monkeypatch.setattr(harness, "featurize", checked)
+    monkeypatch.setattr(Experiment, "_refresh_models", counted)
+    cfg = _config(immediate, ablate)
+    result = Experiment(cfg, small_corpus, small_split, small_density).run()
+    turns = sum(sum(m.lengths) for m in result.metrics)
+    assert seen["turns"] == turns > 0
+    assert seen["labels"] > 0
+    if immediate:
+        assert refits and seen["after_refit"] > 0
+    else:
+        assert not refits
+
+
+def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small_density):
+    # beams the dialogs rarely build: the guess alone, and every predicate as
+    # an example query or as a label query on one object
+    exp = Experiment(small_run_config(), small_corpus, small_split, small_density)
+    agent = Agent()
+    plan = exp.phase_plan()[0]
+    _, merged, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
+    exp.apply_batch_end(agent, merged, outcomes)
+    inter = outcomes[0].interaction
+    desc = inter.description_predicates
+    view = EpisodeView(
+        Snapshot(agent.models, small_corpus.dim),
+        agent.predicates | set(desc),
+        inter.active_train,
+        inter.active_test,
+        exp.features_by_id,
+    )
+    ctx = FeatureContext(
+        t_max=40,
+        description_predicates=desc,
+        view=view,
+        stats=agent.stats,
+        density=small_density,
+        guess=guess_features(desc, view, score_objects(desc, view)),
+    )
+    for beam, turn in (
+        ([Guess()], 40),
+        ([Guess()] + [ExampleQuery(predicate=p) for p in view.predicates], 3),
+        ([Guess()] + [LabelQuery(predicate=p, region_id=inter.active_train[1])
+                      for p in view.predicates], 7),
+    ):
+        got = harness.featurize(beam, turn, ctx)
+        assert got.tobytes() == featurize_beam(beam, turn, ctx).tobytes()

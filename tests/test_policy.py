@@ -209,7 +209,6 @@ def _guess_context(models, stats=None, mask=None):
     view = EpisodeView(Snapshot(models, 2), askable, list(feats), list(feats), feats)
     scores = score_objects(preds, view)
     return FeatureContext(
-        turn=0,
         t_max=40,
         description_predicates=tuple(preds),
         view=view,
@@ -220,10 +219,16 @@ def _guess_context(models, stats=None, mask=None):
     )
 
 
+def _features(action, ctx):
+    """The action's row of a turn-0 beam: [Guess()] or [Guess(), action]."""
+    beam = [Guess()] if isinstance(action, Guess) else [Guess(), action]
+    return featurize(beam, 0, ctx)[-1]
+
+
 class TestFeaturize:
     def test_fresh_agent_guess_is_zero_state(self):
         ctx = _guess_context(models={})
-        vec = featurize(Guess(), ctx)
+        vec = _features(Guess(), ctx)
         assert vec[INDEX["turn_frac"]] == 0.0
         assert vec[INDEX["act_guess"]] == 1.0
         for name in ("guess_f1_min", "guess_f1_max", "guess_f1_mean", "guess_top_score"):
@@ -231,7 +236,7 @@ class TestFeaturize:
 
     def test_worked_guess_features(self):
         ctx = _guess_context(models=None)
-        vec = featurize(Guess(), ctx)
+        vec = _features(Guess(), ctx)
         assert vec[INDEX["guess_top_score"]] == pytest.approx(1.3 / 2)
         assert vec[INDEX["guess_score_gap_second"]] == pytest.approx(0.8 / 2)
         assert vec[INDEX["guess_f1_max"]] == pytest.approx(0.9)
@@ -241,16 +246,15 @@ class TestFeaturize:
 
     def test_opportunistic_indicator(self):
         ctx = _guess_context(models=None)
-        on_topic = featurize(LabelQuery(predicate="p1", region_id="o1"), ctx)
-        off_topic = featurize(LabelQuery(predicate="zeta", region_id="o1"), ctx)
+        on_topic = _features(LabelQuery(predicate="p1", region_id="o1"), ctx)
+        off_topic = _features(LabelQuery(predicate="zeta", region_id="o1"), ctx)
         assert on_topic[INDEX["query_opportunistic"]] == 0.0
         assert off_topic[INDEX["query_opportunistic"]] == 1.0
 
     def test_action_type_zero_blocks(self):
         ctx = _guess_context(models=None)
-        guess_vec = featurize(Guess(), ctx)
-        label_vec = featurize(LabelQuery(predicate="p1", region_id="o1"), ctx)
-        example_vec = featurize(ExampleQuery(predicate="p1"), ctx)
+        beam = [Guess(), LabelQuery(predicate="p1", region_id="o1"), ExampleQuery(predicate="p1")]
+        guess_vec, label_vec, example_vec = featurize(beam, 0, ctx)
         guess_only = [s.index for s in REGISTRY if s.actions == ("guess",)]
         query_only = [s.index for s in REGISTRY if "guess" not in s.actions]
         assert all(label_vec[i] == 0 for i in guess_only)
@@ -262,20 +266,20 @@ class TestFeaturize:
     def test_vectors_finite_and_sized(self):
         ctx = _guess_context(models=None)
         for action in (Guess(), LabelQuery(predicate="p1", region_id="o2"), ExampleQuery(predicate="p2")):
-            vec = featurize(action, ctx)
+            vec = _features(action, ctx)
             assert vec.shape == (N_FEATURES,)
             assert np.all(np.isfinite(vec))
 
     def test_usage_stats_features(self):
         stats = AgentStats(used={"p1": 4}, succeeded={"p1": 3}, dialogs=10)
         ctx = _guess_context(models=None, stats=stats)
-        vec = featurize(ExampleQuery(predicate="p1"), ctx)
+        vec = _features(ExampleQuery(predicate="p1"), ctx)
         assert vec[INDEX["query_usage_freq"]] == pytest.approx(0.4)
         assert vec[INDEX["query_usage_success"]] == pytest.approx(0.75)
 
     def test_new_predicate_margin_path(self):
         ctx = _guess_context(models=None)
-        vec = featurize(LabelQuery(predicate="unseen", region_id="o1"), ctx)
+        vec = _features(LabelQuery(predicate="unseen", region_id="o1"), ctx)
         assert vec[INDEX["query_new_predicate"]] == 1.0
         assert vec[INDEX["label_margin"]] == 0.0
         assert vec[INDEX["label_knn_unlabeled"]] == 1.0
@@ -284,8 +288,8 @@ class TestFeaturize:
         mask = resolve_mask(["guess"])
         ctx_full = _guess_context(models=None)
         ctx_masked = _guess_context(models=None, mask=mask)
-        full = featurize(Guess(), ctx_full)
-        masked = featurize(Guess(), ctx_masked)
+        full = _features(Guess(), ctx_full)
+        masked = _features(Guess(), ctx_masked)
         assert np.all(masked[mask] == 0)
         assert np.array_equal(masked[~mask], full[~mask])
 

@@ -12,11 +12,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oalsim import harness, querygen
+from oalsim.harness import Experiment
 from oalsim.querygen import TriangularWeights, sample_predicates, triangular_weights
 from oalsim.seeding import stream
 from oalsim.snapshot import EpisodeView, Snapshot
 
 from classifier_oracle import decide, margin, score
+from conftest import small_run_config
 
 
 def test_desk_agent_has_trained_and_untrained_classifiers(desk_agent):
@@ -48,6 +51,16 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
         assert np.array_equal(view.margins[i], np.array([margin(model, x) for x in X]))
         scores_checked += len(X)
     assert scores_checked >= 10 * len(ids)
+
+
+def test_by_margin_orders_columns_by_margin_then_id(desk_agent):
+    exp, agent = desk_agent
+    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
+    ids = exp.corpus.ids[100:160][::-1]  # columns out of id order
+    view = EpisodeView(snapshot, agent.models, ids, (), exp.features_by_id)
+    for i in range(len(view.predicates)):
+        expected = sorted(range(len(ids)), key=lambda j: (view.margins[i, j], ids[j]))
+        assert view.by_margin[i] == expected
 
 
 def test_f1_and_sampling_rows_follow_models(desk_agent):
@@ -85,7 +98,7 @@ def _update_and_rebuild(desk_agent, set_weights=None):
 def test_update_equals_fresh_snapshot(desk_agent):
     # an immediate refit swaps one row; it must equal a snapshot built with that model
     view, fresh = _update_and_rebuild(desk_agent)
-    for name in ("f1", "sampling", "trained", "margins", "decisions"):
+    for name in ("f1", "sampling", "trained", "margins", "decisions", "by_margin"):
         assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
 
 
@@ -99,7 +112,7 @@ def test_update_equals_fresh_snapshot(desk_agent):
 )
 def test_update_without_a_usable_hyperplane_equals_fresh_snapshot(desk_agent, set_weights):
     view, fresh = _update_and_rebuild(desk_agent, set_weights)
-    for name in ("f1", "sampling", "trained", "margins", "decisions"):
+    for name in ("f1", "sampling", "trained", "margins", "decisions", "by_margin"):
         assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
 
 
@@ -129,3 +142,86 @@ def test_inverse_cdf_draw_equals_generator_choice():
             weights, count, theirs
         )
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_memoised_draws_equal_generator_choice_across_updates(desk_agent):
+    # the views of a batch share their snapshot's CDF memo; an immediate refit
+    # (EpisodeView.update) changes one view's weights, never a memoised CDF
+    exp, agent = desk_agent
+
+    class Counted(dict):
+        hits = 0
+
+        def get(self, key):
+            found = super().get(key)
+            Counted.hits += found is not None
+            return found
+
+    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
+    snapshot.cdfs = Counted()
+    ids = exp.corpus.ids
+    views = [
+        EpisodeView(snapshot, agent.models, ids[:8], ids[8:12], exp.features_by_id),
+        EpisodeView(snapshot, agent.models, ids[12:20], ids[20:24], exp.features_by_id),
+    ]
+    assert views[0].cdfs is views[1].cdfs is snapshot.cdfs
+    donors = [m for m in agent.models.values() if m.weights is not None]
+    src = stream(43, "asked")
+    pools = [np.flatnonzero(src.random(len(snapshot.models) - 1) < 0.8) for _ in range(3)]
+    draws = 0
+    for trial in range(400):
+        view = views[trial % 2]
+        if trial % 40 == 39:
+            p = view.predicates[int(src.integers(len(view.predicates)))]
+            donor = donors[int(src.integers(len(donors)))]
+            view.update(p, dataclasses.replace(donor.clone(), predicate=p))
+        pool = pools[trial % 3]
+        for weights in (view.sampling, view.sampling[pool]):
+            ours, theirs = stream(44, "draw", trial), stream(44, "draw", trial)
+            assert sample_predicates(weights, 3, ours, view.cdfs) == _choice_reference(
+                weights, 3, theirs
+            )
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            draws += 3
+    assert Counted.hits > draws // 4 and len(snapshot.cdfs) + Counted.hits == draws
+
+
+def test_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(querygen, "CDF_MEMO_CAP", 16)
+    cdfs = {}
+    src = stream(45, "weights")
+    for trial in range(300):
+        weights = src.uniform(1e-3, 5.0, size=int(src.integers(4, 12)))
+        ours, theirs = stream(46, "draw", trial), stream(46, "draw", trial)
+        assert sample_predicates(weights, 3, ours, cdfs) == _choice_reference(weights, 3, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert len(cdfs) <= 16
+    assert len(cdfs) == 16
+
+
+def test_run_memos_stay_within_the_cap_and_leave_outputs_alike(
+    small_corpus, small_split, small_density, monkeypatch, tmp_path
+):
+    # immediate refits make new weight vectors all batch long; a capped memo
+    # and no memo at all must give the same transcripts
+    memos = []
+
+    class Recorded(Snapshot):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self.cdfs)
+
+    monkeypatch.setattr(harness, "Snapshot", Recorded)
+    cfg = small_run_config()
+    cfg = dataclasses.replace(
+        cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+    )
+    out = {}
+    for cap in (0, 24):
+        monkeypatch.setattr(querygen, "CDF_MEMO_CAP", cap)
+        memos.clear()
+        path = tmp_path / f"cap{cap}.jsonl"
+        Experiment(cfg, small_corpus, small_split, small_density).run(transcript_path=path)
+        out[cap] = path.read_bytes()
+        assert max(len(m) for m in memos) == cap
+    assert out[0] == out[24]
