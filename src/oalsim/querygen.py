@@ -32,10 +32,11 @@ if TYPE_CHECKING:
 # Most CDFs a batch's memo holds (sample_predicates): one per distinct live
 # weight vector, about 0.5 KB with its key at 24 predicates, so at most about
 # 1 MB. Immediate refits make new vectors; past the cap a CDF is computed and
-# not kept.
+# not kept. A batch of perfbench's workloads at seed 101 sees up to 4,583
+# vectors (desk); at this cap the memo keeps 96-100% of the hits an unbounded
+# one makes, and half or more of them are on vectors an earlier episode of the
+# batch drew, which a per-episode memo would miss (see README).
 CDF_MEMO_CAP = 2048
-
-_GUESS = Guess()  # every beam's first action; actions are immutable
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def sample_predicates(
     weights: np.ndarray,
     count: int,
     rng: np.random.Generator,
-    cdfs: dict[bytes, array] | None = None,
+    cdfs: dict[bytes, array],
 ) -> list[int]:
     """Indices drawn without replacement under the weights; small pools come back whole.
 
@@ -93,8 +94,6 @@ def sample_predicates(
         raise DataError("no predicates to sample from")
     if n <= count:
         return list(range(n))
-    if cdfs is None:
-        cdfs = {}
     alive = np.array(weights, dtype=np.float64)
     chosen: list[int] = []
     for r in rng.random(count).tolist():  # the doubles of `count` scalar draws
@@ -151,7 +150,7 @@ def build_beam(
     forced guess. Label candidates skip predicates whose active-train pairs
     are all labeled; example candidates skip asked predicates.
     """
-    beam: list[Action] = [_GUESS]
+    beam: list[Action] = [Guess()]
     if turn >= t_max:
         return beam
 
@@ -159,27 +158,11 @@ def build_beam(
         free = ~labeled[row]
         if not free.any():
             continue
-        beam.append(_query(view, row, best_object_for_predicate(view, row, free, rng)))
+        col = best_object_for_predicate(view, row, free, rng)
+        beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
 
     pool = np.flatnonzero(~asked)
     if len(pool):
         for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, view.cdfs):
-            beam.append(_query(view, int(pool[k])))
+            beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
     return beam
-
-
-def _query(view: EpisodeView, row: int, col: int | None = None) -> Action:
-    """The label query (row, col), or the example query of row when col is None.
-
-    Built once per episode and kept in `view.actions`: beams repeat them turn
-    after turn, and an action object takes longer to build than to look up.
-    """
-    action = view.actions.get((row, col))
-    if action is None:
-        predicate = view.predicates[row]
-        if col is None:
-            action = ExampleQuery(predicate=predicate)
-        else:
-            action = LabelQuery(predicate=predicate, region_id=view.train_ids[col])
-        view.actions[row, col] = action
-    return action

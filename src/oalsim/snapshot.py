@@ -128,7 +128,6 @@ class EpisodeView:
         self._test_X = _matrix(self.test_ids, features, snapshot.dim)
         self._params = snapshot.params
         self.cdfs = snapshot.cdfs
-        self.actions: dict = {}  # querygen's query actions, (row, col or None) -> action
         self.margins = src.margins(rows, self._train_X)
         self.decisions = src.decisions(rows, self._test_X)
         self.by_margin = self._by_margin(self.margins)

@@ -24,7 +24,7 @@ DEFAULTS = TriangularWeights()
 def sample_names(predicates, f1_of, count, params, rng):
     """Predicate names drawn by sample_predicates under the triangular weights of f1_of."""
     weights = triangular_weights(np.array([f1_of(p) for p in predicates], dtype=float), params)
-    return [predicates[i] for i in sample_predicates(weights, count, rng)]
+    return [predicates[i] for i in sample_predicates(weights, count, rng, {})]
 
 
 def best_object(model, active_train, features, labeled, rng):

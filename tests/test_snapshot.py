@@ -138,7 +138,7 @@ def test_inverse_cdf_draw_equals_generator_choice():
             weights = src.uniform(1e-3, 5.0, size=n)
         count = int(src.integers(1, min(n, 4)))
         ours, theirs = stream(42, "draw", trial), stream(42, "draw", trial)
-        assert sample_predicates(weights, count, ours) == _choice_reference(
+        assert sample_predicates(weights, count, ours, {}) == _choice_reference(
             weights, count, theirs
         )
         assert ours.bit_generator.state == theirs.bit_generator.state
