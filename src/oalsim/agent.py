@@ -28,9 +28,6 @@ class Agent:
         self.stats = AgentStats()
         self.predicates = set()
 
-    def base_labels(self) -> dict[str, dict[str, int]]:
-        return {p: m.labels for p, m in self.models.items()}
-
     def to_dict(self) -> dict:
         return {
             "models": {
@@ -54,11 +51,17 @@ class Agent:
         try:
             models = {}
             for p, m in data["models"].items():
+                labels = {rid: int(lbl) for rid, lbl in m["labels"].items()}
+                f1 = float(m["f1"])
+                if not set(labels.values()) <= {-1, 1}:
+                    raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")
+                if not 0.0 <= f1 <= 1.0:
+                    raise CheckpointError(f"model {p!r}: F1 {f1} outside [0, 1]")
                 models[p] = PredicateModel(
                     predicate=p,
-                    labels={rid: int(lbl) for rid, lbl in m["labels"].items()},
+                    labels=labels,
                     weights=None if m["weights"] is None else np.asarray(m["weights"]),
-                    f1=float(m["f1"]),
+                    f1=f1,
                 )
             stats = AgentStats(
                 used={p: int(v) for p, v in data["stats"]["used"].items()},

@@ -74,6 +74,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("init_batches", "train_batches", "test_batches", "batch_size"):
             check_int(f"experiment.{name}", getattr(self, name), 1)
+        check_int("experiment.master_seed", self.master_seed)
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}")
 

@@ -13,13 +13,22 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import CorpusError, GenerationError, ParseError, SamplingError, SplitError
+from .errors import (
+    ConfigError,
+    CorpusError,
+    GenerationError,
+    ParseError,
+    SamplingError,
+    SplitError,
+    check_int,
+)
 from .perception import extract_predicates, normalize_token
 from .seeding import stream
 
@@ -326,14 +335,17 @@ class SplitConfig:
     classifier_split: float = 0.6
     seed: int = 0
 
+    def __post_init__(self):
+        check_int("split.frequency_threshold", self.frequency_threshold, 0)
+        check_int("split.seed", self.seed)
+        for name in ("test_fraction_of_frequent", "classifier_split"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 < value < 1.0):
+                raise ConfigError(f"split.{name} must be a number in (0, 1), got {value!r}")
+
 
 def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
     """Hold out a random share of frequent predicates; route their regions to policy-test."""
-    if not (0.0 < cfg.test_fraction_of_frequent < 1.0):
-        raise SplitError(f"test_fraction_of_frequent {cfg.test_fraction_of_frequent} not in (0,1)")
-    if not (0.0 < cfg.classifier_split < 1.0):
-        raise SplitError(f"classifier_split {cfg.classifier_split} not in (0,1)")
-
     counts: dict[str, int] = {}
     for r in corpus.regions:
         for p in r.annotations:

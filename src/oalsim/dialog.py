@@ -7,6 +7,10 @@ annotations under a closed world: a predicate absent from an object's
 annotation list is negative. Labels acquired in-episode queue up for the
 batch-end classifier refresh; within the episode they only gate which query
 pairs remain askable.
+
+An episode's one label record, `known`, is a signed table over its view's
+predicates and active-train objects: +1 or -1 where the view's classifiers
+or this episode hold a label for the pair, 0 where none does.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .actions import Action, ExampleQuery, Guess, LabelQuery, describe
 from .corpus import Interaction, Region
 from .errors import ContractError, DataError, ProtocolError
+from .snapshot import EpisodeView
 
 
 @dataclass(frozen=True)
@@ -55,64 +60,44 @@ class Episode:
         self,
         interaction: Interaction,
         regions: Mapping[str, Region],
-        base_labels: Mapping[str, Mapping[str, int]],
+        view: EpisodeView,
         rewards: RewardConfig,
         t_max: int,
         oracle_rng: np.random.Generator,
         guesser: Callable[[], str],
-        predicates: Sequence[str] = (),
     ):
         if not interaction.description_predicates:
             raise DataError("interaction has no description predicates")
         self.interaction = interaction
         self.regions = regions
+        self.view = view
         self.rewards = rewards
         self.t_max = t_max
         self._oracle_rng = oracle_rng
         self._guesser = guesser
-        self._base_labels = base_labels
 
         self.turn = 0
         self.terminated = False
         self.guessed: str | None = None
         self.success = False
         self.pending_labels: list[tuple[str, str, int]] = []
-        self._pending_index: dict[tuple[str, str], int] = {}
         self.transcript: list[TranscriptStep] = []
-
-        # Masks over the askable predicates (rows) and the active-train objects
-        # (columns): pairs labeled in the snapshot or this episode, and
-        # predicates already example-queried. The beam reads them every turn.
-        self._row = {p: i for i, p in enumerate(predicates)}
-        self._col = {rid: j for j, rid in enumerate(interaction.active_train)}
-        self.labeled = np.zeros((len(predicates), len(self._col)), dtype=bool)
-        for i, p in enumerate(predicates):
-            base = base_labels.get(p)
-            if base:
-                self.labeled[i] = [rid in base for rid in interaction.active_train]
-        self.asked = np.zeros(len(predicates), dtype=bool)
+        self.known = view.labels()
+        self.asked = np.zeros(len(view.predicates), dtype=bool)  # example-queried predicates
 
     # -- label bookkeeping ------------------------------------------------
 
     def _record(self, predicate: str, region_id: str, label: int) -> None:
-        base = self._base_labels.get(predicate, {})
-        if region_id in base:
-            if base[region_id] != label:
+        i, j = self.view.index[predicate], self.view.train_col[region_id]
+        held = self.known[i, j]
+        if held:
+            if held != label:
                 raise ContractError(
                     f"oracle flipped label for ({predicate!r}, {region_id!r})"
                 )
             return
-        key = (predicate, region_id)
-        if key in self._pending_index:
-            if self.pending_labels[self._pending_index[key]][2] != label:
-                raise ContractError(
-                    f"oracle flipped label for ({predicate!r}, {region_id!r})"
-                )
-            return
-        self._pending_index[key] = len(self.pending_labels)
+        self.known[i, j] = label
         self.pending_labels.append((predicate, region_id, label))
-        if predicate in self._row:
-            self.labeled[self._row[predicate], self._col[region_id]] = True
 
     # -- oracle -----------------------------------------------------------
 
@@ -164,8 +149,7 @@ class Episode:
             reward = self.rewards.per_query
         elif isinstance(action, ExampleQuery):
             self.answer_example_query(action.predicate)
-            if action.predicate in self._row:
-                self.asked[self._row[action.predicate]] = True
+            self.asked[self.view.index[action.predicate]] = True
             reward = self.rewards.per_query
         else:
             raise ProtocolError(f"unknown action {action!r}")

@@ -47,10 +47,6 @@ class ContractError(OalsimError):
     """Internal contract violation (conflicting oracle labels, unterminated transcript)."""
 
 
-class UndefinedMarginError(OalsimError):
-    """Margin requested for a predicate with no trained hyperplane."""
-
-
 class PolicyUpdateError(OalsimError):
     """Policy update rejected (non-finite gradient)."""
 
@@ -63,7 +59,12 @@ class DegenerateVarianceError(OalsimError):
     """Welch t-test on samples whose variance structure admits no statistic."""
 
 
-def check_int(where: str, value, minimum: int) -> None:
-    """ConfigError unless `value` is an integer (not a bool) >= minimum."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+def check_int(where: str, value, minimum: int | None = None) -> None:
+    """ConfigError unless `value` is an integer (not a bool), and >= minimum if given."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")

@@ -183,7 +183,7 @@ def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndar
     out[0, _ACT_GUESS] = 1.0
     out[1:] = ctx.queries[kinds, rows]
     for i, row, region_id in labels:
-        margin = view.margins[row, view.train_col[region_id]] if view.trained[row] else 0.0
+        margin = view.margins[row, view.train_col[region_id]]
         avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])
         out[i, _LABEL_OBJECT] = margin, avg_dist, unlabeled
     out[:, _TURN_FRAC] = turn / ctx.t_max

@@ -228,12 +228,11 @@ class Experiment:
         episode = Episode(
             interaction=interaction,
             regions=self.corpus.by_id,
-            base_labels=agent.base_labels(),
+            view=view,
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
             oracle_rng=oracle_rng,
             guesser=lambda: scores.argmax,  # the grounding current at the guess
-            predicates=view.predicates,
         )
 
         while not episode.terminated:
@@ -241,7 +240,7 @@ class Experiment:
                 turn=episode.turn,
                 t_max=cfg.episode.t_max,
                 view=view,
-                labeled=episode.labeled,
+                labeled=episode.known,
                 asked=episode.asked,
                 cfg=cfg.beam,
                 rng=beam_rng,
@@ -401,12 +400,11 @@ class Experiment:
         cfg = self.config
         agent = Agent()
         params = PolicyParams(
-            theta=np.zeros(N_FEATURES),
             alpha=cfg.policy.learning_rate,
             alpha_decay=cfg.policy.learning_rate_decay,
             use_baseline=cfg.policy.use_baseline,
         )
-        theta = params.theta
+        theta = np.zeros(N_FEATURES)
         metrics: list[BatchMetrics] = []
         update_counter = 0
         start_phase, start_batch = 0, 0

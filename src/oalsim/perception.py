@@ -236,8 +236,9 @@ def estimate_f1(
 
     The k fold fits run as one stacked descent (_fit_subsets), each equal to
     train_classifier on that fold's training labels. A held-out row's score
-    is one np.vecdot, the BLAS dot of the scalar score w[:-1] @ x + w[-1]; a
-    fold trained on a single class decides -1, like an untrained classifier.
+    is one np.vecdot, the BLAS dot of the scalar score w[:-1] @ x + w[-1].
+    Each class has at least k >= 2 members, dealt round-robin over the k
+    folds, so every fold trains on both classes.
     """
     if len(model.labels) < 4 or not model.trainable():
         return 0.0
@@ -249,9 +250,7 @@ def estimate_f1(
     fold = (np.where(pos, pos.cumsum(), (~pos).cumsum()) - 1) % k  # rank within class
     train = fold != np.arange(k)[:, None]
     W = _fit_subsets(YX, train, cfg)
-    two_class = (train & pos).any(axis=1) & (train & ~pos).any(axis=1)
-    scores = np.vecdot(X, W[fold, :-1]) + W[fold, -1]
-    predicted = two_class[fold] & (scores >= 0.0)
+    predicted = np.vecdot(X, W[fold, :-1]) + W[fold, -1] >= 0.0
     tp = int(np.count_nonzero(predicted & pos))
     fp = int(np.count_nonzero(predicted & ~pos))
     fn = int(np.count_nonzero(~predicted & pos))

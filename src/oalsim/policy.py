@@ -20,7 +20,6 @@ from .errors import PolicyUpdateError
 
 @dataclass
 class PolicyParams:
-    theta: np.ndarray
     alpha: float = 1e-3
     alpha_decay: float = 0.0  # linear: alpha_b = alpha * max(0, 1 - decay*b)
     use_baseline: bool = False

@@ -9,7 +9,8 @@ untrained predicates fall back to a uniform object pick.
 
 The beam reads the episode's arrays (snapshot.EpisodeView): sampling weights,
 trained flags and the active-train columns ordered by margin per predicate,
-plus the episode's masks of labeled pairs and example-queried predicates.
+plus the episode's signed label table (0 where a pair has no label) and its
+mask of example-queried predicates.
 The sampling CDFs are memoised per batch in the snapshot's `cdfs`.
 """
 
@@ -144,18 +145,19 @@ def build_beam(
 ) -> list[Action]:
     """Guess plus up to n_label label queries and n_example example queries.
 
-    `labeled` marks the (predicate, active-train object) pairs with a label and
-    `asked` the predicates already example-queried this episode, both over the
-    view's predicates and columns. At the turn cap the beam collapses to the
-    forced guess. Label candidates skip predicates whose active-train pairs
-    are all labeled; example candidates skip asked predicates.
+    `labeled` is the episode's label table, nonzero where a (predicate,
+    active-train object) pair has a label, and `asked` marks the predicates
+    already example-queried this episode, both over the view's predicates and
+    columns. At the turn cap the beam collapses to the forced guess. Label
+    candidates skip predicates whose active-train pairs are all labeled;
+    example candidates skip asked predicates.
     """
     beam: list[Action] = [Guess()]
     if turn >= t_max:
         return beam
 
     for row in sample_predicates(view.sampling, cfg.n_label, rng, view.cdfs):
-        free = ~labeled[row]
+        free = np.logical_not(labeled[row])
         if not free.any():
             continue
         col = best_object_for_predicate(view, row, free, rng)

@@ -7,10 +7,13 @@ norms, F1, trained flags and triangular sampling weights, one row per
 predicate plus a last row for every predicate without a classifier. An
 EpisodeView takes one interaction's rows and columns from it: margins on the
 active-train objects (and each row's columns ordered by margin, then id)
-and decisions on the active-test objects. Beams, grounding and guess
-features read these arrays; nothing scores one object against one
-classifier at a time. The snapshot also holds the batch's memo of sampling
-CDFs (`cdfs`, see querygen.sample_predicates), which every view shares.
+and decisions on the active-test objects. Its `labels` table holds the
+classifiers' labels on the same active-train columns, signed +1/-1 with 0
+for none, and seeds the episode's label record (dialog.Episode.known).
+Beams, grounding and guess features read these arrays; nothing scores one
+object against one classifier at a time. The snapshot also holds the
+batch's memo of sampling CDFs (`cdfs`, see querygen.sample_predicates),
+which every view shares.
 
 Every entry equals its scalar form bit for bit: the score w[:-1] @ x + w[-1],
 its sign (+1 at exactly 0, -1 when untrained) and its distance to the
@@ -162,3 +165,11 @@ class EpisodeView:
             self.margins[i] = 0.0 if norm < MARGIN_NORM_FLOOR else np.abs(scores) / norm
             self.decisions[i] = np.where(np.vecdot(self._test_X, coef) + bias >= 0.0, 1, -1)
         self.by_margin[i] = self._by_margin(self.margins[i])
+
+    def labels(self) -> np.ndarray:
+        """The classifiers' labels of (predicates[i], train_ids[j]) as int8: +1, -1, 0 for none."""
+        table = np.zeros((len(self.predicates), len(self.train_ids)), dtype=np.int8)
+        for i, model in enumerate(self.models):
+            if model is not None and model.labels:
+                table[i] = [model.labels.get(rid, 0) for rid in self.train_ids]
+        return table

@@ -7,9 +7,13 @@ the one-object, one-classifier forms the arrays must equal bit for bit.
 
 import numpy as np
 
-from oalsim.errors import UndefinedMarginError
+from oalsim.errors import OalsimError
 from oalsim.perception import MARGIN_NORM_FLOOR, PredicateModel
 from oalsim.querygen import TriangularWeights, triangular_weights
+
+
+class UndefinedMarginError(OalsimError):
+    """Margin requested for a predicate with no trained hyperplane."""
 
 
 def score(model: PredicateModel, features: np.ndarray) -> float:

@@ -140,6 +140,12 @@ class TestRun:
             ("episode", "active_train_size", -3),
             ("episode", "t_max", 2.5),
             ("policy", "static_n_queries", 2.5),
+            ("experiment", "master_seed", 1.5),
+            ("experiment", "master_seed", "abc"),
+            ("split", "seed", 2.5),
+            ("split", "frequency_threshold", "abc"),
+            ("split", "classifier_split", 1.5),
+            ("split", "test_fraction_of_frequent", 1.5),
         ],
     )
     def test_invalid_integer_setting_fails_before_any_work(

@@ -160,6 +160,16 @@ def test_classifier_boundary_settings_accepted():
         ("policy", "static_n_queries", -1),
         ("experiment", "batch_size", 2.5),
         ("experiment", "init_batches", 0),
+        ("experiment", "master_seed", 1.5),
+        ("experiment", "master_seed", "abc"),
+        ("experiment", "master_seed", True),
+        ("split", "seed", 2.5),
+        ("split", "frequency_threshold", "abc"),
+        ("split", "frequency_threshold", -1),
+        ("split", "classifier_split", 1.5),
+        ("split", "classifier_split", "abc"),
+        ("split", "test_fraction_of_frequent", 0.0),
+        ("split", "test_fraction_of_frequent", float("nan")),
     ],
 )
 def test_invalid_integer_setting_rejected(section, key, value):
@@ -175,5 +185,8 @@ def test_integer_boundary_settings_accepted():
     data["beam"] = {"n_label": 0, "n_example": 0}
     data["episode"] = {"t_max": 1, "active_train_size": 0, "active_test_size": 1}
     data["policy"] = {"static_n_queries": 0}
+    data["experiment"] = {"master_seed": -5}
+    data["split"] = {"frequency_threshold": 0, "seed": -1}
     cfg = from_dict(data)
     assert (cfg.beam.n_label, cfg.episode.t_max, cfg.policy.static_n_queries) == (0, 1, 0)
+    assert (cfg.experiment.master_seed, cfg.split.seed) == (-5, -1)

@@ -1,4 +1,5 @@
-"""Every module-level private function or class in the package has a caller.
+"""Every module-level private function or class in the package has a caller,
+and every error class in oalsim.errors is raised or caught somewhere in it.
 
 A private name is one that starts with a single underscore; nothing outside
 the package may use it, so a private name that no other code in the package
@@ -43,3 +44,20 @@ def test_private_definitions_are_referenced():
             if not any(node.name in _references(other, node) for other in trees.values()):
                 unused.append(f"{module}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_error_classes_are_raised_or_caught():
+    # an exception class the package never raises or handles only documents a
+    # failure that cannot happen
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    used: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used |= _references(node.exc, None)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used |= _references(node.type, None)
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    assert len(classes) > 5
+    assert [name for name in classes if name not in used] == []

@@ -7,7 +7,9 @@ from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.corpus import Interaction, Region
 from oalsim.dialog import Episode, RewardConfig, episode_return, transcript_records
 from oalsim.errors import ContractError, DataError, ProtocolError
+from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
+from oalsim.snapshot import EpisodeView, Snapshot
 
 
 def _toy_world(positives_for_white=("t2", "t5")):
@@ -40,13 +42,20 @@ def _toy_world(positives_for_white=("t2", "t5")):
     return regions, interaction
 
 
-def _episode(guess="o1", seed=0, t_max=40, regions=None, interaction=None):
+def _episode(guess="o1", seed=0, t_max=40, regions=None, interaction=None, models=None):
     if regions is None:
         regions, interaction = _toy_world()
+    view = EpisodeView(
+        Snapshot(models or {}, 4),
+        ("blue", "green", "red", "white"),
+        interaction.active_train,
+        interaction.active_test,
+        {rid: r.features for rid, r in regions.items()},
+    )
     return Episode(
         interaction=interaction,
         regions=regions,
-        base_labels={},
+        view=view,
         rewards=RewardConfig(),
         t_max=t_max,
         oracle_rng=stream(seed, "oracle"),
@@ -93,6 +102,22 @@ class TestOracle:
         first = ep.answer_label_query("blue", "t3")
         assert ep.answer_label_query("blue", "t3") == first
         assert len(ep.pending_labels) == 1
+
+    def test_labels_held_by_the_view_are_not_pending(self):
+        model = PredicateModel(predicate="blue")
+        model.record_label("t3", 1)
+        model.record_label("o0", -1)  # not an active-train object: no column
+        ep = _episode(models={"blue": model})
+        assert ep.known[0].tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
+        assert not ep.known[1:].any()
+        assert ep.answer_label_query("blue", "t3") == 1
+        assert ep.pending_labels == []
+
+    def test_label_contradicting_the_view_is_a_flip(self):
+        model = PredicateModel(predicate="blue")
+        model.record_label("t3", -1)  # t3 is annotated blue
+        with pytest.raises(ContractError, match="flipped"):
+            _episode(models={"blue": model}).answer_label_query("blue", "t3")
 
     def test_example_query_with_positives(self):
         ep = _episode()

@@ -94,7 +94,7 @@ class TestRunBatch:
         agent = Agent()
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         small_experiment.apply_batch_end(agent, merged, outcomes)
-        base = agent.base_labels()
+        base = {p: m.labels for p, m in agent.models.items()}
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
         asked = [
             (step.action.predicate, rid)
@@ -288,6 +288,23 @@ class TestCheckpointing:
         assert back.models["red"].f1 == model.f1
         assert back.stats.dialogs == 1
         assert back.predicates == {"red", "box"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("label", 0), ("label", 5), ("f1", 2.5), ("f1", -0.5), ("f1", float("nan"))],
+    )
+    def test_agent_with_invalid_label_or_f1_rejected(self, field, value):
+        # a stored 0 would read as "no label" in an episode's label table
+        model = PredicateModel(predicate="red")
+        model.record_label("r1", 1)
+        agent = Agent(models={"red": model})
+        data = json.loads(json.dumps(agent.to_dict()))
+        if field == "label":
+            data["models"]["red"]["labels"]["r1"] = value
+        else:
+            data["models"]["red"]["f1"] = value
+        with pytest.raises(CheckpointError, match="red"):
+            Agent.from_dict(data)
 
 
 class TestImmediateUpdates:

@@ -7,7 +7,7 @@ import pytest
 from oalsim import perception
 from oalsim.config import load_config
 from oalsim.corpus import generate_synthetic
-from oalsim.errors import ContractError, DataError, UndefinedMarginError
+from oalsim.errors import ContractError, DataError
 from oalsim.perception import (
     ClassifierConfig,
     DensityIndex,
@@ -19,7 +19,7 @@ from oalsim.perception import (
 )
 from oalsim.seeding import stream
 
-from classifier_oracle import decide, margin
+from classifier_oracle import UndefinedMarginError, decide, margin
 
 CFG = ClassifierConfig()
 
@@ -380,6 +380,28 @@ class TestEstimateF1Exact:
             got = estimate_f1(m, feats, CFG)
             assert type(got) is float
             assert got == self._expected(m, feats, CFG)
+
+    def test_every_fold_trains_on_both_classes(self, monkeypatch):
+        # estimate_f1 scores every held-out row with its fold's hyperplane, which
+        # needs each fold's training labels to hold both classes
+        seen = []
+        fit_subsets = perception._fit_subsets
+
+        def spy(YX, subsets, cfg):
+            seen.append((YX[:, -1] > 0, subsets))
+            return fit_subsets(YX, subsets, cfg)
+
+        monkeypatch.setattr(perception, "_fit_subsets", spy)
+        rng = stream(14, "twoclass")
+        for trial in range(300):
+            n = int(rng.integers(4, 30))
+            model, feats = _random_model(rng, n, 3, int(rng.integers(1, n)))
+            cfg = ClassifierConfig(folds=int(rng.integers(2, 7)), iterations=1)
+            estimate_f1(model, feats, cfg)
+        assert len(seen) > 200
+        for pos, subsets in seen:
+            assert (subsets & pos).any(axis=1).all()
+            assert (subsets & ~pos).any(axis=1).all()
 
 
 class TestDensity:
