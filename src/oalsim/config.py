@@ -118,6 +118,11 @@ def _build(cls, data: dict, where: str, coercions: dict | None = None):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _json_pair(value):
+    # a JSON array becomes the tuple a frozen config holds; SyntheticConfig checks the rest
+    return tuple(value) if isinstance(value, list) else value
+
+
 def _ablate_names(value) -> tuple[str, ...]:
     # tuple("guess") would split a bare name into letters
     if not isinstance(value, (list, tuple)):
@@ -141,10 +146,7 @@ def from_dict(data: dict) -> RunConfig:
             SyntheticConfig,
             dict(corpus_data.pop("synthetic")),
             "corpus.synthetic",
-            coercions={
-                "coverage": lambda v: tuple(float(x) for x in v),
-                "description_length": lambda v: tuple(int(x) for x in v),
-            },
+            coercions={"coverage": _json_pair, "description_length": _json_pair},
         )
     corpus = _build(
         CorpusSource,

@@ -28,6 +28,7 @@ from .errors import (
     SamplingError,
     SplitError,
     check_int,
+    check_real,
 )
 from .perception import extract_predicates, normalize_token
 from .seeding import stream
@@ -55,6 +56,8 @@ class Corpus:
             raise CorpusError("corpus is empty")
         self.regions = list(regions)
         self.dim = int(regions[0].features.shape[0])
+        if self.dim < 1:
+            raise CorpusError("regions have no features")
         self.by_id: dict[str, Region] = {}
         for r in self.regions:
             if r.features.shape != (self.dim,):
@@ -269,6 +272,32 @@ class SyntheticConfig:
     seed: int = 13
     max_resamples: int = 1000
 
+    def __post_init__(self):
+        """Wrong types are a ConfigError; sizes a run cannot use, a GenerationError."""
+        for name in ("n_regions", "dim", "n_predicates", "seed", "max_resamples"):
+            check_int(f"corpus.synthetic.{name}", getattr(self, name))
+        for name, check in (("coverage", check_real), ("description_length", check_int)):
+            pair = getattr(self, name)
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ConfigError(f"corpus.synthetic.{name} must be a pair, got {pair!r}")
+            for value in pair:
+                check(f"corpus.synthetic.{name}", value)
+        if self.n_regions < 12:
+            raise GenerationError(
+                f"n_regions={self.n_regions} is below one interaction's worth (12)"
+            )
+        for name in ("dim", "n_predicates", "max_resamples"):
+            if getattr(self, name) < 1:
+                raise GenerationError(f"{name}={getattr(self, name)} < 1")
+        lo, hi = self.coverage
+        if not (0.0 < lo <= hi < 1.0):
+            raise GenerationError(f"coverage bounds {self.coverage} not in (0,1)")
+        dlo, dhi = self.description_length
+        if not (1 <= dlo <= dhi):
+            raise GenerationError(
+                f"description_length range {self.description_length} invalid"
+            )
+
 
 def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
     """Half-space predicates over Gaussian features; annotations are exact memberships.
@@ -278,19 +307,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
     of feature space drawn from cfg.coverage. Regions with no annotations are
     resampled (bounded), so every region can serve as a target.
     """
-    if cfg.n_regions < 12:
-        raise GenerationError(
-            f"n_regions={cfg.n_regions} is below one interaction's worth (12)"
-        )
-    if cfg.n_predicates < 1:
-        raise GenerationError(f"n_predicates={cfg.n_predicates} < 1")
     lo, hi = cfg.coverage
-    if not (0.0 < lo <= hi < 1.0):
-        raise GenerationError(f"coverage bounds {cfg.coverage} not in (0,1)")
     dlo, dhi = cfg.description_length
-    if not (1 <= dlo <= dhi):
-        raise GenerationError(f"description length range {cfg.description_length} invalid")
-
     rng = stream(cfg.seed, "synthetic")
     names = [f"p{i:02d}" for i in range(cfg.n_predicates)]
     normals = rng.normal(size=(cfg.n_predicates, cfg.dim))

@@ -4,6 +4,7 @@ Exit-code mapping used by the CLI: ConfigError -> 2, DataError -> 3,
 anything else raised past the command handler -> 4.
 """
 
+import math
 import numbers
 
 
@@ -68,3 +69,13 @@ def check_int(where: str, value, minimum: int | None = None) -> None:
     ):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")
+
+
+def check_real(where: str, value) -> None:
+    """ConfigError unless `value` is a finite real number (not a bool)."""
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")

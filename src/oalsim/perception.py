@@ -8,14 +8,12 @@ Classifier trust is the cross-validated F1 on the labels acquired so far.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, check_int
+from .errors import ConfigError, ContractError, DataError, check_int, check_real
 
 # Small closed-class list; enough to strip function words from short object
 # descriptions ("the red box" -> red, box) without an NLP dependency.
@@ -124,17 +122,25 @@ class ClassifierConfig:
                 continue
             check_int(f"classifier.{name}", value, 0)
         for name in ("step_size", "step_decay", "l2"):
-            value = getattr(self, name)
-            if (
-                not isinstance(value, numbers.Real)
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(f"classifier.{name} must be a finite number, got {value!r}")
+            check_real(f"classifier.{name}", getattr(self, name))
         if self.step_size <= 0:
             raise ConfigError(f"classifier.step_size must be > 0, got {self.step_size}")
         if self.step_decay < 0 or self.l2 < 0:
             raise ConfigError("classifier.step_decay and classifier.l2 must be >= 0")
+
+
+def _sum_masked_rows(YX: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = the sum of the rows YX[i, r] with mask[i, r] == 1, in row order.
+
+    YX is (k, n, d), mask a float64 0/1 array (k, n) and out (k, d). einsum
+    keeps d, the smallest stride, innermost, so each out[i] starts at +0.0
+    and adds the rows one by one in row order. A row masked by 0 adds +-0.0,
+    which leaves a partial sum unchanged: one that starts at +0.0 is never
+    -0.0. So out equals summing the selected rows in order, bit for bit.
+    That needs d >= 2: at d = 1 numpy reduces the contiguous n with unrolled
+    accumulators. Corpus refuses regions without features, so d = dim + 1.
+    """
+    return np.einsum("knd,kn->kd", YX, mask, out=out)
 
 
 def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
@@ -147,10 +153,16 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     equals y * ([X, 1] @ w) bit for bit.
 
     A stacked problem's weights equal its own 2-D fit bit for bit: each
-    problem's scores are one gemv, like the 2-D YX @ w; a `where=` sum adds its
-    violating rows in order and skips the rest, like summing the boolean
-    index; and it divides by its own n. The 2-D fit keeps the boolean index,
-    which is faster for one problem.
+    problem's scores are one gemv, like the 2-D YX @ w; _sum_masked_rows adds
+    its violating rows in row order from +0.0, like summing the boolean
+    index, and every other row, a zero pad row included, adds +-0.0, which
+    changes nothing; and it divides by its own n. With that einsum over a 0/1
+    mask an iteration takes about a third of its time with a `where=` sum.
+
+    The 2-D fit keeps the boolean index and skips an iteration where no row
+    violates: an immediate-update run makes about 2,000 single fits of a few
+    labels each, and sending them through the einsum without the skip made
+    its run 41% slower.
     """
     if YX.ndim == 2:
 
@@ -160,17 +172,15 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
 
     else:
         k, rows, width = YX.shape
-        valid = (np.arange(rows) < n[:, None])[:, :, None]
         counts = n[:, None]
         scores = np.empty((k, rows, 1))
-        viol = np.empty((k, rows, 1), dtype=bool)
+        mask = np.empty((k, rows))
         pull = np.empty((k, width))
 
         def mean_pull(w):
             np.matmul(YX, w[:, :, None], out=scores)
-            np.less(scores, 1.0, out=viol)
-            np.logical_and(viol, valid, out=viol)
-            np.add.reduce(YX, axis=1, where=viol, out=pull)
+            np.less(scores[:, :, 0], 1.0, out=mask)
+            _sum_masked_rows(YX, mask, pull)
             return np.divide(pull, counts, out=pull)
 
     w = np.zeros(YX.shape[:-2] + YX.shape[-1:])

@@ -5,8 +5,9 @@ import pytest
 from oalsim.cli import main
 
 
+SMALL_SYNTH = {"n_regions": 120, "dim": 16, "n_predicates": 8, "seed": 3}
 SMALL_CONFIG = {
-    "corpus": {"synthetic": {"n_regions": 120, "dim": 16, "n_predicates": 8, "seed": 3}},
+    "corpus": {"synthetic": SMALL_SYNTH},
     "split": {"frequency_threshold": 30, "seed": 1},
     "policy": {"learning_rate": 3e-6},
     "experiment": {
@@ -146,6 +147,11 @@ class TestRun:
             ("split", "frequency_threshold", "abc"),
             ("split", "classifier_split", 1.5),
             ("split", "test_fraction_of_frequent", 1.5),
+            ("corpus", "synthetic", {**SMALL_SYNTH, "seed": 3.5}),
+            ("corpus", "synthetic", {**SMALL_SYNTH, "n_regions": 120.5}),
+            ("corpus", "synthetic", {**SMALL_SYNTH, "description_length": [1, 2.5]}),
+            ("corpus", "synthetic", {**SMALL_SYNTH, "coverage": [0.1, "0.3"]}),
+            ("corpus", "synthetic", {**SMALL_SYNTH, "n_regions": 5}),
         ],
     )
     def test_invalid_integer_setting_fails_before_any_work(

@@ -190,3 +190,48 @@ def test_integer_boundary_settings_accepted():
     cfg = from_dict(data)
     assert (cfg.beam.n_label, cfg.episode.t_max, cfg.policy.static_n_queries) == (0, 1, 0)
     assert (cfg.experiment.master_seed, cfg.split.seed) == (-5, -1)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", 3.5),
+        ("seed", True),
+        ("n_regions", 120.5),
+        ("n_regions", "120"),
+        ("dim", 16.0),
+        ("n_predicates", 8.5),
+        ("max_resamples", 2.5),
+        ("description_length", [1, 2.5]),
+        ("description_length", [1, 2, 3]),
+        ("description_length", 2),
+        ("coverage", [0.1, "0.3"]),
+        ("coverage", [0.1, float("nan")]),
+        ("coverage", [True, 0.3]),
+        ("coverage", [0.1]),
+        ("n_regions", 5),
+        ("dim", 0),
+        ("n_predicates", 0),
+        ("max_resamples", 0),
+        ("coverage", [0.3, 0.1]),
+        ("description_length", [0, 3]),
+    ],
+)
+def test_invalid_synthetic_setting_rejected(key, value):
+    # the section used to be coerced with int()/float() or not checked at all, so
+    # seed 3.5 ran as seed 3 and n_regions 120.5 failed inside generation
+    data = json.loads(json.dumps(BASE))
+    data["corpus"]["synthetic"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        from_dict(data)
+
+
+def test_synthetic_boundary_settings_accepted():
+    data = json.loads(json.dumps(BASE))
+    data["corpus"]["synthetic"].update(
+        n_regions=12, dim=1, n_predicates=1, seed=-4, max_resamples=1,
+        coverage=[0.2, 0.2], description_length=[2, 2],
+    )
+    synthetic = from_dict(data).corpus.synthetic
+    assert (synthetic.n_regions, synthetic.dim, synthetic.seed) == (12, 1, -4)
+    assert synthetic.coverage == (0.2, 0.2) and synthetic.description_length == (2, 2)

@@ -51,6 +51,14 @@ class TestLoadRegions:
         with pytest.raises(CorpusError):
             load_regions(path)
 
+    def test_regions_without_features_rejected(self, tmp_path):
+        # a classifier row would be the bias alone, a width the stacked fits cannot
+        # sum in row order (see perception._sum_masked_rows)
+        path = tmp_path / "corpus.jsonl"
+        _write_jsonl(path, [_record("r0", d=0), _record("r1", d=0)])
+        with pytest.raises(CorpusError, match="no features"):
+            load_regions(path)
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         _write_jsonl(path, [_record("r0"), _record("r0")])

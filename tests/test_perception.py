@@ -338,6 +338,40 @@ class TestStackedFits:
         for w, rows in zip(stacked, subsets):
             assert _same_bits(w, perception._fit_hinge(YX[rows], int(rows.sum()), CFG))
 
+    @staticmethod
+    def _ordered_sums(YX, viol):
+        """Each problem's violating rows added one by one, in row order, from +0.0."""
+        out = np.zeros((YX.shape[0], YX.shape[2]))
+        for total, rows, hits in zip(out, YX, viol):
+            for row in rows[hits]:
+                total += row
+        return out
+
+    @pytest.mark.parametrize("width", [2, 4, 33])
+    def test_masked_sum_adds_violating_rows_in_order(self, width):
+        # a 0/1 mask makes every other row a +-0.0 term; from width 4 on, column 1
+        # holds signed zeros only and the rounded column 0 cancels exactly, so
+        # partial sums hit +-0.0, while the normal columns pin the order of the adds.
+        # Width 1 is not row order (numpy reduces a contiguous n with unrolled
+        # accumulators); Corpus refuses regions without features, so it never occurs
+        rng = stream(15, "maskedsum", width)
+        shapes = [(1, 1), (1, 7), (3, 1), (1, 300), (60, 300)]
+        shapes += [(int(rng.integers(40, 70)), int(rng.integers(2, 301))) for _ in range(4)]
+        for k, rows in shapes:
+            y = rng.choice([-1.0, 1.0], size=(k, rows, 1))
+            X = rng.normal(size=(k, rows, width))
+            if width >= 4:
+                X[:, :, 0] = np.round(X[:, :, 0])
+                X[:, :, 1] = 0.0
+            YX = y * X
+            viol = rng.random((k, rows)) < rng.random((k, 1))
+            out = np.empty((k, width))
+            got = perception._sum_masked_rows(YX, viol.astype(np.float64), out)
+            assert got is out
+            assert _same_bits(out, self._ordered_sums(YX, viol))
+            if width >= 4:
+                assert not np.signbit(out[:, 1]).any()
+
     def test_single_fit_equals_a_stack_of_one(self):
         rng = stream(12, "one")
         model, feats = _random_model(rng, 40, 32, 15)
