@@ -56,8 +56,8 @@ def cmd_gen_data(args) -> int:
         n_regions=args.n_regions,
         dim=args.dim,
         n_predicates=args.n_predicates,
-        coverage=(args.coverage[0], args.coverage[1]),
-        description_length=(args.desc_len[0], args.desc_len[1]),
+        coverage=tuple(args.coverage),
+        description_length=tuple(args.desc_len),
         seed=args.seed,
     )
     regions = generate_synthetic(cfg)
@@ -219,14 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    gen.add_argument("--n-regions", type=int, default=600)
-    gen.add_argument("--dim", type=int, default=32)
-    gen.add_argument("--n-predicates", type=int, default=24)
-    gen.add_argument("--coverage", type=float, nargs=2, default=[0.08, 0.30],
+    synth = SyntheticConfig()
+    gen.add_argument("--n-regions", type=int, default=synth.n_regions)
+    gen.add_argument("--dim", type=int, default=synth.dim)
+    gen.add_argument("--n-predicates", type=int, default=synth.n_predicates)
+    gen.add_argument("--coverage", type=float, nargs=2, default=synth.coverage,
                      metavar=("LO", "HI"))
-    gen.add_argument("--desc-len", type=int, nargs=2, default=[1, 3],
+    gen.add_argument("--desc-len", type=int, nargs=2, default=synth.description_length,
                      metavar=("LO", "HI"))
-    gen.add_argument("--seed", type=int, default=13)
+    gen.add_argument("--seed", type=int, default=synth.seed)
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true")
     gen.set_defaults(handler=cmd_gen_data)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .corpus import InteractionSizes, SplitConfig, SyntheticConfig
 from .dialog import RewardConfig
-from .errors import ConfigError, DataError, check_int
+from .errors import ConfigError, DataError, check_bool, check_int, check_real
 from .perception import ClassifierConfig
 from .querygen import BeamConfig, TriangularWeights
 
@@ -29,6 +29,10 @@ class CorpusSource:
     def __post_init__(self):
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError("corpus source needs exactly one of 'path' or 'synthetic'")
+        if self.format not in ("annotation-json", "tabular"):  # corpus.load_regions' formats
+            raise ConfigError(
+                f"corpus.format must be 'annotation-json' or 'tabular', got {self.format!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,15 @@ class PolicyConfig:
     static_n_queries: int = 15
 
     def __post_init__(self):
+        check_real("policy.learning_rate", self.learning_rate)
+        check_real("policy.learning_rate_decay", self.learning_rate_decay)
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+            raise ConfigError(f"policy.learning_rate must be > 0, got {self.learning_rate}")
+        if self.learning_rate_decay < 0:
+            raise ConfigError(
+                f"policy.learning_rate_decay must be >= 0, got {self.learning_rate_decay}"
+            )
+        check_bool("policy.use_baseline", self.use_baseline)
         check_int("policy.static_n_queries", self.static_n_queries, 0)
 
 
@@ -55,6 +66,7 @@ class EpisodeConfig:
         check_int("episode.t_max", self.t_max, 1)
         check_int("episode.active_train_size", self.active_train_size, 0)
         check_int("episode.active_test_size", self.active_test_size, 1)
+        check_bool("episode.immediate_updates", self.immediate_updates)
 
     def sizes(self) -> InteractionSizes:
         return InteractionSizes(self.active_train_size, self.active_test_size)
@@ -75,6 +87,7 @@ class ExperimentConfig:
         for name in ("init_batches", "train_batches", "test_batches", "batch_size"):
             check_int(f"experiment.{name}", getattr(self, name), 1)
         check_int("experiment.master_seed", self.master_seed)
+        check_bool("experiment.checkpoints", self.checkpoints)
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}")
 

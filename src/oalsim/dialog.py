@@ -22,7 +22,7 @@ import numpy as np
 
 from .actions import Action, ExampleQuery, Guess, LabelQuery, describe
 from .corpus import Interaction, Region
-from .errors import ContractError, DataError, ProtocolError
+from .errors import ContractError, DataError, ProtocolError, check_real
 from .snapshot import EpisodeView
 
 
@@ -34,6 +34,8 @@ class RewardConfig:
     discount: float = 1.0
 
     def __post_init__(self):
+        for name in ("correct_guess", "incorrect_guess", "per_query", "discount"):
+            check_real(f"rewards.{name}", getattr(self, name))
         if not (self.correct_guess > 0 > self.per_query):
             raise DataError("need correct_guess > 0 > per_query")
         if not (self.incorrect_guess < self.per_query):

@@ -71,6 +71,12 @@ def check_int(where: str, value, minimum: int | None = None) -> None:
         raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")
 
 
+def check_bool(where: str, value) -> None:
+    """ConfigError unless `value` is true or false (a string such as "false" is neither)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+
+
 def check_real(where: str, value) -> None:
     """ConfigError unless `value` is a finite real number (not a bool)."""
     if (

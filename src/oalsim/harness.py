@@ -281,22 +281,34 @@ class Experiment:
         """Immediate-update variant: retrain affected classifiers mid-episode.
 
         The agent's own models stay untouched until the batch end; the episode
-        refits copies and swaps them into its view. Returns the refit predicates.
+        records each label on its view's copy of the model and refits those
+        copies whose labels hold both classes (_fit). Returns the refit predicates.
         """
-        touched: dict[str, PredicateModel] = {}
         for p, rid, label in new_labels:
-            model = touched.get(p) or view.models[view.index[p]]
+            i = view.index[p]
+            model = view.models[i]
             if model is None:
-                model = PredicateModel(predicate=p)
+                view.models[i] = model = PredicateModel(predicate=p)
             elif model is agent.models.get(p):
-                model = model.clone()
+                view.models[i] = model = model.clone()
             model.record_label(rid, label)
-            touched[p] = model
-        for p, model in touched.items():
-            train_classifier(model, self.features_by_id, self.config.classifier)
-            model.f1 = estimate_f1(model, self.features_by_id, self.config.classifier)
-            view.update(p, model)
-        return set(touched)
+        models = {p: view.models[view.index[p]] for p, _, _ in new_labels}
+        refit = {p for p, model in models.items() if self._fit(model)}
+        for p in refit:
+            view.update(p, models[p])
+        return refit
+
+    def _fit(self, model: PredicateModel) -> bool:
+        """Retrain a classifier and re-estimate its F1, if its labels hold both classes.
+
+        One class gives no weights and F1 0, as the model already has: labels
+        only grow, so it never held both. Returns whether the model was fit.
+        """
+        if not model.trainable():
+            return False
+        train_classifier(model, self.features_by_id, self.config.classifier)
+        model.f1 = estimate_f1(model, self.features_by_id, self.config.classifier)
+        return True
 
     # -- batch ----------------------------------------------------------------
 
@@ -362,9 +374,7 @@ class Experiment:
             if model.record_label(rid, label):
                 dirty.add(p)
         for p in sorted(dirty):
-            model = agent.models[p]
-            train_classifier(model, self.features_by_id, self.config.classifier)
-            model.f1 = estimate_f1(model, self.features_by_id, self.config.classifier)
+            self._fit(agent.models[p])
         for o in outcomes:
             agent.stats.observe_dialog(o.interaction.description_predicates, o.success)
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .actions import Action, ExampleQuery, Guess, LabelQuery
-from .errors import DataError, check_int
+from .errors import DataError, check_int, check_real
 
 if TYPE_CHECKING:
     from .snapshot import EpisodeView
@@ -47,6 +47,8 @@ class TriangularWeights:
     c_max: float = 0.6
 
     def __post_init__(self):
+        for name in ("w_min", "w_max", "c_max"):
+            check_real(f"triangular.{name}", getattr(self, name))
         if not (0.0 < self.w_min < self.w_max):
             raise DataError(f"need 0 < w_min < w_max, got {self.w_min}, {self.w_max}")
         if not (0.0 < self.c_max < 1.0):

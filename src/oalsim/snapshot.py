@@ -10,6 +10,11 @@ active-train objects (and each row's columns ordered by margin, then id)
 and decisions on the active-test objects. Its `labels` table holds the
 classifiers' labels on the same active-train columns, signed +1/-1 with 0
 for none, and seeds the episode's label record (dialog.Episode.known).
+Snapshot.entries writes every classifier row: a view's rows at build time,
+and an immediate refit's row, which EpisodeView.update copies from a
+snapshot of the one refit classifier. A predicate whose labels hold one
+class is never refit (harness.Experiment._fit): its row stays that of no
+classifier, while the view's copy of its model gathers the new labels.
 Beams, grounding and guess features read these arrays; nothing scores one
 object against one classifier at a time. The snapshot also holds the
 batch's memo of sampling CDFs (`cdfs`, see querygen.sample_predicates),
@@ -35,44 +40,6 @@ from .perception import MARGIN_NORM_FLOOR, PredicateModel
 from .querygen import TriangularWeights, triangular_weights
 
 
-class _Rows:
-    """Per-predicate arrays of a list of classifiers (None: no classifier)."""
-
-    def __init__(
-        self, models: Sequence[PredicateModel | None], dim: int, params: TriangularWeights
-    ):
-        n = len(models)
-        self.coef = np.zeros((n, dim))
-        self.bias = np.zeros(n)
-        self.norms = np.zeros(n)
-        self.f1 = np.zeros(n)
-        self.trained = np.zeros(n, dtype=bool)
-        for i, model in enumerate(models):
-            if model is None:
-                continue
-            self.f1[i] = model.f1
-            if model.weights is not None:
-                self.coef[i] = model.weights[:-1]
-                self.bias[i] = model.weights[-1]
-                self.norms[i] = np.linalg.norm(model.weights[:-1])
-                self.trained[i] = True
-        self.sampling = triangular_weights(self.f1, params)
-
-    def scores(self, rows, X: np.ndarray) -> np.ndarray:
-        """(len(rows), len(X)) linear scores, each equal to the scalar w[:-1] @ x + w[-1]."""
-        return np.vecdot(X, self.coef[rows, None, :]) + self.bias[rows, None]
-
-    def margins(self, rows, X: np.ndarray) -> np.ndarray:
-        """Distances to the hyperplanes: |score| / ||w[:-1]||, 0 below MARGIN_NORM_FLOOR."""
-        norms = self.norms[rows, None]
-        flat = norms < MARGIN_NORM_FLOOR
-        return np.where(flat, 0.0, np.abs(self.scores(rows, X)) / np.where(flat, 1.0, norms))
-
-    def decisions(self, rows, X: np.ndarray) -> np.ndarray:
-        """+1/-1 decisions: +1 where the score is >= 0, -1 elsewhere and when untrained."""
-        return np.where(self.trained[rows, None] & (self.scores(rows, X) >= 0.0), 1, -1)
-
-
 def _matrix(ids: Sequence[str], features: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
     return np.stack([features[rid] for rid in ids]) if ids else np.zeros((0, dim))
 
@@ -91,8 +58,39 @@ class Snapshot:
         self.params = params
         self.row = {p: i for i, p in enumerate(names)}
         self.models: list[PredicateModel | None] = [models[p] for p in names] + [None]
-        self.rows = _Rows(self.models, dim, params)
+        n = len(self.models)
+        self.coef = np.zeros((n, dim))
+        self.bias = np.zeros(n)
+        self.norms = np.zeros(n)
+        self.f1 = np.zeros(n)
+        self.trained = np.zeros(n, dtype=bool)
+        for i, model in enumerate(self.models[:-1]):
+            self.f1[i] = model.f1
+            if model.weights is not None:
+                self.coef[i] = model.weights[:-1]
+                self.bias[i] = model.weights[-1]
+                self.norms[i] = np.linalg.norm(model.weights[:-1])
+                self.trained[i] = True
+        self.sampling = triangular_weights(self.f1, params)
         self.cdfs: dict[bytes, array] = {}  # sample_predicates' memo for the batch
+
+    def scores(self, rows, X: np.ndarray) -> np.ndarray:
+        """(len(rows), len(X)) linear scores, each equal to the scalar w[:-1] @ x + w[-1]."""
+        return np.vecdot(X, self.coef[rows, None, :]) + self.bias[rows, None]
+
+    def entries(self, rows, train_X: np.ndarray, test_X: np.ndarray) -> tuple:
+        """F1, sampling weights, trained flags, margins on train_X and decisions on test_X.
+
+        Margins are the distances |score| / ||w[:-1]|| to the hyperplanes, 0
+        below MARGIN_NORM_FLOOR; decisions are +1 where the score is >= 0, -1
+        elsewhere and when untrained. Every array is a new one.
+        """
+        norms = self.norms[rows, None]
+        flat = norms < MARGIN_NORM_FLOOR
+        abs_scores = np.abs(self.scores(rows, train_X))
+        margins = np.where(flat, 0.0, abs_scores / np.where(flat, 1.0, norms))
+        decisions = np.where(self.trained[rows, None] & (self.scores(rows, test_X) >= 0.0), 1, -1)
+        return self.f1[rows], self.sampling[rows], self.trained[rows], margins, decisions
 
 
 class EpisodeView:
@@ -115,11 +113,6 @@ class EpisodeView:
         none = len(snapshot.models) - 1
         rows = np.array([snapshot.row.get(p, none) for p in self.predicates], dtype=np.intp)
         self.models = [snapshot.models[r] for r in rows]
-        src = snapshot.rows
-        self.f1 = src.f1[rows]
-        self.sampling = src.sampling[rows]
-        self.trained = src.trained[rows]
-
         self.train_ids = tuple(active_train)
         self.test_ids = tuple(active_test)
         self.train_by_id = np.array(
@@ -131,8 +124,9 @@ class EpisodeView:
         self._test_X = _matrix(self.test_ids, features, snapshot.dim)
         self._params = snapshot.params
         self.cdfs = snapshot.cdfs
-        self.margins = src.margins(rows, self._train_X)
-        self.decisions = src.decisions(rows, self._test_X)
+        self.f1, self.sampling, self.trained, self.margins, self.decisions = snapshot.entries(
+            rows, self._train_X, self._test_X
+        )
         self.by_margin = self._by_margin(self.margins)
 
     def _by_margin(self, margins: np.ndarray) -> list:
@@ -147,23 +141,16 @@ class EpisodeView:
     def update(self, predicate: str, model: PredicateModel) -> None:
         """Replace one predicate's classifier, as an immediate refit does.
 
-        The row is written in place with the expressions _Rows uses, so its
-        entries equal those of a snapshot built with this classifier.
+        The row is copied from a snapshot of this one classifier, so every
+        classifier row is written by Snapshot and equals that of a snapshot
+        built with this classifier.
         """
         i = self.index[predicate]
         self.models[i] = model
-        self.f1[i] = model.f1
-        self.sampling[i] = triangular_weights(self.f1[i : i + 1], self._params)[0]
-        self.trained[i] = model.weights is not None
-        if model.weights is None:
-            self.margins[i] = 0.0
-            self.decisions[i] = -1
-        else:
-            coef, bias = model.weights[:-1], model.weights[-1]
-            norm = np.linalg.norm(coef)
-            scores = np.vecdot(self._train_X, coef) + bias
-            self.margins[i] = 0.0 if norm < MARGIN_NORM_FLOOR else np.abs(scores) / norm
-            self.decisions[i] = np.where(np.vecdot(self._test_X, coef) + bias >= 0.0, 1, -1)
+        one = Snapshot({predicate: model}, self._train_X.shape[1], self._params)
+        arrays = (self.f1, self.sampling, self.trained, self.margins, self.decisions)
+        for dst, entry in zip(arrays, one.entries([0], self._train_X, self._test_X)):
+            dst[i] = entry[0]
         self.by_margin[i] = self._by_margin(self.margins[i])
 
     def labels(self) -> np.ndarray:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from oalsim.cli import main
+from oalsim.corpus import SyntheticConfig
 
 
 SMALL_SYNTH = {"n_regions": 120, "dim": 16, "n_predicates": 8, "seed": 3}
@@ -51,6 +53,13 @@ class TestGenData:
 
     def test_too_small_corpus_is_data_error(self, tmp_path):
         assert main(["gen-data", "--n-regions", "5", "--out", str(tmp_path / "c")]) == 3
+
+    def test_defaults_are_the_synthetic_config_defaults(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["gen-data", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = json.loads(json.dumps(dataclasses.asdict(SyntheticConfig())))
+        assert manifest["config"] == expected
 
 
 class TestRun:
@@ -152,6 +161,9 @@ class TestRun:
             ("corpus", "synthetic", {**SMALL_SYNTH, "description_length": [1, 2.5]}),
             ("corpus", "synthetic", {**SMALL_SYNTH, "coverage": [0.1, "0.3"]}),
             ("corpus", "synthetic", {**SMALL_SYNTH, "n_regions": 5}),
+            ("episode", "immediate_updates", "false"),
+            ("policy", "learning_rate_decay", "fast"),
+            ("rewards", "correct_guess", float("inf")),
         ],
     )
     def test_invalid_integer_setting_fails_before_any_work(

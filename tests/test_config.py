@@ -170,26 +170,59 @@ def test_classifier_boundary_settings_accepted():
         ("split", "classifier_split", "abc"),
         ("split", "test_fraction_of_frequent", 0.0),
         ("split", "test_fraction_of_frequent", float("nan")),
+        ("episode", "immediate_updates", "false"),
+        ("episode", "immediate_updates", 1),
+        ("policy", "use_baseline", "no"),
+        ("policy", "use_baseline", None),
+        ("experiment", "checkpoints", "no"),
+        ("policy", "learning_rate", True),
+        ("policy", "learning_rate", "1e-3"),
+        ("policy", "learning_rate", float("inf")),
+        ("policy", "learning_rate", 0.0),
+        ("policy", "learning_rate_decay", "fast"),
+        ("policy", "learning_rate_decay", -3),
+        ("policy", "learning_rate_decay", float("nan")),
+        ("rewards", "discount", True),
+        ("rewards", "correct_guess", float("inf")),
+        ("rewards", "incorrect_guess", "-100"),
+        ("rewards", "per_query", float("-inf")),
+        ("triangular", "w_min", "0.1"),
+        ("triangular", "w_max", float("inf")),
+        ("triangular", "c_max", False),
     ],
 )
 def test_invalid_integer_setting_rejected(section, key, value):
-    # beam, episode and policy integers used to be checked for range only, or not at all
+    # beam, episode and policy integers used to be checked for range only, or not at
+    # all; flags and reals were not checked, so the string "false" switched a flag on
+    # and a bool ran as 0 or 1
     data = json.loads(json.dumps(BASE))
     data[section] = {key: value}
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         from_dict(data)
 
 
+def test_unknown_corpus_format_rejected():
+    # "xml" used to load and fail only when the corpus was read (exit 3)
+    for value in ("xml", None):
+        with pytest.raises(ConfigError, match="corpus.format"):
+            from_dict({"corpus": {"path": "corpus.jsonl", "format": value}})
+    assert from_dict({"corpus": {"path": "c.csv", "format": "tabular"}}).corpus.format == "tabular"
+
+
 def test_integer_boundary_settings_accepted():
     data = json.loads(json.dumps(BASE))
     data["beam"] = {"n_label": 0, "n_example": 0}
     data["episode"] = {"t_max": 1, "active_train_size": 0, "active_test_size": 1}
-    data["policy"] = {"static_n_queries": 0}
-    data["experiment"] = {"master_seed": -5}
+    data["episode"]["immediate_updates"] = True
+    data["policy"] = {"static_n_queries": 0, "learning_rate": 1, "learning_rate_decay": 0}
+    data["experiment"] = {"master_seed": -5, "checkpoints": False}
     data["split"] = {"frequency_threshold": 0, "seed": -1}
+    data["rewards"] = {"discount": 1, "correct_guess": 5}
     cfg = from_dict(data)
     assert (cfg.beam.n_label, cfg.episode.t_max, cfg.policy.static_n_queries) == (0, 1, 0)
     assert (cfg.experiment.master_seed, cfg.split.seed) == (-5, -1)
+    assert cfg.episode.immediate_updates and not cfg.experiment.checkpoints
+    assert cfg.policy.learning_rate_decay == 0 and cfg.rewards.discount == 1
 
 
 @pytest.mark.parametrize(

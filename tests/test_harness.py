@@ -4,10 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from oalsim.actions import ExampleQuery
+from oalsim import harness
+from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.agent import Agent
 from oalsim.errors import CheckpointError
-from oalsim.features import N_FEATURES, resolve_mask
+from oalsim.features import (
+    INDEX,
+    N_FEATURES,
+    FeatureContext,
+    featurize,
+    guess_features,
+    resolve_mask,
+)
+from oalsim.grounding import score_objects
 from oalsim.harness import (
     CHECKPOINT_VERSION,
     Experiment,
@@ -17,6 +26,7 @@ from oalsim.harness import (
     write_metrics_csv,
 )
 from oalsim.perception import PredicateModel
+from oalsim.snapshot import EpisodeView, Snapshot
 
 from conftest import small_run_config
 
@@ -320,6 +330,83 @@ class TestImmediateUpdates:
         # both run to completion over the same interactions; trajectories may differ
         assert len(frozen.metrics) == len(immediate.metrics)
         assert [m.phase for m in frozen.metrics] == [m.phase for m in immediate.metrics]
+
+    def test_refits_fit_only_label_sets_with_both_classes(
+        self, small_corpus, small_split, small_density, monkeypatch
+    ):
+        # a one-class label set has no weights and F1 0 before and after its new label
+        cfg = small_run_config(init_batches=1, train_batches=1, test_batches=1)
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+        fitted, refits = [], []
+        train, refresh = harness.train_classifier, Experiment._refresh_models
+
+        def checked_train(model, *args):
+            fitted.append((model.n_pos(), model.n_neg()))
+            return train(model, *args)
+
+        def recorded_refresh(self, *args):
+            refits.append(refresh(self, *args))
+            return refits[-1]
+
+        monkeypatch.setattr(harness, "train_classifier", checked_train)
+        monkeypatch.setattr(Experiment, "_refresh_models", recorded_refresh)
+        Experiment(cfg, small_corpus, small_split, small_density).run()
+        assert fitted and all(pos > 0 and neg > 0 for pos, neg in fitted)
+        assert any(refits) and not all(refits)
+
+    def test_one_class_refit_records_the_label_and_leaves_rows_alone(self, small_experiment):
+        exp = small_experiment
+        agent = Agent()
+        plan = exp.phase_plan()[0]
+        _, merged, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
+        exp.apply_batch_end(agent, merged, outcomes)
+        inter = outcomes[0].interaction
+        desc = inter.description_predicates
+        x = inter.active_train[0]
+        rid = exp.density.knn(x)[0]
+        other = next(r for r in exp.corpus.ids if r != rid)
+        agent.models["zz-one"] = PredicateModel("zz-one", labels={other: 1})
+        view = EpisodeView(
+            Snapshot(agent.models, exp.corpus.dim, exp.config.triangular),
+            agent.predicates | set(agent.models) | set(desc) | {"zz-new"},
+            inter.active_train,
+            inter.active_test,
+            exp.features_by_id,
+        )
+        ctx = FeatureContext(
+            t_max=40,
+            description_predicates=desc,
+            view=view,
+            stats=agent.stats,
+            density=exp.density,
+            guess=guess_features(desc, view, score_objects(desc, view)),
+        )
+        names = ("f1", "sampling", "trained", "margins", "decisions")
+        before = {name: getattr(view, name).copy() for name in names}
+        by_margin, queries = [list(r) for r in view.by_margin], ctx.queries.copy()
+
+        def refresh(new_labels):
+            refit = exp._refresh_models(view, new_labels, agent)
+            ctx.refit([view.index[p] for p in refit])  # as run_episode does
+            return refit
+
+        assert refresh([("zz-new", rid, 1), ("zz-one", rid, 1)]) == set()
+        new, one = (view.models[view.index[p]] for p in ("zz-new", "zz-one"))
+        assert new.labels == {rid: 1} and one.labels == {other: 1, rid: 1}
+        assert agent.models["zz-one"].labels == {other: 1}  # the agent's model is not changed
+        for name in names:
+            assert np.array_equal(getattr(view, name), before[name]), name
+        assert view.by_margin == by_margin
+        assert np.array_equal(ctx.queries, queries)
+        # the label feature reads the view's copy, so it counts the new label
+        got = featurize([Guess(), LabelQuery("zz-new", x)], 3, ctx)
+        k = len(exp.density.knn(x))
+        assert got[1, INDEX["label_knn_unlabeled"]] == (k - 1) / k
+
+        assert refresh([("zz-new", other, -1)]) == {"zz-new"}
+        assert view.trained[view.index["zz-new"]] and new.weights is not None
 
 
 class TestAblationHarness:

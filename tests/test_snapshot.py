@@ -46,7 +46,7 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
             continue
         assert view.trained[i]
         expected_scores = np.array([score(model, x) for x in X])
-        got_scores = snapshot.rows.scores([snapshot.row[p]], X)[0]
+        got_scores = snapshot.scores([snapshot.row[p]], X)[0]
         assert np.array_equal(got_scores, expected_scores)
         assert np.array_equal(view.margins[i], np.array([margin(model, x) for x in X]))
         scores_checked += len(X)
