@@ -39,7 +39,13 @@ from .dialog import Episode, TranscriptStep, episode_return, transcript_records
 from .errors import CheckpointError
 from .features import FeatureContext, N_FEATURES, featurize, guess_features, resolve_mask
 from .grounding import score_objects
-from .perception import DensityIndex, PredicateModel, estimate_f1, train_classifier
+from .perception import (
+    DensityIndex,
+    PredicateModel,
+    estimate_f1,
+    fit_models,
+    train_classifier,
+)
 from .policy import (
     PolicyParams,
     action_probabilities,
@@ -301,8 +307,9 @@ class Experiment:
     def _fit(self, model: PredicateModel) -> bool:
         """Retrain a classifier and re-estimate its F1, if its labels hold both classes.
 
-        One class gives no weights and F1 0, as the model already has: labels
-        only grow, so it never held both. Returns whether the model was fit.
+        An immediate refit: one model, fit alone. One class gives no weights
+        and F1 0, as the model already has: labels only grow, so it never held
+        both. Returns whether the model was fit.
         """
         if not model.trainable():
             return False
@@ -367,14 +374,22 @@ class Experiment:
         merged: dict[tuple[str, str], int],
         outcomes: list[EpisodeOutcome],
     ) -> None:
-        """Fold queued labels into classifiers, retrain, refresh stats."""
+        """Fold queued labels into classifiers, retrain, refresh stats.
+
+        Every dirty classifier whose labels hold both classes is refit in one
+        fit_models call, its fits and CV folds shared in stacked descents with
+        the others'; a one-class set keeps no weights and F1 0 (see _fit).
+        """
         dirty = set()
         for (p, rid), label in merged.items():
             model = agent.models.setdefault(p, PredicateModel(predicate=p))
             if model.record_label(rid, label):
                 dirty.add(p)
-        for p in sorted(dirty):
-            self._fit(agent.models[p])
+        fit_models(
+            [agent.models[p] for p in sorted(dirty) if agent.models[p].trainable()],
+            self.features_by_id,
+            self.config.classifier,
+        )
         for o in outcomes:
             agent.stats.observe_dialog(o.interaction.description_predicates, o.success)
 

@@ -4,12 +4,17 @@ Every predicate gets its own linear classifier over region features, trained
 by full batch subgradient descent on a regularized hinge loss. Retraining is
 a pure function of the labeled set, so label acquisition order never matters.
 Classifier trust is the cross-validated F1 on the labels acquired so far.
+
+At a batch end, fit_models retrains every dirty classifier and its CV folds
+in a few stacked descents shared across predicates. An immediate refit,
+inside an episode, stays one train_classifier and one estimate_f1. Both
+give the same weights and F1 bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -159,7 +164,11 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     changes nothing; and it divides by its own n. With that einsum over a 0/1
     mask an iteration takes about a third of its time with a `where=` sum.
 
-    The 2-D fit keeps the boolean index and skips an iteration where no row
+    Stacks come from estimate_f1 (one predicate's k folds) and from
+    fit_models (the full sets and folds of every predicate dirty at a batch
+    end, sorted by row count, so n ranges widely within a stack). The 2-D
+    fit serves train_classifier, whose only caller in a run is an immediate
+    refit. It keeps the boolean index and skips an iteration where no row
     violates: an immediate-update run makes about 2,000 single fits of a few
     labels each, and sending them through the einsum without the skip made
     its run 41% slower.
@@ -204,14 +213,52 @@ def _fit_subsets(YX: np.ndarray, subsets: np.ndarray, cfg: ClassifierConfig) -> 
     return _fit_hinge(stack, n, cfg)
 
 
-def _labelled_rows(
-    model: PredicateModel, features: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features, labels and label-signed rows [x, 1] * y, over the sorted label ids."""
+def _signed_rows(model: PredicateModel, features: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The label-signed rows [x, 1] * y over the sorted label ids; the last column is y.
+
+    Built in one array: the features are stacked into it and multiplied by y
+    in place, the same products as y * [x, 1].
+    """
     ids = sorted(model.labels)
-    X = np.stack([features[rid] for rid in ids])
-    y = np.array([model.labels[rid] for rid in ids], dtype=np.float64)
-    return X, y, y[:, None] * np.hstack([X, np.ones((len(ids), 1))])
+    rows = [features[rid] for rid in ids]
+    YX = np.ones((len(ids), len(rows[0]) + 1))
+    np.stack(rows, out=YX[:, :-1])
+    YX *= np.array([model.labels[rid] for rid in ids], dtype=np.float64)[:, None]
+    return YX
+
+
+def _cv_folds(model: PredicateModel, cfg: ClassifierConfig) -> tuple | None:
+    """Each sorted label's CV fold and the (k, n) training mask of each fold.
+
+    Fold assignment is by rank of the sorted region ids within each class, so
+    it depends only on the label set, never on insertion order. Each class
+    has at least k >= 2 members, dealt round-robin over the k folds, so every
+    fold trains on both classes. None for a set with fewer than 4 labels, a
+    single class, or fewer than 2 usable folds.
+    """
+    if len(model.labels) < 4:
+        return None
+    k = min(cfg.folds, model.n_pos(), model.n_neg())
+    if k < 2:
+        return None
+    pos = np.array([model.labels[rid] > 0 for rid in sorted(model.labels)])
+    fold = (np.where(pos, pos.cumsum(), (~pos).cumsum()) - 1) % k  # rank within class
+    return fold, fold != np.arange(k)[:, None]
+
+
+def _cv_f1(YX: np.ndarray, fold: np.ndarray, W: np.ndarray) -> float:
+    """F1 of the positive class, each signed row scored by its fold's weights W[fold].
+
+    y is +-1, so YX[:, :-1] * y is x bit for bit, and a row's score is one
+    np.vecdot, the BLAS dot of the scalar score w[:-1] @ x + w[-1].
+    """
+    pos = YX[:, -1] > 0
+    X = YX[:, :-1] * YX[:, -1:]
+    predicted = np.vecdot(X, W[fold, :-1]) + W[fold, -1] >= 0.0
+    tp = int(np.count_nonzero(predicted & pos))
+    fp = int(np.count_nonzero(predicted & ~pos))
+    fn = int(np.count_nonzero(~predicted & pos))
+    return 2 * tp / (2 * tp + fp + fn)  # tp + fn counts the positives: at least k
 
 
 def train_classifier(
@@ -224,8 +271,8 @@ def train_classifier(
         model.weights = None
         model.f1 = 0.0
         return model
-    _, y, YX = _labelled_rows(model, features)
-    model.weights = _fit_hinge(YX, len(y), cfg)
+    YX = _signed_rows(model, features)
+    model.weights = _fit_hinge(YX, len(YX), cfg)
     return model
 
 
@@ -239,51 +286,108 @@ def estimate_f1(
 ) -> float:
     """Stratified k-fold CV F1 of the positive class on the acquired labels.
 
-    Fold assignment is by rank of the sorted region ids within each class, so
-    the estimate depends only on the label set, never on insertion order.
     Degenerate sets (fewer than 4 labels, a single class, or fewer than 2
-    usable folds) return 0.
-
-    The k fold fits run as one stacked descent (_fit_subsets), each equal to
-    train_classifier on that fold's training labels. A held-out row's score
-    is one np.vecdot, the BLAS dot of the scalar score w[:-1] @ x + w[-1].
-    Each class has at least k >= 2 members, dealt round-robin over the k
-    folds, so every fold trains on both classes.
+    usable folds) return 0; folds come from _cv_folds. The k fold fits run as
+    one stacked descent (_fit_subsets), each equal to train_classifier on
+    that fold's training labels.
     """
-    if len(model.labels) < 4 or not model.trainable():
+    folds = _cv_folds(model, cfg)
+    if folds is None:
         return 0.0
-    k = min(cfg.folds, model.n_pos(), model.n_neg())
-    if k < 2:
-        return 0.0
-    X, y, YX = _labelled_rows(model, features)
-    pos = y > 0
-    fold = (np.where(pos, pos.cumsum(), (~pos).cumsum()) - 1) % k  # rank within class
-    train = fold != np.arange(k)[:, None]
-    W = _fit_subsets(YX, train, cfg)
-    predicted = np.vecdot(X, W[fold, :-1]) + W[fold, -1] >= 0.0
-    tp = int(np.count_nonzero(predicted & pos))
-    fp = int(np.count_nonzero(predicted & ~pos))
-    fn = int(np.count_nonzero(~predicted & pos))
-    return 2 * tp / (2 * tp + fp + fn)  # tp + fn counts the positives: at least k
+    fold, train = folds
+    YX = _signed_rows(model, features)
+    return _cv_f1(YX, fold, _fit_subsets(YX, train, cfg))
+
+
+# Padded rows per stacked descent in fit_models. The largest stack is most of a
+# batch end's transient memory: 2,048 rows gave the same desk run time and about
+# 1% more peak RSS on the immediate-update benchmark.
+FIT_STACK_ROWS = 1536
+
+
+def fit_models(
+    models: Sequence[PredicateModel],
+    features: Mapping[str, np.ndarray],
+    cfg: ClassifierConfig,
+) -> None:
+    """Retrain each model and re-estimate its F1, in a few descents shared across models.
+
+    Every model's labels must hold both classes. Each model is 1 + k fitting
+    problems: its full label set, and the k training sets of estimate_f1's
+    folds (_cv_folds). The problems are sorted by row count and packed into
+    zero-padded stacks of at most FIT_STACK_ROWS padded rows (a larger
+    problem gets a stack to itself), and each stack is one _fit_hinge
+    descent (_fit_stack). Weights equal train_classifier's and F1 equals
+    estimate_f1's bit for bit (see _fit_hinge).
+    """
+    folds = [_cv_folds(model, cfg) for model in models]
+    problems = []  # (row count, model index, fold or -1 for the full set)
+    for i, (model, cv) in enumerate(zip(models, folds)):
+        problems.append((len(model.labels), i, -1))
+        if cv is not None:
+            problems += [(int(t.sum()), i, f) for f, t in enumerate(cv[1])]
+    # A fold holds out at least 2 labels, so a model's full set sorts after its folds
+    problems.sort(key=lambda problem: problem[0])
+    fold_weights: dict[int, np.ndarray] = {}  # model index -> (k, d+1), until its F1
+    start = 0
+    while start < len(problems):
+        end = start + 1
+        while end < len(problems) and (end + 1 - start) * problems[end][0] <= FIT_STACK_ROWS:
+            end += 1
+        _fit_stack(problems[start:end], models, folds, features, cfg, fold_weights)
+        start = end
+
+
+def _fit_stack(problems, models, folds, features, cfg, fold_weights) -> None:
+    """Fit one stack of fit_models' problems; a model's full set also sets its F1.
+
+    Rows are gathered only into the stack: each model's signed rows are built
+    and dropped in turn. Fold weights wait in fold_weights until the model's
+    full set, its last problem, is fit; its held-out folds are then scored by
+    _cv_f1 on the full set's rows in the stack.
+    """
+    slots: dict[int, list] = {}  # model index -> its (slot, rows, fold)
+    for slot, (n, i, f) in enumerate(problems):
+        slots.setdefault(i, []).append((slot, n, f))
+    width = len(next(iter(features.values()))) + 1  # the rows [x, 1]
+    stack = np.zeros((len(problems), problems[-1][0], width))
+    for i, own in slots.items():
+        YX = _signed_rows(models[i], features)
+        for slot, n, f in own:
+            stack[slot, :n] = YX if f < 0 else YX[folds[i][1][f]]
+    W = _fit_hinge(stack, np.array([n for n, _, _ in problems]), cfg)
+    for YX, w, (n, i, f) in zip(stack, W, problems):
+        if f >= 0:
+            fold_weights.setdefault(i, np.empty((len(folds[i][1]), width)))[f] = w
+            continue
+        models[i].weights = w.copy()
+        if folds[i] is None:
+            models[i].f1 = 0.0
+            continue
+        models[i].f1 = _cv_f1(YX[:n], folds[i][0], fold_weights.pop(i))
 
 
 DENSITY_BLOCK = 256  # distance-matrix rows held at once: memory O(N * DENSITY_BLOCK)
 
 
 def _mean_over_others(dist: np.ndarray, ref: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each row's mean distance over the reference columns, its own column left out.
+    """Each row's mean distance over the sorted reference columns, its own column left out.
 
     A row with no other reference column gets 0. The columns kept for a row
-    form one contiguous row of a copy, so the mean sums them in the same
-    order as a 1-D mean over that row's other columns.
+    form one contiguous row of a copy (a flat np.delete of the own columns),
+    so the mean sums them in the same order as a 1-D mean over that row's
+    other columns.
     """
     sub = dist if len(ref) == dist.shape[1] else dist[:, ref]
-    own = ref[None, :] == rows[:, None]
-    has = own.any(axis=1)
+    col = np.minimum(np.searchsorted(ref, rows), len(ref) - 1)  # own column, if ref holds it
+    has = ref[col] == rows
     out = np.zeros(len(rows))
     out[~has] = sub[~has].mean(axis=1)
     if len(ref) > 1:
-        out[has] = sub[has[:, None] & ~own].reshape(-1, len(ref) - 1).mean(axis=1)
+        if not has.all():
+            sub = sub[has]
+        own = np.arange(len(sub)) * len(ref) + col[has]  # flat positions, in row order
+        out[has] = np.delete(sub, own).reshape(-1, len(ref) - 1).mean(axis=1)
     return out
 
 

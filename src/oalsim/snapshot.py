@@ -10,9 +10,10 @@ active-train objects (and each row's columns ordered by margin, then id)
 and decisions on the active-test objects. Its `labels` table holds the
 classifiers' labels on the same active-train columns, signed +1/-1 with 0
 for none, and seeds the episode's label record (dialog.Episode.known).
-Snapshot.entries writes every classifier row: a view's rows at build time,
-and an immediate refit's row, which EpisodeView.update copies from a
-snapshot of the one refit classifier. A predicate whose labels hold one
+`entries` writes every classifier row from classifier_rows' arrays: a
+view's rows at build time (Snapshot.entries), and an immediate refit's row,
+which EpisodeView.update computes from classifier_rows of the one refit
+classifier without building a Snapshot. A predicate whose labels hold one
 class is never refit (harness.Experiment._fit): its row stays that of no
 classifier, while the view's copy of its model gathers the new labels.
 Beams, grounding and guess features read these arrays; nothing scores one
@@ -44,6 +45,52 @@ def _matrix(ids: Sequence[str], features: Mapping[str, np.ndarray], dim: int) ->
     return np.stack([features[rid] for rid in ids]) if ids else np.zeros((0, dim))
 
 
+def classifier_rows(
+    models: Sequence[PredicateModel | None], dim: int, params: TriangularWeights
+) -> tuple:
+    """Feature weights, biases, weight norms, trained flags, F1 and sampling weights.
+
+    One row per model; a model without weights (or None, no model) has zero
+    weights and is untrained, and None has F1 0.
+    """
+    n = len(models)
+    coef = np.zeros((n, dim))
+    bias = np.zeros(n)
+    norms = np.zeros(n)
+    f1 = np.zeros(n)
+    trained = np.zeros(n, dtype=bool)
+    for i, model in enumerate(models):
+        if model is None:
+            continue
+        f1[i] = model.f1
+        if model.weights is not None:
+            coef[i] = model.weights[:-1]
+            bias[i] = model.weights[-1]
+            norms[i] = np.linalg.norm(model.weights[:-1])
+            trained[i] = True
+    return coef, bias, norms, trained, f1, triangular_weights(f1, params)
+
+
+def _scores(coef: np.ndarray, bias: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return np.vecdot(X, coef[:, None, :]) + bias[:, None]
+
+
+def entries(coef, bias, norms, trained, f1, sampling, train_X, test_X) -> tuple:
+    """F1, sampling weights, trained flags, margins on train_X and decisions on test_X.
+
+    Takes classifier_rows' arrays, or rows of them. Margins are the distances
+    |score| / ||w[:-1]|| to the hyperplanes, 0 below MARGIN_NORM_FLOOR;
+    decisions are +1 where the score is >= 0, -1 elsewhere and when
+    untrained. Margins and decisions are new arrays.
+    """
+    norms = norms[:, None]
+    flat = norms < MARGIN_NORM_FLOOR
+    abs_scores = np.abs(_scores(coef, bias, train_X))
+    margins = np.where(flat, 0.0, abs_scores / np.where(flat, 1.0, norms))
+    decisions = np.where(trained[:, None] & (_scores(coef, bias, test_X) >= 0.0), 1, -1)
+    return f1, sampling, trained, margins, decisions
+
+
 class Snapshot:
     """The agent's classifiers stacked as arrays, built once per batch."""
 
@@ -58,39 +105,19 @@ class Snapshot:
         self.params = params
         self.row = {p: i for i, p in enumerate(names)}
         self.models: list[PredicateModel | None] = [models[p] for p in names] + [None]
-        n = len(self.models)
-        self.coef = np.zeros((n, dim))
-        self.bias = np.zeros(n)
-        self.norms = np.zeros(n)
-        self.f1 = np.zeros(n)
-        self.trained = np.zeros(n, dtype=bool)
-        for i, model in enumerate(self.models[:-1]):
-            self.f1[i] = model.f1
-            if model.weights is not None:
-                self.coef[i] = model.weights[:-1]
-                self.bias[i] = model.weights[-1]
-                self.norms[i] = np.linalg.norm(model.weights[:-1])
-                self.trained[i] = True
-        self.sampling = triangular_weights(self.f1, params)
+        self.coef, self.bias, self.norms, self.trained, self.f1, self.sampling = (
+            classifier_rows(self.models, dim, params)
+        )
         self.cdfs: dict[bytes, array] = {}  # sample_predicates' memo for the batch
 
     def scores(self, rows, X: np.ndarray) -> np.ndarray:
         """(len(rows), len(X)) linear scores, each equal to the scalar w[:-1] @ x + w[-1]."""
-        return np.vecdot(X, self.coef[rows, None, :]) + self.bias[rows, None]
+        return _scores(self.coef[rows], self.bias[rows], X)
 
     def entries(self, rows, train_X: np.ndarray, test_X: np.ndarray) -> tuple:
-        """F1, sampling weights, trained flags, margins on train_X and decisions on test_X.
-
-        Margins are the distances |score| / ||w[:-1]|| to the hyperplanes, 0
-        below MARGIN_NORM_FLOOR; decisions are +1 where the score is >= 0, -1
-        elsewhere and when untrained. Every array is a new one.
-        """
-        norms = self.norms[rows, None]
-        flat = norms < MARGIN_NORM_FLOOR
-        abs_scores = np.abs(self.scores(rows, train_X))
-        margins = np.where(flat, 0.0, abs_scores / np.where(flat, 1.0, norms))
-        decisions = np.where(self.trained[rows, None] & (self.scores(rows, test_X) >= 0.0), 1, -1)
-        return self.f1[rows], self.sampling[rows], self.trained[rows], margins, decisions
+        """The entries (see `entries`) of the given rows, every array a new one."""
+        arrays = (self.coef, self.bias, self.norms, self.trained, self.f1, self.sampling)
+        return entries(*(a[rows] for a in arrays), train_X, test_X)
 
 
 class EpisodeView:
@@ -141,15 +168,14 @@ class EpisodeView:
     def update(self, predicate: str, model: PredicateModel) -> None:
         """Replace one predicate's classifier, as an immediate refit does.
 
-        The row is copied from a snapshot of this one classifier, so every
-        classifier row is written by Snapshot and equals that of a snapshot
-        built with this classifier.
+        The row is written by `entries` from classifier_rows of this one
+        classifier, so it equals that of a snapshot built with it.
         """
         i = self.index[predicate]
         self.models[i] = model
-        one = Snapshot({predicate: model}, self._train_X.shape[1], self._params)
+        rows = classifier_rows([model], self._train_X.shape[1], self._params)
         arrays = (self.f1, self.sampling, self.trained, self.margins, self.decisions)
-        for dst, entry in zip(arrays, one.entries([0], self._train_X, self._test_X)):
+        for dst, entry in zip(arrays, entries(*rows, self._train_X, self._test_X)):
             dst[i] = entry[0]
         self.by_margin[i] = self._by_margin(self.margins[i])
 

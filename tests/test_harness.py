@@ -131,6 +131,42 @@ class TestRunBatch:
         assert after - before == len(merged)
 
 
+    def test_batch_end_fits_two_class_dirty_models_in_one_call(
+        self, small_experiment, monkeypatch
+    ):
+        # one fit_models call per batch end with the dirty two-class models,
+        # sorted by predicate; train_classifier and estimate_f1 serve immediate refits only
+        exp = small_experiment
+        calls = []
+        fit_models = harness.fit_models
+
+        def recorded(models, *args):
+            calls.append([(m.predicate, len(m.labels), m.trainable()) for m in models])
+            return fit_models(models, *args)
+
+        def refused(*args):
+            raise AssertionError("single fit at batch end")
+
+        monkeypatch.setattr(harness, "fit_models", recorded)
+        monkeypatch.setattr(harness, "train_classifier", refused)
+        monkeypatch.setattr(harness, "estimate_f1", refused)
+        plan = exp.phase_plan()[0]
+        agent = Agent()
+        for batch in range(2):
+            before = {p: len(m.labels) for p, m in agent.models.items()}
+            _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
+            merged[("zz-one", exp.corpus.ids[batch])] = 1  # dirty, but one class
+            exp.apply_batch_end(agent, merged, outcomes)
+            dirty = sorted(
+                p for p, m in agent.models.items()
+                if len(m.labels) > before.get(p, 0) and m.trainable()
+            )
+            assert calls[-1] == [(p, len(agent.models[p].labels), True) for p in dirty]
+            assert len(dirty) > 1
+            assert agent.models["zz-one"].weights is None and agent.models["zz-one"].f1 == 0.0
+        assert len(calls) == 2
+
+
 class TestExperimentRun:
     def test_batch_count_and_phases(self, small_result):
         cfg = small_result.config.experiment

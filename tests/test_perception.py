@@ -15,6 +15,7 @@ from oalsim.perception import (
     density_stats,
     estimate_f1,
     extract_predicates,
+    fit_models,
     train_classifier,
 )
 from oalsim.seeding import stream
@@ -438,6 +439,107 @@ class TestEstimateF1Exact:
             assert (subsets & ~pos).any(axis=1).all()
 
 
+def _named_model(rng, name: str, n: int, n_pos: int, dim: int = 32):
+    """A _random_model whose region ids carry the predicate's name, so feature maps merge."""
+    model, feats = _random_model(rng, n, dim, n_pos)
+    model = PredicateModel(name, labels={f"{name}/{rid}": v for rid, v in model.labels.items()})
+    return model, {f"{name}/{rid}": x for rid, x in feats.items()}
+
+
+class TestBatchEndStacks:
+    """fit_models against per-model train_classifier + estimate_f1, bit for bit.
+
+    The batch end fits every dirty predicate's full label set and CV folds in
+    stacks shared across predicates, sorted by row count, so a stack holds
+    problems of many sizes and from many models.
+    """
+
+    @staticmethod
+    def _check(models, feats, cfg):
+        stacked = [m.clone() for m in models]
+        fit_models(stacked, feats, cfg)
+        for got, model in zip(stacked, models):
+            want = train_classifier(model.clone(), feats, cfg)
+            assert _same_bits(got.weights, want.weights), model.predicate
+            assert type(got.f1) is float
+            assert got.f1 == estimate_f1(model, feats, cfg), model.predicate
+
+    @staticmethod
+    def _stack_shapes(models, feats, cfg):
+        """The (problems, padded rows, d+1) shape of every stack fit_models descends on."""
+        shapes = []
+        fit_hinge = perception._fit_hinge
+
+        def spy(YX, n, cfg):
+            shapes.append(YX.shape)
+            return fit_hinge(YX, n, cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perception, "_fit_hinge", spy)
+            fit_models([m.clone() for m in models], feats, cfg)
+        return shapes
+
+    def test_desk_label_sets(self, desk_agent):
+        exp, agent = desk_agent
+        models = [agent.models[p] for p in sorted(agent.models) if agent.models[p].trainable()]
+        assert len(models) >= 10
+        self._check(models, exp.features_by_id, exp.config.classifier)
+
+    def test_mixed_sizes_in_one_call(self):
+        # stacks with different n_max, more than one stack, and a stack mixing
+        # problems of several models and sizes
+        rng = stream(16, "batch-end")
+        models, feats = [], {}
+        for j, n in enumerate(range(4, 301, 9)):
+            model, f = _named_model(rng, f"p{j:02d}", n, int(rng.integers(2, n - 1)))
+            models.append(model)
+            feats.update(f)
+        self._check(models, feats, CFG)
+        shapes = self._stack_shapes(models, feats, CFG)
+        assert len(shapes) > 1
+        assert len({rows for _, rows, _ in shapes}) > 1
+        assert max(k for k, _, _ in shapes) > CFG.folds + 1
+
+    def test_problem_over_the_cap_gets_a_stack_to_itself(self):
+        rng = stream(17, "over-cap")
+        n = perception.FIT_STACK_ROWS + 40
+        big, feats = _named_model(rng, "big", n, n // 3, dim=4)
+        small, more = _named_model(rng, "small", 30, 12, dim=4)
+        feats.update(more)
+        self._check([big, small], feats, CFG)
+        assert (1, n, 5) in self._stack_shapes([big, small], feats, CFG)
+
+    def test_sets_too_small_to_cross_validate(self):
+        # fewer than 4 labels, or fewer than 2 usable folds: F1 0, weights still fit
+        rng = stream(18, "small-sets")
+        models, feats = [], {}
+        for j, (n, n_pos) in enumerate([(2, 1), (3, 1), (3, 2), (4, 1), (9, 1), (12, 11), (40, 20)]):
+            model, f = _named_model(rng, f"q{j}", n, n_pos)
+            models.append(model)
+            feats.update(f)
+        self._check(models, feats, CFG)
+        self._check(models, feats, ClassifierConfig(folds=1))
+        fitted = [m.clone() for m in models]
+        fit_models(fitted, feats, CFG)
+        assert all(m.weights is not None for m in fitted)
+        assert [m.f1 == 0.0 for m in fitted] == [True] * 6 + [False]
+
+    def test_no_stack_over_the_cap_unless_alone(self, monkeypatch):
+        monkeypatch.setattr(perception, "FIT_STACK_ROWS", 500)
+        rng = stream(19, "cap")
+        models, feats = [], {}
+        for j in range(40):
+            n = int(rng.integers(4, 700))
+            model, f = _named_model(rng, f"s{j:02d}", n, int(rng.integers(2, n - 1)), dim=3)
+            models.append(model)
+            feats.update(f)
+        shapes = self._stack_shapes(models, feats, ClassifierConfig(iterations=2))
+        assert any(k == 1 and rows > perception.FIT_STACK_ROWS for k, rows, _ in shapes)
+        assert all(k * rows <= perception.FIT_STACK_ROWS or k == 1 for k, rows, _ in shapes)
+        problems = sum(1 + min(5, m.n_pos(), m.n_neg()) for m in models)
+        assert sum(k for k, _, _ in shapes) == problems
+
+
 class TestDensity:
     def test_unlabeled_fraction_bounds(self, small_corpus, small_density):
         rid = small_corpus.ids[0]
@@ -554,6 +656,35 @@ def _tied_points():
     )
     ids = ["r7", "r3", "r8", "r0", "r5", "r1", "r6", "r2", "r4"]
     return ids, X
+
+
+def _mean_over_others_by_mask(dist, ref, rows):
+    """The boolean-mask copy of each row's other reference columns, as the reference."""
+    sub = dist if len(ref) == dist.shape[1] else dist[:, ref]
+    own = ref[None, :] == rows[:, None]
+    has = own.any(axis=1)
+    out = np.zeros(len(rows))
+    out[~has] = sub[~has].mean(axis=1)
+    if len(ref) > 1:
+        out[has] = sub[has[:, None] & ~own].reshape(-1, len(ref) - 1).mean(axis=1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [np.arange(300), np.arange(3, 300, 7), np.array([120]), np.array([5])],
+    ids=["full", "avg_sample", "one-own-column", "one-other-column"],
+)
+def test_mean_over_others_equals_the_mask_copy(ref):
+    # the block is rows 100..163: a strided reference set holds the own column
+    # of some of them and not of others
+    rng = stream(20, "mean-over-others")
+    dist = rng.random((64, 300))
+    rows = np.arange(100, 164)
+    got = perception._mean_over_others(dist, ref, rows)
+    assert _same_bits(got, _mean_over_others_by_mask(dist, ref, rows))
+    if 1 < len(ref) < 300:
+        assert 0 < np.isin(rows, ref).sum() < len(rows)
 
 
 class TestDensityAgainstReference:
