@@ -8,9 +8,11 @@ annotation list is negative. Labels acquired in-episode queue up for the
 batch-end classifier refresh; within the episode they only gate which query
 pairs remain askable.
 
-An episode's one label record, `known`, is a signed table over its view's
-predicates and active-train objects: +1 or -1 where the view's classifiers
-or this episode hold a label for the pair, 0 where none does.
+An episode's one label record, `known`, holds one Python list of ints per
+view predicate, over its active-train objects: +1 or -1 where the view's
+classifiers or this episode hold a label for the pair, 0 where none does.
+An oracle answer reads and writes one cell. `asked` is a list of bools over
+the view's predicates, True once a predicate was example-queried.
 """
 
 from __future__ import annotations
@@ -85,20 +87,20 @@ class Episode:
         self.pending_labels: list[tuple[str, str, int]] = []
         self.transcript: list[TranscriptStep] = []
         self.known = view.labels()
-        self.asked = np.zeros(len(view.predicates), dtype=bool)  # example-queried predicates
+        self.asked = [False] * len(view.predicates)  # example-queried predicates
 
     # -- label bookkeeping ------------------------------------------------
 
     def _record(self, predicate: str, region_id: str, label: int) -> None:
-        i, j = self.view.index[predicate], self.view.train_col[region_id]
-        held = self.known[i, j]
+        row, j = self.known[self.view.index[predicate]], self.view.train_col[region_id]
+        held = row[j]
         if held:
             if held != label:
                 raise ContractError(
                     f"oracle flipped label for ({predicate!r}, {region_id!r})"
                 )
             return
-        self.known[i, j] = label
+        row[j] = label
         self.pending_labels.append((predicate, region_id, label))
 
     # -- oracle -----------------------------------------------------------

@@ -7,9 +7,11 @@ apply to an action type are exactly zero in its vector.
 
 A beam is featurized in one call, as one (len(beam), N_FEATURES) array. The
 inputs that stay fixed within an episode are built once into a
-FeatureContext: the guess row and a query table with one row per predicate.
-The per-action form is kept in tests/feature_oracle.py as the reference, and
-the array must equal it bit for bit.
+FeatureContext's row table: the guess row, then one label-query and one
+example-query row per view predicate. A beam's array is one fancy index into
+the table, plus the label queries' object entries, turn_frac and the
+ablation mask. The per-action form is kept in tests/feature_oracle.py as the
+reference, and the array must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -122,12 +124,14 @@ def resolve_mask(names: Sequence[str]) -> np.ndarray:
 class FeatureContext:
     """One episode's featurization state, built once per episode.
 
-    `queries[0]` and `queries[1]` hold the label-query and example-query rows
-    of every view predicate (act flag, new-predicate, F1, usage frequency,
-    usage success, opportunistic; zero elsewhere). Agent stats and the
-    description do not change within an episode; after an immediate refit,
-    `refit` rewrites the refit predicates' rows and the harness replaces
-    `guess` when the grounding changed.
+    `table` holds 1 + 2P rows for the view's P predicates: row 0 is the guess
+    row (`guess` with act_guess set), rows 1..P the label-query rows and rows
+    P+1..2P the example-query rows (act flag, new-predicate, F1, usage
+    frequency, usage success, opportunistic; zero elsewhere). `queries` is
+    the query rows as a (2, P, N_FEATURES) view of the table. Agent stats
+    and the description do not change within an episode; after an immediate
+    refit, `refit` rewrites the refit predicates' rows and the harness calls
+    `set_guess` when the grounding changed.
     """
 
     t_max: int
@@ -137,6 +141,7 @@ class FeatureContext:
     density: DensityIndex
     guess: np.ndarray  # guess_features of the current grounding
     mask: np.ndarray | None = None
+    table: np.ndarray = field(init=False, repr=False)
     queries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -144,7 +149,9 @@ class FeatureContext:
         used = np.array([stats.used.get(p, 0) for p in preds], dtype=np.float64)
         succeeded = np.array([stats.succeeded.get(p, 0) for p in preds], dtype=np.float64)
         desc = set(self.description_predicates)
-        self.queries = q = np.zeros((2, len(preds), N_FEATURES))
+        self.table = np.zeros((1 + 2 * len(preds), N_FEATURES))
+        self.queries = q = self.table[1:].reshape(2, len(preds), N_FEATURES)
+        self.set_guess(self.guess)
         q[0, :, _ACT_LABEL] = 1.0
         q[1, :, _ACT_EXAMPLE] = 1.0
         q[:, :, _NEW_PREDICATE] = ~self.view.trained
@@ -156,6 +163,12 @@ class FeatureContext:
         )
         q[:, :, _OPPORTUNISTIC] = [p not in desc for p in preds]
 
+    def set_guess(self, guess: np.ndarray) -> None:
+        """Take the guess features of a new grounding and rewrite the guess row."""
+        self.guess = guess
+        self.table[0] = guess
+        self.table[0, _ACT_GUESS] = 1.0
+
     def refit(self, rows: list[int]) -> None:
         """Rewrite the classifier-dependent entries of these view rows."""
         self.queries[:, rows, _NEW_PREDICATE] = ~self.view.trained[rows]
@@ -165,23 +178,20 @@ class FeatureContext:
 def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndarray:
     """(len(beam), N_FEATURES) features of a beam whose first action is the guess.
 
-    Row 0 is the guess features; each query row is its predicate's row of the
-    query table, and label rows add the object's margin and density entries.
+    Each action's row is its row of the context's table; label rows add the
+    object's margin and density entries.
     """
     view = ctx.view
-    kinds, rows, labels = [], [], []
+    example = 1 + len(view.predicates)  # the first example-query row
+    picks, labels = [0], []
     for i, action in enumerate(beam[1:], 1):
         row = view.index[action.predicate]
-        rows.append(row)
         if isinstance(action, LabelQuery):
-            kinds.append(0)
+            picks.append(1 + row)
             labels.append((i, row, action.region_id))
         else:
-            kinds.append(1)
-    out = np.empty((len(beam), N_FEATURES))
-    out[0] = ctx.guess
-    out[0, _ACT_GUESS] = 1.0
-    out[1:] = ctx.queries[kinds, rows]
+            picks.append(example + row)
+    out = ctx.table[picks]
     for i, row, region_id in labels:
         margin = view.margins[row, view.train_col[region_id]]
         avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])

@@ -266,7 +266,7 @@ class Experiment:
                 ctx.refit([view.index[p] for p in refit])
                 if not refit.isdisjoint(desc):  # grounding reads description rows only
                     scores = score_objects(desc, view)
-                    ctx.guess = guess_features(desc, view, scores)
+                    ctx.set_guess(guess_features(desc, view, scores))
 
         outcome = EpisodeOutcome(
             interaction=interaction,

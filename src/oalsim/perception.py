@@ -328,33 +328,37 @@ def fit_models(
             problems += [(int(t.sum()), i, f) for f, t in enumerate(cv[1])]
     # A fold holds out at least 2 labels, so a model's full set sorts after its folds
     problems.sort(key=lambda problem: problem[0])
+    signed: dict[int, np.ndarray] = {}  # model index -> its signed rows, until its full set
     fold_weights: dict[int, np.ndarray] = {}  # model index -> (k, d+1), until its F1
     start = 0
     while start < len(problems):
         end = start + 1
         while end < len(problems) and (end + 1 - start) * problems[end][0] <= FIT_STACK_ROWS:
             end += 1
-        _fit_stack(problems[start:end], models, folds, features, cfg, fold_weights)
+        _fit_stack(problems[start:end], models, folds, features, cfg, signed, fold_weights)
         start = end
 
 
-def _fit_stack(problems, models, folds, features, cfg, fold_weights) -> None:
+def _fit_stack(problems, models, folds, features, cfg, signed, fold_weights) -> None:
     """Fit one stack of fit_models' problems; a model's full set also sets its F1.
 
-    Rows are gathered only into the stack: each model's signed rows are built
-    and dropped in turn. Fold weights wait in fold_weights until the model's
-    full set, its last problem, is fit; its held-out folds are then scored by
-    _cv_f1 on the full set's rows in the stack.
+    A model's signed rows are built once, at its first problem, and wait in
+    signed until its full set, its last problem, is copied into a stack.
+    Fold weights wait in fold_weights until that full set is fit; its
+    held-out folds are then scored by _cv_f1 on the full set's rows in the
+    stack.
     """
-    slots: dict[int, list] = {}  # model index -> its (slot, rows, fold)
-    for slot, (n, i, f) in enumerate(problems):
-        slots.setdefault(i, []).append((slot, n, f))
     width = len(next(iter(features.values()))) + 1  # the rows [x, 1]
     stack = np.zeros((len(problems), problems[-1][0], width))
-    for i, own in slots.items():
-        YX = _signed_rows(models[i], features)
-        for slot, n, f in own:
-            stack[slot, :n] = YX if f < 0 else YX[folds[i][1][f]]
+    for slot, (n, i, f) in enumerate(problems):
+        YX = signed.pop(i, None)
+        if YX is None:
+            YX = _signed_rows(models[i], features)
+        if f < 0:
+            stack[slot, :n] = YX
+        else:
+            stack[slot, :n] = YX[folds[i][1][f]]
+            signed[i] = YX
     W = _fit_hinge(stack, np.array([n for n, _, _ in problems]), cfg)
     for YX, w, (n, i, f) in zip(stack, W, problems):
         if f >= 0:

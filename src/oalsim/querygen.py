@@ -7,11 +7,12 @@ but not already good. Label queries pair the sampled predicate with the
 unlabeled active-train object closest to its hyperplane (uncertainty sampling);
 untrained predicates fall back to a uniform object pick.
 
-The beam reads the episode's arrays (snapshot.EpisodeView): sampling weights,
-trained flags and the active-train columns ordered by margin per predicate,
-plus the episode's signed label table (0 where a pair has no label) and its
-mask of example-queried predicates.
-The sampling CDFs are memoised per batch in the snapshot's `cdfs`.
+The beam reads the view's sampling weights and trained flags and the
+active-train columns ordered by margin per predicate (snapshot.EpisodeView),
+plus the episode's Python lists (dialog.Episode): one signed label row per
+predicate, 0 where a pair has no label, and the example-queried flags. A row
+with no 0 left is exhausted. The sampling CDFs are memoised per batch in the
+snapshot's `cdfs`.
 """
 
 from __future__ import annotations
@@ -103,12 +104,7 @@ def sample_predicates(
         key = alive.tobytes()
         cdf = cdfs.get(key)
         if cdf is None:
-            total = alive.sum()
-            if not total > 0.0:
-                raise ValueError("sampling weight of an estimated F1 outside [0,1]")
-            probs = (alive / total).cumsum()
-            probs /= probs[-1]
-            cdf = array("d", probs.tobytes())
+            cdf = _cdf(alive)
             if len(cdfs) < CDF_MEMO_CAP:
                 cdfs[key] = cdf
         idx = bisect_right(cdf, r)
@@ -117,22 +113,38 @@ def sample_predicates(
     return chosen
 
 
-def best_object_for_predicate(
-    view: EpisodeView, row: int, free: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Active-train column of the minimal-margin free object, ties to the lowest id.
+def _cdf(weights: np.ndarray) -> array:
+    """The inverse-sampling CDF of the weights, as Generator.choice builds it.
 
-    The first free column of the view's `by_margin` row. Untrained predicates
-    have no hyperplane and pick a free object uniformly.
+    p = (w / w.sum()).cumsum(), then p /= p[-1]: the same values, built in
+    place with fewer numpy calls.
+    """
+    total = np.add.reduce(weights)
+    if not total > 0.0:
+        raise ValueError("sampling weight of an estimated F1 outside [0,1]")
+    probs = np.divide(weights, total)
+    np.add.accumulate(probs, out=probs)
+    probs /= probs[-1]
+    return array("d", probs.tobytes())
+
+
+def best_object_for_predicate(
+    view: EpisodeView, row: int, labels: list[int], rng: np.random.Generator
+) -> int:
+    """Active-train column of the minimal-margin unlabeled object, ties to the lowest id.
+
+    `labels` is the predicate's label row, 0 where a column has no label. The
+    pick is the first such column of the view's `by_margin` row. Untrained
+    predicates have no hyperplane and pick an unlabeled object uniformly.
     """
     if view.trained[row]:
         for col in view.by_margin[row]:
-            if free[col]:
+            if not labels[col]:
                 return col
     else:
-        candidates = np.flatnonzero(free)
-        if len(candidates):
-            return int(candidates[rng.integers(len(candidates))])
+        candidates = [col for col, held in enumerate(labels) if not held]
+        if candidates:
+            return candidates[rng.integers(len(candidates))]
     raise DataError(f"all ({view.predicates[row]!r}, object) pairs already labeled")
 
 
@@ -140,33 +152,32 @@ def build_beam(
     turn: int,
     t_max: int,
     view: EpisodeView,
-    labeled: np.ndarray,
-    asked: np.ndarray,
+    labeled: list[list[int]],
+    asked: list[bool],
     cfg: BeamConfig,
     rng: np.random.Generator,
 ) -> list[Action]:
     """Guess plus up to n_label label queries and n_example example queries.
 
-    `labeled` is the episode's label table, nonzero where a (predicate,
-    active-train object) pair has a label, and `asked` marks the predicates
-    already example-queried this episode, both over the view's predicates and
-    columns. At the turn cap the beam collapses to the forced guess. Label
-    candidates skip predicates whose active-train pairs are all labeled;
-    example candidates skip asked predicates.
+    `labeled` is the episode's label record, one row per view predicate over
+    the active-train columns, nonzero where a pair has a label; `asked` flags
+    the predicates already example-queried this episode. At the turn cap the
+    beam collapses to the forced guess. Label candidates skip predicates
+    whose rows hold no 0; example candidates skip asked predicates.
     """
     beam: list[Action] = [Guess()]
     if turn >= t_max:
         return beam
 
     for row in sample_predicates(view.sampling, cfg.n_label, rng, view.cdfs):
-        free = np.logical_not(labeled[row])
-        if not free.any():
+        labels = labeled[row]
+        if 0 not in labels:
             continue
-        col = best_object_for_predicate(view, row, free, rng)
+        col = best_object_for_predicate(view, row, labels, rng)
         beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
 
-    pool = np.flatnonzero(~asked)
-    if len(pool):
+    pool = [i for i, done in enumerate(asked) if not done]
+    if pool:
         for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, view.cdfs):
             beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
     return beam

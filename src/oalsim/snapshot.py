@@ -7,9 +7,10 @@ norms, F1, trained flags and triangular sampling weights, one row per
 predicate plus a last row for every predicate without a classifier. An
 EpisodeView takes one interaction's rows and columns from it: margins on the
 active-train objects (and each row's columns ordered by margin, then id)
-and decisions on the active-test objects. Its `labels` table holds the
-classifiers' labels on the same active-train columns, signed +1/-1 with 0
-for none, and seeds the episode's label record (dialog.Episode.known).
+and decisions on the active-test objects. Its `labels` lists hold the
+classifiers' labels on the same active-train columns, one Python list per
+row, signed +1/-1 with 0 for none, and seed the episode's label record
+(dialog.Episode.known).
 `entries` writes every classifier row from classifier_rows' arrays: a
 view's rows at build time (Snapshot.entries), and an immediate refit's row,
 which EpisodeView.update computes from classifier_rows of the one refit
@@ -179,10 +180,13 @@ class EpisodeView:
             dst[i] = entry[0]
         self.by_margin[i] = self._by_margin(self.margins[i])
 
-    def labels(self) -> np.ndarray:
-        """The classifiers' labels of (predicates[i], train_ids[j]) as int8: +1, -1, 0 for none."""
-        table = np.zeros((len(self.predicates), len(self.train_ids)), dtype=np.int8)
-        for i, model in enumerate(self.models):
-            if model is not None and model.labels:
-                table[i] = [model.labels.get(rid, 0) for rid in self.train_ids]
-        return table
+    def labels(self) -> list[list[int]]:
+        """The classifiers' labels of (predicates[i], train_ids[j]): +1, -1, 0 for none.
+
+        One new list per row.
+        """
+        ids = self.train_ids
+        return [
+            [0] * len(ids) if model is None else [model.labels.get(rid, 0) for rid in ids]
+            for model in self.models
+        ]

@@ -1,0 +1,50 @@
+"""The numpy beam, kept as the oracle for the list form.
+
+`oalsim.querygen.build_beam` reads the episode's label record and its
+example-queried flags as Python lists. `build_beam` here is the form it
+replaced: it takes them as numpy arrays, finds a row's free columns with
+np.logical_not and the unasked predicates with np.flatnonzero. `cdf` is the
+original expression of a sampling CDF. Every beam must equal the oracle's
+and leave the generator in the same state, and every CDF must equal `cdf`.
+"""
+
+import numpy as np
+
+from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.errors import DataError
+from oalsim.querygen import sample_predicates
+
+
+def cdf(weights: np.ndarray) -> np.ndarray:
+    probs = (weights / weights.sum()).cumsum()
+    probs /= probs[-1]
+    return probs
+
+
+def best_object_for_predicate(view, row: int, free: np.ndarray, rng) -> int:
+    if view.trained[row]:
+        for col in view.by_margin[row]:
+            if free[col]:
+                return col
+    else:
+        candidates = np.flatnonzero(free)
+        if len(candidates):
+            return int(candidates[rng.integers(len(candidates))])
+    raise DataError(f"all ({view.predicates[row]!r}, object) pairs already labeled")
+
+
+def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, rng) -> list:
+    beam = [Guess()]
+    if turn >= t_max:
+        return beam
+    for row in sample_predicates(view.sampling, cfg.n_label, rng, {}):
+        free = np.logical_not(labeled[row])
+        if not free.any():
+            continue
+        col = best_object_for_predicate(view, row, free, rng)
+        beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
+    pool = np.flatnonzero(~asked)
+    if len(pool):
+        for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, {}):
+            beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
+    return beam

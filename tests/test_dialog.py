@@ -108,8 +108,8 @@ class TestOracle:
         model.record_label("t3", 1)
         model.record_label("o0", -1)  # not an active-train object: no column
         ep = _episode(models={"blue": model})
-        assert ep.known[0].tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
-        assert not ep.known[1:].any()
+        assert ep.known[0] == [0, 0, 0, 1, 0, 0, 0, 0]
+        assert not any(any(row) for row in ep.known[1:])
         assert ep.answer_label_query("blue", "t3") == 1
         assert ep.pending_labels == []
 

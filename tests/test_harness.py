@@ -376,7 +376,9 @@ class TestImmediateUpdates:
             cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
         )
         fitted, refits = [], []
+        unchecked, regrounded = set(), 0  # the refit since the last beam; checked beams
         train, refresh = harness.train_classifier, Experiment._refresh_models
+        beam_form = harness.featurize
 
         def checked_train(model, *args):
             fitted.append((model.n_pos(), model.n_neg()))
@@ -384,13 +386,29 @@ class TestImmediateUpdates:
 
         def recorded_refresh(self, *args):
             refits.append(refresh(self, *args))
+            unchecked.update(refits[-1])
             return refits[-1]
+
+        def checked_featurize(beam, turn, ctx):
+            # after a refit of a description predicate, the guess row is that
+            # of the new grounding
+            nonlocal regrounded
+            desc = ctx.description_predicates
+            if not unchecked.isdisjoint(desc):
+                want = guess_features(desc, ctx.view, score_objects(desc, ctx.view))
+                want[INDEX["act_guess"]] = 1.0
+                assert ctx.table[0].tobytes() == want.tobytes()
+                regrounded += 1
+            unchecked.clear()
+            return beam_form(beam, turn, ctx)
 
         monkeypatch.setattr(harness, "train_classifier", checked_train)
         monkeypatch.setattr(Experiment, "_refresh_models", recorded_refresh)
+        monkeypatch.setattr(harness, "featurize", checked_featurize)
         Experiment(cfg, small_corpus, small_split, small_density).run()
         assert fitted and all(pos > 0 and neg > 0 for pos, neg in fitted)
         assert any(refits) and not all(refits)
+        assert regrounded > 0
 
     def test_one_class_refit_records_the_label_and_leaves_rows_alone(self, small_experiment):
         exp = small_experiment

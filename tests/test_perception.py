@@ -500,6 +500,26 @@ class TestBatchEndStacks:
         assert len({rows for _, rows, _ in shapes}) > 1
         assert max(k for k, _, _ in shapes) > CFG.folds + 1
 
+    def test_signed_rows_built_once_per_model(self, monkeypatch):
+        # a model's folds and full set fall in different stacks; its rows are
+        # still built once
+        rng = stream(16, "batch-end")
+        models, feats = [], {}
+        for j, n in enumerate(range(4, 301, 9)):
+            model, f = _named_model(rng, f"p{j:02d}", n, int(rng.integers(2, n - 1)))
+            models.append(model)
+            feats.update(f)
+        built = []
+        signed_rows = perception._signed_rows
+
+        def counted(model, features):
+            built.append(model.predicate)
+            return signed_rows(model, features)
+
+        monkeypatch.setattr(perception, "_signed_rows", counted)
+        assert len(self._stack_shapes(models, feats, CFG)) > 1
+        assert sorted(built) == [m.predicate for m in models]
+
     def test_problem_over_the_cap_gets_a_stack_to_itself(self):
         rng = stream(17, "over-cap")
         n = perception.FIT_STACK_ROWS + 40

@@ -1,9 +1,15 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import beam_oracle
+from oalsim import harness, querygen
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.errors import DataError
+from oalsim.harness import Experiment
 from oalsim.perception import PredicateModel
 from oalsim.querygen import (
     BeamConfig,
@@ -17,6 +23,7 @@ from oalsim.seeding import stream
 from oalsim.snapshot import EpisodeView, Snapshot
 
 from classifier_oracle import margin, predicate_weight
+from conftest import small_run_config
 
 DEFAULTS = TriangularWeights()
 
@@ -32,8 +39,8 @@ def best_object(model, active_train, features, labeled, rng):
     dim = len(next(iter(features.values())))
     models = {} if model is None else {"p": model}
     view = EpisodeView(Snapshot(models, dim), ["p"], active_train, (), features)
-    free = np.array([rid not in labeled for rid in active_train])
-    return active_train[best_object_for_predicate(view, 0, free, rng)]
+    labels = [int(rid in labeled) for rid in active_train]
+    return active_train[best_object_for_predicate(view, 0, labels, rng)]
 
 
 class TestPredicateWeight:
@@ -163,8 +170,8 @@ class TestBuildBeam:
             turn=turn,
             t_max=t_max,
             view=view,
-            labeled=np.array([[rid in labeled.get(p, ()) for rid in ids] for p in view.predicates]),
-            asked=np.array([p in asked for p in view.predicates]),
+            labeled=[[int(rid in labeled.get(p, ())) for rid in ids] for p in view.predicates],
+            asked=[p in asked for p in view.predicates],
             cfg=BeamConfig(),
             rng=stream(11, "beam"),
         )
@@ -204,3 +211,49 @@ class TestBuildBeam:
         beam = self._beam(labeled=labeled, asked=("a", "b", "c", "d"))
         assert [a for a in beam if isinstance(a, Guess)]
         assert len(beam) == 1
+
+
+def test_cdf_equals_the_original_expression():
+    src = stream(12, "cdf")
+    for n in range(1, 65):
+        for _ in range(20):
+            weights = src.uniform(1e-3, 5.0, size=n)
+            weights[src.random(n) < 0.3] = 0.0
+            if not weights.any():
+                weights[int(src.integers(n))] = src.uniform(1e-3, 5.0)
+            got = np.frombuffer(querygen._cdf(weights), dtype=np.float64)
+            assert np.array_equal(got, beam_oracle.cdf(weights))
+
+
+@pytest.mark.parametrize("immediate", [False, True], ids=["learned", "immediate"])
+def test_every_beam_equals_the_numpy_oracle(
+    immediate, small_corpus, small_split, small_density, monkeypatch
+):
+    seen = {"beams": 0, "labels": 0, "examples": 0, "untrained": 0}
+    list_form = harness.build_beam
+
+    def checked(turn, t_max, view, labeled, asked, cfg, rng):
+        theirs = copy.deepcopy(rng)
+        got = list_form(turn, t_max, view, labeled, asked, cfg, rng)
+        want = beam_oracle.build_beam(
+            turn, t_max, view, np.array(labeled, dtype=np.int8), np.array(asked), cfg, theirs
+        )
+        assert got == want
+        assert rng.bit_generator.state == theirs.bit_generator.state
+        labels = [a for a in got if isinstance(a, LabelQuery)]
+        seen["beams"] += 1
+        seen["labels"] += len(labels)
+        seen["examples"] += sum(isinstance(a, ExampleQuery) for a in got)
+        seen["untrained"] += sum(not view.trained[view.index[a.predicate]] for a in labels)
+        return got
+
+    monkeypatch.setattr(harness, "build_beam", checked)
+    cfg = small_run_config()
+    if immediate:
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+    result = Experiment(cfg, small_corpus, small_split, small_density).run()
+    assert seen["beams"] == sum(sum(m.lengths) for m in result.metrics)
+    assert seen["labels"] > 0 and seen["examples"] > 0
+    assert 0 < seen["untrained"] < seen["labels"]
