@@ -1,8 +1,11 @@
-"""Behaviour lock: the sha256 of every file two small runs write.
+"""Behaviour lock: the sha256 of every file three small runs write.
 
 perfbench/lock.json pins metrics.csv only. These digests also pin the
 transcripts (every logged feature vector) and each checkpoint (classifier
-weights, F1, theta), for the learned arm with and without immediate updates.
+weights, F1, theta), for the learned arm with and without immediate updates,
+and for the learned arm on the same regions in reversed file order. In that
+corpus a region's file position differs from its rank in id order, which the
+synthetic corpora below 10,000 regions never show.
 A change that is meant to alter any of these bytes re-pins them here and says
 why in CHANGES.md; a speedup must leave them as they are.
 """
@@ -12,9 +15,10 @@ import hashlib
 
 import pytest
 
+from oalsim.corpus import Corpus, generate_synthetic
 from oalsim.harness import Experiment, write_metrics_csv
 
-from conftest import small_run_config
+from conftest import SMALL_SYNTH, small_run_config
 
 PINNED = {
     "learned": {
@@ -37,6 +41,16 @@ PINNED = {
         "metrics.csv": "02c3a1dd643d10c6e44cddd60c330795a1ef8aa9293e4c946d1f6ca60ced0a04",
         "transcripts.jsonl": "add850971b9dd969c92f4638ed424bc8c9691b8b9e3d5695a18509f84d5efe2c",
     },
+    "reversed": {
+        "ck/checkpoint_p0_b0.json": "256c9007a8136a5d1ab7804b3f6df66dc5efc1b6953e5a56a874bb3eaf04baf6",
+        "ck/checkpoint_p0_b1.json": "3626863f3f896d35d7eae2672d8798fd2adf0125ae356babb301a918db0e5a06",
+        "ck/checkpoint_p1_b0.json": "f677ecdf7ce5cc714dcadabcf515e81919244ac94ced39350ec716a0e6047fc3",
+        "ck/checkpoint_p1_b1.json": "1d973158291214ea1396ea96d04ef1e547362bf75a881dbb43c66f2688e9bf24",
+        "ck/checkpoint_p2_b0.json": "fa5376a82dc613c70283866cfaceddd1595c1d580613d5f94c244135cf43d59c",
+        "ck/checkpoint_p2_b1.json": "d8966bbbf23595555516d3729eafed568331fe76730a5361a1860e0a6ab247e8",
+        "metrics.csv": "44f63fc6891ea1166c7ca3e27633ec9afea7788c29993b42d2440406311a5448",
+        "transcripts.jsonl": "f663a40618e7648c0b0d1541847b89d70181588a6590264c87cb496dec3a4881",
+    },
 }
 
 
@@ -51,7 +65,10 @@ def _config(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_run_output_digests(name, small_corpus, small_split, small_density, tmp_path):
-    exp = Experiment(_config(name), small_corpus, small_split, small_density)
+    if name == "reversed":
+        exp = Experiment(_config(name), Corpus(list(reversed(generate_synthetic(SMALL_SYNTH)))))
+    else:
+        exp = Experiment(_config(name), small_corpus, small_split, small_density)
     result = exp.run(
         checkpoint_dir=tmp_path / "ck", transcript_path=tmp_path / "transcripts.jsonl"
     )

@@ -709,9 +709,12 @@ def test_mean_over_others_equals_the_mask_copy(ref):
 
 class TestDensityAgainstReference:
     def test_conftest_corpus(self, small_corpus):
-        X = np.stack([r.features for r in small_corpus.regions])
-        _assert_matches_reference(small_corpus.ids, X, k=10)
-        _assert_matches_reference(small_corpus.ids, X, k=10, avg_sample=37)
+        # in reversed file order, no region's file position is its rank in id order
+        for regions in (small_corpus.regions, small_corpus.regions[::-1]):
+            ids = [r.id for r in regions]
+            X = np.stack([r.features for r in regions])
+            _assert_matches_reference(ids, X, k=10)
+            _assert_matches_reference(ids, X, k=10, avg_sample=37)
 
     def test_desk_corpus(self, desk_features):
         ids, X = desk_features
