@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 GUESS = "guess"
 LABEL_QUERY = "label"
@@ -18,7 +18,7 @@ class Guess:
 @dataclass(frozen=True, slots=True)
 class LabelQuery:
     predicate: str
-    region_id: str
+    region: int  # the object's region row (corpus.Corpus)
     kind: str = LABEL_QUERY
 
 
@@ -31,9 +31,10 @@ class ExampleQuery:
 Action = Union[Guess, LabelQuery, ExampleQuery]
 
 
-def describe(action: Action) -> str:
+def describe(action: Action, ids: Sequence[str]) -> str:
+    """The action as a transcript writes it, with `ids` mapping a row to its region id."""
     if isinstance(action, Guess):
         return "guess"
     if isinstance(action, LabelQuery):
-        return f"label:{action.predicate}@{action.region_id}"
+        return f"label:{action.predicate}@{ids[action.region]}"
     return f"example:{action.predicate}"

@@ -3,11 +3,15 @@
 Classifier weights and stats are frozen during a batch and refreshed only at
 batch boundaries. The seen-predicate set grows as soon as a description is
 read, so the candidate generator always has predicates to sample.
+
+Labels are keyed by region row in a run and by region id in a checkpoint;
+to_dict and from_dict translate with the corpus's ids and id -> row map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,11 +32,12 @@ class Agent:
         self.stats = AgentStats()
         self.predicates = set()
 
-    def to_dict(self) -> dict:
+    def to_dict(self, ids: Sequence[str]) -> dict:
+        """The state with each label keyed by its region's id, in insertion order."""
         return {
             "models": {
                 p: {
-                    "labels": dict(m.labels),
+                    "labels": {ids[row]: label for row, label in m.labels.items()},
                     "weights": None if m.weights is None else [float(v) for v in m.weights],
                     "f1": m.f1,
                 }
@@ -47,11 +52,17 @@ class Agent:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Agent":
+    def from_dict(cls, data: dict, rows: Mapping[str, int]) -> "Agent":
+        """The state to_dict wrote; `rows` maps each label's region id to its row."""
         try:
             models = {}
             for p, m in data["models"].items():
-                labels = {rid: int(lbl) for rid, lbl in m["labels"].items()}
+                unknown = [rid for rid in m["labels"] if rid not in rows]
+                if unknown:
+                    raise CheckpointError(
+                        f"model {p!r}: a label for region {unknown[0]!r}, not in the corpus"
+                    )
+                labels = {rows[rid]: int(lbl) for rid, lbl in m["labels"].items()}
                 f1 = float(m["f1"])
                 if not set(labels.values()) <= {-1, 1}:
                     raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")

@@ -5,6 +5,11 @@ a set of normalized predicate annotations, and an optional description. The
 four-way split (policy-train/policy-test x classifier-train/classifier-test)
 routes every region containing a held-out frequent predicate to the policy-test
 side, so test-time descriptions always involve at least one novel predicate.
+
+Inside a run a region is an integer row, its rank in sorted-id order, so
+sorting rows sorts ids. Splits, interactions, labels, views and actions hold
+rows. Ids are read at load and checkpoint resume, and written only to
+checkpoints and transcripts.
 """
 
 from __future__ import annotations
@@ -49,7 +54,12 @@ class Region:
 
 
 class Corpus:
-    """Immutable collection of regions with id lookup and a shared feature dim."""
+    """Immutable collection of regions with a shared feature dim, held by row.
+
+    `regions` keep the file order that the fingerprint, split and density
+    sums follow; `file_rows` is their rows. `by_row`, `ids` and the (N, dim)
+    feature matrix `X` are in row order; `row` is the one id -> row map.
+    """
 
     def __init__(self, regions: list[Region]):
         if not regions:
@@ -58,22 +68,22 @@ class Corpus:
         self.dim = int(regions[0].features.shape[0])
         if self.dim < 1:
             raise CorpusError("regions have no features")
-        self.by_id: dict[str, Region] = {}
         for r in self.regions:
             if r.features.shape != (self.dim,):
                 raise CorpusError(
                     f"region {r.id!r}: feature dimension {r.features.shape[0]} != {self.dim}"
                 )
-            if r.id in self.by_id:
-                raise CorpusError(f"duplicate region id {r.id!r}")
-            self.by_id[r.id] = r
-        self.ids = [r.id for r in self.regions]
+        self.by_row = sorted(self.regions, key=lambda r: r.id)
+        self.ids = [r.id for r in self.by_row]
+        for a, b in zip(self.ids, self.ids[1:]):
+            if a == b:
+                raise CorpusError(f"duplicate region id {a!r}")
+        self.row = {rid: i for i, rid in enumerate(self.ids)}
+        self.X = np.stack([r.features for r in self.by_row], dtype=np.float64)
+        self.file_rows = np.array([self.row[r.id] for r in self.regions], dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.regions)
-
-    def feature_map(self) -> dict[str, np.ndarray]:
-        return {r.id: r.features for r in self.regions}
 
     def fingerprint(self) -> str:
         """Content hash over ids, features, annotations, and descriptions."""
@@ -88,22 +98,22 @@ class Corpus:
 
 @dataclass(frozen=True)
 class CorpusSplit:
-    """Four disjoint region-id sets plus the held-out predicate set."""
+    """Four disjoint sets of region rows plus the held-out predicate set."""
 
-    policy_train_classifier_train: frozenset[str]
-    policy_train_classifier_test: frozenset[str]
-    policy_test_classifier_train: frozenset[str]
-    policy_test_classifier_test: frozenset[str]
+    policy_train_classifier_train: frozenset[int]
+    policy_train_classifier_test: frozenset[int]
+    policy_test_classifier_train: frozenset[int]
+    policy_test_classifier_test: frozenset[int]
     held_out_predicates: frozenset[str]
 
-    def side(self, name: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The side's classifier-train and classifier-test ids, each sorted."""
+    def side(self, name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The side's classifier-train and classifier-test rows, each sorted."""
         if name not in self._sorted_sides:
             raise ValueError(f"unknown split side {name!r}")
         return self._sorted_sides[name]
 
     @cached_property
-    def _sorted_sides(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    def _sorted_sides(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
         """Sorted once per split: every sampled interaction draws from these."""
         return {
             "policy-train": (
@@ -119,11 +129,11 @@ class CorpusSplit:
 
 @dataclass(frozen=True)
 class Interaction:
-    """One dialog's worth of regions: 8 queryable, 4 guessable, one target."""
+    """One dialog's worth of region rows: 8 queryable, 4 guessable, one target."""
 
-    active_train: tuple[str, ...]
-    active_test: tuple[str, ...]
-    target: str
+    active_train: tuple[int, ...]
+    active_test: tuple[int, ...]
+    target: int
     description_predicates: tuple[str, ...]
 
 
@@ -380,11 +390,13 @@ def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
         frequent[i] for i in sorted(rng.choice(len(frequent), size=n_held, replace=False))
     )
 
-    test_side = [r.id for r in corpus.regions if r.annotations & held]
-    train_side = [r.id for r in corpus.regions if not (r.annotations & held)]
+    # In file order: a shuffle's draws depend only on the list's length
+    pairs = list(zip(corpus.file_rows.tolist(), corpus.regions))
+    test_side = [row for row, r in pairs if r.annotations & held]
+    train_side = [row for row, r in pairs if not (r.annotations & held)]
 
-    def split_side(ids: list[str], label: str) -> tuple[frozenset[str], frozenset[str]]:
-        order = list(ids)
+    def split_side(rows: list[int], label: str) -> tuple[frozenset[int], frozenset[int]]:
+        order = list(rows)
         stream(cfg.seed, "split", label).shuffle(order)
         cut = int(round(cfg.classifier_split * len(order)))
         return frozenset(order[:cut]), frozenset(order[cut:])
@@ -431,17 +443,16 @@ def sample_interaction(
         test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
         active_test = tuple(test_pool[i] for i in test_idx)
-        describable = [rid for rid in active_test if corpus.by_id[rid].describable()]
-        if not describable:
+        if not any(corpus.by_row[row].describable() for row in active_test):
             continue
         while True:
             target = active_test[int(rng.integers(len(active_test)))]
-            if corpus.by_id[target].describable():
+            if corpus.by_row[target].describable():
                 break
         return Interaction(
             active_train=active_train,
             active_test=active_test,
             target=target,
-            description_predicates=corpus.by_id[target].description_predicates,
+            description_predicates=corpus.by_row[target].description_predicates,
         )
     raise SamplingError(f"{side}: no describable target after {max_retries} draws")

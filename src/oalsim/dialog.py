@@ -13,12 +13,15 @@ view predicate, over its active-train objects: +1 or -1 where the view's
 classifiers or this episode hold a label for the pair, 0 where none does.
 An oracle answer reads and writes one cell. `asked` is a list of bools over
 the view's predicates, True once a predicate was example-queried.
+
+Objects are region rows (corpus.Corpus): queries, pending labels (predicate,
+row, label) and the guess hold rows; transcript_records writes their ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,7 +66,7 @@ class Episode:
     def __init__(
         self,
         interaction: Interaction,
-        regions: Mapping[str, Region],
+        regions: Sequence[Region],
         view: EpisodeView,
         rewards: RewardConfig,
         t_max: int,
@@ -82,50 +85,47 @@ class Episode:
 
         self.turn = 0
         self.terminated = False
-        self.guessed: str | None = None
+        self.guessed: int | None = None
         self.success = False
-        self.pending_labels: list[tuple[str, str, int]] = []
+        self.pending_labels: list[tuple[str, int, int]] = []
         self.transcript: list[TranscriptStep] = []
         self.known = view.labels()
         self.asked = [False] * len(view.predicates)  # example-queried predicates
 
     # -- label bookkeeping ------------------------------------------------
 
-    def _record(self, predicate: str, region_id: str, label: int) -> None:
-        row, j = self.known[self.view.index[predicate]], self.view.train_col[region_id]
-        held = row[j]
+    def _record(self, predicate: str, col: int, label: int) -> None:
+        row = self.known[self.view.index[predicate]]
+        held = row[col]
+        region = self.interaction.active_train[col]
         if held:
             if held != label:
-                raise ContractError(
-                    f"oracle flipped label for ({predicate!r}, {region_id!r})"
-                )
+                raise ContractError(f"oracle flipped label for ({predicate!r}, row {region})")
             return
-        row[j] = label
-        self.pending_labels.append((predicate, region_id, label))
+        row[col] = label
+        self.pending_labels.append((predicate, region, label))
 
     # -- oracle -----------------------------------------------------------
 
-    def answer_label_query(self, predicate: str, region_id: str) -> int:
-        if region_id not in self.interaction.active_train:
-            raise ProtocolError(
-                f"label query on {region_id!r}, outside the active training set"
-            )
-        label = 1 if predicate in self.regions[region_id].annotations else -1
-        self._record(predicate, region_id, label)
+    def answer_label_query(self, predicate: str, region: int) -> int:
+        if region not in self.interaction.active_train:
+            raise ProtocolError(f"label query on row {region}, outside the active training set")
+        label = 1 if predicate in self.regions[region].annotations else -1
+        self._record(predicate, self.interaction.active_train.index(region), label)
         return label
 
-    def answer_example_query(self, predicate: str) -> str | None:
+    def answer_example_query(self, predicate: str) -> int | None:
+        """A random positive active-train region row, or None when there is none."""
+        active = self.interaction.active_train
         positives = [
-            rid
-            for rid in self.interaction.active_train
-            if predicate in self.regions[rid].annotations
+            col for col, row in enumerate(active) if predicate in self.regions[row].annotations
         ]
         if positives:
-            chosen = positives[int(self._oracle_rng.integers(len(positives)))]
-            self._record(predicate, chosen, 1)
-            return chosen
-        for rid in self.interaction.active_train:
-            self._record(predicate, rid, -1)
+            col = positives[int(self._oracle_rng.integers(len(positives)))]
+            self._record(predicate, col, 1)
+            return active[col]
+        for col in range(len(active)):
+            self._record(predicate, col, -1)
         return NONE_ANSWER
 
     # -- transitions --------------------------------------------------------
@@ -149,7 +149,7 @@ class Episode:
             )
             self.terminated = True
         elif isinstance(action, LabelQuery):
-            self.answer_label_query(action.predicate, action.region_id)
+            self.answer_label_query(action.predicate, action.region)
             reward = self.rewards.per_query
         elif isinstance(action, ExampleQuery):
             self.answer_example_query(action.predicate)
@@ -188,7 +188,7 @@ def episode_return(rewards: Sequence[float], gamma: float) -> list[float]:
     return out
 
 
-def transcript_records(episode_id: str, episode: Episode):
+def transcript_records(episode_id: str, episode: Episode, ids: Sequence[str]):
     """One flat record per action: id, turn, descriptor, reward, chosen features."""
     for t, step in enumerate(episode.transcript):
         feats = None
@@ -197,7 +197,7 @@ def transcript_records(episode_id: str, episode: Episode):
         yield {
             "episode": episode_id,
             "turn": t,
-            "action": describe(step.action),
+            "action": describe(step.action, ids),
             "reward": step.reward,
             "features": feats,
         }

@@ -10,8 +10,10 @@ inputs that stay fixed within an episode are built once into a
 FeatureContext's row table: the guess row, then one label-query and one
 example-query row per view predicate. A beam's array is one fancy index into
 the table, plus the label queries' object entries, turn_frac and the
-ablation mask. The per-action form is kept in tests/feature_oracle.py as the
-reference, and the array must equal it bit for bit.
+ablation mask. A label query names its object by region row, which indexes
+the density index and, by its view column, the margins. The per-action form
+is kept in tests/feature_oracle.py as the reference, and the array must
+equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -188,13 +190,13 @@ def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndar
         row = view.index[action.predicate]
         if isinstance(action, LabelQuery):
             picks.append(1 + row)
-            labels.append((i, row, action.region_id))
+            labels.append((i, row, action.region))
         else:
             picks.append(example + row)
     out = ctx.table[picks]
-    for i, row, region_id in labels:
-        margin = view.margins[row, view.train_col[region_id]]
-        avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])
+    for i, row, region in labels:
+        margin = view.margins[row, view.train_rows.index(region)]
+        avg_dist, unlabeled = density_stats(ctx.density, region, view.models[row])
         out[i, _LABEL_OBJECT] = margin, avg_dist, unlabeled
     out[:, _TURN_FRAC] = turn / ctx.t_max
     if ctx.mask is not None:
@@ -239,8 +241,8 @@ def guess_features(
     vec[INDEX["guess_votes_gap_mean"]] = (top_v - votes.mean()) / k
 
     ranked = scores.ranked()
-    top = view.test_col[ranked[0]]
-    runner_up = view.test_col[ranked[1]] if len(ranked) > 1 else top
+    top = ranked[0]
+    runner_up = ranked[1] if len(ranked) > 1 else top
     d_best = view.decisions[best_row]
     d_second = view.decisions[second_row]
 

@@ -3,8 +3,8 @@
 A region's weighted score is the sum over description predicates of the
 classifier decision times that classifier's estimated F1. Untrained predicates
 keep their -1 decisions in the unweighted sum but contribute nothing to the
-weighted one (their trust weight is 0). Ties break to the lowest region id so
-replays are deterministic.
+weighted one (their trust weight is 0). Ties break to the lowest region row
+(the lowest id, see corpus.Corpus) so replays are deterministic.
 """
 
 from __future__ import annotations
@@ -20,18 +20,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GuessScores:
-    region_ids: tuple[str, ...]
+    regions: tuple[int, ...]  # the active-test region rows, in column order
     weighted: tuple[float, ...]
     unweighted: tuple[int, ...]
-    argmax: str
+    argmax: int  # the region row guessed
 
-    def ranked(self) -> list[str]:
-        """Region ids by descending weighted score, ties by ascending id."""
-        order = sorted(
-            range(len(self.region_ids)),
-            key=lambda i: (-self.weighted[i], self.region_ids[i]),
+    def ranked(self) -> list[int]:
+        """Columns by descending weighted score, ties by ascending region row."""
+        return sorted(
+            range(len(self.regions)), key=lambda i: (-self.weighted[i], self.regions[i])
         )
-        return [self.region_ids[i] for i in order]
 
 
 def score_objects(description_predicates: Sequence[str], view: EpisodeView) -> GuessScores:
@@ -42,20 +40,20 @@ def score_objects(description_predicates: Sequence[str], view: EpisodeView) -> G
     """
     if not description_predicates:
         raise ValueError("description predicates empty")
-    ids = view.test_ids
-    if not ids:
+    rows = view.test_rows
+    if not rows:
         raise ValueError("active test set empty")
-    weighted = np.zeros(len(ids))
-    unweighted = np.zeros(len(ids), dtype=np.int64)
+    weighted = np.zeros(len(rows))
+    unweighted = np.zeros(len(rows), dtype=np.int64)
     for p in description_predicates:
         row = view.index[p]
         weighted += view.decisions[row] * view.f1[row]
         unweighted += view.decisions[row]
     weighted_t = tuple(weighted.tolist())
-    best = min(range(len(ids)), key=lambda i: (-weighted_t[i], ids[i]))
+    best = min(range(len(rows)), key=lambda i: (-weighted_t[i], rows[i]))
     return GuessScores(
-        region_ids=ids,
+        regions=rows,
         weighted=weighted_t,
         unweighted=tuple(unweighted.tolist()),
-        argmax=ids[best],
+        argmax=rows[best],
     )

@@ -10,6 +10,8 @@ labels there, the policy does not).
 All randomness is derived from the master seed by (phase, batch, episode,
 purpose) paths, so interaction sequences are identical across policy and
 ablation conditions, and resuming from a checkpoint is bit-exact.
+
+A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class EpisodeOutcome:
     length: int
     n_queries: int
     transcript: list[TranscriptStep]
-    pending: list[tuple[str, str, int]]
+    pending: list[tuple[str, int, int]]  # (predicate, region row, label)
 
     @property
     def steps(self) -> list[tuple[np.ndarray, int, float]]:
@@ -167,14 +169,14 @@ class Experiment:
         self.corpus = corpus if corpus is not None else build_corpus(config)
         self.split = split if split is not None else make_splits(self.corpus, config.split)
         if density is None:
+            rows = self.corpus.file_rows  # the distance sums run in file order
             density = DensityIndex(
-                self.corpus.ids,
-                np.stack([r.features for r in self.corpus.regions]),
+                self.corpus.X[rows],
+                rows,
                 k=config.classifier.knn_k,
                 avg_sample=config.classifier.density_avg_sample,
             )
         self.density = density
-        self.features_by_id = self.corpus.feature_map()
         mask = resolve_mask(config.experiment.ablate)
         self.mask = mask if mask.any() else None
         self.master = config.experiment.master_seed
@@ -210,7 +212,7 @@ class Experiment:
             agent.predicates | set(desc),
             interaction.active_train,
             interaction.active_test,
-            self.features_by_id,
+            self.corpus.X,
         )
 
         oracle_rng = stream(self.master, "oracle", phase_idx, batch_idx, ep_idx)
@@ -233,7 +235,7 @@ class Experiment:
 
         episode = Episode(
             interaction=interaction,
-            regions=self.corpus.by_id,
+            regions=self.corpus.by_row,
             view=view,
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
@@ -281,7 +283,7 @@ class Experiment:
     def _refresh_models(
         self,
         view: EpisodeView,
-        new_labels: Sequence[tuple[str, str, int]],
+        new_labels: Sequence[tuple[str, int, int]],
         agent: Agent,
     ) -> set[str]:
         """Immediate-update variant: retrain affected classifiers mid-episode.
@@ -290,14 +292,14 @@ class Experiment:
         records each label on its view's copy of the model and refits those
         copies whose labels hold both classes (_fit). Returns the refit predicates.
         """
-        for p, rid, label in new_labels:
+        for p, region, label in new_labels:
             i = view.index[p]
             model = view.models[i]
             if model is None:
                 view.models[i] = model = PredicateModel(predicate=p)
             elif model is agent.models.get(p):
                 view.models[i] = model = model.clone()
-            model.record_label(rid, label)
+            model.record_label(region, label)
         models = {p: view.models[view.index[p]] for p, _, _ in new_labels}
         refit = {p for p, model in models.items() if self._fit(model)}
         for p in refit:
@@ -313,8 +315,8 @@ class Experiment:
         """
         if not model.trainable():
             return False
-        train_classifier(model, self.features_by_id, self.config.classifier)
-        model.f1 = estimate_f1(model, self.features_by_id, self.config.classifier)
+        train_classifier(model, self.corpus.X, self.config.classifier)
+        model.f1 = estimate_f1(model, self.corpus.X, self.config.classifier)
         return True
 
     # -- batch ----------------------------------------------------------------
@@ -327,10 +329,10 @@ class Experiment:
         agent: Agent,
         theta: np.ndarray,
         transcript_sink=None,
-    ) -> tuple[BatchMetrics, dict[tuple[str, str], int], list[EpisodeOutcome]]:
+    ) -> tuple[BatchMetrics, dict[tuple[str, int], int], list[EpisodeOutcome]]:
         cfg = self.config
         outcomes: list[EpisodeOutcome] = []
-        merged: dict[tuple[str, str], int] = {}
+        merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
         snapshot = Snapshot(agent.models, self.corpus.dim, cfg.triangular)
         for ep_idx in range(cfg.experiment.batch_size):
             rng = stream(self.master, "interaction", phase_idx, batch_idx, ep_idx)
@@ -343,16 +345,16 @@ class Experiment:
             agent.predicates.update(interaction.description_predicates)
             # Episode drops labels the agent held at the batch start, and the
             # agent's models do not change within a batch.
-            for p, rid, label in outcome.pending:
-                merged[(p, rid)] = label
+            for p, region, label in outcome.pending:
+                merged[(p, region)] = label
             outcomes.append(outcome)
             if transcript_sink is not None:
                 episode_id = f"{plan.name}/{batch_idx}/{ep_idx}"
-                for rec in transcript_records(episode_id, episode):
+                for rec in transcript_records(episode_id, episode, self.corpus.ids):
                     transcript_sink.write(json.dumps(rec) + "\n")
 
         label_counts: dict[str, int] = {}
-        for (p, _rid) in merged:
+        for (p, _region) in merged:
             label_counts[p] = label_counts.get(p, 0) + 1
         indicators = [1 if o.success else 0 for o in outcomes]
         lengths = [o.length for o in outcomes]
@@ -371,7 +373,7 @@ class Experiment:
     def apply_batch_end(
         self,
         agent: Agent,
-        merged: dict[tuple[str, str], int],
+        merged: dict[tuple[str, int], int],
         outcomes: list[EpisodeOutcome],
     ) -> None:
         """Fold queued labels into classifiers, retrain, refresh stats.
@@ -381,13 +383,13 @@ class Experiment:
         the others'; a one-class set keeps no weights and F1 0 (see _fit).
         """
         dirty = set()
-        for (p, rid), label in merged.items():
+        for (p, region), label in merged.items():
             model = agent.models.setdefault(p, PredicateModel(predicate=p))
-            if model.record_label(rid, label):
+            if model.record_label(region, label):
                 dirty.add(p)
         fit_models(
             [agent.models[p] for p in sorted(dirty) if agent.models[p].trainable()],
-            self.features_by_id,
+            self.corpus.X,
             self.config.classifier,
         )
         for o in outcomes:
@@ -436,7 +438,7 @@ class Experiment:
 
         if resume is not None:
             state = self._validate_checkpoint(resume)
-            agent = Agent.from_dict(state["agent"])
+            agent = Agent.from_dict(state["agent"], self.corpus.row)
             theta = np.asarray(state["theta"])
             params.baseline_mean = state["baseline_mean"]
             params.baseline_count = state["baseline_count"]
@@ -512,7 +514,7 @@ class Experiment:
             "baseline_mean": params.baseline_mean,
             "baseline_count": params.baseline_count,
             "update_counter": update_counter,
-            "agent": agent.to_dict(),
+            "agent": agent.to_dict(self.corpus.ids),
             "metrics": [dataclasses.asdict(m) for m in metrics],
         }
 

@@ -5,6 +5,9 @@ by full batch subgradient descent on a regularized hinge loss. Retraining is
 a pure function of the labeled set, so label acquisition order never matters.
 Classifier trust is the cross-validated F1 on the labels acquired so far.
 
+Labels are keyed by region row (corpus.Corpus); a fit gathers its sorted rows
+from the corpus matrix. DensityIndex holds (N,) and (N, k) arrays by row.
+
 At a batch end, fit_models retrains every dirty classifier and its CV folds
 in a few stacked descents shared across predicates. An immediate refit,
 inside an episode, stays one train_classifier and one estimate_f1. Both
@@ -14,7 +17,7 @@ give the same weights and F1 bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +73,7 @@ class PredicateModel:
     """One concept: acquired labels, linear decision function, estimated F1."""
 
     predicate: str
-    labels: dict[str, int] = field(default_factory=dict)  # region id -> -1/+1
+    labels: dict[int, int] = field(default_factory=dict)  # region row -> -1/+1
     weights: np.ndarray | None = None  # (d+1,): feature weights + bias
     f1: float = 0.0
 
@@ -83,20 +86,20 @@ class PredicateModel:
     def trainable(self) -> bool:
         return self.n_pos() >= 1 and self.n_neg() >= 1
 
-    def record_label(self, region_id: str, label: int) -> bool:
-        """Store a label; re-recording the same label is a no-op, a flip is an error.
+    def record_label(self, region: int, label: int) -> bool:
+        """Store a label for a region row; re-recording it is a no-op, a flip an error.
 
         Returns True if the label was new.
         """
         if label not in (-1, 1):
             raise ContractError(f"label must be -1 or +1, got {label}")
-        prev = self.labels.get(region_id)
+        prev = self.labels.get(region)
         if prev is None:
-            self.labels[region_id] = label
+            self.labels[region] = label
             return True
         if prev != label:
             raise ContractError(
-                f"conflicting label for ({self.predicate!r}, {region_id!r}): "
+                f"conflicting label for ({self.predicate!r}, row {region}): "
                 f"had {prev}, got {label}"
             )
         return False
@@ -213,24 +216,23 @@ def _fit_subsets(YX: np.ndarray, subsets: np.ndarray, cfg: ClassifierConfig) -> 
     return _fit_hinge(stack, n, cfg)
 
 
-def _signed_rows(model: PredicateModel, features: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The label-signed rows [x, 1] * y over the sorted label ids; the last column is y.
+def _signed_rows(model: PredicateModel, X: np.ndarray) -> np.ndarray:
+    """The label-signed rows [x, 1] * y over the sorted label rows; the last column is y.
 
-    Built in one array: the features are stacked into it and multiplied by y
-    in place, the same products as y * [x, 1].
+    Built in one array: the features are gathered into it and multiplied by
+    y in place, the same products as y * [x, 1].
     """
-    ids = sorted(model.labels)
-    rows = [features[rid] for rid in ids]
-    YX = np.ones((len(ids), len(rows[0]) + 1))
-    np.stack(rows, out=YX[:, :-1])
-    YX *= np.array([model.labels[rid] for rid in ids], dtype=np.float64)[:, None]
+    rows = sorted(model.labels)
+    YX = np.ones((len(rows), X.shape[1] + 1))
+    YX[:, :-1] = X[rows]
+    YX *= np.array([model.labels[row] for row in rows], dtype=np.float64)[:, None]
     return YX
 
 
 def _cv_folds(model: PredicateModel, cfg: ClassifierConfig) -> tuple | None:
     """Each sorted label's CV fold and the (k, n) training mask of each fold.
 
-    Fold assignment is by rank of the sorted region ids within each class, so
+    Fold assignment is by rank of the sorted region rows within each class, so
     it depends only on the label set, never on insertion order. Each class
     has at least k >= 2 members, dealt round-robin over the k folds, so every
     fold trains on both classes. None for a set with fewer than 4 labels, a
@@ -241,7 +243,7 @@ def _cv_folds(model: PredicateModel, cfg: ClassifierConfig) -> tuple | None:
     k = min(cfg.folds, model.n_pos(), model.n_neg())
     if k < 2:
         return None
-    pos = np.array([model.labels[rid] > 0 for rid in sorted(model.labels)])
+    pos = np.array([model.labels[row] > 0 for row in sorted(model.labels)])
     fold = (np.where(pos, pos.cumsum(), (~pos).cumsum()) - 1) % k  # rank within class
     return fold, fold != np.arange(k)[:, None]
 
@@ -262,16 +264,14 @@ def _cv_f1(YX: np.ndarray, fold: np.ndarray, W: np.ndarray) -> float:
 
 
 def train_classifier(
-    model: PredicateModel,
-    features: Mapping[str, np.ndarray],
-    cfg: ClassifierConfig,
+    model: PredicateModel, X: np.ndarray, cfg: ClassifierConfig
 ) -> PredicateModel:
     """Full retrain from the labeled set; untrainable sets leave weights absent."""
     if not model.trainable():
         model.weights = None
         model.f1 = 0.0
         return model
-    YX = _signed_rows(model, features)
+    YX = _signed_rows(model, X)
     model.weights = _fit_hinge(YX, len(YX), cfg)
     return model
 
@@ -279,11 +279,7 @@ def train_classifier(
 MARGIN_NORM_FLOOR = 1e-12  # weight norms below this give margin 0
 
 
-def estimate_f1(
-    model: PredicateModel,
-    features: Mapping[str, np.ndarray],
-    cfg: ClassifierConfig,
-) -> float:
+def estimate_f1(model: PredicateModel, X: np.ndarray, cfg: ClassifierConfig) -> float:
     """Stratified k-fold CV F1 of the positive class on the acquired labels.
 
     Degenerate sets (fewer than 4 labels, a single class, or fewer than 2
@@ -295,7 +291,7 @@ def estimate_f1(
     if folds is None:
         return 0.0
     fold, train = folds
-    YX = _signed_rows(model, features)
+    YX = _signed_rows(model, X)
     return _cv_f1(YX, fold, _fit_subsets(YX, train, cfg))
 
 
@@ -305,11 +301,7 @@ def estimate_f1(
 FIT_STACK_ROWS = 1536
 
 
-def fit_models(
-    models: Sequence[PredicateModel],
-    features: Mapping[str, np.ndarray],
-    cfg: ClassifierConfig,
-) -> None:
+def fit_models(models: Sequence[PredicateModel], X: np.ndarray, cfg: ClassifierConfig) -> None:
     """Retrain each model and re-estimate its F1, in a few descents shared across models.
 
     Every model's labels must hold both classes. Each model is 1 + k fitting
@@ -335,11 +327,11 @@ def fit_models(
         end = start + 1
         while end < len(problems) and (end + 1 - start) * problems[end][0] <= FIT_STACK_ROWS:
             end += 1
-        _fit_stack(problems[start:end], models, folds, features, cfg, signed, fold_weights)
+        _fit_stack(problems[start:end], models, folds, X, cfg, signed, fold_weights)
         start = end
 
 
-def _fit_stack(problems, models, folds, features, cfg, signed, fold_weights) -> None:
+def _fit_stack(problems, models, folds, X, cfg, signed, fold_weights) -> None:
     """Fit one stack of fit_models' problems; a model's full set also sets its F1.
 
     A model's signed rows are built once, at its first problem, and wait in
@@ -348,12 +340,12 @@ def _fit_stack(problems, models, folds, features, cfg, signed, fold_weights) -> 
     held-out folds are then scored by _cv_f1 on the full set's rows in the
     stack.
     """
-    width = len(next(iter(features.values()))) + 1  # the rows [x, 1]
+    width = X.shape[1] + 1  # the rows [x, 1]
     stack = np.zeros((len(problems), problems[-1][0], width))
     for slot, (n, i, f) in enumerate(problems):
         YX = signed.pop(i, None)
         if YX is None:
-            YX = _signed_rows(models[i], features)
+            YX = _signed_rows(models[i], X)
         if f < 0:
             stack[slot, :n] = YX
         else:
@@ -395,89 +387,76 @@ def _mean_over_others(dist: np.ndarray, ref: np.ndarray, rows: np.ndarray) -> np
     return out
 
 
-def _nearest(dist: np.ndarray, k: int, id_rank: np.ndarray) -> np.ndarray:
-    """Column indices of each row's k smallest distances, ordered by (distance, id).
+def _nearest(dist: np.ndarray, k: int, rank: np.ndarray) -> np.ndarray:
+    """Column indices of each row's k smallest distances, ordered by (distance, rank).
 
     Candidates are every column at or below the row's k-th smallest distance,
-    so a tie at the cut is settled by id rank like every other tie.
+    so a tie at the cut is settled by rank like every other tie.
     """
     n_rows = dist.shape[0]
     if k <= 0:
         return np.empty((n_rows, 0), dtype=np.intp)
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
     row, col = np.nonzero(dist <= kth)
-    order = np.lexsort((id_rank[col], dist[row, col], row))
+    order = np.lexsort((rank[col], dist[row, col], row))
     start = np.searchsorted(row, np.arange(n_rows))
     return col[order][start[:, None] + np.arange(k)]
 
 
 class DensityIndex:
-    """Per-region average cosine distance and k-NN lists over the full corpus.
+    """Per-region average cosine distance and k-NN rows over the full corpus.
 
-    At desk scale the average runs over every other region; avg_sample caps the
-    reference set (an evenly strided, id-sorted subset) for large corpora.
-    Neighbours are ordered by (distance, id). Distances are computed
-    DENSITY_BLOCK rows at a time, so no N x N matrix is ever held.
+    X[i] holds the features of region row rows[i], a permutation of
+    range(len(X)). The distances are computed over X in its given order (a
+    corpus's file order, whose column sums fix the averages' last bits) and
+    the results scattered to rows: `avg[row]` is the row's average distance
+    and `knn[row]` its k neighbour rows, ordered by (distance, row). At desk
+    scale the average runs over every other region; avg_sample caps the
+    reference set (an evenly strided subset in row order) for large corpora.
+    Distances are computed DENSITY_BLOCK rows at a time, so no N x N matrix
+    is ever held.
     """
 
     def __init__(
         self,
-        ids: Iterable[str],
         X: np.ndarray,
+        rows: np.ndarray,
         k: int = 10,
         avg_sample: int | None = None,
     ):
-        self.ids = list(ids)
-        n = len(self.ids)
-        if X.shape[0] != n:
-            raise DataError("feature matrix row count does not match id count")
+        n = X.shape[0]
+        rows = np.asarray(rows, dtype=np.intp)
+        if not np.array_equal(np.sort(rows), np.arange(n)):
+            raise DataError("rows are not a permutation of the feature matrix's rows")
         if not np.isfinite(X).all():
             raise DataError("feature matrix holds a non-finite value")
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1e-12
         unit = X / norms
         self.k = min(k, n - 1)
-        by_id = sorted(range(n), key=self.ids.__getitem__)
-        id_rank = np.empty(n, dtype=np.intp)
-        id_rank[by_id] = np.arange(n)
         if avg_sample is not None and 0 < avg_sample < n:
             stride = n / avg_sample
-            ref = np.array(sorted(by_id[int(i * stride)] for i in range(avg_sample)))
+            by_row = np.argsort(rows)
+            ref = np.sort(by_row[[int(i * stride) for i in range(avg_sample)]])
         else:
             ref = np.arange(n)
-        names = np.array(self.ids, dtype=object)
-        self._avg: dict[str, float] = {}
-        self._knn: dict[str, tuple[str, ...]] = {}
+        self.avg = np.zeros(n)
+        self.knn = np.zeros((n, max(self.k, 0)), dtype=np.intp)
         for a in range(0, n, DENSITY_BLOCK):
             b = min(a + DENSITY_BLOCK, n)
-            rows = np.arange(a, b)
+            block = np.arange(a, b)
             dist = unit[a:b] @ unit.T
             np.subtract(1.0, dist, out=dist)
-            avg = _mean_over_others(dist, ref, rows)
-            dist[rows - a, rows] = np.inf
-            near = names[_nearest(dist, self.k, id_rank)]
-            for i, mean, neighbours in zip(rows, avg, near):
-                self._avg[self.ids[i]] = float(mean)
-                self._knn[self.ids[i]] = tuple(neighbours)
-
-    def avg_cosine_distance(self, region_id: str) -> float:
-        if region_id not in self._avg:
-            raise DataError(f"region {region_id!r} not in density index")
-        return self._avg[region_id]
-
-    def knn(self, region_id: str) -> tuple[str, ...]:
-        if region_id not in self._knn:
-            raise DataError(f"region {region_id!r} not in density index")
-        return self._knn[region_id]
+            self.avg[rows[a:b]] = _mean_over_others(dist, ref, block)
+            dist[block - a, block] = np.inf
+            self.knn[rows[a:b]] = rows[_nearest(dist, self.k, rows)]
 
 
 def density_stats(
-    index: DensityIndex, region_id: str, model: PredicateModel | None
+    index: DensityIndex, region: int, model: PredicateModel | None
 ) -> tuple[float, float]:
     """(average cosine distance, fraction of k-NN with no label for this predicate)."""
-    neighbors = index.knn(region_id)
-    if not neighbors:
-        return index.avg_cosine_distance(region_id), 1.0
+    near = index.knn[region].tolist()
     labeled = model.labels if model is not None else {}
-    unlabeled = sum(1 for rid in neighbors if rid not in labeled)
-    return index.avg_cosine_distance(region_id), unlabeled / len(neighbors)
+    unlabeled = len(near) - sum(map(labeled.__contains__, near))
+    return index.avg.item(region), unlabeled / len(near) if near else 1.0

@@ -131,7 +131,7 @@ def _cdf(weights: np.ndarray) -> array:
 def best_object_for_predicate(
     view: EpisodeView, row: int, labels: list[int], rng: np.random.Generator
 ) -> int:
-    """Active-train column of the minimal-margin unlabeled object, ties to the lowest id.
+    """Active-train column of the minimal-margin unlabeled object, ties to the lowest row.
 
     `labels` is the predicate's label row, 0 where a column has no label. The
     pick is the first such column of the view's `by_margin` row. Untrained
@@ -174,7 +174,7 @@ def build_beam(
         if 0 not in labels:
             continue
         col = best_object_for_predicate(view, row, labels, rng)
-        beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
+        beam.append(LabelQuery(predicate=view.predicates[row], region=view.train_rows[col]))
 
     pool = [i for i, done in enumerate(asked) if not done]
     if pool:

@@ -6,10 +6,11 @@ stacks the agent's classifiers once per batch: feature weights, biases, weight
 norms, F1, trained flags and triangular sampling weights, one row per
 predicate plus a last row for every predicate without a classifier. An
 EpisodeView takes one interaction's rows and columns from it: margins on the
-active-train objects (and each row's columns ordered by margin, then id)
-and decisions on the active-test objects. Its `labels` lists hold the
-classifiers' labels on the same active-train columns, one Python list per
-row, signed +1/-1 with 0 for none, and seed the episode's label record
+active-train objects (and each row's columns ordered by margin, then region
+row) and decisions on the active-test objects, whose features it gathers by
+region row (corpus.Corpus) from the corpus matrix. Its `labels` lists hold
+the classifiers' labels on the same active-train columns, one Python list
+per row, signed +1/-1 with 0 for none, and seed the episode's label record
 (dialog.Episode.known).
 `entries` writes every classifier row from classifier_rows' arrays: a
 view's rows at build time (Snapshot.entries), and an immediate refit's row,
@@ -40,10 +41,6 @@ import numpy as np
 
 from .perception import MARGIN_NORM_FLOOR, PredicateModel
 from .querygen import TriangularWeights, triangular_weights
-
-
-def _matrix(ids: Sequence[str], features: Mapping[str, np.ndarray], dim: int) -> np.ndarray:
-    return np.stack([features[rid] for rid in ids]) if ids else np.zeros((0, dim))
 
 
 def classifier_rows(
@@ -102,7 +99,6 @@ class Snapshot:
         params: TriangularWeights = TriangularWeights(),
     ):
         names = sorted(models)
-        self.dim = dim
         self.params = params
         self.row = {p: i for i, p in enumerate(names)}
         self.models: list[PredicateModel | None] = [models[p] for p in names] + [None]
@@ -124,32 +120,29 @@ class Snapshot:
 class EpisodeView:
     """One interaction's predicates (sorted) against its active-train and -test objects.
 
-    Row i is predicates[i]; train columns follow active_train, test columns
-    active_test. `update` swaps in a refit classifier for one predicate.
+    Row i is predicates[i]; train columns follow train_rows (active_train),
+    test columns test_rows (active_test), both region rows of X. `update`
+    swaps in a refit classifier for one predicate.
     """
 
     def __init__(
         self,
         snapshot: Snapshot,
         predicates: Iterable[str],
-        active_train: Sequence[str],
-        active_test: Sequence[str],
-        features: Mapping[str, np.ndarray],
+        active_train: Sequence[int],
+        active_test: Sequence[int],
+        X: np.ndarray,
     ):
         self.predicates = tuple(sorted(predicates))
         self.index = {p: i for i, p in enumerate(self.predicates)}
         none = len(snapshot.models) - 1
         rows = np.array([snapshot.row.get(p, none) for p in self.predicates], dtype=np.intp)
         self.models = [snapshot.models[r] for r in rows]
-        self.train_ids = tuple(active_train)
-        self.test_ids = tuple(active_test)
-        self.train_by_id = np.array(
-            sorted(range(len(self.train_ids)), key=self.train_ids.__getitem__), dtype=np.intp
-        )
-        self.train_col = {rid: j for j, rid in enumerate(self.train_ids)}
-        self.test_col = {rid: j for j, rid in enumerate(self.test_ids)}
-        self._train_X = _matrix(self.train_ids, features, snapshot.dim)
-        self._test_X = _matrix(self.test_ids, features, snapshot.dim)
+        self.train_rows = tuple(active_train)
+        self.test_rows = tuple(active_test)
+        self.train_by_row = np.argsort(self.train_rows, kind="stable")
+        self._train_X = X[list(self.train_rows)]
+        self._test_X = X[list(self.test_rows)]
         self._params = snapshot.params
         self.cdfs = snapshot.cdfs
         self.f1, self.sampling, self.trained, self.margins, self.decisions = snapshot.entries(
@@ -158,13 +151,13 @@ class EpisodeView:
         self.by_margin = self._by_margin(self.margins)
 
     def _by_margin(self, margins: np.ndarray) -> list:
-        """Train columns of each row by ascending margin, ties by ascending id.
+        """Train columns of each row by ascending margin, ties by ascending region row.
 
         A row's first free column is then its least-margin free column, the
         one best_object_for_predicate picks.
         """
-        order = np.argsort(margins[..., self.train_by_id], axis=-1, kind="stable")
-        return self.train_by_id[order].tolist()
+        order = np.argsort(margins[..., self.train_by_row], axis=-1, kind="stable")
+        return self.train_by_row[order].tolist()
 
     def update(self, predicate: str, model: PredicateModel) -> None:
         """Replace one predicate's classifier, as an immediate refit does.
@@ -181,12 +174,12 @@ class EpisodeView:
         self.by_margin[i] = self._by_margin(self.margins[i])
 
     def labels(self) -> list[list[int]]:
-        """The classifiers' labels of (predicates[i], train_ids[j]): +1, -1, 0 for none.
+        """The classifiers' labels of (predicates[i], train_rows[j]): +1, -1, 0 for none.
 
         One new list per row.
         """
-        ids = self.train_ids
+        rows = self.train_rows
         return [
-            [0] * len(ids) if model is None else [model.labels.get(rid, 0) for rid in ids]
+            [0] * len(rows) if model is None else [model.labels.get(row, 0) for row in rows]
             for model in self.models
         ]

@@ -42,7 +42,7 @@ def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, r
         if not free.any():
             continue
         col = best_object_for_predicate(view, row, free, rng)
-        beam.append(LabelQuery(predicate=view.predicates[row], region_id=view.train_ids[col]))
+        beam.append(LabelQuery(predicate=view.predicates[row], region=view.train_rows[col]))
     pool = np.flatnonzero(~asked)
     if len(pool):
         for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, {}):

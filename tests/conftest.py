@@ -44,8 +44,8 @@ def small_split(small_corpus):
 
 @pytest.fixture(scope="session")
 def small_density(small_corpus):
-    feats = np.stack([r.features for r in small_corpus.regions])
-    return DensityIndex(small_corpus.ids, feats, k=10)
+    rows = small_corpus.file_rows
+    return DensityIndex(small_corpus.X[rows], rows, k=10)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ def featurize_action(action, turn: int, ctx: FeatureContext) -> np.ndarray:
     if isinstance(action, LabelQuery):
         vec[INDEX["act_label_query"]] = 1.0
         row = _fill_query(vec, ctx, action.predicate)
-        _fill_label_object(vec, ctx, row, action.region_id)
+        _fill_label_object(vec, ctx, row, action.region)
     elif isinstance(action, ExampleQuery):
         vec[INDEX["act_example_query"]] = 1.0
         _fill_query(vec, ctx, action.predicate)
@@ -52,10 +52,10 @@ def _fill_query(vec: np.ndarray, ctx: FeatureContext, predicate: str) -> int:
     return row
 
 
-def _fill_label_object(vec: np.ndarray, ctx: FeatureContext, row: int, region_id: str) -> None:
+def _fill_label_object(vec: np.ndarray, ctx: FeatureContext, row: int, region: int) -> None:
     view = ctx.view
     if view.trained[row]:
-        vec[INDEX["label_margin"]] = view.margins[row, view.train_col[region_id]]
-    avg_dist, unlabeled = density_stats(ctx.density, region_id, view.models[row])
+        vec[INDEX["label_margin"]] = view.margins[row, view.train_rows.index(region)]
+    avg_dist, unlabeled = density_stats(ctx.density, region, view.models[row])
     vec[INDEX["label_avg_cos_dist"]] = avg_dist
     vec[INDEX["label_knn_unlabeled"]] = unlabeled

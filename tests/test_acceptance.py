@@ -39,7 +39,7 @@ from oalsim.stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 from classifier_oracle import predicate_weight
 from conftest import small_run_config
-from test_grounding import grounding_view
+from test_grounding import grounding_view, guessed_id
 from test_perception import _reference_cv_f1
 from test_querygen import best_object, sample_names
 
@@ -92,7 +92,7 @@ def ground_truth_success(experiment, seed, final):
 
     Rebuilds the batch's interactions from their seed streams and scores each
     candidate by the true annotations (decision +-1, F1 1), ties to the lowest
-    id as in grounding.
+    row (the lowest id) as in grounding.
     """
     plans = experiment.phase_plan()
     phase_idx, side = len(plans) - 1, plans[-1].side
@@ -104,11 +104,11 @@ def ground_truth_success(experiment, seed, final):
             corpus, experiment.split, side, experiment.config.episode.sizes(), rng
         )
         votes = {
-            rid: sum(1 if p in corpus.by_id[rid].annotations else -1
+            row: sum(1 if p in corpus.by_row[row].annotations else -1
                      for p in inter.description_predicates)
-            for rid in inter.active_test
+            for row in inter.active_test
         }
-        hits += min(inter.active_test, key=lambda rid: (-votes[rid], rid)) == inter.target
+        hits += min(inter.active_test, key=lambda row: (-votes[row], row)) == inter.target
     return hits / len(final.success_indicators)
 
 
@@ -256,7 +256,7 @@ class TestC05GroundingOracle:
             best = sorted(
                 zip(expected, (r.id for r in regions)), key=lambda t: (-t[0], t[1])
             )[0][1]
-            assert scores.argmax == best
+            assert guessed_id(scores, regions) == best
             # uniform positive scaling of every trust weight keeps the argmax
             lam = float(rng.uniform(0.05, 20.0))
             scaled = {
@@ -314,12 +314,10 @@ class TestC07UncertaintySampling:
             # train a real classifier on a random labeled set
             n = int(rng.integers(4, 12))
             model = PredicateModel(predicate="p")
-            feats = {}
             labels = [1, -1] + [int(rng.choice([-1, 1])) for _ in range(n - 2)]
+            feats = np.array([rng.normal(size=dim) for _ in labels])
             for i, y in enumerate(labels):
-                rid = f"train{i}"
-                feats[rid] = rng.normal(size=dim)
-                model.record_label(rid, y)
+                model.record_label(i, y)
             train_classifier(model, feats, cfg)
             pool = {}
             for i in range(8):
@@ -346,11 +344,11 @@ class TestC08F1Estimation:
         for trial in range(200):
             n = int(rng.integers(1, 13))
             model = PredicateModel(predicate="p")
-            feats = {}
+            feats = []
             for i in range(n):
-                rid = f"r{i}"
-                feats[rid] = rng.normal(size=5)
-                model.record_label(rid, int(rng.choice([-1, 1])))
+                feats.append(rng.normal(size=5))
+                model.record_label(i, int(rng.choice([-1, 1])))
+            feats = np.array(feats)
             mine = estimate_f1(model, feats, cfg)
             oracle = _reference_cv_f1(model, feats, cfg)
             assert mine == pytest.approx(oracle, abs=1e-12)

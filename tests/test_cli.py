@@ -195,6 +195,29 @@ class TestRun:
                      "--resume", str(ck)]) == 0
         assert (full / "metrics.csv").read_bytes() == (resumed / "metrics.csv").read_bytes()
 
+    def test_resume_refuses_a_label_for_a_region_not_in_the_corpus(
+        self, tmp_path, config_path, capsys
+    ):
+        full = tmp_path / "full"
+        assert main(["run", "--config", str(config_path), "--out", str(full),
+                     "--checkpoints"]) == 0
+        ck = full / "checkpoints" / "checkpoint_p0_b0.json"
+        state = json.loads(ck.read_text())
+        models = state["agent"]["models"]
+        assert models
+        for model in models.values():
+            model["labels"]["not-a-region"] = 1
+        ck.write_text(json.dumps(state))
+        capsys.readouterr()
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "resumed"),
+                     "--resume", str(ck)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["error"] == "CheckpointError"
+        assert "not-a-region" in error["message"]
+
     def test_export_transcripts(self, tmp_path, config_path):
         out = tmp_path / "tr"
         assert main(["run", "--config", str(config_path), "--out", str(out),

@@ -169,7 +169,7 @@ class TestMakeSplits:
         split = make_splits(corpus, SplitConfig(frequency_threshold=6, seed=2))
         assert split.held_out_predicates == frozenset({"freq"})
         test_side = split.policy_test_classifier_train | split.policy_test_classifier_test
-        assert test_side == {f"r{i:02d}" for i in range(6)}
+        assert test_side == {corpus.row[f"r{i:02d}"] for i in range(6)}
 
     def test_split_audit(self, small_corpus, small_split):
         held = small_split.held_out_predicates
@@ -183,12 +183,12 @@ class TestMakeSplits:
         )
         for r in small_corpus.regions:
             if r.annotations & held:
-                assert r.id in test_side
+                assert small_corpus.row[r.id] in test_side
             else:
-                assert r.id in train_side
+                assert small_corpus.row[r.id] in train_side
         # every policy-test region contains at least one held-out predicate
-        for rid in test_side:
-            assert small_corpus.by_id[rid].annotations & held
+        for row in test_side:
+            assert small_corpus.by_row[row].annotations & held
 
     def test_four_sets_partition(self, small_corpus, small_split):
         sets = [
@@ -202,7 +202,7 @@ class TestMakeSplits:
         for s in sets:
             union |= s
             total += len(s)
-        assert union == set(small_corpus.ids)
+        assert union == set(range(len(small_corpus)))
         assert total == len(small_corpus)
 
     def test_deterministic(self, small_corpus):
@@ -225,29 +225,29 @@ class TestSampleInteraction:
     def test_exact_sets_when_pool_is_exact(self, small_corpus):
         from oalsim.corpus import CorpusSplit
 
-        ids = small_corpus.ids
+        rows = range(len(small_corpus))
         split = CorpusSplit(
-            policy_train_classifier_train=frozenset(ids[:8]),
-            policy_train_classifier_test=frozenset(ids[8:12]),
-            policy_test_classifier_train=frozenset(ids[12:20]),
-            policy_test_classifier_test=frozenset(ids[20:24]),
+            policy_train_classifier_train=frozenset(rows[:8]),
+            policy_train_classifier_test=frozenset(rows[8:12]),
+            policy_test_classifier_train=frozenset(rows[12:20]),
+            policy_test_classifier_test=frozenset(rows[20:24]),
             held_out_predicates=frozenset(),
         )
         inter = sample_interaction(
             small_corpus, split, "policy-train", InteractionSizes(), stream(1, "t")
         )
-        assert set(inter.active_train) == set(ids[:8])
-        assert set(inter.active_test) == set(ids[8:12])
+        assert set(inter.active_train) == set(rows[:8])
+        assert set(inter.active_test) == set(rows[8:12])
 
     def test_subset_too_small(self, small_corpus):
         from oalsim.corpus import CorpusSplit
 
-        ids = small_corpus.ids
+        rows = range(len(small_corpus))
         split = CorpusSplit(
-            policy_train_classifier_train=frozenset(ids[:4]),
-            policy_train_classifier_test=frozenset(ids[4:8]),
-            policy_test_classifier_train=frozenset(ids[8:16]),
-            policy_test_classifier_test=frozenset(ids[16:20]),
+            policy_train_classifier_train=frozenset(rows[:4]),
+            policy_train_classifier_test=frozenset(rows[4:8]),
+            policy_test_classifier_train=frozenset(rows[8:16]),
+            policy_test_classifier_test=frozenset(rows[16:20]),
             held_out_predicates=frozenset(),
         )
         with pytest.raises(SamplingError):
@@ -258,14 +258,14 @@ class TestSampleInteraction:
     def test_target_uniform_over_classifier_test(self, small_corpus, small_split):
         rng = stream(3, "uniform")
         pool = sorted(small_split.policy_train_classifier_test)
-        counts = {rid: 0 for rid in pool}
+        counts = {row: 0 for row in pool}
         n = 10_000
         for _ in range(n):
             inter = sample_interaction(
                 small_corpus, small_split, "policy-train", InteractionSizes(), rng
             )
             counts[inter.target] += 1
-        observed = [counts[rid] for rid in pool]
+        observed = [counts[row] for row in pool]
         _, p = sps.chisquare(observed)
         assert p > 0.001
 
@@ -308,15 +308,15 @@ def _sample_from_sorted_lists(corpus, ct, cx, rng, sizes=InteractionSizes()):
         test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
         active_test = tuple(test_pool[i] for i in test_idx)
-        if not any(corpus.by_id[rid].describable() for rid in active_test):
+        if not any(corpus.by_row[row].describable() for row in active_test):
             continue
         while True:
             target = active_test[int(rng.integers(len(active_test)))]
-            if corpus.by_id[target].describable():
+            if corpus.by_row[target].describable():
                 break
         return Interaction(
             active_train=active_train,
             active_test=active_test,
             target=target,
-            description_predicates=corpus.by_id[target].description_predicates,
+            description_predicates=corpus.by_row[target].description_predicates,
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
-from oalsim.corpus import Interaction, Region
+from oalsim.corpus import Corpus, Interaction, Region
 from oalsim.dialog import Episode, RewardConfig, episode_return, transcript_records
 from oalsim.errors import ContractError, DataError, ProtocolError
 from oalsim.perception import PredicateModel
@@ -13,7 +13,10 @@ from oalsim.snapshot import EpisodeView, Snapshot
 
 
 def _toy_world(positives_for_white=("t2", "t5")):
-    """8 active-train regions t0..t7, 4 active-test o0..o3, target o1."""
+    """8 active-train regions t0..t7, 4 active-test o0..o3, target o1, as a corpus.
+
+    The interaction holds rows: o0..o3 are rows 0..3, t0..t7 rows 4..11.
+    """
     regions = {}
     rng = np.random.default_rng(4)
     for i in range(8):
@@ -33,33 +36,39 @@ def _toy_world(positives_for_white=("t2", "t5")):
             description="red" if rid == "o1" else None,
             description_predicates=("red",) if rid == "o1" else (),
         )
+    corpus = Corpus(list(regions.values()))
     interaction = Interaction(
-        active_train=tuple(f"t{i}" for i in range(8)),
-        active_test=tuple(f"o{i}" for i in range(4)),
-        target="o1",
+        active_train=tuple(corpus.row[f"t{i}"] for i in range(8)),
+        active_test=tuple(corpus.row[f"o{i}"] for i in range(4)),
+        target=corpus.row["o1"],
         description_predicates=("red",),
     )
-    return regions, interaction
+    return corpus, interaction
 
 
-def _episode(guess="o1", seed=0, t_max=40, regions=None, interaction=None, models=None):
-    if regions is None:
-        regions, interaction = _toy_world()
+def _row(rid):
+    """The toy corpus row of a region id."""
+    return _toy_world()[0].row[rid]
+
+
+def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models=None):
+    if corpus is None:
+        corpus, interaction = _toy_world()
     view = EpisodeView(
         Snapshot(models or {}, 4),
         ("blue", "green", "red", "white"),
         interaction.active_train,
         interaction.active_test,
-        {rid: r.features for rid, r in regions.items()},
+        corpus.X,
     )
     return Episode(
         interaction=interaction,
-        regions=regions,
+        regions=corpus.by_row,
         view=view,
         rewards=RewardConfig(),
         t_max=t_max,
         oracle_rng=stream(seed, "oracle"),
-        guesser=lambda: guess,
+        guesser=lambda: corpus.row[guess],
     )
 
 
@@ -75,65 +84,65 @@ class TestLifecycle:
             ep.step(Guess())
 
     def test_empty_description_rejected(self):
-        regions, interaction = _toy_world()
+        corpus, interaction = _toy_world()
         bad = Interaction(
             active_train=interaction.active_train,
             active_test=interaction.active_test,
-            target="o1",
+            target=interaction.target,
             description_predicates=(),
         )
         with pytest.raises(DataError):
-            _episode(regions=regions, interaction=bad)
+            _episode(corpus=corpus, interaction=bad)
 
 
 class TestOracle:
     def test_label_query_membership(self):
         ep = _episode()
-        assert ep.answer_label_query("red", "t0") == 1
-        assert ep.answer_label_query("red", "t1") == -1  # closed world
+        assert ep.answer_label_query("red", _row("t0")) == 1
+        assert ep.answer_label_query("red", _row("t1")) == -1  # closed world
 
     def test_label_query_outside_active_train(self):
         ep = _episode()
         with pytest.raises(ProtocolError):
-            ep.answer_label_query("red", "o0")
+            ep.answer_label_query("red", _row("o0"))
 
     def test_label_query_repeat_is_consistent(self):
         ep = _episode()
-        first = ep.answer_label_query("blue", "t3")
-        assert ep.answer_label_query("blue", "t3") == first
+        first = ep.answer_label_query("blue", _row("t3"))
+        assert ep.answer_label_query("blue", _row("t3")) == first
         assert len(ep.pending_labels) == 1
 
     def test_labels_held_by_the_view_are_not_pending(self):
         model = PredicateModel(predicate="blue")
-        model.record_label("t3", 1)
-        model.record_label("o0", -1)  # not an active-train object: no column
+        model.record_label(_row("t3"), 1)
+        model.record_label(_row("o0"), -1)  # not an active-train object: no column
         ep = _episode(models={"blue": model})
         assert ep.known[0] == [0, 0, 0, 1, 0, 0, 0, 0]
         assert not any(any(row) for row in ep.known[1:])
-        assert ep.answer_label_query("blue", "t3") == 1
+        assert ep.answer_label_query("blue", _row("t3")) == 1
         assert ep.pending_labels == []
 
     def test_label_contradicting_the_view_is_a_flip(self):
         model = PredicateModel(predicate="blue")
-        model.record_label("t3", -1)  # t3 is annotated blue
+        model.record_label(_row("t3"), -1)  # t3 is annotated blue
         with pytest.raises(ContractError, match="flipped"):
-            _episode(models={"blue": model}).answer_label_query("blue", "t3")
+            _episode(models={"blue": model}).answer_label_query("blue", _row("t3"))
 
     def test_example_query_with_positives(self):
         ep = _episode()
         rid = ep.answer_example_query("white")
-        assert rid in ("t2", "t5")
+        assert rid in (_row("t2"), _row("t5"))
         assert ("white", rid, 1) in ep.pending_labels
 
     def test_example_query_uniform_over_positives(self):
-        counts = {"t2": 0, "t5": 0}
+        counts = {_row("t2"): 0, _row("t5"): 0}
         n = 10_000
         for i in range(n):
             ep = _episode(seed=i)
             counts[ep.answer_example_query("white")] += 1
         # binomial(n, 0.5): three sigma around n/2
         sigma = (n * 0.25) ** 0.5
-        assert abs(counts["t2"] - n / 2) < 3 * sigma
+        assert abs(counts[_row("t2")] - n / 2) < 3 * sigma
 
     def test_example_query_none_labels_all_negative(self):
         ep = _episode()
@@ -161,14 +170,14 @@ class TestStep:
 
     def test_label_query_reward(self):
         ep = _episode()
-        reward, done = ep.step(LabelQuery(predicate="red", region_id="t0"))
+        reward, done = ep.step(LabelQuery(predicate="red", region=_row("t0")))
         assert reward == -1 and not done
 
     def test_three_queries_then_correct_guess(self):
         ep = _episode(guess="o1")
-        ep.step(LabelQuery(predicate="red", region_id="t0"))
+        ep.step(LabelQuery(predicate="red", region=_row("t0")))
         ep.step(ExampleQuery(predicate="white"))
-        ep.step(LabelQuery(predicate="blue", region_id="t1"))
+        ep.step(LabelQuery(predicate="blue", region=_row("t1")))
         ep.step(Guess())
         assert sum(s.reward for s in ep.transcript) == 197
         assert ep.length() == 4
@@ -176,10 +185,10 @@ class TestStep:
 
     def test_turn_cap_forces_guess(self):
         ep = _episode(t_max=2)
-        ep.step(LabelQuery(predicate="red", region_id="t0"))
-        ep.step(LabelQuery(predicate="red", region_id="t1"))
+        ep.step(LabelQuery(predicate="red", region=_row("t0")))
+        ep.step(LabelQuery(predicate="red", region=_row("t1")))
         with pytest.raises(ProtocolError):
-            ep.step(LabelQuery(predicate="red", region_id="t2"))
+            ep.step(LabelQuery(predicate="red", region=_row("t2")))
         ep.step(Guess())
         assert ep.terminated and ep.length() == 3 <= ep.t_max + 1
 
@@ -220,9 +229,10 @@ class TestRewardConfig:
 def test_transcript_export():
     ep = _episode(guess="o1")
     feats = np.zeros((3, 28))
-    ep.step(LabelQuery(predicate="red", region_id="t0"), feats, 1)
+    ep.step(LabelQuery(predicate="red", region=_row("t0")), feats, 1)
     ep.step(Guess(), feats, 0)
-    lines = [json.loads(json.dumps(rec)) for rec in transcript_records("e0", ep)]
+    ids = [r.id for r in ep.regions]
+    lines = [json.loads(json.dumps(rec)) for rec in transcript_records("e0", ep, ids)]
     assert len(lines) == 2
     assert lines[0]["action"] == "label:red@t0"
     assert lines[0]["turn"] == 0 and lines[0]["reward"] == -1

@@ -88,7 +88,7 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
         agent.predicates | set(desc),
         inter.active_train,
         inter.active_test,
-        exp.features_by_id,
+        exp.corpus.X,
     )
     ctx = FeatureContext(
         t_max=40,
@@ -101,7 +101,7 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     for beam, turn in (
         ([Guess()], 40),
         ([Guess()] + [ExampleQuery(predicate=p) for p in view.predicates], 3),
-        ([Guess()] + [LabelQuery(predicate=p, region_id=inter.active_train[1])
+        ([Guess()] + [LabelQuery(predicate=p, region=inter.active_train[1])
                       for p in view.predicates], 7),
     ):
         got = harness.featurize(beam, turn, ctx)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oalsim.corpus import Region
+from oalsim.corpus import Corpus, Region
 from oalsim.grounding import score_objects
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
@@ -11,12 +11,23 @@ from classifier_oracle import decide
 
 
 def grounding_view(preds, models, regions):
-    """The view score_objects reads: the models' rows, the regions as active-test columns."""
-    features = {r.id: r.features for r in regions}
-    dim = len(regions[0].features)
+    """The view score_objects reads: the models' rows, the regions as active-test columns.
+
+    The regions form a corpus, and each column is a region's row in it.
+    """
+    corpus = Corpus(regions)
     return EpisodeView(
-        Snapshot(models, dim), set(models) | set(preds), (), [r.id for r in regions], features
+        Snapshot(models, corpus.dim),
+        set(models) | set(preds),
+        (),
+        [corpus.row[r.id] for r in regions],
+        corpus.X,
     )
+
+
+def guessed_id(scores, regions):
+    """The id of the region row that scores.argmax names, in the corpus of the regions."""
+    return sorted(r.id for r in regions)[scores.argmax]
 
 
 def _region(rid, feats):
@@ -48,27 +59,27 @@ class TestScoreObjects:
         scores = score_objects(preds, grounding_view(preds, models, regions))
         assert scores.weighted == pytest.approx((0.5, -0.5, 1.3))
         assert scores.unweighted == (0, 0, 2)
-        assert scores.argmax == "o3"
+        assert guessed_id(scores, regions) == "o3"
 
     def test_all_untrained_ties_to_lowest_id(self):
         regions = [_region("b", (1.0, 1.0)), _region("a", (0.0, 1.0)), _region("c", (2.0, 0.0))]
         scores = score_objects(["p1", "p2"], grounding_view(["p1", "p2"], {}, regions))
         assert all(w == 0.0 for w in scores.weighted)
         assert all(u == -2 for u in scores.unweighted)
-        assert scores.argmax == "a"
+        assert guessed_id(scores, regions) == "a"
 
     def test_single_predicate_single_region(self):
         only = [_region("only", (1.0, 0.0))]
         scores = score_objects(["p1"], grounding_view(["p1"], {}, only))
-        assert scores.argmax == "only"
+        assert guessed_id(scores, only) == "only"
 
     def test_negation_changes_strict_argmax(self):
         preds, models, regions = worked_example()
         scores = score_objects(preds, grounding_view(preds, models, regions))
         neg_order = sorted(
-            range(3), key=lambda i: (-(-scores.weighted[i]), scores.region_ids[i])
+            range(3), key=lambda i: (-(-scores.weighted[i]), scores.regions[i])
         )
-        assert scores.region_ids[neg_order[0]] != scores.argmax
+        assert scores.regions[neg_order[0]] != scores.argmax
 
     def test_zero_trust_predicate_is_inert_in_weighted_scores(self):
         preds, models, regions = worked_example()
@@ -106,7 +117,7 @@ class TestScoreObjects:
                 ((scores.weighted[i], regions[i].id) for i in range(n)),
                 key=lambda t: (-t[0], t[1]),
             )
-            assert scores.argmax == pairs[0][1]
+            assert guessed_id(scores, regions) == pairs[0][1]
 
     def test_argmax_invariant_under_uniform_trust_scaling(self):
         rng = stream(18, "scale")

@@ -92,11 +92,11 @@ class TestRunBatch:
             plan, 0, 0, Agent(), np.zeros(N_FEATURES)
         )
         assert merged
-        for (p, rid), label in merged.items():
-            assert (label == 1) == (p in small_corpus.by_id[rid].annotations)
+        for (p, row), label in merged.items():
+            assert (label == 1) == (p in small_corpus.by_row[row].annotations)
         for o in outcomes:
-            for p, rid, label in o.pending:
-                assert (label == 1) == (p in small_corpus.by_id[rid].annotations)
+            for p, row, label in o.pending:
+                assert (label == 1) == (p in small_corpus.by_row[row].annotations)
 
     def test_pending_labels_exclude_base_labels(self, small_experiment):
         # a second batch, where the agent already holds the first batch's labels
@@ -155,7 +155,7 @@ class TestRunBatch:
         for batch in range(2):
             before = {p: len(m.labels) for p, m in agent.models.items()}
             _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
-            merged[("zz-one", exp.corpus.ids[batch])] = 1  # dirty, but one class
+            merged[("zz-one", batch)] = 1  # dirty, but one class
             exp.apply_batch_end(agent, merged, outcomes)
             dirty = sorted(
                 p for p, m in agent.models.items()
@@ -202,7 +202,7 @@ class TestExperimentRun:
         exp.run(checkpoint_dir=tmp_path)
         # first test batch was produced by an agent holding only that batch's labels
         state = checkpoint_load(tmp_path / "checkpoint_p2_b0.json")
-        agent = Agent.from_dict(state["agent"])
+        agent = Agent.from_dict(state["agent"], small_corpus.row)
         test_labels = sum(len(m.labels) for m in agent.models.values())
         first = [
             m for m in (state["metrics"]) if m["phase"] == "test"
@@ -321,15 +321,18 @@ class TestCheckpointing:
     def test_agent_roundtrip(self):
         agent = Agent()
         model = PredicateModel(predicate="red")
-        model.record_label("r1", 1)
-        model.record_label("r2", -1)
+        model.record_label(2, 1)
+        model.record_label(1, -1)
         model.weights = np.array([0.5, -0.25, 0.1])
         model.f1 = 0.75
         agent.models["red"] = model
         agent.stats.observe_dialog(("red",), True)
         agent.predicates = {"red", "box"}
-        back = Agent.from_dict(json.loads(json.dumps(agent.to_dict())))
-        assert back.models["red"].labels == model.labels
+        ids = ["r0", "r1", "r2"]
+        data = json.loads(json.dumps(agent.to_dict(ids)))
+        assert list(data["models"]["red"]["labels"].items()) == [("r2", 1), ("r1", -1)]
+        back = Agent.from_dict(data, {rid: row for row, rid in enumerate(ids)})
+        assert list(back.models["red"].labels.items()) == list(model.labels.items())
         assert np.array_equal(back.models["red"].weights, model.weights)
         assert back.models["red"].f1 == model.f1
         assert back.stats.dialogs == 1
@@ -342,15 +345,15 @@ class TestCheckpointing:
     def test_agent_with_invalid_label_or_f1_rejected(self, field, value):
         # a stored 0 would read as "no label" in an episode's label table
         model = PredicateModel(predicate="red")
-        model.record_label("r1", 1)
+        model.record_label(1, 1)
         agent = Agent(models={"red": model})
-        data = json.loads(json.dumps(agent.to_dict()))
+        data = json.loads(json.dumps(agent.to_dict(["r0", "r1"])))
         if field == "label":
             data["models"]["red"]["labels"]["r1"] = value
         else:
             data["models"]["red"]["f1"] = value
         with pytest.raises(CheckpointError, match="red"):
-            Agent.from_dict(data)
+            Agent.from_dict(data, {"r0": 0, "r1": 1})
 
 
 class TestImmediateUpdates:
@@ -419,15 +422,15 @@ class TestImmediateUpdates:
         inter = outcomes[0].interaction
         desc = inter.description_predicates
         x = inter.active_train[0]
-        rid = exp.density.knn(x)[0]
-        other = next(r for r in exp.corpus.ids if r != rid)
+        rid = int(exp.density.knn[x, 0])
+        other = next(r for r in range(len(exp.corpus)) if r != rid)
         agent.models["zz-one"] = PredicateModel("zz-one", labels={other: 1})
         view = EpisodeView(
             Snapshot(agent.models, exp.corpus.dim, exp.config.triangular),
             agent.predicates | set(agent.models) | set(desc) | {"zz-new"},
             inter.active_train,
             inter.active_test,
-            exp.features_by_id,
+            exp.corpus.X,
         )
         ctx = FeatureContext(
             t_max=40,
@@ -456,7 +459,7 @@ class TestImmediateUpdates:
         assert np.array_equal(ctx.queries, queries)
         # the label feature reads the view's copy, so it counts the new label
         got = featurize([Guess(), LabelQuery("zz-new", x)], 3, ctx)
-        k = len(exp.density.knn(x))
+        k = exp.density.k
         assert got[1, INDEX["label_knn_unlabeled"]] == (k - 1) / k
 
         assert refresh([("zz-new", other, -1)]) == {"zz-new"}

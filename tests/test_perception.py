@@ -46,13 +46,11 @@ class TestExtractPredicates:
 
 
 def _balanced_model(points):
+    """A model labelling row i of the returned feature matrix with points[i]'s label."""
     m = PredicateModel(predicate="p")
-    feats = {}
-    for i, (x, y) in enumerate(points):
-        rid = f"r{i}"
-        feats[rid] = np.asarray(x, dtype=float)
-        m.record_label(rid, y)
-    return m, feats
+    for i, (_, y) in enumerate(points):
+        m.record_label(i, y)
+    return m, np.array([x for x, _ in points], dtype=float)
 
 
 class TestTrainClassifier:
@@ -62,8 +60,8 @@ class TestTrainClassifier:
         )
         train_classifier(m, feats, CFG)
         assert m.weights is not None
-        for rid, label in m.labels.items():
-            assert decide(m, feats[rid]) == label
+        for row, label in m.labels.items():
+            assert decide(m, feats[row]) == label
 
     def test_single_class_untrainable(self):
         m, feats = _balanced_model([((1.0, 0.0), 1), ((2.0, 0.0), 1)])
@@ -76,17 +74,17 @@ class TestTrainClassifier:
         m1, feats = _balanced_model(pts)
         m2 = PredicateModel(predicate="p")
         for i in reversed(range(len(pts))):
-            m2.record_label(f"r{i}", pts[i][1])
+            m2.record_label(i, pts[i][1])
         train_classifier(m1, feats, CFG)
         train_classifier(m2, feats, CFG)
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_relabel_same_is_noop_flip_is_error(self):
         m = PredicateModel(predicate="p")
-        assert m.record_label("r0", 1) is True
-        assert m.record_label("r0", 1) is False
+        assert m.record_label(0, 1) is True
+        assert m.record_label(0, 1) is False
         with pytest.raises(ContractError):
-            m.record_label("r0", -1)
+            m.record_label(0, -1)
 
 
 class TestDecideAndMargin:
@@ -126,7 +124,7 @@ class TestDecideAndMargin:
 
 
 def _reference_folds(model: PredicateModel, cfg: ClassifierConfig):
-    """Explicit stratified folds as lists of region ids, or None for a degenerate set."""
+    """Explicit stratified folds as lists of region rows, or None for a degenerate set."""
     labels = model.labels
     if len(labels) < 4:
         return None
@@ -206,7 +204,7 @@ class TestEstimateF1:
         order = list(range(len(pts)))
         rng.shuffle(order)
         for i in order:
-            m2.record_label(f"r{i}", pts[i][1])
+            m2.record_label(i, pts[i][1])
         assert estimate_f1(m1, feats, CFG) == estimate_f1(m2, feats, CFG)
 
     def test_matches_bruteforce_oracle(self):
@@ -246,10 +244,10 @@ class TestEstimateF1:
 
 
 def _signed_rows(model: PredicateModel, feats):
-    """Sorted label ids and the rows [x, 1] * y a fit descends on, in that order."""
+    """Sorted label rows and the rows [x, 1] * y a fit descends on, in that order."""
     ids = sorted(model.labels)
-    X = np.stack([feats[rid] for rid in ids])
-    y = np.array([model.labels[rid] for rid in ids], dtype=np.float64)
+    X = np.stack([feats[row] for row in ids])
+    y = np.array([model.labels[row] for row in ids], dtype=np.float64)
     return ids, y[:, None] * np.hstack([X, np.ones((len(ids), 1))])
 
 
@@ -258,18 +256,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _random_model(rng, n: int, dim: int, n_pos: int):
-    """n labels on normal points (one coordinate rounded, so exact zeros occur)."""
+def _random_model(rng, n: int, dim: int, n_pos: int, first_row: int = 0):
+    """n labels on normal points (one coordinate rounded, so exact zeros occur).
+
+    The labels are on rows first_row.. of a matrix whose rows above first_row
+    are zero; the matrix is returned with the model.
+    """
     X = rng.normal(size=(n, dim))
     X[:, 0] = np.round(X[:, 0])
     labels = np.full(n, -1)
     labels[rng.choice(n, size=n_pos, replace=False)] = 1
     m = PredicateModel(predicate="p")
-    feats = {}
     for i in range(n):
-        feats[f"r{i:03d}"] = X[i]
-        m.record_label(f"r{i:03d}", int(labels[i]))
-    return m, feats
+        m.record_label(first_row + i, int(labels[i]))
+    return m, np.vstack([np.zeros((first_row, dim)), X])
 
 
 class TestStackedFits:
@@ -297,7 +297,7 @@ class TestStackedFits:
         for p in sorted(agent.models):
             model = agent.models[p]
             if _reference_folds(model, exp.config.classifier) is not None:
-                self._check_folds(model, exp.features_by_id, exp.config.classifier)
+                self._check_folds(model, exp.corpus.X, exp.config.classifier)
                 sizes.append(len(model.labels))
         assert len(sizes) >= 10
 
@@ -402,9 +402,9 @@ class TestEstimateF1Exact:
         cfg = exp.config.classifier
         for p in sorted(agent.models):
             model = agent.models[p]
-            got = estimate_f1(model, exp.features_by_id, cfg)
+            got = estimate_f1(model, exp.corpus.X, cfg)
             assert type(got) is float
-            assert got == self._expected(model, exp.features_by_id, cfg)
+            assert got == self._expected(model, exp.corpus.X, cfg)
 
     def test_random_sets(self):
         rng = stream(13, "cvexact")
@@ -439,11 +439,16 @@ class TestEstimateF1Exact:
             assert (subsets & ~pos).any(axis=1).all()
 
 
-def _named_model(rng, name: str, n: int, n_pos: int, dim: int = 32):
-    """A _random_model whose region ids carry the predicate's name, so feature maps merge."""
-    model, feats = _random_model(rng, n, dim, n_pos)
-    model = PredicateModel(name, labels={f"{name}/{rid}": v for rid, v in model.labels.items()})
-    return model, {f"{name}/{rid}": x for rid, x in feats.items()}
+def _named_model(rng, name: str, n: int, n_pos: int, dim: int = 32, feats=None):
+    """A _random_model named `name` on rows appended below `feats`, and the grown matrix.
+
+    Each model's labels are on rows of its own, so the models share one matrix.
+    """
+    first_row = 0 if feats is None else len(feats)
+    model, X = _random_model(rng, n, dim, n_pos, first_row)
+    if feats is not None:
+        X[:first_row] = feats
+    return PredicateModel(name, labels=model.labels), X
 
 
 class TestBatchEndStacks:
@@ -483,17 +488,17 @@ class TestBatchEndStacks:
         exp, agent = desk_agent
         models = [agent.models[p] for p in sorted(agent.models) if agent.models[p].trainable()]
         assert len(models) >= 10
-        self._check(models, exp.features_by_id, exp.config.classifier)
+        self._check(models, exp.corpus.X, exp.config.classifier)
 
     def test_mixed_sizes_in_one_call(self):
         # stacks with different n_max, more than one stack, and a stack mixing
         # problems of several models and sizes
         rng = stream(16, "batch-end")
-        models, feats = [], {}
+        models, feats = [], None
         for j, n in enumerate(range(4, 301, 9)):
-            model, f = _named_model(rng, f"p{j:02d}", n, int(rng.integers(2, n - 1)))
+            n_pos = int(rng.integers(2, n - 1))
+            model, feats = _named_model(rng, f"p{j:02d}", n, n_pos, feats=feats)
             models.append(model)
-            feats.update(f)
         self._check(models, feats, CFG)
         shapes = self._stack_shapes(models, feats, CFG)
         assert len(shapes) > 1
@@ -504,11 +509,11 @@ class TestBatchEndStacks:
         # a model's folds and full set fall in different stacks; its rows are
         # still built once
         rng = stream(16, "batch-end")
-        models, feats = [], {}
+        models, feats = [], None
         for j, n in enumerate(range(4, 301, 9)):
-            model, f = _named_model(rng, f"p{j:02d}", n, int(rng.integers(2, n - 1)))
+            n_pos = int(rng.integers(2, n - 1))
+            model, feats = _named_model(rng, f"p{j:02d}", n, n_pos, feats=feats)
             models.append(model)
-            feats.update(f)
         built = []
         signed_rows = perception._signed_rows
 
@@ -524,19 +529,17 @@ class TestBatchEndStacks:
         rng = stream(17, "over-cap")
         n = perception.FIT_STACK_ROWS + 40
         big, feats = _named_model(rng, "big", n, n // 3, dim=4)
-        small, more = _named_model(rng, "small", 30, 12, dim=4)
-        feats.update(more)
+        small, feats = _named_model(rng, "small", 30, 12, dim=4, feats=feats)
         self._check([big, small], feats, CFG)
         assert (1, n, 5) in self._stack_shapes([big, small], feats, CFG)
 
     def test_sets_too_small_to_cross_validate(self):
         # fewer than 4 labels, or fewer than 2 usable folds: F1 0, weights still fit
         rng = stream(18, "small-sets")
-        models, feats = [], {}
+        models, feats = [], None
         for j, (n, n_pos) in enumerate([(2, 1), (3, 1), (3, 2), (4, 1), (9, 1), (12, 11), (40, 20)]):
-            model, f = _named_model(rng, f"q{j}", n, n_pos)
+            model, feats = _named_model(rng, f"q{j}", n, n_pos, feats=feats)
             models.append(model)
-            feats.update(f)
         self._check(models, feats, CFG)
         self._check(models, feats, ClassifierConfig(folds=1))
         fitted = [m.clone() for m in models]
@@ -547,12 +550,12 @@ class TestBatchEndStacks:
     def test_no_stack_over_the_cap_unless_alone(self, monkeypatch):
         monkeypatch.setattr(perception, "FIT_STACK_ROWS", 500)
         rng = stream(19, "cap")
-        models, feats = [], {}
+        models, feats = [], None
         for j in range(40):
             n = int(rng.integers(4, 700))
-            model, f = _named_model(rng, f"s{j:02d}", n, int(rng.integers(2, n - 1)), dim=3)
+            n_pos = int(rng.integers(2, n - 1))
+            model, feats = _named_model(rng, f"s{j:02d}", n, n_pos, dim=3, feats=feats)
             models.append(model)
-            feats.update(f)
         shapes = self._stack_shapes(models, feats, ClassifierConfig(iterations=2))
         assert any(k == 1 and rows > perception.FIT_STACK_ROWS for k, rows, _ in shapes)
         assert all(k * rows <= perception.FIT_STACK_ROWS or k == 1 for k, rows, _ in shapes)
@@ -561,58 +564,50 @@ class TestBatchEndStacks:
 
 
 class TestDensity:
-    def test_unlabeled_fraction_bounds(self, small_corpus, small_density):
-        rid = small_corpus.ids[0]
+    def test_unlabeled_fraction_bounds(self, small_density):
         blank = PredicateModel(predicate="p")
-        avg, frac = density_stats(small_density, rid, blank)
+        avg, frac = density_stats(small_density, 0, blank)
         assert frac == 1.0
         assert 0.0 <= avg <= 2.0
 
         full = PredicateModel(predicate="p")
-        for n in small_density.knn(rid):
+        for n in small_density.knn[0].tolist():
             full.record_label(n, -1)
-        _, frac_all = density_stats(small_density, rid, full)
+        _, frac_all = density_stats(small_density, 0, full)
         assert frac_all == 0.0
-
-    def test_missing_region(self, small_density):
-        with pytest.raises(DataError):
-            small_density.avg_cosine_distance("nope")
 
     def test_duplicated_point_same_average_distance(self):
         rng = stream(8, "dup")
         X = rng.normal(size=(6, 4))
         X[5] = X[2]  # duplicate feature point
-        ids = [f"r{i}" for i in range(6)]
-        idx = DensityIndex(ids, X, k=3)
+        idx = DensityIndex(X, np.arange(6), k=3)
         # brute force for region 2
         unit = X / np.linalg.norm(X, axis=1, keepdims=True)
         dist = 1.0 - unit @ unit.T
         expected = (dist[2].sum() - dist[2, 2]) / 5
-        assert idx.avg_cosine_distance("r2") == pytest.approx(expected)
-        assert idx.avg_cosine_distance("r5") == pytest.approx(expected)
+        assert idx.avg[2] == pytest.approx(expected)
+        assert idx.avg[5] == pytest.approx(expected)
 
-    def test_knn_excludes_self_and_size(self, small_density, small_corpus):
-        for rid in small_corpus.ids[:5]:
-            knn = small_density.knn(rid)
+    def test_knn_excludes_self_and_size(self, small_density):
+        for row in range(5):
+            knn = small_density.knn[row].tolist()
             assert len(knn) == 10
-            assert rid not in knn
+            assert row not in knn
             assert len(set(knn)) == 10
 
     def test_avg_sample_cap(self):
         rng = stream(11, "cap")
         X = rng.normal(size=(40, 6))
-        ids = [f"r{i:02d}" for i in range(40)]
-        full = DensityIndex(ids, X, k=5)
-        capped = DensityIndex(ids, X, k=5, avg_sample=10)
-        again = DensityIndex(ids, X, k=5, avg_sample=10)
+        rows = np.arange(40)
+        full = DensityIndex(X, rows, k=5)
+        capped = DensityIndex(X, rows, k=5, avg_sample=10)
+        again = DensityIndex(X, rows, k=5, avg_sample=10)
         # deterministic, bounded, and close to the full average
-        for rid in ids[:8]:
-            assert capped.avg_cosine_distance(rid) == again.avg_cosine_distance(rid)
-            assert 0.0 <= capped.avg_cosine_distance(rid) <= 2.0
-            assert capped.avg_cosine_distance(rid) == pytest.approx(
-                full.avg_cosine_distance(rid), abs=0.35
-            )
-            assert capped.knn(rid) == full.knn(rid)
+        for row in range(8):
+            assert capped.avg[row] == again.avg[row]
+            assert 0.0 <= capped.avg[row] <= 2.0
+            assert capped.avg[row] == pytest.approx(full.avg[row], abs=0.35)
+            assert np.array_equal(capped.knn[row], full.knn[row])
 
 
 class _ReferenceDensityIndex:
@@ -648,15 +643,26 @@ class _ReferenceDensityIndex:
             self._knn[rid] = tuple(self.ids[j] for j in order[: self.k])
 
 
+def _rows(ids):
+    """Each id's rank in sorted-id order: the row a Corpus gives its region."""
+    rank = {rid: i for i, rid in enumerate(sorted(ids))}
+    return np.array([rank[rid] for rid in ids], dtype=np.intp)
+
+
 def _assert_matches_reference(ids, X, **kwargs):
-    """Same k, same neighbour tuples in the same order, same averages to the bit."""
-    got = DensityIndex(ids, X, **kwargs)
+    """Same k, same neighbour tuples in the same order, same averages to the bit.
+
+    The index holds rows; each row's neighbour rows are read back as ids.
+    """
+    rows = _rows(ids)
+    got = DensityIndex(X, rows, **kwargs)
     want = _ReferenceDensityIndex(ids, X, **kwargs)
     assert got.k == want.k
-    assert got.ids == want.ids
-    for rid in want.ids:
-        assert got.knn(rid) == want._knn[rid], rid
-        assert got.avg_cosine_distance(rid).hex() == want._avg[rid].hex(), rid
+    assert got.avg.shape == (len(ids),) and got.knn.shape == (len(ids), max(want.k, 0))
+    by_row = sorted(ids)
+    for rid, row in zip(want.ids, rows.tolist()):
+        assert tuple(by_row[n] for n in got.knn[row].tolist()) == want._knn[rid], rid
+        assert float(got.avg[row]).hex() == want._avg[rid].hex(), rid
 
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
@@ -742,10 +748,10 @@ class TestDensityAgainstReference:
     def test_tiny_sets(self, n, avg_sample):
         ids, X = _tied_points()
         _assert_matches_reference(ids[:n], X[:n], k=10, avg_sample=avg_sample)
-        idx = DensityIndex(ids[:n], X[:n], k=10)
+        idx = DensityIndex(X[:n], _rows(ids[:n]), k=10)
         assert idx.k == n - 1
-        for rid in ids[:n]:
-            assert len(idx.knn(rid)) == n - 1
+        for row in range(n):
+            assert len(idx.knn[row]) == n - 1
 
     def test_random_blocks_against_reference(self, monkeypatch):
         rng = stream(5, "density-oracle")
@@ -762,7 +768,12 @@ class TestDensityAgainstReference:
         X = np.ones((3, 2))
         X[1, 0] = np.nan
         with pytest.raises(DataError):
-            DensityIndex(["a", "b", "c"], X)
+            DensityIndex(X, np.arange(3))
+
+    @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [1, 2, 3]])
+    def test_rows_that_are_not_a_permutation_rejected(self, rows):
+        with pytest.raises(DataError, match="permutation"):
+            DensityIndex(np.ones((3, 2)), np.array(rows))
 
 
 def test_density_index_memory_is_far_below_one_full_matrix():
@@ -770,10 +781,9 @@ def test_density_index_memory_is_far_below_one_full_matrix():
     # DENSITY_BLOCK x N ones
     n = 2400
     X = stream(6, "density-memory").normal(size=(n, 32))
-    ids = [f"r{i:05d}" for i in range(n)]
     tracemalloc.start()
     try:
-        DensityIndex(ids, X)
+        DensityIndex(X, np.arange(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.corpus import Corpus
 from oalsim.errors import PolicyUpdateError
 from oalsim.features import (
     FeatureContext,
@@ -172,8 +173,8 @@ class TestReinforceUpdate:
 class TestStaticPolicy:
     BEAM = [
         Guess(),
-        LabelQuery(predicate="a", region_id="t0"),
-        LabelQuery(predicate="b", region_id="t1"),
+        LabelQuery(predicate="a", region=0),
+        LabelQuery(predicate="b", region=1),
         ExampleQuery(predicate="c"),
         ExampleQuery(predicate="d"),
     ]
@@ -203,10 +204,11 @@ class TestStaticPolicy:
 def _guess_context(models, stats=None, mask=None):
     preds, models_, regions = worked_example()
     models = models if models is not None else models_
-    feats = {r.id: r.features for r in regions}
-    density = DensityIndex(list(feats), np.stack(list(feats.values())), k=2)
+    corpus = Corpus(regions)  # o1, o2, o3 are rows 0, 1, 2
+    rows = corpus.file_rows
+    density = DensityIndex(corpus.X[rows], rows, k=2)
     askable = set(models) | set(preds) | {"zeta", "unseen"}
-    view = EpisodeView(Snapshot(models, 2), askable, list(feats), list(feats), feats)
+    view = EpisodeView(Snapshot(models, 2), askable, rows, rows, corpus.X)
     scores = score_objects(preds, view)
     return FeatureContext(
         t_max=40,
@@ -246,14 +248,14 @@ class TestFeaturize:
 
     def test_opportunistic_indicator(self):
         ctx = _guess_context(models=None)
-        on_topic = _features(LabelQuery(predicate="p1", region_id="o1"), ctx)
-        off_topic = _features(LabelQuery(predicate="zeta", region_id="o1"), ctx)
+        on_topic = _features(LabelQuery(predicate="p1", region=0), ctx)
+        off_topic = _features(LabelQuery(predicate="zeta", region=0), ctx)
         assert on_topic[INDEX["query_opportunistic"]] == 0.0
         assert off_topic[INDEX["query_opportunistic"]] == 1.0
 
     def test_action_type_zero_blocks(self):
         ctx = _guess_context(models=None)
-        beam = [Guess(), LabelQuery(predicate="p1", region_id="o1"), ExampleQuery(predicate="p1")]
+        beam = [Guess(), LabelQuery(predicate="p1", region=0), ExampleQuery(predicate="p1")]
         guess_vec, label_vec, example_vec = featurize(beam, 0, ctx)
         guess_only = [s.index for s in REGISTRY if s.actions == ("guess",)]
         query_only = [s.index for s in REGISTRY if "guess" not in s.actions]
@@ -265,7 +267,7 @@ class TestFeaturize:
 
     def test_vectors_finite_and_sized(self):
         ctx = _guess_context(models=None)
-        for action in (Guess(), LabelQuery(predicate="p1", region_id="o2"), ExampleQuery(predicate="p2")):
+        for action in (Guess(), LabelQuery("p1", region=1), ExampleQuery(predicate="p2")):
             vec = _features(action, ctx)
             assert vec.shape == (N_FEATURES,)
             assert np.all(np.isfinite(vec))
@@ -279,7 +281,7 @@ class TestFeaturize:
 
     def test_new_predicate_margin_path(self):
         ctx = _guess_context(models=None)
-        vec = _features(LabelQuery(predicate="unseen", region_id="o1"), ctx)
+        vec = _features(LabelQuery(predicate="unseen", region=0), ctx)
         assert vec[INDEX["query_new_predicate"]] == 1.0
         assert vec[INDEX["label_margin"]] == 0.0
         assert vec[INDEX["label_knn_unlabeled"]] == 1.0

@@ -35,10 +35,16 @@ def sample_names(predicates, f1_of, count, params, rng):
 
 
 def best_object(model, active_train, features, labeled, rng):
-    """best_object_for_predicate for predicate "p" on a view over active_train."""
-    dim = len(next(iter(features.values())))
+    """best_object_for_predicate for predicate "p" on a view over the ids active_train.
+
+    A region's row is its rank in sorted-id order, as a Corpus gives it.
+    """
+    ids = sorted(features)
+    X = np.stack([features[rid] for rid in ids])
     models = {} if model is None else {"p": model}
-    view = EpisodeView(Snapshot(models, dim), ["p"], active_train, (), features)
+    view = EpisodeView(
+        Snapshot(models, X.shape[1]), ["p"], [ids.index(rid) for rid in active_train], (), X
+    )
     labels = [int(rid in labeled) for rid in active_train]
     return active_train[best_object_for_predicate(view, 0, labels, rng)]
 
@@ -162,15 +168,16 @@ class TestBestObject:
 
 class TestBuildBeam:
     def _beam(self, turn=0, predicates=("a", "b", "c", "d"), labeled=None, asked=(), t_max=40):
-        feats = {f"t{i}": np.asarray([i - 3.5, 1.0]) for i in range(8)}
+        # rows 0..7; `labeled` maps a predicate to its labeled rows
+        X = np.array([[i - 3.5, 1.0] for i in range(8)])
         labeled = labeled or {}
-        ids = sorted(feats)
-        view = EpisodeView(Snapshot({}, 2, DEFAULTS), predicates, ids, (), feats)
+        rows = range(8)
+        view = EpisodeView(Snapshot({}, 2, DEFAULTS), predicates, rows, (), X)
         return build_beam(
             turn=turn,
             t_max=t_max,
             view=view,
-            labeled=[[int(rid in labeled.get(p, ())) for rid in ids] for p in view.predicates],
+            labeled=[[int(row in labeled.get(p, ())) for row in rows] for p in view.predicates],
             asked=[p in asked for p in view.predicates],
             cfg=BeamConfig(),
             rng=stream(11, "beam"),
@@ -189,15 +196,15 @@ class TestBuildBeam:
         assert len(beam) == 1 and isinstance(beam[0], Guess)
 
     def test_no_labeled_pairs_in_beam(self):
-        labeled = {p: {f"t{i}" for i in range(7)} for p in "abcd"}
+        labeled = {p: set(range(7)) for p in "abcd"}
         for trial in range(50):
             beam = self._beam(labeled=labeled)
             for action in beam:
                 if isinstance(action, LabelQuery):
-                    assert action.region_id not in labeled[action.predicate]
+                    assert action.region not in labeled[action.predicate]
 
     def test_exhausted_predicates_dropped(self):
-        labeled = {p: {f"t{i}" for i in range(8)} for p in "abcd"}
+        labeled = {p: set(range(8)) for p in "abcd"}
         beam = self._beam(labeled=labeled)
         assert not [a for a in beam if isinstance(a, LabelQuery)]
 
@@ -207,7 +214,7 @@ class TestBuildBeam:
         assert [a for a in beam if isinstance(a, LabelQuery)]
 
     def test_guess_always_present(self):
-        labeled = {p: {f"t{i}" for i in range(8)} for p in "abcd"}
+        labeled = {p: set(range(8)) for p in "abcd"}
         beam = self._beam(labeled=labeled, asked=("a", "b", "c", "d"))
         assert [a for a in beam if isinstance(a, Guess)]
         assert len(beam) == 1

@@ -32,10 +32,10 @@ def test_desk_agent_has_trained_and_untrained_classifiers(desk_agent):
 def test_scores_margins_decisions_equal_scalar(desk_agent):
     exp, agent = desk_agent
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
-    ids = exp.corpus.ids
+    rows = range(len(exp.corpus))
     predicates = sorted(agent.models) + ["never-described"]
-    view = EpisodeView(snapshot, predicates, ids, ids, exp.features_by_id)
-    X = np.stack([exp.features_by_id[rid] for rid in ids])
+    view = EpisodeView(snapshot, predicates, rows, rows, exp.corpus.X)
+    X = np.stack([r.features for r in exp.corpus.by_row])
 
     scores_checked = 0
     for i, p in enumerate(view.predicates):
@@ -50,14 +50,15 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
         assert np.array_equal(got_scores, expected_scores)
         assert np.array_equal(view.margins[i], np.array([margin(model, x) for x in X]))
         scores_checked += len(X)
-    assert scores_checked >= 10 * len(ids)
+    assert scores_checked >= 10 * len(rows)
 
 
 def test_by_margin_orders_columns_by_margin_then_id(desk_agent):
     exp, agent = desk_agent
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
-    ids = exp.corpus.ids[100:160][::-1]  # columns out of id order
-    view = EpisodeView(snapshot, agent.models, ids, (), exp.features_by_id)
+    rows = list(range(100, 160))[::-1]  # columns out of id order
+    view = EpisodeView(snapshot, agent.models, rows, (), exp.corpus.X)
+    ids = [exp.corpus.ids[row] for row in rows]
     for i in range(len(view.predicates)):
         expected = sorted(range(len(ids)), key=lambda j: (view.margins[i, j], ids[j]))
         assert view.by_margin[i] == expected
@@ -67,7 +68,7 @@ def test_f1_and_sampling_rows_follow_models(desk_agent):
     exp, agent = desk_agent
     params = exp.config.triangular
     snapshot = Snapshot(agent.models, exp.corpus.dim, params)
-    view = EpisodeView(snapshot, set(agent.models) | {"never-described"}, (), (), {})
+    view = EpisodeView(snapshot, set(agent.models) | {"never-described"}, (), (), exp.corpus.X)
     for i, p in enumerate(view.predicates):
         model = agent.models.get(p)
         f1 = model.f1 if model is not None else 0.0
@@ -79,8 +80,8 @@ def _update_and_rebuild(desk_agent, set_weights=None):
     """A view after `update` and a view built fresh with the same swapped classifier."""
     exp, agent = desk_agent
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
-    ids = exp.corpus.ids[:40]
-    view = EpisodeView(snapshot, agent.models, ids[:8], ids[8:12], exp.features_by_id)
+    rows = range(40)
+    view = EpisodeView(snapshot, agent.models, rows[:8], rows[8:12], exp.corpus.X)
     donor = next(m for m in agent.models.values() if m.weights is not None and m.f1 > 0.0)
     target = next(p for p in view.predicates if p != donor.predicate)
     swapped = dataclasses.replace(donor.clone(), predicate=target)
@@ -90,7 +91,7 @@ def _update_and_rebuild(desk_agent, set_weights=None):
     models = dict(agent.models, **{target: swapped})
     fresh = EpisodeView(
         Snapshot(models, exp.corpus.dim, exp.config.triangular),
-        models, ids[:8], ids[8:12], exp.features_by_id,
+        models, rows[:8], rows[8:12], exp.corpus.X,
     )
     return view, fresh
 
@@ -159,10 +160,9 @@ def test_memoised_draws_equal_generator_choice_across_updates(desk_agent):
 
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     snapshot.cdfs = Counted()
-    ids = exp.corpus.ids
     views = [
-        EpisodeView(snapshot, agent.models, ids[:8], ids[8:12], exp.features_by_id),
-        EpisodeView(snapshot, agent.models, ids[12:20], ids[20:24], exp.features_by_id),
+        EpisodeView(snapshot, agent.models, range(8), range(8, 12), exp.corpus.X),
+        EpisodeView(snapshot, agent.models, range(12, 20), range(20, 24), exp.corpus.X),
     ]
     assert views[0].cdfs is views[1].cdfs is snapshot.cdfs
     donors = [m for m in agent.models.values() if m.weights is not None]
