@@ -256,20 +256,17 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _random_model(rng, n: int, dim: int, n_pos: int, first_row: int = 0):
-    """n labels on normal points (one coordinate rounded, so exact zeros occur).
-
-    The labels are on rows first_row.. of a matrix whose rows above first_row
-    are zero; the matrix is returned with the model.
-    """
+def _random_model(rng, n: int, dim: int, n_pos: int):
+    """n labels, on rows 0..n-1 of the returned matrix of normal points (one
+    coordinate rounded, so exact zeros occur)."""
     X = rng.normal(size=(n, dim))
     X[:, 0] = np.round(X[:, 0])
     labels = np.full(n, -1)
     labels[rng.choice(n, size=n_pos, replace=False)] = 1
     m = PredicateModel(predicate="p")
     for i in range(n):
-        m.record_label(first_row + i, int(labels[i]))
-    return m, np.vstack([np.zeros((first_row, dim)), X])
+        m.record_label(i, int(labels[i]))
+    return m, X
 
 
 class TestStackedFits:
@@ -440,15 +437,15 @@ class TestEstimateF1Exact:
 
 
 def _named_model(rng, name: str, n: int, n_pos: int, dim: int = 32, feats=None):
-    """A _random_model named `name` on rows appended below `feats`, and the grown matrix.
+    """A _random_model named `name` whose rows are appended below `feats`, and the grown matrix.
 
     Each model's labels are on rows of its own, so the models share one matrix.
     """
-    first_row = 0 if feats is None else len(feats)
-    model, X = _random_model(rng, n, dim, n_pos, first_row)
-    if feats is not None:
-        X[:first_row] = feats
-    return PredicateModel(name, labels=model.labels), X
+    model, X = _random_model(rng, n, dim, n_pos)
+    if feats is None:
+        return PredicateModel(name, labels=model.labels), X
+    labels = {len(feats) + row: y for row, y in model.labels.items()}
+    return PredicateModel(name, labels=labels), np.vstack([feats, X])
 
 
 class TestBatchEndStacks:
