@@ -1,10 +1,12 @@
 """Region data model, ingestion, synthetic generation, and split construction.
 
-A corpus is a list of regions, each carrying a fixed-dimension feature vector,
-a set of normalized predicate annotations, and an optional description. The
-four-way split (policy-train/policy-test x classifier-train/classifier-test)
-routes every region containing a held-out frequent predicate to the policy-test
-side, so test-time descriptions always involve at least one novel predicate.
+Loaders and the generator pass regions around as Region records, each
+carrying a fixed-dimension feature vector, a set of normalized predicate
+annotations, and an optional description. A Corpus takes them apart into one
+table of row-order columns and keeps no Region. The four-way split
+(policy-train/policy-test x classifier-train/classifier-test) routes every
+region containing a held-out frequent predicate to the policy-test side, so
+test-time descriptions always involve at least one novel predicate.
 
 Inside a run a region is an integer row, its rank in sorted-id order, so
 sorting rows sorts ids. Splits, interactions, labels, views and actions hold
@@ -41,58 +43,57 @@ from .seeding import stream
 
 @dataclass(frozen=True)
 class Region:
-    """One candidate object: features, ground-truth predicates, optional description."""
+    """One candidate object as a file holds it: features, ground-truth predicates, description."""
 
     id: str
     features: np.ndarray
     annotations: frozenset[str]
-    description: str | None = None
     description_predicates: tuple[str, ...] = ()
-
-    def describable(self) -> bool:
-        return len(self.description_predicates) > 0
 
 
 class Corpus:
-    """Immutable collection of regions with a shared feature dim, held by row.
+    """The one region table: immutable columns in row order, with a shared feature dim.
 
-    `regions` keep the file order that the fingerprint, split and density
-    sums follow; `file_rows` is their rows. `by_row`, `ids` and the (N, dim)
-    feature matrix `X` are in row order; `row` is the one id -> row map.
+    A region's row is its rank in sorted-id order. `ids`, the (N, dim) feature
+    matrix `X`, `annotations` and `description_predicates` are columns indexed
+    by row; `row` is the one id -> row map. `file_rows` lists the rows in the
+    order the regions were given, which the fingerprint, split and density
+    sums follow. No Region outlives the constructor.
     """
 
     def __init__(self, regions: list[Region]):
         if not regions:
             raise CorpusError("corpus is empty")
-        self.regions = list(regions)
-        self.dim = int(regions[0].features.shape[0])
+        self.dim = int(regions[0].features.size)  # a 0-d or 2-D array fails the shape test
         if self.dim < 1:
             raise CorpusError("regions have no features")
-        for r in self.regions:
+        for r in regions:
             if r.features.shape != (self.dim,):
                 raise CorpusError(
-                    f"region {r.id!r}: feature dimension {r.features.shape[0]} != {self.dim}"
+                    f"region {r.id!r}: features of shape {r.features.shape}, not ({self.dim},)"
                 )
-        self.by_row = sorted(self.regions, key=lambda r: r.id)
-        self.ids = [r.id for r in self.by_row]
+        order = sorted(range(len(regions)), key=lambda i: regions[i].id)
+        self.ids = [regions[i].id for i in order]
         for a, b in zip(self.ids, self.ids[1:]):
             if a == b:
                 raise CorpusError(f"duplicate region id {a!r}")
         self.row = {rid: i for i, rid in enumerate(self.ids)}
-        self.X = np.stack([r.features for r in self.by_row], dtype=np.float64)
-        self.file_rows = np.array([self.row[r.id] for r in self.regions], dtype=np.intp)
+        self.X = np.stack([regions[i].features for i in order], dtype=np.float64)
+        self.annotations = [regions[i].annotations for i in order]
+        self.description_predicates = [regions[i].description_predicates for i in order]
+        self.file_rows = np.array([self.row[r.id] for r in regions], dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self.regions)
+        return len(self.ids)
 
     def fingerprint(self) -> str:
-        """Content hash over ids, features, annotations, and descriptions."""
+        """Content hash over ids, features, annotations, and descriptions, in file order."""
         h = hashlib.sha256()
-        for r in self.regions:
-            h.update(r.id.encode())
-            h.update(np.ascontiguousarray(r.features, dtype=np.float64).tobytes())
-            h.update("|".join(sorted(r.annotations)).encode())
-            h.update(("#" + ",".join(r.description_predicates)).encode())
+        for row in self.file_rows.tolist():
+            h.update(self.ids[row].encode())
+            h.update(self.X[row].tobytes())
+            h.update("|".join(sorted(self.annotations[row])).encode())
+            h.update(("#" + ",".join(self.description_predicates[row])).encode())
         return h.hexdigest()
 
 
@@ -157,18 +158,15 @@ def _region_from_record(
     preds: set[str] = set()
     for ann in annotations:
         preds.update(normalize_annotation(str(ann)))
-    desc_text: str | None = None
     desc_preds: tuple[str, ...] = ()
     if description is not None and description != "":
         if isinstance(description, str):
-            desc_text = description
             desc_preds = tuple(extract_predicates(description))
         else:
             toks = []
             for tok in description:
                 toks.extend(normalize_annotation(str(tok)))
             desc_preds = tuple(dict.fromkeys(toks))
-            desc_text = " ".join(desc_preds)
     for p in desc_preds:
         if p not in preds:
             raise CorpusError(
@@ -178,7 +176,6 @@ def _region_from_record(
         id=str(rid),
         features=feats,
         annotations=frozenset(preds),
-        description=desc_text,
         description_predicates=desc_preds,
     )
 
@@ -194,7 +191,8 @@ def load_regions(path, fmt: str = "annotation-json") -> list[Region]:
         regions = _load_tabular(path)
     else:
         raise CorpusError(f"unknown corpus format {fmt!r}")
-    return Corpus(regions).regions
+    Corpus(regions)
+    return regions
 
 
 def _load_jsonl(path) -> list[Region]:
@@ -349,7 +347,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
                 id=f"r{i:04d}",
                 features=x,
                 annotations=frozenset(anns),
-                description=" ".join(desc_preds),
                 description_predicates=desc_preds,
             )
         )
@@ -375,8 +372,8 @@ class SplitConfig:
 def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
     """Hold out a random share of frequent predicates; route their regions to policy-test."""
     counts: dict[str, int] = {}
-    for r in corpus.regions:
-        for p in r.annotations:
+    for anns in corpus.annotations:
+        for p in anns:
             counts[p] = counts.get(p, 0) + 1
     frequent = sorted(p for p, n in counts.items() if n >= cfg.frequency_threshold)
     if not frequent:
@@ -391,9 +388,9 @@ def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
     )
 
     # In file order: a shuffle's draws depend only on the list's length
-    pairs = list(zip(corpus.file_rows.tolist(), corpus.regions))
-    test_side = [row for row, r in pairs if r.annotations & held]
-    train_side = [row for row, r in pairs if not (r.annotations & held)]
+    file_rows = corpus.file_rows.tolist()
+    test_side = [row for row in file_rows if corpus.annotations[row] & held]
+    train_side = [row for row in file_rows if not (corpus.annotations[row] & held)]
 
     def split_side(rows: list[int], label: str) -> tuple[frozenset[int], frozenset[int]]:
         order = list(rows)
@@ -438,21 +435,22 @@ def sample_interaction(
             f"{side} classifier-test subset has {len(test_pool)} regions, "
             f"needs {sizes.active_test}"
         )
+    described = corpus.description_predicates
     for _ in range(max_retries):
         train_idx = rng.choice(len(train_pool), size=sizes.active_train, replace=False)
         test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
         active_test = tuple(test_pool[i] for i in test_idx)
-        if not any(corpus.by_row[row].describable() for row in active_test):
+        if not any(described[row] for row in active_test):
             continue
         while True:
             target = active_test[int(rng.integers(len(active_test)))]
-            if corpus.by_row[target].describable():
+            if described[target]:
                 break
         return Interaction(
             active_train=active_train,
             active_test=active_test,
             target=target,
-            description_predicates=corpus.by_row[target].description_predicates,
+            description_predicates=described[target],
         )
     raise SamplingError(f"{side}: no describable target after {max_retries} draws")

@@ -15,7 +15,8 @@ An oracle answer reads and writes one cell. `asked` is a list of bools over
 the view's predicates, True once a predicate was example-queried.
 
 Objects are region rows (corpus.Corpus): queries, pending labels (predicate,
-row, label) and the guess hold rows; transcript_records writes their ids.
+row, label) and the guess hold rows, and the oracle reads the corpus's
+annotation column by row; transcript_records writes their ids.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .actions import Action, ExampleQuery, Guess, LabelQuery, describe
-from .corpus import Interaction, Region
+from .corpus import Interaction
 from .errors import ContractError, DataError, ProtocolError, check_real
 from .snapshot import EpisodeView
 
@@ -66,7 +67,7 @@ class Episode:
     def __init__(
         self,
         interaction: Interaction,
-        regions: Sequence[Region],
+        annotations: Sequence[frozenset[str]],
         view: EpisodeView,
         rewards: RewardConfig,
         t_max: int,
@@ -76,7 +77,7 @@ class Episode:
         if not interaction.description_predicates:
             raise DataError("interaction has no description predicates")
         self.interaction = interaction
-        self.regions = regions
+        self.annotations = annotations
         self.view = view
         self.rewards = rewards
         self.t_max = t_max
@@ -110,16 +111,14 @@ class Episode:
     def answer_label_query(self, predicate: str, region: int) -> int:
         if region not in self.interaction.active_train:
             raise ProtocolError(f"label query on row {region}, outside the active training set")
-        label = 1 if predicate in self.regions[region].annotations else -1
+        label = 1 if predicate in self.annotations[region] else -1
         self._record(predicate, self.interaction.active_train.index(region), label)
         return label
 
     def answer_example_query(self, predicate: str) -> int | None:
         """A random positive active-train region row, or None when there is none."""
         active = self.interaction.active_train
-        positives = [
-            col for col, row in enumerate(active) if predicate in self.regions[row].annotations
-        ]
+        positives = [col for col, row in enumerate(active) if predicate in self.annotations[row]]
         if positives:
             col = positives[int(self._oracle_rng.integers(len(positives)))]
             self._record(predicate, col, 1)

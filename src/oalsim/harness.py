@@ -235,7 +235,7 @@ class Experiment:
 
         episode = Episode(
             interaction=interaction,
-            regions=self.corpus.by_row,
+            annotations=self.corpus.annotations,
             view=view,
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,

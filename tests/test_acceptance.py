@@ -104,7 +104,7 @@ def ground_truth_success(experiment, seed, final):
             corpus, experiment.split, side, experiment.config.episode.sizes(), rng
         )
         votes = {
-            row: sum(1 if p in corpus.by_row[row].annotations else -1
+            row: sum(1 if p in corpus.annotations[row] else -1
                      for p in inter.description_predicates)
             for row in inter.active_test
         }

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oalsim.corpus import (
     Corpus,
     Interaction,
     InteractionSizes,
+    Region,
     SplitConfig,
     SyntheticConfig,
     generate_synthetic,
@@ -137,15 +139,35 @@ class TestGenerateSynthetic:
             generate_synthetic(SyntheticConfig(n_regions=5))
 
     def test_descriptions_subset_of_annotations(self, small_corpus):
-        for r in small_corpus.regions:
-            assert set(r.description_predicates) <= set(r.annotations)
-            assert 1 <= len(r.description_predicates) <= 3
+        for described, anns in zip(small_corpus.description_predicates, small_corpus.annotations):
+            assert set(described) <= anns
+            assert 1 <= len(described) <= 3
 
     def test_annotations_match_half_space_membership(self):
         # regenerating with the same seed must give internally consistent labels
         cfg = SyntheticConfig(n_regions=50, dim=8, n_predicates=4, seed=9)
         regions = generate_synthetic(cfg)
         assert all(r.annotations for r in regions)
+
+
+class TestCorpus:
+    def test_keeps_no_region(self):
+        # the features live once, in X: no Region record outlives the constructor
+        regions = generate_synthetic(SMALL_SYNTH)
+        probe = weakref.ref(regions[0])
+        corpus = Corpus(regions)
+        del regions
+        assert probe() is None
+        assert corpus.ids[corpus.file_rows[0]] == "r0000"
+
+    @pytest.mark.parametrize("shapes", [[()], [(), ()], [(4,), ()], [(2, 2)], [(4,), (2, 2)]])
+    def test_features_not_one_dimensional(self, shapes):
+        regions = [
+            Region(id=f"r{i}", features=np.ones(shape), annotations=frozenset({"x"}))
+            for i, shape in enumerate(shapes)
+        ]
+        with pytest.raises(CorpusError, match="shape"):
+            Corpus(regions)
 
 
 class TestFingerprint:
@@ -180,8 +202,6 @@ class TestMakeSplits:
             make_splits(small_corpus, SplitConfig(frequency_threshold=10_000))
 
     def test_single_frequent_predicate_routing(self):
-        from oalsim.corpus import Region
-
         rng = np.random.default_rng(0)
         regions = []
         for i in range(12):
@@ -205,14 +225,9 @@ class TestMakeSplits:
             small_split.policy_test_classifier_train
             | small_split.policy_test_classifier_test
         )
-        for r in small_corpus.regions:
-            if r.annotations & held:
-                assert small_corpus.row[r.id] in test_side
-            else:
-                assert small_corpus.row[r.id] in train_side
-        # every policy-test region contains at least one held-out predicate
-        for row in test_side:
-            assert small_corpus.by_row[row].annotations & held
+        for row, anns in enumerate(small_corpus.annotations):
+            assert (row in test_side) == bool(anns & held)
+            assert (row in train_side) != bool(anns & held)
 
     def test_four_sets_partition(self, small_corpus, small_split):
         sets = [
@@ -332,15 +347,15 @@ def _sample_from_sorted_lists(corpus, ct, cx, rng, sizes=InteractionSizes()):
         test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
         active_test = tuple(test_pool[i] for i in test_idx)
-        if not any(corpus.by_row[row].describable() for row in active_test):
+        if not any(corpus.description_predicates[row] for row in active_test):
             continue
         while True:
             target = active_test[int(rng.integers(len(active_test)))]
-            if corpus.by_row[target].describable():
+            if corpus.description_predicates[target]:
                 break
         return Interaction(
             active_train=active_train,
             active_test=active_test,
             target=target,
-            description_predicates=corpus.by_row[target].description_predicates,
+            description_predicates=corpus.description_predicates[target],
         )

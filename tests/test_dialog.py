@@ -33,7 +33,6 @@ def _toy_world(positives_for_white=("t2", "t5")):
             id=rid,
             features=rng.normal(size=4),
             annotations=frozenset({"red"}),
-            description="red" if rid == "o1" else None,
             description_predicates=("red",) if rid == "o1" else (),
         )
     corpus = Corpus(list(regions.values()))
@@ -63,7 +62,7 @@ def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models
     )
     return Episode(
         interaction=interaction,
-        regions=corpus.by_row,
+        annotations=corpus.annotations,
         view=view,
         rewards=RewardConfig(),
         t_max=t_max,
@@ -154,7 +153,7 @@ class TestOracle:
         for i in range(200):
             ep = _episode(seed=i)
             rid = ep.answer_example_query("red")
-            assert "red" in ep.regions[rid].annotations
+            assert "red" in ep.annotations[rid]
 
 
 class TestStep:
@@ -231,7 +230,7 @@ def test_transcript_export():
     feats = np.zeros((3, 28))
     ep.step(LabelQuery(predicate="red", region=_row("t0")), feats, 1)
     ep.step(Guess(), feats, 0)
-    ids = [r.id for r in ep.regions]
+    ids = _toy_world()[0].ids
     lines = [json.loads(json.dumps(rec)) for rec in transcript_records("e0", ep, ids)]
     assert len(lines) == 2
     assert lines[0]["action"] == "label:red@t0"

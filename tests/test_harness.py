@@ -93,10 +93,10 @@ class TestRunBatch:
         )
         assert merged
         for (p, row), label in merged.items():
-            assert (label == 1) == (p in small_corpus.by_row[row].annotations)
+            assert (label == 1) == (p in small_corpus.annotations[row])
         for o in outcomes:
             for p, row, label in o.pending:
-                assert (label == 1) == (p in small_corpus.by_row[row].annotations)
+                assert (label == 1) == (p in small_corpus.annotations[row])
 
     def test_pending_labels_exclude_base_labels(self, small_experiment):
         # a second batch, where the agent already holds the first batch's labels

@@ -713,9 +713,9 @@ def test_mean_over_others_equals_the_mask_copy(ref):
 class TestDensityAgainstReference:
     def test_conftest_corpus(self, small_corpus):
         # in reversed file order, no region's file position is its rank in id order
-        for regions in (small_corpus.regions, small_corpus.regions[::-1]):
-            ids = [r.id for r in regions]
-            X = np.stack([r.features for r in regions])
+        for rows in (small_corpus.file_rows, small_corpus.file_rows[::-1]):
+            ids = [small_corpus.ids[row] for row in rows]
+            X = small_corpus.X[rows]
             _assert_matches_reference(ids, X, k=10)
             _assert_matches_reference(ids, X, k=10, avg_sample=37)
 

@@ -35,7 +35,7 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
     rows = range(len(exp.corpus))
     predicates = sorted(agent.models) + ["never-described"]
     view = EpisodeView(snapshot, predicates, rows, rows, exp.corpus.X)
-    X = np.stack([r.features for r in exp.corpus.by_row])
+    X = exp.corpus.X
 
     scores_checked = 0
     for i, p in enumerate(view.predicates):
