@@ -38,7 +38,7 @@ from .corpus import (
     sample_interaction,
 )
 from .dialog import Episode, TranscriptStep, episode_return, transcript_records
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError, check_int, check_real
 from .features import FeatureContext, N_FEATURES, featurize, guess_features, resolve_mask
 from .grounding import score_objects
 from .perception import (
@@ -438,15 +438,13 @@ class Experiment:
 
         if resume is not None:
             state = self._validate_checkpoint(resume)
-            agent = Agent.from_dict(state["agent"], self.corpus.row)
-            theta = np.asarray(state["theta"])
+            agent = Agent.from_dict(state.get("agent"), self.corpus.row)
+            theta = state["theta"]
             params.baseline_mean = state["baseline_mean"]
             params.baseline_count = state["baseline_count"]
             update_counter = state["update_counter"]
             start_phase, start_batch = state["cursor"]
-            metrics = [
-                BatchMetrics(**row) for row in state["metrics"]
-            ]
+            metrics = state["metrics"]
 
         sink = None
         if transcript_path:
@@ -519,14 +517,51 @@ class Experiment:
         }
 
     def _validate_checkpoint(self, state: dict) -> dict:
+        """The state with its cursor, theta and metrics parsed, if it fits this run.
+
+        The cursor must name a batch of the phase plan or its end, (3, 0); the
+        metrics rows, the batches before it; theta, N_FEATURES finite numbers;
+        the counters, integers >= 0. Anything else is a CheckpointError.
+        """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {state.get('version')!r} != {CHECKPOINT_VERSION!r}"
             )
         if state.get("config_digest") != self.config.digest():
             raise CheckpointError("checkpoint was written under a different config")
-        state["cursor"] = tuple(state["cursor"])
-        return state
+        plans = self.phase_plan()
+        cursors = [(p, b) for p, plan in enumerate(plans) for b in range(plan.n_batches)]
+        cursors.append((len(plans), 0))
+        cursor = state.get("cursor")
+        if not (isinstance(cursor, list) and all(type(v) is int for v in cursor)
+                and tuple(cursor) in cursors):
+            raise CheckpointError(f"checkpoint cursor {cursor!r} is outside the phase plan")
+        done = [(plans[p].name, b) for p, b in cursors[: cursors.index(tuple(cursor))]]
+        try:
+            metrics = [BatchMetrics(**row) for row in state.get("metrics")]
+        except TypeError as exc:
+            raise CheckpointError(f"malformed checkpoint metrics: {exc}") from exc
+        if [(m.phase, m.batch) for m in metrics] != done:
+            raise CheckpointError(
+                f"checkpoint metrics do not list the {len(done)} batches before cursor {cursor}"
+            )
+        theta = state.get("theta")
+        if not (isinstance(theta, list) and len(theta) == N_FEATURES):
+            raise CheckpointError(f"checkpoint theta must hold {N_FEATURES} numbers")
+        try:
+            for v in theta:
+                check_real("checkpoint theta", v)
+            check_real("checkpoint baseline_mean", state.get("baseline_mean"))
+            for name in ("update_counter", "baseline_count"):
+                check_int(f"checkpoint {name}", state.get(name), 0)
+        except ConfigError as exc:
+            raise CheckpointError(str(exc)) from None
+        return {
+            **state,
+            "cursor": tuple(cursor),
+            "theta": np.asarray(theta, dtype=np.float64),
+            "metrics": metrics,
+        }
 
 
 def checkpoint_save(path, state: dict) -> None:

@@ -218,6 +218,32 @@ class TestRun:
         assert error["error"] == "CheckpointError"
         assert "not-a-region" in error["message"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cursor", [7, 0]), ("theta", [0.0] * 3), ("theta", [float("nan")] * 28),
+         ("metrics", [{"phase": "init", "batch": 0}])],
+    )
+    def test_resume_refuses_a_checkpoint_outside_the_plan(
+        self, tmp_path, config_path, capsys, field, value
+    ):
+        full = tmp_path / "full"
+        assert main(["run", "--config", str(config_path), "--out", str(full),
+                     "--checkpoints"]) == 0
+        ck = full / "checkpoints" / "checkpoint_p0_b0.json"
+        state = json.loads(ck.read_text())
+        state[field] = value
+        ck.write_text(json.dumps(state))
+        capsys.readouterr()
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "resumed"),
+                     "--resume", str(ck)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["error"] == "CheckpointError"
+        assert field in error["message"]
+        assert not (tmp_path / "resumed" / "summary.json").exists()
+
     def test_export_transcripts(self, tmp_path, config_path):
         out = tmp_path / "tr"
         assert main(["run", "--config", str(config_path), "--out", str(out),

@@ -42,6 +42,14 @@ def small_result(small_experiment):
     return small_experiment.run()
 
 
+@pytest.fixture(scope="module")
+def small_checkpoints(small_experiment, tmp_path_factory):
+    """The directory of the small run's checkpoints, one per batch."""
+    ck = tmp_path_factory.mktemp("ck")
+    small_experiment.run(checkpoint_dir=ck)
+    return ck
+
+
 class TestRunBatch:
     def test_batch_size_and_indicators(self, small_experiment):
         plan = small_experiment.phase_plan()[0]
@@ -317,6 +325,80 @@ class TestCheckpointing:
         )
         with pytest.raises(CheckpointError):
             other.run(resume=state)
+
+    def test_resume_from_the_end_cursor(self, small_experiment, small_result, small_checkpoints):
+        end = checkpoint_load(small_checkpoints / "checkpoint_p2_b1.json")
+        assert end["cursor"] == [3, 0]
+        resumed = small_experiment.run(resume=end)
+        assert resumed.metrics == small_result.metrics
+        assert np.array_equal(resumed.theta, small_result.theta)
+
+    @staticmethod
+    def _refused(experiment, checkpoints, edit, match):
+        """Resume from the checkpoint at cursor (1, 1) after `edit` changes its state."""
+        state = checkpoint_load(checkpoints / "checkpoint_p1_b0.json")
+        assert state["cursor"] == [1, 1]
+        edit(state)
+        with pytest.raises(CheckpointError, match=match):
+            experiment.run(resume=state)
+
+    @pytest.mark.parametrize(
+        "cursor", [[7, 0], [0, 2], [1, 2], [3, 1], [-1, 0], [1], [1.0, 1], [True, 1], "1,1", None]
+    )
+    def test_cursor_outside_the_phase_plan(self, small_experiment, small_checkpoints, cursor):
+        # (0, 2) is one past the init phase: a run writes (1, 0) there
+        def edit(state):
+            state["cursor"] = cursor
+
+        self._refused(small_experiment, small_checkpoints, edit, "cursor")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows.pop(),
+            lambda rows: rows.append(rows[-1]),
+            lambda rows: rows.reverse(),
+            lambda rows: rows[0].pop("lengths"),
+            lambda rows: rows[0].update(extra=1),
+            lambda rows: rows.__setitem__(0, [1, 2]),
+        ],
+        ids=["short", "long", "reordered", "missing-field", "extra-field", "not-a-row"],
+    )
+    def test_metrics_not_the_batches_before_the_cursor(
+        self, small_experiment, small_checkpoints, edit
+    ):
+        self._refused(
+            small_experiment, small_checkpoints, lambda state: edit(state["metrics"]), "metrics"
+        )
+
+    @pytest.mark.parametrize(
+        "theta",
+        [[0.0] * 3, [0.0] * (N_FEATURES + 1), [float("nan")] * N_FEATURES,
+         [float("inf")] + [0.0] * (N_FEATURES - 1), ["0"] * N_FEATURES,
+         [True] * N_FEATURES, None],
+    )
+    def test_theta_not_n_features_finite_numbers(self, small_experiment, small_checkpoints, theta):
+        def edit(state):
+            state["theta"] = theta
+
+        self._refused(small_experiment, small_checkpoints, edit, "theta")
+
+    @pytest.mark.parametrize("value", [-1, 1.5, "2", True, None])
+    @pytest.mark.parametrize("name", ["update_counter", "baseline_count"])
+    def test_counter_not_a_nonnegative_integer(
+        self, small_experiment, small_checkpoints, name, value
+    ):
+        def edit(state):
+            state[name] = value
+
+        self._refused(small_experiment, small_checkpoints, edit, name)
+
+    @pytest.mark.parametrize("value", [float("nan"), "0.5", None])
+    def test_baseline_mean_not_finite(self, small_experiment, small_checkpoints, value):
+        def edit(state):
+            state["baseline_mean"] = value
+
+        self._refused(small_experiment, small_checkpoints, edit, "baseline_mean")
 
     def test_agent_roundtrip(self):
         agent = Agent()
