@@ -68,7 +68,7 @@ def cmd_gen_data(args) -> int:
         {
             "command": "gen-data",
             "config": dataclasses.asdict(cfg),
-            "corpus_fingerprint": Corpus(regions).fingerprint(),
+            "corpus_fingerprint": Corpus(regions).fingerprint,
             "outputs": {"corpus": str(corpus_path)},
         },
     )

@@ -86,8 +86,12 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
+    @cached_property
     def fingerprint(self) -> str:
-        """Content hash over ids, features, annotations, and descriptions, in file order."""
+        """Content hash over ids, features, annotations, and descriptions, in file order.
+
+        Computed once: a run writes it into every checkpoint and its summary.
+        """
         h = hashlib.sha256()
         for row in self.file_rows.tolist():
             h.update(self.ids[row].encode())

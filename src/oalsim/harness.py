@@ -60,7 +60,7 @@ from .seeding import stream
 from .snapshot import EpisodeView, Snapshot
 from .stats import welch_t_test
 
-CHECKPOINT_VERSION = "oalsim-checkpoint/1"
+CHECKPOINT_VERSION = "oalsim-checkpoint/2"
 
 PHASE_NAMES = ("init", "train", "test")
 
@@ -487,7 +487,7 @@ class Experiment:
 
         return RunResult(
             config=cfg,
-            corpus_fingerprint=self.corpus.fingerprint(),
+            corpus_fingerprint=self.corpus.fingerprint,
             metrics=metrics,
             theta=theta,
         )
@@ -506,6 +506,7 @@ class Experiment:
         return {
             "version": CHECKPOINT_VERSION,
             "config_digest": self.config.digest(),
+            "corpus_fingerprint": self.corpus.fingerprint,
             "master_seed": self.master,
             "cursor": list(cursor),
             "theta": [float(v) for v in theta],
@@ -519,9 +520,10 @@ class Experiment:
     def _validate_checkpoint(self, state: dict) -> dict:
         """The state with its cursor, theta and metrics parsed, if it fits this run.
 
-        The cursor must name a batch of the phase plan or its end, (3, 0); the
-        metrics rows, the batches before it; theta, N_FEATURES finite numbers;
-        the counters, integers >= 0. Anything else is a CheckpointError.
+        It must come from this version, config and corpus. The cursor must
+        name a batch of the phase plan or its end, (3, 0); the metrics rows,
+        the batches before it; theta, N_FEATURES finite numbers; the
+        counters, integers >= 0. Anything else is a CheckpointError.
         """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -529,6 +531,8 @@ class Experiment:
             )
         if state.get("config_digest") != self.config.digest():
             raise CheckpointError("checkpoint was written under a different config")
+        if state.get("corpus_fingerprint") != self.corpus.fingerprint:
+            raise CheckpointError("checkpoint was written for a different corpus")
         plans = self.phase_plan()
         cursors = [(p, b) for p, plan in enumerate(plans) for b in range(plan.n_batches)]
         cursors.append((len(plans), 0))

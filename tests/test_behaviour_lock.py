@@ -22,32 +22,32 @@ from conftest import SMALL_SYNTH, small_run_config
 
 PINNED = {
     "learned": {
-        "ck/checkpoint_p0_b0.json": "7fdd7266ecd67952e7244bea328fed5c97860f2360007a2bc3323ae8d36f80d5",
-        "ck/checkpoint_p0_b1.json": "7f31c75230e8e9fa9482838a6d9ddeffab90d1a7de830c1f8db3137364fc7af9",
-        "ck/checkpoint_p1_b0.json": "183cb358c9f7f09c183723cf7053707c33e40e8a1dbd8d14635138dd53356d8c",
-        "ck/checkpoint_p1_b1.json": "0c9eafed7ed9255020e4f72c1b6a87d43d109aaa5eea7b449f462a4f0da70f59",
-        "ck/checkpoint_p2_b0.json": "a6f65d525e4b198aa918ba976da10bf80214158419b89b9c2f2207c0af99583a",
-        "ck/checkpoint_p2_b1.json": "6dd519023d21e013cccec68e284b70888066d52a6bdaceb3c96d9d09486b7a07",
+        "ck/checkpoint_p0_b0.json": "828a4292e30a7e578ec83a809e08d369377748111ee4c9a238de148b9de4f0d7",
+        "ck/checkpoint_p0_b1.json": "673bdb642265fb412d1b043651978328e28d21e433adbdbbd7fd7f48d0144d91",
+        "ck/checkpoint_p1_b0.json": "ec2cf5603fedaa04ad0e65a8ecaa37f048e080a2f5d0aa67796972605abf0943",
+        "ck/checkpoint_p1_b1.json": "ca45e3abcef593aa1a11834d94c6bf413155d62f4540c2b25b98a5982444e71d",
+        "ck/checkpoint_p2_b0.json": "c45d1cdeb9b88ebec3544c0157241c8ef1c55cb4fef783a5bd1dc9a9e7bdd403",
+        "ck/checkpoint_p2_b1.json": "b7fe2b6d0ae1bf41d1d32d4a8541436a999c334b557bdae86c2af3200f4a9233",
         "metrics.csv": "5b4fe9fcacbe50e739e803058decb2f4c624635ae4b647654a09a7854f000c41",
         "transcripts.jsonl": "45a616d955e0c12c848f9a39b88c871a9286c27e7edd5993a4e520d19442e229",
     },
     "immediate": {
-        "ck/checkpoint_p0_b0.json": "4193f7a58636cceb97847e2e803476ae7f74c83b4230a5425eda4e2a91c3e497",
-        "ck/checkpoint_p0_b1.json": "9e6d2fe323a92087bee0d6661af11823dc5a6337a66d6dc3ab6b22132f155c88",
-        "ck/checkpoint_p1_b0.json": "f777fef96309a95810c07b2de2bbaf47a5686d2d5ade765d0136232557ed69e0",
-        "ck/checkpoint_p1_b1.json": "fe1f250c516e96da973364e4b1b126c8bc79d5785b1fc8f720c2c7c1397b6e83",
-        "ck/checkpoint_p2_b0.json": "46a7ff6aabede6fc515a1efd810f92bc98496ac35c0360a2e8f06f7dda41a03f",
-        "ck/checkpoint_p2_b1.json": "9fa18ef6c29f3f6b5e425cb6175b14dd04d24df25f4cf0ae1f74b8ed89306ee3",
+        "ck/checkpoint_p0_b0.json": "1786d063c63b305d1c9451c7004941a5ea5fdbb51731ca891f2c777e031ddd14",
+        "ck/checkpoint_p0_b1.json": "fedf4c4c4b3b7ca21f4e7b816119e2d6006fce5939942a331a5d4d99c5461dac",
+        "ck/checkpoint_p1_b0.json": "f52b00893159db701ac158f110ea37663ec4fa7fa6cd239c073d4fa020e3df8e",
+        "ck/checkpoint_p1_b1.json": "2a4daccd551a4cb91cc2c210bedafa602100d29cbd1d0620d7cd37e9e5952440",
+        "ck/checkpoint_p2_b0.json": "370da6407ea006b937fcffc253ec8364f94f551bce134f0ff74467126982f6e9",
+        "ck/checkpoint_p2_b1.json": "95e7d13f24690e73bac3d4ce15a2c6c72a82ab3fa3d7083f0765f399437c54a2",
         "metrics.csv": "02c3a1dd643d10c6e44cddd60c330795a1ef8aa9293e4c946d1f6ca60ced0a04",
         "transcripts.jsonl": "add850971b9dd969c92f4638ed424bc8c9691b8b9e3d5695a18509f84d5efe2c",
     },
     "reversed": {
-        "ck/checkpoint_p0_b0.json": "256c9007a8136a5d1ab7804b3f6df66dc5efc1b6953e5a56a874bb3eaf04baf6",
-        "ck/checkpoint_p0_b1.json": "3626863f3f896d35d7eae2672d8798fd2adf0125ae356babb301a918db0e5a06",
-        "ck/checkpoint_p1_b0.json": "f677ecdf7ce5cc714dcadabcf515e81919244ac94ced39350ec716a0e6047fc3",
-        "ck/checkpoint_p1_b1.json": "1d973158291214ea1396ea96d04ef1e547362bf75a881dbb43c66f2688e9bf24",
-        "ck/checkpoint_p2_b0.json": "fa5376a82dc613c70283866cfaceddd1595c1d580613d5f94c244135cf43d59c",
-        "ck/checkpoint_p2_b1.json": "d8966bbbf23595555516d3729eafed568331fe76730a5361a1860e0a6ab247e8",
+        "ck/checkpoint_p0_b0.json": "40b13900bf381ebc2f62f8f48bf68d4d4fd41f7174f442fce2fcc12b6c15cbab",
+        "ck/checkpoint_p0_b1.json": "c8197ed2b45f40095cefbf370f7ee43e9697e39fc44b40f2e7316f150d112563",
+        "ck/checkpoint_p1_b0.json": "1848788cf1fd109ff57a68e225144d7ca23b288e83362eff7b2390d75452bb3d",
+        "ck/checkpoint_p1_b1.json": "b2f4158ea2f0ee4f454be2666d1fd54822dda31770f9799af4ce4a743836edd6",
+        "ck/checkpoint_p2_b0.json": "aa20dcc43409ddcf14cd0583b750ada00a3697e37a41a859bf265ba157f25dac",
+        "ck/checkpoint_p2_b1.json": "5201b19af7213f652bc6153b5b3761cc2ebdef5b78d4770f7f257d4e3521923e",
         "metrics.csv": "44f63fc6891ea1166c7ca3e27633ec9afea7788c29993b42d2440406311a5448",
         "transcripts.jsonl": "f663a40618e7648c0b0d1541847b89d70181588a6590264c87cb496dec3a4881",
     },

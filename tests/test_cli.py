@@ -218,6 +218,27 @@ class TestRun:
         assert error["error"] == "CheckpointError"
         assert "not-a-region" in error["message"]
 
+    def test_resume_refuses_a_changed_corpus_file(self, tmp_path, capsys):
+        # a path corpus can change under an unchanged config
+        assert main(["gen-data", "--n-regions", "120", "--dim", "16", "--n-predicates", "8",
+                     "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        corpus = tmp_path / "data" / "corpus.jsonl"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "corpus": {"path": str(corpus)}}))
+        full = tmp_path / "full"
+        assert main(["run", "--config", str(config), "--out", str(full), "--checkpoints"]) == 0
+        lines = corpus.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["features"][0] += 1.0
+        corpus.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "resumed"),
+                     "--resume", str(full / "checkpoints" / "checkpoint_p0_b0.json")])
+        assert code == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "CheckpointError"
+        assert "corpus" in error["message"]
+
     @pytest.mark.parametrize(
         "field, value",
         [("cursor", [7, 0]), ("theta", [0.0] * 3), ("theta", [float("nan")] * 28),

@@ -174,18 +174,18 @@ class TestFingerprint:
     # `oalsim report` refuses to compare runs whose corpus fingerprints differ,
     # so a change to the corpus representation must leave these bytes alone
     def test_small_synthetic(self, small_corpus):
-        assert small_corpus.fingerprint() == (
+        assert small_corpus.fingerprint == (
             "163da53b2bcaef45d5c1995fa8a9a8c3080ae7db3b85d2d5c89e65812c3dae37"
         )
 
     def test_reversed_file_order(self):
         corpus = Corpus(list(reversed(generate_synthetic(SMALL_SYNTH))))
-        assert corpus.fingerprint() == (
+        assert corpus.fingerprint == (
             "43b06239507d1527ba63b7b4212da94f899697d7567b0088e93482a1eca50502"
         )
 
     def test_desk(self):
-        assert build_corpus(load_config(DESK_CONFIG)).fingerprint() == (
+        assert build_corpus(load_config(DESK_CONFIG)).fingerprint == (
             "73253c2ebaba60b5b46b2b2c80bae5ca405945528f13a4ebb8bb083b77d248fd"
         )
 

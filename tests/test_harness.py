@@ -7,6 +7,7 @@ import pytest
 from oalsim import harness
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.agent import Agent
+from oalsim.corpus import Corpus, generate_synthetic
 from oalsim.errors import CheckpointError
 from oalsim.features import (
     INDEX,
@@ -28,7 +29,7 @@ from oalsim.harness import (
 from oalsim.perception import PredicateModel
 from oalsim.snapshot import EpisodeView, Snapshot
 
-from conftest import small_run_config
+from conftest import SMALL_SYNTH, small_run_config
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +325,16 @@ class TestCheckpointing:
             small_run_config(master_seed=99), small_corpus, small_split, small_density
         )
         with pytest.raises(CheckpointError):
+            other.run(resume=state)
+
+    def test_corpus_fingerprint_guard(self, small_experiment, small_checkpoints):
+        # same config, same regions in another file order: another corpus
+        state = checkpoint_load(small_checkpoints / "checkpoint_p0_b0.json")
+        assert state["corpus_fingerprint"] == small_experiment.corpus.fingerprint
+        other = Experiment(
+            small_run_config(), Corpus(list(reversed(generate_synthetic(SMALL_SYNTH))))
+        )
+        with pytest.raises(CheckpointError, match="corpus"):
             other.run(resume=state)
 
     def test_resume_from_the_end_cursor(self, small_experiment, small_result, small_checkpoints):
