@@ -172,9 +172,11 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     end, sorted by row count, so n ranges widely within a stack). The 2-D
     fit serves train_classifier, whose only caller in a run is an immediate
     refit. It keeps the boolean index and skips an iteration where no row
-    violates: an immediate-update run makes about 2,000 single fits of a few
-    labels each, and sending them through the einsum without the skip made
-    its run 41% slower.
+    violates: the immediate benchmark at seed 101 makes 1,977 single fits of
+    2.26 labels on average, with no violating row in 99% of their
+    iterations. The 3-D branch with the same skip took 3.5-3.7 s for those
+    fits against 2.5-2.7 s here, and without the skip it made the run 41%
+    slower.
     """
     if YX.ndim == 2:
 
