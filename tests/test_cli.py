@@ -244,7 +244,7 @@ class TestRun:
         [("cursor", [7, 0]), ("theta", [0.0] * 3), ("theta", [float("nan")] * 28),
          ("metrics", [{"phase": "init", "batch": 0}])],
     )
-    def test_resume_refuses_a_checkpoint_outside_the_plan(
+    def test_resume_refuses_a_malformed_checkpoint(
         self, tmp_path, config_path, capsys, field, value
     ):
         full = tmp_path / "full"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from oalsim.config import load_config
 from oalsim.corpus import (
     Corpus,
     Interaction,
@@ -19,7 +20,6 @@ from oalsim.corpus import (
     sample_interaction,
     write_regions,
 )
-from oalsim.config import load_config
 from oalsim.errors import CorpusError, GenerationError, ParseError, SamplingError, SplitError
 from oalsim.harness import build_corpus
 from oalsim.seeding import stream
