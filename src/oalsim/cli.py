@@ -25,7 +25,7 @@ from .features import registry_table
 from .harness import (
     Experiment,
     checkpoint_load,
-    welch_vs_baseline,
+    compare_final_batches,
     write_metrics_csv,
     write_summary,
 )
@@ -174,33 +174,28 @@ def cmd_report(args) -> int:
     rows = []
     for r in runs:
         final = r["summary"]["final_test_batch"]
-        row = {
+        cmp = compare_final_batches(final, base_final)
+        rows.append({
             "run": r["dir"].name,
             "success_rate": final["success_rate"],
             "mean_length": final["mean_length"],
-            "p_success": None,
-            "p_length": None,
-        }
-        if r is not baseline:
-            row["p_success"], row["p_length"] = welch_vs_baseline(
-                final["success_indicators"], final["lengths"],
-                base_final["success_indicators"], base_final["lengths"],
-            )
-        rows.append(row)
+            **(dict.fromkeys(cmp) if r is baseline else cmp),
+        })
 
-    def fmt_p(p):
+    def fmt_p(p, is_baseline):
         if p is None:
-            return "baseline"
+            return "baseline" if is_baseline else "n/a"
         marker = "*" if p < 0.05 else ""
         return f"{p:.4f}{marker}"
 
     header = f"{'run':<24} {'success':>8} {'length':>8} {'p_success':>12} {'p_length':>12}"
     print(header)
     print("-" * len(header))
-    for row in rows:
+    for r, row in zip(runs, rows):
+        cells = [fmt_p(row[key], r is baseline) for key in ("p_success", "p_length")]
         print(
             f"{row['run']:<24} {row['success_rate']:>8.3f} {row['mean_length']:>8.2f} "
-            f"{fmt_p(row['p_success']):>12} {fmt_p(row['p_length']):>12}"
+            f"{cells[0]:>12} {cells[1]:>12}"
         )
     if args.out:
         with open(_out_dir(args.out), "w", newline="", encoding="utf-8") as fh:

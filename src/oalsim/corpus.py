@@ -145,7 +145,7 @@ class Interaction:
 def normalize_annotation(text: str) -> list[str]:
     """Annotation string -> normalized predicate tokens (lower, strip specials, stem)."""
     cleaned = "".join(c if (c.isalnum() or c.isspace()) else "" for c in text.lower())
-    return [normalize_token(tok) for tok in cleaned.split() if normalize_token(tok)]
+    return [norm for tok in cleaned.split() if (norm := normalize_token(tok))]
 
 
 def _region_from_record(

@@ -37,8 +37,8 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, TranscriptStep, episode_return, transcript_records
-from .errors import CheckpointError, ConfigError, check_int, check_real
+from .dialog import Episode, RewardConfig, TranscriptStep, episode_return, transcript_records
+from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_int, check_real
 from .features import FeatureContext, N_FEATURES, featurize, guess_features, resolve_mask
 from .grounding import score_objects
 from .perception import (
@@ -58,7 +58,7 @@ from .policy import (
 from .querygen import build_beam
 from .seeding import stream
 from .snapshot import EpisodeView, Snapshot
-from .stats import welch_t_test
+from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 CHECKPOINT_VERSION = "oalsim-checkpoint/2"
 
@@ -638,21 +638,49 @@ def write_summary(path, result: RunResult) -> None:
 # -- comparison against a baseline, ablation ---------------------------------------
 
 
-def welch_vs_baseline(
-    indicators: Sequence[int],
-    lengths: Sequence[int],
-    base_indicators: Sequence[int],
-    base_lengths: Sequence[int],
-) -> tuple[float, float]:
-    """Two-sided Welch p-values of a final test batch against a baseline's.
+def compare_final_batches(final, base, rewards: RewardConfig | None = None) -> dict:
+    """Compare final test batches, each a mapping with `success_indicators` and `lengths`.
 
-    Returns (p on the success indicators, p on the dialog lengths).
+    Returns the two-sided Welch p on each, `p_success` and `p_length`. Given
+    `rewards`, the batches played the same dialogs, and it adds the mean gain
+    in a dialog's G_0, `return_gain`, and the one-sided paired p of a gain,
+    `p_return`, and of lower success, `p_success_lower`. A p is None under 2
+    dialogs; constant samples whose means differ take t = +-inf, as scipy does.
     """
-    p_success = welch_t_test(indicators, base_indicators).p_two_sided
-    p_length = welch_t_test(
-        [float(v) for v in lengths], [float(v) for v in base_lengths]
-    ).p_two_sided
-    return p_success, p_length
+    success, base_success = final["success_indicators"], base["success_indicators"]
+    enough = min(len(success), len(base_success)) >= 2
+
+    def welch(a, b):
+        try:
+            return welch_t_test(a, b).p_two_sided if enough else None
+        except DegenerateVarianceError:
+            return 0.0
+
+    def greater(diffs):
+        try:
+            return one_sided_p_greater(one_sample_t_test(diffs, 0.0)) if enough else None
+        except DegenerateVarianceError:
+            return 0.0 if diffs[0] > 0 else 1.0
+
+    out = {
+        "p_success": welch(success, base_success),
+        "p_length": welch(final["lengths"], base["lengths"]),
+    }
+    if rewards is None:
+        return out
+
+    def g0(won, length):  # a dialog is its queries, then one guess
+        guess = rewards.correct_guess if won else rewards.incorrect_guess
+        return episode_return([rewards.per_query] * (length - 1) + [guess], rewards.discount)[0]
+
+    gains = [
+        g0(s, n) - g0(base_s, base_n)
+        for s, n, base_s, base_n in zip(success, final["lengths"], base_success, base["lengths"])
+    ]
+    out["return_gain"] = sum(gains) / len(gains)
+    out["p_return"] = greater(gains)
+    out["p_success_lower"] = greater([b - a for a, b in zip(success, base_success)])
+    return out
 
 
 @dataclass
@@ -660,9 +688,8 @@ class AblationResult:
     conditions: dict[str, RunResult] = field(default_factory=dict)
 
     def comparison_rows(self) -> list[dict]:
-        """Final-test-batch metrics per condition with Welch p vs static and full."""
-        static = self.conditions["static"].final_test_batch()
-        full = self.conditions["full"].final_test_batch()
+        """Final-test-batch metrics per condition, compared pair by pair with static and full."""
+        rewards = self.conditions["full"].config.rewards
         rows = []
         for name, result in self.conditions.items():
             final = result.final_test_batch()
@@ -671,15 +698,12 @@ class AblationResult:
                 "success_rate": final.success_rate,
                 "mean_length": final.mean_length,
             }
-            for label, ref in (("static", static), ("full", full)):
-                p_success = p_length = None
-                if final is not ref:
-                    p_success, p_length = welch_vs_baseline(
-                        final.success_indicators, final.lengths,
-                        ref.success_indicators, ref.lengths,
-                    )
-                row[f"p_success_vs_{label}"] = p_success
-                row[f"p_length_vs_{label}"] = p_length
+            for label in ("static", "full"):
+                ref = self.conditions[label].final_test_batch()
+                cmp = compare_final_batches(vars(final), vars(ref), rewards)
+                if final is ref:
+                    cmp = dict.fromkeys(cmp)
+                row.update({f"{key}_vs_{label}": v for key, v in cmp.items()})
             rows.append(row)
         return rows
 

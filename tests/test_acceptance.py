@@ -16,13 +16,13 @@ from scipy import stats as sps
 from oalsim.agent import Agent
 from oalsim.config import load_config
 from oalsim.corpus import Region, sample_interaction
-from oalsim.dialog import episode_return
 from oalsim.features import N_FEATURES, resolve_mask
 from oalsim.grounding import score_objects
 from oalsim.harness import (
     Experiment,
     PhasePlan,
     checkpoint_load,
+    compare_final_batches,
     run_ablation,
     write_metrics_csv,
 )
@@ -77,16 +77,6 @@ def desk_runs(desk_experiment):
     return runs
 
 
-def dialog_returns(final, rewards):
-    """Per-dialog return G_0 of a batch: every dialog's queries end in one guess."""
-    out = []
-    for success, length in zip(final.success_indicators, final.lengths):
-        guess = rewards.correct_guess if success else rewards.incorrect_guess
-        out.append(episode_return([rewards.per_query] * (length - 1) + [guess],
-                                  rewards.discount)[0])
-    return out
-
-
 def ground_truth_success(experiment, seed, final):
     """Success on a test batch's interactions if every classifier were perfect.
 
@@ -126,17 +116,9 @@ class TestC01DirectionalReproduction:
         for seed in MASTER_SEEDS:
             learned = desk_runs[(seed, "learned")].final_test_batch()
             static = desk_runs[(seed, "static")].final_test_batch()
-            gains = [
-                a - b for a, b in zip(dialog_returns(learned, rewards),
-                                      dialog_returns(static, rewards))
-            ]
-            p_return = one_sided_p_greater(one_sample_t_test(gains, 0.0))
-            losses = [
-                s - l for s, l in zip(static.success_indicators,
-                                      learned.success_indicators)
-            ]
-            p_success_lower = one_sided_p_greater(one_sample_t_test(losses, 0.0))
-            ok = p_return < 0.05 and p_success_lower >= 0.05
+            cmp = compare_final_batches(vars(learned), vars(static), rewards)
+            p_return = cmp["p_return"]
+            ok = p_return < 0.05 and cmp["p_success_lower"] >= 0.05
             wins += ok
             details.append(
                 f"seed {seed}: success learned {learned.success_rate:.2f} "
@@ -144,7 +126,7 @@ class TestC01DirectionalReproduction:
                 f"(ground truth {ground_truth_success(desk_experiment, seed, learned):.2f}), "
                 f"new labels {sum(learned.label_counts.values())} "
                 f"vs {sum(static.label_counts.values())}, "
-                f"paired return {sum(gains) / len(gains):+.1f} p={p_return:.2g}"
+                f"paired return {cmp['return_gain']:+.1f} p={p_return:.2g}"
             )
         ok = wins >= 2
         report(1, "directional reproduction", ok, "; ".join(details))

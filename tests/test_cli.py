@@ -339,6 +339,41 @@ class TestReport:
         assert main(["report", str(empty)]) == 3
 
 
+class TestReportDegenerateSamples:
+    @staticmethod
+    def _write_run(run, indicators, lengths):
+        run.mkdir()
+        final = {"success_rate": sum(indicators) / len(indicators),
+                 "mean_length": sum(lengths) / len(lengths),
+                 "success_indicators": indicators, "lengths": lengths}
+        (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
+        (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+        return str(run)
+
+    def test_constant_unequal_lengths(self, tmp_path, capsys):
+        # a batch collapsed to one-turn guesses against static's 16-turn dialogs
+        collapsed = self._write_run(tmp_path / "collapsed", [1, 0, 1, 1], [1, 1, 1, 1])
+        static = self._write_run(tmp_path / "static", [1, 1, 0, 1], [16, 16, 16, 16])
+        table = tmp_path / "table.csv"
+        assert main(["report", collapsed, static, "--baseline", static,
+                     "--out", str(table)]) == 0
+        rows = table.read_text().splitlines()
+        assert rows[1] == "collapsed,0.75,1.0,1.0,0.0"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[-2:] == ["1.0000", "0.0000*"]
+        assert lines[3].split()[-2:] == ["baseline", "baseline"]
+
+    def test_single_dialog_batch_prints_n_a(self, tmp_path, capsys):
+        one = self._write_run(tmp_path / "one", [1], [3])
+        base = self._write_run(tmp_path / "base", [1, 0, 1], [4, 16, 2])
+        table = tmp_path / "table.csv"
+        assert main(["report", one, base, "--baseline", base, "--out", str(table)]) == 0
+        assert table.read_text().splitlines()[1] == "one,1.0,3.0,,"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[-2:] == ["n/a", "n/a"]
+        assert lines[3].split()[-2:] == ["baseline", "baseline"]
+
+
 def test_output_root_env(tmp_path, config_path, monkeypatch):
     monkeypatch.setenv("OALSIM_OUTPUT_ROOT", str(tmp_path))
     assert main(["run", "--config", str(config_path), "--out", "rooted"]) == 0

@@ -1,6 +1,8 @@
 """Every module-level private function or class, and every private method of a
-module-level class, in the package has a caller, and every error class in
-oalsim.errors is raised or caught somewhere in it.
+module-level class, in the package has a caller; every public module-level
+function or class is referenced elsewhere in the package or exported by
+oalsim/__init__.py; and every error class in oalsim.errors is raised or
+caught somewhere in it.
 
 A private name is one that starts with a single underscore; nothing outside
 the package may use it, so a private name that no other code in the package
@@ -47,19 +49,42 @@ def _definitions(body: list[ast.stmt]):
             )
 
 
-def test_private_definitions_are_referenced():
+def _unreferenced(definitions) -> list[str]:
+    """The definitions that no code in the package references outside themselves.
+
+    `definitions` maps a module body to the definitions to check in it.
+    """
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    unused = []
-    checked = 0
-    for module, tree in trees.items():
-        for node in _definitions(tree.body):
-            if not node.name.startswith("_") or node.name.startswith("__"):
-                continue
-            checked += 1
-            if not any(node.name in _references(other, node) for other in trees.values()):
-                unused.append(f"{module}:{node.lineno} {node.name}")
-    assert checked > 0
-    assert unused == []
+    checked = [(module, node) for module, tree in trees.items() for node in definitions(tree.body)]
+    assert checked
+    return [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in checked
+        if not any(node.name in _references(other, node) for other in trees.values())
+    ]
+
+
+def test_private_definitions_are_referenced():
+    def private(body):
+        return (
+            node for node in _definitions(body)
+            if node.name.startswith("_") and not node.name.startswith("__")
+        )
+
+    assert _unreferenced(private) == []
+
+
+def test_public_definitions_are_referenced_or_exported():
+    # a public name that the package neither uses nor exports from
+    # oalsim/__init__.py is reachable only by its module path
+    def public(body):
+        return (
+            node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+
+    assert _unreferenced(public) == []
 
 
 def test_error_classes_are_raised_or_caught():

@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from oalsim import harness
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.agent import Agent
+from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
+from oalsim.dialog import RewardConfig
 from oalsim.errors import CheckpointError
 from oalsim.features import (
     INDEX,
@@ -23,6 +26,7 @@ from oalsim.harness import (
     Experiment,
     checkpoint_load,
     checkpoint_save,
+    compare_final_batches,
     run_ablation,
     write_metrics_csv,
 )
@@ -30,6 +34,22 @@ from oalsim.perception import PredicateModel
 from oalsim.snapshot import EpisodeView, Snapshot
 
 from conftest import SMALL_SYNTH, small_run_config
+
+
+def batch(indicators, lengths):
+    """A final-test-batch record as summary.json holds it."""
+    return {"success_indicators": indicators, "lengths": lengths}
+
+
+def first_returns(indicators, lengths, rewards):
+    """G_0 of each dialog in closed form: length - 1 queries, then the guess."""
+    gamma = rewards.discount
+    return [
+        rewards.per_query * sum(gamma**t for t in range(length - 1))
+        + gamma ** (length - 1)
+        * (rewards.correct_guess if success else rewards.incorrect_guess)
+        for success, length in zip(indicators, lengths)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +326,28 @@ class TestCheckpointing:
         path.write_text('{"version": "oalsim-checkpoint/1", "cursor"')
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+    def test_resume_with_reinforce_baseline_and_decay(
+        self, small_corpus, small_split, small_density, tmp_path
+    ):
+        # learning_rate_decay and the running-mean baseline both read the
+        # checkpointed counters; every checkpoint must resume bit-exactly
+        def run_config(use_baseline):
+            policy = PolicyConfig(
+                learning_rate=3e-5, learning_rate_decay=0.1, use_baseline=use_baseline
+            )
+            return dataclasses.replace(small_run_config(), policy=policy)
+
+        exp = Experiment(run_config(True), small_corpus, small_split, small_density)
+        full = exp.run(checkpoint_dir=tmp_path / "ck")
+        checkpoints = sorted((tmp_path / "ck").glob("checkpoint_*.json"))
+        assert len(checkpoints) == 6
+        for path in checkpoints:
+            resumed = exp.run(resume=checkpoint_load(path))
+            assert resumed.metrics == full.metrics
+            assert np.array_equal(resumed.theta, full.theta)
+        off = Experiment(run_config(False), small_corpus, small_split, small_density).run()
+        assert not np.array_equal(off.theta, full.theta)
 
     def test_version_mismatch(self, small_experiment, tmp_path):
         path = tmp_path / "old.json"
@@ -584,6 +626,18 @@ class TestAblationHarness:
             assert 0.0 <= row["success_rate"] <= 1.0
         static_row = next(r for r in rows if r["condition"] == "static")
         assert static_row["p_success_vs_static"] is None
+        # every arm plays the same dialogs, so the return test is paired
+        rewards = cfg.rewards
+        full = result.conditions["full"].final_test_batch()
+        static = result.conditions["static"].final_test_batch()
+        full_row = next(r for r in rows if r["condition"] == "full")
+        ref = sps.ttest_rel(
+            first_returns(full.success_indicators, full.lengths, rewards),
+            first_returns(static.success_indicators, static.lengths, rewards),
+            alternative="greater",
+        )
+        assert full_row["p_return_vs_static"] == pytest.approx(ref.pvalue, abs=1e-9)
+        assert static_row["p_return_vs_static"] is None
 
     def test_ablating_always_zero_feature_is_noop(
         self, small_corpus, small_split, small_density
@@ -600,6 +654,67 @@ class TestAblationHarness:
         for a, b in zip(r_base.metrics, r_masked.metrics):
             assert a.success_indicators == b.success_indicators
             assert a.lengths == b.lengths
+
+
+class TestCompareFinalBatches:
+    REWARDS = RewardConfig(discount=0.9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_scipy_on_random_batches(self):
+        # scipy's p is nan where a sample or a paired difference is constant
+        # and the means agree; oalsim.stats gives t = 0 there
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            a_ind, b_ind = rng.integers(0, 2, n).tolist(), rng.integers(0, 2, n).tolist()
+            a_len, b_len = rng.integers(1, 17, n).tolist(), rng.integers(1, 17, n).tolist()
+            cmp = compare_final_batches(
+                batch(a_ind, a_len), batch(b_ind, b_len), self.REWARDS
+            )
+            a_ret = first_returns(a_ind, a_len, self.REWARDS)
+            b_ret = first_returns(b_ind, b_len, self.REWARDS)
+            welch = sps.ttest_ind(a_ind, b_ind, equal_var=False).pvalue
+            if not np.isnan(welch):
+                assert cmp["p_success"] == pytest.approx(welch, abs=1e-9)
+            welch = sps.ttest_ind(a_len, b_len, equal_var=False).pvalue
+            if not np.isnan(welch):
+                assert cmp["p_length"] == pytest.approx(welch, abs=1e-9)
+            assert cmp["return_gain"] == pytest.approx(np.mean(a_ret) - np.mean(b_ret))
+            paired = sps.ttest_rel(a_ret, b_ret, alternative="greater").pvalue
+            if not np.isnan(paired):
+                assert cmp["p_return"] == pytest.approx(paired, abs=1e-9)
+            paired = sps.ttest_rel(b_ind, a_ind, alternative="greater").pvalue
+            if not np.isnan(paired):
+                assert cmp["p_success_lower"] == pytest.approx(paired, abs=1e-9)
+
+    def test_without_rewards_only_welch(self):
+        cmp = compare_final_batches(batch([1, 0, 1], [3, 5, 4]), batch([0, 0, 1], [6, 6, 2]))
+        assert set(cmp) == {"p_success", "p_length"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("short, long", [(1, 16), (16, 1)])
+    def test_constant_unequal_samples_take_the_infinite_t_limit(self, short, long):
+        # a collapsed learned batch (every dialog one guess) against static's 16 turns
+        final, base = ([1] * 5, [short] * 5), ([1] * 5, [long] * 5)
+        cmp = compare_final_batches(batch(*final), batch(*base), self.REWARDS)
+        assert cmp["p_length"] == 0.0
+        assert cmp["p_length"] == sps.ttest_ind(final[1], base[1], equal_var=False).pvalue
+        ref = sps.ttest_rel(
+            first_returns(*final, self.REWARDS),
+            first_returns(*base, self.REWARDS),
+            alternative="greater",
+        ).pvalue
+        assert cmp["p_return"] == ref == (0.0 if short < long else 1.0)
+        # constant equal samples keep the t = 0 convention of oalsim.stats
+        assert cmp["p_success"] == 1.0
+
+    def test_single_dialog_gives_no_p(self):
+        cmp = compare_final_batches(batch([1], [3]), batch([0], [16]), self.REWARDS)
+        assert cmp["p_success"] is cmp["p_length"] is None
+        assert cmp["p_return"] is cmp["p_success_lower"] is None
+        assert cmp["return_gain"] == pytest.approx(
+            first_returns([1], [3], self.REWARDS)[0] - first_returns([0], [16], self.REWARDS)[0]
+        )
 
 
 class TestMetricsFiles:

@@ -19,6 +19,7 @@ from oalsim.grounding import score_objects
 from oalsim.perception import DensityIndex
 from oalsim.policy import (
     AgentStats,
+    PolicyParams,
     action_probabilities,
     grad_log_prob,
     reinforce_update,
@@ -168,6 +169,30 @@ class TestReinforceUpdate:
         feats[1, 0] = -1e308
         with pytest.raises(PolicyUpdateError):
             reinforce_update(theta, [[(feats, 0, 1e4)]], 1.0)
+
+
+class TestPolicyParams:
+    def test_observe_returns_keeps_the_running_mean(self):
+        params = PolicyParams()
+        params.observe_returns([199.0, -101.0, -16.0])
+        params.observe_returns([200.0])
+        assert params.baseline_count == 4
+        assert params.baseline_mean == pytest.approx((199.0 - 101.0 - 16.0 + 200.0) / 4)
+
+    def test_baseline_is_zero_while_off(self):
+        off, on = PolicyParams(use_baseline=False), PolicyParams(use_baseline=True)
+        for params in (off, on):
+            params.observe_returns([50.0, 150.0])
+        assert off.baseline() == 0.0
+        assert on.baseline() == pytest.approx(100.0)
+
+    def test_alpha_falls_linearly_and_stops_at_zero(self):
+        params = PolicyParams(alpha=1e-3, alpha_decay=0.25)
+        assert [params.alpha_at(b) for b in range(6)] == pytest.approx(
+            [1e-3, 7.5e-4, 5e-4, 2.5e-4, 0.0, 0.0]
+        )
+        assert params.alpha_at(100) == 0.0
+        assert PolicyParams(alpha=1e-3).alpha_at(100) == 1e-3
 
 
 class TestStaticPolicy:
