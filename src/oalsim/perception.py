@@ -151,6 +151,11 @@ def _sum_masked_rows(YX: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.nd
     return np.einsum("knd,kn->kd", YX, mask, out=out)
 
 
+def _scores(YX: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The single fit's exact violation test: each signed row's score, YX @ w."""
+    return YX @ w
+
+
 def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
     """Batch subgradient descent on l2-regularized hinge loss; bias unregularized.
 
@@ -171,18 +176,48 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     fit_models (the full sets and folds of every predicate dirty at a batch
     end, sorted by row count, so n ranges widely within a stack). The 2-D
     fit serves train_classifier, whose only caller in a run is an immediate
-    refit. It keeps the boolean index and skips an iteration where no row
-    violates: the immediate benchmark at seed 101 makes 1,977 single fits of
-    2.26 labels on average, with no violating row in 99% of their
-    iterations. The 3-D branch with the same skip took 3.5-3.7 s for those
-    fits against 2.5-2.7 s here, and without the skip it made the run 41%
-    slower.
+    refit, and sums the boolean index. Most of its iterations have no
+    violating row, and such an iteration only shrinks the feature weights
+    (the bias takes w_b - 0.0, which is w_b, -0.0 included), so it skips the
+    exact test (_scores) while a bound proves that the test would find no
+    violating row; every weight is still computed as without the skip. After
+    a test at weights w finds none, with W = max |w_feat|, L_i row i's
+    feature l1 norm and m = d+1 terms per score:
+      - while l2 * step < 1, no |w_j| grows in a shrink-only step, and one
+        moves each w_j by at most W * (l2 * step * (1+u)^2 + 2u), u = 2^-53
+        (the 2u covers the rounding of w - grad and, with W >= 2^-969 *
+        max(1, step_size), any underflow in grad);
+      - both the test's gemv and a later one err by at most
+        gamma_m * (L_i * W + |w_b|) plus a subnormal remainder (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, 3.1),
+        gamma_m = m*u / (1 - m*u);
+    so a later computed score stays >= 1.0 while the steps taken since the
+    test sum to at most min_i (score_i - 1 - 2 gamma_m |w_b|) / (L_i W)
+    - 2 gamma_m, over l2 (1+u)^2 + 2u / (the last step). _step_budget
+    computes that budget with its coefficients rounded up and its result
+    scaled down to cover its own rounding and that of summing the steps, and
+    each later iteration adds its step and compares. The test runs on every
+    iteration while l2 * step_size >= 1, W is below the floor, or the budget
+    is NaN, infinite or below 2^-969. The immediate benchmark at seed 101
+    makes 1,977 single fits of 2.26 labels on average: 99.3% of their
+    296,550 iterations have no violating row, and 2.2% run the test.
     """
     if YX.ndim == 2:
+        step_budget = _step_budget(YX, cfg)
+        budget, spent = -1.0, 0.0  # spent: the steps taken since the last test
 
-        def mean_pull(w):
-            viol = YX @ w < 1.0
-            return YX[viol].sum(axis=0) / n if viol.any() else None
+        def mean_pull(w, step):
+            nonlocal budget, spent
+            if spent <= budget:
+                spent += step
+                return None
+            scores = _scores(YX, w)
+            viol = scores < 1.0
+            if viol.any():
+                budget = -1.0
+                return YX[viol].sum(axis=0) / n
+            budget, spent = step_budget(scores, w), step
+            return None
 
     else:
         k, rows, width = YX.shape
@@ -191,7 +226,7 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
         mask = np.empty((k, rows))
         pull = np.empty((k, width))
 
-        def mean_pull(w):
+        def mean_pull(w, step):
             np.matmul(YX, w[:, :, None], out=scores)
             np.less(scores[:, :, 0], 1.0, out=mask)
             _sum_masked_rows(YX, mask, pull)
@@ -200,14 +235,52 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     w = np.zeros(YX.shape[:-2] + YX.shape[-1:])
     grad = np.empty_like(w)
     for t in range(cfg.iterations):
+        step = cfg.step_size / (1.0 + cfg.step_decay * t)
         np.multiply(w, cfg.l2, out=grad)
         grad[..., -1] = 0.0
-        pull = mean_pull(w)
+        pull = mean_pull(w, step)
         if pull is not None:
             grad -= pull
-        grad *= cfg.step_size / (1.0 + cfg.step_decay * t)
+        grad *= step
         w -= grad
     return w
+
+
+_TINY = 2.0**-969  # below this, underflow can break the relative error bounds
+
+
+def _step_budget(YX: np.ndarray, cfg: ClassifierConfig):
+    """The 2-D fit's bound: (scores, w) of a test with no violating row -> its step budget.
+
+    The budget is the sum of steps that may follow without a test (see
+    _fit_hinge); -1.0 where the test must run on. Fixed per fit: the
+    rounded-up coefficients kappa >= 2 gamma_m and lam, the inverse feature
+    l1 norms, and the scale-down `shrink`. A norm below _TINY counts as
+    _TINY, which only lowers the budget (an all-zero row's score does not
+    drift at all). The test also runs throughout for no rows, a last step
+    that underflows to 0 or 2^49 terms or iterations, where these constants
+    would not hold.
+    """
+    m = YX.shape[1]
+    last = cfg.step_size / (1.0 + cfg.step_decay * max(cfg.iterations - 1, 0))
+    shrink = 1.0 - (m + cfg.iterations + 16) * 2.0**-50
+    if not (cfg.l2 * cfg.step_size < 1.0 and len(YX) and last > 0.0 and shrink > 0.5):
+        return lambda scores, w: -1.0
+    kappa = (m + 1) * 2.0**-51
+    lam = cfg.l2 * (1.0 + 2.0**-48) + 2.0**-49 / last
+    floor = _TINY * max(1.0, cfg.step_size)
+    inv_l1 = 1.0 / np.maximum(np.abs(YX[:, :-1]).sum(axis=1), _TINY)
+
+    def budget(scores, w):
+        W = float(np.abs(w[:-1]).max(initial=0.0))
+        if not W >= floor:
+            return -1.0
+        q = kappa * abs(float(w[-1])) + 2.0**-999  # covers 2 gamma_m |w_b| and underflow
+        R = float(((scores - 1.0 - q) * inv_l1).min())
+        b = ((R / W) * shrink - kappa) / lam * shrink
+        return b if _TINY <= b < np.inf else -1.0
+
+    return budget
 
 
 def _fit_subsets(YX: np.ndarray, subsets: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:

@@ -3,6 +3,8 @@
 The package scores, decides and weights predicates on arrays (the Snapshot
 rows, the stacked cross-validation folds, `triangular_weights`). These are
 the one-object, one-classifier forms the arrays must equal bit for bit.
+`fit_hinge` is the single fit's descent with its exact violation test on
+every iteration, which the package skips while a bound allows.
 """
 
 import numpy as np
@@ -44,3 +46,23 @@ def predicate_weight(c: float, params: TriangularWeights) -> float:
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"estimated F1 {c} outside [0,1]")
     return float(triangular_weights(np.array([c]), params)[0])
+
+
+def fit_hinge(YX: np.ndarray, n: int, cfg) -> np.ndarray:
+    """perception._fit_hinge on one problem (n, d+1), testing every iteration for violating rows."""
+
+    def mean_pull(w):
+        viol = YX @ w < 1.0
+        return YX[viol].sum(axis=0) / n if viol.any() else None
+
+    w = np.zeros(YX.shape[:-2] + YX.shape[-1:])
+    grad = np.empty_like(w)
+    for t in range(cfg.iterations):
+        np.multiply(w, cfg.l2, out=grad)
+        grad[..., -1] = 0.0
+        pull = mean_pull(w)
+        if pull is not None:
+            grad -= pull
+        grad *= cfg.step_size / (1.0 + cfg.step_decay * t)
+        w -= grad
+    return w

@@ -8,7 +8,7 @@ from oalsim.agent import Agent
 from oalsim.config import CorpusSource, ExperimentConfig, PolicyConfig, RunConfig, load_config
 from oalsim.corpus import Corpus, SplitConfig, SyntheticConfig, generate_synthetic, make_splits
 from oalsim.features import N_FEATURES
-from oalsim.harness import Experiment
+from oalsim.harness import Experiment, RunResult
 from oalsim.perception import DensityIndex
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
@@ -30,6 +30,11 @@ def small_run_config(**experiment_overrides) -> RunConfig:
         policy=PolicyConfig(learning_rate=3e-6),
         experiment=ExperimentConfig(**exp),
     )
+
+
+def desk_run(cfg: RunConfig) -> RunResult:
+    """Experiment(cfg).run(), at module level so that spawned worker processes can import it."""
+    return Experiment(cfg).run()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ across criteria. Everything else runs against small purpose-built inputs.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from oalsim.seeding import stream
 from oalsim.stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 from classifier_oracle import predicate_weight
-from conftest import small_run_config
+from conftest import desk_run, small_run_config
 from test_grounding import grounding_view, guessed_id
 from test_perception import _reference_cv_f1
 from test_querygen import best_object, sample_names
@@ -60,21 +62,28 @@ def desk_experiment():
 
 @pytest.fixture(scope="module")
 def desk_runs(desk_experiment):
-    """Full benchmark: three master seeds x (learned, static) on one corpus."""
-    shared = desk_experiment
-    base = shared.config
-    runs = {}
-    for seed in MASTER_SEEDS:
-        for kind in ("learned", "static"):
-            cfg = dataclasses.replace(
-                base,
-                experiment=dataclasses.replace(
-                    base.experiment, master_seed=seed, policy_kind=kind
-                ),
-            )
-            exp = Experiment(cfg, shared.corpus, shared.split, shared.density)
-            runs[(seed, kind)] = exp.run()
-    return runs
+    """Full benchmark: three master seeds x (learned, static) on one corpus.
+
+    The six runs are independent, so they run in spawned worker processes,
+    one per CPU and at most six; each run builds its own corpus, split and
+    density index from the desk config (conftest.desk_run).
+    """
+    base = desk_experiment.config
+    keys = [(seed, kind) for seed in MASTER_SEEDS for kind in ("learned", "static")]
+    cfgs = [
+        dataclasses.replace(
+            base,
+            experiment=dataclasses.replace(base.experiment, master_seed=seed, policy_kind=kind),
+        )
+        for seed, kind in keys
+    ]
+    workers = min(len(cfgs), os.cpu_count() or 1)
+    if workers == 1:
+        results = [desk_run(cfg) for cfg in cfgs]
+    else:
+        with multiprocessing.get_context("spawn").Pool(workers) as pool:
+            results = pool.map(desk_run, cfgs, chunksize=1)
+    return dict(zip(keys, results))
 
 
 def ground_truth_success(experiment, seed, final):

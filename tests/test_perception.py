@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from oalsim import perception
 from oalsim.config import load_config
+from oalsim.harness import Experiment
 from oalsim.corpus import generate_synthetic
 from oalsim.errors import ContractError, DataError
 from oalsim.perception import (
@@ -20,7 +22,8 @@ from oalsim.perception import (
 )
 from oalsim.seeding import stream
 
-from classifier_oracle import UndefinedMarginError, decide, margin
+from classifier_oracle import UndefinedMarginError, decide, fit_hinge, margin
+from conftest import small_run_config
 
 CFG = ClassifierConfig()
 
@@ -558,6 +561,168 @@ class TestBatchEndStacks:
         assert all(k * rows <= perception.FIT_STACK_ROWS or k == 1 for k, rows, _ in shapes)
         problems = sum(1 + min(5, m.n_pos(), m.n_neg()) for m in models)
         assert sum(k for k, _, _ in shapes) == problems
+
+
+def _hex(w: np.ndarray) -> list[str]:
+    return [v.hex() for v in w.tolist()]
+
+
+def _assert_oracle_fit(YX, n, cfg):
+    """The single fit's weights equal the every-iteration-tested oracle's, float.hex for float.hex."""
+    assert _hex(perception._fit_hinge(YX, n, cfg)) == _hex(fit_hinge(YX, n, cfg))
+
+
+def _count_tests(monkeypatch):
+    """A list that grows by one each time a single fit runs its exact violation test."""
+    calls = []
+    scores = perception._scores
+
+    def counted(YX, w):
+        calls.append(1)
+        return scores(YX, w)
+
+    monkeypatch.setattr(perception, "_scores", counted)
+    return calls
+
+
+FAR = np.array([[3.0, 3.0, 1.0], [3.0, 3.0, -1.0]])  # (3, 3) labelled +1 and (-3, -3) labelled -1
+
+
+class TestSingleFitSkip:
+    """The 2-D _fit_hinge skips its violation test while a rounding-safe bound
+    proves that no row violates; its weights must equal the oracle's, which
+    tests every iteration."""
+
+    def test_every_single_fit_of_an_immediate_run(self):
+        cfg = small_run_config()
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+        fits = []
+        fit_hinge_ = perception._fit_hinge
+
+        def spy(YX, n, c):
+            if YX.ndim == 2:
+                fits.append((YX.copy(), n, c))
+            return fit_hinge_(YX, n, c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perception, "_fit_hinge", spy)
+            Experiment(cfg).run()
+        assert len(fits) >= 20
+        for YX, n, c in fits:
+            _assert_oracle_fit(YX, n, c)
+
+    @staticmethod
+    def _third_row(alpha, T):
+        """FAR plus the row (alpha, alpha) labelled +1, and that row's score at iteration T."""
+        YX = np.vstack([FAR, [alpha, alpha, 1.0]])
+        w = fit_hinge(YX, 3, dataclasses.replace(CFG, iterations=T))
+        return YX, (YX @ w)[2]
+
+    def _smallest_clearing(self, T, lo, hi):
+        """The smallest alpha in (lo, hi] whose third row scores >= 1.0 at iteration T."""
+        assert self._third_row(lo, T)[1] < 1.0 <= self._third_row(hi, T)[1]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return hi
+            lo, hi = (lo, mid) if self._third_row(mid, T)[1] >= 1.0 else (mid, hi)
+
+    @pytest.mark.parametrize("T", [1, 2, 10, 100])
+    def test_a_score_within_ulps_of_one(self, T):
+        # Every row violates at w = 0, which sets w = (6 + alpha, 6 + alpha, 1) / 6.
+        # The far rows then clear the margin for good, and so does the third
+        # row if alpha(6 + alpha) >= 2.5. Only shrinking feature weights lower
+        # its score after that, by the factor P(T) up to iteration T, so it
+        # reaches the margin at iteration T near alpha(6 + alpha) = 2.5 / P(T).
+        P = np.prod([1.0 - CFG.l2 * CFG.step_size / (1.0 + CFG.step_decay * t) for t in range(1, T)])
+        guess = -3.0 + np.sqrt(9.0 + 2.5 / P)
+        alpha = self._smallest_clearing(T, guess * (1 - 1e-6), guess * (1 + 1e-6))
+        near = 0
+        for k in range(-3, 4):
+            a = alpha
+            for _ in range(abs(k)):
+                a = np.nextafter(a, np.sign(k) * np.inf)
+            YX, score = self._third_row(a, T)
+            near += abs(score - 1.0) <= 4 * np.spacing(1.0)
+            _assert_oracle_fit(YX, 3, CFG)
+            _assert_oracle_fit(YX, 3, dataclasses.replace(CFG, iterations=T + 1))
+        assert near >= 2
+
+    @pytest.mark.parametrize(
+        "YX",
+        [
+            np.vstack([FAR, [0.0, 0.0, 1.0]]),  # an all-zero feature row
+            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]]),  # w_feat stays 0
+            np.vstack([FAR, [1e-310, 3e-320, 1.0]]),  # a row of subnormal features
+            np.array([[1e-310, 2e-310, 1.0], [-1e-310, 5e-324, -1.0]]),  # subnormal weights
+            np.array([[1e-300, 1.0, 1.0], [2.0, 1e-300, -1.0]]),
+            FAR * 1e150,
+            FAR * 1e-150,
+        ],
+        ids=["zero-row", "zero-weights", "subnormal-row", "subnormal-weights", "tiny-entries",
+             "huge", "small"],
+    )
+    def test_built_sets(self, YX):
+        for cfg in (CFG, ClassifierConfig(iterations=400, step_size=1.5, step_decay=0.0)):
+            _assert_oracle_fit(YX, len(YX), cfg)
+
+    def test_weights_shrinking_to_subnormal(self):
+        # one class only: the bias alone clears the margin while l2 * step = 0.9
+        # drives the feature weights through the subnormal range to zero
+        YX = np.array([[1.0, 2.0, 1.0], [3.0, -1.0, 1.0]])
+        cfg = ClassifierConfig(iterations=315, step_size=0.9, step_decay=0.0, l2=1.0)
+        w = perception._fit_hinge(YX, 2, cfg)
+        assert w[-1] >= 1.0 and (0.0 < w[:-1]).all() and (w[:-1] < np.finfo(float).tiny).all()
+        for iterations in (300, 315, 400):
+            _assert_oracle_fit(YX, 2, dataclasses.replace(cfg, iterations=iterations))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ClassifierConfig(l2=0.0),
+            ClassifierConfig(step_decay=0.0),
+            ClassifierConfig(iterations=0),
+            ClassifierConfig(iterations=1),
+            ClassifierConfig(l2=2.0, step_size=0.5),  # l2 * step_size == 1
+            ClassifierConfig(l2=0.3, step_size=5.0),
+        ],
+        ids=["l2-0", "decay-0", "iterations-0", "iterations-1", "l2-step-1", "l2-step-1.5"],
+    )
+    def test_configs(self, cfg):
+        rng = stream(17, "single-fit")
+        model, feats = _random_model(rng, 9, 4, 4)
+        for YX in (FAR, _signed_rows(model, feats)[1]):
+            _assert_oracle_fit(YX, len(YX), cfg)
+
+    def test_random_problems(self):
+        rng = stream(18, "single-fit-fuzz")
+        for _ in range(150):
+            n, dim = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            X = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            y = rng.choice([-1.0, 1.0], size=(n, 1))
+            YX = np.hstack([X, np.ones((n, 1))]) * y
+            cfg = ClassifierConfig(
+                iterations=int(rng.choice([1, 7, 150])),
+                step_size=float(rng.choice([0.05, 0.5, 2.0])),
+                step_decay=float(rng.choice([0.0, 0.02, 1.0])),
+                l2=float(rng.choice([0.0, 1e-3, 0.01, 0.3, 1.5])),
+            )
+            _assert_oracle_fit(YX, n, cfg)
+
+    def test_far_rows_skip_most_tests(self, monkeypatch):
+        calls = _count_tests(monkeypatch)
+        w = perception._fit_hinge(FAR, 2, CFG)
+        assert (FAR @ w >= 1.0).all()
+        assert 0 < len(calls) < 0.1 * CFG.iterations
+
+    @pytest.mark.parametrize("l2, step_size", [(2.0, 0.5), (0.3, 5.0)])
+    def test_every_iteration_tests_when_l2_step_reaches_one(self, monkeypatch, l2, step_size):
+        cfg = ClassifierConfig(l2=l2, step_size=step_size)
+        calls = _count_tests(monkeypatch)
+        perception._fit_hinge(FAR, 2, cfg)
+        assert len(calls) == cfg.iterations
 
 
 class TestDensity:
