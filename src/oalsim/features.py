@@ -6,26 +6,29 @@ by name and logged vectors stay comparable across runs. Entries that do not
 apply to an action type are exactly zero in its vector.
 
 A beam is featurized in one call, as one (len(beam), N_FEATURES) array. The
-inputs that stay fixed within an episode are built once into a
-FeatureContext's row table: the guess row, then one label-query and one
-example-query row per view predicate. A beam's array is one fancy index into
-the table, plus the label queries' object entries, turn_frac and the
-ablation mask. A label query names its object by region row, which indexes
-the density index and, by its view column, the margins. The per-action form
-is kept in tests/feature_oracle.py as the reference, and the array must
-equal it bit for bit.
+inputs that stay fixed within an episode sit in a FeatureContext's row table:
+the guess row, then one label-query and one example-query row per view
+predicate. Its query rows are gathered from the batch's (`query_rows`, built
+once per batch from the frozen agent stats and classifier rows), and its
+guess row comes from `guess_features` over a stack of dialogs
+(grounding.DescriptionStack). A beam's array is one fancy index into the
+table, plus the label queries' object entries, turn_frac and the ablation
+mask. A label query names its object by region row, which indexes the
+density index and, by its view column, the margins. The per-action form is
+kept in tests/feature_oracle.py as the reference, and the array must equal it
+bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .actions import Action, LabelQuery
 from .errors import ConfigError
-from .grounding import GuessScores
+from .grounding import DescriptionStack, GuessScores
 from .perception import DensityIndex, density_stats
 from .policy import AgentStats
 
@@ -122,48 +125,65 @@ def resolve_mask(names: Sequence[str]) -> np.ndarray:
     return mask
 
 
+def query_rows(
+    predicates: Sequence[str], f1: np.ndarray, trained: np.ndarray, stats: AgentStats
+) -> np.ndarray:
+    """A batch's (1 + 2P, N_FEATURES) feature-table rows for its P predicates.
+
+    Row 0 is zero (each episode's guess row takes its place), rows 1..P are
+    the label-query rows and rows P+1..2P the example-query rows: act flag,
+    new-predicate, F1, usage frequency, usage success and opportunistic,
+    which is set on every row; zero elsewhere. Agent stats are frozen for the
+    batch.
+    """
+    n = len(predicates)
+    used = np.array([stats.used.get(p, 0) for p in predicates], dtype=np.float64)
+    succeeded = np.array([stats.succeeded.get(p, 0) for p in predicates], dtype=np.float64)
+    table = np.zeros((1 + 2 * n, N_FEATURES))
+    q = table[1:].reshape(2, n, N_FEATURES)
+    q[0, :, _ACT_LABEL] = 1.0
+    q[1, :, _ACT_EXAMPLE] = 1.0
+    q[:, :, _NEW_PREDICATE] = ~trained
+    q[:, :, _PREDICATE_F1] = f1
+    if stats.dialogs > 0:
+        q[:, :, _USAGE_FREQ] = used / stats.dialogs
+    q[:, :, _USAGE_SUCCESS] = np.divide(succeeded, used, out=np.zeros(n), where=used > 0)
+    q[:, :, _OPPORTUNISTIC] = 1.0
+    return table
+
+
 @dataclass
 class FeatureContext:
-    """One episode's featurization state, built once per episode.
+    """One episode's featurization state, gathered once per episode.
 
     `table` holds 1 + 2P rows for the view's P predicates: row 0 is the guess
     row (`guess` with act_guess set), rows 1..P the label-query rows and rows
-    P+1..2P the example-query rows (act flag, new-predicate, F1, usage
-    frequency, usage success, opportunistic; zero elsewhere). `queries` is
-    the query rows as a (2, P, N_FEATURES) view of the table. Agent stats
-    and the description do not change within an episode; after an immediate
-    refit, `refit` rewrites the refit predicates' rows and the harness calls
-    `set_guess` when the grounding changed.
+    P+1..2P the example-query rows, gathered by the view's batch rows from
+    `batch_queries` (query_rows of the batch), with opportunistic cleared on
+    the description's rows. `queries` is the query rows as a
+    (2, P, N_FEATURES) view of the table. Agent stats and the description do
+    not change within an episode; after an immediate refit, `refit` rewrites
+    the refit predicates' rows and the harness calls `set_guess` when the
+    grounding changed.
     """
 
     t_max: int
     description_predicates: tuple[str, ...]
     view: EpisodeView
-    stats: AgentStats
     density: DensityIndex
     guess: np.ndarray  # guess_features of the current grounding
+    batch_queries: InitVar[np.ndarray]
     mask: np.ndarray | None = None
     table: np.ndarray = field(init=False, repr=False)
     queries: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        preds, stats = self.view.predicates, self.stats
-        used = np.array([stats.used.get(p, 0) for p in preds], dtype=np.float64)
-        succeeded = np.array([stats.succeeded.get(p, 0) for p in preds], dtype=np.float64)
-        desc = set(self.description_predicates)
-        self.table = np.zeros((1 + 2 * len(preds), N_FEATURES))
-        self.queries = q = self.table[1:].reshape(2, len(preds), N_FEATURES)
+    def __post_init__(self, batch_queries: np.ndarray):
+        rows = self.view.rows
+        example = 1 + len(batch_queries) // 2  # the batch's first example-query row
+        self.table = batch_queries[np.concatenate(([0], 1 + rows, example + rows))]
+        self.queries = q = self.table[1:].reshape(2, len(rows), N_FEATURES)
+        q[:, [self.view.index[p] for p in self.description_predicates], _OPPORTUNISTIC] = 0.0
         self.set_guess(self.guess)
-        q[0, :, _ACT_LABEL] = 1.0
-        q[1, :, _ACT_EXAMPLE] = 1.0
-        q[:, :, _NEW_PREDICATE] = ~self.view.trained
-        q[:, :, _PREDICATE_F1] = self.view.f1
-        if stats.dialogs > 0:
-            q[:, :, _USAGE_FREQ] = used / stats.dialogs
-        q[:, :, _USAGE_SUCCESS] = np.divide(
-            succeeded, used, out=np.zeros(len(preds)), where=used > 0
-        )
-        q[:, :, _OPPORTUNISTIC] = [p not in desc for p in preds]
 
     def set_guess(self, guess: np.ndarray) -> None:
         """Take the guess features of a new grounding and rewrite the guess row."""
@@ -204,54 +224,53 @@ def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndar
     return out
 
 
-def guess_features(
-    description_predicates: Sequence[str], view: EpisodeView, scores: GuessScores
-) -> np.ndarray:
-    """The guess group's entries for one grounding, zero elsewhere.
+def guess_features(stack: DescriptionStack, scores: GuessScores) -> np.ndarray:
+    """The guess group's entries of each stacked dialog's grounding, zero elsewhere.
 
     They change only when a description predicate's classifier does, so the
-    harness computes them once per episode (and after an immediate refit of
-    such a classifier) and featurize copies them.
+    harness computes them for a whole batch at its start (and for one dialog
+    after an immediate refit of such a classifier) and featurize copies them.
+    Each (B, N_FEATURES) row equals the entries of its dialog computed alone.
     """
-    vec = np.zeros(N_FEATURES)
-    preds = description_predicates
-    k = len(preds)
-    rows = [view.index[p] for p in preds]
-    cs = view.f1[rows]
-    order = sorted(range(k), key=lambda i: (-cs[i], preds[i]))
-    best_row = rows[order[0]]
-    second_row = rows[order[1]] if k > 1 else best_row
+    f1, rows, decisions, _ = stack
+    n_dialogs, k = f1.shape
+    dialogs = np.arange(n_dialogs)
+    vec = np.zeros((n_dialogs, N_FEATURES))
+    order = np.lexsort((rows, -f1), axis=-1)  # by descending F1, ties by predicate name
+    best = order[:, 0]
+    second = order[:, 1] if k > 1 else best
 
-    vec[INDEX["guess_f1_min"]] = cs.min()
-    vec[INDEX["guess_f1_max"]] = cs.max()
-    vec[INDEX["guess_f1_second"]] = cs[order[1]] if k > 1 else cs[order[0]]
-    vec[INDEX["guess_f1_mean"]] = cs.mean()
+    vec[:, INDEX["guess_f1_min"]] = f1.min(axis=1)
+    vec[:, INDEX["guess_f1_max"]] = f1.max(axis=1)
+    vec[:, INDEX["guess_f1_second"]] = f1[dialogs, second]
+    vec[:, INDEX["guess_f1_mean"]] = f1.mean(axis=1)
 
-    weighted = np.array(scores.weighted)
-    votes = np.array(scores.unweighted, dtype=float)
-    top_w = weighted.max()
-    second_w = np.sort(weighted)[-2] if len(weighted) > 1 else top_w
-    top_v = votes.max()
-    second_v = np.sort(votes)[-2] if len(votes) > 1 else top_v
-    vec[INDEX["guess_top_score"]] = top_w / k
-    vec[INDEX["guess_score_gap_second"]] = (top_w - second_w) / k
-    vec[INDEX["guess_score_gap_mean"]] = (top_w - weighted.mean()) / k
-    vec[INDEX["guess_top_votes"]] = top_v / k
-    vec[INDEX["guess_votes_gap_second"]] = (top_v - second_v) / k
-    vec[INDEX["guess_votes_gap_mean"]] = (top_v - votes.mean()) / k
+    weighted = scores.weighted
+    votes = scores.unweighted.astype(float)
+    top_w = weighted.max(axis=1)
+    second_w = np.sort(weighted, axis=1)[:, -2] if weighted.shape[1] > 1 else top_w
+    top_v = votes.max(axis=1)
+    second_v = np.sort(votes, axis=1)[:, -2] if votes.shape[1] > 1 else top_v
+    vec[:, INDEX["guess_top_score"]] = top_w / k
+    vec[:, INDEX["guess_score_gap_second"]] = (top_w - second_w) / k
+    vec[:, INDEX["guess_score_gap_mean"]] = (top_w - weighted.mean(axis=1)) / k
+    vec[:, INDEX["guess_top_votes"]] = top_v / k
+    vec[:, INDEX["guess_votes_gap_second"]] = (top_v - second_v) / k
+    vec[:, INDEX["guess_votes_gap_mean"]] = (top_v - votes.mean(axis=1)) / k
 
-    ranked = scores.ranked()
-    top = ranked[0]
-    runner_up = ranked[1] if len(ranked) > 1 else top
-    d_best = view.decisions[best_row]
-    d_second = view.decisions[second_row]
+    top = scores.ranked[:, 0]
+    runner_up = scores.ranked[:, 1] if scores.ranked.shape[1] > 1 else top
+    d_best = decisions[dialogs, best]
+    d_second = decisions[dialogs, second]
+    best_top = d_best[dialogs, top]
+    second_top = d_second[dialogs, top]
 
-    vec[INDEX["guess_top2_clf_agree"]] = float(d_best[top] == d_second[top])
-    vec[INDEX["guess_best_clf_decision"]] = d_best[top]
-    vec[INDEX["guess_second_clf_decision"]] = d_second[top]
-    vec[INDEX["guess_best_clf_decision_rel"]] = d_best[top] - d_best.astype(float).mean()
-    vec[INDEX["guess_second_clf_decision_rel"]] = (
-        d_second[top] - d_second.astype(float).mean()
+    vec[:, INDEX["guess_top2_clf_agree"]] = best_top == second_top
+    vec[:, INDEX["guess_best_clf_decision"]] = best_top
+    vec[:, INDEX["guess_second_clf_decision"]] = second_top
+    vec[:, INDEX["guess_best_clf_decision_rel"]] = best_top - d_best.astype(float).mean(axis=1)
+    vec[:, INDEX["guess_second_clf_decision_rel"]] = (
+        second_top - d_second.astype(float).mean(axis=1)
     )
-    vec[INDEX["guess_best_clf_top2_same"]] = float(d_best[top] == d_best[runner_up])
+    vec[:, INDEX["guess_best_clf_top2_same"]] = best_top == d_best[dialogs, runner_up]
     return vec

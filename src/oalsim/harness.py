@@ -39,8 +39,15 @@ from .corpus import (
 )
 from .dialog import Episode, RewardConfig, TranscriptStep, episode_return, transcript_records
 from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_int, check_real
-from .features import FeatureContext, N_FEATURES, featurize, guess_features, resolve_mask
-from .grounding import score_objects
+from .features import (
+    FeatureContext,
+    N_FEATURES,
+    featurize,
+    guess_features,
+    query_rows,
+    resolve_mask,
+)
+from .grounding import DescriptionStack, batch_stacks, score_objects, view_stack
 from .perception import (
     DensityIndex,
     PredicateModel,
@@ -57,7 +64,7 @@ from .policy import (
 )
 from .querygen import build_beam
 from .seeding import stream
-from .snapshot import EpisodeView, Snapshot
+from .snapshot import BatchRows, EpisodeView, Snapshot
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 CHECKPOINT_VERSION = "oalsim-checkpoint/2"
@@ -148,6 +155,60 @@ class RunResult:
         }
 
 
+@dataclass
+class EpisodeSetup:
+    """One episode's own view, feature context and grounded guess (a region row)."""
+
+    interaction: Interaction
+    view: EpisodeView
+    features: FeatureContext
+    guess: int
+
+
+def ground(stack: DescriptionStack) -> tuple[list[int], np.ndarray]:
+    """The region row each stacked dialog guesses, and its guess-feature row."""
+    scores = score_objects(stack)
+    return scores.argmax, guess_features(stack, scores)
+
+
+class BatchSetup:
+    """Every episode set-up of one batch, computed once from the batch's snapshot.
+
+    The snapshot rows over the batch's objects (snapshot.BatchRows), the query
+    rows of the feature table (features.query_rows; the agent's stats are
+    frozen until the batch end) and every dialog's grounding and guess
+    features are built at the batch start. `episode(e)` gathers episode e's
+    own copies from them.
+    """
+
+    def __init__(self, experiment: Experiment, agent: Agent, interactions: Sequence[Interaction]):
+        cfg = experiment.config
+        snapshot = Snapshot(agent.models, experiment.corpus.dim, cfg.triangular)
+        rows = BatchRows(snapshot, agent.predicates, interactions, experiment.corpus.X)
+        self.rows = rows
+        self.queries = query_rows(rows.predicates, rows.f1, rows.trained, agent.stats)
+        self.guesses = np.empty(len(interactions), dtype=np.intp)
+        self.guess_rows = np.empty((len(interactions), N_FEATURES))
+        for episodes, stack in batch_stacks(rows):
+            self.guesses[episodes], self.guess_rows[episodes] = ground(stack)
+        self.experiment = experiment
+
+    def episode(self, e: int) -> EpisodeSetup:
+        exp = self.experiment
+        interaction = self.rows.interactions[e]
+        view = EpisodeView(self.rows, e)
+        ctx = FeatureContext(
+            t_max=exp.config.episode.t_max,
+            description_predicates=interaction.description_predicates,
+            view=view,
+            density=exp.density,
+            guess=self.guess_rows[e],
+            batch_queries=self.queries,
+            mask=exp.mask,
+        )
+        return EpisodeSetup(interaction, view, ctx, int(self.guesses[e]))
+
+
 def build_corpus(config: RunConfig) -> Corpus:
     src = config.corpus
     if src.synthetic is not None:
@@ -196,9 +257,8 @@ class Experiment:
 
     def run_episode(
         self,
-        interaction: Interaction,
+        setup: EpisodeSetup,
         agent: Agent,
-        snapshot: Snapshot,
         theta: np.ndarray,
         policy_kind: str,
         phase_idx: int,
@@ -206,31 +266,13 @@ class Experiment:
         ep_idx: int,
     ) -> tuple[EpisodeOutcome, Episode]:
         cfg = self.config
+        interaction, view, ctx = setup.interaction, setup.view, setup.features
         desc = interaction.description_predicates
-        view = EpisodeView(
-            snapshot,
-            agent.predicates | set(desc),
-            interaction.active_train,
-            interaction.active_test,
-            self.corpus.X,
-        )
+        guess = setup.guess  # the grounding's region row, current at the guess
 
         oracle_rng = stream(self.master, "oracle", phase_idx, batch_idx, ep_idx)
         beam_rng = stream(self.master, "beam", phase_idx, batch_idx, ep_idx)
         policy_rng = stream(self.master, "policy", phase_idx, batch_idx, ep_idx)
-
-        # Grounding and the guess features change only with the description's
-        # classifiers: once per episode, and after an immediate refit of one.
-        scores = score_objects(desc, view)
-        ctx = FeatureContext(
-            t_max=cfg.episode.t_max,
-            description_predicates=desc,
-            view=view,
-            stats=agent.stats,
-            density=self.density,
-            guess=guess_features(desc, view, scores),
-            mask=self.mask,
-        )
         immediate = cfg.episode.immediate_updates
 
         episode = Episode(
@@ -240,7 +282,7 @@ class Experiment:
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
             oracle_rng=oracle_rng,
-            guesser=lambda: scores.argmax,  # the grounding current at the guess
+            guesser=lambda: guess,
         )
 
         while not episode.terminated:
@@ -267,8 +309,8 @@ class Experiment:
                 refit = self._refresh_models(view, episode.pending_labels[n_before:], agent)
                 ctx.refit([view.index[p] for p in refit])
                 if not refit.isdisjoint(desc):  # grounding reads description rows only
-                    scores = score_objects(desc, view)
-                    ctx.set_guess(guess_features(desc, view, scores))
+                    (guess,), (row,) = ground(view_stack(desc, view))
+                    ctx.set_guess(row)
 
         outcome = EpisodeOutcome(
             interaction=interaction,
@@ -333,16 +375,23 @@ class Experiment:
         cfg = self.config
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
-        snapshot = Snapshot(agent.models, self.corpus.dim, cfg.triangular)
-        for ep_idx in range(cfg.experiment.batch_size):
-            rng = stream(self.master, "interaction", phase_idx, batch_idx, ep_idx)
-            interaction = sample_interaction(
-                self.corpus, self.split, plan.side, cfg.episode.sizes(), rng
+        interactions = [
+            sample_interaction(
+                self.corpus,
+                self.split,
+                plan.side,
+                cfg.episode.sizes(),
+                stream(self.master, "interaction", phase_idx, batch_idx, ep_idx),
             )
+            for ep_idx in range(cfg.experiment.batch_size)
+        ]
+        setups = BatchSetup(self, agent, interactions)
+        agent.predicates.update(setups.rows.predicates)  # every description is now seen
+        for ep_idx in range(len(interactions)):
+            setup = setups.episode(ep_idx)
             outcome, episode = self.run_episode(
-                interaction, agent, snapshot, theta, plan.policy_kind, phase_idx, batch_idx, ep_idx
+                setup, agent, theta, plan.policy_kind, phase_idx, batch_idx, ep_idx
             )
-            agent.predicates.update(interaction.description_predicates)
             # Episode drops labels the agent held at the batch start, and the
             # agent's models do not change within a batch.
             for p, region, label in outcome.pending:
@@ -467,6 +516,8 @@ class Experiment:
                     if plan.update_policy:
                         theta = self.policy_update(params, theta, outcomes, update_counter)
                         update_counter += 1
+                    # free this batch's transcripts before the next batch plays its own
+                    del merged, outcomes
                     metrics.append(batch_metrics)
                     if checkpoint_dir is not None:
                         cursor = (
@@ -514,7 +565,7 @@ class Experiment:
             "baseline_count": params.baseline_count,
             "update_counter": update_counter,
             "agent": agent.to_dict(self.corpus.ids),
-            "metrics": [dataclasses.asdict(m) for m in metrics],
+            "metrics": [dict(vars(m)) for m in metrics],
         }
 
     def _validate_checkpoint(self, state: dict) -> dict:
@@ -575,7 +626,7 @@ def checkpoint_save(path, state: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh)
+            fh.write(json.dumps(state))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

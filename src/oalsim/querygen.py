@@ -17,6 +17,7 @@ snapshot's `cdfs`.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -66,18 +67,17 @@ class BeamConfig:
         check_int("beam.n_example", self.n_example, 0)
 
 
-def triangular_weights(f1: np.ndarray, params: TriangularWeights) -> np.ndarray:
-    """Piecewise-linear sampling weights, peaked at c_max, floored at w_min.
+def triangular_weight(f1: float, params: TriangularWeights) -> float:
+    """Piecewise-linear sampling weight of one F1, peaked at c_max, floored at w_min.
 
     An F1 outside [0,1] gets NaN, which sample_predicates refuses to draw from.
     """
-    f1 = np.asarray(f1, dtype=np.float64)
+    if not 0.0 <= f1 <= 1.0:
+        return math.nan
     span = params.w_max - params.w_min
-    rising = params.w_min + (f1 / params.c_max) * span
-    falling = params.w_min + ((1.0 - f1) / (1.0 - params.c_max)) * span
-    weights = np.where(f1 <= params.c_max, rising, falling)
-    weights[~((f1 >= 0.0) & (f1 <= 1.0))] = np.nan
-    return weights
+    if f1 <= params.c_max:
+        return params.w_min + (f1 / params.c_max) * span
+    return params.w_min + ((1.0 - f1) / (1.0 - params.c_max)) * span
 
 
 def sample_predicates(

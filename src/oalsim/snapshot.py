@@ -4,30 +4,36 @@ Classifiers and their F1 estimates change only at batch ends (and, with
 immediate updates, for one predicate at a time inside an episode). A Snapshot
 stacks the agent's classifiers once per batch: feature weights, biases, weight
 norms, F1, trained flags and triangular sampling weights, one row per
-predicate plus a last row for every predicate without a classifier. An
-EpisodeView takes one interaction's rows and columns from it: margins on the
-active-train objects (and each row's columns ordered by margin, then region
-row) and decisions on the active-test objects, whose features it gathers by
-region row (corpus.Corpus) from the corpus matrix. Its `labels` lists hold
-the classifiers' labels on the same active-train columns, one Python list
-per row, signed +1/-1 with 0 for none, and seed the episode's label record
-(dialog.Episode.known).
+predicate plus a last row for every predicate without a classifier.
+
+BatchRows takes the snapshot's rows of one batch's predicates (the agent's at
+the batch start and every description's) and computes them once over the
+batch's objects: margins on the union of the episodes' active-train objects,
+decisions on the union of their active-test objects, and a signed label table
+(+1/-1, 0 for none) from the classifiers' label dicts on the same train
+columns. Every array is sized by the batch's objects, never by the corpus.
+An EpisodeView is one episode's gather from them: its predicates are the
+agent's at the batch start plus the descriptions of the batch's episodes up
+to its own, its columns its interaction's active-train and -test region rows
+(corpus.Corpus). It owns its arrays, orders each row's train columns by
+margin, then region row, and seeds the episode's label record
+(dialog.Episode.known) with its label rows.
 `entries` writes every classifier row from classifier_rows' arrays: a
-view's rows at build time (Snapshot.entries), and an immediate refit's row,
-which EpisodeView.update computes from classifier_rows of the one refit
-classifier without building a Snapshot. A predicate whose labels hold one
-class is never refit (harness.Experiment._fit): its row stays that of no
-classifier, while the view's copy of its model gathers the new labels.
-Beams, grounding and guess features read these arrays; nothing scores one
-object against one classifier at a time. The snapshot also holds the
-batch's memo of sampling CDFs (`cdfs`, see querygen.sample_predicates),
-which every view shares.
+batch's rows (Snapshot.entries), and an immediate refit's row, which
+EpisodeView.update computes from classifier_rows of the one refit classifier
+without building a Snapshot. A predicate whose labels hold one class is never
+refit (harness.Experiment._fit): its row stays that of no classifier, while
+the view's copy of its model gathers the new labels. Beams, grounding and
+guess features read these arrays; nothing scores one object against one
+classifier at a time. The snapshot also holds the batch's memo of sampling
+CDFs (`cdfs`, see querygen.sample_predicates), which every view shares.
 
 Every entry equals its scalar form bit for bit: the score w[:-1] @ x + w[-1],
 its sign (+1 at exactly 0, -1 when untrained) and its distance to the
 hyperplane (0 below MARGIN_NORM_FLOOR). tests/classifier_oracle.py keeps
-those scalar functions as the reference. Scores come from np.vecdot, one dot
-product per (predicate, object) pair: the same BLAS dot as the 1-D
+those scalar functions as the reference, and tests/setup_oracle.py the
+per-episode build that BatchRows replaced. Scores come from np.vecdot, one
+dot product per (predicate, object) pair: the same BLAS dot as the 1-D
 w[:-1] @ x. A matrix product sums in another order and differs in the last
 bits.
 """
@@ -35,12 +41,16 @@ bits.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .perception import MARGIN_NORM_FLOOR, PredicateModel
-from .querygen import TriangularWeights, triangular_weights
+from .querygen import TriangularWeights, triangular_weight
+
+if TYPE_CHECKING:
+    from .corpus import Interaction
 
 
 def classifier_rows(
@@ -57,16 +67,18 @@ def classifier_rows(
     norms = np.zeros(n)
     f1 = np.zeros(n)
     trained = np.zeros(n, dtype=bool)
+    sampling = np.full(n, triangular_weight(0.0, params))
     for i, model in enumerate(models):
         if model is None:
             continue
         f1[i] = model.f1
+        sampling[i] = triangular_weight(model.f1, params)
         if model.weights is not None:
             coef[i] = model.weights[:-1]
             bias[i] = model.weights[-1]
             norms[i] = np.linalg.norm(model.weights[:-1])
             trained[i] = True
-    return coef, bias, norms, trained, f1, triangular_weights(f1, params)
+    return coef, bias, norms, trained, f1, sampling
 
 
 def _scores(coef: np.ndarray, bias: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -117,37 +129,92 @@ class Snapshot:
         return entries(*(a[rows] for a in arrays), train_X, test_X)
 
 
-class EpisodeView:
-    """One interaction's predicates (sorted) against its active-train and -test objects.
+class BatchRows:
+    """A batch's snapshot rows over the union of its episodes' objects, held once as arrays.
 
-    Row i is predicates[i]; train columns follow train_rows (active_train),
-    test columns test_rows (active_test), both region rows of X. `update`
-    swaps in a refit classifier for one predicate.
+    Row i is predicates[i], the sorted union of the agent's predicates at the
+    batch start and the batch's description predicates. Train columns are the
+    union of the interactions' active-train region rows, test columns that of
+    their active-test rows, both ascending: at most batch size x active_train
+    and batch size x active_test columns, whatever the corpus size. `labels`
+    is the classifiers' signed label table on the train columns, 0 for none.
+    `first` is the first episode whose view holds each predicate, -1 for the
+    agent's: the views' predicate sets only grow along the batch.
     """
 
     def __init__(
         self,
         snapshot: Snapshot,
         predicates: Iterable[str],
-        active_train: Sequence[int],
-        active_test: Sequence[int],
+        interactions: Sequence[Interaction],
         X: np.ndarray,
     ):
-        self.predicates = tuple(sorted(predicates))
+        self.interactions = interactions
+        first = dict.fromkeys(predicates, -1)
+        for e, interaction in enumerate(interactions):
+            for p in interaction.description_predicates:
+                first.setdefault(p, e)
+        self.predicates = tuple(sorted(first))
         self.index = {p: i for i, p in enumerate(self.predicates)}
+        self.first = np.array([first[p] for p in self.predicates], dtype=np.intp)
         none = len(snapshot.models) - 1
         rows = np.array([snapshot.row.get(p, none) for p in self.predicates], dtype=np.intp)
         self.models = [snapshot.models[r] for r in rows]
-        self.train_rows = tuple(active_train)
-        self.test_rows = tuple(active_test)
-        self.train_by_row = np.argsort(self.train_rows, kind="stable")
-        self._train_X = X[list(self.train_rows)]
-        self._test_X = X[list(self.test_rows)]
-        self._params = snapshot.params
+        self.params = snapshot.params
         self.cdfs = snapshot.cdfs
+        self.X = X
+        self.train_rows = _union(i.active_train for i in interactions)
+        self.test_rows = _union(i.active_test for i in interactions)
         self.f1, self.sampling, self.trained, self.margins, self.decisions = snapshot.entries(
-            rows, self._train_X, self._test_X
+            rows, X[self.train_rows], X[self.test_rows]
         )
+        self.labels = np.zeros((len(rows), len(self.train_rows)), dtype=np.int8)
+        for i, model in enumerate(self.models):
+            if model is not None and model.labels:
+                held = np.fromiter(model.labels, dtype=np.intp, count=len(model.labels))
+                _, cols, found = np.intersect1d(
+                    self.train_rows, held, assume_unique=True, return_indices=True
+                )
+                signs = np.fromiter(model.labels.values(), dtype=np.int8, count=len(held))
+                self.labels[i, cols] = signs[found]
+
+
+def _union(groups: Iterable[Sequence[int]]) -> np.ndarray:
+    """The region rows of all groups, ascending, each once."""
+    return np.array(sorted(set(chain.from_iterable(groups))), dtype=np.intp)
+
+
+class EpisodeView:
+    """A batch episode's predicates (sorted) against its active-train and -test objects.
+
+    Row i is predicates[i], batch row rows[i]; train columns follow
+    train_rows (active_train), test columns test_rows (active_test), both
+    region rows. Every array is the view's own gather from its batch's, so
+    `update`, which swaps in a refit classifier for one predicate, writes
+    this view only.
+    """
+
+    def __init__(self, batch: BatchRows, episode: int):
+        interaction = batch.interactions[episode]
+        self.rows = rows = np.flatnonzero(batch.first <= episode)
+        listed = rows.tolist()
+        self.predicates = tuple(batch.predicates[r] for r in listed)
+        self.index = {p: i for i, p in enumerate(self.predicates)}
+        self.models = [batch.models[r] for r in listed]
+        self.train_rows = tuple(interaction.active_train)
+        self.test_rows = tuple(interaction.active_test)
+        self._batch = batch
+        train_cols = np.searchsorted(batch.train_rows, self.train_rows)
+        test_cols = np.searchsorted(batch.test_rows, self.test_rows)
+        self.train_by_row = np.argsort(train_cols, kind="stable")
+        self.cdfs = batch.cdfs
+        self.f1 = batch.f1[rows]
+        self.sampling = batch.sampling[rows]
+        self.trained = batch.trained[rows]
+        grid = rows[:, None]
+        self.margins = batch.margins[grid, train_cols]
+        self.decisions = batch.decisions[grid, test_cols]
+        self._labels = batch.labels[grid, train_cols]
         self.by_margin = self._by_margin(self.margins)
 
     def _by_margin(self, margins: np.ndarray) -> list:
@@ -167,9 +234,11 @@ class EpisodeView:
         """
         i = self.index[predicate]
         self.models[i] = model
-        rows = classifier_rows([model], self._train_X.shape[1], self._params)
+        X = self._batch.X
+        rows = classifier_rows([model], X.shape[1], self._batch.params)
+        objects = X[list(self.train_rows)], X[list(self.test_rows)]
         arrays = (self.f1, self.sampling, self.trained, self.margins, self.decisions)
-        for dst, entry in zip(arrays, entries(*rows, self._train_X, self._test_X)):
+        for dst, entry in zip(arrays, entries(*rows, *objects)):
             dst[i] = entry[0]
         self.by_margin[i] = self._by_margin(self.margins[i])
 
@@ -178,8 +247,4 @@ class EpisodeView:
 
         One new list per row.
         """
-        rows = self.train_rows
-        return [
-            [0] * len(rows) if model is None else [model.labels.get(row, 0) for row in rows]
-            for model in self.models
-        ]
+        return self._labels.tolist()

@@ -1,8 +1,10 @@
 """Scalar classifier functions, kept as oracles for the array code.
 
 The package scores, decides and weights predicates on arrays (the Snapshot
-rows, the stacked cross-validation folds, `triangular_weights`). These are
-the one-object, one-classifier forms the arrays must equal bit for bit.
+rows, the stacked cross-validation folds). These are the one-object,
+one-classifier forms the arrays must equal bit for bit. `triangular_weights`
+is the array form of querygen.triangular_weight, which computes one weight
+with Python floats.
 `fit_hinge` is the single fit's descent with its exact violation test on
 every iteration, which the package skips while a bound allows.
 """
@@ -11,7 +13,7 @@ import numpy as np
 
 from oalsim.errors import OalsimError
 from oalsim.perception import MARGIN_NORM_FLOOR, PredicateModel
-from oalsim.querygen import TriangularWeights, triangular_weights
+from oalsim.querygen import TriangularWeights
 
 
 class UndefinedMarginError(OalsimError):
@@ -39,6 +41,17 @@ def margin(model: PredicateModel, features: np.ndarray) -> float:
     if norm < MARGIN_NORM_FLOOR:
         return 0.0
     return abs(score(model, features)) / norm
+
+
+def triangular_weights(f1: np.ndarray, params: TriangularWeights) -> np.ndarray:
+    """Piecewise-linear sampling weights, peaked at c_max, floored at w_min; NaN outside [0,1]."""
+    f1 = np.asarray(f1, dtype=np.float64)
+    span = params.w_max - params.w_min
+    rising = params.w_min + (f1 / params.c_max) * span
+    falling = params.w_min + ((1.0 - f1) / (1.0 - params.c_max)) * span
+    weights = np.where(f1 <= params.c_max, rising, falling)
+    weights[~((f1 >= 0.0) & (f1 <= 1.0))] = np.nan
+    return weights
 
 
 def predicate_weight(c: float, params: TriangularWeights) -> float:

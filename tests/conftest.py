@@ -6,10 +6,19 @@ import pytest
 
 from oalsim.agent import Agent
 from oalsim.config import CorpusSource, ExperimentConfig, PolicyConfig, RunConfig, load_config
-from oalsim.corpus import Corpus, SplitConfig, SyntheticConfig, generate_synthetic, make_splits
-from oalsim.features import N_FEATURES
-from oalsim.harness import Experiment, RunResult
+from oalsim.corpus import (
+    Corpus,
+    Interaction,
+    SplitConfig,
+    SyntheticConfig,
+    generate_synthetic,
+    make_splits,
+)
+from oalsim.features import N_FEATURES, FeatureContext, query_rows
+from oalsim.grounding import view_stack
+from oalsim.harness import Experiment, RunResult, ground
 from oalsim.perception import DensityIndex
+from oalsim.snapshot import BatchRows, EpisodeView
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
@@ -29,6 +38,26 @@ def small_run_config(**experiment_overrides) -> RunConfig:
         split=SplitConfig(frequency_threshold=30, seed=1),
         policy=PolicyConfig(learning_rate=3e-6),
         experiment=ExperimentConfig(**exp),
+    )
+
+
+def episode_view(snapshot, predicates, active_train, active_test, X):
+    """The view of a batch of one episode that holds exactly these predicates."""
+    interaction = Interaction(tuple(active_train), tuple(active_test), -1, ())
+    return EpisodeView(BatchRows(snapshot, predicates, [interaction], X), 0)
+
+
+def feature_context(view, description, stats, density, t_max=40, mask=None):
+    """The feature context of an `episode_view` view, grounded on the description."""
+    _, guess = ground(view_stack(description, view))
+    return FeatureContext(
+        t_max=t_max,
+        description_predicates=tuple(description),
+        view=view,
+        density=density,
+        guess=guess[0],
+        batch_queries=query_rows(view.predicates, view.f1, view.trained, stats),
+        mask=mask,
     )
 
 

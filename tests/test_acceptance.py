@@ -19,7 +19,6 @@ from oalsim.agent import Agent
 from oalsim.config import load_config
 from oalsim.corpus import Region, sample_interaction
 from oalsim.features import N_FEATURES, resolve_mask
-from oalsim.grounding import score_objects
 from oalsim.harness import (
     Experiment,
     PhasePlan,
@@ -41,7 +40,7 @@ from oalsim.stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 from classifier_oracle import predicate_weight
 from conftest import desk_run, small_run_config
-from test_grounding import grounding_view, guessed_id
+from test_grounding import grounding_view, guessed_id, score_one
 from test_perception import _reference_cv_f1
 from test_querygen import best_object, sample_names
 
@@ -232,7 +231,7 @@ class TestC05GroundingOracle:
                        annotations=frozenset({"x"}))
                 for i in range(4)
             ]
-            scores = score_objects(preds, grounding_view(preds, models, regions))
+            scores = score_one(preds, grounding_view(preds, models, regions))
             # independent evaluation of the weighted-decision sum
             expected = []
             for r in regions:
@@ -255,7 +254,7 @@ class TestC05GroundingOracle:
                 for p, m in models.items()
             }
             assert (
-                score_objects(preds, grounding_view(preds, scaled, regions)).argmax
+                score_one(preds, grounding_view(preds, scaled, regions)).argmax
                 == scores.argmax
             )
         report(5, "grounding matches exhaustive oracle", True, "1000 instances")

@@ -9,7 +9,9 @@ from oalsim.dialog import Episode, RewardConfig, episode_return, transcript_reco
 from oalsim.errors import ContractError, DataError, ProtocolError
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
+
+from conftest import episode_view
 
 
 def _toy_world(positives_for_white=("t2", "t5")):
@@ -53,7 +55,7 @@ def _row(rid):
 def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models=None):
     if corpus is None:
         corpus, interaction = _toy_world()
-    view = EpisodeView(
+    view = episode_view(
         Snapshot(models or {}, 4),
         ("blue", "green", "red", "white"),
         interaction.active_train,

@@ -8,12 +8,11 @@ import pytest
 from oalsim import harness
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.agent import Agent
-from oalsim.features import N_FEATURES, FeatureContext, guess_features
-from oalsim.grounding import score_objects
+from oalsim.features import N_FEATURES
 from oalsim.harness import Experiment
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
 
-from conftest import small_run_config
+from conftest import episode_view, feature_context, small_run_config
 from feature_oracle import featurize_beam
 
 
@@ -41,12 +40,18 @@ def test_every_beam_equals_the_stacked_oracle(
 ):
     seen = {"turns": 0, "labels": 0, "after_refit": 0}
     refits = []
+    batch_stats = []  # the agent stats each batch's query rows were built from
     beam_form = harness.featurize
+    rows_form = harness.query_rows
     refresh = Experiment._refresh_models
+
+    def recorded_rows(predicates, f1, trained, stats):
+        batch_stats.append(stats)
+        return rows_form(predicates, f1, trained, stats)
 
     def checked(beam, turn, ctx):
         got = beam_form(beam, turn, ctx)
-        want = featurize_beam(beam, turn, ctx)
+        want = featurize_beam(beam, turn, ctx, batch_stats[-1])
         assert got.shape == (len(beam), N_FEATURES)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
@@ -61,6 +66,7 @@ def test_every_beam_equals_the_stacked_oracle(
         return refit
 
     monkeypatch.setattr(harness, "featurize", checked)
+    monkeypatch.setattr(harness, "query_rows", recorded_rows)
     monkeypatch.setattr(Experiment, "_refresh_models", counted)
     cfg = _config(immediate, ablate)
     result = Experiment(cfg, small_corpus, small_split, small_density).run()
@@ -83,21 +89,14 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     exp.apply_batch_end(agent, merged, outcomes)
     inter = outcomes[0].interaction
     desc = inter.description_predicates
-    view = EpisodeView(
+    view = episode_view(
         Snapshot(agent.models, small_corpus.dim),
         agent.predicates | set(desc),
         inter.active_train,
         inter.active_test,
         exp.corpus.X,
     )
-    ctx = FeatureContext(
-        t_max=40,
-        description_predicates=desc,
-        view=view,
-        stats=agent.stats,
-        density=small_density,
-        guess=guess_features(desc, view, score_objects(desc, view)),
-    )
+    ctx = feature_context(view, desc, agent.stats, small_density)
     for beam, turn in (
         ([Guess()], 40),
         ([Guess()] + [ExampleQuery(predicate=p) for p in view.predicates], 3),
@@ -105,4 +104,4 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
                       for p in view.predicates], 7),
     ):
         got = harness.featurize(beam, turn, ctx)
-        assert got.tobytes() == featurize_beam(beam, turn, ctx).tobytes()
+        assert got.tobytes() == featurize_beam(beam, turn, ctx, agent.stats).tobytes()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from oalsim.corpus import Corpus, Region
-from oalsim.grounding import score_objects
+from oalsim.grounding import score_objects, view_stack
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
 
 from classifier_oracle import decide
+from conftest import episode_view
 
 
 def grounding_view(preds, models, regions):
@@ -16,12 +19,23 @@ def grounding_view(preds, models, regions):
     The regions form a corpus, and each column is a region's row in it.
     """
     corpus = Corpus(regions)
-    return EpisodeView(
+    return episode_view(
         Snapshot(models, corpus.dim),
         set(models) | set(preds),
         (),
         [corpus.row[r.id] for r in regions],
         corpus.X,
+    )
+
+
+def score_one(preds, view):
+    """score_objects on the one dialog of a view, its entries as tuples."""
+    scores = score_objects(view_stack(preds, view))
+    return SimpleNamespace(
+        regions=view.test_rows,
+        weighted=tuple(scores.weighted[0].tolist()),
+        unweighted=tuple(scores.unweighted[0].tolist()),
+        argmax=scores.argmax[0],
     )
 
 
@@ -56,26 +70,26 @@ def worked_example():
 class TestScoreObjects:
     def test_worked_instance(self):
         preds, models, regions = worked_example()
-        scores = score_objects(preds, grounding_view(preds, models, regions))
+        scores = score_one(preds, grounding_view(preds, models, regions))
         assert scores.weighted == pytest.approx((0.5, -0.5, 1.3))
         assert scores.unweighted == (0, 0, 2)
         assert guessed_id(scores, regions) == "o3"
 
     def test_all_untrained_ties_to_lowest_id(self):
         regions = [_region("b", (1.0, 1.0)), _region("a", (0.0, 1.0)), _region("c", (2.0, 0.0))]
-        scores = score_objects(["p1", "p2"], grounding_view(["p1", "p2"], {}, regions))
+        scores = score_one(["p1", "p2"], grounding_view(["p1", "p2"], {}, regions))
         assert all(w == 0.0 for w in scores.weighted)
         assert all(u == -2 for u in scores.unweighted)
         assert guessed_id(scores, regions) == "a"
 
     def test_single_predicate_single_region(self):
         only = [_region("only", (1.0, 0.0))]
-        scores = score_objects(["p1"], grounding_view(["p1"], {}, only))
+        scores = score_one(["p1"], grounding_view(["p1"], {}, only))
         assert guessed_id(scores, only) == "only"
 
     def test_negation_changes_strict_argmax(self):
         preds, models, regions = worked_example()
-        scores = score_objects(preds, grounding_view(preds, models, regions))
+        scores = score_one(preds, grounding_view(preds, models, regions))
         neg_order = sorted(
             range(3), key=lambda i: (-(-scores.weighted[i]), scores.regions[i])
         )
@@ -85,8 +99,8 @@ class TestScoreObjects:
         preds, models, regions = worked_example()
         models = dict(models)
         models["p3"] = _axis_model("p3", 0, 0.0)
-        with_p3 = score_objects(preds + ["p3"], grounding_view(preds + ["p3"], models, regions))
-        without = score_objects(preds, grounding_view(preds, models, regions))
+        with_p3 = score_one(preds + ["p3"], grounding_view(preds + ["p3"], models, regions))
+        without = score_one(preds, grounding_view(preds, models, regions))
         assert with_p3.weighted == pytest.approx(without.weighted)
         # but the decision sums still register it
         assert with_p3.unweighted != without.unweighted
@@ -107,7 +121,7 @@ class TestScoreObjects:
                     predicate=name, weights=w, f1=float(rng.uniform(0, 1))
                 )
             regions = [_region(f"o{i}", rng.normal(size=dim)) for i in range(n)]
-            scores = score_objects(preds, grounding_view(preds, models, regions))
+            scores = score_one(preds, grounding_view(preds, models, regions))
             for i, region in enumerate(regions):
                 expected = sum(
                     decide(models[p], region.features) * models[p].f1 for p in preds
@@ -134,10 +148,10 @@ class TestScoreObjects:
                     f1=float(rng.uniform(0.05, 1.0)),
                 )
             regions = [_region(f"o{i}", rng.normal(size=4)) for i in range(4)]
-            before = score_objects(preds, grounding_view(preds, models, regions)).argmax
+            before = score_one(preds, grounding_view(preds, models, regions)).argmax
             lam = float(rng.uniform(0.1, 5.0))
             scaled = {
                 p: PredicateModel(predicate=p, weights=m.weights, f1=m.f1 * lam)
                 for p, m in models.items()
             }
-            assert score_objects(preds, grounding_view(preds, scaled, regions)).argmax == before
+            assert score_one(preds, grounding_view(preds, scaled, regions)).argmax == before

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,15 +13,7 @@ from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
 from oalsim.dialog import RewardConfig
 from oalsim.errors import CheckpointError
-from oalsim.features import (
-    INDEX,
-    N_FEATURES,
-    FeatureContext,
-    featurize,
-    guess_features,
-    resolve_mask,
-)
-from oalsim.grounding import score_objects
+from oalsim.features import INDEX, N_FEATURES, featurize, resolve_mask
 from oalsim.harness import (
     CHECKPOINT_VERSION,
     Experiment,
@@ -31,9 +24,10 @@ from oalsim.harness import (
     write_metrics_csv,
 )
 from oalsim.perception import PredicateModel
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
 
-from conftest import SMALL_SYNTH, small_run_config
+from conftest import SMALL_SYNTH, episode_view, feature_context, small_run_config
+from setup_oracle import oracle_guess_features, oracle_scores
 
 
 def batch(indicators, lengths):
@@ -212,6 +206,24 @@ class TestExperimentRun:
             assert a.lengths == b.lengths
         assert np.array_equal(small_result.theta, again.theta)
 
+    def test_a_batch_runs_after_the_previous_batch_freed_its_transcripts(
+        self, small_experiment, monkeypatch
+    ):
+        # a batch's transcripts hold its beams' feature arrays; two batches'
+        # alive at once would double the run's peak memory
+        held = []
+        run_batch = Experiment.run_batch
+
+        def checked(self, *args, **kwargs):
+            assert all(ref() is None for ref in held)
+            out = run_batch(self, *args, **kwargs)
+            held[:] = [weakref.ref(o) for o in out[2]]
+            return out
+
+        monkeypatch.setattr(Experiment, "run_batch", checked)
+        small_experiment.run()
+        assert held
+
     def test_theta_frozen_in_test_phase(
         self, small_corpus, small_split, small_density, tmp_path
     ):
@@ -293,12 +305,10 @@ class TestCheckpointing:
         cut = tmp_path / "cut.jsonl"
         exp = Experiment(cfg, small_corpus, small_split, small_density)
 
-        def run_episode(interaction, agent, snapshot, theta, kind, phase, batch, ep):
+        def run_episode(setup, agent, theta, kind, phase, batch, ep):
             if (phase, batch, ep) == (1, 1, 5):
                 raise Interrupted
-            return Experiment.run_episode(
-                exp, interaction, agent, snapshot, theta, kind, phase, batch, ep
-            )
+            return Experiment.run_episode(exp, setup, agent, theta, kind, phase, batch, ep)
 
         monkeypatch.setattr(exp, "run_episode", run_episode)
         with pytest.raises(Interrupted):
@@ -533,7 +543,7 @@ class TestImmediateUpdates:
             nonlocal regrounded
             desc = ctx.description_predicates
             if not unchecked.isdisjoint(desc):
-                want = guess_features(desc, ctx.view, score_objects(desc, ctx.view))
+                want = oracle_guess_features(desc, ctx.view, oracle_scores(desc, ctx.view))
                 want[INDEX["act_guess"]] = 1.0
                 assert ctx.table[0].tobytes() == want.tobytes()
                 regrounded += 1
@@ -560,21 +570,14 @@ class TestImmediateUpdates:
         rid = int(exp.density.knn[x, 0])
         other = next(r for r in range(len(exp.corpus)) if r != rid)
         agent.models["zz-one"] = PredicateModel("zz-one", labels={other: 1})
-        view = EpisodeView(
+        view = episode_view(
             Snapshot(agent.models, exp.corpus.dim, exp.config.triangular),
             agent.predicates | set(agent.models) | set(desc) | {"zz-new"},
             inter.active_train,
             inter.active_test,
             exp.corpus.X,
         )
-        ctx = FeatureContext(
-            t_max=40,
-            description_predicates=desc,
-            view=view,
-            stats=agent.stats,
-            density=exp.density,
-            guess=guess_features(desc, view, score_objects(desc, view)),
-        )
+        ctx = feature_context(view, desc, agent.stats, exp.density)
         names = ("f1", "sampling", "trained", "margins", "decisions")
         before = {name: getattr(view, name).copy() for name in names}
         by_margin, queries = [list(r) for r in view.by_margin], ctx.queries.copy()

@@ -5,17 +5,14 @@ from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.corpus import Corpus
 from oalsim.errors import PolicyUpdateError
 from oalsim.features import (
-    FeatureContext,
     GROUPS,
     INDEX,
     N_FEATURES,
     REGISTRY,
     featurize,
-    guess_features,
     registry_table,
     resolve_mask,
 )
-from oalsim.grounding import score_objects
 from oalsim.perception import DensityIndex
 from oalsim.policy import (
     AgentStats,
@@ -27,8 +24,9 @@ from oalsim.policy import (
     static_policy_act,
 )
 from oalsim.seeding import stream
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
 
+from conftest import episode_view, feature_context
 from test_grounding import worked_example
 
 
@@ -233,17 +231,8 @@ def _guess_context(models, stats=None, mask=None):
     rows = corpus.file_rows
     density = DensityIndex(corpus.X[rows], rows, k=2)
     askable = set(models) | set(preds) | {"zeta", "unseen"}
-    view = EpisodeView(Snapshot(models, 2), askable, rows, rows, corpus.X)
-    scores = score_objects(preds, view)
-    return FeatureContext(
-        t_max=40,
-        description_predicates=tuple(preds),
-        view=view,
-        stats=stats or AgentStats(),
-        density=density,
-        guess=guess_features(preds, view, scores),
-        mask=mask,
-    )
+    view = episode_view(Snapshot(models, 2), askable, rows, rows, corpus.X)
+    return feature_context(view, preds, stats or AgentStats(), density, mask=mask)
 
 
 def _features(action, ctx):

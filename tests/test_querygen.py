@@ -17,13 +17,12 @@ from oalsim.querygen import (
     best_object_for_predicate,
     build_beam,
     sample_predicates,
-    triangular_weights,
 )
 from oalsim.seeding import stream
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
 
-from classifier_oracle import margin, predicate_weight
-from conftest import small_run_config
+from classifier_oracle import margin, predicate_weight, triangular_weights
+from conftest import episode_view, small_run_config
 
 DEFAULTS = TriangularWeights()
 
@@ -42,7 +41,7 @@ def best_object(model, active_train, features, labeled, rng):
     ids = sorted(features)
     X = np.stack([features[rid] for rid in ids])
     models = {} if model is None else {"p": model}
-    view = EpisodeView(
+    view = episode_view(
         Snapshot(models, X.shape[1]), ["p"], [ids.index(rid) for rid in active_train], (), X
     )
     labels = [int(rid in labeled) for rid in active_train]
@@ -172,7 +171,7 @@ class TestBuildBeam:
         X = np.array([[i - 3.5, 1.0] for i in range(8)])
         labeled = labeled or {}
         rows = range(8)
-        view = EpisodeView(Snapshot({}, 2, DEFAULTS), predicates, rows, (), X)
+        view = episode_view(Snapshot({}, 2, DEFAULTS), predicates, rows, (), X)
         return build_beam(
             turn=turn,
             t_max=t_max,

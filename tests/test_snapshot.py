@@ -14,12 +14,12 @@ import pytest
 
 from oalsim import harness, querygen
 from oalsim.harness import Experiment
-from oalsim.querygen import TriangularWeights, sample_predicates, triangular_weights
+from oalsim.querygen import TriangularWeights, sample_predicates
 from oalsim.seeding import stream
-from oalsim.snapshot import EpisodeView, Snapshot
+from oalsim.snapshot import Snapshot
 
-from classifier_oracle import decide, margin, score
-from conftest import small_run_config
+from classifier_oracle import decide, margin, score, triangular_weights
+from conftest import episode_view, small_run_config
 
 
 def test_desk_agent_has_trained_and_untrained_classifiers(desk_agent):
@@ -34,7 +34,7 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     rows = range(len(exp.corpus))
     predicates = sorted(agent.models) + ["never-described"]
-    view = EpisodeView(snapshot, predicates, rows, rows, exp.corpus.X)
+    view = episode_view(snapshot, predicates, rows, rows, exp.corpus.X)
     X = exp.corpus.X
 
     scores_checked = 0
@@ -57,7 +57,7 @@ def test_by_margin_orders_columns_by_margin_then_id(desk_agent):
     exp, agent = desk_agent
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     rows = list(range(100, 160))[::-1]  # columns out of id order
-    view = EpisodeView(snapshot, agent.models, rows, (), exp.corpus.X)
+    view = episode_view(snapshot, agent.models, rows, (), exp.corpus.X)
     ids = [exp.corpus.ids[row] for row in rows]
     for i in range(len(view.predicates)):
         expected = sorted(range(len(ids)), key=lambda j: (view.margins[i, j], ids[j]))
@@ -68,7 +68,7 @@ def test_f1_and_sampling_rows_follow_models(desk_agent):
     exp, agent = desk_agent
     params = exp.config.triangular
     snapshot = Snapshot(agent.models, exp.corpus.dim, params)
-    view = EpisodeView(snapshot, set(agent.models) | {"never-described"}, (), (), exp.corpus.X)
+    view = episode_view(snapshot, set(agent.models) | {"never-described"}, (), (), exp.corpus.X)
     for i, p in enumerate(view.predicates):
         model = agent.models.get(p)
         f1 = model.f1 if model is not None else 0.0
@@ -81,7 +81,7 @@ def _update_and_rebuild(desk_agent, set_weights=None):
     exp, agent = desk_agent
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     rows = range(40)
-    view = EpisodeView(snapshot, agent.models, rows[:8], rows[8:12], exp.corpus.X)
+    view = episode_view(snapshot, agent.models, rows[:8], rows[8:12], exp.corpus.X)
     donor = next(m for m in agent.models.values() if m.weights is not None and m.f1 > 0.0)
     target = next(p for p in view.predicates if p != donor.predicate)
     swapped = dataclasses.replace(donor.clone(), predicate=target)
@@ -89,7 +89,7 @@ def _update_and_rebuild(desk_agent, set_weights=None):
         swapped.weights = set_weights(exp.corpus.dim)
     view.update(target, swapped)
     models = dict(agent.models, **{target: swapped})
-    fresh = EpisodeView(
+    fresh = episode_view(
         Snapshot(models, exp.corpus.dim, exp.config.triangular),
         models, rows[:8], rows[8:12], exp.corpus.X,
     )
@@ -161,8 +161,8 @@ def test_memoised_draws_equal_generator_choice_across_updates(desk_agent):
     snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     snapshot.cdfs = Counted()
     views = [
-        EpisodeView(snapshot, agent.models, range(8), range(8, 12), exp.corpus.X),
-        EpisodeView(snapshot, agent.models, range(12, 20), range(20, 24), exp.corpus.X),
+        episode_view(snapshot, agent.models, range(8), range(8, 12), exp.corpus.X),
+        episode_view(snapshot, agent.models, range(12, 20), range(20, 24), exp.corpus.X),
     ]
     assert views[0].cdfs is views[1].cdfs is snapshot.cdfs
     donors = [m for m in agent.models.values() if m.weights is not None]
