@@ -307,7 +307,8 @@ class Experiment:
             episode.step(beam[chosen], beam_features, chosen)
             if immediate and len(episode.pending_labels) > n_before:
                 refit = self._refresh_models(view, episode.pending_labels[n_before:], agent)
-                ctx.refit([view.index[p] for p in refit])
+                if refit:
+                    ctx.refit([view.index[p] for p in refit])
                 if not refit.isdisjoint(desc):  # grounding reads description rows only
                     (guess,), (row,) = ground(view_stack(desc, view))
                     ctx.set_guess(row)

@@ -17,6 +17,7 @@ give the same weights and F1 bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -163,7 +164,7 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     n rows, (n, d+1), or of a stack of problems, (k, n_max, d+1) with each
     problem's rows at the top of its slice, zero rows below and n the (k,)
     row counts. y is +1 or -1 and negation commutes with rounding, so YX @ w
-    equals y * ([X, 1] @ w) bit for bit.
+    equals y * ([X, 1] @ w) bit for bit. Iteration t steps by _step_sizes(cfg)[t].
 
     A stacked problem's weights equal its own 2-D fit bit for bit: each
     problem's scores are one gemv, like the 2-D YX @ w; _sum_masked_rows adds
@@ -178,11 +179,11 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     fit serves train_classifier, whose only caller in a run is an immediate
     refit, and sums the boolean index. Most of its iterations have no
     violating row, and such an iteration only shrinks the feature weights
-    (the bias takes w_b - 0.0, which is w_b, -0.0 included), so it skips the
-    exact test (_scores) while a bound proves that the test would find no
-    violating row; every weight is still computed as without the skip. After
-    a test at weights w finds none, with W = max |w_feat|, L_i row i's
-    feature l1 norm and m = d+1 terms per score:
+    (the bias takes w_b - 0.0, which is w_b, -0.0 included), so after an
+    exact test (_scores) finds no violating row, the fit runs the stretch of
+    shrink-only iterations that a bound proves the test would find none in
+    as one pass (_shrink). After a test at weights w finds none, with
+    W = max |w_feat|, L_i row i's feature l1 norm and m = d+1 terms per score:
       - while l2 * step < 1, no |w_j| grows in a shrink-only step, and one
         moves each w_j by at most W * (l2 * step * (1+u)^2 + 2u), u = 2^-53
         (the 2u covers the rounding of w - grad and, with W >= 2^-969 *
@@ -195,55 +196,81 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     test sum to at most min_i (score_i - 1 - 2 gamma_m |w_b|) / (L_i W)
     - 2 gamma_m, over l2 (1+u)^2 + 2u / (the last step). _step_budget
     computes that budget with its coefficients rounded up and its result
-    scaled down to cover its own rounding and that of summing the steps, and
-    each later iteration adds its step and compares. The test runs on every
+    scaled down to cover its own rounding and that of summing the steps.
+    The stretch starts at the test's iteration and takes each next iteration
+    while the steps before it, summed in a Python float, are within the
+    budget; the first iteration past it tests again. The test runs on every
     iteration while l2 * step_size >= 1, W is below the floor, or the budget
-    is NaN, infinite or below 2^-969. The immediate benchmark at seed 101
-    makes 1,977 single fits of 2.26 labels on average: 99.3% of their
-    296,550 iterations have no violating row, and 2.2% run the test.
+    is NaN, infinite or below 2^-969. _shrink computes every weight as the
+    per-iteration update would: each IEEE-754 binary64 operation rounds to
+    nearest on its own (Higham, 2nd ed. 2002, ch. 2), in a ufunc or in
+    CPython alike. The immediate benchmark at seed 101 makes 1,977 single
+    fits of 2.26 labels on average: 99.3% of their 296,550 iterations have
+    no violating row, and 2.2% run the test.
     """
+    steps = _step_sizes(cfg)
+    l2 = float(cfg.l2)
     if YX.ndim == 2:
         step_budget = _step_budget(YX, cfg)
-        budget, spent = -1.0, 0.0  # spent: the steps taken since the last test
-
-        def mean_pull(w, step):
-            nonlocal budget, spent
-            if spent <= budget:
-                spent += step
-                return None
+        w = np.zeros(YX.shape[1])
+        grad = np.empty_like(w)
+        t = 0
+        while t < len(steps):
             scores = _scores(YX, w)
             viol = scores < 1.0
             if viol.any():
-                budget = -1.0
-                return YX[viol].sum(axis=0) / n
-            budget, spent = step_budget(scores, w), step
-            return None
+                np.multiply(w, l2, out=grad)
+                grad[-1] = 0.0
+                grad -= YX[viol].sum(axis=0) / n
+                grad *= steps[t]
+                w -= grad
+                t += 1
+                continue
+            budget, spent, end = step_budget(scores, w), steps[t], t + 1
+            while end < len(steps) and spent <= budget:
+                spent += steps[end]
+                end += 1
+            w[:-1] = _shrink(w[:-1].tolist(), l2, steps[t:end])
+            t = end
+        return w
 
-    else:
-        k, rows, width = YX.shape
-        counts = n[:, None]
-        scores = np.empty((k, rows, 1))
-        mask = np.empty((k, rows))
-        pull = np.empty((k, width))
-
-        def mean_pull(w, step):
-            np.matmul(YX, w[:, :, None], out=scores)
-            np.less(scores[:, :, 0], 1.0, out=mask)
-            _sum_masked_rows(YX, mask, pull)
-            return np.divide(pull, counts, out=pull)
-
-    w = np.zeros(YX.shape[:-2] + YX.shape[-1:])
+    k, rows, width = YX.shape
+    counts = n[:, None]
+    scores = np.empty((k, rows, 1))
+    mask = np.empty((k, rows))
+    pull = np.empty((k, width))
+    w = np.zeros((k, width))
     grad = np.empty_like(w)
-    for t in range(cfg.iterations):
-        step = cfg.step_size / (1.0 + cfg.step_decay * t)
-        np.multiply(w, cfg.l2, out=grad)
-        grad[..., -1] = 0.0
-        pull = mean_pull(w, step)
-        if pull is not None:
-            grad -= pull
+    for step in steps:
+        np.multiply(w, l2, out=grad)
+        grad[:, -1] = 0.0
+        np.matmul(YX, w[:, :, None], out=scores)
+        np.less(scores[:, :, 0], 1.0, out=mask)
+        _sum_masked_rows(YX, mask, pull)
+        grad -= np.divide(pull, counts, out=pull)
         grad *= step
         w -= grad
     return w
+
+
+@lru_cache(maxsize=8)
+def _step_sizes(cfg: ClassifierConfig) -> tuple[float, ...]:
+    """The descent's step sizes, step_size / (1 + step_decay * t) for t < iterations."""
+    return tuple(cfg.step_size / (1.0 + cfg.step_decay * t) for t in range(cfg.iterations))
+
+
+def _shrink(weights: list[float], l2: float, steps: Sequence[float]) -> list[float]:
+    """The feature weights after shrink-only steps: w -= w * l2 * step, step by step.
+
+    The same operations in the same order as the per-iteration update's
+    ufuncs, (w * l2) * step and then w minus that, on Python floats.
+    """
+    out = []
+    for w in weights:
+        for step in steps:
+            w -= w * l2 * step
+        out.append(w)
+    return out
 
 
 _TINY = 2.0**-969  # below this, underflow can break the relative error bounds
@@ -262,7 +289,8 @@ def _step_budget(YX: np.ndarray, cfg: ClassifierConfig):
     would not hold.
     """
     m = YX.shape[1]
-    last = cfg.step_size / (1.0 + cfg.step_decay * max(cfg.iterations - 1, 0))
+    steps = _step_sizes(cfg)
+    last = steps[-1] if steps else 0.0
     shrink = 1.0 - (m + cfg.iterations + 16) * 2.0**-50
     if not (cfg.l2 * cfg.step_size < 1.0 and len(YX) and last > 0.0 and shrink > 0.5):
         return lambda scores, w: -1.0

@@ -13,7 +13,7 @@ from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
 from oalsim.dialog import RewardConfig
 from oalsim.errors import CheckpointError
-from oalsim.features import INDEX, N_FEATURES, featurize, resolve_mask
+from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
     CHECKPOINT_VERSION,
     Experiment,
@@ -558,6 +558,30 @@ class TestImmediateUpdates:
         assert any(refits) and not all(refits)
         assert regrounded > 0
 
+    def test_feature_rows_are_rewritten_only_after_a_fit(
+        self, small_corpus, small_split, small_density, monkeypatch
+    ):
+        cfg = small_run_config(init_batches=1, train_batches=1, test_batches=1)
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+        refits, rewrites = [], []
+        refresh, rewrite = Experiment._refresh_models, FeatureContext.refit
+
+        def recorded_refresh(self, *args):
+            refits.append(refresh(self, *args))
+            return refits[-1]
+
+        def recorded_rewrite(self, rows):
+            rewrites.append(list(rows))
+            return rewrite(self, rows)
+
+        monkeypatch.setattr(Experiment, "_refresh_models", recorded_refresh)
+        monkeypatch.setattr(FeatureContext, "refit", recorded_rewrite)
+        Experiment(cfg, small_corpus, small_split, small_density).run()
+        assert rewrites and all(rewrites)
+        assert len(rewrites) == sum(1 for refit in refits if refit) < len(refits)
+
     def test_one_class_refit_records_the_label_and_leaves_rows_alone(self, small_experiment):
         exp = small_experiment
         agent = Agent()
@@ -584,7 +608,8 @@ class TestImmediateUpdates:
 
         def refresh(new_labels):
             refit = exp._refresh_models(view, new_labels, agent)
-            ctx.refit([view.index[p] for p in refit])  # as run_episode does
+            if refit:  # as run_episode does
+                ctx.refit([view.index[p] for p in refit])
             return refit
 
         assert refresh([("zz-new", rid, 1), ("zz-one", rid, 1)]) == set()

@@ -629,16 +629,22 @@ class TestSingleFitSkip:
                 return hi
             lo, hi = (lo, mid) if self._third_row(mid, T)[1] >= 1.0 else (mid, hi)
 
-    @pytest.mark.parametrize("T", [1, 2, 10, 100])
-    def test_a_score_within_ulps_of_one(self, T):
-        # Every row violates at w = 0, which sets w = (6 + alpha, 6 + alpha, 1) / 6.
-        # The far rows then clear the margin for good, and so does the third
-        # row if alpha(6 + alpha) >= 2.5. Only shrinking feature weights lower
-        # its score after that, by the factor P(T) up to iteration T, so it
-        # reaches the margin at iteration T near alpha(6 + alpha) = 2.5 / P(T).
+    def _near_margin(self, T):
+        """The smallest alpha whose third row still scores >= 1.0 at iteration T.
+
+        Every row violates at w = 0, which sets w = (6 + alpha, 6 + alpha, 1) / 6.
+        The far rows then clear the margin for good, and so does the third
+        row if alpha(6 + alpha) >= 2.5. Only shrinking feature weights lower
+        its score after that, by the factor P(T) up to iteration T, so it
+        reaches the margin at iteration T near alpha(6 + alpha) = 2.5 / P(T).
+        """
         P = np.prod([1.0 - CFG.l2 * CFG.step_size / (1.0 + CFG.step_decay * t) for t in range(1, T)])
         guess = -3.0 + np.sqrt(9.0 + 2.5 / P)
-        alpha = self._smallest_clearing(T, guess * (1 - 1e-6), guess * (1 + 1e-6))
+        return self._smallest_clearing(T, guess * (1 - 1e-6), guess * (1 + 1e-6))
+
+    @pytest.mark.parametrize("T", [1, 2, 10, 100])
+    def test_a_score_within_ulps_of_one(self, T):
+        alpha = self._near_margin(T)
         near = 0
         for k in range(-3, 4):
             a = alpha
@@ -723,6 +729,85 @@ class TestSingleFitSkip:
         calls = _count_tests(monkeypatch)
         perception._fit_hinge(FAR, 2, cfg)
         assert len(calls) == cfg.iterations
+
+
+def _record_stretches(monkeypatch):
+    """A list that gets (entering feature weights, steps) of each shrink-only stretch a single fit runs."""
+    stretches = []
+    shrink = perception._shrink
+
+    def recorded(weights, l2, steps):
+        stretches.append((list(weights), steps))
+        return shrink(weights, l2, steps)
+
+    monkeypatch.setattr(perception, "_shrink", recorded)
+    return stretches
+
+
+class TestStretches:
+    """The 2-D _fit_hinge runs each stretch of shrink-only iterations as one
+    pass over the feature weights with Python floats; its weights must equal
+    the oracle's, which updates every iteration with ufuncs."""
+
+    @pytest.mark.parametrize("l2", [CFG.l2, 0.0], ids=["l2-0.01", "l2-0"])
+    def test_a_stretch_to_the_last_iteration(self, monkeypatch, l2):
+        cfg = dataclasses.replace(CFG, l2=l2)
+        stretches = _record_stretches(monkeypatch)
+        _assert_oracle_fit(FAR, 2, cfg)
+        # iteration 0 violates (every score is 0); one stretch runs the rest
+        assert [steps for _, steps in stretches] == [perception._step_sizes(cfg)[1:]]
+
+    def test_a_stretch_of_one_step(self, monkeypatch):
+        # the third row lands on the margin at iteration 10: a test that finds
+        # no violating row there leaves no budget for a second step
+        alpha = TestSingleFitSkip()._near_margin(10)
+        YX = np.vstack([FAR, [alpha, alpha, 1.0]])
+        stretches = _record_stretches(monkeypatch)
+        _assert_oracle_fit(YX, 3, CFG)
+        lengths = [len(steps) for _, steps in stretches]
+        assert 1 in lengths[:-1] and max(lengths) > 1
+
+    @pytest.mark.parametrize("tiny", [1e-310, -3e-320, 2e-323])
+    def test_subnormal_weights_entering_a_stretch(self, monkeypatch, tiny):
+        # the second feature's weight is subnormal from iteration 1 on, while
+        # the first keeps max |w_feat| normal, so stretches run longer than a step
+        YX = np.array([[3.0, tiny, 1.0], [3.0, tiny, -1.0]])
+        stretches = _record_stretches(monkeypatch)
+        for cfg in (CFG, ClassifierConfig(l2=0.9, step_size=0.9, step_decay=0.0)):
+            _assert_oracle_fit(YX, 2, cfg)
+        entering = [weights[1] for weights, steps in stretches if len(steps) > 1]
+        assert entering and all(0.0 < abs(w) < np.finfo(float).tiny for w in entering)
+
+    def test_negative_zero_and_subnormal_weights(self):
+        # A fit starts at +0.0 and w - grad is -0.0 only for w = -0.0, so no fit
+        # enters a stretch at -0.0: _shrink is checked against the oracle's
+        # shrink-only update (fit_hinge with no violating row) directly.
+        weights = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -3.5]
+        for cfg in (CFG, ClassifierConfig(l2=0.0), ClassifierConfig(l2=0.9, step_size=0.9)):
+            for steps in (perception._step_sizes(cfg), perception._step_sizes(cfg)[:1]):
+                w = np.array(weights)
+                grad = np.empty_like(w)
+                for step in steps:
+                    np.multiply(w, cfg.l2, out=grad)
+                    grad *= step
+                    w -= grad
+                got = perception._shrink(list(weights), float(cfg.l2), steps)
+                assert [v.hex() for v in got] == _hex(w)
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_one_and_two_iterations(self, monkeypatch, iterations):
+        cfg = dataclasses.replace(CFG, iterations=iterations)
+        rng = stream(17, "single-fit")
+        model, feats = _random_model(rng, 9, 4, 4)
+        stretches = _record_stretches(monkeypatch)
+        _assert_oracle_fit(_signed_rows(model, feats)[1], 9, cfg)
+        steps = perception._step_sizes(cfg)
+        stretches.clear()
+        _assert_oracle_fit(FAR, 2, cfg)  # iteration 0 violates, then a stretch of the last step
+        assert [s for _, s in stretches] == [steps[1:]] * (iterations - 1)
+        stretches.clear()
+        _assert_oracle_fit(np.zeros((0, 3)), 0, cfg)  # no rows: one-step stretches from 0 on
+        assert [s for _, s in stretches] == [(step,) for step in steps]
 
 
 class TestDensity:
