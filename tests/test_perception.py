@@ -585,6 +585,19 @@ def _count_tests(monkeypatch):
     return calls
 
 
+def _record_stretches(monkeypatch):
+    """A list that gets (entering feature weights, steps) of each shrink-only stretch a single fit runs."""
+    stretches = []
+    shrink = perception._shrink
+
+    def recorded(weights, l2, steps):
+        stretches.append((list(weights), steps))
+        return shrink(weights, l2, steps)
+
+    monkeypatch.setattr(perception, "_shrink", recorded)
+    return stretches
+
+
 FAR = np.array([[3.0, 3.0, 1.0], [3.0, 3.0, -1.0]])  # (3, 3) labelled +1 and (-3, -3) labelled -1
 
 
@@ -655,6 +668,16 @@ class TestSingleFitSkip:
             _assert_oracle_fit(YX, 3, CFG)
             _assert_oracle_fit(YX, 3, dataclasses.replace(CFG, iterations=T + 1))
         assert near >= 2
+
+    def test_a_stretch_of_one_step(self, monkeypatch):
+        # the third row lands on the margin at iteration 10: a test that finds
+        # no violating row there leaves no budget for a second step
+        alpha = self._near_margin(10)
+        YX = np.vstack([FAR, [alpha, alpha, 1.0]])
+        stretches = _record_stretches(monkeypatch)
+        _assert_oracle_fit(YX, 3, CFG)
+        lengths = [len(steps) for _, steps in stretches]
+        assert 1 in lengths[:-1] and max(lengths) > 1
 
     @pytest.mark.parametrize(
         "YX",
@@ -731,19 +754,6 @@ class TestSingleFitSkip:
         assert len(calls) == cfg.iterations
 
 
-def _record_stretches(monkeypatch):
-    """A list that gets (entering feature weights, steps) of each shrink-only stretch a single fit runs."""
-    stretches = []
-    shrink = perception._shrink
-
-    def recorded(weights, l2, steps):
-        stretches.append((list(weights), steps))
-        return shrink(weights, l2, steps)
-
-    monkeypatch.setattr(perception, "_shrink", recorded)
-    return stretches
-
-
 class TestStretches:
     """The 2-D _fit_hinge runs each stretch of shrink-only iterations as one
     pass over the feature weights with Python floats; its weights must equal
@@ -756,16 +766,6 @@ class TestStretches:
         _assert_oracle_fit(FAR, 2, cfg)
         # iteration 0 violates (every score is 0); one stretch runs the rest
         assert [steps for _, steps in stretches] == [perception._step_sizes(cfg)[1:]]
-
-    def test_a_stretch_of_one_step(self, monkeypatch):
-        # the third row lands on the margin at iteration 10: a test that finds
-        # no violating row there leaves no budget for a second step
-        alpha = TestSingleFitSkip()._near_margin(10)
-        YX = np.vstack([FAR, [alpha, alpha, 1.0]])
-        stretches = _record_stretches(monkeypatch)
-        _assert_oracle_fit(YX, 3, CFG)
-        lengths = [len(steps) for _, steps in stretches]
-        assert 1 in lengths[:-1] and max(lengths) > 1
 
     @pytest.mark.parametrize("tiny", [1e-310, -3e-320, 2e-323])
     def test_subnormal_weights_entering_a_stretch(self, monkeypatch, tiny):
