@@ -17,7 +17,6 @@ give the same weights and F1 bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -182,7 +181,7 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     (the bias takes w_b - 0.0, which is w_b, -0.0 included), so after an
     exact test (_scores) finds no violating row, the fit runs the stretch of
     shrink-only iterations that a bound proves the test would find none in
-    as one pass (_shrink). After a test at weights w finds none, with
+    with no test, in _shrink. After a test at weights w finds none, with
     W = max |w_feat|, L_i row i's feature l1 norm and m = d+1 terms per score:
       - while l2 * step < 1, no |w_j| grows in a shrink-only step, and one
         moves each w_j by at most W * (l2 * step * (1+u)^2 + 2u), u = 2^-53
@@ -201,17 +200,16 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     while the steps before it, summed in a Python float, are within the
     budget; the first iteration past it tests again. The test runs on every
     iteration while l2 * step_size >= 1, W is below the floor, or the budget
-    is NaN, infinite or below 2^-969. _shrink computes every weight as the
-    per-iteration update would: each IEEE-754 binary64 operation rounds to
-    nearest on its own (Higham, 2nd ed. 2002, ch. 2), in a ufunc or in
-    CPython alike. The immediate benchmark at seed 101 makes 1,977 single
-    fits of 2.26 labels on average: 99.3% of their 296,550 iterations have
-    no violating row, and 2.2% run the test.
+    is NaN, infinite or below 2^-969. _shrink runs _descend's ufuncs on the
+    feature weights, in their order, and drops only its zero pull (x - 0.0
+    is x) and the bias, so every weight is computed as with the test on
+    every iteration. The immediate benchmark at seed 101 makes 1,977
+    single fits of 2.26 labels on average: 99.3% of their 296,550 iterations
+    have no violating row, and 2.2% run the test.
     """
     steps = _step_sizes(cfg)
-    l2 = float(cfg.l2)
     if YX.ndim == 2:
-        step_budget = _step_budget(YX, cfg)
+        step_budget = _step_budget(YX, cfg, steps)
         w = np.zeros(YX.shape[1])
         grad = np.empty_like(w)
         t = 0
@@ -219,18 +217,14 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
             scores = _scores(YX, w)
             viol = scores < 1.0
             if viol.any():
-                np.multiply(w, l2, out=grad)
-                grad[-1] = 0.0
-                grad -= YX[viol].sum(axis=0) / n
-                grad *= steps[t]
-                w -= grad
+                _descend(w, grad, cfg.l2, YX[viol].sum(axis=0) / n, steps[t])
                 t += 1
                 continue
             budget, spent, end = step_budget(scores, w), steps[t], t + 1
             while end < len(steps) and spent <= budget:
                 spent += steps[end]
                 end += 1
-            w[:-1] = _shrink(w[:-1].tolist(), l2, steps[t:end])
+            _shrink(w[:-1], grad[:-1], cfg.l2, steps[t:end])
             t = end
         return w
 
@@ -242,41 +236,47 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     w = np.zeros((k, width))
     grad = np.empty_like(w)
     for step in steps:
-        np.multiply(w, l2, out=grad)
-        grad[:, -1] = 0.0
         np.matmul(YX, w[:, :, None], out=scores)
         np.less(scores[:, :, 0], 1.0, out=mask)
         _sum_masked_rows(YX, mask, pull)
-        grad -= np.divide(pull, counts, out=pull)
-        grad *= step
-        w -= grad
+        _descend(w, grad, cfg.l2, np.divide(pull, counts, out=pull), step)
     return w
 
 
-@lru_cache(maxsize=8)
 def _step_sizes(cfg: ClassifierConfig) -> tuple[float, ...]:
     """The descent's step sizes, step_size / (1 + step_decay * t) for t < iterations."""
     return tuple(cfg.step_size / (1.0 + cfg.step_decay * t) for t in range(cfg.iterations))
 
 
-def _shrink(weights: list[float], l2: float, steps: Sequence[float]) -> list[float]:
-    """The feature weights after shrink-only steps: w -= w * l2 * step, step by step.
+def _descend(w: np.ndarray, grad: np.ndarray, l2: float, pull: np.ndarray, step: float) -> None:
+    """One descent update of w, in place: w -= (l2 * w - pull) * step, bias unregularized.
 
-    The same operations in the same order as the per-iteration update's
-    ufuncs, (w * l2) * step and then w minus that, on Python floats.
+    grad is scratch space of w's shape; pull is the mean violating row of
+    each problem, broadcast against w.
     """
-    out = []
-    for w in weights:
-        for step in steps:
-            w -= w * l2 * step
-        out.append(w)
-    return out
+    np.multiply(w, l2, out=grad)
+    grad[..., -1] = 0.0
+    grad -= pull
+    grad *= step
+    w -= grad
+
+
+def _shrink(w: np.ndarray, buf: np.ndarray, l2: float, steps: Sequence[float]) -> None:
+    """Shrink-only steps on the feature weights w, in place: w -= (w * l2) * step, step by step.
+
+    buf is scratch space of w's shape. These are the ufuncs _descend runs on
+    the feature weights when no row violates, in the same order.
+    """
+    for step in steps:
+        np.multiply(w, l2, out=buf)
+        buf *= step
+        w -= buf
 
 
 _TINY = 2.0**-969  # below this, underflow can break the relative error bounds
 
 
-def _step_budget(YX: np.ndarray, cfg: ClassifierConfig):
+def _step_budget(YX: np.ndarray, cfg: ClassifierConfig, steps: Sequence[float]):
     """The 2-D fit's bound: (scores, w) of a test with no violating row -> its step budget.
 
     The budget is the sum of steps that may follow without a test (see
@@ -286,10 +286,9 @@ def _step_budget(YX: np.ndarray, cfg: ClassifierConfig):
     _TINY, which only lowers the budget (an all-zero row's score does not
     drift at all). The test also runs throughout for no rows, a last step
     that underflows to 0 or 2^49 terms or iterations, where these constants
-    would not hold.
+    would not hold. steps is the fit's schedule, _step_sizes(cfg).
     """
     m = YX.shape[1]
-    steps = _step_sizes(cfg)
     last = steps[-1] if steps else 0.0
     shrink = 1.0 - (m + cfg.iterations + 16) * 2.0**-50
     if not (cfg.l2 * cfg.step_size < 1.0 and len(YX) and last > 0.0 and shrink > 0.5):

@@ -590,9 +590,9 @@ def _record_stretches(monkeypatch):
     stretches = []
     shrink = perception._shrink
 
-    def recorded(weights, l2, steps):
-        stretches.append((list(weights), steps))
-        return shrink(weights, l2, steps)
+    def recorded(w, buf, l2, steps):
+        stretches.append((w.tolist(), steps))
+        shrink(w, buf, l2, steps)
 
     monkeypatch.setattr(perception, "_shrink", recorded)
     return stretches
@@ -755,9 +755,9 @@ class TestSingleFitSkip:
 
 
 class TestStretches:
-    """The 2-D _fit_hinge runs each stretch of shrink-only iterations as one
-    pass over the feature weights with Python floats; its weights must equal
-    the oracle's, which updates every iteration with ufuncs."""
+    """The 2-D _fit_hinge runs each stretch of shrink-only iterations with no
+    test, on the feature weights alone; its weights must equal the oracle's,
+    which tests and updates every weight on every iteration."""
 
     @pytest.mark.parametrize("l2", [CFG.l2, 0.0], ids=["l2-0.01", "l2-0"])
     def test_a_stretch_to_the_last_iteration(self, monkeypatch, l2):
@@ -778,21 +778,32 @@ class TestStretches:
         entering = [weights[1] for weights, steps in stretches if len(steps) > 1]
         assert entering and all(0.0 < abs(w) < np.finfo(float).tiny for w in entering)
 
-    def test_negative_zero_and_subnormal_weights(self):
+    @pytest.mark.parametrize("bias", [-0.0, 0.0, -5e-324, 1.5])
+    def test_negative_zero_and_subnormal_weights(self, bias):
         # A fit starts at +0.0 and w - grad is -0.0 only for w = -0.0, so no fit
-        # enters a stretch at -0.0: _shrink is checked against the oracle's
-        # shrink-only update (fit_hinge with no violating row) directly.
-        weights = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -3.5]
+        # enters a stretch at -0.0: a stretch on the feature weights is checked
+        # against the oracle's update of every weight with no violating row.
+        weights = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -3.5, bias]
         for cfg in (CFG, ClassifierConfig(l2=0.0), ClassifierConfig(l2=0.9, step_size=0.9)):
             for steps in (perception._step_sizes(cfg), perception._step_sizes(cfg)[:1]):
-                w = np.array(weights)
-                grad = np.empty_like(w)
+                want = np.array(weights)
+                grad = np.empty_like(want)
                 for step in steps:
-                    np.multiply(w, cfg.l2, out=grad)
+                    np.multiply(want, cfg.l2, out=grad)
+                    grad[-1] = 0.0
                     grad *= step
-                    w -= grad
-                got = perception._shrink(list(weights), float(cfg.l2), steps)
-                assert [v.hex() for v in got] == _hex(w)
+                    want -= grad
+                got = np.array(weights)
+                perception._shrink(got[:-1], np.empty(len(weights) - 1), cfg.l2, steps)
+                assert _hex(got) == _hex(want)
+
+    @pytest.mark.parametrize("dim", [128, 512])
+    def test_wide_features(self, monkeypatch, dim):
+        rng = stream(dim, "single-fit")
+        model, feats = _random_model(rng, 6, dim, 3)
+        stretches = _record_stretches(monkeypatch)
+        _assert_oracle_fit(_signed_rows(model, feats)[1], 6, CFG)
+        assert max(len(steps) for _, steps in stretches) > 1
 
     @pytest.mark.parametrize("iterations", [1, 2])
     def test_one_and_two_iterations(self, monkeypatch, iterations):
