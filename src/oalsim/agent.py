@@ -10,6 +10,7 @@ to_dict and from_dict translate with the corpus's ids and id -> row map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -52,8 +53,11 @@ class Agent:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, rows: Mapping[str, int]) -> "Agent":
-        """The state to_dict wrote; `rows` maps each label's region id to its row."""
+    def from_dict(cls, data: dict, rows: Mapping[str, int], dim: int) -> "Agent":
+        """The state to_dict wrote; `rows` maps each label's region id to its row.
+
+        A model's weights must be null or dim + 1 finite numbers: feature weights, then bias.
+        """
         try:
             models = {}
             for p, m in data["models"].items():
@@ -68,10 +72,18 @@ class Agent:
                     raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")
                 if not 0.0 <= f1 <= 1.0:
                     raise CheckpointError(f"model {p!r}: F1 {f1} outside [0, 1]")
+                weights = m["weights"]
+                if weights is not None and not (
+                    isinstance(weights, list) and len(weights) == dim + 1
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in weights)
+                ):
+                    raise CheckpointError(
+                        f"model {p!r}: weights must be null or {dim + 1} finite numbers"
+                    )
                 models[p] = PredicateModel(
                     predicate=p,
                     labels=labels,
-                    weights=None if m["weights"] is None else np.asarray(m["weights"]),
+                    weights=None if weights is None else np.asarray(weights, dtype=np.float64),
                     f1=f1,
                 )
             stats = AgentStats(

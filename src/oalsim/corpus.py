@@ -419,13 +419,15 @@ class InteractionSizes:
     active_test: int = 4
 
 
+MAX_DRAWS = 100  # interactions sample_interaction draws before it finds none describable
+
+
 def sample_interaction(
     corpus: Corpus,
     split: CorpusSplit,
     side: str,
     sizes: InteractionSizes,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> Interaction:
     """Draw one interaction: train/test sets without replacement, describable target."""
     train_pool, test_pool = split.side(side)
@@ -440,7 +442,7 @@ def sample_interaction(
             f"needs {sizes.active_test}"
         )
     described = corpus.description_predicates
-    for _ in range(max_retries):
+    for _ in range(MAX_DRAWS):
         train_idx = rng.choice(len(train_pool), size=sizes.active_train, replace=False)
         test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
@@ -457,4 +459,4 @@ def sample_interaction(
             target=target,
             description_predicates=described[target],
         )
-    raise SamplingError(f"{side}: no describable target after {max_retries} draws")
+    raise SamplingError(f"{side}: no describable target after {MAX_DRAWS} draws")

@@ -72,7 +72,7 @@ class Episode:
         rewards: RewardConfig,
         t_max: int,
         oracle_rng: np.random.Generator,
-        guesser: Callable[[], str],
+        guesser: Callable[[], int],
     ):
         if not interaction.description_predicates:
             raise DataError("interaction has no description predicates")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +65,7 @@ from .policy import (
 )
 from .querygen import build_beam
 from .seeding import stream
-from .snapshot import BatchRows, EpisodeView, Snapshot
+from .snapshot import BatchRows, EpisodeView
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 CHECKPOINT_VERSION = "oalsim-checkpoint/2"
@@ -172,9 +173,9 @@ def ground(stack: DescriptionStack) -> tuple[list[int], np.ndarray]:
 
 
 class BatchSetup:
-    """Every episode set-up of one batch, computed once from the batch's snapshot.
+    """Every episode set-up of one batch, computed once from the batch's classifiers.
 
-    The snapshot rows over the batch's objects (snapshot.BatchRows), the query
+    The classifier rows over the batch's objects (snapshot.BatchRows), the query
     rows of the feature table (features.query_rows; the agent's stats are
     frozen until the batch end) and every dialog's grounding and guess
     features are built at the batch start. `episode(e)` gathers episode e's
@@ -183,9 +184,9 @@ class BatchSetup:
 
     def __init__(self, experiment: Experiment, agent: Agent, interactions: Sequence[Interaction]):
         cfg = experiment.config
-        snapshot = Snapshot(agent.models, experiment.corpus.dim, cfg.triangular)
-        rows = BatchRows(snapshot, agent.predicates, interactions, experiment.corpus.X)
-        self.rows = rows
+        self.rows = rows = BatchRows(
+            agent.models, agent.predicates, interactions, experiment.corpus.X, cfg.triangular
+        )
         self.queries = query_rows(rows.predicates, rows.f1, rows.trained, agent.stats)
         self.guesses = np.empty(len(interactions), dtype=np.intp)
         self.guess_rows = np.empty((len(interactions), N_FEATURES))
@@ -488,7 +489,7 @@ class Experiment:
 
         if resume is not None:
             state = self._validate_checkpoint(resume)
-            agent = Agent.from_dict(state.get("agent"), self.corpus.row)
+            agent = Agent.from_dict(state.get("agent"), self.corpus.row, self.corpus.dim)
             theta = state["theta"]
             params.baseline_mean = state["baseline_mean"]
             params.baseline_count = state["baseline_count"]
@@ -574,8 +575,8 @@ class Experiment:
 
         It must come from this version, config and corpus. The cursor must
         name a batch of the phase plan or its end, (3, 0); the metrics rows,
-        the batches before it; theta, N_FEATURES finite numbers; the
-        counters, integers >= 0. Anything else is a CheckpointError.
+        the batches before it, as a run writes them; theta, N_FEATURES finite
+        numbers; the counters, integers >= 0. Anything else is a CheckpointError.
         """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -605,6 +606,8 @@ class Experiment:
         if not (isinstance(theta, list) and len(theta) == N_FEATURES):
             raise CheckpointError(f"checkpoint theta must hold {N_FEATURES} numbers")
         try:
+            for m in metrics:
+                _check_metrics_row(m)
             for v in theta:
                 check_real("checkpoint theta", v)
             check_real("checkpoint baseline_mean", state.get("baseline_mean"))
@@ -618,6 +621,23 @@ class Experiment:
             "theta": np.asarray(theta, dtype=np.float64),
             "metrics": metrics,
         }
+
+
+def _check_metrics_row(m: BatchMetrics) -> None:
+    """ConfigError unless a checkpoint's metrics row holds values of the kinds a run writes."""
+    where = f"checkpoint metrics {m.phase}/{m.batch}"
+    for name in ("success_rate", "mean_length", "mean_queries"):
+        check_real(f"{where} {name}", getattr(m, name))
+    counts = m.label_counts
+    named = isinstance(counts, dict) and all(type(p) is str for p in counts)
+    for name, values, low, high in (
+        ("success_indicators", m.success_indicators, 0, 1),
+        ("lengths", m.lengths, 1, math.inf),
+        ("label_counts", list(counts.values()) if named else None, 0, math.inf),
+    ):
+        ok = isinstance(values, list) and all(type(v) is int and low <= v <= high for v in values)
+        if not ok:
+            raise ConfigError(f"{where} {name} must hold integers in [{low}, {high}]")
 
 
 def checkpoint_save(path, state: dict) -> None:

@@ -51,14 +51,14 @@ def _stem(tok: str) -> str:
     return tok
 
 
-def extract_predicates(description: str, stopwords: frozenset[str] = STOPWORDS) -> list[str]:
+def extract_predicates(description: str) -> list[str]:
     """Tokenize, drop stopwords, stem; dedup preserving first occurrence."""
     if not description or not description.strip():
         raise DataError("empty description")
     out: list[str] = []
     for raw in description.split():
         low = "".join(c for c in raw.lower() if c.isalnum())
-        if not low or low in stopwords:
+        if not low or low in STOPWORDS:
             continue
         stemmed = _stem(low)
         if stemmed and stemmed not in out:

@@ -11,8 +11,8 @@ The beam reads the view's sampling weights and trained flags and the
 active-train columns ordered by margin per predicate (snapshot.EpisodeView),
 plus the episode's Python lists (dialog.Episode): one signed label row per
 predicate, 0 where a pair has no label, and the example-queried flags. A row
-with no 0 left is exhausted. The sampling CDFs are memoised per batch in the
-snapshot's `cdfs`.
+with no 0 left is exhausted. The sampling CDFs are memoised per batch in
+BatchRows.cdfs (snapshot.BatchRows).
 """
 
 from __future__ import annotations

@@ -1,32 +1,22 @@
 """Batch-frozen classifier state, held once as arrays.
 
 Classifiers and their F1 estimates change only at batch ends (and, with
-immediate updates, for one predicate at a time inside an episode). A Snapshot
-stacks the agent's classifiers once per batch: feature weights, biases, weight
-norms, F1, trained flags and triangular sampling weights, one row per
-predicate plus a last row for every predicate without a classifier.
-
-BatchRows takes the snapshot's rows of one batch's predicates (the agent's at
-the batch start and every description's) and computes them once over the
-batch's objects: margins on the union of the episodes' active-train objects,
-decisions on the union of their active-test objects, and a signed label table
-(+1/-1, 0 for none) from the classifiers' label dicts on the same train
-columns. Every array is sized by the batch's objects, never by the corpus.
-An EpisodeView is one episode's gather from them: its predicates are the
-agent's at the batch start plus the descriptions of the batch's episodes up
-to its own, its columns its interaction's active-train and -test region rows
-(corpus.Corpus). It owns its arrays, orders each row's train columns by
-margin, then region row, and seeds the episode's label record
-(dialog.Episode.known) with its label rows.
+immediate updates, for one predicate at a time inside an episode). BatchRows
+is the one representation of a batch's classifier state: built at the batch
+start from the agent's classifiers, it holds the rows of the batch's
+predicates over the batch's objects (F1, trained flags, sampling weights,
+margins, decisions and labels), never sized by the corpus, and the batch's
+memo of sampling CDFs (`cdfs`, see querygen.sample_predicates). An
+EpisodeView is one episode's gather from them: it owns its arrays, orders
+each row's train columns by margin, then region row, and seeds the
+episode's label record (dialog.Episode.known) with its label rows.
 `entries` writes every classifier row from classifier_rows' arrays: a
-batch's rows (Snapshot.entries), and an immediate refit's row, which
-EpisodeView.update computes from classifier_rows of the one refit classifier
-without building a Snapshot. A predicate whose labels hold one class is never
-refit (harness.Experiment._fit): its row stays that of no classifier, while
-the view's copy of its model gathers the new labels. Beams, grounding and
-guess features read these arrays; nothing scores one object against one
-classifier at a time. The snapshot also holds the batch's memo of sampling
-CDFs (`cdfs`, see querygen.sample_predicates), which every view shares.
+batch's rows, and an immediate refit's row (EpisodeView.update). A
+predicate whose labels hold one class is never refit
+(harness.Experiment._fit): its row stays that of no classifier, while the
+view's copy of its model gathers the new labels. Beams, grounding and guess
+features read these arrays; nothing scores one object against one
+classifier at a time.
 
 Every entry equals its scalar form bit for bit: the score w[:-1] @ x + w[-1],
 its sign (+1 at exactly 0, -1 when untrained) and its distance to the
@@ -101,53 +91,28 @@ def entries(coef, bias, norms, trained, f1, sampling, train_X, test_X) -> tuple:
     return f1, sampling, trained, margins, decisions
 
 
-class Snapshot:
-    """The agent's classifiers stacked as arrays, built once per batch."""
-
-    def __init__(
-        self,
-        models: Mapping[str, PredicateModel],
-        dim: int,
-        params: TriangularWeights = TriangularWeights(),
-    ):
-        names = sorted(models)
-        self.params = params
-        self.row = {p: i for i, p in enumerate(names)}
-        self.models: list[PredicateModel | None] = [models[p] for p in names] + [None]
-        self.coef, self.bias, self.norms, self.trained, self.f1, self.sampling = (
-            classifier_rows(self.models, dim, params)
-        )
-        self.cdfs: dict[bytes, array] = {}  # sample_predicates' memo for the batch
-
-    def scores(self, rows, X: np.ndarray) -> np.ndarray:
-        """(len(rows), len(X)) linear scores, each equal to the scalar w[:-1] @ x + w[-1]."""
-        return _scores(self.coef[rows], self.bias[rows], X)
-
-    def entries(self, rows, train_X: np.ndarray, test_X: np.ndarray) -> tuple:
-        """The entries (see `entries`) of the given rows, every array a new one."""
-        arrays = (self.coef, self.bias, self.norms, self.trained, self.f1, self.sampling)
-        return entries(*(a[rows] for a in arrays), train_X, test_X)
-
-
 class BatchRows:
-    """A batch's snapshot rows over the union of its episodes' objects, held once as arrays.
+    """A batch's classifier rows over the union of its episodes' objects, held once as arrays.
 
     Row i is predicates[i], the sorted union of the agent's predicates at the
-    batch start and the batch's description predicates. Train columns are the
-    union of the interactions' active-train region rows, test columns that of
-    their active-test rows, both ascending: at most batch size x active_train
-    and batch size x active_test columns, whatever the corpus size. `labels`
-    is the classifiers' signed label table on the train columns, 0 for none.
-    `first` is the first episode whose view holds each predicate, -1 for the
-    agent's: the views' predicate sets only grow along the batch.
+    batch start and the batch's description predicates, with the classifier
+    models.get(predicates[i]) (None: the row of no classifier). Train columns
+    are the union of the interactions' active-train region rows, test columns
+    that of their active-test rows, both ascending: at most batch size x
+    active_train and batch size x active_test columns, whatever the corpus
+    size. `labels` is the classifiers' signed label table on the train
+    columns, 0 for none. `first` is the first episode whose view holds each
+    predicate, -1 for the agent's: the views' predicate sets only grow along
+    the batch.
     """
 
     def __init__(
         self,
-        snapshot: Snapshot,
+        models: Mapping[str, PredicateModel],
         predicates: Iterable[str],
         interactions: Sequence[Interaction],
         X: np.ndarray,
+        params: TriangularWeights,
     ):
         self.interactions = interactions
         first = dict.fromkeys(predicates, -1)
@@ -157,18 +122,18 @@ class BatchRows:
         self.predicates = tuple(sorted(first))
         self.index = {p: i for i, p in enumerate(self.predicates)}
         self.first = np.array([first[p] for p in self.predicates], dtype=np.intp)
-        none = len(snapshot.models) - 1
-        rows = np.array([snapshot.row.get(p, none) for p in self.predicates], dtype=np.intp)
-        self.models = [snapshot.models[r] for r in rows]
-        self.params = snapshot.params
-        self.cdfs = snapshot.cdfs
+        self.models = [models.get(p) for p in self.predicates]
+        self.params = params
+        self.cdfs: dict[bytes, array] = {}  # sample_predicates' memo for the batch
         self.X = X
         self.train_rows = _union(i.active_train for i in interactions)
         self.test_rows = _union(i.active_test for i in interactions)
-        self.f1, self.sampling, self.trained, self.margins, self.decisions = snapshot.entries(
-            rows, X[self.train_rows], X[self.test_rows]
+        self.f1, self.sampling, self.trained, self.margins, self.decisions = entries(
+            *classifier_rows(self.models, X.shape[1], params),
+            X[self.train_rows],
+            X[self.test_rows],
         )
-        self.labels = np.zeros((len(rows), len(self.train_rows)), dtype=np.int8)
+        self.labels = np.zeros((len(self.models), len(self.train_rows)), dtype=np.int8)
         for i, model in enumerate(self.models):
             if model is not None and model.labels:
                 held = np.fromiter(model.labels, dtype=np.intp, count=len(model.labels))
@@ -230,7 +195,7 @@ class EpisodeView:
         """Replace one predicate's classifier, as an immediate refit does.
 
         The row is written by `entries` from classifier_rows of this one
-        classifier, so it equals that of a snapshot built with it.
+        classifier, so it equals that of a batch built with it.
         """
         i = self.index[predicate]
         self.models[i] = model

@@ -1,6 +1,6 @@
 """Scalar classifier functions, kept as oracles for the array code.
 
-The package scores, decides and weights predicates on arrays (the Snapshot
+The package scores, decides and weights predicates on arrays (the BatchRows
 rows, the stacked cross-validation folds). These are the one-object,
 one-classifier forms the arrays must equal bit for bit. `triangular_weights`
 is the array form of querygen.triangular_weight, which computes one weight

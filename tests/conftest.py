@@ -18,6 +18,7 @@ from oalsim.features import N_FEATURES, FeatureContext, query_rows
 from oalsim.grounding import view_stack
 from oalsim.harness import Experiment, RunResult, ground
 from oalsim.perception import DensityIndex
+from oalsim.querygen import TriangularWeights
 from oalsim.snapshot import BatchRows, EpisodeView
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
@@ -41,10 +42,13 @@ def small_run_config(**experiment_overrides) -> RunConfig:
     )
 
 
-def episode_view(snapshot, predicates, active_train, active_test, X):
-    """The view of a batch of one episode that holds exactly these predicates."""
+def episode_view(models, predicates, active_train, active_test, X, params=TriangularWeights()):
+    """The view of a batch of one episode that holds exactly these predicates.
+
+    `models` maps predicates to their classifiers; a predicate it lacks has none.
+    """
     interaction = Interaction(tuple(active_train), tuple(active_test), -1, ())
-    return EpisodeView(BatchRows(snapshot, predicates, [interaction], X), 0)
+    return EpisodeView(BatchRows(models, predicates, [interaction], X, params), 0)
 
 
 def feature_context(view, description, stats, density, t_max=40, mask=None):

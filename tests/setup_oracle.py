@@ -4,20 +4,23 @@ The harness builds every episode's view, label record, grounding and feature
 table from one set of batch arrays (snapshot.BatchRows, features.query_rows,
 grounding.score_objects and features.guess_features over stacks of dialogs).
 These are the forms it replaced, which built each episode's set-up on its
-own: `OracleView` takes the snapshot's rows of one interaction through
-Snapshot.entries and walks the models' label dicts, `oracle_scores` sums one
+own: `OracleView` builds the rows of one interaction's predicates from the
+models mapping through classifier_rows and entries, never through
+BatchRows, and walks the models' label dicts, `oracle_scores` sums one
 description's decisions, `oracle_guess_features` reads one grounding and
 `oracle_table` is the per-episode FeatureContext table. Every batch-built
 array must equal them exactly.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from oalsim.features import INDEX, N_FEATURES
-from oalsim.snapshot import Snapshot
+from oalsim.perception import PredicateModel
+from oalsim.querygen import TriangularWeights
+from oalsim.snapshot import classifier_rows, entries
 
 _ACT_GUESS = INDEX["act_guess"]
 _ACT_LABEL = INDEX["act_label_query"]
@@ -34,22 +37,23 @@ class OracleView:
 
     def __init__(
         self,
-        snapshot: Snapshot,
+        models: Mapping[str, PredicateModel],
         predicates: Iterable[str],
         active_train: Sequence[int],
         active_test: Sequence[int],
         X: np.ndarray,
+        params: TriangularWeights,
     ):
         self.predicates = tuple(sorted(predicates))
         self.index = {p: i for i, p in enumerate(self.predicates)}
-        none = len(snapshot.models) - 1
-        rows = np.array([snapshot.row.get(p, none) for p in self.predicates], dtype=np.intp)
-        self.models = [snapshot.models[r] for r in rows]
+        self.models = [models.get(p) for p in self.predicates]
         self.train_rows = tuple(active_train)
         self.test_rows = tuple(active_test)
         self.train_by_row = np.argsort(self.train_rows, kind="stable")
-        self.f1, self.sampling, self.trained, self.margins, self.decisions = snapshot.entries(
-            rows, X[list(self.train_rows)], X[list(self.test_rows)]
+        self.f1, self.sampling, self.trained, self.margins, self.decisions = entries(
+            *classifier_rows(self.models, X.shape[1], params),
+            X[list(self.train_rows)],
+            X[list(self.test_rows)],
         )
         order = np.argsort(self.margins[..., self.train_by_row], axis=-1, kind="stable")
         self.by_margin = self.train_by_row[order].tolist()
@@ -161,11 +165,16 @@ def oracle_table(description_predicates, view: OracleView, stats, guess) -> np.n
     return table
 
 
-def oracle_setup(snapshot, predicates, interaction, X, stats):
+def oracle_setup(models, predicates, interaction, X, params, stats):
     """An episode's view, label record, guessed region row and feature table."""
     desc = interaction.description_predicates
     view = OracleView(
-        snapshot, set(predicates) | set(desc), interaction.active_train, interaction.active_test, X
+        models,
+        set(predicates) | set(desc),
+        interaction.active_train,
+        interaction.active_test,
+        X,
+        params,
     )
     scores = oracle_scores(desc, view)
     table = oracle_table(desc, view, stats, oracle_guess_features(desc, view, scores))

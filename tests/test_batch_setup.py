@@ -19,7 +19,7 @@ from oalsim.features import N_FEATURES
 from oalsim.harness import BatchSetup, Experiment
 from oalsim.perception import PredicateModel
 from oalsim.querygen import TriangularWeights, triangular_weight
-from oalsim.snapshot import BatchRows, Snapshot
+from oalsim.snapshot import BatchRows
 
 from classifier_oracle import triangular_weights
 from conftest import DESK_CONFIG, small_run_config
@@ -48,7 +48,7 @@ def check_every_setup(exp: Experiment, monkeypatch) -> dict:
     def recorded_batch(self, plan, phase_idx, batch_idx, agent, theta, transcript_sink=None):
         batch.update(
             predicates=set(agent.predicates),
-            snapshot=Snapshot(agent.models, self.corpus.dim, self.config.triangular),
+            models=dict(agent.models),
             sizes=set(),
         )
         out = run_batch(self, plan, phase_idx, batch_idx, agent, theta, transcript_sink)
@@ -59,7 +59,12 @@ def check_every_setup(exp: Experiment, monkeypatch) -> dict:
         inter = setup.interaction
         batch["predicates"] |= set(inter.description_predicates)
         want, known, guess, table = oracle_setup(
-            batch["snapshot"], batch["predicates"], inter, self.corpus.X, agent.stats
+            batch["models"],
+            batch["predicates"],
+            inter,
+            self.corpus.X,
+            self.config.triangular,
+            agent.stats,
         )
         assert_view_equals(setup.view, want)
         assert setup.view.labels() == known
@@ -101,7 +106,7 @@ def test_immediate_setups_equal_the_per_episode_build(
     small_corpus, small_split, small_density, monkeypatch
 ):
     # a refit writes its episode's view; the next episode's set-up still
-    # equals the snapshot's
+    # equals the one built from the agent's classifiers at the batch start
     cfg = small_run_config()
     cfg = dataclasses.replace(
         cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
@@ -145,12 +150,16 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     for name, array in held.items():
         assert np.array_equal(getattr(rows, name), array), name
     assert np.array_equal(setups.queries, queries)
-    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     predicates = set(agent.predicates) | set(interactions[0].description_predicates)
     for e in (1, 2):
         predicates |= set(interactions[e].description_predicates)
         want, known, guess, table = oracle_setup(
-            snapshot, predicates, interactions[e], exp.corpus.X, agent.stats
+            agent.models,
+            predicates,
+            interactions[e],
+            exp.corpus.X,
+            exp.config.triangular,
+            agent.stats,
         )
         setup = setups.episode(e)
         assert_view_equals(setup.view, want)
@@ -174,7 +183,7 @@ def test_batch_arrays_are_sized_by_the_batch_not_the_corpus():
     ]
     far = {int(r): 1 for r in rng.choice(n_regions, 500, replace=False)}
     model = PredicateModel("p", labels=far, weights=np.r_[np.ones(dim), -1.0], f1=0.5)
-    rows = BatchRows(Snapshot({"p": model}, dim), {"q"}, interactions, X)
+    rows = BatchRows({"p": model}, {"q"}, interactions, X, TriangularWeights())
     n_train = len({r for i in interactions for r in i.active_train})
     n_test = len({r for i in interactions for r in i.active_test})
     assert n_train <= batch_size * 8 and n_test <= batch_size * 4

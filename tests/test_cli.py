@@ -29,6 +29,32 @@ def config_path(tmp_path):
     return path
 
 
+def resume_tampered(tmp_path, config_path, capsys, edit) -> dict:
+    """Resume from the first checkpoint of a run after `edit` changes it; its one error line.
+
+    The resume must exit 4, print one JSON error line and no traceback, and
+    write no summary.
+    """
+    full = tmp_path / "full"
+    assert main(["run", "--config", str(config_path), "--out", str(full), "--checkpoints"]) == 0
+    ck = full / "checkpoints" / "checkpoint_p0_b0.json"
+    state = json.loads(ck.read_text())
+    edit(state)
+    ck.write_text(json.dumps(state))
+    capsys.readouterr()
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "resumed"),
+                 "--resume", str(ck)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "CheckpointError"
+    assert not (tmp_path / "resumed" / "summary.json").exists()
+    return error
+
+
 class TestGenData:
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
@@ -198,24 +224,13 @@ class TestRun:
     def test_resume_refuses_a_label_for_a_region_not_in_the_corpus(
         self, tmp_path, config_path, capsys
     ):
-        full = tmp_path / "full"
-        assert main(["run", "--config", str(config_path), "--out", str(full),
-                     "--checkpoints"]) == 0
-        ck = full / "checkpoints" / "checkpoint_p0_b0.json"
-        state = json.loads(ck.read_text())
-        models = state["agent"]["models"]
-        assert models
-        for model in models.values():
-            model["labels"]["not-a-region"] = 1
-        ck.write_text(json.dumps(state))
-        capsys.readouterr()
-        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "resumed"),
-                     "--resume", str(ck)])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        error = json.loads(err.strip().splitlines()[-1])
-        assert error["error"] == "CheckpointError"
+        def edit(state):
+            models = state["agent"]["models"]
+            assert models
+            for model in models.values():
+                model["labels"]["not-a-region"] = 1
+
+        error = resume_tampered(tmp_path, config_path, capsys, edit)
         assert "not-a-region" in error["message"]
 
     def test_resume_refuses_a_changed_corpus_file(self, tmp_path, capsys):
@@ -247,23 +262,31 @@ class TestRun:
     def test_resume_refuses_a_malformed_checkpoint(
         self, tmp_path, config_path, capsys, field, value
     ):
-        full = tmp_path / "full"
-        assert main(["run", "--config", str(config_path), "--out", str(full),
-                     "--checkpoints"]) == 0
-        ck = full / "checkpoints" / "checkpoint_p0_b0.json"
-        state = json.loads(ck.read_text())
-        state[field] = value
-        ck.write_text(json.dumps(state))
-        capsys.readouterr()
-        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "resumed"),
-                     "--resume", str(ck)])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        error = json.loads(err.strip().splitlines()[-1])
-        assert error["error"] == "CheckpointError"
+        error = resume_tampered(
+            tmp_path, config_path, capsys, lambda state: state.__setitem__(field, value)
+        )
         assert field in error["message"]
-        assert not (tmp_path / "resumed" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("success_rate", "abc"), ("mean_length", float("nan")), ("success_indicators", [2]),
+         ("lengths", [0]), ("label_counts", {"red": -1}), ("weights", [0.5, 0.25, 1.0]),
+         ("weights", "abc"), ("weights", [float("nan")] * 17)],
+    )
+    def test_resume_refuses_a_malformed_metrics_row_or_weights(
+        self, tmp_path, config_path, capsys, key, value
+    ):
+        # the corpus has 16 features, so a classifier holds 17 weights
+        def edit(state):
+            if key == "weights":
+                model = next(iter(state["agent"]["models"].values()))
+                assert model["weights"] is None or len(model["weights"]) == 17
+                model["weights"] = value
+            else:
+                state["metrics"][0][key] = value
+
+        error = resume_tampered(tmp_path, config_path, capsys, edit)
+        assert key in error["message"]
 
     def test_export_transcripts(self, tmp_path, config_path):
         out = tmp_path / "tr"

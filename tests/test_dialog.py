@@ -9,7 +9,6 @@ from oalsim.dialog import Episode, RewardConfig, episode_return, transcript_reco
 from oalsim.errors import ContractError, DataError, ProtocolError
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
-from oalsim.snapshot import Snapshot
 
 from conftest import episode_view
 
@@ -56,7 +55,7 @@ def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models
     if corpus is None:
         corpus, interaction = _toy_world()
     view = episode_view(
-        Snapshot(models or {}, 4),
+        models or {},
         ("blue", "green", "red", "white"),
         interaction.active_train,
         interaction.active_test,

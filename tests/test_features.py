@@ -10,7 +10,6 @@ from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.agent import Agent
 from oalsim.features import N_FEATURES
 from oalsim.harness import Experiment
-from oalsim.snapshot import Snapshot
 
 from conftest import episode_view, feature_context, small_run_config
 from feature_oracle import featurize_beam
@@ -90,7 +89,7 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     inter = outcomes[0].interaction
     desc = inter.description_predicates
     view = episode_view(
-        Snapshot(agent.models, small_corpus.dim),
+        agent.models,
         agent.predicates | set(desc),
         inter.active_train,
         inter.active_test,

@@ -7,7 +7,6 @@ from oalsim.corpus import Corpus, Region
 from oalsim.grounding import score_objects, view_stack
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
-from oalsim.snapshot import Snapshot
 
 from classifier_oracle import decide
 from conftest import episode_view
@@ -20,7 +19,7 @@ def grounding_view(preds, models, regions):
     """
     corpus = Corpus(regions)
     return episode_view(
-        Snapshot(models, corpus.dim),
+        models,
         set(models) | set(preds),
         (),
         [corpus.row[r.id] for r in regions],

@@ -24,7 +24,6 @@ from oalsim.harness import (
     write_metrics_csv,
 )
 from oalsim.perception import PredicateModel
-from oalsim.snapshot import Snapshot
 
 from conftest import SMALL_SYNTH, episode_view, feature_context, small_run_config
 from setup_oracle import oracle_guess_features, oracle_scores
@@ -243,7 +242,7 @@ class TestExperimentRun:
         exp.run(checkpoint_dir=tmp_path)
         # first test batch was produced by an agent holding only that batch's labels
         state = checkpoint_load(tmp_path / "checkpoint_p2_b0.json")
-        agent = Agent.from_dict(state["agent"], small_corpus.row)
+        agent = Agent.from_dict(state["agent"], small_corpus.row, small_corpus.dim)
         test_labels = sum(len(m.labels) for m in agent.models.values())
         first = [
             m for m in (state["metrics"]) if m["phase"] == "test"
@@ -424,8 +423,24 @@ class TestCheckpointing:
             lambda rows: rows[0].pop("lengths"),
             lambda rows: rows[0].update(extra=1),
             lambda rows: rows.__setitem__(0, [1, 2]),
+            lambda rows: rows[0].update(success_rate="abc"),
+            lambda rows: rows[0].update(success_rate=True),
+            lambda rows: rows[1].update(mean_length=float("inf")),
+            lambda rows: rows[2].update(mean_queries=None),
+            lambda rows: rows[0].update(success_indicators=[1, 2]),
+            lambda rows: rows[0].update(success_indicators=[True, False]),
+            lambda rows: rows[0].update(success_indicators="1"),
+            lambda rows: rows[0].update(lengths=[0]),
+            lambda rows: rows[0].update(lengths=[1.5]),
+            lambda rows: rows[0].update(lengths=None),
+            lambda rows: rows[0].update(label_counts={"red": -1}),
+            lambda rows: rows[0].update(label_counts={"red": "3"}),
+            lambda rows: rows[0].update(label_counts=[["red", 1]]),
         ],
-        ids=["short", "long", "reordered", "missing-field", "extra-field", "not-a-row"],
+        ids=["short", "long", "reordered", "missing-field", "extra-field", "not-a-row",
+             "rate-string", "rate-bool", "length-inf", "queries-null", "indicator-2",
+             "indicator-bool", "indicators-string", "length-0", "length-float",
+             "lengths-null", "count-negative", "count-string", "counts-list"],
     )
     def test_metrics_not_the_batches_before_the_cursor(
         self, small_experiment, small_checkpoints, edit
@@ -476,7 +491,7 @@ class TestCheckpointing:
         ids = ["r0", "r1", "r2"]
         data = json.loads(json.dumps(agent.to_dict(ids)))
         assert list(data["models"]["red"]["labels"].items()) == [("r2", 1), ("r1", -1)]
-        back = Agent.from_dict(data, {rid: row for row, rid in enumerate(ids)})
+        back = Agent.from_dict(data, {rid: row for row, rid in enumerate(ids)}, 2)
         assert list(back.models["red"].labels.items()) == list(model.labels.items())
         assert np.array_equal(back.models["red"].weights, model.weights)
         assert back.models["red"].f1 == model.f1
@@ -498,7 +513,24 @@ class TestCheckpointing:
         else:
             data["models"]["red"]["f1"] = value
         with pytest.raises(CheckpointError, match="red"):
-            Agent.from_dict(data, {"r0": 0, "r1": 1})
+            Agent.from_dict(data, {"r0": 0, "r1": 1}, 2)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.5, -0.25], [0.5, -0.25, 0.1, 0.0], [0.5, float("nan"), 0.1],
+         [0.5, -0.25, float("inf")], ["0.5", -0.25, 0.1], [True, -0.25, 0.1],
+         "0.5 -0.25 0.1", {"0": 0.5}],
+    )
+    def test_agent_with_malformed_weights_rejected(self, weights):
+        # a classifier over 2 features holds 2 feature weights and a bias
+        model = PredicateModel(predicate="red", weights=np.array([0.5, -0.25, 0.1]))
+        data = json.loads(json.dumps(Agent(models={"red": model}).to_dict(["r0"])))
+        assert Agent.from_dict(data, {"r0": 0}, 2).models["red"].weights.tolist() == [
+            0.5, -0.25, 0.1
+        ]
+        data["models"]["red"]["weights"] = weights
+        with pytest.raises(CheckpointError, match="red.*weights"):
+            Agent.from_dict(data, {"r0": 0}, 2)
 
 
 class TestImmediateUpdates:
@@ -595,11 +627,12 @@ class TestImmediateUpdates:
         other = next(r for r in range(len(exp.corpus)) if r != rid)
         agent.models["zz-one"] = PredicateModel("zz-one", labels={other: 1})
         view = episode_view(
-            Snapshot(agent.models, exp.corpus.dim, exp.config.triangular),
+            agent.models,
             agent.predicates | set(agent.models) | set(desc) | {"zz-new"},
             inter.active_train,
             inter.active_test,
             exp.corpus.X,
+            exp.config.triangular,
         )
         ctx = feature_context(view, desc, agent.stats, exp.density)
         names = ("f1", "sampling", "trained", "margins", "decisions")

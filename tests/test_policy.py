@@ -24,7 +24,6 @@ from oalsim.policy import (
     static_policy_act,
 )
 from oalsim.seeding import stream
-from oalsim.snapshot import Snapshot
 
 from conftest import episode_view, feature_context
 from test_grounding import worked_example
@@ -231,7 +230,7 @@ def _guess_context(models, stats=None, mask=None):
     rows = corpus.file_rows
     density = DensityIndex(corpus.X[rows], rows, k=2)
     askable = set(models) | set(preds) | {"zeta", "unseen"}
-    view = episode_view(Snapshot(models, 2), askable, rows, rows, corpus.X)
+    view = episode_view(models, askable, rows, rows, corpus.X)
     return feature_context(view, preds, stats or AgentStats(), density, mask=mask)
 
 

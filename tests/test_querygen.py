@@ -19,7 +19,6 @@ from oalsim.querygen import (
     sample_predicates,
 )
 from oalsim.seeding import stream
-from oalsim.snapshot import Snapshot
 
 from classifier_oracle import margin, predicate_weight, triangular_weights
 from conftest import episode_view, small_run_config
@@ -41,9 +40,7 @@ def best_object(model, active_train, features, labeled, rng):
     ids = sorted(features)
     X = np.stack([features[rid] for rid in ids])
     models = {} if model is None else {"p": model}
-    view = episode_view(
-        Snapshot(models, X.shape[1]), ["p"], [ids.index(rid) for rid in active_train], (), X
-    )
+    view = episode_view(models, ["p"], [ids.index(rid) for rid in active_train], (), X)
     labels = [int(rid in labeled) for rid in active_train]
     return active_train[best_object_for_predicate(view, 0, labels, rng)]
 
@@ -171,7 +168,7 @@ class TestBuildBeam:
         X = np.array([[i - 3.5, 1.0] for i in range(8)])
         labeled = labeled or {}
         rows = range(8)
-        view = episode_view(Snapshot({}, 2, DEFAULTS), predicates, rows, (), X)
+        view = episode_view({}, predicates, rows, (), X, DEFAULTS)
         return build_beam(
             turn=turn,
             t_max=t_max,

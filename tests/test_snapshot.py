@@ -1,10 +1,12 @@
-"""The batch snapshot against the scalar classifier functions, bit for bit.
+"""A batch's classifier rows (BatchRows) against the scalar classifier functions, bit for bit.
 
-Run outputs stay byte-identical only while every array entry equals what
-the scalar score / margin / decide (classifier_oracle) return for the same classifier and object,
-and while the beam's inverse-CDF draw equals Generator.choice. These tests
-compare with np.array_equal, never allclose, on classifiers trained on the
-desk corpus: a numpy or BLAS change that breaks the equivalence fails here.
+BatchRows is the one representation of a batch's classifier state, and every
+view reads its rows. Run outputs stay byte-identical only while every array
+entry equals what the scalar score / margin / decide (classifier_oracle)
+return for the same classifier and object, and while the beam's inverse-CDF
+draw equals Generator.choice. These tests compare with np.array_equal, never
+allclose, on classifiers trained on the desk corpus: a numpy or BLAS change
+that breaks the equivalence fails here.
 """
 
 import dataclasses
@@ -12,11 +14,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oalsim import harness, querygen
+from oalsim import harness, querygen, snapshot
+from oalsim.corpus import Interaction
 from oalsim.harness import Experiment
 from oalsim.querygen import TriangularWeights, sample_predicates
 from oalsim.seeding import stream
-from oalsim.snapshot import Snapshot
+from oalsim.snapshot import BatchRows, EpisodeView, classifier_rows
 
 from classifier_oracle import decide, margin, score, triangular_weights
 from conftest import episode_view, small_run_config
@@ -31,10 +34,10 @@ def test_desk_agent_has_trained_and_untrained_classifiers(desk_agent):
 
 def test_scores_margins_decisions_equal_scalar(desk_agent):
     exp, agent = desk_agent
-    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
+    params = exp.config.triangular
     rows = range(len(exp.corpus))
     predicates = sorted(agent.models) + ["never-described"]
-    view = episode_view(snapshot, predicates, rows, rows, exp.corpus.X)
+    view = episode_view(agent.models, predicates, rows, rows, exp.corpus.X, params)
     X = exp.corpus.X
 
     scores_checked = 0
@@ -46,7 +49,8 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
             continue
         assert view.trained[i]
         expected_scores = np.array([score(model, x) for x in X])
-        got_scores = snapshot.scores([snapshot.row[p]], X)[0]
+        coef, bias, *_ = classifier_rows([model], exp.corpus.dim, params)
+        got_scores = snapshot._scores(coef, bias, X)[0]
         assert np.array_equal(got_scores, expected_scores)
         assert np.array_equal(view.margins[i], np.array([margin(model, x) for x in X]))
         scores_checked += len(X)
@@ -55,9 +59,10 @@ def test_scores_margins_decisions_equal_scalar(desk_agent):
 
 def test_by_margin_orders_columns_by_margin_then_id(desk_agent):
     exp, agent = desk_agent
-    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
     rows = list(range(100, 160))[::-1]  # columns out of id order
-    view = episode_view(snapshot, agent.models, rows, (), exp.corpus.X)
+    view = episode_view(
+        agent.models, agent.models, rows, (), exp.corpus.X, exp.config.triangular
+    )
     ids = [exp.corpus.ids[row] for row in rows]
     for i in range(len(view.predicates)):
         expected = sorted(range(len(ids)), key=lambda j: (view.margins[i, j], ids[j]))
@@ -67,8 +72,8 @@ def test_by_margin_orders_columns_by_margin_then_id(desk_agent):
 def test_f1_and_sampling_rows_follow_models(desk_agent):
     exp, agent = desk_agent
     params = exp.config.triangular
-    snapshot = Snapshot(agent.models, exp.corpus.dim, params)
-    view = episode_view(snapshot, set(agent.models) | {"never-described"}, (), (), exp.corpus.X)
+    predicates = set(agent.models) | {"never-described"}
+    view = episode_view(agent.models, predicates, (), (), exp.corpus.X, params)
     for i, p in enumerate(view.predicates):
         model = agent.models.get(p)
         f1 = model.f1 if model is not None else 0.0
@@ -79,9 +84,9 @@ def test_f1_and_sampling_rows_follow_models(desk_agent):
 def _update_and_rebuild(desk_agent, set_weights=None):
     """A view after `update` and a view built fresh with the same swapped classifier."""
     exp, agent = desk_agent
-    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
+    params = exp.config.triangular
     rows = range(40)
-    view = episode_view(snapshot, agent.models, rows[:8], rows[8:12], exp.corpus.X)
+    view = episode_view(agent.models, agent.models, rows[:8], rows[8:12], exp.corpus.X, params)
     donor = next(m for m in agent.models.values() if m.weights is not None and m.f1 > 0.0)
     target = next(p for p in view.predicates if p != donor.predicate)
     swapped = dataclasses.replace(donor.clone(), predicate=target)
@@ -89,15 +94,12 @@ def _update_and_rebuild(desk_agent, set_weights=None):
         swapped.weights = set_weights(exp.corpus.dim)
     view.update(target, swapped)
     models = dict(agent.models, **{target: swapped})
-    fresh = episode_view(
-        Snapshot(models, exp.corpus.dim, exp.config.triangular),
-        models, rows[:8], rows[8:12], exp.corpus.X,
-    )
+    fresh = episode_view(models, models, rows[:8], rows[8:12], exp.corpus.X, params)
     return view, fresh
 
 
 def test_update_equals_fresh_snapshot(desk_agent):
-    # an immediate refit swaps one row; it must equal a snapshot built with that model
+    # an immediate refit swaps one row; it must equal a batch built with that model
     view, fresh = _update_and_rebuild(desk_agent)
     for name in ("f1", "sampling", "trained", "margins", "decisions", "by_margin"):
         assert np.array_equal(getattr(view, name), getattr(fresh, name)), name
@@ -146,7 +148,7 @@ def test_inverse_cdf_draw_equals_generator_choice():
 
 
 def test_memoised_draws_equal_generator_choice_across_updates(desk_agent):
-    # the views of a batch share their snapshot's CDF memo; an immediate refit
+    # the views of a batch share their BatchRows' CDF memo; an immediate refit
     # (EpisodeView.update) changes one view's weights, never a memoised CDF
     exp, agent = desk_agent
 
@@ -158,16 +160,19 @@ def test_memoised_draws_equal_generator_choice_across_updates(desk_agent):
             Counted.hits += found is not None
             return found
 
-    snapshot = Snapshot(agent.models, exp.corpus.dim, exp.config.triangular)
-    snapshot.cdfs = Counted()
-    views = [
-        episode_view(snapshot, agent.models, range(8), range(8, 12), exp.corpus.X),
-        episode_view(snapshot, agent.models, range(12, 20), range(20, 24), exp.corpus.X),
+    interactions = [
+        Interaction(tuple(range(8)), tuple(range(8, 12)), -1, ()),
+        Interaction(tuple(range(12, 20)), tuple(range(20, 24)), -1, ()),
     ]
-    assert views[0].cdfs is views[1].cdfs is snapshot.cdfs
+    batch = BatchRows(
+        agent.models, agent.models, interactions, exp.corpus.X, exp.config.triangular
+    )
+    batch.cdfs = Counted()
+    views = [EpisodeView(batch, 0), EpisodeView(batch, 1)]
+    assert views[0].cdfs is views[1].cdfs is batch.cdfs
     donors = [m for m in agent.models.values() if m.weights is not None]
     src = stream(43, "asked")
-    pools = [np.flatnonzero(src.random(len(snapshot.models) - 1) < 0.8) for _ in range(3)]
+    pools = [np.flatnonzero(src.random(len(agent.models)) < 0.8) for _ in range(3)]
     draws = 0
     for trial in range(400):
         view = views[trial % 2]
@@ -183,7 +188,7 @@ def test_memoised_draws_equal_generator_choice_across_updates(desk_agent):
             )
             assert ours.bit_generator.state == theirs.bit_generator.state
             draws += 3
-    assert Counted.hits > draws // 4 and len(snapshot.cdfs) + Counted.hits == draws
+    assert Counted.hits > draws // 4 and len(batch.cdfs) + Counted.hits == draws
 
 
 def test_memo_stays_within_its_cap(monkeypatch):
@@ -206,12 +211,12 @@ def test_run_memos_stay_within_the_cap_and_leave_outputs_alike(
     # and no memo at all must give the same transcripts
     memos = []
 
-    class Recorded(Snapshot):
+    class Recorded(BatchRows):
         def __init__(self, *args):
             super().__init__(*args)
             memos.append(self.cdfs)
 
-    monkeypatch.setattr(harness, "Snapshot", Recorded)
+    monkeypatch.setattr(harness, "BatchRows", Recorded)
     cfg = small_run_config()
     cfg = dataclasses.replace(
         cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
