@@ -1,8 +1,10 @@
-"""Mutable agent state: classifiers, usage stats, and the seen-predicate set.
+"""Mutable agent state: classifiers and usage stats.
 
 Classifier weights and stats are frozen during a batch and refreshed only at
-batch boundaries. The seen-predicate set grows as soon as a description is
-read, so the candidate generator always has predicates to sample.
+batch boundaries. The predicates the agent has seen are the keys of
+`stats.used`: every description predicate of its finished dialogs. A batch's
+views add the batch's own descriptions from its start (snapshot.BatchRows),
+so the candidate generator always has predicates to sample.
 
 Labels are keyed by region row in a run and by region id in a checkpoint;
 to_dict and from_dict translate with the corpus's ids and id -> row map.
@@ -25,13 +27,11 @@ from .policy import AgentStats
 class Agent:
     models: dict[str, PredicateModel] = field(default_factory=dict)
     stats: AgentStats = field(default_factory=AgentStats)
-    predicates: set[str] = field(default_factory=set)
 
     def reset(self) -> None:
-        """Drop all classifiers, stats, and seen predicates (phase boundary)."""
+        """Drop all classifiers and stats (phase boundary)."""
         self.models = {}
         self.stats = AgentStats()
-        self.predicates = set()
 
     def to_dict(self, ids: Sequence[str]) -> dict:
         """The state with each label keyed by its region's id, in insertion order."""
@@ -49,7 +49,6 @@ class Agent:
                 "succeeded": dict(self.stats.succeeded),
                 "dialogs": self.stats.dialogs,
             },
-            "predicates": sorted(self.predicates),
         }
 
     @classmethod
@@ -91,6 +90,6 @@ class Agent:
                 succeeded={p: int(v) for p, v in data["stats"]["succeeded"].items()},
                 dialogs=int(data["stats"]["dialogs"]),
             )
-            return cls(models=models, stats=stats, predicates=set(data["predicates"]))
+            return cls(models=models, stats=stats)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed agent state: {exc}") from exc

@@ -99,8 +99,6 @@ def _apply_overrides(data: dict, args) -> dict:
         exp["policy_kind"] = args.policy
     if args.ablate:
         exp["ablate"] = list(args.ablate)
-    if args.checkpoints:
-        exp["checkpoints"] = True
     return data
 
 
@@ -112,7 +110,7 @@ def cmd_run(args) -> int:
     experiment = Experiment(config)
 
     resume = checkpoint_load(args.resume) if args.resume else None
-    checkpoint_dir = out / "checkpoints" if config.experiment.checkpoints else None
+    checkpoint_dir = out / "checkpoints" if args.checkpoints else None
     transcript_path = out / "transcripts.jsonl" if args.export_transcripts else None
     result = experiment.run(
         resume=resume, checkpoint_dir=checkpoint_dir, transcript_path=transcript_path

@@ -81,13 +81,11 @@ class ExperimentConfig:
     master_seed: int = 0
     policy_kind: str = "learned"
     ablate: tuple[str, ...] = ()
-    checkpoints: bool = False
 
     def __post_init__(self):
         for name in ("init_batches", "train_batches", "test_batches", "batch_size"):
             check_int(f"experiment.{name}", getattr(self, name), 1)
         check_int("experiment.master_seed", self.master_seed)
-        check_bool("experiment.checkpoints", self.checkpoints)
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}")
 
@@ -110,10 +108,8 @@ class RunConfig:
         return out
 
     def digest(self) -> str:
-        """Hash of the behavior-defining config; output options are excluded."""
-        data = self.to_dict()
-        data["experiment"].pop("checkpoints", None)
-        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+        """Hash of the config; every field of it defines the run's behavior."""
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
 def _build(cls, data: dict, where: str, coercions: dict | None = None):

@@ -282,11 +282,10 @@ class SyntheticConfig:
     coverage: tuple[float, float] = (0.08, 0.30)
     description_length: tuple[int, int] = (1, 3)
     seed: int = 13
-    max_resamples: int = 1000
 
     def __post_init__(self):
         """Wrong types are a ConfigError; sizes a run cannot use, a GenerationError."""
-        for name in ("n_regions", "dim", "n_predicates", "seed", "max_resamples"):
+        for name in ("n_regions", "dim", "n_predicates", "seed"):
             check_int(f"corpus.synthetic.{name}", getattr(self, name))
         for name, check in (("coverage", check_real), ("description_length", check_int)):
             pair = getattr(self, name)
@@ -298,7 +297,7 @@ class SyntheticConfig:
             raise GenerationError(
                 f"n_regions={self.n_regions} is below one interaction's worth (12)"
             )
-        for name in ("dim", "n_predicates", "max_resamples"):
+        for name in ("dim", "n_predicates"):
             if getattr(self, name) < 1:
                 raise GenerationError(f"{name}={getattr(self, name)} < 1")
         lo, hi = self.coverage
@@ -309,6 +308,9 @@ class SyntheticConfig:
             raise GenerationError(
                 f"description_length range {self.description_length} invalid"
             )
+
+
+MAX_RESAMPLES = 1000  # feature draws generate_synthetic makes for a region before it gives up
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
@@ -331,14 +333,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> list[Region]:
 
     regions = []
     for i in range(cfg.n_regions):
-        for attempt in range(cfg.max_resamples):
+        for _ in range(MAX_RESAMPLES):
             x = rng.normal(size=cfg.dim)
             mask = normals @ x >= offsets
             if mask.any():
                 break
         else:
             raise GenerationError(
-                f"region {i}: no non-empty annotation set after {cfg.max_resamples} resamples"
+                f"region {i}: no non-empty annotation set after {MAX_RESAMPLES} resamples"
             )
         anns = [names[j] for j in range(cfg.n_predicates) if mask[j]]
         k_lo = min(dlo, len(anns))

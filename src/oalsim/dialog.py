@@ -22,7 +22,7 @@ annotation column by row; transcript_records writes their ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class Episode:
         rewards: RewardConfig,
         t_max: int,
         oracle_rng: np.random.Generator,
-        guesser: Callable[[], int],
+        guess: int,
     ):
         if not interaction.description_predicates:
             raise DataError("interaction has no description predicates")
@@ -82,11 +82,10 @@ class Episode:
         self.rewards = rewards
         self.t_max = t_max
         self._oracle_rng = oracle_rng
-        self._guesser = guesser
+        self.guess = guess  # the grounding's region row; a regrounding reassigns it
 
         self.turn = 0
         self.terminated = False
-        self.guessed: int | None = None
         self.success = False
         self.pending_labels: list[tuple[str, int, int]] = []
         self.transcript: list[TranscriptStep] = []
@@ -141,8 +140,7 @@ class Episode:
             raise ProtocolError(f"turn cap {self.t_max} reached; only the guess is admissible")
 
         if isinstance(action, Guess):
-            self.guessed = self._guesser()
-            self.success = self.guessed == self.interaction.target
+            self.success = self.guess == self.interaction.target
             reward = (
                 self.rewards.correct_guess if self.success else self.rewards.incorrect_guess
             )
@@ -164,9 +162,6 @@ class Episode:
         return reward, self.terminated
 
     # -- derived quantities -------------------------------------------------
-
-    def n_queries(self) -> int:
-        return self.turn - 1 if self.terminated else self.turn
 
     def length(self) -> int:
         """System turns: queries plus the terminating guess."""

@@ -68,21 +68,33 @@ from .seeding import stream
 from .snapshot import BatchRows, EpisodeView
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
-CHECKPOINT_VERSION = "oalsim-checkpoint/2"
+CHECKPOINT_VERSION = "oalsim-checkpoint/3"
 
 PHASE_NAMES = ("init", "train", "test")
 
 
 @dataclass
 class BatchMetrics:
+    """One batch's per-dialog outcomes and new-label counts; the rates are read off them."""
+
     phase: str
     batch: int
-    success_rate: float
-    mean_length: float
-    mean_queries: float
     label_counts: dict[str, int]
     success_indicators: list[int]
     lengths: list[int]
+
+    @property
+    def success_rate(self) -> float:
+        return sum(self.success_indicators) / len(self.success_indicators)
+
+    @property
+    def mean_length(self) -> float:
+        return sum(self.lengths) / len(self.lengths)
+
+    @property
+    def mean_queries(self) -> float:
+        # every dialog ends in one guess
+        return sum(n - 1 for n in self.lengths) / len(self.lengths)
 
     def row(self) -> list:
         return [
@@ -99,9 +111,12 @@ class EpisodeOutcome:
     interaction: Interaction
     success: bool
     length: int
-    n_queries: int
     transcript: list[TranscriptStep]
     pending: list[tuple[str, int, int]]  # (predicate, region row, label)
+
+    @property
+    def n_queries(self) -> int:
+        return self.length - 1  # every turn but the closing guess
 
     @property
     def steps(self) -> list[tuple[np.ndarray, int, float]]:
@@ -185,7 +200,7 @@ class BatchSetup:
     def __init__(self, experiment: Experiment, agent: Agent, interactions: Sequence[Interaction]):
         cfg = experiment.config
         self.rows = rows = BatchRows(
-            agent.models, agent.predicates, interactions, experiment.corpus.X, cfg.triangular
+            agent.models, agent.stats.used, interactions, experiment.corpus.X, cfg.triangular
         )
         self.queries = query_rows(rows.predicates, rows.f1, rows.trained, agent.stats)
         self.guesses = np.empty(len(interactions), dtype=np.intp)
@@ -232,12 +247,7 @@ class Experiment:
         self.split = split if split is not None else make_splits(self.corpus, config.split)
         if density is None:
             rows = self.corpus.file_rows  # the distance sums run in file order
-            density = DensityIndex(
-                self.corpus.X[rows],
-                rows,
-                k=config.classifier.knn_k,
-                avg_sample=config.classifier.density_avg_sample,
-            )
+            density = DensityIndex(self.corpus.X[rows], rows, k=config.classifier.knn_k)
         self.density = density
         mask = resolve_mask(config.experiment.ablate)
         self.mask = mask if mask.any() else None
@@ -269,7 +279,6 @@ class Experiment:
         cfg = self.config
         interaction, view, ctx = setup.interaction, setup.view, setup.features
         desc = interaction.description_predicates
-        guess = setup.guess  # the grounding's region row, current at the guess
 
         oracle_rng = stream(self.master, "oracle", phase_idx, batch_idx, ep_idx)
         beam_rng = stream(self.master, "beam", phase_idx, batch_idx, ep_idx)
@@ -283,7 +292,7 @@ class Experiment:
             rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
             oracle_rng=oracle_rng,
-            guesser=lambda: guess,
+            guess=setup.guess,
         )
 
         while not episode.terminated:
@@ -311,14 +320,13 @@ class Experiment:
                 if refit:
                     ctx.refit([view.index[p] for p in refit])
                 if not refit.isdisjoint(desc):  # grounding reads description rows only
-                    (guess,), (row,) = ground(view_stack(desc, view))
+                    (episode.guess,), (row,) = ground(view_stack(desc, view))
                     ctx.set_guess(row)
 
         outcome = EpisodeOutcome(
             interaction=interaction,
             success=episode.success,
             length=episode.length(),
-            n_queries=episode.n_queries(),
             transcript=episode.transcript,
             pending=list(episode.pending_labels),
         )
@@ -388,7 +396,6 @@ class Experiment:
             for ep_idx in range(cfg.experiment.batch_size)
         ]
         setups = BatchSetup(self, agent, interactions)
-        agent.predicates.update(setups.rows.predicates)  # every description is now seen
         for ep_idx in range(len(interactions)):
             setup = setups.episode(ep_idx)
             outcome, episode = self.run_episode(
@@ -407,17 +414,12 @@ class Experiment:
         label_counts: dict[str, int] = {}
         for (p, _region) in merged:
             label_counts[p] = label_counts.get(p, 0) + 1
-        indicators = [1 if o.success else 0 for o in outcomes]
-        lengths = [o.length for o in outcomes]
         metrics = BatchMetrics(
             phase=plan.name,
             batch=batch_idx,
-            success_rate=sum(indicators) / len(indicators),
-            mean_length=sum(lengths) / len(lengths),
-            mean_queries=sum(o.n_queries for o in outcomes) / len(outcomes),
             label_counts=label_counts,
-            success_indicators=indicators,
-            lengths=lengths,
+            success_indicators=[1 if o.success else 0 for o in outcomes],
+            lengths=[o.length for o in outcomes],
         )
         return metrics, merged, outcomes
 
@@ -607,7 +609,7 @@ class Experiment:
             raise CheckpointError(f"checkpoint theta must hold {N_FEATURES} numbers")
         try:
             for m in metrics:
-                _check_metrics_row(m)
+                _check_metrics_row(m, self.config.experiment.batch_size)
             for v in theta:
                 check_real("checkpoint theta", v)
             check_real("checkpoint baseline_mean", state.get("baseline_mean"))
@@ -623,11 +625,15 @@ class Experiment:
         }
 
 
-def _check_metrics_row(m: BatchMetrics) -> None:
-    """ConfigError unless a checkpoint's metrics row holds values of the kinds a run writes."""
+def _check_metrics_row(m: BatchMetrics, batch_size: int) -> None:
+    """ConfigError unless a checkpoint's metrics row holds values of the kinds a run writes.
+
+    That is a str phase, an int batch, one success indicator and one length
+    per dialog of the batch, and a count per predicate.
+    """
     where = f"checkpoint metrics {m.phase}/{m.batch}"
-    for name in ("success_rate", "mean_length", "mean_queries"):
-        check_real(f"{where} {name}", getattr(m, name))
+    if type(m.phase) is not str or type(m.batch) is not int:
+        raise ConfigError(f"{where}: the phase must be a string and the batch an integer")
     counts = m.label_counts
     named = isinstance(counts, dict) and all(type(p) is str for p in counts)
     for name, values, low, high in (
@@ -638,6 +644,8 @@ def _check_metrics_row(m: BatchMetrics) -> None:
         ok = isinstance(values, list) and all(type(v) is int and low <= v <= high for v in values)
         if not ok:
             raise ConfigError(f"{where} {name} must hold integers in [{low}, {high}]")
+    if not len(m.success_indicators) == len(m.lengths) == batch_size:
+        raise ConfigError(f"{where} must list the batch's {batch_size} dialogs")
 
 
 def checkpoint_save(path, state: dict) -> None:

@@ -121,14 +121,10 @@ class ClassifierConfig:
     l2: float = 0.01
     folds: int = 5
     knn_k: int = 10
-    density_avg_sample: int | None = None  # cap the cosine-average reference set
 
     def __post_init__(self):
-        for name in ("iterations", "folds", "knn_k", "density_avg_sample"):
-            value = getattr(self, name)
-            if name == "density_avg_sample" and value is None:
-                continue
-            check_int(f"classifier.{name}", value, 0)
+        for name in ("iterations", "folds", "knn_k"):
+            check_int(f"classifier.{name}", getattr(self, name), 0)
         for name in ("step_size", "step_decay", "l2"):
             check_real(f"classifier.{name}", getattr(self, name))
         if self.step_size <= 0:
@@ -473,25 +469,19 @@ def _fit_stack(problems, models, folds, X, cfg, signed, fold_weights) -> None:
 DENSITY_BLOCK = 256  # distance-matrix rows held at once: memory O(N * DENSITY_BLOCK)
 
 
-def _mean_over_others(dist: np.ndarray, ref: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each row's mean distance over the sorted reference columns, its own column left out.
+def _mean_over_others(dist: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's mean distance over the other columns: row i's own column, rows[i], left out.
 
-    A row with no other reference column gets 0. The columns kept for a row
-    form one contiguous row of a copy (a flat np.delete of the own columns),
-    so the mean sums them in the same order as a 1-D mean over that row's
-    other columns.
+    With one column there is no other, and the mean is 0. The columns kept
+    for a row form one contiguous row of a copy (a flat np.delete of the own
+    columns), so the mean sums them in the same order as a 1-D mean over that
+    row's other columns.
     """
-    sub = dist if len(ref) == dist.shape[1] else dist[:, ref]
-    col = np.minimum(np.searchsorted(ref, rows), len(ref) - 1)  # own column, if ref holds it
-    has = ref[col] == rows
-    out = np.zeros(len(rows))
-    out[~has] = sub[~has].mean(axis=1)
-    if len(ref) > 1:
-        if not has.all():
-            sub = sub[has]
-        own = np.arange(len(sub)) * len(ref) + col[has]  # flat positions, in row order
-        out[has] = np.delete(sub, own).reshape(-1, len(ref) - 1).mean(axis=1)
-    return out
+    n = dist.shape[1]
+    if n == 1:
+        return np.zeros(len(rows))
+    own = np.arange(len(rows)) * n + rows  # flat positions, in row order
+    return np.delete(dist, own).reshape(-1, n - 1).mean(axis=1)
 
 
 def _nearest(dist: np.ndarray, k: int, rank: np.ndarray) -> np.ndarray:
@@ -517,20 +507,12 @@ class DensityIndex:
     range(len(X)). The distances are computed over X in its given order (a
     corpus's file order, whose column sums fix the averages' last bits) and
     the results scattered to rows: `avg[row]` is the row's average distance
-    and `knn[row]` its k neighbour rows, ordered by (distance, row). At desk
-    scale the average runs over every other region; avg_sample caps the
-    reference set (an evenly strided subset in row order) for large corpora.
-    Distances are computed DENSITY_BLOCK rows at a time, so no N x N matrix
-    is ever held.
+    to every other region (0 in a one-region corpus) and `knn[row]` its k
+    neighbour rows, ordered by (distance, row). Distances are computed
+    DENSITY_BLOCK rows at a time, so no N x N matrix is ever held.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        rows: np.ndarray,
-        k: int = 10,
-        avg_sample: int | None = None,
-    ):
+    def __init__(self, X: np.ndarray, rows: np.ndarray, k: int = 10):
         n = X.shape[0]
         rows = np.asarray(rows, dtype=np.intp)
         if not np.array_equal(np.sort(rows), np.arange(n)):
@@ -541,12 +523,6 @@ class DensityIndex:
         norms[norms < 1e-12] = 1e-12
         unit = X / norms
         self.k = min(k, n - 1)
-        if avg_sample is not None and 0 < avg_sample < n:
-            stride = n / avg_sample
-            by_row = np.argsort(rows)
-            ref = np.sort(by_row[[int(i * stride) for i in range(avg_sample)]])
-        else:
-            ref = np.arange(n)
         self.avg = np.zeros(n)
         self.knn = np.zeros((n, max(self.k, 0)), dtype=np.intp)
         for a in range(0, n, DENSITY_BLOCK):
@@ -554,7 +530,7 @@ class DensityIndex:
             block = np.arange(a, b)
             dist = unit[a:b] @ unit.T
             np.subtract(1.0, dist, out=dist)
-            self.avg[rows[a:b]] = _mean_over_others(dist, ref, block)
+            self.avg[rows[a:b]] = _mean_over_others(dist, block)
             dist[block - a, block] = np.inf
             self.knn[rows[a:b]] = rows[_nearest(dist, self.k, rows)]
 

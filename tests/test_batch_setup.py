@@ -47,7 +47,7 @@ def check_every_setup(exp: Experiment, monkeypatch) -> dict:
 
     def recorded_batch(self, plan, phase_idx, batch_idx, agent, theta, transcript_sink=None):
         batch.update(
-            predicates=set(agent.predicates),
+            predicates=set(agent.stats.used),
             models=dict(agent.models),
             sizes=set(),
         )
@@ -150,7 +150,7 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     for name, array in held.items():
         assert np.array_equal(getattr(rows, name), array), name
     assert np.array_equal(setups.queries, queries)
-    predicates = set(agent.predicates) | set(interactions[0].description_predicates)
+    predicates = set(agent.stats.used) | set(interactions[0].description_predicates)
     for e in (1, 2):
         predicates |= set(interactions[e].description_predicates)
         want, known, guess, table = oracle_setup(

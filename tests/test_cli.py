@@ -29,15 +29,17 @@ def config_path(tmp_path):
     return path
 
 
-def resume_tampered(tmp_path, config_path, capsys, edit) -> dict:
-    """Resume from the first checkpoint of a run after `edit` changes it; its one error line.
+def resume_tampered(tmp_path, config_path, capsys, edit, name="checkpoint_p0_b0.json") -> dict:
+    """Resume from a checkpoint of a run, the first by default, after `edit` changes it.
+
+    Returns the resume's one error line.
 
     The resume must exit 4, print one JSON error line and no traceback, and
     write no summary.
     """
     full = tmp_path / "full"
     assert main(["run", "--config", str(config_path), "--out", str(full), "--checkpoints"]) == 0
-    ck = full / "checkpoints" / "checkpoint_p0_b0.json"
+    ck = full / "checkpoints" / name
     state = json.loads(ck.read_text())
     edit(state)
     ck.write_text(json.dumps(state))
@@ -266,6 +268,24 @@ class TestRun:
             tmp_path, config_path, capsys, lambda state: state.__setitem__(field, value)
         )
         assert field in error["message"]
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [(lambda state: state.update(version="oalsim-checkpoint/2"), "version"),
+         (lambda state: state["metrics"][1].update(batch=True), "batch"),
+         (lambda state: state["metrics"][1].update(batch=1.0), "batch")],
+        ids=["v2", "batch-true", "batch-float"],
+    )
+    def test_resume_refuses_a_v2_checkpoint_or_a_batch_index_that_is_not_an_int(
+        self, tmp_path, capsys, edit, match
+    ):
+        # two init batches: the checkpoint after the second lists batch 1, which
+        # true and 1.0 equal
+        config = tmp_path / "run.json"
+        experiment = {**SMALL_CONFIG["experiment"], "init_batches": 2}
+        config.write_text(json.dumps({**SMALL_CONFIG, "experiment": experiment}))
+        error = resume_tampered(tmp_path, config, capsys, edit, "checkpoint_p0_b1.json")
+        assert match in error["message"]
 
     @pytest.mark.parametrize(
         "key, value",

@@ -1,9 +1,16 @@
+import dataclasses
 import json
+import re
+import typing
+from pathlib import Path
 
 import pytest
 
-from oalsim.config import from_dict, load_config
+from oalsim.config import CorpusSource, RunConfig, from_dict, load_config
+from oalsim.corpus import SyntheticConfig
 from oalsim.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 BASE = {
@@ -114,8 +121,6 @@ def test_load_config_bad_json(tmp_path):
         ("folds", -2),
         ("knn_k", 1.5),
         ("knn_k", -1),
-        ("density_avg_sample", 2.5),
-        ("density_avg_sample", -1),
         ("step_size", 0.0),
         ("step_size", -0.5),
         ("step_size", "0.5"),
@@ -135,11 +140,8 @@ def test_invalid_classifier_setting_rejected(key, value):
 
 def test_classifier_boundary_settings_accepted():
     data = json.loads(json.dumps(BASE))
-    data["classifier"] = {"iterations": 0, "folds": 0, "knn_k": 0, "step_decay": 0, "l2": 0,
-                          "density_avg_sample": None}
+    data["classifier"] = {"iterations": 0, "folds": 0, "knn_k": 0, "step_decay": 0, "l2": 0}
     assert from_dict(data).classifier.iterations == 0
-    data["classifier"] = {"density_avg_sample": 50}
-    assert from_dict(data).classifier.density_avg_sample == 50
 
 
 @pytest.mark.parametrize(
@@ -174,7 +176,6 @@ def test_classifier_boundary_settings_accepted():
         ("episode", "immediate_updates", 1),
         ("policy", "use_baseline", "no"),
         ("policy", "use_baseline", None),
-        ("experiment", "checkpoints", "no"),
         ("policy", "learning_rate", True),
         ("policy", "learning_rate", "1e-3"),
         ("policy", "learning_rate", float("inf")),
@@ -215,13 +216,13 @@ def test_integer_boundary_settings_accepted():
     data["episode"] = {"t_max": 1, "active_train_size": 0, "active_test_size": 1}
     data["episode"]["immediate_updates"] = True
     data["policy"] = {"static_n_queries": 0, "learning_rate": 1, "learning_rate_decay": 0}
-    data["experiment"] = {"master_seed": -5, "checkpoints": False}
+    data["experiment"] = {"master_seed": -5}
     data["split"] = {"frequency_threshold": 0, "seed": -1}
     data["rewards"] = {"discount": 1, "correct_guess": 5}
     cfg = from_dict(data)
     assert (cfg.beam.n_label, cfg.episode.t_max, cfg.policy.static_n_queries) == (0, 1, 0)
     assert (cfg.experiment.master_seed, cfg.split.seed) == (-5, -1)
-    assert cfg.episode.immediate_updates and not cfg.experiment.checkpoints
+    assert cfg.episode.immediate_updates
     assert cfg.policy.learning_rate_decay == 0 and cfg.rewards.discount == 1
 
 
@@ -234,7 +235,7 @@ def test_integer_boundary_settings_accepted():
         ("n_regions", "120"),
         ("dim", 16.0),
         ("n_predicates", 8.5),
-        ("max_resamples", 2.5),
+        ("n_predicates", True),
         ("description_length", [1, 2.5]),
         ("description_length", [1, 2, 3]),
         ("description_length", 2),
@@ -245,7 +246,7 @@ def test_integer_boundary_settings_accepted():
         ("n_regions", 5),
         ("dim", 0),
         ("n_predicates", 0),
-        ("max_resamples", 0),
+        ("seed", None),
         ("coverage", [0.3, 0.1]),
         ("description_length", [0, 3]),
     ],
@@ -262,9 +263,32 @@ def test_invalid_synthetic_setting_rejected(key, value):
 def test_synthetic_boundary_settings_accepted():
     data = json.loads(json.dumps(BASE))
     data["corpus"]["synthetic"].update(
-        n_regions=12, dim=1, n_predicates=1, seed=-4, max_resamples=1,
+        n_regions=12, dim=1, n_predicates=1, seed=-4,
         coverage=[0.2, 0.2], description_length=[2, 2],
     )
     synthetic = from_dict(data).corpus.synthetic
     assert (synthetic.n_regions, synthetic.dim, synthetic.seed) == (12, 1, -4)
     assert synthetic.coverage == (0.2, 0.2) and synthetic.description_length == (2, 2)
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_readme_config_reference_lists_each_section_s_fields():
+    # the reference block is jsonc: its one comment lists the synthetic corpus keys
+    block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
+    code, comments = [], []
+    for line in block.splitlines():
+        body, _, comment = line.partition("//")
+        code.append(body)
+        comments.append(comment)
+    reference = json.loads("\n".join(code))
+    sections = typing.get_type_hints(RunConfig)
+    assert set(reference) == set(sections)
+    for name, keys in reference.items():
+        want = _field_names(sections[name]) - ({"synthetic"} if name == "corpus" else set())
+        assert set(keys) == want, name
+    alternative = set(re.findall(r'"(\w+)"', " ".join(comments)))
+    assert alternative == {"synthetic"} | _field_names(SyntheticConfig)
+    assert "synthetic" in _field_names(CorpusSource)

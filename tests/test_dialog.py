@@ -68,7 +68,7 @@ def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models
         rewards=RewardConfig(),
         t_max=t_max,
         oracle_rng=stream(seed, "oracle"),
-        guesser=lambda: corpus.row[guess],
+        guess=corpus.row[guess],
     )
 
 
@@ -181,7 +181,15 @@ class TestStep:
         ep.step(Guess())
         assert sum(s.reward for s in ep.transcript) == 197
         assert ep.length() == 4
-        assert ep.n_queries() == 3
+        assert ep.success
+
+    def test_guess_reads_the_current_grounding(self):
+        # run_episode reassigns the guess row when an immediate refit regrounds
+        ep = _episode(guess="o0")
+        ep.step(LabelQuery(predicate="red", region=_row("t0")))
+        ep.guess = _row("o1")
+        reward, done = ep.step(Guess())
+        assert done and ep.success and reward == 200
 
     def test_turn_cap_forces_guess(self):
         ep = _episode(t_max=2)

@@ -90,7 +90,7 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     desc = inter.description_predicates
     view = episode_view(
         agent.models,
-        agent.predicates | set(desc),
+        set(agent.stats.used) | set(desc),
         inter.active_train,
         inter.active_test,
         exp.corpus.X,

@@ -45,6 +45,12 @@ def first_returns(indicators, lengths, rewards):
     ]
 
 
+def _v2_row(rows):
+    """Give the first metrics row the rate oalsim-checkpoint/2 stored, with its true value."""
+    indicators = rows[0]["success_indicators"]
+    rows[0]["success_rate"] = sum(indicators) / len(indicators)
+
+
 @pytest.fixture(scope="module")
 def small_experiment(small_corpus, small_split, small_density):
     cfg = small_run_config()
@@ -95,14 +101,19 @@ class TestRunBatch:
             assert o.length == o.n_queries + 1
 
     def test_seen_predicates_grow_from_descriptions(self, small_experiment):
+        # the agent's seen predicates are the keys of its usage stats, which
+        # the batch end extends with the batch's descriptions
         plan = small_experiment.phase_plan()[0]
         agent = Agent()
-        assert agent.predicates == set()
-        _, _, outcomes = small_experiment.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
+        assert agent.stats.used == {}
+        _, merged, outcomes = small_experiment.run_batch(
+            plan, 0, 0, agent, np.zeros(N_FEATURES)
+        )
+        small_experiment.apply_batch_end(agent, merged, outcomes)
         described = set()
         for o in outcomes:
             described |= set(o.interaction.description_predicates)
-        assert agent.predicates == described
+        assert set(agent.stats.used) == described
 
     def test_oracle_labels_match_half_space_ground_truth(
         self, small_experiment, small_corpus
@@ -436,11 +447,16 @@ class TestCheckpointing:
             lambda rows: rows[0].update(label_counts={"red": -1}),
             lambda rows: rows[0].update(label_counts={"red": "3"}),
             lambda rows: rows[0].update(label_counts=[["red", 1]]),
+            lambda rows: rows[1].update(batch=True),
+            lambda rows: rows[1].update(batch=1.0),
+            lambda rows: rows[0].update(lengths=rows[0]["lengths"][:-1]),
+            _v2_row,
         ],
         ids=["short", "long", "reordered", "missing-field", "extra-field", "not-a-row",
              "rate-string", "rate-bool", "length-inf", "queries-null", "indicator-2",
              "indicator-bool", "indicators-string", "length-0", "length-float",
-             "lengths-null", "count-negative", "count-string", "counts-list"],
+             "lengths-null", "count-negative", "count-string", "counts-list",
+             "batch-bool", "batch-float", "lengths-short", "v2-row"],
     )
     def test_metrics_not_the_batches_before_the_cursor(
         self, small_experiment, small_checkpoints, edit
@@ -486,17 +502,17 @@ class TestCheckpointing:
         model.weights = np.array([0.5, -0.25, 0.1])
         model.f1 = 0.75
         agent.models["red"] = model
-        agent.stats.observe_dialog(("red",), True)
-        agent.predicates = {"red", "box"}
+        agent.stats.observe_dialog(("red", "box"), True)
         ids = ["r0", "r1", "r2"]
         data = json.loads(json.dumps(agent.to_dict(ids)))
+        assert set(data) == {"models", "stats"}
         assert list(data["models"]["red"]["labels"].items()) == [("r2", 1), ("r1", -1)]
         back = Agent.from_dict(data, {rid: row for row, rid in enumerate(ids)}, 2)
         assert list(back.models["red"].labels.items()) == list(model.labels.items())
         assert np.array_equal(back.models["red"].weights, model.weights)
         assert back.models["red"].f1 == model.f1
         assert back.stats.dialogs == 1
-        assert back.predicates == {"red", "box"}
+        assert back.stats.used == {"red": 1, "box": 1}
 
     @pytest.mark.parametrize(
         "field, value",
@@ -628,7 +644,7 @@ class TestImmediateUpdates:
         agent.models["zz-one"] = PredicateModel("zz-one", labels={other: 1})
         view = episode_view(
             agent.models,
-            agent.predicates | set(agent.models) | set(desc) | {"zz-new"},
+            set(agent.stats.used) | set(agent.models) | set(desc) | {"zz-new"},
             inter.active_train,
             inter.active_test,
             exp.corpus.X,

@@ -853,25 +853,11 @@ class TestDensity:
             assert row not in knn
             assert len(set(knn)) == 10
 
-    def test_avg_sample_cap(self):
-        rng = stream(11, "cap")
-        X = rng.normal(size=(40, 6))
-        rows = np.arange(40)
-        full = DensityIndex(X, rows, k=5)
-        capped = DensityIndex(X, rows, k=5, avg_sample=10)
-        again = DensityIndex(X, rows, k=5, avg_sample=10)
-        # deterministic, bounded, and close to the full average
-        for row in range(8):
-            assert capped.avg[row] == again.avg[row]
-            assert 0.0 <= capped.avg[row] <= 2.0
-            assert capped.avg[row] == pytest.approx(full.avg[row], abs=0.35)
-            assert np.array_equal(capped.knn[row], full.knn[row])
-
 
 class _ReferenceDensityIndex:
     """The dense N x N index with a Python sort per row, kept as the oracle."""
 
-    def __init__(self, ids, X, k=10, avg_sample=None):
+    def __init__(self, ids, X, k=10):
         self.ids = list(ids)
         n = len(self.ids)
         if X.shape[0] != n:
@@ -882,15 +868,9 @@ class _ReferenceDensityIndex:
         dist = 1.0 - unit @ unit.T
         np.fill_diagonal(dist, 0.0)
         self.k = min(k, n - 1)
-        if avg_sample is not None and 0 < avg_sample < n:
-            by_id = sorted(range(n), key=lambda j: self.ids[j])
-            stride = n / avg_sample
-            ref = np.array(sorted(by_id[int(i * stride)] for i in range(avg_sample)))
-        else:
-            ref = np.arange(n)
         self._avg = {}
         for i, rid in enumerate(self.ids):
-            others = ref[ref != i]
+            others = np.delete(np.arange(n), i)
             self._avg[rid] = float(dist[i, others].mean()) if len(others) else 0.0
         self._knn: dict[str, tuple[str, ...]] = {}
         for i, rid in enumerate(self.ids):
@@ -942,33 +922,25 @@ def _tied_points():
     return ids, X
 
 
-def _mean_over_others_by_mask(dist, ref, rows):
-    """The boolean-mask copy of each row's other reference columns, as the reference."""
-    sub = dist if len(ref) == dist.shape[1] else dist[:, ref]
-    own = ref[None, :] == rows[:, None]
-    has = own.any(axis=1)
-    out = np.zeros(len(rows))
-    out[~has] = sub[~has].mean(axis=1)
-    if len(ref) > 1:
-        out[has] = sub[has[:, None] & ~own].reshape(-1, len(ref) - 1).mean(axis=1)
-    return out
+def _mean_over_others_by_mask(dist, rows):
+    """Each row's 1-D mean over a boolean-mask copy of its other columns (0 with none)."""
+    cols = np.arange(dist.shape[1])
+    return np.array(
+        [row[cols != own].mean() if len(cols) > 1 else 0.0 for row, own in zip(dist, rows)]
+    )
 
 
 @pytest.mark.parametrize(
-    "ref",
-    [np.arange(300), np.arange(3, 300, 7), np.array([120]), np.array([5])],
-    ids=["full", "avg_sample", "one-own-column", "one-other-column"],
+    "n, rows",
+    [(300, np.arange(100, 164)), (1, np.array([0])), (2, np.array([1]))],
+    ids=["full", "one-own-column", "one-other-column"],
 )
-def test_mean_over_others_equals_the_mask_copy(ref):
-    # the block is rows 100..163: a strided reference set holds the own column
-    # of some of them and not of others
-    rng = stream(20, "mean-over-others")
-    dist = rng.random((64, 300))
-    rows = np.arange(100, 164)
-    got = perception._mean_over_others(dist, ref, rows)
-    assert _same_bits(got, _mean_over_others_by_mask(dist, ref, rows))
-    if 1 < len(ref) < 300:
-        assert 0 < np.isin(rows, ref).sum() < len(rows)
+def test_mean_over_others_equals_the_mask_copy(n, rows):
+    # a block of rows of the distances over n regions: at n = 1 a row has no
+    # other column, at n = 2 one
+    dist = stream(20, "mean-over-others").random((len(rows), n))
+    got = perception._mean_over_others(dist, rows)
+    assert _same_bits(got, _mean_over_others_by_mask(dist, rows))
 
 
 class TestDensityAgainstReference:
@@ -978,13 +950,11 @@ class TestDensityAgainstReference:
             ids = [small_corpus.ids[row] for row in rows]
             X = small_corpus.X[rows]
             _assert_matches_reference(ids, X, k=10)
-            _assert_matches_reference(ids, X, k=10, avg_sample=37)
 
     def test_desk_corpus(self, desk_features):
         ids, X = desk_features
         assert len(ids) == 600
         _assert_matches_reference(ids, X, k=10)
-        _assert_matches_reference(ids, X, k=10, avg_sample=100)
 
     @pytest.mark.parametrize("block", [1, 2, 4, 256])
     @pytest.mark.parametrize("k", [0, 1, 3, 8, 20])
@@ -993,19 +963,16 @@ class TestDensityAgainstReference:
         ids, X = _tied_points()
         _assert_matches_reference(ids, X, k=k)
 
-    @pytest.mark.parametrize("block", [1, 3, 256])
-    @pytest.mark.parametrize("avg_sample", [1, 2, 4, 8])
-    def test_avg_sample_with_and_without_self(self, block, avg_sample, monkeypatch):
-        # the strided reference set holds some rows and leaves others out
-        monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
-        ids, X = _tied_points()
-        _assert_matches_reference(ids, X, k=3, avg_sample=avg_sample)
-
     @pytest.mark.parametrize("n", [0, 1, 2])
-    @pytest.mark.parametrize("avg_sample", [None, 1])
-    def test_tiny_sets(self, n, avg_sample):
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_tiny_sets(self, n, block, monkeypatch):
+        # one region has no other to average over (0); two, one each. A block
+        # of one row puts the two regions of n = 2 in separate blocks; None
+        # keeps the default DENSITY_BLOCK
+        if block is not None:
+            monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
         ids, X = _tied_points()
-        _assert_matches_reference(ids[:n], X[:n], k=10, avg_sample=avg_sample)
+        _assert_matches_reference(ids[:n], X[:n], k=10)
         idx = DensityIndex(X[:n], _rows(ids[:n]), k=10)
         assert idx.k == n - 1
         for row in range(n):
@@ -1020,7 +987,6 @@ class TestDensityAgainstReference:
         for block in (7, 50):
             monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
             _assert_matches_reference(ids, X, k=6)
-            _assert_matches_reference(ids, X, k=6, avg_sample=9)
 
     def test_non_finite_features_rejected(self):
         X = np.ones((3, 2))
