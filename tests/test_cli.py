@@ -30,9 +30,7 @@ def config_path(tmp_path):
 
 
 def resume_tampered(tmp_path, config_path, capsys, edit, name="checkpoint_p0_b0.json") -> dict:
-    """Resume from a checkpoint of a run, the first by default, after `edit` changes it.
-
-    Returns the resume's one error line.
+    """Resume from checkpoint `name` of a run after `edit` changes it; its one error line.
 
     The resume must exit 4, print one JSON error line and no traceback, and
     write no summary.
