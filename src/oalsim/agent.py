@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError, check_int, check_real
 from .perception import PredicateModel
 from .policy import AgentStats
 
@@ -55,7 +55,9 @@ class Agent:
     def from_dict(cls, data: dict, rows: Mapping[str, int], dim: int) -> "Agent":
         """The state to_dict wrote; `rows` maps each label's region id to its row.
 
-        A model's weights must be null or dim + 1 finite numbers: feature weights, then bias.
+        A label must be an integer +1 or -1; an F1, a finite number in [0, 1];
+        a model's weights, null or dim + 1 finite numbers: feature weights,
+        then bias; a count, an integer >= 0. Bools are none of these.
         """
         try:
             models = {}
@@ -65,12 +67,13 @@ class Agent:
                     raise CheckpointError(
                         f"model {p!r}: a label for region {unknown[0]!r}, not in the corpus"
                     )
-                labels = {rows[rid]: int(lbl) for rid, lbl in m["labels"].items()}
-                f1 = float(m["f1"])
-                if not set(labels.values()) <= {-1, 1}:
-                    raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")
-                if not 0.0 <= f1 <= 1.0:
-                    raise CheckpointError(f"model {p!r}: F1 {f1} outside [0, 1]")
+                for label in m["labels"].values():
+                    check_int(f"model {p!r}: a label", label)
+                    if label not in (-1, 1):
+                        raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")
+                check_real(f"model {p!r}: F1", m["f1"])
+                if not 0.0 <= m["f1"] <= 1.0:
+                    raise CheckpointError(f"model {p!r}: F1 {m['f1']} outside [0, 1]")
                 weights = m["weights"]
                 if weights is not None and not (
                     isinstance(weights, list) and len(weights) == dim + 1
@@ -81,15 +84,18 @@ class Agent:
                     )
                 models[p] = PredicateModel(
                     predicate=p,
-                    labels=labels,
+                    labels={rows[rid]: label for rid, label in m["labels"].items()},
                     weights=None if weights is None else np.asarray(weights, dtype=np.float64),
-                    f1=f1,
+                    f1=float(m["f1"]),
                 )
-            stats = AgentStats(
-                used={p: int(v) for p, v in data["stats"]["used"].items()},
-                succeeded={p: int(v) for p, v in data["stats"]["succeeded"].items()},
-                dialogs=int(data["stats"]["dialogs"]),
-            )
+            counts = data["stats"]
+            for name in ("used", "succeeded"):
+                for p, v in counts[name].items():
+                    check_int(f"stats {name}[{p!r}]", v, 0)
+            check_int("stats dialogs", counts["dialogs"], 0)
+            stats = AgentStats(dict(counts["used"]), dict(counts["succeeded"]), counts["dialogs"])
             return cls(models=models, stats=stats)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ConfigError as exc:
+            raise CheckpointError(str(exc)) from None
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(f"malformed agent state: {exc}") from exc

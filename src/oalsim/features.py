@@ -163,7 +163,7 @@ class FeatureContext:
     the description's rows. `queries` is the query rows as a
     (2, P, N_FEATURES) view of the table. Agent stats and the description do
     not change within an episode; after an immediate refit, `refit` rewrites
-    the refit predicates' rows and the harness calls `set_guess` when the
+    the refit predicate's rows and the harness calls `set_guess` when the
     grounding changed.
     """
 
@@ -191,10 +191,10 @@ class FeatureContext:
         self.table[0] = guess
         self.table[0, _ACT_GUESS] = 1.0
 
-    def refit(self, rows: list[int]) -> None:
-        """Rewrite the classifier-dependent entries of these view rows."""
-        self.queries[:, rows, _NEW_PREDICATE] = ~self.view.trained[rows]
-        self.queries[:, rows, _PREDICATE_F1] = self.view.f1[rows]
+    def refit(self, row: int) -> None:
+        """Rewrite the classifier-dependent entries of this view row."""
+        self.queries[:, row, _NEW_PREDICATE] = ~self.view.trained[row]
+        self.queries[:, row, _PREDICATE_F1] = self.view.f1[row]
 
 
 def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndarray:

@@ -38,7 +38,7 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, RewardConfig, TranscriptStep, episode_return, transcript_records
+from .dialog import Episode, RewardConfig, episode_return, transcript_records
 from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_int, check_real
 from .features import (
     FeatureContext,
@@ -59,6 +59,7 @@ from .perception import (
 from .policy import (
     PolicyParams,
     action_probabilities,
+    grad_log_prob,
     reinforce_update,
     sample_action,
     static_policy_act,
@@ -71,6 +72,8 @@ from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 CHECKPOINT_VERSION = "oalsim-checkpoint/3"
 
 PHASE_NAMES = ("init", "train", "test")
+
+RATES = ("success_rate", "mean_length", "mean_queries")  # BatchMetrics' rates, in file order
 
 
 @dataclass
@@ -96,32 +99,32 @@ class BatchMetrics:
         # every dialog ends in one guess
         return sum(n - 1 for n in self.lengths) / len(self.lengths)
 
+    def rates(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in RATES}
+
     def row(self) -> list:
-        return [
-            self.phase,
-            self.batch,
-            repr(self.success_rate),
-            repr(self.mean_length),
-            repr(self.mean_queries),
-        ]
+        return [self.phase, self.batch, *map(repr, self.rates().values())]
 
 
 @dataclass
 class EpisodeOutcome:
+    """A finished dialog, reduced to what its batch end reads.
+
+    In a phase that updates the policy, `steps` holds one (score-function
+    term, G_t) pair per turn: grad_log_prob at the batch's theta, and the
+    discounted return from that turn. In other phases it is empty. No beam
+    outlives its dialog: run_batch computes the terms right after the dialog.
+    """
+
     interaction: Interaction
     success: bool
     length: int
-    transcript: list[TranscriptStep]
     pending: list[tuple[str, int, int]]  # (predicate, region row, label)
+    steps: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
     @property
     def n_queries(self) -> int:
         return self.length - 1  # every turn but the closing guess
-
-    @property
-    def steps(self) -> list[tuple[np.ndarray, int, float]]:
-        """(beam features, chosen index, reward) per turn, read off the transcript."""
-        return [(s.beam_features, s.chosen, s.reward) for s in self.transcript]
 
 
 @dataclass(frozen=True)
@@ -152,22 +155,11 @@ class RunResult:
             "ablate": list(self.config.experiment.ablate),
             "corpus_fingerprint": self.corpus_fingerprint,
             "final_test_batch": {
-                "success_rate": final.success_rate,
-                "mean_length": final.mean_length,
-                "mean_queries": final.mean_queries,
+                **final.rates(),
                 "success_indicators": final.success_indicators,
                 "lengths": final.lengths,
             },
-            "batches": [
-                {
-                    "phase": m.phase,
-                    "batch": m.batch,
-                    "success_rate": m.success_rate,
-                    "mean_length": m.mean_length,
-                    "mean_queries": m.mean_queries,
-                }
-                for m in self.metrics
-            ],
+            "batches": [{"phase": m.phase, "batch": m.batch, **m.rates()} for m in self.metrics],
         }
 
 
@@ -316,18 +308,17 @@ class Experiment:
             n_before = len(episode.pending_labels)
             episode.step(beam[chosen], beam_features, chosen)
             if immediate and len(episode.pending_labels) > n_before:
-                refit = self._refresh_models(view, episode.pending_labels[n_before:], agent)
-                if refit:
-                    ctx.refit([view.index[p] for p in refit])
-                if not refit.isdisjoint(desc):  # grounding reads description rows only
-                    (episode.guess,), (row,) = ground(view_stack(desc, view))
-                    ctx.set_guess(row)
+                predicate = beam[chosen].predicate  # a query's labels are all of its predicate
+                if self._refresh_models(view, predicate, episode.pending_labels[n_before:], agent):
+                    ctx.refit(view.index[predicate])
+                    if predicate in desc:  # grounding reads description rows only
+                        (episode.guess,), (row,) = ground(view_stack(desc, view))
+                        ctx.set_guess(row)
 
         outcome = EpisodeOutcome(
             interaction=interaction,
             success=episode.success,
             length=episode.length(),
-            transcript=episode.transcript,
             pending=list(episode.pending_labels),
         )
         return outcome, episode
@@ -335,40 +326,32 @@ class Experiment:
     def _refresh_models(
         self,
         view: EpisodeView,
+        predicate: str,
         new_labels: Sequence[tuple[str, int, int]],
         agent: Agent,
-    ) -> set[str]:
-        """Immediate-update variant: retrain affected classifiers mid-episode.
+    ) -> bool:
+        """Immediate-update variant: retrain one predicate's classifier mid-episode.
 
         The agent's own models stay untouched until the batch end; the episode
-        records each label on its view's copy of the model and refits those
-        copies whose labels hold both classes (_fit). Returns the refit predicates.
+        records the predicate's new labels on its view's copy of the model. If
+        they hold both classes, the copy is fit alone, its F1 re-estimated and
+        its view row rewritten. One class gives no weights and F1 0, as the
+        model already has: labels only grow, so it never held both. Returns
+        whether it fit.
         """
-        for p, region, label in new_labels:
-            i = view.index[p]
-            model = view.models[i]
-            if model is None:
-                view.models[i] = model = PredicateModel(predicate=p)
-            elif model is agent.models.get(p):
-                view.models[i] = model = model.clone()
+        i = view.index[predicate]
+        model = view.models[i]
+        if model is None:
+            view.models[i] = model = PredicateModel(predicate=predicate)
+        elif model is agent.models.get(predicate):
+            view.models[i] = model = model.clone()
+        for _, region, label in new_labels:
             model.record_label(region, label)
-        models = {p: view.models[view.index[p]] for p, _, _ in new_labels}
-        refit = {p for p, model in models.items() if self._fit(model)}
-        for p in refit:
-            view.update(p, models[p])
-        return refit
-
-    def _fit(self, model: PredicateModel) -> bool:
-        """Retrain a classifier and re-estimate its F1, if its labels hold both classes.
-
-        An immediate refit: one model, fit alone. One class gives no weights
-        and F1 0, as the model already has: labels only grow, so it never held
-        both. Returns whether the model was fit.
-        """
         if not model.trainable():
             return False
         train_classifier(model, self.corpus.X, self.config.classifier)
         model.f1 = estimate_f1(model, self.corpus.X, self.config.classifier)
+        view.update(predicate, model)
         return True
 
     # -- batch ----------------------------------------------------------------
@@ -382,7 +365,17 @@ class Experiment:
         theta: np.ndarray,
         transcript_sink=None,
     ) -> tuple[BatchMetrics, dict[tuple[str, int], int], list[EpisodeOutcome]]:
+        """Play one batch of dialogs against the agent's frozen classifiers and theta.
+
+        Each finished dialog is exported to the transcript sink, if any, and
+        then reduced to its EpisodeOutcome: with `plan.update_policy`, its
+        (grad_log_prob, G_t) steps at `theta`, computed here between dialogs
+        so that no beam array outlives its dialog and none of this work is
+        inside run_episode. Returns the batch's metrics, its new labels
+        merged by (predicate, region row), and the outcomes.
+        """
         cfg = self.config
+        gamma = cfg.rewards.discount
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
         interactions = [
@@ -405,11 +398,18 @@ class Experiment:
             # agent's models do not change within a batch.
             for p, region, label in outcome.pending:
                 merged[(p, region)] = label
-            outcomes.append(outcome)
             if transcript_sink is not None:
                 episode_id = f"{plan.name}/{batch_idx}/{ep_idx}"
                 for rec in transcript_records(episode_id, episode, self.corpus.ids):
                     transcript_sink.write(json.dumps(rec) + "\n")
+            if plan.update_policy:
+                turns = episode.transcript
+                returns = episode_return([s.reward for s in turns], gamma)
+                outcome.steps = [
+                    (grad_log_prob(theta, s.beam_features, s.chosen), g)
+                    for s, g in zip(turns, returns)
+                ]
+            outcomes.append(outcome)
 
         label_counts: dict[str, int] = {}
         for (p, _region) in merged:
@@ -433,7 +433,7 @@ class Experiment:
 
         Every dirty classifier whose labels hold both classes is refit in one
         fit_models call, its fits and CV folds shared in stacked descents with
-        the others'; a one-class set keeps no weights and F1 0 (see _fit).
+        the others'; a one-class set keeps no weights and F1 0 (see _refresh_models).
         """
         dirty = set()
         for (p, region), label in merged.items():
@@ -447,27 +447,6 @@ class Experiment:
         )
         for o in outcomes:
             agent.stats.observe_dialog(o.interaction.description_predicates, o.success)
-
-    def policy_update(
-        self,
-        params: PolicyParams,
-        theta: np.ndarray,
-        outcomes: list[EpisodeOutcome],
-        update_index: int,
-    ) -> np.ndarray:
-        gamma = self.config.rewards.discount
-        batch = []
-        first_returns = []
-        for o in outcomes:
-            returns = episode_return([r for (_, _, r) in o.steps], gamma)
-            batch.append(
-                [(feats, chosen, g) for (feats, chosen, _), g in zip(o.steps, returns)]
-            )
-            first_returns.append(returns[0])
-        params.observe_returns(first_returns)
-        return reinforce_update(
-            theta, batch, params.alpha_at(update_index), params.baseline()
-        )
 
     # -- full run ---------------------------------------------------------------
 
@@ -518,9 +497,12 @@ class Experiment:
                     )
                     self.apply_batch_end(agent, merged, outcomes)
                     if plan.update_policy:
-                        theta = self.policy_update(params, theta, outcomes, update_counter)
+                        params.observe_returns([o.steps[0][1] for o in outcomes])
+                        alpha = params.alpha_at(update_counter)
+                        steps = [o.steps for o in outcomes]
+                        theta = reinforce_update(theta, steps, alpha, params.baseline())
                         update_counter += 1
-                    # free this batch's transcripts before the next batch plays its own
+                    # free this batch's outcomes before the next batch plays its own
                     del merged, outcomes
                     metrics.append(batch_metrics)
                     if checkpoint_dir is not None:
@@ -697,7 +679,7 @@ def checkpoint_load(path) -> dict:
 
 # -- metrics / summary files ------------------------------------------------------
 
-CSV_HEADER = ["phase", "batch", "success_rate", "mean_length", "mean_queries"]
+CSV_HEADER = ["phase", "batch", *RATES]
 
 
 def write_metrics_csv(path, metrics: Sequence[BatchMetrics]) -> None:

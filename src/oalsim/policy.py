@@ -83,20 +83,22 @@ def grad_log_prob(theta: np.ndarray, beam_features: np.ndarray, chosen: int) -> 
 
 def reinforce_update(
     theta: np.ndarray,
-    batch: Sequence[Sequence[tuple[np.ndarray, int, float]]],
+    batch: Sequence[Sequence[tuple[np.ndarray, float]]],
     alpha: float,
     baseline: float = 0.0,
 ) -> np.ndarray:
     """One gradient-ascent step over a batch of episodes.
 
-    Each episode is a sequence of (beam_features, chosen_index, return_G_t)
-    steps. Returns the new theta; the input is not modified.
+    Each episode is a sequence of (term, return_G_t) steps, where term is
+    grad_log_prob of the step's beam and chosen action at `theta`; the step
+    adds (G_t - baseline) * term, episode by episode and turn by turn.
+    Returns the new theta; the input is not modified.
     """
     grad = np.zeros_like(theta)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
         for episode in batch:
-            for beam_features, chosen, g in episode:
-                grad += (g - baseline) * grad_log_prob(theta, beam_features, chosen)
+            for term, g in episode:
+                grad += (g - baseline) * term
         new_theta = theta + alpha * grad
     if not np.all(np.isfinite(new_theta)):
         raise PolicyUpdateError(

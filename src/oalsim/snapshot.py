@@ -13,10 +13,10 @@ episode's label record (dialog.Episode.known) with its label rows.
 `entries` writes every classifier row from classifier_rows' arrays: a
 batch's rows, and an immediate refit's row (EpisodeView.update). A
 predicate whose labels hold one class is never refit
-(harness.Experiment._fit): its row stays that of no classifier, while the
-view's copy of its model gathers the new labels. Beams, grounding and guess
-features read these arrays; nothing scores one object against one
-classifier at a time.
+(harness.Experiment._refresh_models): its row stays that of no
+classifier, while the view's copy of its model gathers the new labels.
+Beams, grounding and guess features read these arrays; nothing scores one
+object against one classifier at a time.
 
 Every entry equals its scalar form bit for bit: the score w[:-1] @ x + w[-1],
 its sign (+1 at exactly 0, -1 when untrained) and its distance to the

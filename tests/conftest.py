@@ -70,6 +70,25 @@ def desk_run(cfg: RunConfig) -> RunResult:
     return Experiment(cfg).run()
 
 
+@pytest.fixture
+def live_transcripts(monkeypatch) -> list:
+    """Each dialog's live `Episode.transcript`, in play order, kept by a run_episode wrapper.
+
+    A batch's outcomes keep no beams, so tests that read the beams or actions
+    of a dialog read them here. The caller clears the list to drop the beams.
+    """
+    transcripts = []
+    run_episode = Experiment.run_episode
+
+    def recorded(self, *args):
+        outcome, episode = run_episode(self, *args)
+        transcripts.append(episode.transcript)
+        return outcome, episode
+
+    monkeypatch.setattr(Experiment, "run_episode", recorded)
+    return transcripts
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> Corpus:
     return Corpus(generate_synthetic(SMALL_SYNTH))

@@ -351,7 +351,9 @@ class TestC08F1Estimation:
 
 
 class TestC09RewardAccounting:
-    def test_ten_thousand_random_episodes(self, small_corpus, small_split, small_density):
+    def test_ten_thousand_random_episodes(
+        self, small_corpus, small_split, small_density, live_transcripts
+    ):
         cfg = small_run_config(batch_size=100)
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         plan = PhasePlan("test", "policy-train", "learned", False, 100, False)
@@ -362,9 +364,9 @@ class TestC09RewardAccounting:
         for batch in range(100):
             metrics, merged, outcomes = exp.run_batch(plan, 0, batch, agent, theta)
             exp.apply_batch_end(agent, merged, outcomes)
-            for o in outcomes:
+            for o, transcript in zip(outcomes, live_transcripts, strict=True):
                 episodes += 1
-                rewards = [r for (_, _, r) in o.steps]
+                rewards = [step.reward for step in transcript]
                 guess_reward = rewards[-1]
                 assert sum(rewards) == guess_reward - o.n_queries
                 assert o.length == o.n_queries + 1
@@ -373,6 +375,7 @@ class TestC09RewardAccounting:
                 assert inter.target in inter.active_test
                 assert len(inter.active_train) == 8 and len(inter.active_test) == 4
                 assert not (set(inter.active_train) & set(inter.active_test))
+            live_transcripts.clear()
         report(9, "reward accounting", True, f"{episodes} episodes, zero violations")
         assert episodes == 10_000
 
@@ -464,7 +467,7 @@ class TestC13DeterminismAndCheckpointing:
 
 
 class TestC14AblationHarness:
-    def test_masking_and_end_to_end_run(self):
+    def test_masking_and_end_to_end_run(self, live_transcripts):
         # mask verification on logged feature vectors from the scaled corpus
         base = load_config(DESK_CONFIG)
         reduced = dataclasses.replace(
@@ -482,19 +485,25 @@ class TestC14AblationHarness:
         )
         exp = Experiment(ablated_cfg, shared.corpus, shared.split, shared.density)
         plan = exp.phase_plan()[0]
-        _, _, outcomes = exp.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
+        exp.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
+        transcripts = list(live_transcripts)
         checked = 0
-        for o in outcomes:
-            for feats, chosen, _ in o.steps:
+        for transcript in transcripts:
+            for step in transcript:
+                feats = step.beam_features
                 assert np.all(feats[:, mask] == 0)
                 checked += feats.shape[0]
         # the init phase is static-driven, so masked and unmasked runs traverse the
         # same states; their logged vectors must differ only inside the mask
         full_exp = Experiment(reduced, shared.corpus, shared.split, shared.density)
-        _, _, full_outcomes = full_exp.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
+        live_transcripts.clear()
+        full_exp.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
+        full_transcripts = list(live_transcripts)
         off_mask_equal = True
-        for masked_o, full_o in zip(outcomes, full_outcomes):
-            for (mf, mc, _), (ff, fc, _) in zip(masked_o.steps, full_o.steps):
+        for masked_t, full_t in zip(transcripts, full_transcripts):
+            for masked_step, full_step in zip(masked_t, full_t):
+                mf, mc = masked_step.beam_features, masked_step.chosen
+                ff, fc = full_step.beam_features, full_step.chosen
                 off_mask_equal = off_mask_equal and mc == fc
                 off_mask_equal = off_mask_equal and np.array_equal(
                     mf[:, ~mask], ff[:, ~mask]

@@ -102,3 +102,42 @@ def test_error_classes_are_raised_or_caught():
     classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
     assert len(classes) > 5
     assert [name for name in classes if name not in used] == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Names that `tree` reads, in code or in annotations, quoted ones included."""
+    found = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, ast.AnnAssign):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                found |= _names_read(ast.parse(part.value, mode="eval"))
+    return found
+
+
+def test_imported_names_are_used():
+    # a name that its module imports and never reads is a dead dependency;
+    # oalsim/__init__.py imports names to export them
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.partition(".")[0]) not in read
+                ]
+    assert unused == []

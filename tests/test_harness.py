@@ -11,7 +11,7 @@ from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.agent import Agent
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
-from oalsim.dialog import RewardConfig
+from oalsim.dialog import RewardConfig, episode_return
 from oalsim.errors import CheckpointError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
@@ -24,6 +24,7 @@ from oalsim.harness import (
     write_metrics_csv,
 )
 from oalsim.perception import PredicateModel
+from oalsim.policy import grad_log_prob
 
 from conftest import SMALL_SYNTH, episode_view, feature_context, small_run_config
 from setup_oracle import oracle_guess_features, oracle_scores
@@ -131,18 +132,19 @@ class TestRunBatch:
             for p, row, label in o.pending:
                 assert (label == 1) == (p in small_corpus.annotations[row])
 
-    def test_pending_labels_exclude_base_labels(self, small_experiment):
+    def test_pending_labels_exclude_base_labels(self, small_experiment, live_transcripts):
         # a second batch, where the agent already holds the first batch's labels
         plan = small_experiment.phase_plan()[0]
         agent = Agent()
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         small_experiment.apply_batch_end(agent, merged, outcomes)
         base = {p: m.labels for p, m in agent.models.items()}
+        live_transcripts.clear()
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
         asked = [
             (step.action.predicate, rid)
-            for o in outcomes
-            for step in o.transcript
+            for o, transcript in zip(outcomes, live_transcripts, strict=True)
+            for step in transcript
             if isinstance(step.action, ExampleQuery)
             for rid in o.interaction.active_train
         ]
@@ -259,6 +261,61 @@ class TestExperimentRun:
             m for m in (state["metrics"]) if m["phase"] == "test"
         ][0]
         assert sum(first["label_counts"].values()) == test_labels
+
+
+class TestPolicyUpdate:
+    def test_each_update_is_the_reinforce_step_over_the_live_beams(
+        self, small_corpus, small_split, small_density, live_transcripts, monkeypatch
+    ):
+        # a static init batch and a learned train batch under the running-mean
+        # baseline: each update equals the step summed over the beams its
+        # dialogs played, at the theta they played with
+        cfg = small_run_config(init_batches=1, train_batches=1, test_batches=1)
+        policy = dataclasses.replace(cfg.policy, use_baseline=True, learning_rate_decay=0.5)
+        cfg = dataclasses.replace(cfg, policy=policy)
+        update, updates = harness.reinforce_update, []
+
+        def recorded(theta, *args):
+            updates.append((theta, list(live_transcripts), update(theta, *args)))
+            live_transcripts.clear()
+            return updates[-1][2]
+
+        monkeypatch.setattr(harness, "reinforce_update", recorded)
+        result = Experiment(cfg, small_corpus, small_split, small_density).run()
+        assert len(updates) == 2
+        theta, mean, count = np.zeros(N_FEATURES), 0.0, 0
+        for b, (played, transcripts, new) in enumerate(updates):
+            assert len(transcripts) == cfg.experiment.batch_size
+            assert np.array_equal(played, theta)
+            returns = [
+                episode_return([s.reward for s in t], cfg.rewards.discount) for t in transcripts
+            ]
+            for g in returns:
+                count += 1
+                mean += (g[0] - mean) / count
+            grad = np.zeros(N_FEATURES)
+            for transcript, gs in zip(transcripts, returns):
+                for step, g in zip(transcript, gs):
+                    grad += (g - mean) * grad_log_prob(theta, step.beam_features, step.chosen)
+            theta = theta + policy.learning_rate * max(0.0, 1.0 - 0.5 * b) * grad
+            assert np.array_equal(new, theta)
+        assert np.any(theta) and np.array_equal(result.theta, theta)
+
+    def test_no_beam_outlives_its_dialog(self, small_experiment, monkeypatch):
+        # the outcomes of a batch that updates the policy hold its steps, not its beams
+        form, beams = harness.featurize, []
+
+        def recorded(*args):
+            out = form(*args)
+            beams.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(harness, "featurize", recorded)
+        plan = small_experiment.phase_plan()[0]
+        assert plan.update_policy
+        _, _, outcomes = small_experiment.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
+        assert beams and all(len(o.steps) == o.length for o in outcomes)
+        assert [ref for ref in beams if ref() is not None] == []
 
 
 class TestCheckpointing:
@@ -516,7 +573,8 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("label", 0), ("label", 5), ("f1", 2.5), ("f1", -0.5), ("f1", float("nan"))],
+        [("label", 0), ("label", 5), ("f1", 2.5), ("f1", -0.5), ("f1", float("nan")),
+         ("label", 1.7), ("label", True), ("f1", "0.5")],
     )
     def test_agent_with_invalid_label_or_f1_rejected(self, field, value):
         # a stored 0 would read as "no label" in an episode's label table
@@ -530,6 +588,23 @@ class TestCheckpointing:
             data["models"]["red"]["f1"] = value
         with pytest.raises(CheckpointError, match="red"):
             Agent.from_dict(data, {"r0": 0, "r1": 1}, 2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("used", 2.9), ("used", -1), ("succeeded", True), ("dialogs", -3), ("dialogs", 1.0)],
+    )
+    def test_agent_with_invalid_stats_rejected(self, field, value):
+        # a count is an integer >= 0; int() would read 2.9 as 2 and true as 1
+        agent = Agent()
+        agent.stats.observe_dialog(("red",), True)
+        data = json.loads(json.dumps(agent.to_dict([])))
+        assert Agent.from_dict(data, {}, 2).stats == agent.stats
+        if field == "dialogs":
+            data["stats"]["dialogs"] = value
+        else:
+            data["stats"][field]["red"] = value
+        with pytest.raises(CheckpointError, match=field):
+            Agent.from_dict(data, {}, 2)
 
     @pytest.mark.parametrize(
         "weights",
@@ -580,9 +655,10 @@ class TestImmediateUpdates:
             fitted.append((model.n_pos(), model.n_neg()))
             return train(model, *args)
 
-        def recorded_refresh(self, *args):
-            refits.append(refresh(self, *args))
-            unchecked.update(refits[-1])
+        def recorded_refresh(self, view, predicate, *args):
+            refits.append(refresh(self, view, predicate, *args))
+            if refits[-1]:
+                unchecked.add(predicate)
             return refits[-1]
 
         def checked_featurize(beam, turn, ctx):
@@ -616,19 +692,20 @@ class TestImmediateUpdates:
         refits, rewrites = [], []
         refresh, rewrite = Experiment._refresh_models, FeatureContext.refit
 
-        def recorded_refresh(self, *args):
-            refits.append(refresh(self, *args))
-            return refits[-1]
+        def recorded_refresh(self, view, predicate, *args):
+            fit = refresh(self, view, predicate, *args)
+            refits.append(view.index[predicate] if fit else None)  # the row a fit rewrites
+            return fit
 
-        def recorded_rewrite(self, rows):
-            rewrites.append(list(rows))
-            return rewrite(self, rows)
+        def recorded_rewrite(self, row):
+            rewrites.append(row)
+            return rewrite(self, row)
 
         monkeypatch.setattr(Experiment, "_refresh_models", recorded_refresh)
         monkeypatch.setattr(FeatureContext, "refit", recorded_rewrite)
         Experiment(cfg, small_corpus, small_split, small_density).run()
-        assert rewrites and all(rewrites)
-        assert len(rewrites) == sum(1 for refit in refits if refit) < len(refits)
+        assert rewrites and rewrites == [row for row in refits if row is not None]
+        assert len(rewrites) < len(refits)
 
     def test_one_class_refit_records_the_label_and_leaves_rows_alone(self, small_experiment):
         exp = small_experiment
@@ -655,13 +732,13 @@ class TestImmediateUpdates:
         before = {name: getattr(view, name).copy() for name in names}
         by_margin, queries = [list(r) for r in view.by_margin], ctx.queries.copy()
 
-        def refresh(new_labels):
-            refit = exp._refresh_models(view, new_labels, agent)
-            if refit:  # as run_episode does
-                ctx.refit([view.index[p] for p in refit])
-            return refit
+        def refresh(predicate, region, label):
+            fit = exp._refresh_models(view, predicate, [(predicate, region, label)], agent)
+            if fit:  # as run_episode does
+                ctx.refit(view.index[predicate])
+            return fit
 
-        assert refresh([("zz-new", rid, 1), ("zz-one", rid, 1)]) == set()
+        assert not refresh("zz-new", rid, 1) and not refresh("zz-one", rid, 1)
         new, one = (view.models[view.index[p]] for p in ("zz-new", "zz-one"))
         assert new.labels == {rid: 1} and one.labels == {other: 1, rid: 1}
         assert agent.models["zz-one"].labels == {other: 1}  # the agent's model is not changed
@@ -674,21 +751,24 @@ class TestImmediateUpdates:
         k = exp.density.k
         assert got[1, INDEX["label_knn_unlabeled"]] == (k - 1) / k
 
-        assert refresh([("zz-new", other, -1)]) == {"zz-new"}
+        assert refresh("zz-new", other, -1)
         assert view.trained[view.index["zz-new"]] and new.weights is not None
 
 
 class TestAblationHarness:
-    def test_group_masks_logged_vectors(self, small_corpus, small_split, small_density):
+    def test_group_masks_logged_vectors(
+        self, small_corpus, small_split, small_density, live_transcripts
+    ):
         mask = resolve_mask(["guess"])
         cfg = small_run_config(ablate=("guess",))
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         plan = exp.phase_plan()[0]
         agent = Agent()
-        _, _, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
+        exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         seen_any = False
-        for o in outcomes[:10]:
-            for feats, chosen, _ in o.steps:
+        for transcript in live_transcripts[:10]:
+            for step in transcript:
+                feats = step.beam_features
                 assert np.all(feats[:, mask] == 0)
                 seen_any = True
         assert seen_any

@@ -146,7 +146,7 @@ class TestReinforceUpdate:
         theta = rng.normal(size=N_FEATURES)
         feats = rng.normal(size=(3, N_FEATURES))
         g = grad_log_prob(theta, feats, 1)
-        new = reinforce_update(theta, [[(feats, 1, 200.0)]], 1e-3)
+        new = reinforce_update(theta, [[(g, 200.0)]], 1e-3)
         assert new == pytest.approx(theta + 200.0 * 1e-3 * g)
 
     def test_positive_return_raises_chosen_probability(self):
@@ -155,7 +155,7 @@ class TestReinforceUpdate:
         feats = rng.normal(size=(4, N_FEATURES))
         chosen = 2
         before = action_probabilities(theta, feats)[chosen]
-        new = reinforce_update(theta, [[(feats, chosen, 150.0)]], 1e-4)
+        new = reinforce_update(theta, [[(grad_log_prob(theta, feats, chosen), 150.0)]], 1e-4)
         after = action_probabilities(new, feats)[chosen]
         assert after >= before
 
@@ -165,7 +165,7 @@ class TestReinforceUpdate:
         feats[0, 0] = 1e308
         feats[1, 0] = -1e308
         with pytest.raises(PolicyUpdateError):
-            reinforce_update(theta, [[(feats, 0, 1e4)]], 1.0)
+            reinforce_update(theta, [[(grad_log_prob(theta, feats, 0), 1e4)]], 1.0)
 
 
 class TestPolicyParams:
