@@ -104,12 +104,13 @@ def _apply_overrides(data: dict, args) -> dict:
 
 def cmd_run(args) -> int:
     config = from_dict(_apply_overrides(read_config(args.config), args))
+    # before the corpus and its O(N^2) density index: a bad checkpoint fails at once
+    resume = checkpoint_load(args.resume) if args.resume else None
 
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     experiment = Experiment(config)
 
-    resume = checkpoint_load(args.resume) if args.resume else None
     checkpoint_dir = out / "checkpoints" if args.checkpoints else None
     transcript_path = out / "transcripts.jsonl" if args.export_transcripts else None
     result = experiment.run(

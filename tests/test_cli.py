@@ -221,6 +221,29 @@ class TestRun:
                      "--resume", str(ck)]) == 0
         assert (full / "metrics.csv").read_bytes() == (resumed / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("content", [None, "{not json", "[]"],
+                             ids=["missing", "corrupt", "no-version"])
+    def test_an_unreadable_checkpoint_fails_before_the_experiment_is_built(
+        self, tmp_path, config_path, capsys, monkeypatch, content
+    ):
+        # the corpus and its O(N^2) density index are never built for a bad --resume
+        def unreachable(config):
+            raise AssertionError("Experiment built before the checkpoint was read")
+
+        monkeypatch.setattr("oalsim.cli.Experiment", unreachable)
+        ck = tmp_path / "checkpoint.json"
+        if content is not None:
+            ck.write_text(content)
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "resumed"),
+                     "--resume", str(ck)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "CheckpointError"
+        assert not (tmp_path / "resumed").exists()
+
     def test_resume_refuses_a_label_for_a_region_not_in_the_corpus(
         self, tmp_path, config_path, capsys
     ):

@@ -22,6 +22,7 @@ from oalsim.perception import (
 )
 from oalsim.seeding import stream
 
+import density_oracle
 from classifier_oracle import UndefinedMarginError, decide, fit_hinge, margin
 from conftest import small_run_config
 
@@ -939,8 +940,9 @@ def test_mean_over_others_equals_the_mask_copy(n, rows):
     # a block of rows of the distances over n regions: at n = 1 a row has no
     # other column, at n = 2 one
     dist = stream(20, "mean-over-others").random((len(rows), n))
+    want = _mean_over_others_by_mask(dist.copy(), rows)  # _mean_over_others consumes dist
     got = perception._mean_over_others(dist, rows)
-    assert _same_bits(got, _mean_over_others_by_mask(dist, rows))
+    assert _same_bits(got, want)
 
 
 class TestDensityAgainstReference:
@@ -1012,3 +1014,96 @@ def test_density_index_memory_is_far_below_one_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+
+
+def test_density_index_memory_is_a_few_blocks():
+    # the lean build holds one DENSITY_BLOCK x N distance block and
+    # argpartition's index array of the same size at a time
+    n = 2400
+    X = stream(6, "density-memory").normal(size=(n, 32))
+    tracemalloc.start()
+    try:
+        DensityIndex(X, np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * perception.DENSITY_BLOCK * n * 8
+
+
+ORACLE_BLOCK = 256  # the copying build's block size
+
+
+def _assert_equals_copying_build(X, rows, k):
+    got = DensityIndex(X, rows, k=k)
+    avg, knn = density_oracle.density_arrays(X, rows, k, ORACLE_BLOCK)
+    assert _same_bits(got.avg, avg)
+    assert _same_bits(got.knn, knn)
+
+
+@pytest.fixture()
+def tie_calls(monkeypatch):
+    """The rows each _nearest_with_ties call receives, in call order."""
+    calls = []
+    real = perception._nearest_with_ties
+
+    def spy(dist, kth, k, rank):
+        calls.append(len(dist))
+        return real(dist, kth, k, rank)
+
+    monkeypatch.setattr(perception, "_nearest_with_ties", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def scale_features():
+    """The corpus of perfbench's scale workload: desk's generator at 2400 regions."""
+    cfg = dataclasses.replace(load_config(DESK_CONFIG).corpus.synthetic, n_regions=2400)
+    regions = generate_synthetic(cfg)
+    return [r.id for r in regions], np.stack([r.features for r in regions])
+
+
+class TestDensityAgainstCopyingBuild:
+    """avg and knn equal the np.delete and partition-plus-mask build byte for byte."""
+
+    @pytest.mark.parametrize("k", [0, 1, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 255, 256, 257])
+    def test_random_points_around_the_block_sizes(self, n, k):
+        rng = stream(n, "density-copying-build")
+        _assert_equals_copying_build(rng.normal(size=(n, 8)), rng.permutation(n), k)
+
+    @pytest.mark.parametrize("k", [0, 1, 10])
+    @pytest.mark.parametrize("corpus", ["desk_features", "scale_features"])
+    def test_desk_and_scale_corpora(self, corpus, k, request, tie_calls):
+        ids, X = request.getfixturevalue(corpus)
+        assert len(ids) == {"desk_features": 600, "scale_features": 2400}[corpus]
+        _assert_equals_copying_build(X, _rows(ids), k)
+        assert tie_calls == []  # no row of a synthetic corpus ties at its k-th distance
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 10])
+    @pytest.mark.parametrize("block", [None, 1, 4])
+    def test_tied_points(self, block, k, monkeypatch, tie_calls):
+        if block is not None:
+            monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
+        ids, X = _tied_points()
+        _assert_equals_copying_build(X, _rows(ids), k)
+        # at k >= 8 every other column is a neighbour of each of the 9 points,
+        # so no row has more candidates than k
+        assert bool(tie_calls) == (0 < k < len(ids) - 1)
+
+    @pytest.mark.parametrize("k", [0, 1, 10])
+    def test_duplicate_heavy_points(self, k, tie_calls):
+        # 300 points on 26 directions: most rows tie with many others at the cut
+        rng = stream(9, "density-duplicates")
+        X = rng.integers(-1, 2, size=(300, 3)).astype(float)
+        _assert_equals_copying_build(X, rng.permutation(300), k)
+        assert bool(tie_calls) == (k > 0)
+
+
+class TestStepSizes:
+    def test_built_once_per_config_and_equal_to_the_formula(self):
+        cfg = ClassifierConfig(iterations=40, step_size=0.7, step_decay=0.03)
+        steps = perception._step_sizes(cfg)
+        assert perception._step_sizes(cfg) is steps
+        assert perception._step_sizes(dataclasses.replace(cfg)) is steps  # an equal config
+        assert steps == tuple(0.7 / (1.0 + 0.03 * t) for t in range(40))
+        assert perception._step_sizes(dataclasses.replace(cfg, iterations=0)) == ()
