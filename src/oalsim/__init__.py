@@ -25,7 +25,7 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, RewardConfig, episode_return
+from .dialog import Episode, RewardConfig, episode_return, first_return
 from .features import FeatureContext, N_FEATURES, REGISTRY, featurize, resolve_mask
 from .grounding import GuessScores, score_objects
 from .harness import (
@@ -46,10 +46,11 @@ from .perception import (
 )
 from .policy import (
     AgentStats,
-    PolicyParams,
     action_probabilities,
     grad_log_prob,
+    learning_rate_at,
     reinforce_update,
+    running_mean,
     sample_action,
     static_policy_act,
 )

@@ -8,17 +8,16 @@ so the candidate generator always has predicates to sample.
 
 Labels are keyed by region row in a run and by region id in a checkpoint;
 to_dict and from_dict translate with the corpus's ids and id -> row map.
+A checkpoint holds each classifier's labels and no weights or F1: those
+follow from the labels, and Experiment.run refits them on resume.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import CheckpointError, ConfigError, check_int, check_real
+from .errors import CheckpointError, ConfigError, check_int
 from .perception import PredicateModel
 from .policy import AgentStats
 
@@ -34,14 +33,10 @@ class Agent:
         self.stats = AgentStats()
 
     def to_dict(self, ids: Sequence[str]) -> dict:
-        """The state with each label keyed by its region's id, in insertion order."""
+        """Each model's labels keyed by region id, in insertion order, and the stats."""
         return {
             "models": {
-                p: {
-                    "labels": {ids[row]: label for row, label in m.labels.items()},
-                    "weights": None if m.weights is None else [float(v) for v in m.weights],
-                    "f1": m.f1,
-                }
+                p: {ids[row]: label for row, label in m.labels.items()}
                 for p, m in sorted(self.models.items())
             },
             "stats": {
@@ -52,41 +47,26 @@ class Agent:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, rows: Mapping[str, int], dim: int) -> "Agent":
-        """The state to_dict wrote; `rows` maps each label's region id to its row.
+    def from_dict(cls, data: dict, rows: Mapping[str, int]) -> "Agent":
+        """The state to_dict wrote, with no classifier fit; `rows` maps a region id to its row.
 
-        A label must be an integer +1 or -1; an F1, a finite number in [0, 1];
-        a model's weights, null or dim + 1 finite numbers: feature weights,
-        then bias; a count, an integer >= 0. Bools are none of these.
+        A label must be an integer +1 or -1, and a count an integer >= 0;
+        bools are neither.
         """
         try:
             models = {}
-            for p, m in data["models"].items():
-                unknown = [rid for rid in m["labels"] if rid not in rows]
+            for p, labels in data["models"].items():
+                unknown = [rid for rid in labels if rid not in rows]
                 if unknown:
                     raise CheckpointError(
                         f"model {p!r}: a label for region {unknown[0]!r}, not in the corpus"
                     )
-                for label in m["labels"].values():
+                for label in labels.values():
                     check_int(f"model {p!r}: a label", label)
                     if label not in (-1, 1):
                         raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")
-                check_real(f"model {p!r}: F1", m["f1"])
-                if not 0.0 <= m["f1"] <= 1.0:
-                    raise CheckpointError(f"model {p!r}: F1 {m['f1']} outside [0, 1]")
-                weights = m["weights"]
-                if weights is not None and not (
-                    isinstance(weights, list) and len(weights) == dim + 1
-                    and all(type(v) in (int, float) and math.isfinite(v) for v in weights)
-                ):
-                    raise CheckpointError(
-                        f"model {p!r}: weights must be null or {dim + 1} finite numbers"
-                    )
                 models[p] = PredicateModel(
-                    predicate=p,
-                    labels={rows[rid]: label for rid, label in m["labels"].items()},
-                    weights=None if weights is None else np.asarray(weights, dtype=np.float64),
-                    f1=float(m["f1"]),
+                    predicate=p, labels={rows[rid]: label for rid, label in labels.items()}
                 )
             counts = data["stats"]
             for name in ("used", "succeeded"):

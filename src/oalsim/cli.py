@@ -145,15 +145,21 @@ def cmd_run(args) -> int:
 
 
 def _load_run(run_dir: Path) -> dict:
-    manifest_path = run_dir / "manifest.json"
-    summary_path = run_dir / "summary.json"
-    if not manifest_path.exists() or not summary_path.exists():
-        raise DataError(f"{run_dir} is missing manifest.json or summary.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    with open(summary_path, encoding="utf-8") as fh:
-        summary = json.load(fh)
-    return {"dir": run_dir, "manifest": manifest, "summary": summary}
+    """A run's manifest and summary; a DataError names a file that report cannot read."""
+    final = ("success_rate", "mean_length", "success_indicators", "lengths")
+    run = {"dir": run_dir}
+    for name, read in (
+        ("manifest", lambda manifest: manifest["corpus_fingerprint"]),
+        ("summary", lambda summary: [summary["final_test_batch"][key] for key in final]),
+    ):
+        path = run_dir / f"{name}.json"
+        try:
+            with open(path, encoding="utf-8") as fh:
+                run[name] = json.load(fh)
+            read(run[name])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"cannot read {path}: {exc!r}") from None
+    return run
 
 
 def cmd_report(args) -> int:

@@ -182,6 +182,12 @@ def episode_return(rewards: Sequence[float], gamma: float) -> list[float]:
     return out
 
 
+def first_return(rewards: RewardConfig, success: bool, length: int) -> float:
+    """G_0 of a dialog of `length` turns: its queries, then one guess, won or lost."""
+    guess = rewards.correct_guess if success else rewards.incorrect_guess
+    return episode_return([rewards.per_query] * (length - 1) + [guess], rewards.discount)[0]
+
+
 def transcript_records(episode_id: str, episode: Episode, ids: Sequence[str]):
     """One flat record per action: id, turn, descriptor, reward, chosen features."""
     for t, step in enumerate(episode.transcript):

@@ -38,8 +38,8 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, RewardConfig, episode_return, transcript_records
-from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_int, check_real
+from .dialog import Episode, RewardConfig, episode_return, first_return, transcript_records
+from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_real
 from .features import (
     FeatureContext,
     N_FEATURES,
@@ -57,10 +57,11 @@ from .perception import (
     train_classifier,
 )
 from .policy import (
-    PolicyParams,
     action_probabilities,
     grad_log_prob,
+    learning_rate_at,
     reinforce_update,
+    running_mean,
     sample_action,
     static_policy_act,
 )
@@ -69,7 +70,7 @@ from .seeding import stream
 from .snapshot import BatchRows, EpisodeView
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
-CHECKPOINT_VERSION = "oalsim-checkpoint/3"
+CHECKPOINT_VERSION = "oalsim-checkpoint/4"
 
 PHASE_NAMES = ("init", "train", "test")
 
@@ -104,6 +105,10 @@ class BatchMetrics:
 
     def row(self) -> list:
         return [self.phase, self.batch, *map(repr, self.rates().values())]
+
+    def first_returns(self, rewards: RewardConfig) -> list[float]:
+        """Each dialog's G_0 (dialog.first_return), in order."""
+        return [first_return(rewards, s, n) for s, n in zip(self.success_indicators, self.lengths)]
 
 
 @dataclass
@@ -456,27 +461,34 @@ class Experiment:
         checkpoint_dir=None,
         transcript_path=None,
     ) -> RunResult:
+        """Play the phase plan, or its rest from the checkpoint state `resume`.
+
+        A resume derives what the checkpoint does not hold, as its batch ends
+        did: one fit_models call refits the models' weights and F1 from their
+        labels, and the update batches' rows give the update count and the
+        running mean of their G_0, the baseline.
+        """
         cfg = self.config
+        plans = self.phase_plan()
         agent = Agent()
-        params = PolicyParams(
-            alpha=cfg.policy.learning_rate,
-            alpha_decay=cfg.policy.learning_rate_decay,
-            use_baseline=cfg.policy.use_baseline,
-        )
         theta = np.zeros(N_FEATURES)
         metrics: list[BatchMetrics] = []
-        update_counter = 0
         start_phase, start_batch = 0, 0
 
         if resume is not None:
             state = self._validate_checkpoint(resume)
-            agent = Agent.from_dict(state.get("agent"), self.corpus.row, self.corpus.dim)
+            agent = Agent.from_dict(state.get("agent"), self.corpus.row)
+            fit_models(
+                [m for _, m in sorted(agent.models.items()) if m.trainable()],
+                self.corpus.X,
+                cfg.classifier,
+            )
             theta = state["theta"]
-            params.baseline_mean = state["baseline_mean"]
-            params.baseline_count = state["baseline_count"]
-            update_counter = state["update_counter"]
             start_phase, start_batch = state["cursor"]
             metrics = state["metrics"]
+        updated = [m for m in metrics if plans[PHASE_NAMES.index(m.phase)].update_policy]
+        updates = len(updated)
+        baseline = running_mean(0.0, 0, [g for m in updated for g in m.first_returns(cfg.rewards)])
 
         sink = None
         if transcript_path:
@@ -485,7 +497,6 @@ class Experiment:
                 os.truncate(transcript_path, kept)
             sink = open(transcript_path, "a" if kept else "w", encoding="utf-8")
         try:
-            plans = self.phase_plan()
             for phase_idx in range(start_phase, len(plans)):
                 plan = plans[phase_idx]
                 first_batch = start_batch if phase_idx == start_phase else 0
@@ -497,11 +508,18 @@ class Experiment:
                     )
                     self.apply_batch_end(agent, merged, outcomes)
                     if plan.update_policy:
-                        params.observe_returns([o.steps[0][1] for o in outcomes])
-                        alpha = params.alpha_at(update_counter)
-                        steps = [o.steps for o in outcomes]
-                        theta = reinforce_update(theta, steps, alpha, params.baseline())
-                        update_counter += 1
+                        baseline = running_mean(
+                            baseline,
+                            updates * cfg.experiment.batch_size,
+                            batch_metrics.first_returns(cfg.rewards),
+                        )
+                        theta = reinforce_update(
+                            theta,
+                            [o.steps for o in outcomes],
+                            learning_rate_at(cfg.policy, updates),
+                            baseline if cfg.policy.use_baseline else 0.0,
+                        )
+                        updates += 1
                     # free this batch's outcomes before the next batch plays its own
                     del merged, outcomes
                     metrics.append(batch_metrics)
@@ -514,9 +532,7 @@ class Experiment:
                         checkpoint_save(
                             Path(checkpoint_dir)
                             / f"checkpoint_p{phase_idx}_b{batch_idx}.json",
-                            self._checkpoint_state(
-                                agent, theta, params, update_counter, cursor, metrics
-                            ),
+                            self._checkpoint_state(agent, theta, cursor, metrics),
                         )
         finally:
             if sink is not None:
@@ -535,8 +551,6 @@ class Experiment:
         self,
         agent: Agent,
         theta: np.ndarray,
-        params: PolicyParams,
-        update_counter: int,
         cursor: tuple[int, int],
         metrics: list[BatchMetrics],
     ) -> dict:
@@ -544,12 +558,8 @@ class Experiment:
             "version": CHECKPOINT_VERSION,
             "config_digest": self.config.digest(),
             "corpus_fingerprint": self.corpus.fingerprint,
-            "master_seed": self.master,
             "cursor": list(cursor),
             "theta": [float(v) for v in theta],
-            "baseline_mean": params.baseline_mean,
-            "baseline_count": params.baseline_count,
-            "update_counter": update_counter,
             "agent": agent.to_dict(self.corpus.ids),
             "metrics": [dict(vars(m)) for m in metrics],
         }
@@ -560,7 +570,9 @@ class Experiment:
         It must come from this version, config and corpus. The cursor must
         name a batch of the phase plan or its end, (3, 0); the metrics rows,
         the batches before it, as a run writes them; theta, N_FEATURES finite
-        numbers; the counters, integers >= 0. Anything else is a CheckpointError.
+        numbers. Anything else is a CheckpointError, and so is agent state
+        that Agent.from_dict refuses. Each of these reads one key of the
+        state, so a checkpoint that lacks any of its keys is refused.
         """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -594,9 +606,6 @@ class Experiment:
                 _check_metrics_row(m, self.config.experiment.batch_size)
             for v in theta:
                 check_real("checkpoint theta", v)
-            check_real("checkpoint baseline_mean", state.get("baseline_mean"))
-            for name in ("update_counter", "baseline_count"):
-                check_int(f"checkpoint {name}", state.get(name), 0)
         except ConfigError as exc:
             raise CheckpointError(str(exc)) from None
         return {
@@ -649,17 +658,21 @@ def _transcript_kept_bytes(path, cursor: tuple[int, int]) -> int:
 
     A resumed run keeps those records and drops the rest (a batch the
     interrupted run left partial); a fresh run, at cursor (0, 0), keeps none.
+    A line before the cursor that is no transcript record is a CheckpointError.
     """
     if cursor == (0, 0) or not Path(path).exists():
         return 0
     kept = 0
     with open(path, "rb") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 break
-            phase, batch, _ = json.loads(line)["episode"].split("/")
-            if (PHASE_NAMES.index(phase), int(batch)) >= cursor:
-                break
+            try:
+                phase, batch, _ = json.loads(line)["episode"].split("/")
+                if (PHASE_NAMES.index(phase), int(batch)) >= cursor:
+                    break
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise CheckpointError(f"{path} line {number} is no transcript record: {exc!r}")
             kept += len(line)
     return kept
 
@@ -731,12 +744,8 @@ def compare_final_batches(final, base, rewards: RewardConfig | None = None) -> d
     if rewards is None:
         return out
 
-    def g0(won, length):  # a dialog is its queries, then one guess
-        guess = rewards.correct_guess if won else rewards.incorrect_guess
-        return episode_return([rewards.per_query] * (length - 1) + [guess], rewards.discount)[0]
-
     gains = [
-        g0(s, n) - g0(base_s, base_n)
+        first_return(rewards, s, n) - first_return(rewards, base_s, base_n)
         for s, n, base_s, base_n in zip(success, final["lengths"], base_success, base["lengths"])
     ]
     out["return_gain"] = sum(gains) / len(gains)

@@ -10,32 +10,26 @@ before guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .actions import Action, EXAMPLE_QUERY, GUESS, LABEL_QUERY
+from .config import PolicyConfig
 from .errors import PolicyUpdateError
 
 
-@dataclass
-class PolicyParams:
-    alpha: float = 1e-3
-    alpha_decay: float = 0.0  # linear: alpha_b = alpha * max(0, 1 - decay*b)
-    use_baseline: bool = False
-    baseline_mean: float = 0.0
-    baseline_count: int = 0
+def learning_rate_at(policy: PolicyConfig, update: int) -> float:
+    """The step size of the run's update `update`, counted from 0: linear decay, floored at 0."""
+    return policy.learning_rate * max(0.0, 1.0 - policy.learning_rate_decay * update)
 
-    def alpha_at(self, batch_index: int) -> float:
-        return self.alpha * max(0.0, 1.0 - self.alpha_decay * batch_index)
 
-    def observe_returns(self, returns: Sequence[float]) -> None:
-        for g in returns:
-            self.baseline_count += 1
-            self.baseline_mean += (g - self.baseline_mean) / self.baseline_count
-
-    def baseline(self) -> float:
-        return self.baseline_mean if self.use_baseline else 0.0
+def running_mean(mean: float, count: int, values: Iterable[float]) -> float:
+    """The mean of `count` earlier values, `mean`, updated by each of `values` in turn."""
+    for g in values:
+        count += 1
+        mean += (g - mean) / count
+    return mean
 
 
 @dataclass

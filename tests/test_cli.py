@@ -250,8 +250,8 @@ class TestRun:
         def edit(state):
             models = state["agent"]["models"]
             assert models
-            for model in models.values():
-                model["labels"]["not-a-region"] = 1
+            for labels in models.values():
+                labels["not-a-region"] = 1
 
         error = resume_tampered(tmp_path, config_path, capsys, edit)
         assert "not-a-region" in error["message"]
@@ -311,23 +311,60 @@ class TestRun:
     @pytest.mark.parametrize(
         "key, value",
         [("success_rate", "abc"), ("mean_length", float("nan")), ("success_indicators", [2]),
-         ("lengths", [0]), ("label_counts", {"red": -1}), ("weights", [0.5, 0.25, 1.0]),
-         ("weights", "abc"), ("weights", [float("nan")] * 17)],
+         ("lengths", [0]), ("label_counts", {"red": -1})],
     )
-    def test_resume_refuses_a_malformed_metrics_row_or_weights(
+    def test_resume_refuses_a_malformed_metrics_row(
         self, tmp_path, config_path, capsys, key, value
     ):
-        # the corpus has 16 features, so a classifier holds 17 weights
         def edit(state):
-            if key == "weights":
-                model = next(iter(state["agent"]["models"].values()))
-                assert model["weights"] is None or len(model["weights"]) == 17
-                model["weights"] = value
-            else:
-                state["metrics"][0][key] = value
+            state["metrics"][0][key] = value
 
         error = resume_tampered(tmp_path, config_path, capsys, edit)
         assert key in error["message"]
+
+    def test_resume_refuses_a_v3_checkpoint(self, tmp_path, config_path, capsys):
+        # oalsim-checkpoint/3 also stored the master seed, the REINFORCE counters
+        # and baseline, and each model's weights and F1
+        def edit(state):
+            state.update(version="oalsim-checkpoint/3", master_seed=11, baseline_mean=0.0,
+                         baseline_count=10, update_counter=1)
+            models = state["agent"]["models"]
+            for p, labels in models.items():
+                models[p] = {"labels": labels, "weights": None, "f1": 0.0}
+
+        error = resume_tampered(tmp_path, config_path, capsys, edit)
+        assert "version" in error["message"] and "oalsim-checkpoint/3" in error["message"]
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [("{not json\n", "JSONDecodeError"), ('{"turn": 0}\n', "KeyError"),
+         ('{"episode": "warmup/0/0"}\n', "ValueError")],
+        ids=["not-json", "no-episode", "unknown-phase"],
+    )
+    def test_resume_refuses_a_transcript_line_it_cannot_read(
+        self, tmp_path, config_path, capsys, line, problem
+    ):
+        # a resume reads the records of the batches before its checkpoint to keep them
+        out = tmp_path / "run"
+        args = ["run", "--config", str(config_path), "--out", str(out), "--export-transcripts"]
+        assert main([*args, "--checkpoints"]) == 0
+        transcripts = out / "transcripts.jsonl"
+        records = transcripts.read_text().splitlines(keepends=True)
+        assert json.loads(records[1])["episode"] == "init/0/0"
+        records[1] = line
+        transcripts.write_text("".join(records))
+        (out / "summary.json").unlink()
+        capsys.readouterr()
+        code = main([*args, "--resume", str(out / "checkpoints" / "checkpoint_p1_b0.json")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "CheckpointError"
+        assert f"{transcripts} line 2 " in error["message"] and problem in error["message"]
+        assert not (out / "summary.json").exists()
 
     def test_export_transcripts(self, tmp_path, config_path):
         out = tmp_path / "tr"
@@ -401,6 +438,40 @@ class TestReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", str(empty)]) == 3
+
+
+    @pytest.mark.parametrize(
+        "name, content, problem",
+        [("manifest.json", "{not json", "JSON"),
+         ("summary.json", "", "JSON"),
+         ("manifest.json", "{}", "corpus_fingerprint"),
+         ("summary.json", "[]", "TypeError"),
+         ("summary.json", json.dumps({"final_test_batch": {
+             "success_rate": 0.5, "mean_length": 4.5, "success_indicators": [1, 0]}}),
+          "'lengths'")],
+        ids=["manifest-not-json", "summary-empty", "no-fingerprint", "summary-list",
+             "no-lengths"],
+    )
+    def test_a_run_file_report_cannot_read_is_a_data_error(
+        self, tmp_path, capsys, name, content, problem
+    ):
+        final = {"success_rate": 0.5, "mean_length": 4.5,
+                 "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
+        (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+        assert main(["report", str(run)]) == 0
+        (run / name).write_text(content)
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "DataError"
+        assert str(run / name) in error["message"] and problem in error["message"]
 
 
 class TestReportDegenerateSamples:

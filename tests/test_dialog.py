@@ -5,7 +5,13 @@ import pytest
 
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
 from oalsim.corpus import Corpus, Interaction, Region
-from oalsim.dialog import Episode, RewardConfig, episode_return, transcript_records
+from oalsim.dialog import (
+    Episode,
+    RewardConfig,
+    episode_return,
+    first_return,
+    transcript_records,
+)
 from oalsim.errors import ContractError, DataError, ProtocolError
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
@@ -222,6 +228,19 @@ class TestReturns:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             episode_return([], 1.0)
+
+    @pytest.mark.parametrize(
+        "success, length, discount",
+        [(True, 1, 1.0), (False, 1, 1.0), (True, 5, 1.0), (False, 16, 0.9), (True, 40, 0.5)],
+    )
+    def test_first_return_is_g0_of_the_queries_then_the_guess(self, success, length, discount):
+        rewards = RewardConfig(discount=discount)
+        guess = rewards.correct_guess if success else rewards.incorrect_guess
+        closed = (
+            rewards.per_query * sum(discount**t for t in range(length - 1))
+            + discount ** (length - 1) * guess
+        )
+        assert first_return(rewards, success, length) == pytest.approx(closed, rel=1e-12)
 
 
 class TestRewardConfig:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus
 from oalsim.errors import PolicyUpdateError
 from oalsim.features import (
@@ -16,10 +17,11 @@ from oalsim.features import (
 from oalsim.perception import DensityIndex
 from oalsim.policy import (
     AgentStats,
-    PolicyParams,
     action_probabilities,
     grad_log_prob,
+    learning_rate_at,
     reinforce_update,
+    running_mean,
     sample_action,
     static_policy_act,
 )
@@ -168,28 +170,30 @@ class TestReinforceUpdate:
             reinforce_update(theta, [[(grad_log_prob(theta, feats, 0), 1e4)]], 1.0)
 
 
-class TestPolicyParams:
-    def test_observe_returns_keeps_the_running_mean(self):
-        params = PolicyParams()
-        params.observe_returns([199.0, -101.0, -16.0])
-        params.observe_returns([200.0])
-        assert params.baseline_count == 4
-        assert params.baseline_mean == pytest.approx((199.0 - 101.0 - 16.0 + 200.0) / 4)
+class TestLearningRateAndBaseline:
+    def test_running_mean_folds_values_in_one_at_a_time(self):
+        mean = running_mean(0.0, 0, [199.0, -101.0, -16.0])
+        mean = running_mean(mean, 3, [200.0])
+        assert mean == pytest.approx((199.0 - 101.0 - 16.0 + 200.0) / 4)
+        assert running_mean(mean, 4, []) == mean
 
-    def test_baseline_is_zero_while_off(self):
-        off, on = PolicyParams(use_baseline=False), PolicyParams(use_baseline=True)
-        for params in (off, on):
-            params.observe_returns([50.0, 150.0])
-        assert off.baseline() == 0.0
-        assert on.baseline() == pytest.approx(100.0)
+    @pytest.mark.parametrize("cuts", [[], [1], [2, 5], [3, 6, 9]])
+    def test_running_mean_over_chunks_is_the_mean_over_all(self, cuts):
+        # a run folds in one update batch's returns at a time; a resume, all at once
+        values = [float(v) for v in np.random.default_rng(5).integers(-140, 200, 12)]
+        mean, count = 0.0, 0
+        for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+            mean, count = running_mean(mean, count, values[lo:hi]), hi
+        assert mean.hex() == running_mean(0.0, 0, values).hex()
+        assert mean == pytest.approx(sum(values) / len(values))
 
-    def test_alpha_falls_linearly_and_stops_at_zero(self):
-        params = PolicyParams(alpha=1e-3, alpha_decay=0.25)
-        assert [params.alpha_at(b) for b in range(6)] == pytest.approx(
+    def test_learning_rate_falls_linearly_and_stops_at_zero(self):
+        policy = PolicyConfig(learning_rate=1e-3, learning_rate_decay=0.25)
+        assert [learning_rate_at(policy, b) for b in range(6)] == pytest.approx(
             [1e-3, 7.5e-4, 5e-4, 2.5e-4, 0.0, 0.0]
         )
-        assert params.alpha_at(100) == 0.0
-        assert PolicyParams(alpha=1e-3).alpha_at(100) == 1e-3
+        assert learning_rate_at(policy, 100) == 0.0
+        assert learning_rate_at(PolicyConfig(learning_rate=1e-3), 100) == 1e-3
 
 
 class TestStaticPolicy:
