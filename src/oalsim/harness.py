@@ -570,9 +570,9 @@ class Experiment:
         It must come from this version, config and corpus. The cursor must
         name a batch of the phase plan or its end, (3, 0); the metrics rows,
         the batches before it, as a run writes them; theta, N_FEATURES finite
-        numbers. Anything else is a CheckpointError, and so is agent state
-        that Agent.from_dict refuses. Each of these reads one key of the
-        state, so a checkpoint that lacks any of its keys is refused.
+        numbers. Anything else is a CheckpointError. run then reads the agent
+        state with Agent.from_dict, so every key of the state is read, and a
+        checkpoint that lacks any of them is refused.
         """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
