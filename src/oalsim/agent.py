@@ -9,7 +9,7 @@ so the candidate generator always has predicates to sample.
 Labels are keyed by region row in a run and by region id in a checkpoint;
 to_dict and from_dict translate with the corpus's ids and id -> row map.
 A checkpoint holds each classifier's labels and no weights or F1: those
-follow from the labels, and Experiment.run refits them on resume.
+follow from the labels, and a resumed run's first batch start fits them.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class Agent:
         """The state to_dict wrote, with no classifier fit; `rows` maps a region id to its row.
 
         A label must be an integer +1 or -1, and a count an integer >= 0;
-        bools are neither.
+        bools are neither. As in a run, a predicate succeeds in at most the
+        dialogs that use it, and those are at most all dialogs.
         """
         try:
             models = {}
@@ -68,13 +69,17 @@ class Agent:
                 models[p] = PredicateModel(
                     predicate=p, labels={rows[rid]: label for rid, label in labels.items()}
                 )
-            counts = data["stats"]
-            for name in ("used", "succeeded"):
-                for p, v in counts[name].items():
+            stats = data["stats"]
+            used, succeeded, dialogs = stats["used"], stats["succeeded"], stats["dialogs"]
+            for name, counts in (("used", used), ("succeeded", succeeded)):
+                for p, v in counts.items():
                     check_int(f"stats {name}[{p!r}]", v, 0)
-            check_int("stats dialogs", counts["dialogs"], 0)
-            stats = AgentStats(dict(counts["used"]), dict(counts["succeeded"]), counts["dialogs"])
-            return cls(models=models, stats=stats)
+            check_int("stats dialogs", dialogs, 0)
+            bad = [f"succeeded[{p!r}] > used" for p, n in succeeded.items() if n > used.get(p, -1)]
+            bad += [f"used[{p!r}] > dialogs" for p, n in used.items() if n > dialogs]
+            if bad:
+                raise CheckpointError(f"stats {bad[0]}")
+            return cls(models=models, stats=AgentStats(dict(used), dict(succeeded), dialogs))
         except ConfigError as exc:
             raise CheckpointError(str(exc)) from None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import from_dict, read_config
 from .corpus import Corpus, SyntheticConfig, generate_synthetic, write_regions
-from .errors import ConfigError, DataError, OalsimError
+from .errors import ConfigError, DataError, OalsimError, check_real
 from .features import registry_table
 from .harness import (
     Experiment,
@@ -144,20 +144,32 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_final(final: dict) -> None:
+    """ValueError unless a summary's final test batch holds what a run writes there."""
+    indicators, lengths = final["success_indicators"], final["lengths"]
+    if not (isinstance(indicators, list) and isinstance(lengths, list)
+            and 0 < len(indicators) == len(lengths)
+            and all(type(v) is int and v in (0, 1) for v in indicators)
+            and all(type(n) is int and n >= 1 for n in lengths)):
+        raise ValueError("success_indicators and lengths must be equally long, non-empty "
+                         "lists of integers 0 or 1 and >= 1")
+    for name in ("success_rate", "mean_length"):
+        check_real(name, final[name])
+
+
 def _load_run(run_dir: Path) -> dict:
     """A run's manifest and summary; a DataError names a file that report cannot read."""
-    final = ("success_rate", "mean_length", "success_indicators", "lengths")
     run = {"dir": run_dir}
     for name, read in (
         ("manifest", lambda manifest: manifest["corpus_fingerprint"]),
-        ("summary", lambda summary: [summary["final_test_batch"][key] for key in final]),
+        ("summary", lambda summary: _check_final(summary["final_test_batch"])),
     ):
         path = run_dir / f"{name}.json"
         try:
             with open(path, encoding="utf-8") as fh:
                 run[name] = json.load(fh)
             read(run[name])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
             raise DataError(f"cannot read {path}: {exc!r}") from None
     return run
 

@@ -5,8 +5,8 @@ One episode is one interaction: the agent may query about active-train objects
 correct, -100 incorrect, episode over). The oracle answers from ground-truth
 annotations under a closed world: a predicate absent from an object's
 annotation list is negative. Labels acquired in-episode queue up for the
-batch-end classifier refresh; within the episode they only gate which query
-pairs remain askable.
+batch end, which records them on the agent's classifiers; within the
+episode they only gate which query pairs remain askable.
 
 An episode's one label record, `known`, holds one Python list of ints per
 view predicate, over its active-train objects: +1 or -1 where the view's

@@ -187,17 +187,21 @@ def ground(stack: DescriptionStack) -> tuple[list[int], np.ndarray]:
 class BatchSetup:
     """Every episode set-up of one batch, computed once from the batch's classifiers.
 
-    The classifier rows over the batch's objects (snapshot.BatchRows), the query
-    rows of the feature table (features.query_rows; the agent's stats are
-    frozen until the batch end) and every dialog's grounding and guess
-    features are built at the batch start. `episode(e)` gathers episode e's
-    own copies from them.
+    First comes the run's one batch-level fit, of the agent's unfit two-class
+    models (new labels at the last batch end, or a resumed checkpoint) in one
+    fit_models call. Then the classifier rows over the batch's objects
+    (snapshot.BatchRows), the query rows of the feature table
+    (features.query_rows; the agent's stats are frozen until the batch end)
+    and every dialog's grounding and guess features are built. `episode(e)`
+    gathers episode e's own copies from them.
     """
 
     def __init__(self, experiment: Experiment, agent: Agent, interactions: Sequence[Interaction]):
-        cfg = experiment.config
+        cfg, X = experiment.config, experiment.corpus.X
+        unfit = [m for _, m in sorted(agent.models.items()) if m.weights is None and m.trainable()]
+        fit_models(unfit, X, cfg.classifier)
         self.rows = rows = BatchRows(
-            agent.models, agent.stats.used, interactions, experiment.corpus.X, cfg.triangular
+            agent.models, agent.stats.used, interactions, X, cfg.triangular
         )
         self.queries = query_rows(rows.predicates, rows.f1, rows.trained, agent.stats)
         self.guesses = np.empty(len(interactions), dtype=np.intp)
@@ -340,9 +344,7 @@ class Experiment:
         The agent's own models stay untouched until the batch end; the episode
         records the predicate's new labels on its view's copy of the model. If
         they hold both classes, the copy is fit alone, its F1 re-estimated and
-        its view row rewritten. One class gives no weights and F1 0, as the
-        model already has: labels only grow, so it never held both. Returns
-        whether it fit.
+        its view row rewritten; one class leaves it unfit. Returns whether it fit.
         """
         i = view.index[predicate]
         model = view.models[i]
@@ -434,22 +436,9 @@ class Experiment:
         merged: dict[tuple[str, int], int],
         outcomes: list[EpisodeOutcome],
     ) -> None:
-        """Fold queued labels into classifiers, retrain, refresh stats.
-
-        Every dirty classifier whose labels hold both classes is refit in one
-        fit_models call, its fits and CV folds shared in stacked descents with
-        the others'; a one-class set keeps no weights and F1 0 (see _refresh_models).
-        """
-        dirty = set()
+        """Record the queued labels, which drop their classifiers' fits, and the dialog stats."""
         for (p, region), label in merged.items():
-            model = agent.models.setdefault(p, PredicateModel(predicate=p))
-            if model.record_label(region, label):
-                dirty.add(p)
-        fit_models(
-            [agent.models[p] for p in sorted(dirty) if agent.models[p].trainable()],
-            self.corpus.X,
-            self.config.classifier,
-        )
+            agent.models.setdefault(p, PredicateModel(predicate=p)).record_label(region, label)
         for o in outcomes:
             agent.stats.observe_dialog(o.interaction.description_predicates, o.success)
 
@@ -463,10 +452,9 @@ class Experiment:
     ) -> RunResult:
         """Play the phase plan, or its rest from the checkpoint state `resume`.
 
-        A resume derives what the checkpoint does not hold, as its batch ends
-        did: one fit_models call refits the models' weights and F1 from their
-        labels, and the update batches' rows give the update count and the
-        running mean of their G_0, the baseline.
+        A resume derives what the checkpoint does not hold: its models come
+        unfit, for the first BatchSetup to fit, and the update batches' rows
+        give the update count and the running mean of their G_0, the baseline.
         """
         cfg = self.config
         plans = self.phase_plan()
@@ -478,11 +466,6 @@ class Experiment:
         if resume is not None:
             state = self._validate_checkpoint(resume)
             agent = Agent.from_dict(state.get("agent"), self.corpus.row)
-            fit_models(
-                [m for _, m in sorted(agent.models.items()) if m.trainable()],
-                self.corpus.X,
-                cfg.classifier,
-            )
             theta = state["theta"]
             start_phase, start_batch = state["cursor"]
             metrics = state["metrics"]

@@ -8,10 +8,11 @@ Classifier trust is the cross-validated F1 on the labels acquired so far.
 Labels are keyed by region row (corpus.Corpus); a fit gathers its sorted rows
 from the corpus matrix. DensityIndex holds (N,) and (N, k) arrays by row.
 
-At a batch end, fit_models retrains every dirty classifier and its CV folds
-in a few stacked descents shared across predicates. An immediate refit,
-inside an episode, stays one train_classifier and one estimate_f1. Both
-give the same weights and F1 bit for bit.
+A new label drops a classifier's fit. A batch start (harness.BatchSetup) fits
+every unfit classifier and its CV folds in one fit_models call, in a few
+stacked descents shared across predicates. An immediate refit, inside an
+episode, stays one train_classifier and one estimate_f1. Both give the same
+weights and F1 bit for bit.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def extract_predicates(description: str) -> list[str]:
 
 @dataclass
 class PredicateModel:
-    """One concept: acquired labels, linear decision function, estimated F1."""
+    """One concept: acquired labels, and the decision function and F1 fit to them, if fit."""
 
     predicate: str
     labels: dict[int, int] = field(default_factory=dict)  # region row -> -1/+1
@@ -90,13 +91,15 @@ class PredicateModel:
     def record_label(self, region: int, label: int) -> bool:
         """Store a label for a region row; re-recording it is a no-op, a flip an error.
 
-        Returns True if the label was new.
+        A new label drops the fit, so weights and F1 are always those of the
+        current labels or absent. Returns True if the label was new.
         """
         if label not in (-1, 1):
             raise ContractError(f"label must be -1 or +1, got {label}")
         prev = self.labels.get(region)
         if prev is None:
             self.labels[region] = label
+            self.weights, self.f1 = None, 0.0
             return True
         if prev != label:
             raise ContractError(
@@ -170,8 +173,8 @@ def _fit_hinge(YX: np.ndarray, n: int | np.ndarray, cfg: ClassifierConfig) -> np
     mask an iteration takes about a third of its time with a `where=` sum.
 
     Stacks come from estimate_f1 (one predicate's k folds) and from
-    fit_models (the full sets and folds of every predicate dirty at a batch
-    end, sorted by row count, so n ranges widely within a stack). The 2-D
+    fit_models (the full sets and folds of every unfit predicate at a batch
+    start, sorted by row count, so n ranges widely within a stack). The 2-D
     fit serves train_classifier, whose only caller in a run is an immediate
     refit, and sums the boolean index. Most of its iterations have no
     violating row, and such an iteration only shrinks the feature weights
@@ -377,8 +380,7 @@ def train_classifier(
 ) -> PredicateModel:
     """Full retrain from the labeled set; untrainable sets leave weights absent."""
     if not model.trainable():
-        model.weights = None
-        model.f1 = 0.0
+        model.weights, model.f1 = None, 0.0
         return model
     YX = _signed_rows(model, X)
     model.weights = _fit_hinge(YX, len(YX), cfg)
@@ -405,7 +407,7 @@ def estimate_f1(model: PredicateModel, X: np.ndarray, cfg: ClassifierConfig) -> 
 
 
 # Padded rows per stacked descent in fit_models. The largest stack is most of a
-# batch end's transient memory: 2,048 rows gave the same desk run time and about
+# batch start's transient memory: 2,048 rows gave the same desk run time and about
 # 1% more peak RSS on the immediate-update benchmark.
 FIT_STACK_ROWS = 1536
 
@@ -466,10 +468,7 @@ def _fit_stack(problems, models, folds, X, cfg, signed, fold_weights) -> None:
             fold_weights.setdefault(i, np.empty((len(folds[i][1]), width)))[f] = w
             continue
         models[i].weights = w.copy()
-        if folds[i] is None:
-            models[i].f1 = 0.0
-            continue
-        models[i].f1 = _cv_f1(YX[:n], folds[i][0], fold_weights.pop(i))
+        models[i].f1 = 0.0 if folds[i] is None else _cv_f1(YX[:n], folds[i][0], fold_weights.pop(i))
 
 
 # Distance-matrix rows held at once: memory O(N * DENSITY_BLOCK). At N = 2400,

@@ -1,6 +1,6 @@
 """Batch-frozen classifier state, held once as arrays.
 
-Classifiers and their F1 estimates change only at batch ends (and, with
+Classifiers and their F1 estimates change only between batches (and, with
 immediate updates, for one predicate at a time inside an episode). BatchRows
 is the one representation of a batch's classifier state: built at the batch
 start from the agent's classifiers, it holds the rows of the batch's

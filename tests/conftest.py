@@ -16,7 +16,7 @@ from oalsim.corpus import (
 )
 from oalsim.features import N_FEATURES, FeatureContext, query_rows
 from oalsim.grounding import view_stack
-from oalsim.harness import Experiment, RunResult, ground
+from oalsim.harness import BatchSetup, Experiment, RunResult, ground
 from oalsim.perception import DensityIndex
 from oalsim.querygen import TriangularWeights
 from oalsim.snapshot import BatchRows, EpisodeView
@@ -107,7 +107,7 @@ def small_density(small_corpus):
 
 @pytest.fixture(scope="session")
 def desk_agent():
-    """The desk experiment and an agent after two static batches and their refits.
+    """The desk experiment and an agent after two static batches, fit as a batch start fits it.
 
     Shared read-only: tests that change a classifier change a clone.
     """
@@ -124,4 +124,5 @@ def desk_agent():
     for batch in range(2):
         _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
         exp.apply_batch_end(agent, merged, outcomes)
+    BatchSetup(exp, agent, [o.interaction for o in outcomes])
     return exp, agent

@@ -373,6 +373,19 @@ class TestRun:
         assert (out / "transcripts.jsonl").exists()
 
 
+REPORT_FINAL = {"success_rate": 0.5, "mean_length": 4.5,
+                "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
+# final-test-batch fields present but of a kind no run writes
+BAD_FINAL_FIELDS = [
+    ("lengths", "ab"), ("lengths", [3, 5, 4]), ("lengths", [3, 0, 4, 6]),
+    ("lengths", [3, 5.0, 4, 6]), ("lengths", [3, True, 4, 6]), ("lengths", None),
+    ("success_indicators", [1, 0, 2, 0]), ("success_indicators", [True, False, True, False]),
+    ("success_indicators", "1010"), ("success_indicators", {"0": 1}),
+    ("success_rate", "0.5"), ("success_rate", True), ("success_rate", None),
+    ("mean_length", float("nan")), ("mean_length", [4.5]),
+]
+
+
 class TestReport:
     def _run(self, config_path, out, *extra):
         assert main(["run", "--config", str(config_path), "--out", str(out), *extra]) == 0
@@ -448,19 +461,22 @@ class TestReport:
          ("summary.json", "[]", "TypeError"),
          ("summary.json", json.dumps({"final_test_batch": {
              "success_rate": 0.5, "mean_length": 4.5, "success_indicators": [1, 0]}}),
-          "'lengths'")],
+          "'lengths'"),
+         ("summary.json", json.dumps({"final_test_batch": {
+             **REPORT_FINAL, "success_indicators": [], "lengths": []}}), "success"),
+         *[("summary.json", json.dumps({"final_test_batch": {**REPORT_FINAL, key: value}}),
+            key.split("_")[0]) for key, value in BAD_FINAL_FIELDS]],
         ids=["manifest-not-json", "summary-empty", "no-fingerprint", "summary-list",
-             "no-lengths"],
+             "no-lengths", "no-dialogs",
+             *[f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in BAD_FINAL_FIELDS]],
     )
     def test_a_run_file_report_cannot_read_is_a_data_error(
         self, tmp_path, capsys, name, content, problem
     ):
-        final = {"success_rate": 0.5, "mean_length": 4.5,
-                 "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
         run = tmp_path / "run"
         run.mkdir()
         (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
-        (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+        (run / "summary.json").write_text(json.dumps({"final_test_batch": REPORT_FINAL}))
         assert main(["report", str(run)]) == 0
         (run / name).write_text(content)
         capsys.readouterr()

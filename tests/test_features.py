@@ -87,6 +87,7 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     _, merged, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
     exp.apply_batch_end(agent, merged, outcomes)
     inter = outcomes[0].interaction
+    harness.BatchSetup(exp, agent, [inter])  # fits the classifiers, as the next batch start does
     desc = inter.description_predicates
     view = episode_view(
         agent.models,

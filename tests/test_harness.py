@@ -171,11 +171,12 @@ class TestRunBatch:
         assert after - before == len(merged)
 
 
-    def test_batch_end_fits_two_class_dirty_models_in_one_call(
+    def test_batch_setup_fits_two_class_models_with_new_labels_in_one_call(
         self, small_experiment, monkeypatch
     ):
-        # one fit_models call per batch end with the dirty two-class models,
-        # sorted by predicate; train_classifier and estimate_f1 serve immediate refits only
+        # one fit_models call per batch start with the two-class models whose
+        # labels changed since their last fit, sorted by predicate; the batch
+        # end fits nothing, and train_classifier and estimate_f1 serve immediate refits only
         exp = small_experiment
         calls = []
         fit_models = harness.fit_models
@@ -185,26 +186,33 @@ class TestRunBatch:
             return fit_models(models, *args)
 
         def refused(*args):
-            raise AssertionError("single fit at batch end")
+            raise AssertionError("single fit at batch level")
 
         monkeypatch.setattr(harness, "fit_models", recorded)
         monkeypatch.setattr(harness, "train_classifier", refused)
         monkeypatch.setattr(harness, "estimate_f1", refused)
         plan = exp.phase_plan()[0]
         agent = Agent()
-        for batch in range(2):
-            before = {p: len(m.labels) for p, m in agent.models.items()}
+        fitted = {}  # predicate -> its label count at its last fit
+        for batch in range(3):
             _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
-            merged[("zz-one", batch)] = 1  # dirty, but one class
-            exp.apply_batch_end(agent, merged, outcomes)
-            dirty = sorted(
+            changed = sorted(
                 p for p, m in agent.models.items()
-                if len(m.labels) > before.get(p, 0) and m.trainable()
+                if m.trainable() and fitted.get(p) != len(m.labels)
             )
-            assert calls[-1] == [(p, len(agent.models[p].labels), True) for p in dirty]
-            assert len(dirty) > 1
-            assert agent.models["zz-one"].weights is None and agent.models["zz-one"].f1 == 0.0
-        assert len(calls) == 2
+            assert calls[-1] == [(p, len(agent.models[p].labels), True) for p in changed]
+            assert len(changed) > 1 or batch == 0
+            fitted.update((p, len(agent.models[p].labels)) for p in changed)
+            if batch:
+                assert agent.models["zz-one"].weights is None and agent.models["zz-one"].f1 == 0.0
+            merged[("zz-one", batch)] = 1  # new labels, but one class
+            exp.apply_batch_end(agent, merged, outcomes)
+            assert len(calls) == batch + 1
+        # the last batch end left unfit exactly the models whose labels changed since their fit
+        assert all(
+            (m.weights is None) == (fitted.get(p) != len(m.labels))
+            for p, m in agent.models.items()
+        )
 
 
 class TestExperimentRun:
@@ -495,21 +503,24 @@ class TestCheckpointing:
         self._refused(small_experiment, small_checkpoints, edit, key.split("_")[0])
 
     @pytest.mark.parametrize("variant", ["baseline-decay", "immediate"])
-    def test_resume_refits_the_models_and_derives_the_updates(
+    def test_resume_fits_at_its_first_batch_start_and_derives_the_updates(
         self, small_corpus, small_split, small_density, live_transcripts, tmp_path,
         monkeypatch, variant,
     ):
-        # a checkpoint stores no weights, F1, update counter or baseline: resume
-        # refits the models of each checkpoint as its batch end fit them, and
-        # every later update takes the step size and baseline that the running
-        # formula, kept here as the oracle, gave the uninterrupted run
+        # a checkpoint stores no weights, F1, update counter or baseline: a
+        # resume that keeps the agent fits its models at its first batch start
+        # as the uninterrupted run held them there, one that resets the agent
+        # fits none of them, and every later update takes the step size and
+        # baseline that the running formula, kept here as the oracle, gave the
+        # uninterrupted run
         policy = PolicyConfig(learning_rate=3e-5, learning_rate_decay=0.1, use_baseline=True)
         cfg = dataclasses.replace(small_run_config(), policy=policy)
         if variant == "immediate":
             episode = dataclasses.replace(cfg.episode, immediate_updates=True)
             cfg = dataclasses.replace(cfg, episode=episode)
-        apply, fit, update = Experiment.apply_batch_end, harness.fit_models, harness.reinforce_update
-        ends, fits, updates = [], [], []
+        rows, fit, update = harness.BatchRows, harness.fit_models, harness.reinforce_update
+        load = Agent.from_dict
+        frozen, fits, updates, loaded = [], [], [], []
 
         def models_at(models):
             return {
@@ -517,23 +528,30 @@ class TestCheckpointing:
                 for m in models
             }
 
-        def recorded_apply(self, agent, *args):
-            apply(self, agent, *args)
-            ends.append(models_at(agent.models.values()))
+        def recorded_rows(models, *args):
+            frozen.append(models_at(models.values()))  # the models the batch reads
+            return rows(models, *args)
 
         def recorded_fit(models, *args):
             fit(models, *args)
-            fits.append(models_at(models))
+            fits.append((list(models), models_at(models)))
 
         def recorded_update(theta, steps, alpha, baseline):
             updates.append((alpha.hex(), baseline.hex()))
             return update(theta, steps, alpha, baseline)
 
-        monkeypatch.setattr(Experiment, "apply_batch_end", recorded_apply)
+        def recorded_load(data, region_rows):
+            agent = load(data, region_rows)
+            loaded.append(list(agent.models.values()))  # a reset replaces agent.models
+            return agent
+
+        monkeypatch.setattr(harness, "BatchRows", recorded_rows)
         monkeypatch.setattr(harness, "fit_models", recorded_fit)
         monkeypatch.setattr(harness, "reinforce_update", recorded_update)
+        monkeypatch.setattr(Agent, "from_dict", recorded_load)
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         full = exp.run(checkpoint_dir=tmp_path / "ck")
+        batches = list(frozen)
 
         size = cfg.experiment.batch_size
         updating = [p.update_policy for p in exp.phase_plan() for _ in range(p.n_batches)]
@@ -549,17 +567,29 @@ class TestCheckpointing:
         live_transcripts.clear()
 
         checkpoints = sorted((tmp_path / "ck").glob("checkpoint_*.json"))
-        assert len(checkpoints) == len(ends) == 6
-        for done, (path, end) in enumerate(zip(checkpoints, ends), 1):
+        assert len(checkpoints) == len(batches) == 6
+        cursors = []
+        for done, path in enumerate(checkpoints, 1):
+            state = checkpoint_load(path)
+            cursors.append(tuple(state["cursor"]))
+            frozen.clear()
             fits.clear()
             updates.clear()
-            resumed = exp.run(resume=checkpoint_load(path))
-            fitted = {p: model for p, model in end.items() if model[0] is not None}
-            assert fitted and fits[0] == fitted
-            assert all(model == (None, 0.0) for model in end.values() if model[0] is None)
+            loaded.clear()
+            resumed = exp.run(resume=state)
+            (held,) = loaded
+            assert held
+            if state["cursor"][1] > 0:  # a batch inside a phase: the agent is kept
+                want = batches[done]
+                assert fits[0][1] == {p: m for p, m in want.items() if m[0] is not None}
+                assert fits[0][1] and all(m == (None, 0.0) for m in want.values() if m[0] is None)
+            else:  # (1, 0) and (2, 0) reset the agent; (3, 0) plays no batch
+                assert not any(m is h for models, _ in fits for m in models for h in held)
+            assert frozen == batches[done:]
             assert updates == oracle[sum(updating[:done]) :]
             assert resumed.metrics == full.metrics
             assert np.array_equal(resumed.theta, full.theta)
+        assert cursors == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
 
     @pytest.mark.parametrize(
         "cursor", [[7, 0], [0, 2], [1, 2], [3, 1], [-1, 0], [1], [1.0, 1], [True, 1], "1,1", None]
@@ -671,20 +701,28 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("used", 2.9), ("used", -1), ("succeeded", True), ("dialogs", -3), ("dialogs", 1.0)],
+        [("used", 2.9), ("used", -1), ("succeeded", True), ("dialogs", -3), ("dialogs", 1.0),
+         ("succeeded", 2), ("used", None), ("used", 2), ("dialogs", 0)],
     )
     def test_agent_with_invalid_stats_rejected(self, field, value):
-        # a count is an integer >= 0; int() would read 2.9 as 2 and true as 1
+        # a count is an integer >= 0; int() would read 2.9 as 2 and true as 1.
+        # No run writes more successes than uses of a predicate, a success of
+        # a predicate it never used (None: "red" dropped from used) or more
+        # uses than dialogs; those would put the usage rates outside [0, 1]
         agent = Agent()
         agent.stats.observe_dialog(("red",), True)
         data = json.loads(json.dumps(agent.to_dict([])))
         assert Agent.from_dict(data, {}).stats == agent.stats
         if field == "dialogs":
             data["stats"]["dialogs"] = value
+        elif value is None:
+            del data["stats"][field]["red"]
         else:
             data["stats"][field]["red"] = value
-        with pytest.raises(CheckpointError, match=field):
+        with pytest.raises(CheckpointError, match=field) as refused:
             Agent.from_dict(data, {})
+        if field != "dialogs" or value == 0:
+            assert "'red'" in str(refused.value)
 
 
 class TestImmediateUpdates:
@@ -777,6 +815,7 @@ class TestImmediateUpdates:
         _, merged, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         exp.apply_batch_end(agent, merged, outcomes)
         inter = outcomes[0].interaction
+        harness.BatchSetup(exp, agent, [inter])  # fits the classifiers, as the next batch start does
         desc = inter.description_predicates
         x = inter.active_train[0]
         rid = int(exp.density.knn[x, 0])

@@ -90,6 +90,23 @@ class TestTrainClassifier:
         with pytest.raises(ContractError):
             m.record_label(0, -1)
 
+    def test_a_new_label_drops_the_fit_a_repeated_one_keeps_it(self):
+        # weights and F1 belong to the current labels or are absent
+        m, feats = _balanced_model(
+            [((2.0, 0.0), 1), ((3.0, 1.0), 1), ((2.5, -1.0), 1),
+             ((-2.0, 0.0), -1), ((-3.0, -1.0), -1), ((-2.5, 1.0), -1)]
+        )
+        fit_models([m], feats, CFG)
+        weights, f1 = m.weights, m.f1
+        assert weights is not None and f1 > 0.0
+        assert m.record_label(0, 1) is False
+        assert m.weights is weights and m.f1 == f1
+        with pytest.raises(ContractError):
+            m.record_label(3, 1)
+        assert m.labels[3] == -1 and m.weights is weights and m.f1 == f1
+        assert m.record_label(6, 1) is True
+        assert m.weights is None and m.f1 == 0.0
+
 
 class TestDecideAndMargin:
     def test_decide_sign(self):
@@ -455,7 +472,7 @@ def _named_model(rng, name: str, n: int, n_pos: int, dim: int = 32, feats=None):
 class TestBatchEndStacks:
     """fit_models against per-model train_classifier + estimate_f1, bit for bit.
 
-    The batch end fits every dirty predicate's full label set and CV folds in
+    A batch start fits every unfit predicate's full label set and CV folds in
     stacks shared across predicates, sorted by row count, so a stack holds
     problems of many sizes and from many models.
     """
