@@ -8,16 +8,20 @@ so the candidate generator always has predicates to sample.
 
 Labels are keyed by region row in a run and by region id in a checkpoint;
 to_dict and from_dict translate with the corpus's ids and id -> row map.
-A checkpoint holds each classifier's labels and no weights or F1: those
-follow from the labels, and a resumed run's first batch start fits them.
+A checkpoint holds each classifier's labeled region ids and nothing else:
+each label's sign is the oracle's answer, read off the corpus's
+annotations; weights and F1 follow from the labels, and a resumed run's
+first batch start fits them; the usage stats follow from the phase's
+dialogs, which the resume replays (harness.Experiment.run).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Sequence
 
-from .errors import CheckpointError, ConfigError, check_int
+from .corpus import Corpus
+from .errors import CheckpointError
 from .perception import PredicateModel
 from .policy import AgentStats
 
@@ -32,55 +36,37 @@ class Agent:
         self.models = {}
         self.stats = AgentStats()
 
-    def to_dict(self, ids: Sequence[str]) -> dict:
-        """Each model's labels keyed by region id, in insertion order, and the stats."""
-        return {
-            "models": {
-                p: {ids[row]: label for row, label in m.labels.items()}
-                for p, m in sorted(self.models.items())
-            },
-            "stats": {
-                "used": dict(self.stats.used),
-                "succeeded": dict(self.stats.succeeded),
-                "dialogs": self.stats.dialogs,
-            },
-        }
+    def to_dict(self, ids: Sequence[str]) -> dict[str, list[str]]:
+        """Each model's labeled region ids, in insertion order."""
+        return {p: [ids[row] for row in m.labels] for p, m in sorted(self.models.items())}
 
     @classmethod
-    def from_dict(cls, data: dict, rows: Mapping[str, int]) -> "Agent":
-        """The state to_dict wrote, with no classifier fit; `rows` maps a region id to its row.
+    def from_dict(cls, data: dict, corpus: Corpus, regions: Collection[int]) -> "Agent":
+        """The labels to_dict wrote, signed as the oracle answers, with no classifier fit or stats.
 
-        A label must be an integer +1 or -1, and a count an integer >= 0;
-        bools are neither. As in a run, a predicate succeeds in at most the
-        dialogs that use it, and those are at most all dialogs.
+        A label names a region row of `regions`, the rows its dialogs could
+        label, and a predicate lists a region once.
         """
         try:
             models = {}
-            for p, labels in data["models"].items():
-                unknown = [rid for rid in labels if rid not in rows]
+            for p, rids in data.items():
+                if not isinstance(rids, list):
+                    raise CheckpointError(f"labels of {p!r} must be a list of region ids")
+                unknown = [rid for rid in rids if rid not in corpus.row]
                 if unknown:
+                    raise CheckpointError(f"labels of {p!r}: region {unknown[0]!r}, not in the corpus")
+                if len(set(rids)) < len(rids):
+                    raise CheckpointError(f"labels of {p!r} list a region twice")
+                rows = [corpus.row[rid] for rid in rids]
+                outside = [rid for rid, row in zip(rids, rows) if row not in regions]
+                if outside:
                     raise CheckpointError(
-                        f"model {p!r}: a label for region {unknown[0]!r}, not in the corpus"
+                        f"labels of {p!r}: region {outside[0]!r}, which no dialog of the phase offers"
                     )
-                for label in labels.values():
-                    check_int(f"model {p!r}: a label", label)
-                    if label not in (-1, 1):
-                        raise CheckpointError(f"model {p!r}: a label outside {{-1, +1}}")
                 models[p] = PredicateModel(
-                    predicate=p, labels={rows[rid]: label for rid, label in labels.items()}
+                    predicate=p,
+                    labels={row: 1 if p in corpus.annotations[row] else -1 for row in rows},
                 )
-            stats = data["stats"]
-            used, succeeded, dialogs = stats["used"], stats["succeeded"], stats["dialogs"]
-            for name, counts in (("used", used), ("succeeded", succeeded)):
-                for p, v in counts.items():
-                    check_int(f"stats {name}[{p!r}]", v, 0)
-            check_int("stats dialogs", dialogs, 0)
-            bad = [f"succeeded[{p!r}] > used" for p, n in succeeded.items() if n > used.get(p, -1)]
-            bad += [f"used[{p!r}] > dialogs" for p, n in used.items() if n > dialogs]
-            if bad:
-                raise CheckpointError(f"stats {bad[0]}")
-            return cls(models=models, stats=AgentStats(dict(used), dict(succeeded), dialogs))
-        except ConfigError as exc:
-            raise CheckpointError(str(exc)) from None
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CheckpointError(f"malformed agent state: {exc}") from exc
+            return cls(models=models)
+        except (TypeError, AttributeError) as exc:
+            raise CheckpointError(f"malformed checkpoint labels: {exc}") from exc

@@ -157,11 +157,16 @@ def _check_final(final: dict) -> None:
         check_real(name, final[name])
 
 
+def _check_fingerprint(fingerprint) -> None:
+    if not isinstance(fingerprint, str):
+        raise ValueError(f"corpus_fingerprint must be a string, got {fingerprint!r}")
+
+
 def _load_run(run_dir: Path) -> dict:
     """A run's manifest and summary; a DataError names a file that report cannot read."""
     run = {"dir": run_dir}
     for name, read in (
-        ("manifest", lambda manifest: manifest["corpus_fingerprint"]),
+        ("manifest", lambda manifest: _check_fingerprint(manifest["corpus_fingerprint"])),
         ("summary", lambda summary: _check_final(summary["final_test_batch"])),
     ):
         path = run_dir / f"{name}.json"

@@ -113,6 +113,8 @@ class RunConfig:
 
 
 def _build(cls, data: dict, where: str, coercions: dict | None = None):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be an object, got {data!r}")
     fields = {f for f in cls.__dataclass_fields__}
     unknown = set(data) - fields
     if unknown:
@@ -132,6 +134,11 @@ def _json_pair(value):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _synthetic(value) -> SyntheticConfig:
+    pairs = {"coverage": _json_pair, "description_length": _json_pair}
+    return _build(SyntheticConfig, value, "corpus.synthetic", coercions=pairs)
+
+
 def _ablate_names(value) -> tuple[str, ...]:
     # tuple("guess") would split a bare name into letters
     if not isinstance(value, (list, tuple)):
@@ -148,23 +155,10 @@ def from_dict(data: dict) -> RunConfig:
     if "corpus" not in data:
         raise ConfigError("config: missing 'corpus' section")
 
-    corpus_data = dict(data["corpus"])
-    synthetic = None
-    if "synthetic" in corpus_data:
-        synthetic = _build(
-            SyntheticConfig,
-            dict(corpus_data.pop("synthetic")),
-            "corpus.synthetic",
-            coercions={"coverage": _json_pair, "description_length": _json_pair},
-        )
-    corpus = _build(
-        CorpusSource,
-        {**corpus_data, "synthetic": synthetic},
-        "corpus",
-    )
+    corpus = _build(CorpusSource, data["corpus"], "corpus", coercions={"synthetic": _synthetic})
 
     def section(name, cls, coercions=None):
-        return _build(cls, dict(data.get(name, {})), name, coercions)
+        return _build(cls, data.get(name, {}), name, coercions)
 
     return RunConfig(
         corpus=corpus,

@@ -70,7 +70,7 @@ from .seeding import stream
 from .snapshot import BatchRows, EpisodeView
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
-CHECKPOINT_VERSION = "oalsim-checkpoint/4"
+CHECKPOINT_VERSION = "oalsim-checkpoint/5"
 
 PHASE_NAMES = ("init", "train", "test")
 
@@ -265,6 +265,15 @@ class Experiment:
             PhasePlan("test", "policy-test", kind, False, exp.test_batches, True),
         ]
 
+    def interactions(self, plan: PhasePlan, phase_idx: int, batch_idx: int) -> list[Interaction]:
+        """The batch's interactions, one per dialog, each drawn from its own seed stream."""
+        sizes = self.config.episode.sizes()
+        return [
+            sample_interaction(self.corpus, self.split, plan.side, sizes,
+                               stream(self.master, "interaction", phase_idx, batch_idx, ep_idx))
+            for ep_idx in range(self.config.experiment.batch_size)
+        ]
+
     # -- episode ------------------------------------------------------------
 
     def run_episode(
@@ -385,16 +394,7 @@ class Experiment:
         gamma = cfg.rewards.discount
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
-        interactions = [
-            sample_interaction(
-                self.corpus,
-                self.split,
-                plan.side,
-                cfg.episode.sizes(),
-                stream(self.master, "interaction", phase_idx, batch_idx, ep_idx),
-            )
-            for ep_idx in range(cfg.experiment.batch_size)
-        ]
+        interactions = self.interactions(plan, phase_idx, batch_idx)
         setups = BatchSetup(self, agent, interactions)
         for ep_idx in range(len(interactions)):
             setup = setups.episode(ep_idx)
@@ -452,9 +452,12 @@ class Experiment:
     ) -> RunResult:
         """Play the phase plan, or its rest from the checkpoint state `resume`.
 
-        A resume derives what the checkpoint does not hold: its models come
-        unfit, for the first BatchSetup to fit, and the update batches' rows
-        give the update count and the running mean of their G_0, the baseline.
+        A resume derives what the checkpoint does not hold: its cursor,
+        label signs and unfit models (_validate_checkpoint), for the first
+        BatchSetup to fit; the usage stats, replayed over the finished
+        batches of the cursor's phase from their interactions and rows' success
+        indicators; and the update count and baseline, the running mean of
+        the update batches' G_0.
         """
         cfg = self.config
         plans = self.phase_plan()
@@ -464,11 +467,11 @@ class Experiment:
         start_phase, start_batch = 0, 0
 
         if resume is not None:
-            state = self._validate_checkpoint(resume)
-            agent = Agent.from_dict(state.get("agent"), self.corpus.row)
-            theta = state["theta"]
-            start_phase, start_batch = state["cursor"]
-            metrics = state["metrics"]
+            (start_phase, start_batch), theta, metrics, agent = self._validate_checkpoint(resume)
+            for m in metrics[len(metrics) - start_batch :]:
+                interactions = self.interactions(plans[start_phase], start_phase, m.batch)
+                for interaction, success in zip(interactions, m.success_indicators):
+                    agent.stats.observe_dialog(interaction.description_predicates, success)
         updated = [m for m in metrics if plans[PHASE_NAMES.index(m.phase)].update_policy]
         updates = len(updated)
         baseline = running_mean(0.0, 0, [g for m in updated for g in m.first_returns(cfg.rewards)])
@@ -507,15 +510,10 @@ class Experiment:
                     del merged, outcomes
                     metrics.append(batch_metrics)
                     if checkpoint_dir is not None:
-                        cursor = (
-                            (phase_idx, batch_idx + 1)
-                            if batch_idx + 1 < plan.n_batches
-                            else (phase_idx + 1, 0)
-                        )
                         checkpoint_save(
                             Path(checkpoint_dir)
                             / f"checkpoint_p{phase_idx}_b{batch_idx}.json",
-                            self._checkpoint_state(agent, theta, cursor, metrics),
+                            self._checkpoint_state(agent, theta, metrics),
                         )
         finally:
             if sink is not None:
@@ -531,31 +529,27 @@ class Experiment:
     # -- checkpoints --------------------------------------------------------------
 
     def _checkpoint_state(
-        self,
-        agent: Agent,
-        theta: np.ndarray,
-        cursor: tuple[int, int],
-        metrics: list[BatchMetrics],
+        self, agent: Agent, theta: np.ndarray, metrics: list[BatchMetrics]
     ) -> dict:
         return {
             "version": CHECKPOINT_VERSION,
             "config_digest": self.config.digest(),
             "corpus_fingerprint": self.corpus.fingerprint,
-            "cursor": list(cursor),
             "theta": [float(v) for v in theta],
-            "agent": agent.to_dict(self.corpus.ids),
+            "labels": agent.to_dict(self.corpus.ids),
             "metrics": [dict(vars(m)) for m in metrics],
         }
 
-    def _validate_checkpoint(self, state: dict) -> dict:
-        """The state with its cursor, theta and metrics parsed, if it fits this run.
+    def _validate_checkpoint(self, state: dict) -> tuple[tuple, np.ndarray, list, Agent]:
+        """The cursor, theta, metrics rows and labeled agent of a checkpoint that fits this run.
 
-        It must come from this version, config and corpus. The cursor must
-        name a batch of the phase plan or its end, (3, 0); the metrics rows,
-        the batches before it, as a run writes them; theta, N_FEATURES finite
-        numbers. Anything else is a CheckpointError. run then reads the agent
-        state with Agent.from_dict, so every key of the state is read, and a
-        checkpoint that lacks any of them is refused.
+        It must come from this version, config and corpus. The metrics rows
+        must be the phase plan's first n batches, as a run writes them; the
+        cursor is the batch after them, or the plan's end, (3, 0). Theta must
+        be N_FEATURES finite numbers. The labels must be those of the last
+        finished batch's phase: as many per predicate as its rows count, each
+        on a classifier-train region of its side (Agent.from_dict). Anything
+        else, a missing key included, is a CheckpointError.
         """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -568,18 +562,16 @@ class Experiment:
         plans = self.phase_plan()
         cursors = [(p, b) for p, plan in enumerate(plans) for b in range(plan.n_batches)]
         cursors.append((len(plans), 0))
-        cursor = state.get("cursor")
-        if not (isinstance(cursor, list) and all(type(v) is int for v in cursor)
-                and tuple(cursor) in cursors):
-            raise CheckpointError(f"checkpoint cursor {cursor!r} is outside the phase plan")
-        done = [(plans[p].name, b) for p, b in cursors[: cursors.index(tuple(cursor))]]
         try:
             metrics = [BatchMetrics(**row) for row in state.get("metrics")]
         except TypeError as exc:
             raise CheckpointError(f"malformed checkpoint metrics: {exc}") from exc
-        if [(m.phase, m.batch) for m in metrics] != done:
+        done = cursors[: len(metrics)]
+        if len(metrics) >= len(cursors) or [(m.phase, m.batch) for m in metrics] != [
+            (plans[p].name, b) for p, b in done
+        ]:
             raise CheckpointError(
-                f"checkpoint metrics do not list the {len(done)} batches before cursor {cursor}"
+                f"checkpoint metrics are not the phase plan's first {len(metrics)} batches"
             )
         theta = state.get("theta")
         if not (isinstance(theta, list) and len(theta) == N_FEATURES):
@@ -591,12 +583,20 @@ class Experiment:
                 check_real("checkpoint theta", v)
         except ConfigError as exc:
             raise CheckpointError(str(exc)) from None
-        return {
-            **state,
-            "cursor": tuple(cursor),
-            "theta": np.asarray(theta, dtype=np.float64),
-            "metrics": metrics,
-        }
+        regions, counts = (), {}  # the last finished batch's phase: its regions and new labels
+        if done:
+            phase, last = done[-1]
+            regions = self.split.side(plans[phase].side)[0]
+            for m in metrics[len(metrics) - 1 - last :]:
+                for p, n in m.label_counts.items():
+                    counts[p] = counts.get(p, 0) + n
+        agent = Agent.from_dict(state.get("labels"), self.corpus, frozenset(regions))
+        for p in sorted(agent.models.keys() | counts.keys()):
+            held = len(agent.models[p].labels) if p in agent.models else 0
+            if held != counts.get(p, 0):
+                raise CheckpointError(f"labels of {p!r}: {held} regions, but the metrics rows "
+                                      f"of their phase count {counts.get(p, 0)} new labels")
+        return cursors[len(metrics)], np.asarray(theta, dtype=np.float64), metrics, agent
 
 
 def _check_metrics_row(m: BatchMetrics, batch_size: int) -> None:

@@ -403,8 +403,12 @@ class TestC11PhaseResetIntegrity:
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         full = exp.run(checkpoint_dir=tmp_path / "ck")
         full_first_test = next(m for m in full.metrics if m.phase == "test")
-        boundary = checkpoint_load(tmp_path / "ck" / "checkpoint_p1_b1.json")
-        assert tuple(boundary["cursor"]) == (2, 0)
+        # the train/test boundary: the checkpoint whose rows are every init and train batch
+        boundary = next(
+            state
+            for state in map(checkpoint_load, sorted((tmp_path / "ck").glob("checkpoint_*.json")))
+            if [m["phase"] for m in state["metrics"]] == ["init"] * 2 + ["train"] * 2
+        )
         theta = np.asarray(boundary["theta"])
         fresh = Experiment(cfg, small_corpus, small_split, small_density)
         plan = fresh.phase_plan()[2]

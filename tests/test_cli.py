@@ -134,6 +134,17 @@ class TestRun:
         assert code == 2
         assert not (out / "metrics.csv").exists()
 
+    def test_a_section_override_that_is_no_object_is_config_error(
+        self, tmp_path, config_path, capsys
+    ):
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "bad"),
+                     "--set", "policy=5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err.strip().splitlines()[-1])
+        assert error["error"] == "ConfigError" and "policy" in error["message"]
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x")])
@@ -248,10 +259,10 @@ class TestRun:
         self, tmp_path, config_path, capsys
     ):
         def edit(state):
-            models = state["agent"]["models"]
-            assert models
-            for labels in models.values():
-                labels["not-a-region"] = 1
+            labels = state["labels"]
+            assert labels
+            for rids in labels.values():
+                rids.append("not-a-region")
 
         error = resume_tampered(tmp_path, config_path, capsys, edit)
         assert "not-a-region" in error["message"]
@@ -279,7 +290,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("cursor", [7, 0]), ("theta", [0.0] * 3), ("theta", [float("nan")] * 28),
+        [("labels", {"red": {"r1": 1}}), ("theta", [0.0] * 3), ("theta", [float("nan")] * 28),
          ("metrics", [{"phase": "init", "batch": 0}])],
     )
     def test_resume_refuses_a_malformed_checkpoint(
@@ -323,17 +334,28 @@ class TestRun:
         assert key in error["message"]
 
     def test_resume_refuses_a_v3_checkpoint(self, tmp_path, config_path, capsys):
-        # oalsim-checkpoint/3 also stored the master seed, the REINFORCE counters
-        # and baseline, and each model's weights and F1
-        def edit(state):
+        # oalsim-checkpoint/4 stored the cursor, each label's sign and the usage
+        # stats; oalsim-checkpoint/3 also the master seed, the REINFORCE
+        # counters and baseline, and each model's weights and F1
+        def v4(state):
+            labels = state.pop("labels")
+            state.update(
+                version="oalsim-checkpoint/4", cursor=[0, 1],
+                agent={"models": {p: dict.fromkeys(rids, 1) for p, rids in labels.items()},
+                       "stats": {"used": {}, "succeeded": {}, "dialogs": 0}},
+            )
+
+        def v3(state):
+            v4(state)
             state.update(version="oalsim-checkpoint/3", master_seed=11, baseline_mean=0.0,
                          baseline_count=10, update_counter=1)
             models = state["agent"]["models"]
             for p, labels in models.items():
                 models[p] = {"labels": labels, "weights": None, "f1": 0.0}
 
-        error = resume_tampered(tmp_path, config_path, capsys, edit)
-        assert "version" in error["message"] and "oalsim-checkpoint/3" in error["message"]
+        for edit, version in ((v4, "oalsim-checkpoint/4"), (v3, "oalsim-checkpoint/3")):
+            error = resume_tampered(tmp_path / version[-1], config_path, capsys, edit)
+            assert "version" in error["message"] and version in error["message"]
 
     @pytest.mark.parametrize(
         "line, problem",
@@ -458,6 +480,7 @@ class TestReport:
         [("manifest.json", "{not json", "JSON"),
          ("summary.json", "", "JSON"),
          ("manifest.json", "{}", "corpus_fingerprint"),
+         ("manifest.json", json.dumps({"corpus_fingerprint": ["AAA"]}), "corpus_fingerprint"),
          ("summary.json", "[]", "TypeError"),
          ("summary.json", json.dumps({"final_test_batch": {
              "success_rate": 0.5, "mean_length": 4.5, "success_indicators": [1, 0]}}),
@@ -466,7 +489,8 @@ class TestReport:
              **REPORT_FINAL, "success_indicators": [], "lengths": []}}), "success"),
          *[("summary.json", json.dumps({"final_test_batch": {**REPORT_FINAL, key: value}}),
             key.split("_")[0]) for key, value in BAD_FINAL_FIELDS]],
-        ids=["manifest-not-json", "summary-empty", "no-fingerprint", "summary-list",
+        ids=["manifest-not-json", "summary-empty", "no-fingerprint", "fingerprint-list",
+             "summary-list",
              "no-lengths", "no-dialogs",
              *[f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in BAD_FINAL_FIELDS]],
     )

@@ -47,6 +47,20 @@ def test_missing_corpus_rejected():
         from_dict({"split": {}})
 
 
+@pytest.mark.parametrize(
+    "section, value, where",
+    [("policy", 5, "policy"), ("policy", "ab", "policy"),
+     ("policy", [["learning_rate", 1e-4]], "policy"), ("corpus", 5, "corpus"),
+     ("corpus", {"synthetic": 7}, "corpus.synthetic"), ("rewards", None, "rewards")],
+)
+def test_a_section_that_is_no_object_rejected(section, value, where):
+    # dict() would raise TypeError or ValueError on these, or read a list of pairs
+    data = json.loads(json.dumps(BASE))
+    data[section] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)}: must be an object"):
+        from_dict(data)
+
+
 def test_corpus_needs_exactly_one_source():
     with pytest.raises(ConfigError):
         from_dict({"corpus": {}})

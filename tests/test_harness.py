@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import re
 import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from oalsim.harness import (
     write_metrics_csv,
 )
 from oalsim.perception import PredicateModel
-from oalsim.policy import grad_log_prob
+from oalsim.policy import AgentStats, grad_log_prob
 
 from conftest import SMALL_SYNTH, episode_view, feature_context, small_run_config
 from setup_oracle import oracle_guess_features, oracle_scores
@@ -46,9 +49,16 @@ def first_returns(indicators, lengths, rewards):
     ]
 
 
-CHECKPOINT_KEYS = [
-    "version", "config_digest", "corpus_fingerprint", "cursor", "theta", "agent", "metrics"
-]
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the fields of a Corpus that the agent's label codec reads: ids, their rows, annotations
+CODEC_CORPUS = SimpleNamespace(
+    ids=["r0", "r1", "r2"],
+    row={"r0": 0, "r1": 1, "r2": 2},
+    annotations=[frozenset({"box"}), frozenset(), frozenset({"red", "box"})],
+)
+
+CHECKPOINT_KEYS = ["version", "config_digest", "corpus_fingerprint", "theta", "labels", "metrics"]
 
 
 def _v2_row(rows):
@@ -268,8 +278,7 @@ class TestExperimentRun:
         exp.run(checkpoint_dir=tmp_path)
         # first test batch was produced by an agent holding only that batch's labels
         state = checkpoint_load(tmp_path / "checkpoint_p2_b0.json")
-        agent = Agent.from_dict(state["agent"], small_corpus.row)
-        test_labels = sum(len(m.labels) for m in agent.models.values())
+        test_labels = sum(len(rids) for rids in state["labels"].values())
         first = [
             m for m in (state["metrics"]) if m["phase"] == "test"
         ][0]
@@ -355,7 +364,7 @@ class TestCheckpointing:
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         full = exp.run(checkpoint_dir=tmp_path / "ck")
         boundary = checkpoint_load(tmp_path / "ck" / "checkpoint_p1_b1.json")
-        assert tuple(boundary["cursor"]) == (2, 0)
+        assert [m["phase"] for m in boundary["metrics"]] == ["init"] * 2 + ["train"] * 2
         resumed = exp.run(resume=boundary)
         for a, b in zip(full.metrics, resumed.metrics):
             assert a.success_indicators == b.success_indicators
@@ -471,16 +480,26 @@ class TestCheckpointing:
 
     def test_resume_from_the_end_cursor(self, small_experiment, small_result, small_checkpoints):
         end = checkpoint_load(small_checkpoints / "checkpoint_p2_b1.json")
-        assert end["cursor"] == [3, 0]
+        assert len(end["metrics"]) == 6
         resumed = small_experiment.run(resume=end)
         assert resumed.metrics == small_result.metrics
         assert np.array_equal(resumed.theta, small_result.theta)
+
+    def test_readme_names_the_keys_a_checkpoint_holds(self, small_checkpoints):
+        # README's checkpoint paragraph lists the keys a run writes, in their
+        # order, for this version, and no other key
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        listed = re.search(
+            r"\(`" + re.escape(CHECKPOINT_VERSION) + r"`\)[^.]*\. Its keys are ([^:]*):", text
+        )
+        written = checkpoint_load(small_checkpoints / "checkpoint_p0_b0.json")
+        assert listed and re.findall(r"`(\w+)`", listed.group(1)) == list(written)
 
     @staticmethod
     def _refused(experiment, checkpoints, edit, match):
         """Resume from the checkpoint at cursor (1, 1) after `edit` changes its state."""
         state = checkpoint_load(checkpoints / "checkpoint_p1_b0.json")
-        assert state["cursor"] == [1, 1]
+        assert len(state["metrics"]) == 3
         edit(state)
         with pytest.raises(CheckpointError, match=match):
             experiment.run(resume=state)
@@ -489,14 +508,14 @@ class TestCheckpointing:
     def test_a_checkpoint_without_one_of_its_keys_is_refused(
         self, small_experiment, small_checkpoints, key
     ):
-        # resume reads every key that a run writes, and the agent state holds
-        # each model's labels by region id and nothing else
+        # resume reads every key that a run writes, and the labels are each
+        # model's distinct labeled region ids and nothing else
         def edit(state):
             assert list(state) == CHECKPOINT_KEYS
-            models = state["agent"]["models"]
-            assert models and all(
-                set(labels.values()) <= {-1, 1} and set(labels) <= set(small_experiment.corpus.row)
-                for labels in models.values()
+            labels = state["labels"]
+            assert labels and all(
+                len(set(rids)) == len(rids) and set(rids) <= set(small_experiment.corpus.row)
+                for rids in labels.values()
             )
             del state[key]
 
@@ -507,9 +526,10 @@ class TestCheckpointing:
         self, small_corpus, small_split, small_density, live_transcripts, tmp_path,
         monkeypatch, variant,
     ):
-        # a checkpoint stores no weights, F1, update counter or baseline: a
-        # resume that keeps the agent fits its models at its first batch start
-        # as the uninterrupted run held them there, one that resets the agent
+        # a checkpoint stores no cursor, label sign, usage stats, weights, F1,
+        # update counter or baseline: a resume that keeps the agent reads at
+        # its first batch start the stats the uninterrupted run read there
+        # and fits its models as that run held them, one that resets the agent
         # fits none of them, and every later update takes the step size and
         # baseline that the running formula, kept here as the oracle, gave the
         # uninterrupted run
@@ -519,8 +539,8 @@ class TestCheckpointing:
             episode = dataclasses.replace(cfg.episode, immediate_updates=True)
             cfg = dataclasses.replace(cfg, episode=episode)
         rows, fit, update = harness.BatchRows, harness.fit_models, harness.reinforce_update
-        load = Agent.from_dict
-        frozen, fits, updates, loaded = [], [], [], []
+        setup, load = harness.BatchSetup, Agent.from_dict
+        frozen, fits, updates, loaded, stats = [], [], [], [], []
 
         def models_at(models):
             return {
@@ -540,18 +560,24 @@ class TestCheckpointing:
             updates.append((alpha.hex(), baseline.hex()))
             return update(theta, steps, alpha, baseline)
 
-        def recorded_load(data, region_rows):
-            agent = load(data, region_rows)
+        def recorded_load(*args):
+            agent = load(*args)
             loaded.append(list(agent.models.values()))  # a reset replaces agent.models
             return agent
 
+        def recorded_setup(experiment, agent, interactions):
+            s = agent.stats  # the stats the batch reads
+            stats.append((dict(s.used), dict(s.succeeded), s.dialogs))
+            return setup(experiment, agent, interactions)
+
+        monkeypatch.setattr(harness, "BatchSetup", recorded_setup)
         monkeypatch.setattr(harness, "BatchRows", recorded_rows)
         monkeypatch.setattr(harness, "fit_models", recorded_fit)
         monkeypatch.setattr(harness, "reinforce_update", recorded_update)
         monkeypatch.setattr(Agent, "from_dict", recorded_load)
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         full = exp.run(checkpoint_dir=tmp_path / "ck")
-        batches = list(frozen)
+        batches, batch_stats = list(frozen), list(stats)
 
         size = cfg.experiment.batch_size
         updating = [p.update_policy for p in exp.phase_plan() for _ in range(p.n_batches)]
@@ -567,39 +593,35 @@ class TestCheckpointing:
         live_transcripts.clear()
 
         checkpoints = sorted((tmp_path / "ck").glob("checkpoint_*.json"))
-        assert len(checkpoints) == len(batches) == 6
-        cursors = []
-        for done, path in enumerate(checkpoints, 1):
+        assert len(checkpoints) == len(batches) == len(batch_stats) == 6
+        # the cursor after each checkpoint's rows: the next batch of the plan
+        cursors = [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+        for done, (path, cursor) in enumerate(zip(checkpoints, cursors), 1):
             state = checkpoint_load(path)
-            cursors.append(tuple(state["cursor"]))
-            frozen.clear()
-            fits.clear()
-            updates.clear()
-            loaded.clear()
+            assert len(state["metrics"]) == done
+            for records in (frozen, fits, updates, loaded, stats):
+                records.clear()
             resumed = exp.run(resume=state)
             (held,) = loaded
             assert held
-            if state["cursor"][1] > 0:  # a batch inside a phase: the agent is kept
+            if cursor[1] > 0:  # a batch inside a phase: the agent is kept
                 want = batches[done]
                 assert fits[0][1] == {p: m for p, m in want.items() if m[0] is not None}
                 assert fits[0][1] and all(m == (None, 0.0) for m in want.values() if m[0] is None)
+                assert stats[0] == batch_stats[done] and stats[0][2] == cursor[1] * size
             else:  # (1, 0) and (2, 0) reset the agent; (3, 0) plays no batch
                 assert not any(m is h for models, _ in fits for m in models for h in held)
             assert frozen == batches[done:]
             assert updates == oracle[sum(updating[:done]) :]
             assert resumed.metrics == full.metrics
             assert np.array_equal(resumed.theta, full.theta)
-        assert cursors == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
 
-    @pytest.mark.parametrize(
-        "cursor", [[7, 0], [0, 2], [1, 2], [3, 1], [-1, 0], [1], [1.0, 1], [True, 1], "1,1", None]
-    )
-    def test_cursor_outside_the_phase_plan(self, small_experiment, small_checkpoints, cursor):
-        # (0, 2) is one past the init phase: a run writes (1, 0) there
-        def edit(state):
-            state["cursor"] = cursor
-
-        self._refused(small_experiment, small_checkpoints, edit, "cursor")
+    def test_metrics_beyond_the_phase_plan(self, small_experiment, small_checkpoints):
+        # the end checkpoint lists all six batches; a seventh row names no batch of the plan
+        state = checkpoint_load(small_checkpoints / "checkpoint_p2_b1.json")
+        state["metrics"].append({**state["metrics"][-1], "batch": 2})
+        with pytest.raises(CheckpointError, match="metrics"):
+            small_experiment.run(resume=state)
 
     @pytest.mark.parametrize(
         "edit",
@@ -607,6 +629,8 @@ class TestCheckpointing:
             lambda rows: rows.pop(),
             lambda rows: rows.append(rows[-1]),
             lambda rows: rows.reverse(),
+            lambda rows: rows.pop(0),
+            lambda rows: rows[2].update(phase="test"),
             lambda rows: rows[0].pop("lengths"),
             lambda rows: rows[0].update(extra=1),
             lambda rows: rows.__setitem__(0, [1, 2]),
@@ -628,7 +652,7 @@ class TestCheckpointing:
             lambda rows: rows[0].update(lengths=rows[0]["lengths"][:-1]),
             _v2_row,
         ],
-        ids=["short", "long", "reordered", "missing-field", "extra-field", "not-a-row",
+        ids=["short", "long", "reordered", "skipped-batch", "wrong-phase", "missing-field", "extra-field", "not-a-row",
              "rate-string", "rate-bool", "length-inf", "queries-null", "indicator-2",
              "indicator-bool", "indicators-string", "length-0", "length-float",
              "lengths-null", "count-negative", "count-string", "counts-list",
@@ -637,6 +661,9 @@ class TestCheckpointing:
     def test_metrics_not_the_batches_before_the_cursor(
         self, small_experiment, small_checkpoints, edit
     ):
+        # the cursor is the batch after the rows, so they must be the plan's
+        # first batches; a shorter prefix ("short") names an earlier batch,
+        # whose phase counts other new labels than the checkpoint holds
         self._refused(
             small_experiment, small_checkpoints, lambda state: edit(state["metrics"]), "metrics"
         )
@@ -653,76 +680,103 @@ class TestCheckpointing:
 
         self._refused(small_experiment, small_checkpoints, edit, "theta")
 
+    @pytest.mark.parametrize(
+        "case",
+        ["policy-test-region", "classifier-test-region", "twice", "dropped", "empty",
+         "extra-predicate", "recounted", "no-batches"],
+    )
+    def test_labels_no_run_writes(self, small_experiment, small_checkpoints, case):
+        # the (1, 1) checkpoint holds the labels of train batch 0: each on a
+        # classifier-train region of the policy-train side, listed once per
+        # predicate, as many per predicate as the batch's row counts; with no
+        # finished batch, no labels at all
+        exp = small_experiment
+        labels = checkpoint_load(small_checkpoints / "checkpoint_p1_b0.json")["labels"]
+        p = next(iter(labels))
+        assert len(labels[p]) > 1 and "zz-new" not in labels
+        region = {
+            "policy-test-region": exp.split.side("policy-test")[0][0],
+            "classifier-test-region": exp.split.side("policy-train")[1][0],
+        }
+
+        def edit(state):
+            rids = state["labels"][p]
+            if case in region:
+                rids[0] = exp.corpus.ids[region[case]]
+            elif case == "twice":
+                rids[1] = rids[0]
+            elif case == "dropped":
+                rids.pop()
+            elif case == "empty":
+                rids.clear()
+            elif case == "extra-predicate":
+                state["labels"]["zz-new"] = rids[:1]
+            elif case == "recounted":
+                state["metrics"][-1]["label_counts"][p] += 1
+            else:
+                state["metrics"] = []
+
+        named = "zz-new" if case == "extra-predicate" else p
+        self._refused(exp, small_checkpoints, edit, f"labels of {named!r}")
+
+    def test_test_phase_labels_are_on_policy_test_regions(self, small_experiment, small_checkpoints):
+        exp = small_experiment
+        state = checkpoint_load(small_checkpoints / "checkpoint_p2_b1.json")
+        p = next(iter(state["labels"]))
+        state["labels"][p][0] = exp.corpus.ids[exp.split.side("policy-train")[0][0]]
+        with pytest.raises(CheckpointError, match=f"labels of {p!r}"):
+            exp.run(resume=state)
+
+    def test_resumed_labels_are_those_the_run_recorded(self, small_experiment, small_checkpoints):
+        # the (1, 1) checkpoint's agent holds train batch 0's labels; a resume
+        # signs each as the oracle answered it, in the order the run recorded
+        exp = small_experiment
+        theta = checkpoint_load(small_checkpoints / "checkpoint_p0_b1.json")["theta"]
+        _, merged, outcomes = exp.run_batch(exp.phase_plan()[1], 1, 0, Agent(), np.asarray(theta))
+        recorded = Agent()
+        exp.apply_batch_end(recorded, merged, outcomes)
+        state = checkpoint_load(small_checkpoints / "checkpoint_p1_b0.json")
+        *_, resumed = exp._validate_checkpoint(state)
+        labels = {p: list(m.labels.items()) for p, m in resumed.models.items()}
+        assert labels == {p: list(m.labels.items()) for p, m in recorded.models.items()}
+        assert {sign for held in labels.values() for _, sign in held} == {-1, 1}
+
+    def test_resume_with_no_finished_batch_is_a_fresh_run(
+        self, small_experiment, small_result, small_checkpoints
+    ):
+        state = checkpoint_load(small_checkpoints / "checkpoint_p0_b0.json")
+        state.update(theta=[0.0] * N_FEATURES, labels={}, metrics=[])
+        resumed = small_experiment.run(resume=state)
+        assert resumed.metrics == small_result.metrics
+        assert np.array_equal(resumed.theta, small_result.theta)
+
     def test_agent_roundtrip(self):
-        # a checkpoint holds each model's labels; its weights and F1 follow from them
-        agent = Agent()
+        # a checkpoint holds each model's labeled region ids: each sign is the
+        # oracle's answer, weights and F1 follow from the labels, and the
+        # stats from the dialogs
         model = PredicateModel(predicate="red")
         model.record_label(2, 1)
         model.record_label(1, -1)
         model.weights = np.array([0.5, -0.25, 0.1])
         model.f1 = 0.75
-        agent.models["red"] = model
+        agent = Agent(models={"red": model})
         agent.stats.observe_dialog(("red", "box"), True)
-        ids = ["r0", "r1", "r2"]
-        data = json.loads(json.dumps(agent.to_dict(ids)))
-        assert set(data) == {"models", "stats"}
-        assert list(data["models"]["red"].items()) == [("r2", 1), ("r1", -1)]
-        back = Agent.from_dict(data, {rid: row for row, rid in enumerate(ids)})
+        data = json.loads(json.dumps(agent.to_dict(CODEC_CORPUS.ids)))
+        assert data == {"red": ["r2", "r1"]}
+        back = Agent.from_dict(data, CODEC_CORPUS, {1, 2})
         assert list(back.models["red"].labels.items()) == list(model.labels.items())
         assert back.models["red"].weights is None and back.models["red"].f1 == 0.0
-        assert back.stats.dialogs == 1
-        assert back.stats.used == {"red": 1, "box": 1}
-
-    @pytest.mark.parametrize("value", [0, 5, 1.7, True])
-    def test_agent_with_invalid_label_rejected(self, value):
-        # a stored 0 would read as "no label" in an episode's label table
-        model = PredicateModel(predicate="red")
-        model.record_label(1, 1)
-        data = json.loads(json.dumps(Agent(models={"red": model}).to_dict(["r0", "r1"])))
-        data["models"]["red"]["r1"] = value
-        with pytest.raises(CheckpointError, match="red"):
-            Agent.from_dict(data, {"r0": 0, "r1": 1})
+        assert back.stats == AgentStats()
 
     @pytest.mark.parametrize(
-        "edit",
-        [lambda data: data.update(models=[["red", {"r1": 1}]]),
-         lambda data: data["models"].update(red=[["r1", 1]]),
-         lambda data: data.pop("stats")],
-        ids=["models-list", "labels-list", "no-stats"],
+        "data",
+        [[["red", ["r1"]]], {"red": {"r1": 1}}, {"red": "r1"}, {"red": [["r1"]]}, None],
+        ids=["pairs", "v4-map", "string", "nested-list", "missing"],
     )
-    def test_agent_state_of_another_layout_rejected(self, edit):
-        model = PredicateModel(predicate="red")
-        model.record_label(1, 1)
-        data = json.loads(json.dumps(Agent(models={"red": model}).to_dict(["r0", "r1"])))
-        assert Agent.from_dict(data, {"r0": 0, "r1": 1}).models["red"].labels == {1: 1}
-        edit(data)
-        with pytest.raises(CheckpointError, match="agent state"):
-            Agent.from_dict(data, {"r0": 0, "r1": 1})
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [("used", 2.9), ("used", -1), ("succeeded", True), ("dialogs", -3), ("dialogs", 1.0),
-         ("succeeded", 2), ("used", None), ("used", 2), ("dialogs", 0)],
-    )
-    def test_agent_with_invalid_stats_rejected(self, field, value):
-        # a count is an integer >= 0; int() would read 2.9 as 2 and true as 1.
-        # No run writes more successes than uses of a predicate, a success of
-        # a predicate it never used (None: "red" dropped from used) or more
-        # uses than dialogs; those would put the usage rates outside [0, 1]
-        agent = Agent()
-        agent.stats.observe_dialog(("red",), True)
-        data = json.loads(json.dumps(agent.to_dict([])))
-        assert Agent.from_dict(data, {}).stats == agent.stats
-        if field == "dialogs":
-            data["stats"]["dialogs"] = value
-        elif value is None:
-            del data["stats"][field]["red"]
-        else:
-            data["stats"][field]["red"] = value
-        with pytest.raises(CheckpointError, match=field) as refused:
-            Agent.from_dict(data, {})
-        if field != "dialogs" or value == 0:
-            assert "'red'" in str(refused.value)
+    def test_agent_state_of_another_layout_rejected(self, data):
+        assert Agent.from_dict({"red": ["r1"]}, CODEC_CORPUS, {1}).models["red"].labels == {1: -1}
+        with pytest.raises(CheckpointError, match="labels"):
+            Agent.from_dict(data, CODEC_CORPUS, {1})
 
 
 class TestImmediateUpdates:
