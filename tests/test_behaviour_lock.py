@@ -2,7 +2,7 @@
 
 perfbench/lock.json pins metrics.csv only. These digests also pin the
 transcripts (every logged feature vector) and each checkpoint (classifier
-labels, usage stats, theta), for the learned arm with and without immediate updates,
+labels, theta, metrics rows), for the learned arm with and without immediate updates,
 and for the learned arm on the same regions in reversed file order. In that
 corpus a region's file position differs from its rank in id order, which the
 synthetic corpora below 10,000 regions never show.
@@ -22,32 +22,32 @@ from conftest import SMALL_SYNTH, small_run_config
 
 PINNED = {
     "learned": {
-        "ck/checkpoint_p0_b0.json": "d087e3d52c6d0fc851f3af52c452ed94d856e8113783655d048a6e78f75d09dd",
-        "ck/checkpoint_p0_b1.json": "6d2f9bb81c02d789c7389bbf5dd1b580036367c860fbe3d2078568808ff023bd",
-        "ck/checkpoint_p1_b0.json": "b7abdf77e04980b7c6cd7600251c4e11262ab3caceb92cb30a0be37349c4aeb0",
-        "ck/checkpoint_p1_b1.json": "dcd663b58c8fc76859561e2e0f85bc523840ed8865e90a80686487a518e7562f",
-        "ck/checkpoint_p2_b0.json": "3f694be1d0dbd660bcf0e16257af25bf4bed7152474758287d8280c56fa42319",
-        "ck/checkpoint_p2_b1.json": "e01727aeddd0b8d0d7750699e03fdd5605dcb59e76bc0a748e0ce7da6920807b",
+        "ck/checkpoint_p0_b0.json": "f2c3ef4e3a8f66c95dc8f58dadd37d84a3cff9ada5217141d9b84d0626fe1822",
+        "ck/checkpoint_p0_b1.json": "f6ed228c5f9f3e75081e0da0a9cc43205422a3db493993ef11482847d05e376b",
+        "ck/checkpoint_p1_b0.json": "ddba0349c6880718ef9852ffa4811d4196fbfb8eda2b57b4bced82d61a0431eb",
+        "ck/checkpoint_p1_b1.json": "8093deb4bb8c87c8ed25ee1781369f224707328c068a6a4e6cc9af054fd97e49",
+        "ck/checkpoint_p2_b0.json": "55f5668489e94482e3f6326ea6a317c8b7aabc023eb04c9d467ec841c261bcc1",
+        "ck/checkpoint_p2_b1.json": "52fdee91403ded86b8b02817b098c914dadb3d93b2256d52e3a7205e9d26d405",
         "metrics.csv": "5b4fe9fcacbe50e739e803058decb2f4c624635ae4b647654a09a7854f000c41",
         "transcripts.jsonl": "45a616d955e0c12c848f9a39b88c871a9286c27e7edd5993a4e520d19442e229",
     },
     "immediate": {
-        "ck/checkpoint_p0_b0.json": "4021f884e11c1f88f08c58b962064629dfb8b41be4664f3c2398871626d0bdea",
-        "ck/checkpoint_p0_b1.json": "77552b8519f5bfc1bb3401fbb5d3813faa9f2f7c3b85661c876223a3192a8c63",
-        "ck/checkpoint_p1_b0.json": "7310c83de0877d044867539cf1ee54fc1cf889829bee8030a39976e1069f5e5f",
-        "ck/checkpoint_p1_b1.json": "351ec7fc15325176e099896ddbac9f01efe3e512f9f22dd91821fa08a8142df9",
-        "ck/checkpoint_p2_b0.json": "83175335c419f27a31a61a6a56b0ccd64d566c1c9c2dba7e832ea40a72650922",
-        "ck/checkpoint_p2_b1.json": "fa9dd47a78943d0d6c1664f1893fba65b07d45a95bf904b1aebce3d134f3d726",
+        "ck/checkpoint_p0_b0.json": "d69764c65d53c4a6e9f8ea004dfb4e7f60de89d13c7fa2416386db771f2a6c6a",
+        "ck/checkpoint_p0_b1.json": "38a9e25558980a9e418465ecb8d126a1ec3464427bcdea1e5a6034124d4bc9c1",
+        "ck/checkpoint_p1_b0.json": "cd75f340763b0d0a8e66883214566c0a5a34ef254f6a16caffd81bb85814944d",
+        "ck/checkpoint_p1_b1.json": "6d282cdf918345708d04405589c852ade60b60a60182448d95765737c6e54d9c",
+        "ck/checkpoint_p2_b0.json": "2b610ebd7138c917d36e6bfbd94d21d3dcf08465be41c67e5fb7aec95981c236",
+        "ck/checkpoint_p2_b1.json": "33cb5d7ba53720806f5764e64cb2fb3ff6301df7a0874206531bab1256f27c50",
         "metrics.csv": "02c3a1dd643d10c6e44cddd60c330795a1ef8aa9293e4c946d1f6ca60ced0a04",
         "transcripts.jsonl": "add850971b9dd969c92f4638ed424bc8c9691b8b9e3d5695a18509f84d5efe2c",
     },
     "reversed": {
-        "ck/checkpoint_p0_b0.json": "34841a97cb52c1a62df1dd0a3667e5ccc0c468d37a15c9b8c6f540731729f43a",
-        "ck/checkpoint_p0_b1.json": "91783c5df65881d0b23e38d2342547ed46964bbba2f7f79050d0bc3cd5aa5c96",
-        "ck/checkpoint_p1_b0.json": "a358add4b4418b5e203ea2a0a6e93306c1a4f13a376e02ee8c1f0a8c291392be",
-        "ck/checkpoint_p1_b1.json": "f5234bb4b87601074ef3b1b89dd83ecd69b477c2d8a90304ddb4fd420dc18e5e",
-        "ck/checkpoint_p2_b0.json": "1af64947a5cf62af1fe9fdf0abb46f1716dd4999945803a3360dd26772bfcc9c",
-        "ck/checkpoint_p2_b1.json": "8b81aaeb7c2cc834105e63c53c31aa6a1be278e984920ba214be1d07d374ea8f",
+        "ck/checkpoint_p0_b0.json": "65c72f7140d21fc17fb680e64f89603efa2d6d7cda1cbad0b84df7de5e9552c3",
+        "ck/checkpoint_p0_b1.json": "54ddd73656972b9e69a444071db90110e97114e435ce7396ade8e2e80f74eb0f",
+        "ck/checkpoint_p1_b0.json": "4040f4e7ad39d2a70aa46f9bf1b6d9ab90b9b7349aa5da39fa76a15f009a30a1",
+        "ck/checkpoint_p1_b1.json": "5ff5e5b4d369f9e20416dd4015e3b430a3e9d84b40b2abd51f6c416b06a4b81d",
+        "ck/checkpoint_p2_b0.json": "eec3df3508c136d0a7e1b035139fd1ef6acc7e233cb839909620c1bbc15a4058",
+        "ck/checkpoint_p2_b1.json": "327e830cbb24c0e77129247abe8688874efe661a96faefe2518bb389df8ee5f9",
         "metrics.csv": "44f63fc6891ea1166c7ca3e27633ec9afea7788c29993b42d2440406311a5448",
         "transcripts.jsonl": "f663a40618e7648c0b0d1541847b89d70181588a6590264c87cb496dec3a4881",
     },
