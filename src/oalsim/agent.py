@@ -54,14 +54,16 @@ class Agent:
                     raise CheckpointError(f"labels of {p!r} must be a list of region ids")
                 unknown = [rid for rid in rids if rid not in corpus.row]
                 if unknown:
-                    raise CheckpointError(f"labels of {p!r}: region {unknown[0]!r}, not in the corpus")
+                    raise CheckpointError(
+                        f"labels of {p!r}: region {unknown[0]!r}, not in the corpus"
+                    )
                 if len(set(rids)) < len(rids):
                     raise CheckpointError(f"labels of {p!r} list a region twice")
                 rows = [corpus.row[rid] for rid in rids]
                 outside = [rid for rid, row in zip(rids, rows) if row not in regions]
                 if outside:
                     raise CheckpointError(
-                        f"labels of {p!r}: region {outside[0]!r}, which no dialog of the phase offers"
+                        f"labels of {p!r}: region {outside[0]!r}, offered by no dialog of the phase"
                     )
                 models[p] = PredicateModel(
                     predicate=p,

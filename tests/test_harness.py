@@ -652,8 +652,8 @@ class TestCheckpointing:
             lambda rows: rows[0].update(lengths=rows[0]["lengths"][:-1]),
             _v2_row,
         ],
-        ids=["short", "long", "reordered", "skipped-batch", "wrong-phase", "missing-field", "extra-field", "not-a-row",
-             "rate-string", "rate-bool", "length-inf", "queries-null", "indicator-2",
+        ids=["short", "long", "reordered", "skipped-batch", "wrong-phase", "missing-field",
+             "extra-field", "not-a-row", "rate-string", "rate-bool", "length-inf", "queries-null", "indicator-2",
              "indicator-bool", "indicators-string", "length-0", "length-float",
              "lengths-null", "count-negative", "count-string", "counts-list",
              "batch-bool", "batch-float", "lengths-short", "v2-row"],
@@ -719,7 +719,9 @@ class TestCheckpointing:
         named = "zz-new" if case == "extra-predicate" else p
         self._refused(exp, small_checkpoints, edit, f"labels of {named!r}")
 
-    def test_test_phase_labels_are_on_policy_test_regions(self, small_experiment, small_checkpoints):
+    def test_test_phase_labels_are_on_policy_test_regions(
+        self, small_experiment, small_checkpoints
+    ):
         exp = small_experiment
         state = checkpoint_load(small_checkpoints / "checkpoint_p2_b1.json")
         p = next(iter(state["labels"]))
