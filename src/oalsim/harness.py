@@ -452,12 +452,10 @@ class Experiment:
     ) -> RunResult:
         """Play the phase plan, or its rest from the checkpoint state `resume`.
 
-        A resume derives what the checkpoint does not hold: its cursor,
-        label signs and unfit models (_validate_checkpoint), for the first
-        BatchSetup to fit; the usage stats, replayed over the finished
-        batches of the cursor's phase from their interactions and rows' success
-        indicators; and the update count and baseline, the running mean of
-        the update batches' G_0.
+        A resume derives what the checkpoint does not hold: the cursor, the
+        label signs and usage stats (_resume_state), the unfit models' fits,
+        at the first BatchSetup, and the update count and baseline, the
+        running mean of the update batches' G_0.
         """
         cfg = self.config
         plans = self.phase_plan()
@@ -467,11 +465,7 @@ class Experiment:
         start_phase, start_batch = 0, 0
 
         if resume is not None:
-            (start_phase, start_batch), theta, metrics, agent = self._validate_checkpoint(resume)
-            for m in metrics[len(metrics) - start_batch :]:
-                interactions = self.interactions(plans[start_phase], start_phase, m.batch)
-                for interaction, success in zip(interactions, m.success_indicators):
-                    agent.stats.observe_dialog(interaction.description_predicates, success)
+            (start_phase, start_batch), theta, metrics, agent = self._resume_state(resume)
         updated = [m for m in metrics if plans[PHASE_NAMES.index(m.phase)].update_policy]
         updates = len(updated)
         baseline = running_mean(0.0, 0, [g for m in updated for g in m.first_returns(cfg.rewards)])
@@ -540,16 +534,19 @@ class Experiment:
             "metrics": [dict(vars(m)) for m in metrics],
         }
 
-    def _validate_checkpoint(self, state: dict) -> tuple[tuple, np.ndarray, list, Agent]:
-        """The cursor, theta, metrics rows and labeled agent of a checkpoint that fits this run.
+    def _resume_state(self, state: dict) -> tuple[tuple, np.ndarray, list, Agent]:
+        """The cursor, theta, metrics rows and agent that checkpoint `state` resumes.
 
         It must come from this version, config and corpus. The metrics rows
         must be the phase plan's first n batches, as a run writes them; the
         cursor is the batch after them, or the plan's end, (3, 0). Theta must
         be N_FEATURES finite numbers. The labels must be those of the last
         finished batch's phase: as many per predicate as its rows count, each
-        on a classifier-train region of its side (Agent.from_dict). Anything
-        else, a missing key included, is a CheckpointError.
+        on an active-train region of one of its dialogs, whose interactions
+        are drawn again (Agent.from_dict signs them). Anything else, a
+        missing key included, is a CheckpointError. At a cursor inside that
+        phase, the agent's usage stats replay its dialogs' observe_dialog
+        calls, with the rows' success indicators.
         """
         if state.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -583,20 +580,27 @@ class Experiment:
                 check_real("checkpoint theta", v)
         except ConfigError as exc:
             raise CheckpointError(str(exc)) from None
-        regions, counts = (), {}  # the last finished batch's phase: its regions and new labels
+        phase_rows, dialogs, counts = [], [], {}  # the last finished batch's phase
         if done:
             phase, last = done[-1]
-            regions = self.split.side(plans[phase].side)[0]
-            for m in metrics[len(metrics) - 1 - last :]:
-                for p, n in m.label_counts.items():
-                    counts[p] = counts.get(p, 0) + n
-        agent = Agent.from_dict(state.get("labels"), self.corpus, frozenset(regions))
+            phase_rows = metrics[len(metrics) - 1 - last :]
+            dialogs = [self.interactions(plans[phase], phase, m.batch) for m in phase_rows]
+        for m in phase_rows:
+            for p, n in m.label_counts.items():
+                counts[p] = counts.get(p, 0) + n
+        regions = {row for batch in dialogs for i in batch for row in i.active_train}
+        agent = Agent.from_dict(state.get("labels"), self.corpus, regions)
         for p in sorted(agent.models.keys() | counts.keys()):
             held = len(agent.models[p].labels) if p in agent.models else 0
             if held != counts.get(p, 0):
                 raise CheckpointError(f"labels of {p!r}: {held} regions, but the metrics rows "
                                       f"of their phase count {counts.get(p, 0)} new labels")
-        return cursors[len(metrics)], np.asarray(theta, dtype=np.float64), metrics, agent
+        cursor = cursors[len(metrics)]
+        if cursor[1] > 0:  # inside the phase: the agent keeps its dialogs' usage stats
+            for batch, m in zip(dialogs, phase_rows):
+                for interaction, success in zip(batch, m.success_indicators):
+                    agent.stats.observe_dialog(interaction.description_predicates, success)
+        return cursor, np.asarray(theta, dtype=np.float64), metrics, agent
 
 
 def _check_metrics_row(m: BatchMetrics, batch_size: int) -> None:

@@ -653,9 +653,9 @@ class TestCheckpointing:
             _v2_row,
         ],
         ids=["short", "long", "reordered", "skipped-batch", "wrong-phase", "missing-field",
-             "extra-field", "not-a-row", "rate-string", "rate-bool", "length-inf", "queries-null", "indicator-2",
-             "indicator-bool", "indicators-string", "length-0", "length-float",
-             "lengths-null", "count-negative", "count-string", "counts-list",
+             "extra-field", "not-a-row", "rate-string", "rate-bool", "length-inf",
+             "queries-null", "indicator-2", "indicator-bool", "indicators-string", "length-0",
+             "length-float", "lengths-null", "count-negative", "count-string", "counts-list",
              "batch-bool", "batch-float", "lengths-short", "v2-row"],
     )
     def test_metrics_not_the_batches_before_the_cursor(
@@ -729,6 +729,22 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match=f"labels of {p!r}"):
             exp.run(resume=state)
 
+    def test_labels_on_a_region_no_dialog_of_the_phase_offered(
+        self, small_corpus, small_split, small_density, tmp_path
+    ):
+        # with two dialogs a batch, most classifier-train regions of the side
+        # are in no dialog's active-train set, so no oracle answer names them
+        exp = Experiment(small_run_config(batch_size=2), small_corpus, small_split, small_density)
+        exp.run(checkpoint_dir=tmp_path)
+        state = checkpoint_load(tmp_path / "checkpoint_p1_b0.json")
+        batch = exp.interactions(exp.phase_plan()[1], 1, 0)
+        offered = {row for interaction in batch for row in interaction.active_train}
+        unoffered = [row for row in exp.split.side("policy-train")[0] if row not in offered]
+        p = next(iter(state["labels"]))
+        state["labels"][p][0] = small_corpus.ids[unoffered[0]]
+        with pytest.raises(CheckpointError, match=f"labels of {p!r}"):
+            exp.run(resume=state)
+
     def test_resumed_labels_are_those_the_run_recorded(self, small_experiment, small_checkpoints):
         # the (1, 1) checkpoint's agent holds train batch 0's labels; a resume
         # signs each as the oracle answered it, in the order the run recorded
@@ -738,7 +754,7 @@ class TestCheckpointing:
         recorded = Agent()
         exp.apply_batch_end(recorded, merged, outcomes)
         state = checkpoint_load(small_checkpoints / "checkpoint_p1_b0.json")
-        *_, resumed = exp._validate_checkpoint(state)
+        *_, resumed = exp._resume_state(state)
         labels = {p: list(m.labels.items()) for p, m in resumed.models.items()}
         assert labels == {p: list(m.labels.items()) for p, m in recorded.models.items()}
         assert {sign for held in labels.values() for _, sign in held} == {-1, 1}
