@@ -10,7 +10,6 @@ query and when to guess.
 
 __version__ = "0.1.0"
 
-from .actions import ExampleQuery, Guess, LabelQuery
 from .agent import Agent
 from .config import RunConfig, from_dict, load_config
 from .corpus import (

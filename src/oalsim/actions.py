@@ -1,40 +1,31 @@
-"""Symbolic dialog actions: guess, label query, example query."""
+"""Dialog actions as integer triples: (kind, view row, active-train column).
+
+The row is the view row of the action's predicate (snapshot.EpisodeView), the
+column the active-train column of its object. The guess is (GUESS, -1, -1),
+always a beam's entry 0; an example query's column is -1. `describe` is the
+one place that turns an action back into names.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
-GUESS = "guess"
-LABEL_QUERY = "label"
-EXAMPLE_QUERY = "example"
+if TYPE_CHECKING:
+    from .snapshot import EpisodeView
 
+GUESS = 0
+LABEL_QUERY = 1
+EXAMPLE_QUERY = 2
+GUESS_ACTION = (GUESS, -1, -1)
 
-@dataclass(frozen=True, slots=True)
-class Guess:
-    kind: str = GUESS
-
-
-@dataclass(frozen=True, slots=True)
-class LabelQuery:
-    predicate: str
-    region: int  # the object's region row (corpus.Corpus)
-    kind: str = LABEL_QUERY
+Action = tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class ExampleQuery:
-    predicate: str
-    kind: str = EXAMPLE_QUERY
-
-
-Action = Union[Guess, LabelQuery, ExampleQuery]
-
-
-def describe(action: Action, ids: Sequence[str]) -> str:
-    """The action as a transcript writes it, with `ids` mapping a row to its region id."""
-    if isinstance(action, Guess):
+def describe(action: Action, view: EpisodeView, ids: Sequence[str]) -> str:
+    """The action as a transcript writes it, with `ids` mapping a region row to its id."""
+    kind, row, col = action
+    if kind == GUESS:
         return "guess"
-    if isinstance(action, LabelQuery):
-        return f"label:{action.predicate}@{ids[action.region]}"
-    return f"example:{action.predicate}"
+    if kind == LABEL_QUERY:
+        return f"label:{view.predicates[row]}@{ids[view.train_rows[col]]}"
+    return f"example:{view.predicates[row]}"

@@ -23,6 +23,7 @@ from .corpus import Corpus, SyntheticConfig, generate_synthetic, write_regions
 from .errors import ConfigError, DataError, OalsimError, check_real
 from .features import registry_table
 from .harness import (
+    BatchMetrics,
     Experiment,
     checkpoint_load,
     compare_final_batches,
@@ -144,8 +145,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_final(final: dict) -> None:
-    """ValueError unless a summary's final test batch holds what a run writes there."""
+def _final_batch(final: dict) -> BatchMetrics:
+    """A summary's final test batch; ValueError unless it holds what a run writes, rates too."""
     indicators, lengths = final["success_indicators"], final["lengths"]
     if not (isinstance(indicators, list) and isinstance(lengths, list)
             and 0 < len(indicators) == len(lengths)
@@ -153,27 +154,31 @@ def _check_final(final: dict) -> None:
             and all(type(n) is int and n >= 1 for n in lengths)):
         raise ValueError("success_indicators and lengths must be equally long, non-empty "
                          "lists of integers 0 or 1 and >= 1")
+    batch = BatchMetrics("test", -1, {}, indicators, lengths)  # a summary keeps no batch index
     for name in ("success_rate", "mean_length"):
         check_real(name, final[name])
+        if final[name] != getattr(batch, name):
+            raise ValueError(f"{name} {final[name]!r} is not the lists' {getattr(batch, name)!r}")
+    return batch
 
 
-def _check_fingerprint(fingerprint) -> None:
+def _fingerprint(fingerprint) -> str:
     if not isinstance(fingerprint, str):
         raise ValueError(f"corpus_fingerprint must be a string, got {fingerprint!r}")
+    return fingerprint
 
 
 def _load_run(run_dir: Path) -> dict:
-    """A run's manifest and summary; a DataError names a file that report cannot read."""
+    """A run's corpus fingerprint and final test batch; a DataError names a file it cannot read."""
     run = {"dir": run_dir}
-    for name, read in (
-        ("manifest", lambda manifest: _check_fingerprint(manifest["corpus_fingerprint"])),
-        ("summary", lambda summary: _check_final(summary["final_test_batch"])),
+    for name, key, read in (
+        ("manifest", "fingerprint", lambda manifest: _fingerprint(manifest["corpus_fingerprint"])),
+        ("summary", "final", lambda summary: _final_batch(summary["final_test_batch"])),
     ):
         path = run_dir / f"{name}.json"
         try:
             with open(path, encoding="utf-8") as fh:
-                run[name] = json.load(fh)
-            read(run[name])
+                run[key] = read(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
             raise DataError(f"cannot read {path}: {exc!r}") from None
     return run
@@ -186,21 +191,21 @@ def cmd_report(args) -> int:
     if baseline is None:
         baseline = _load_run(baseline_dir)
         runs.append(baseline)
-    fingerprints = {r["manifest"]["corpus_fingerprint"] for r in runs}
+    fingerprints = {r["fingerprint"] for r in runs}
     if len(fingerprints) > 1:
         raise DataError(
             "runs were produced from different corpora; comparisons must share data"
         )
 
-    base_final = baseline["summary"]["final_test_batch"]
+    base_final = baseline["final"]
     rows = []
     for r in runs:
-        final = r["summary"]["final_test_batch"]
-        cmp = compare_final_batches(final, base_final)
+        final = r["final"]
+        cmp = compare_final_batches(vars(final), vars(base_final))
         rows.append({
             "run": r["dir"].name,
-            "success_rate": final["success_rate"],
-            "mean_length": final["mean_length"],
+            "success_rate": final.success_rate,
+            "mean_length": final.mean_length,
             **(dict.fromkeys(cmp) if r is baseline else cmp),
         })
 

@@ -14,9 +14,10 @@ classifiers or this episode hold a label for the pair, 0 where none does.
 An oracle answer reads and writes one cell. `asked` is a list of bools over
 the view's predicates, True once a predicate was example-queried.
 
-Objects are region rows (corpus.Corpus): queries, pending labels (predicate,
-row, label) and the guess hold rows, and the oracle reads the corpus's
-annotation column by row; transcript_records writes their ids.
+An action is (kind, view row, active-train column) (actions.py); `step`, the
+oracle and `_record` index `known` and `asked` with its integers. Pending
+labels (predicate, region row, label) and the guess hold region rows
+(corpus.Corpus); transcript_records writes names and ids through describe.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import Action, ExampleQuery, Guess, LabelQuery, describe
+from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY, Action, describe
 from .corpus import Interaction
 from .errors import ContractError, DataError, ProtocolError, check_real
 from .snapshot import EpisodeView
@@ -94,36 +95,42 @@ class Episode:
 
     # -- label bookkeeping ------------------------------------------------
 
-    def _record(self, predicate: str, col: int, label: int) -> None:
-        row = self.known[self.view.index[predicate]]
-        held = row[col]
+    def _record(self, row: int, col: int, label: int) -> None:
+        labels = self.known[row]
+        held = labels[col]
+        predicate = self.view.predicates[row]
         region = self.interaction.active_train[col]
         if held:
             if held != label:
                 raise ContractError(f"oracle flipped label for ({predicate!r}, row {region})")
             return
-        row[col] = label
+        labels[col] = label
         self.pending_labels.append((predicate, region, label))
 
     # -- oracle -----------------------------------------------------------
 
-    def answer_label_query(self, predicate: str, region: int) -> int:
-        if region not in self.interaction.active_train:
-            raise ProtocolError(f"label query on row {region}, outside the active training set")
-        label = 1 if predicate in self.annotations[region] else -1
-        self._record(predicate, self.interaction.active_train.index(region), label)
+    def answer_label_query(self, row: int, col: int) -> int:
+        """The closed-world label of view row `row`'s predicate on active-train column `col`."""
+        if not (0 <= row < len(self.known) and 0 <= col < len(self.interaction.active_train)):
+            raise ProtocolError(f"label query on view row {row}, column {col}: outside the view")
+        region = self.interaction.active_train[col]
+        label = 1 if self.view.predicates[row] in self.annotations[region] else -1
+        self._record(row, col, label)
         return label
 
-    def answer_example_query(self, predicate: str) -> int | None:
+    def answer_example_query(self, row: int) -> int | None:
         """A random positive active-train region row, or None when there is none."""
+        if not 0 <= row < len(self.known):
+            raise ProtocolError(f"example query on view row {row}: outside the view")
+        predicate = self.view.predicates[row]
         active = self.interaction.active_train
-        positives = [col for col, row in enumerate(active) if predicate in self.annotations[row]]
+        positives = [col for col, obj in enumerate(active) if predicate in self.annotations[obj]]
         if positives:
             col = positives[int(self._oracle_rng.integers(len(positives)))]
-            self._record(predicate, col, 1)
+            self._record(row, col, 1)
             return active[col]
         for col in range(len(active)):
-            self._record(predicate, col, -1)
+            self._record(row, col, -1)
         return NONE_ANSWER
 
     # -- transitions --------------------------------------------------------
@@ -134,23 +141,25 @@ class Episode:
         beam_features: np.ndarray | None = None,
         chosen: int | None = None,
     ) -> tuple[float, bool]:
+        """Apply one action; the oracle refuses a query off the view's rows or columns."""
         if self.terminated:
             raise ProtocolError("step on a terminated episode")
-        if self.turn >= self.t_max and not isinstance(action, Guess):
+        kind, row, col = action
+        if self.turn >= self.t_max and kind != GUESS:
             raise ProtocolError(f"turn cap {self.t_max} reached; only the guess is admissible")
 
-        if isinstance(action, Guess):
+        if kind == GUESS:
             self.success = self.guess == self.interaction.target
             reward = (
                 self.rewards.correct_guess if self.success else self.rewards.incorrect_guess
             )
             self.terminated = True
-        elif isinstance(action, LabelQuery):
-            self.answer_label_query(action.predicate, action.region)
+        elif kind == LABEL_QUERY:
+            self.answer_label_query(row, col)
             reward = self.rewards.per_query
-        elif isinstance(action, ExampleQuery):
-            self.answer_example_query(action.predicate)
-            self.asked[self.view.index[action.predicate]] = True
+        elif kind == EXAMPLE_QUERY:
+            self.answer_example_query(row)
+            self.asked[row] = True
             reward = self.rewards.per_query
         else:
             raise ProtocolError(f"unknown action {action!r}")
@@ -197,7 +206,7 @@ def transcript_records(episode_id: str, episode: Episode, ids: Sequence[str]):
         yield {
             "episode": episode_id,
             "turn": t,
-            "action": describe(step.action, ids),
+            "action": describe(step.action, episode.view, ids),
             "reward": step.reward,
             "features": feats,
         }

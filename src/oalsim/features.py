@@ -13,10 +13,10 @@ once per batch from the frozen agent stats and classifier rows), and its
 guess row comes from `guess_features` over a stack of dialogs
 (grounding.DescriptionStack). A beam's array is one fancy index into the
 table, plus the label queries' object entries, turn_frac and the ablation
-mask. A label query names its object by region row, which indexes the
-density index and, by its view column, the margins. The per-action form is
-kept in tests/feature_oracle.py as the reference, and the array must equal it
-bit for bit.
+mask. An action (actions.py) picks its table row by its view row, and a label
+query's column indexes the margins and, by train_rows, the density index.
+The per-action form is kept in tests/feature_oracle.py as the reference, and
+the array must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .actions import Action, LabelQuery
+from .actions import LABEL_QUERY, Action
 from .errors import ConfigError
 from .grounding import DescriptionStack, GuessScores
 from .perception import DensityIndex, density_stats
@@ -206,17 +206,16 @@ def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndar
     view = ctx.view
     example = 1 + len(view.predicates)  # the first example-query row
     picks, labels = [0], []
-    for i, action in enumerate(beam[1:], 1):
-        row = view.index[action.predicate]
-        if isinstance(action, LabelQuery):
+    for i, (kind, row, col) in enumerate(beam[1:], 1):
+        if kind == LABEL_QUERY:
             picks.append(1 + row)
-            labels.append((i, row, action.region))
+            labels.append((i, row, col))
         else:
             picks.append(example + row)
     out = ctx.table[picks]
-    for i, row, region in labels:
-        margin = view.margins[row, view.train_rows.index(region)]
-        avg_dist, unlabeled = density_stats(ctx.density, region, view.models[row])
+    for i, row, col in labels:
+        margin = view.margins[row, col]
+        avg_dist, unlabeled = density_stats(ctx.density, view.train_rows[col], view.models[row])
         out[i, _LABEL_OBJECT] = margin, avg_dist, unlabeled
     out[:, _TURN_FRAC] = turn / ctx.t_max
     if ctx.mask is not None:

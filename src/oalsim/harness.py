@@ -326,12 +326,13 @@ class Experiment:
             n_before = len(episode.pending_labels)
             episode.step(beam[chosen], beam_features, chosen)
             if immediate and len(episode.pending_labels) > n_before:
-                predicate = beam[chosen].predicate  # a query's labels are all of its predicate
+                row = beam[chosen][1]  # a query's labels are all of its view row's predicate
+                predicate = view.predicates[row]
                 if self._refresh_models(view, predicate, episode.pending_labels[n_before:], agent):
-                    ctx.refit(view.index[predicate])
+                    ctx.refit(row)
                     if predicate in desc:  # grounding reads description rows only
-                        (episode.guess,), (row,) = ground(view_stack(desc, view))
-                        ctx.set_guess(row)
+                        (episode.guess,), (guess,) = ground(view_stack(desc, view))
+                        ctx.set_guess(guess)
 
         outcome = EpisodeOutcome(
             interaction=interaction,

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .actions import Action, EXAMPLE_QUERY, GUESS, LABEL_QUERY
+from .actions import EXAMPLE_QUERY, LABEL_QUERY, Action
 from .config import PolicyConfig
 from .errors import PolicyUpdateError
 
@@ -111,22 +111,15 @@ def static_policy_act(
 ) -> int:
     """Alternate label/example queries (label first) for n_queries turns, then guess.
 
-    Falls back to the other query type, then to the guess, when the preferred
-    type has no candidates in the beam.
+    Falls back to the other query type, then to the guess (beam entry 0), when
+    the preferred type has no candidates in the beam.
     """
     if turn >= n_queries:
-        return _first_of_kind(beam, GUESS)
+        return 0
     preferred = LABEL_QUERY if turn % 2 == 0 else EXAMPLE_QUERY
     other = EXAMPLE_QUERY if preferred == LABEL_QUERY else LABEL_QUERY
     for kind in (preferred, other):
-        idxs = [i for i, a in enumerate(beam) if a.kind == kind]
+        idxs = [i for i, (k, _, _) in enumerate(beam) if k == kind]
         if idxs:
             return idxs[int(rng.integers(len(idxs)))]
-    return _first_of_kind(beam, GUESS)
-
-
-def _first_of_kind(beam: Sequence[Action], kind: str) -> int:
-    for i, a in enumerate(beam):
-        if a.kind == kind:
-            return i
-    raise ValueError(f"beam has no {kind!r} action")
+    return 0

@@ -12,7 +12,8 @@ active-train columns ordered by margin per predicate (snapshot.EpisodeView),
 plus the episode's Python lists (dialog.Episode): one signed label row per
 predicate, 0 where a pair has no label, and the example-queried flags. A row
 with no 0 left is exhausted. The sampling CDFs are memoised per batch in
-BatchRows.cdfs (snapshot.BatchRows).
+BatchRows.cdfs (snapshot.BatchRows). A beam is a list of (kind, view row,
+active-train column) actions (actions.py): the guess, then the queries drawn.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .actions import Action, ExampleQuery, Guess, LabelQuery
+from .actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, Action
 from .errors import DataError, check_int, check_real
 
 if TYPE_CHECKING:
@@ -157,7 +158,7 @@ def build_beam(
     cfg: BeamConfig,
     rng: np.random.Generator,
 ) -> list[Action]:
-    """Guess plus up to n_label label queries and n_example example queries.
+    """The guess, then up to n_label label queries and n_example example queries.
 
     `labeled` is the episode's label record, one row per view predicate over
     the active-train columns, nonzero where a pair has a label; `asked` flags
@@ -165,7 +166,7 @@ def build_beam(
     beam collapses to the forced guess. Label candidates skip predicates
     whose rows hold no 0; example candidates skip asked predicates.
     """
-    beam: list[Action] = [Guess()]
+    beam: list[Action] = [GUESS_ACTION]
     if turn >= t_max:
         return beam
 
@@ -174,10 +175,10 @@ def build_beam(
         if 0 not in labels:
             continue
         col = best_object_for_predicate(view, row, labels, rng)
-        beam.append(LabelQuery(predicate=view.predicates[row], region=view.train_rows[col]))
+        beam.append((LABEL_QUERY, row, col))
 
     pool = [i for i, done in enumerate(asked) if not done]
     if pool:
         for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, view.cdfs):
-            beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
+            beam.append((EXAMPLE_QUERY, pool[k], -1))
     return beam

@@ -10,7 +10,7 @@ and leave the generator in the same state, and every CDF must equal `cdf`.
 
 import numpy as np
 
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.errors import DataError
 from oalsim.querygen import sample_predicates
 
@@ -34,7 +34,7 @@ def best_object_for_predicate(view, row: int, free: np.ndarray, rng) -> int:
 
 
 def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, rng) -> list:
-    beam = [Guess()]
+    beam = [GUESS_ACTION]
     if turn >= t_max:
         return beam
     for row in sample_predicates(view.sampling, cfg.n_label, rng, {}):
@@ -42,9 +42,9 @@ def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, r
         if not free.any():
             continue
         col = best_object_for_predicate(view, row, free, rng)
-        beam.append(LabelQuery(predicate=view.predicates[row], region=view.train_rows[col]))
+        beam.append((LABEL_QUERY, row, col))
     pool = np.flatnonzero(~asked)
     if len(pool):
         for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, {}):
-            beam.append(ExampleQuery(predicate=view.predicates[pool[k]]))
+            beam.append((EXAMPLE_QUERY, int(pool[k]), -1))
     return beam

@@ -6,30 +6,36 @@ entry by entry, reading the view, the agent stats the episode's batch froze
 and the density index directly;
 `featurize_beam` stacks it over a beam. Every beam array must equal the
 stacked oracle bit for bit.
+
+An action is (kind, view row, active-train column). The oracle resolves it
+to the predicate's name and the object's region row first, then looks both
+up through `view.index` and `view.train_rows.index`, so it shares no
+indexing with featurize.
 """
 
 import numpy as np
 
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY
 from oalsim.features import INDEX, N_FEATURES, FeatureContext
 from oalsim.perception import density_stats
 
 
 def featurize_action(action, turn: int, ctx: FeatureContext, stats) -> np.ndarray:
-    if isinstance(action, Guess):
+    kind, row, col = action
+    if kind == GUESS:
         vec = ctx.guess.copy()
         vec[INDEX["act_guess"]] = 1.0
     else:
         vec = np.zeros(N_FEATURES)
     vec[INDEX["turn_frac"]] = turn / ctx.t_max
 
-    if isinstance(action, LabelQuery):
+    if kind == LABEL_QUERY:
         vec[INDEX["act_label_query"]] = 1.0
-        row = _fill_query(vec, ctx, stats, action.predicate)
-        _fill_label_object(vec, ctx, row, action.region)
-    elif isinstance(action, ExampleQuery):
+        row = _fill_query(vec, ctx, stats, ctx.view.predicates[row])
+        _fill_label_object(vec, ctx, row, ctx.view.train_rows[col])
+    elif kind == EXAMPLE_QUERY:
         vec[INDEX["act_example_query"]] = 1.0
-        _fill_query(vec, ctx, stats, action.predicate)
+        _fill_query(vec, ctx, stats, ctx.view.predicates[row])
 
     if ctx.mask is not None:
         vec[ctx.mask] = 0.0

@@ -487,11 +487,16 @@ class TestReport:
           "'lengths'"),
          ("summary.json", json.dumps({"final_test_batch": {
              **REPORT_FINAL, "success_indicators": [], "lengths": []}}), "success"),
+         ("summary.json", json.dumps({"final_test_batch": {
+             "success_rate": 0.9, "mean_length": 3.0,
+             "success_indicators": [0, 0, 0, 0], "lengths": [16, 16, 16, 16]}}), "success_rate"),
+         ("summary.json", json.dumps({"final_test_batch": {**REPORT_FINAL, "mean_length": 3.0}}),
+          "mean_length"),
          *[("summary.json", json.dumps({"final_test_batch": {**REPORT_FINAL, key: value}}),
             key.split("_")[0]) for key, value in BAD_FINAL_FIELDS]],
         ids=["manifest-not-json", "summary-empty", "no-fingerprint", "fingerprint-list",
              "summary-list",
-             "no-lengths", "no-dialogs",
+             "no-lengths", "no-dialogs", "rates-not-of-the-lists", "mean-length-not-of-the-lists",
              *[f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in BAD_FINAL_FIELDS]],
     )
     def test_a_run_file_report_cannot_read_is_a_data_error(

@@ -1,8 +1,8 @@
 """Every module-level private function or class, and every private method of a
 module-level class, in the package has a caller; every public module-level
-function or class is referenced elsewhere in the package or exported by
-oalsim/__init__.py; and every error class in oalsim.errors is raised or
-caught somewhere in it.
+function or class, and every module-level assigned name, is referenced
+elsewhere in the package or exported by oalsim/__init__.py; and every error
+class in oalsim.errors is raised or caught somewhere in it.
 
 A private name is one that starts with a single underscore; nothing outside
 the package may use it, so a private name that no other code in the package
@@ -52,22 +52,27 @@ def _definitions(body: list[ast.stmt]):
 def _unreferenced(definitions) -> list[str]:
     """The definitions that no code in the package references outside themselves.
 
-    `definitions` maps a module body to the definitions to check in it.
+    `definitions` maps a module body to the (name, node) pairs to check in
+    it, where `node` is the statement that defines the name.
     """
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    checked = [(module, node) for module, tree in trees.items() for node in definitions(tree.body)]
+    checked = [
+        (module, name, node)
+        for module, tree in trees.items()
+        for name, node in definitions(tree.body)
+    ]
     assert checked
     return [
-        f"{module}:{node.lineno} {node.name}"
-        for module, node in checked
-        if not any(node.name in _references(other, node) for other in trees.values())
+        f"{module}:{node.lineno} {name}"
+        for module, name, node in checked
+        if not any(name in _references(other, node) for other in trees.values())
     ]
 
 
 def test_private_definitions_are_referenced():
     def private(body):
         return (
-            node for node in _definitions(body)
+            (node.name, node) for node in _definitions(body)
             if node.name.startswith("_") and not node.name.startswith("__")
         )
 
@@ -79,12 +84,31 @@ def test_public_definitions_are_referenced_or_exported():
     # oalsim/__init__.py is reachable only by its module path
     def public(body):
         return (
-            node for node in body
+            (node.name, node) for node in body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
         )
 
     assert _unreferenced(public) == []
+
+
+def test_module_constants_are_referenced_or_exported():
+    # a module-level name that nothing reads, such as an action kind that no
+    # code builds or tests for, documents a value the package does not use
+    def assigned(body):
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node
+
+    assert _unreferenced(assigned) == []
 
 
 def test_error_classes_are_raised_or_caught():

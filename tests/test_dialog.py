@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.corpus import Corpus, Interaction, Region
 from oalsim.dialog import (
     Episode,
@@ -52,9 +52,22 @@ def _toy_world(positives_for_white=("t2", "t5")):
     return corpus, interaction
 
 
+PREDICATES = ("blue", "green", "red", "white")
+ROW = {p: i for i, p in enumerate(PREDICATES)}  # the toy view's row of a predicate
+COL = {f"t{i}": i for i in range(8)}  # the active-train column of a region id
+
+
 def _row(rid):
     """The toy corpus row of a region id."""
     return _toy_world()[0].row[rid]
+
+
+def _label(predicate, rid):
+    return LABEL_QUERY, ROW[predicate], COL[rid]
+
+
+def _example(predicate):
+    return EXAMPLE_QUERY, ROW[predicate], -1
 
 
 def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models=None):
@@ -62,7 +75,7 @@ def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models
         corpus, interaction = _toy_world()
     view = episode_view(
         models or {},
-        ("blue", "green", "red", "white"),
+        PREDICATES,
         interaction.active_train,
         interaction.active_test,
         corpus.X,
@@ -85,9 +98,9 @@ class TestLifecycle:
 
     def test_step_after_termination(self):
         ep = _episode()
-        ep.step(Guess())
+        ep.step(GUESS_ACTION)
         with pytest.raises(ProtocolError):
-            ep.step(Guess())
+            ep.step(GUESS_ACTION)
 
     def test_empty_description_rejected(self):
         corpus, interaction = _toy_world()
@@ -104,18 +117,36 @@ class TestLifecycle:
 class TestOracle:
     def test_label_query_membership(self):
         ep = _episode()
-        assert ep.answer_label_query("red", _row("t0")) == 1
-        assert ep.answer_label_query("red", _row("t1")) == -1  # closed world
+        assert ep.answer_label_query(ROW["red"], COL["t0"]) == 1
+        assert ep.answer_label_query(ROW["red"], COL["t1"]) == -1  # closed world
 
-    def test_label_query_outside_active_train(self):
+    @pytest.mark.parametrize(
+        "action",
+        [
+            (LABEL_QUERY, ROW["red"], -1),
+            (LABEL_QUERY, ROW["red"], 8),
+            (LABEL_QUERY, len(PREDICATES), 0),
+            (LABEL_QUERY, -1, 0),
+            (EXAMPLE_QUERY, len(PREDICATES), -1),
+            (EXAMPLE_QUERY, -1, -1),
+        ],
+        ids=["column-minus-1", "column-8", "row-4", "row-minus-1", "example-row-4",
+             "example-row-minus-1"],
+    )
+    def test_label_query_outside_active_train(self, action):
+        # a Python list would wrap -1 to the last row or column
         ep = _episode()
-        with pytest.raises(ProtocolError):
-            ep.answer_label_query("red", _row("o0"))
+        known = [list(row) for row in ep.known]
+        with pytest.raises(ProtocolError, match="outside"):
+            ep.step(action)
+        assert ep.known == known and ep.pending_labels == []
+        assert ep.asked == [False] * len(PREDICATES)
+        assert ep.turn == 0 and ep.transcript == []
 
     def test_label_query_repeat_is_consistent(self):
         ep = _episode()
-        first = ep.answer_label_query("blue", _row("t3"))
-        assert ep.answer_label_query("blue", _row("t3")) == first
+        first = ep.answer_label_query(ROW["blue"], COL["t3"])
+        assert ep.answer_label_query(ROW["blue"], COL["t3"]) == first
         assert len(ep.pending_labels) == 1
 
     def test_labels_held_by_the_view_are_not_pending(self):
@@ -125,18 +156,18 @@ class TestOracle:
         ep = _episode(models={"blue": model})
         assert ep.known[0] == [0, 0, 0, 1, 0, 0, 0, 0]
         assert not any(any(row) for row in ep.known[1:])
-        assert ep.answer_label_query("blue", _row("t3")) == 1
+        assert ep.answer_label_query(ROW["blue"], COL["t3"]) == 1
         assert ep.pending_labels == []
 
     def test_label_contradicting_the_view_is_a_flip(self):
         model = PredicateModel(predicate="blue")
         model.record_label(_row("t3"), -1)  # t3 is annotated blue
         with pytest.raises(ContractError, match="flipped"):
-            _episode(models={"blue": model}).answer_label_query("blue", _row("t3"))
+            _episode(models={"blue": model}).answer_label_query(ROW["blue"], COL["t3"])
 
     def test_example_query_with_positives(self):
         ep = _episode()
-        rid = ep.answer_example_query("white")
+        rid = ep.answer_example_query(ROW["white"])
         assert rid in (_row("t2"), _row("t5"))
         assert ("white", rid, 1) in ep.pending_labels
 
@@ -145,46 +176,46 @@ class TestOracle:
         n = 10_000
         for i in range(n):
             ep = _episode(seed=i)
-            counts[ep.answer_example_query("white")] += 1
+            counts[ep.answer_example_query(ROW["white"])] += 1
         # binomial(n, 0.5): three sigma around n/2
         sigma = (n * 0.25) ** 0.5
         assert abs(counts[_row("t2")] - n / 2) < 3 * sigma
 
     def test_example_query_none_labels_all_negative(self):
         ep = _episode()
-        assert ep.answer_example_query("green") is None
+        assert ep.answer_example_query(ROW["green"]) is None
         assert len(ep.pending_labels) == 8
         assert all(lbl == -1 for (_, _, lbl) in ep.pending_labels)
 
     def test_example_never_returns_nonmember(self):
         for i in range(200):
             ep = _episode(seed=i)
-            rid = ep.answer_example_query("red")
+            rid = ep.answer_example_query(ROW["red"])
             assert "red" in ep.annotations[rid]
 
 
 class TestStep:
     def test_correct_guess_reward(self):
         ep = _episode(guess="o1")
-        reward, done = ep.step(Guess())
+        reward, done = ep.step(GUESS_ACTION)
         assert reward == 200 and done and ep.success
 
     def test_incorrect_guess_reward(self):
         ep = _episode(guess="o0")
-        reward, done = ep.step(Guess())
+        reward, done = ep.step(GUESS_ACTION)
         assert reward == -100 and done and not ep.success
 
     def test_label_query_reward(self):
         ep = _episode()
-        reward, done = ep.step(LabelQuery(predicate="red", region=_row("t0")))
+        reward, done = ep.step(_label("red", "t0"))
         assert reward == -1 and not done
 
     def test_three_queries_then_correct_guess(self):
         ep = _episode(guess="o1")
-        ep.step(LabelQuery(predicate="red", region=_row("t0")))
-        ep.step(ExampleQuery(predicate="white"))
-        ep.step(LabelQuery(predicate="blue", region=_row("t1")))
-        ep.step(Guess())
+        ep.step(_label("red", "t0"))
+        ep.step(_example("white"))
+        ep.step(_label("blue", "t1"))
+        ep.step(GUESS_ACTION)
         assert sum(s.reward for s in ep.transcript) == 197
         assert ep.length() == 4
         assert ep.success
@@ -192,24 +223,24 @@ class TestStep:
     def test_guess_reads_the_current_grounding(self):
         # run_episode reassigns the guess row when an immediate refit regrounds
         ep = _episode(guess="o0")
-        ep.step(LabelQuery(predicate="red", region=_row("t0")))
+        ep.step(_label("red", "t0"))
         ep.guess = _row("o1")
-        reward, done = ep.step(Guess())
+        reward, done = ep.step(GUESS_ACTION)
         assert done and ep.success and reward == 200
 
     def test_turn_cap_forces_guess(self):
         ep = _episode(t_max=2)
-        ep.step(LabelQuery(predicate="red", region=_row("t0")))
-        ep.step(LabelQuery(predicate="red", region=_row("t1")))
+        ep.step(_label("red", "t0"))
+        ep.step(_label("red", "t1"))
         with pytest.raises(ProtocolError):
-            ep.step(LabelQuery(predicate="red", region=_row("t2")))
-        ep.step(Guess())
+            ep.step(_label("red", "t2"))
+        ep.step(GUESS_ACTION)
         assert ep.terminated and ep.length() == 3 <= ep.t_max + 1
 
     def test_transcript_rewards_shape(self):
         ep = _episode(guess="o0")
-        ep.step(ExampleQuery(predicate="white"))
-        ep.step(Guess())
+        ep.step(_example("white"))
+        ep.step(GUESS_ACTION)
         rewards = [s.reward for s in ep.transcript]
         assert rewards[:-1] == [-1.0] * (len(rewards) - 1)
         assert rewards[-1] in (200.0, -100.0)
@@ -256,12 +287,15 @@ class TestRewardConfig:
 def test_transcript_export():
     ep = _episode(guess="o1")
     feats = np.zeros((3, 28))
-    ep.step(LabelQuery(predicate="red", region=_row("t0")), feats, 1)
-    ep.step(Guess(), feats, 0)
+    ep.step(_label("red", "t0"), feats, 1)
+    ep.step(_example("white"), feats, 2)
+    ep.step(GUESS_ACTION, feats, 0)
     ids = _toy_world()[0].ids
     lines = [json.loads(json.dumps(rec)) for rec in transcript_records("e0", ep, ids)]
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0]["action"] == "label:red@t0"
     assert lines[0]["turn"] == 0 and lines[0]["reward"] == -1
-    assert lines[1]["action"] == "guess" and lines[1]["reward"] == 200
+    assert lines[1]["action"] == "example:white"
+    assert lines[1]["turn"] == 1 and lines[1]["reward"] == -1
+    assert lines[2]["action"] == "guess" and lines[2]["reward"] == 200
     assert len(lines[0]["features"]) == 28

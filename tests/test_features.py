@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oalsim import harness
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.agent import Agent
 from oalsim.features import N_FEATURES
 from oalsim.harness import Experiment
@@ -55,7 +55,7 @@ def test_every_beam_equals_the_stacked_oracle(
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
         seen["turns"] += 1
-        seen["labels"] += sum(isinstance(a, LabelQuery) for a in beam)
+        seen["labels"] += sum(kind == LABEL_QUERY for kind, _, _ in beam)
         seen["after_refit"] += bool(refits)
         return got
 
@@ -98,10 +98,9 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     )
     ctx = feature_context(view, desc, agent.stats, small_density)
     for beam, turn in (
-        ([Guess()], 40),
-        ([Guess()] + [ExampleQuery(predicate=p) for p in view.predicates], 3),
-        ([Guess()] + [LabelQuery(predicate=p, region=inter.active_train[1])
-                      for p in view.predicates], 7),
+        ([GUESS_ACTION], 40),
+        ([GUESS_ACTION] + [(EXAMPLE_QUERY, row, -1) for row in range(len(view.predicates))], 3),
+        ([GUESS_ACTION] + [(LABEL_QUERY, row, 1) for row in range(len(view.predicates))], 7),
     ):
         got = harness.featurize(beam, turn, ctx)
         assert got.tobytes() == featurize_beam(beam, turn, ctx, agent.stats).tobytes()

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sps
 
 from oalsim import harness
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.agent import Agent
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
@@ -147,21 +147,29 @@ class TestRunBatch:
             for p, row, label in o.pending:
                 assert (label == 1) == (p in small_corpus.annotations[row])
 
-    def test_pending_labels_exclude_base_labels(self, small_experiment, live_transcripts):
+    def test_pending_labels_exclude_base_labels(self, small_experiment, monkeypatch):
         # a second batch, where the agent already holds the first batch's labels
         plan = small_experiment.phase_plan()[0]
         agent = Agent()
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         small_experiment.apply_batch_end(agent, merged, outcomes)
         base = {p: m.labels for p, m in agent.models.items()}
-        live_transcripts.clear()
+        episodes = []  # the second batch's dialogs, whose views name their actions' rows
+        run_episode = Experiment.run_episode
+
+        def recorded(self, *args):
+            outcome, episode = run_episode(self, *args)
+            episodes.append(episode)
+            return outcome, episode
+
+        monkeypatch.setattr(Experiment, "run_episode", recorded)
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
         asked = [
-            (step.action.predicate, rid)
-            for o, transcript in zip(outcomes, live_transcripts, strict=True)
-            for step in transcript
-            if isinstance(step.action, ExampleQuery)
-            for rid in o.interaction.active_train
+            (episode.view.predicates[row], rid)
+            for episode in episodes
+            for kind, row, _ in (step.action for step in episode.transcript)
+            if kind == EXAMPLE_QUERY
+            for rid in episode.interaction.active_train
         ]
         assert any(rid in base.get(p, {}) for p, rid in asked)
         pending = [(p, rid) for o in outcomes for p, rid, _ in o.pending]
@@ -921,7 +929,8 @@ class TestImmediateUpdates:
         assert view.by_margin == by_margin
         assert np.array_equal(ctx.queries, queries)
         # the label feature reads the view's copy, so it counts the new label
-        got = featurize([Guess(), LabelQuery("zz-new", x)], 3, ctx)
+        query = (LABEL_QUERY, view.index["zz-new"], 0)  # x is active-train column 0
+        got = featurize([GUESS_ACTION, query], 3, ctx)
         k = exp.density.k
         assert got[1, INDEX["label_knn_unlabeled"]] == (k - 1) / k
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus
 from oalsim.errors import PolicyUpdateError
@@ -198,32 +198,32 @@ class TestLearningRateAndBaseline:
 
 class TestStaticPolicy:
     BEAM = [
-        Guess(),
-        LabelQuery(predicate="a", region=0),
-        LabelQuery(predicate="b", region=1),
-        ExampleQuery(predicate="c"),
-        ExampleQuery(predicate="d"),
+        GUESS_ACTION,
+        (LABEL_QUERY, 0, 0),
+        (LABEL_QUERY, 1, 1),
+        (EXAMPLE_QUERY, 2, -1),
+        (EXAMPLE_QUERY, 3, -1),
     ]
 
     def test_guess_at_query_budget(self):
         idx = static_policy_act(15, self.BEAM, 15, stream(9, "s"))
-        assert isinstance(self.BEAM[idx], Guess)
+        assert self.BEAM[idx] == GUESS_ACTION
 
     def test_label_first(self):
         idx = static_policy_act(0, self.BEAM, 15, stream(10, "s"))
-        assert isinstance(self.BEAM[idx], LabelQuery)
+        assert self.BEAM[idx][0] == LABEL_QUERY
 
     def test_example_on_odd_turns(self):
         idx = static_policy_act(1, self.BEAM, 15, stream(11, "s"))
-        assert isinstance(self.BEAM[idx], ExampleQuery)
+        assert self.BEAM[idx][0] == EXAMPLE_QUERY
 
     def test_fallback_to_other_type(self):
-        beam = [Guess(), ExampleQuery(predicate="c")]
+        beam = [GUESS_ACTION, (EXAMPLE_QUERY, 2, -1)]
         idx = static_policy_act(0, beam, 15, stream(12, "s"))
-        assert isinstance(beam[idx], ExampleQuery)
+        assert beam[idx][0] == EXAMPLE_QUERY
 
     def test_fallback_to_guess(self):
-        beam = [Guess()]
+        beam = [GUESS_ACTION]
         assert static_policy_act(3, beam, 15, stream(13, "s")) == 0
 
 
@@ -239,15 +239,24 @@ def _guess_context(models, stats=None, mask=None):
 
 
 def _features(action, ctx):
-    """The action's row of a turn-0 beam: [Guess()] or [Guess(), action]."""
-    beam = [Guess()] if isinstance(action, Guess) else [Guess(), action]
+    """The action's row of a turn-0 beam: [GUESS_ACTION] or [GUESS_ACTION, action]."""
+    beam = [GUESS_ACTION] if action == GUESS_ACTION else [GUESS_ACTION, action]
     return featurize(beam, 0, ctx)[-1]
+
+
+def _label(ctx, predicate, col):
+    """The label query of `predicate` on active-train column `col` of the context's view."""
+    return LABEL_QUERY, ctx.view.index[predicate], col
+
+
+def _example(ctx, predicate):
+    return EXAMPLE_QUERY, ctx.view.index[predicate], -1
 
 
 class TestFeaturize:
     def test_fresh_agent_guess_is_zero_state(self):
         ctx = _guess_context(models={})
-        vec = _features(Guess(), ctx)
+        vec = _features(GUESS_ACTION, ctx)
         assert vec[INDEX["turn_frac"]] == 0.0
         assert vec[INDEX["act_guess"]] == 1.0
         for name in ("guess_f1_min", "guess_f1_max", "guess_f1_mean", "guess_top_score"):
@@ -255,7 +264,7 @@ class TestFeaturize:
 
     def test_worked_guess_features(self):
         ctx = _guess_context(models=None)
-        vec = _features(Guess(), ctx)
+        vec = _features(GUESS_ACTION, ctx)
         assert vec[INDEX["guess_top_score"]] == pytest.approx(1.3 / 2)
         assert vec[INDEX["guess_score_gap_second"]] == pytest.approx(0.8 / 2)
         assert vec[INDEX["guess_f1_max"]] == pytest.approx(0.9)
@@ -265,14 +274,14 @@ class TestFeaturize:
 
     def test_opportunistic_indicator(self):
         ctx = _guess_context(models=None)
-        on_topic = _features(LabelQuery(predicate="p1", region=0), ctx)
-        off_topic = _features(LabelQuery(predicate="zeta", region=0), ctx)
+        on_topic = _features(_label(ctx, "p1", 0), ctx)
+        off_topic = _features(_label(ctx, "zeta", 0), ctx)
         assert on_topic[INDEX["query_opportunistic"]] == 0.0
         assert off_topic[INDEX["query_opportunistic"]] == 1.0
 
     def test_action_type_zero_blocks(self):
         ctx = _guess_context(models=None)
-        beam = [Guess(), LabelQuery(predicate="p1", region=0), ExampleQuery(predicate="p1")]
+        beam = [GUESS_ACTION, _label(ctx, "p1", 0), _example(ctx, "p1")]
         guess_vec, label_vec, example_vec = featurize(beam, 0, ctx)
         guess_only = [s.index for s in REGISTRY if s.actions == ("guess",)]
         query_only = [s.index for s in REGISTRY if "guess" not in s.actions]
@@ -284,7 +293,7 @@ class TestFeaturize:
 
     def test_vectors_finite_and_sized(self):
         ctx = _guess_context(models=None)
-        for action in (Guess(), LabelQuery("p1", region=1), ExampleQuery(predicate="p2")):
+        for action in (GUESS_ACTION, _label(ctx, "p1", 1), _example(ctx, "p2")):
             vec = _features(action, ctx)
             assert vec.shape == (N_FEATURES,)
             assert np.all(np.isfinite(vec))
@@ -292,13 +301,13 @@ class TestFeaturize:
     def test_usage_stats_features(self):
         stats = AgentStats(used={"p1": 4}, succeeded={"p1": 3}, dialogs=10)
         ctx = _guess_context(models=None, stats=stats)
-        vec = _features(ExampleQuery(predicate="p1"), ctx)
+        vec = _features(_example(ctx, "p1"), ctx)
         assert vec[INDEX["query_usage_freq"]] == pytest.approx(0.4)
         assert vec[INDEX["query_usage_success"]] == pytest.approx(0.75)
 
     def test_new_predicate_margin_path(self):
         ctx = _guess_context(models=None)
-        vec = _features(LabelQuery(predicate="unseen", region=0), ctx)
+        vec = _features(_label(ctx, "unseen", 0), ctx)
         assert vec[INDEX["query_new_predicate"]] == 1.0
         assert vec[INDEX["label_margin"]] == 0.0
         assert vec[INDEX["label_knn_unlabeled"]] == 1.0
@@ -307,8 +316,8 @@ class TestFeaturize:
         mask = resolve_mask(["guess"])
         ctx_full = _guess_context(models=None)
         ctx_masked = _guess_context(models=None, mask=mask)
-        full = _features(Guess(), ctx_full)
-        masked = _features(Guess(), ctx_masked)
+        full = _features(GUESS_ACTION, ctx_full)
+        masked = _features(GUESS_ACTION, ctx_masked)
         assert np.all(masked[mask] == 0)
         assert np.array_equal(masked[~mask], full[~mask])
 

@@ -7,7 +7,7 @@ from scipy import stats as sps
 
 import beam_oracle
 from oalsim import harness, querygen
-from oalsim.actions import ExampleQuery, Guess, LabelQuery
+from oalsim.actions import EXAMPLE_QUERY, GUESS, GUESS_ACTION, LABEL_QUERY
 from oalsim.errors import DataError
 from oalsim.harness import Experiment
 from oalsim.perception import PredicateModel
@@ -182,37 +182,37 @@ class TestBuildBeam:
     def test_fresh_beam_bounds(self):
         beam = self._beam()
         assert 1 <= len(beam) <= 7
-        assert isinstance(beam[0], Guess)
-        labels = [a for a in beam if isinstance(a, LabelQuery)]
-        examples = [a for a in beam if isinstance(a, ExampleQuery)]
+        assert beam[0] == GUESS_ACTION
+        labels = [a for a in beam if a[0] == LABEL_QUERY]
+        examples = [a for a in beam if a[0] == EXAMPLE_QUERY]
         assert len(labels) == 3 and len(examples) == 3
 
     def test_turn_cap_collapses_to_guess(self):
         beam = self._beam(turn=40)
-        assert len(beam) == 1 and isinstance(beam[0], Guess)
+        assert beam == [GUESS_ACTION]
 
     def test_no_labeled_pairs_in_beam(self):
         labeled = {p: set(range(7)) for p in "abcd"}
         for trial in range(50):
             beam = self._beam(labeled=labeled)
-            for action in beam:
-                if isinstance(action, LabelQuery):
-                    assert action.region not in labeled[action.predicate]
+            for kind, row, col in beam:
+                if kind == LABEL_QUERY:
+                    assert col not in labeled["abcd"[row]]  # the view rows are a..d, columns 0..7
 
     def test_exhausted_predicates_dropped(self):
         labeled = {p: set(range(8)) for p in "abcd"}
         beam = self._beam(labeled=labeled)
-        assert not [a for a in beam if isinstance(a, LabelQuery)]
+        assert not [a for a in beam if a[0] == LABEL_QUERY]
 
     def test_asked_examples_dropped(self):
         beam = self._beam(asked=("a", "b", "c", "d"))
-        assert not [a for a in beam if isinstance(a, ExampleQuery)]
-        assert [a for a in beam if isinstance(a, LabelQuery)]
+        assert not [a for a in beam if a[0] == EXAMPLE_QUERY]
+        assert [a for a in beam if a[0] == LABEL_QUERY]
 
     def test_guess_always_present(self):
         labeled = {p: set(range(8)) for p in "abcd"}
         beam = self._beam(labeled=labeled, asked=("a", "b", "c", "d"))
-        assert [a for a in beam if isinstance(a, Guess)]
+        assert [a for a in beam if a[0] == GUESS]
         assert len(beam) == 1
 
 
@@ -243,11 +243,11 @@ def test_every_beam_equals_the_numpy_oracle(
         )
         assert got == want
         assert rng.bit_generator.state == theirs.bit_generator.state
-        labels = [a for a in got if isinstance(a, LabelQuery)]
+        labels = [row for kind, row, _ in got if kind == LABEL_QUERY]
         seen["beams"] += 1
         seen["labels"] += len(labels)
-        seen["examples"] += sum(isinstance(a, ExampleQuery) for a in got)
-        seen["untrained"] += sum(not view.trained[view.index[a.predicate]] for a in labels)
+        seen["examples"] += sum(kind == EXAMPLE_QUERY for kind, _, _ in got)
+        seen["untrained"] += sum(not view.trained[row] for row in labels)
         return got
 
     monkeypatch.setattr(harness, "build_beam", checked)
