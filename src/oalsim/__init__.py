@@ -55,6 +55,7 @@ from .policy import (
 )
 from .querygen import (
     BeamConfig,
+    SamplingCDF,
     TriangularWeights,
     best_object_for_predicate,
     build_beam,

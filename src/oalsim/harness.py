@@ -327,10 +327,9 @@ class Experiment:
             episode.step(beam[chosen], beam_features, chosen)
             if immediate and len(episode.pending_labels) > n_before:
                 row = beam[chosen][1]  # a query's labels are all of its view row's predicate
-                predicate = view.predicates[row]
-                if self._refresh_models(view, predicate, episode.pending_labels[n_before:], agent):
+                if self._refresh_models(view, row, episode.pending_labels[n_before:], agent):
                     ctx.refit(row)
-                    if predicate in desc:  # grounding reads description rows only
+                    if view.predicates[row] in desc:  # grounding reads description rows only
                         (episode.guess,), (guess,) = ground(view_stack(desc, view))
                         ctx.set_guess(guess)
 
@@ -345,30 +344,29 @@ class Experiment:
     def _refresh_models(
         self,
         view: EpisodeView,
-        predicate: str,
+        row: int,
         new_labels: Sequence[tuple[str, int, int]],
         agent: Agent,
     ) -> bool:
-        """Immediate-update variant: retrain one predicate's classifier mid-episode.
+        """Immediate-update variant: retrain the classifier of one view row mid-episode.
 
         The agent's own models stay untouched until the batch end; the episode
         records the predicate's new labels on its view's copy of the model. If
         they hold both classes, the copy is fit alone, its F1 re-estimated and
         its view row rewritten; one class leaves it unfit. Returns whether it fit.
         """
-        i = view.index[predicate]
-        model = view.models[i]
+        predicate, model = view.predicates[row], view.models[row]
         if model is None:
-            view.models[i] = model = PredicateModel(predicate=predicate)
+            view.models[row] = model = PredicateModel(predicate=predicate)
         elif model is agent.models.get(predicate):
-            view.models[i] = model = model.clone()
+            view.models[row] = model = model.clone()
         for _, region, label in new_labels:
             model.record_label(region, label)
         if not model.trainable():
             return False
         train_classifier(model, self.corpus.X, self.config.classifier)
         model.f1 = estimate_f1(model, self.corpus.X, self.config.classifier)
-        view.update(predicate, model)
+        view.update(row, model)
         return True
 
     # -- batch ----------------------------------------------------------------

@@ -7,22 +7,24 @@ but not already good. Label queries pair the sampled predicate with the
 unlabeled active-train object closest to its hyperplane (uncertainty sampling);
 untrained predicates fall back to a uniform object pick.
 
-The beam reads the view's sampling weights and trained flags and the
-active-train columns ordered by margin per predicate (snapshot.EpisodeView),
-plus the episode's Python lists (dialog.Episode): one signed label row per
-predicate, 0 where a pair has no label, and the example-queried flags. A row
-with no 0 left is exhausted. The sampling CDFs are memoised per batch in
-BatchRows.cdfs (snapshot.BatchRows). A beam is a list of (kind, view row,
-active-train column) actions (actions.py): the guess, then the queries drawn.
+The beam reads the view's sampling weights, their one CDF (SamplingCDF,
+rebuilt by an immediate refit), the trained flags and the active-train
+columns ordered by margin per predicate (snapshot.EpisodeView), plus the
+episode's Python lists (dialog.Episode): one signed label row per predicate,
+0 where a pair has no label, and the example-queried flags. A row with no 0
+left is exhausted. Every draw picks the index Generator.choice picks over
+the live weights; sample_predicates finds it on the view's CDF and proves it
+with a rounding margin, or builds the live vector's own CDF. A beam is a
+list of (kind, view row, active-train column) actions (actions.py): the
+guess, then the queries drawn.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -31,16 +33,6 @@ from .errors import DataError, check_int, check_real
 
 if TYPE_CHECKING:
     from .snapshot import EpisodeView
-
-
-# Most CDFs a batch's memo holds (sample_predicates): one per distinct live
-# weight vector, about 0.5 KB with its key at 24 predicates, so at most about
-# 1 MB. Immediate refits make new vectors; past the cap a CDF is computed and
-# not kept. A batch of perfbench's workloads at seed 101 sees up to 4,583
-# vectors (desk); at this cap the memo keeps 96-100% of the hits an unbounded
-# one makes, and half or more of them are on vectors an earlier episode of the
-# batch drew, which a per-episode memo would miss (see README).
-CDF_MEMO_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -81,40 +73,159 @@ def triangular_weight(f1: float, params: TriangularWeights) -> float:
     return params.w_min + ((1.0 - f1) / (1.0 - params.c_max)) * span
 
 
+# The most weights for which _margin_pick's bound holds; SamplingCDF keeps
+# no CDF of more.
+_MARGIN_MAX_N = 1 << 20
+
+
+class SamplingCDF:
+    """One weight vector's inverse-sampling CDF and each entry's mass, built once.
+
+    `cdf` is the CDF _cdf builds from the weights, as a list, and `mass[i]`
+    is cdf[i] - cdf[i-1] (cdf[0] for i = 0), both computed in floats. Both
+    are None unless there are at most _MARGIN_MAX_N weights, all finite and
+    >= 0, with a positive sum: every draw then builds its live vector's own
+    CDF, which raises where Generator.choice's would. An EpisodeView holds
+    one over its sampling weights and builds it again when `update`
+    rewrites a weight.
+    """
+
+    __slots__ = ("weights", "cdf", "mass")
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+        self.cdf = self.mass = None
+        total = np.add.reduce(weights)
+        if 0.0 < total < math.inf and weights.min() >= 0.0 and len(weights) <= _MARGIN_MAX_N:
+            cdf = _cdf(weights)
+            mass = cdf.copy()
+            np.subtract(cdf[1:], cdf[:-1], out=mass[1:])
+            self.cdf, self.mass = cdf.tolist(), mass.tolist()
+
+
 def sample_predicates(
-    weights: np.ndarray,
+    sampling: SamplingCDF,
     count: int,
     rng: np.random.Generator,
-    cdfs: dict[bytes, array],
+    excluded: Sequence[int] = (),
 ) -> list[int]:
-    """Indices drawn without replacement under the weights; small pools come back whole.
+    """Indices drawn without replacement under the weights, outside `excluded`.
 
-    Each draw is the inverse-CDF draw `Generator.choice(n, p=probs)` makes, so
-    it picks the same index and leaves the generator in the same state. The
-    CDF of each live weight vector is looked up in `cdfs`, keyed by the
-    vector's bytes, and added there while it holds fewer than CDF_MEMO_CAP.
+    The pool is every index not in `excluded`, ascending; a pool of at most
+    `count` indices comes back whole, with no draw. Otherwise each of the
+    doubles r of rng.random(count) picks the index that
+    Generator.choice(len(live), p=live / live.sum()) picks with it, where
+    `live` is the pool's sub-vector of the weights with the earlier picks
+    zeroed, so the generator ends in the same state too. _margin_pick finds
+    the pick on the one CDF of `sampling`; where its rounding margin cannot
+    prove the pick, or `sampling` has no CDF, _exact_pick bisects the CDF of
+    `live` itself.
     """
-    n = len(weights)
-    if n == 0:
+    weights, cdf, mass = sampling.weights, sampling.cdf, sampling.mass
+    removed = sorted(excluded)  # and then the drawn indices, ascending
+    size = len(weights) - len(removed)
+    if size == 0:
         raise DataError("no predicates to sample from")
-    if n <= count:
-        return list(range(n))
-    alive = np.array(weights, dtype=np.float64)
+    if size <= count:
+        skip = set(removed)
+        return [i for i in range(len(weights)) if i not in skip]
+    gone = sum([mass[i] for i in removed]) if cdf is not None and removed else 0.0
+    delta = _margin(len(weights), len(removed) + count - 1)  # the most removed at any draw
     chosen: list[int] = []
     for r in rng.random(count).tolist():  # the doubles of `count` scalar draws
-        key = alive.tobytes()
-        cdf = cdfs.get(key)
-        if cdf is None:
-            cdf = _cdf(alive)
-            if len(cdfs) < CDF_MEMO_CAP:
-                cdfs[key] = cdf
-        idx = bisect_right(cdf, r)
-        chosen.append(idx)
-        alive[idx] = 0.0
+        pick = -1 if cdf is None else _margin_pick(cdf, mass, removed, gone, r, delta)
+        if pick < 0:
+            pick = _exact_pick(weights, removed, chosen, r)
+        chosen.append(pick)
+        insort(removed, pick)
+        if cdf is not None:
+            gone += mass[pick]
     return chosen
 
 
-def _cdf(weights: np.ndarray) -> array:
+def _margin_pick(
+    cdf: list[float], mass: list[float], removed: list[int], gone: float, r: float, delta: float
+) -> int:
+    """The pick of the double r, found on the CDF of all weights, or -1 where the margin fails.
+
+    `removed` holds the excluded and drawn indices, ascending, and `gone`
+    the sum of their masses. The target is t = r * (1 - gone), r times the
+    live mass. The walk bisects `cdf` at t plus `below`, the masses of the
+    removed indices under the pick, one bisect_right more per removed index
+    it passes. It ends on j with lo = cdf[j-1] - below <= t < hi = cdf[j] -
+    below, and j is the pick if it is live and both hi - t and t - lo exceed
+    delta, at least _margin(N, M) for N weights and M removed indices.
+
+    The margin comes from two bounds, for N <= _MARGIN_MAX_N weights
+    w_i >= 0 of exact sum W > 0, exact masses m_i = w_i / W and exact CDF
+    F_k = m_0 + ... + m_k. Let u = 2^-53, gamma_k = k u / (1 - k u),
+    g = gamma_{2N+1} and nu = (N + 2) 2^-1074. Both hold whatever order
+    numpy sums in.
+    - A CDF C computed as _cdf computes it (p = w / s, the prefix sums P of
+      p, C_k = P_k / P_{N-1}) has |C_k - F_k| <= g F_k + nu. The sum s
+      cancels in the ratio. Each term of P_k carries at most k+1 roundings
+      and each of P_{N-1} at most N, so C_k / F_k lies in
+      [(1-u)^(N+k+2), (1-u)^-(N+k+2)], within gamma_{2N+1} of 1 (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, 3.1 and
+      4.2); nu covers underflow. This holds for `cdf` and for the CDF of any
+      live vector, a sub-vector of at most N weights.
+    - A mass then lies within 2g + 2u + 3 nu of m_i, and a sum of at most M
+      masses within e = M (2g + 2u + 3 nu) + gamma_M (1 + M (2g + 2u + 3 nu))
+      of its exact value. So the reconstructed lo and hi lie within
+      g + nu + e + 2u of LO, the exact live mass below j, and HI = LO + m_j,
+      and t lies within e + 4u + nu of T = r R, R <= 1 the exact live mass.
+    If HI - T > g + nu and T - LO >= g + nu, bisecting the live vector's
+    computed CDF at r returns j: each entry before j is at most
+    LO / R + g + nu <= r, and entry j is at least HI / R - g - nu > r.
+    Computed hi - t and t - lo above delta make the exact ones exceed
+    delta / (1 + u) - 2g - 2e - 6u - 2 nu, which is at least g + nu when
+    delta >= (1 + u)(2g + 2e + 6u + 3 nu). A draw has two live weights or
+    more, so N >= 2 and u <= g / 5; with N, M <= 2^20 that right side is
+    below (5.21 M + 3.21)(2N + 1) u + 2^-1030, under the margin
+    (6M + 4)(2N + 1) u that _margin returns.
+    """
+    t = r * (1.0 - gone)
+    j = bisect_right(cdf, t)
+    below, top = 0.0, -1  # top: the last removed index walked past
+    for i in removed:
+        if i > j:
+            break
+        below += mass[i]
+        top = i
+        j = bisect_right(cdf, t + below, j)
+    if j == len(cdf) or top == j:
+        return -1
+    lo = (cdf[j - 1] if j else 0.0) - below
+    if cdf[j] - below - t > delta and t - lo > delta:
+        return j
+    return -1
+
+
+def _margin(n: int, m: int) -> float:
+    """_margin_pick's rounding margin for n weights and m removed indices: (6m + 4)(2n + 1) 2^-53.
+
+    The integer product is exact and below 2^53 for n, m <= _MARGIN_MAX_N.
+    """
+    return (6 * m + 4) * (2 * n + 1) * 2.0**-53
+
+
+def _exact_pick(weights: np.ndarray, removed: list[int], chosen: list[int], r: float) -> int:
+    """The pick of the double r on the exact CDF of the live vector.
+
+    The live vector is the pool's weights, in order, with the `chosen` ones
+    zeroed: the vector Generator.choice draws from. The pool is every index
+    not in `removed` or in `chosen`.
+    """
+    keep = np.ones(len(weights), dtype=bool)
+    keep[removed] = False
+    keep[chosen] = True
+    pool = np.flatnonzero(keep)
+    live = weights[pool]
+    live[np.searchsorted(pool, chosen)] = 0.0
+    return int(pool[bisect_right(_cdf(live).tolist(), r)])
+
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
     """The inverse-sampling CDF of the weights, as Generator.choice builds it.
 
     p = (w / w.sum()).cumsum(), then p /= p[-1]: the same values, built in
@@ -126,7 +237,7 @@ def _cdf(weights: np.ndarray) -> array:
     probs = np.divide(weights, total)
     np.add.accumulate(probs, out=probs)
     probs /= probs[-1]
-    return array("d", probs.tobytes())
+    return probs
 
 
 def best_object_for_predicate(
@@ -170,15 +281,15 @@ def build_beam(
     if turn >= t_max:
         return beam
 
-    for row in sample_predicates(view.sampling, cfg.n_label, rng, view.cdfs):
+    for row in sample_predicates(view.sampling_cdf, cfg.n_label, rng):
         labels = labeled[row]
         if 0 not in labels:
             continue
         col = best_object_for_predicate(view, row, labels, rng)
         beam.append((LABEL_QUERY, row, col))
 
-    pool = [i for i, done in enumerate(asked) if not done]
-    if pool:
-        for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, view.cdfs):
-            beam.append((EXAMPLE_QUERY, pool[k], -1))
+    done = [row for row, held in enumerate(asked) if held]
+    if len(done) < len(asked):
+        for row in sample_predicates(view.sampling_cdf, cfg.n_example, rng, done):
+            beam.append((EXAMPLE_QUERY, row, -1))
     return beam

@@ -5,15 +5,15 @@ immediate updates, for one predicate at a time inside an episode). BatchRows
 is the one representation of a batch's classifier state: built at the batch
 start from the agent's classifiers, it holds the rows of the batch's
 predicates over the batch's objects (F1, trained flags, sampling weights,
-margins, decisions and labels), never sized by the corpus, and the batch's
-memo of sampling CDFs (`cdfs`, see querygen.sample_predicates). An
-EpisodeView is one episode's gather from them: it owns its arrays, orders
-each row's train columns by margin, then region row, and seeds the
+margins, decisions and labels), never sized by the corpus. An EpisodeView
+is one episode's gather from them: it owns its arrays, holds the one CDF of
+its sampling weights that every beam draw reads (querygen.SamplingCDF),
+orders each row's train columns by margin, then region row, and seeds the
 episode's label record (dialog.Episode.known) with its label rows.
 `entries` writes every classifier row from classifier_rows' arrays: a
-batch's rows, and an immediate refit's row (EpisodeView.update). A
-predicate whose labels hold one class is never refit
-(harness.Experiment._refresh_models): its row stays that of no
+batch's rows, and an immediate refit's row (EpisodeView.update, which also
+builds the view's CDF again). A predicate whose labels hold one class is
+never refit (harness.Experiment._refresh_models): its row stays that of no
 classifier, while the view's copy of its model gathers the new labels.
 Beams, grounding and guess features read these arrays; nothing scores one
 object against one classifier at a time.
@@ -30,14 +30,13 @@ bits.
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .perception import MARGIN_NORM_FLOOR, PredicateModel
-from .querygen import TriangularWeights, triangular_weight
+from .querygen import SamplingCDF, TriangularWeights, triangular_weight
 
 if TYPE_CHECKING:
     from .corpus import Interaction
@@ -124,7 +123,6 @@ class BatchRows:
         self.first = np.array([first[p] for p in self.predicates], dtype=np.intp)
         self.models = [models.get(p) for p in self.predicates]
         self.params = params
-        self.cdfs: dict[bytes, array] = {}  # sample_predicates' memo for the batch
         self.X = X
         self.train_rows = _union(i.active_train for i in interactions)
         self.test_rows = _union(i.active_test for i in interactions)
@@ -155,8 +153,9 @@ class EpisodeView:
     Row i is predicates[i], batch row rows[i]; train columns follow
     train_rows (active_train), test columns test_rows (active_test), both
     region rows. Every array is the view's own gather from its batch's, so
-    `update`, which swaps in a refit classifier for one predicate, writes
-    this view only.
+    `update`, which swaps in a refit classifier for one row, writes this
+    view only. `sampling_cdf` is the CDF of the sampling weights that the
+    beam draws from.
     """
 
     def __init__(self, batch: BatchRows, episode: int):
@@ -172,9 +171,9 @@ class EpisodeView:
         train_cols = np.searchsorted(batch.train_rows, self.train_rows)
         test_cols = np.searchsorted(batch.test_rows, self.test_rows)
         self.train_by_row = np.argsort(train_cols, kind="stable")
-        self.cdfs = batch.cdfs
         self.f1 = batch.f1[rows]
         self.sampling = batch.sampling[rows]
+        self.sampling_cdf = SamplingCDF(self.sampling)
         self.trained = batch.trained[rows]
         grid = rows[:, None]
         self.margins = batch.margins[grid, train_cols]
@@ -191,13 +190,13 @@ class EpisodeView:
         order = np.argsort(margins[..., self.train_by_row], axis=-1, kind="stable")
         return self.train_by_row[order].tolist()
 
-    def update(self, predicate: str, model: PredicateModel) -> None:
-        """Replace one predicate's classifier, as an immediate refit does.
+    def update(self, i: int, model: PredicateModel) -> None:
+        """Replace the classifier of row i, as an immediate refit does.
 
         The row is written by `entries` from classifier_rows of this one
-        classifier, so it equals that of a batch built with it.
+        classifier, so it equals that of a batch built with it, and the
+        sampling CDF is built again over the new weights.
         """
-        i = self.index[predicate]
         self.models[i] = model
         X = self._batch.X
         rows = classifier_rows([model], X.shape[1], self._batch.params)
@@ -206,6 +205,7 @@ class EpisodeView:
         for dst, entry in zip(arrays, entries(*rows, *objects)):
             dst[i] = entry[0]
         self.by_margin[i] = self._by_margin(self.margins[i])
+        self.sampling_cdf = SamplingCDF(self.sampling)
 
     def labels(self) -> list[list[int]]:
         """The classifiers' labels of (predicates[i], train_rows[j]): +1, -1, 0 for none.

@@ -1,24 +1,39 @@
-"""The numpy beam, kept as the oracle for the list form.
+"""The numpy beam, kept as the oracle for the list form and the margin draw.
 
 `oalsim.querygen.build_beam` reads the episode's label record and its
-example-queried flags as Python lists. `build_beam` here is the form it
-replaced: it takes them as numpy arrays, finds a row's free columns with
-np.logical_not and the unasked predicates with np.flatnonzero. `cdf` is the
-original expression of a sampling CDF. Every beam must equal the oracle's
-and leave the generator in the same state, and every CDF must equal `cdf`.
+example-queried flags as Python lists, and draws predicates from the one
+CDF of the view's sampling weights. `build_beam` here takes the record and
+flags as numpy arrays, finds a row's free columns with np.logical_not and
+the unasked predicates with np.flatnonzero, and draws with Generator.choice
+over the live weights (`choice_reference`), over view.sampling for label
+queries and view.sampling[pool] for example queries. `cdf` is the original
+expression of a sampling CDF. Every beam must equal the oracle's and leave
+the generator in the same state, and every CDF must equal `cdf`.
 """
 
 import numpy as np
 
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.errors import DataError
-from oalsim.querygen import sample_predicates
 
 
 def cdf(weights: np.ndarray) -> np.ndarray:
     probs = (weights / weights.sum()).cumsum()
     probs /= probs[-1]
     return probs
+
+
+def choice_reference(weights: np.ndarray, count: int, rng) -> list[int]:
+    """Generator.choice over the live weights, one draw per index; small pools come back whole."""
+    if len(weights) <= count:
+        return list(range(len(weights)))
+    alive = np.ones(len(weights), dtype=bool)
+    chosen = []
+    for _ in range(count):
+        w = weights * alive
+        chosen.append(int(rng.choice(len(weights), p=w / w.sum())))
+        alive[chosen[-1]] = False
+    return chosen
 
 
 def best_object_for_predicate(view, row: int, free: np.ndarray, rng) -> int:
@@ -37,7 +52,7 @@ def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, r
     beam = [GUESS_ACTION]
     if turn >= t_max:
         return beam
-    for row in sample_predicates(view.sampling, cfg.n_label, rng, {}):
+    for row in choice_reference(view.sampling, cfg.n_label, rng):
         free = np.logical_not(labeled[row])
         if not free.any():
             continue
@@ -45,6 +60,6 @@ def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, r
         beam.append((LABEL_QUERY, row, col))
     pool = np.flatnonzero(~asked)
     if len(pool):
-        for k in sample_predicates(view.sampling[pool], cfg.n_example, rng, {}):
+        for k in choice_reference(view.sampling[pool], cfg.n_example, rng):
             beam.append((EXAMPLE_QUERY, int(pool[k]), -1))
     return beam

@@ -143,8 +143,8 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     queries = setups.queries.copy()
     first = setups.episode(0)
     donor = next(m for m in agent.models.values() if m.weights is not None and m.f1 > 0.0)
-    for p in first.view.predicates:  # every row of episode 0 gets another classifier
-        first.view.update(p, dataclasses.replace(donor.clone(), predicate=p))
+    for i, p in enumerate(first.view.predicates):  # every row of episode 0 gets another classifier
+        first.view.update(i, dataclasses.replace(donor.clone(), predicate=p))
     first.features.refit(list(range(len(first.view.predicates))))
     first.view.labels()[0][0] = 7
     for name, array in held.items():

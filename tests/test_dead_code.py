@@ -1,8 +1,9 @@
 """Every module-level private function or class, and every private method of a
 module-level class, in the package has a caller; every public module-level
 function or class, and every module-level assigned name, is referenced
-elsewhere in the package or exported by oalsim/__init__.py; and every error
-class in oalsim.errors is raised or caught somewhere in it.
+elsewhere in the package or exported by oalsim/__init__.py; every error
+class in oalsim.errors is raised or caught somewhere in it; and every
+attribute the package sets on `self` is read somewhere in it.
 
 A private name is one that starts with a single underscore; nothing outside
 the package may use it, so a private name that no other code in the package
@@ -165,3 +166,20 @@ def test_imported_names_are_used():
                     if (alias.asname or alias.name.partition(".")[0]) not in read
                 ]
     assert unused == []
+
+
+def test_attributes_set_on_self_are_read():
+    # an attribute that the package assigns on `self` and never reads, such as
+    # a memo that nothing looks up any more, is state kept for no reader
+    assigned: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                assigned.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    assert len(assigned) > 50
+    assert [f"{where} self.{name}" for name, where in assigned.items() if name not in read] == []

@@ -836,10 +836,10 @@ class TestImmediateUpdates:
             fitted.append((model.n_pos(), model.n_neg()))
             return train(model, *args)
 
-        def recorded_refresh(self, view, predicate, *args):
-            refits.append(refresh(self, view, predicate, *args))
+        def recorded_refresh(self, view, row, *args):
+            refits.append(refresh(self, view, row, *args))
             if refits[-1]:
-                unchecked.add(predicate)
+                unchecked.add(view.predicates[row])
             return refits[-1]
 
         def checked_featurize(beam, turn, ctx):
@@ -873,9 +873,9 @@ class TestImmediateUpdates:
         refits, rewrites = [], []
         refresh, rewrite = Experiment._refresh_models, FeatureContext.refit
 
-        def recorded_refresh(self, view, predicate, *args):
-            fit = refresh(self, view, predicate, *args)
-            refits.append(view.index[predicate] if fit else None)  # the row a fit rewrites
+        def recorded_refresh(self, view, row, *args):
+            fit = refresh(self, view, row, *args)
+            refits.append(row if fit else None)  # the row a fit rewrites
             return fit
 
         def recorded_rewrite(self, row):
@@ -915,9 +915,10 @@ class TestImmediateUpdates:
         by_margin, queries = [list(r) for r in view.by_margin], ctx.queries.copy()
 
         def refresh(predicate, region, label):
-            fit = exp._refresh_models(view, predicate, [(predicate, region, label)], agent)
+            row = view.index[predicate]
+            fit = exp._refresh_models(view, row, [(predicate, region, label)], agent)
             if fit:  # as run_episode does
-                ctx.refit(view.index[predicate])
+                ctx.refit(row)
             return fit
 
         assert not refresh("zz-new", rid, 1) and not refresh("zz-one", rid, 1)

@@ -13,6 +13,7 @@ from oalsim.harness import Experiment
 from oalsim.perception import PredicateModel
 from oalsim.querygen import (
     BeamConfig,
+    SamplingCDF,
     TriangularWeights,
     best_object_for_predicate,
     build_beam,
@@ -29,7 +30,7 @@ DEFAULTS = TriangularWeights()
 def sample_names(predicates, f1_of, count, params, rng):
     """Predicate names drawn by sample_predicates under the triangular weights of f1_of."""
     weights = triangular_weights(np.array([f1_of(p) for p in predicates], dtype=float), params)
-    return [predicates[i] for i in sample_predicates(weights, count, rng, {})]
+    return [predicates[i] for i in sample_predicates(SamplingCDF(weights), count, rng)]
 
 
 def best_object(model, active_train, features, labeled, rng):
