@@ -77,29 +77,33 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _apply_overrides(data: dict, args) -> dict:
+def _apply_overrides(data, args) -> dict:
+    """The config document with each --set written into it, then the experiment flags."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be an object")
+    overrides = []
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        keys = dotted.split(".")
-        node = data
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set {dotted}: {key} is not a section")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node[keys[-1]] = value
-    exp = data.setdefault("experiment", {})
-    if args.master_seed is not None:
-        exp["master_seed"] = args.master_seed
-    if args.policy is not None:
-        exp["policy_kind"] = args.policy
-    if args.ablate:
-        exp["ablate"] = list(args.ablate)
+        overrides.append((f"--set {dotted}", dotted, value))
+    for flag, key, value in (("--master-seed", "master_seed", args.master_seed),
+                             ("--policy", "policy_kind", args.policy),
+                             ("--ablate", "ablate", args.ablate or None)):
+        if value is not None:
+            overrides.append((flag, f"experiment.{key}", value))
+    for where, dotted, value in overrides:
+        *sections, last = dotted.split(".")
+        node = data
+        for key in sections:
+            node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{where}: {key} is not a section")
+        node[last] = value
     return data
 
 
@@ -146,15 +150,9 @@ def cmd_run(args) -> int:
 
 
 def _final_batch(final: dict) -> BatchMetrics:
-    """A summary's final test batch; ValueError unless it holds what a run writes, rates too."""
-    indicators, lengths = final["success_indicators"], final["lengths"]
-    if not (isinstance(indicators, list) and isinstance(lengths, list)
-            and 0 < len(indicators) == len(lengths)
-            and all(type(v) is int and v in (0, 1) for v in indicators)
-            and all(type(n) is int and n >= 1 for n in lengths)):
-        raise ValueError("success_indicators and lengths must be equally long, non-empty "
-                         "lists of integers 0 or 1 and >= 1")
-    batch = BatchMetrics("test", -1, {}, indicators, lengths)  # a summary keeps no batch index
+    """A summary's final test batch, whose stored rates must be those of its lists."""
+    # a summary keeps no batch index
+    batch = BatchMetrics("test", -1, {}, final["success_indicators"], final["lengths"])
     for name in ("success_rate", "mean_length"):
         check_real(name, final[name])
         if final[name] != getattr(batch, name):

@@ -212,9 +212,14 @@ def _load_jsonl(path) -> list[Region]:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}:{lineno}: record is not an object")
-            for key in ("id", "features", "annotations"):
-                if key not in rec:
-                    raise ParseError(f"{path}:{lineno}: missing field {key!r}")
+            for key, kinds, kind in (
+                ("id", str, "a string"), ("features", list, "a list"),
+                ("annotations", list, "a list"),
+                ("description", (str, list, type(None)), "a string, a list or absent"),
+            ):
+                if not isinstance(rec.get(key), kinds):
+                    got = type(rec[key]).__name__ if key in rec else "no such field"
+                    raise ParseError(f"{path}:{lineno}: {key} must be {kind}, got {got}")
             regions.append(
                 _region_from_record(
                     rec["id"],

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,13 +78,35 @@ RATES = ("success_rate", "mean_length", "mean_queries")  # BatchMetrics' rates, 
 
 @dataclass
 class BatchMetrics:
-    """One batch's per-dialog outcomes and new-label counts; the rates are read off them."""
+    """One batch's per-dialog outcomes and new-label counts; the rates are read off them.
+
+    ValueError, naming the field, unless it holds values of the kinds a run writes.
+    """
 
     phase: str
     batch: int
     label_counts: dict[str, int]
     success_indicators: list[int]
     lengths: list[int]
+
+    def __post_init__(self):
+        def ints(values, low):  # a bool is not an int here
+            return isinstance(values, list) and all(type(v) is int and v >= low for v in values)
+
+        def checks():  # in field order; each is tested once those before it hold
+            counts, dialogs = self.label_counts, self.success_indicators
+            yield "phase", type(self.phase) is str, "a string"
+            yield "batch", type(self.batch) is int, "an integer"
+            yield ("label_counts", isinstance(counts, dict) and all(type(p) is str for p in counts)
+                   and ints(list(counts.values()), 0), "a dict of integers >= 0 by predicate")
+            yield ("success_indicators", ints(dialogs, 0) and 0 < len(dialogs) and max(dialogs) < 2,
+                   "a non-empty list of integers 0 or 1")
+            yield ("lengths", ints(self.lengths, 1) and len(self.lengths) == len(dialogs),
+                   "a list of integers >= 1, one per success indicator")
+
+        for name, ok, kind in checks():
+            if not ok:
+                raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
 
     @property
     def success_rate(self) -> float:
@@ -537,14 +558,14 @@ class Experiment:
         """The cursor, theta, metrics rows and agent that checkpoint `state` resumes.
 
         It must come from this version, config and corpus. The metrics rows
-        must be the phase plan's first n batches, as a run writes them; the
-        cursor is the batch after them, or the plan's end, (3, 0). Theta must
-        be N_FEATURES finite numbers. The labels must be those of the last
-        finished batch's phase: as many per predicate as its rows count, each
-        on an active-train region of one of its dialogs, whose interactions
-        are drawn again (Agent.from_dict signs them). Anything else, a
-        missing key included, is a CheckpointError. At a cursor inside that
-        phase, the agent's usage stats replay its dialogs' observe_dialog
+        must be BatchMetrics of the plan's first n batches, batch_size dialogs
+        each; the cursor is the batch after them, or the plan's end, (3, 0).
+        Theta must be N_FEATURES finite numbers. The labels must be those of
+        the last finished batch's phase: as many per predicate as its rows
+        count, each on an active-train region of one of its dialogs, whose
+        interactions are drawn again (Agent.from_dict signs them). Anything
+        else, a missing key included, is a CheckpointError. At a cursor inside
+        that phase, the agent's usage stats replay its dialogs' observe_dialog
         calls, with the rows' success indicators.
         """
         if state.get("version") != CHECKPOINT_VERSION:
@@ -560,21 +581,18 @@ class Experiment:
         cursors.append((len(plans), 0))
         try:
             metrics = [BatchMetrics(**row) for row in state.get("metrics")]
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint metrics: {exc}") from exc
+        size = self.config.experiment.batch_size
         done = cursors[: len(metrics)]
-        if len(metrics) >= len(cursors) or [(m.phase, m.batch) for m in metrics] != [
-            (plans[p].name, b) for p, b in done
-        ]:
-            raise CheckpointError(
-                f"checkpoint metrics are not the phase plan's first {len(metrics)} batches"
-            )
+        rows = [(m.phase, m.batch, len(m.lengths)) for m in metrics]
+        if len(metrics) >= len(cursors) or rows != [(plans[p].name, b, size) for p, b in done]:
+            raise CheckpointError(f"checkpoint metrics are not the phase plan's first "
+                                  f"{len(metrics)} batches of {size} dialogs")
         theta = state.get("theta")
         if not (isinstance(theta, list) and len(theta) == N_FEATURES):
             raise CheckpointError(f"checkpoint theta must hold {N_FEATURES} numbers")
         try:
-            for m in metrics:
-                _check_metrics_row(m, self.config.experiment.batch_size)
             for v in theta:
                 check_real("checkpoint theta", v)
         except ConfigError as exc:
@@ -600,29 +618,6 @@ class Experiment:
                 for interaction, success in zip(batch, m.success_indicators):
                     agent.stats.observe_dialog(interaction.description_predicates, success)
         return cursor, np.asarray(theta, dtype=np.float64), metrics, agent
-
-
-def _check_metrics_row(m: BatchMetrics, batch_size: int) -> None:
-    """ConfigError unless a checkpoint's metrics row holds values of the kinds a run writes.
-
-    That is a str phase, an int batch, one success indicator and one length
-    per dialog of the batch, and a count per predicate.
-    """
-    where = f"checkpoint metrics {m.phase}/{m.batch}"
-    if type(m.phase) is not str or type(m.batch) is not int:
-        raise ConfigError(f"{where}: the phase must be a string and the batch an integer")
-    counts = m.label_counts
-    named = isinstance(counts, dict) and all(type(p) is str for p in counts)
-    for name, values, low, high in (
-        ("success_indicators", m.success_indicators, 0, 1),
-        ("lengths", m.lengths, 1, math.inf),
-        ("label_counts", list(counts.values()) if named else None, 0, math.inf),
-    ):
-        ok = isinstance(values, list) and all(type(v) is int and low <= v <= high for v in values)
-        if not ok:
-            raise ConfigError(f"{where} {name} must hold integers in [{low}, {high}]")
-    if not len(m.success_indicators) == len(m.lengths) == batch_size:
-        raise ConfigError(f"{where} must list the batch's {batch_size} dialogs")
 
 
 def checkpoint_save(path, state: dict) -> None:

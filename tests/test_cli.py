@@ -145,6 +145,30 @@ class TestRun:
         error = json.loads(err.strip().splitlines()[-1])
         assert error["error"] == "ConfigError" and "policy" in error["message"]
 
+    @pytest.mark.parametrize(
+        "document, flags, named",
+        [([1, 2], [], "root"), ([1, 2], ["--master-seed", "5"], "root"),
+         ({**SMALL_CONFIG, "experiment": [1]}, ["--master-seed", "5"], "experiment"),
+         ({**SMALL_CONFIG, "experiment": [1]}, ["--policy", "static"], "experiment"),
+         ({**SMALL_CONFIG, "experiment": [1]}, ["--ablate", "guess"], "experiment")],
+        ids=["root-list", "root-list-seed", "experiment-list-seed", "experiment-list-policy",
+             "experiment-list-ablate"],
+    )
+    def test_flags_on_a_config_that_is_no_object_are_config_errors(
+        self, tmp_path, capsys, document, flags, named
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(document))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "bad"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError" and named in error["message"]
+        assert not (tmp_path / "bad").exists()
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x")])
@@ -322,7 +346,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "key, value",
         [("success_rate", "abc"), ("mean_length", float("nan")), ("success_indicators", [2]),
-         ("lengths", [0]), ("label_counts", {"red": -1})],
+         ("lengths", [0]), ("label_counts", {"red": -1}), ("label_counts", {"red": True}),
+         ("label_counts", [1])],
     )
     def test_resume_refuses_a_malformed_metrics_row(
         self, tmp_path, config_path, capsys, key, value

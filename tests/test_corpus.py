@@ -1,4 +1,5 @@
 import json
+import re
 import weakref
 
 import numpy as np
@@ -77,6 +78,19 @@ class TestLoadRegions:
             fh.write(json.dumps(_record("r0")) + "\n")
             fh.write("{not json\n")
         with pytest.raises(ParseError, match=":2"):
+            load_regions(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("features", "123"), ("features", {"0": 0.1}), ("annotations", "red box"),
+         ("annotations", 5), ("description", 7), ("description", {"red": 1}),
+         ("id", None), ("id", 5)],
+    )
+    def test_a_field_of_the_wrong_kind_names_its_line(self, tmp_path, key, value):
+        # a string is not iterated into characters, nor a null id read as "None"
+        path = tmp_path / "corpus.jsonl"
+        _write_jsonl(path, [_record("r0"), {**_record("r1"), key: value}])
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {key} must be")):
             load_regions(path)
 
     def test_annotation_normalization(self, tmp_path):

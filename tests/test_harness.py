@@ -19,6 +19,7 @@ from oalsim.errors import CheckpointError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
     CHECKPOINT_VERSION,
+    BatchMetrics,
     Experiment,
     checkpoint_load,
     checkpoint_save,
@@ -658,13 +659,15 @@ class TestCheckpointing:
             lambda rows: rows[1].update(batch=True),
             lambda rows: rows[1].update(batch=1.0),
             lambda rows: rows[0].update(lengths=rows[0]["lengths"][:-1]),
+            lambda rows: rows[0].update(lengths=rows[0]["lengths"][:-1],
+                                        success_indicators=rows[0]["success_indicators"][:-1]),
             _v2_row,
         ],
         ids=["short", "long", "reordered", "skipped-batch", "wrong-phase", "missing-field",
              "extra-field", "not-a-row", "rate-string", "rate-bool", "length-inf",
              "queries-null", "indicator-2", "indicator-bool", "indicators-string", "length-0",
              "length-float", "lengths-null", "count-negative", "count-string", "counts-list",
-             "batch-bool", "batch-float", "lengths-short", "v2-row"],
+             "batch-bool", "batch-float", "lengths-short", "dialogs-short", "v2-row"],
     )
     def test_metrics_not_the_batches_before_the_cursor(
         self, small_experiment, small_checkpoints, edit
@@ -1056,6 +1059,34 @@ class TestCompareFinalBatches:
         assert cmp["return_gain"] == pytest.approx(
             first_returns([1], [3], self.REWARDS)[0] - first_returns([0], [16], self.REWARDS)[0]
         )
+
+
+# a record of the kinds a run writes: two dialogs, one label of "red"
+BATCH_FIELDS = {"phase": "test", "batch": 0, "label_counts": {"red": 1},
+                "success_indicators": [1, 0], "lengths": [3, 16]}
+
+
+class TestBatchMetrics:
+    def test_a_record_a_run_writes_is_accepted(self):
+        batch = BatchMetrics(**BATCH_FIELDS)
+        assert batch.rates() == {"success_rate": 0.5, "mean_length": 9.5, "mean_queries": 8.5}
+        assert BatchMetrics("init", 3, {}, [0], [1]).success_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("phase", None), ("phase", 0), ("batch", True), ("batch", 0.0), ("batch", "0"),
+         ("label_counts", None), ("label_counts", [1]), ("label_counts", {"red": True}),
+         ("label_counts", {"red": -1}), ("label_counts", {"red": 1.0}), ("label_counts", {1: 1}),
+         ("success_indicators", None), ("success_indicators", []), ("success_indicators", "10"),
+         ("success_indicators", (1, 0)), ("success_indicators", [1, 2]),
+         ("success_indicators", [1, -1]), ("success_indicators", [True, False]),
+         ("success_indicators", [1.0, 0]), ("lengths", None), ("lengths", [3]),
+         ("lengths", [3, 16, 4]), ("lengths", [3, 0]), ("lengths", [3, True]),
+         ("lengths", [3, 16.0]), ("lengths", "ab")],
+    )
+    def test_a_field_of_a_kind_no_run_writes_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BatchMetrics(**{**BATCH_FIELDS, field: value})
 
 
 class TestMetricsFiles:
