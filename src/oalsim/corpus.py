@@ -38,7 +38,7 @@ from .errors import (
     check_real,
 )
 from .perception import extract_predicates, normalize_token
-from .seeding import stream
+from .seeding import stream, streams
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,13 @@ def normalize_annotation(text: str) -> list[str]:
     return [norm for tok in cleaned.split() if (norm := normalize_token(tok))]
 
 
+def _text(entry, kind: str, where: str) -> str:
+    """An annotation or description entry, which must be a string."""
+    if not isinstance(entry, str):
+        raise ParseError(f"{where}: {kind} must be a string, got {entry!r}")
+    return entry
+
+
 def _region_from_record(
     rid: str,
     features: list,
@@ -161,7 +168,7 @@ def _region_from_record(
         raise ParseError(f"{where}: bad feature value ({exc})") from exc
     preds: set[str] = set()
     for ann in annotations:
-        preds.update(normalize_annotation(str(ann)))
+        preds.update(normalize_annotation(_text(ann, "annotation", where)))
     desc_preds: tuple[str, ...] = ()
     if description is not None and description != "":
         if isinstance(description, str):
@@ -169,7 +176,7 @@ def _region_from_record(
         else:
             toks = []
             for tok in description:
-                toks.extend(normalize_annotation(str(tok)))
+                toks.extend(normalize_annotation(_text(tok, "description entry", where)))
             desc_preds = tuple(dict.fromkeys(toks))
     for p in desc_preds:
         if p not in preds:
@@ -392,10 +399,12 @@ def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
             f"no predicate appears in >= {cfg.frequency_threshold} regions; "
             "lower the frequency threshold"
         )
-    rng = stream(cfg.seed, "split", "held-out")
+    held_rng, train_rng, test_rng = streams(
+        cfg.seed, ("split", "held-out"), ("split", "policy-train"), ("split", "policy-test")
+    )
     n_held = max(1, int(math.floor(cfg.test_fraction_of_frequent * len(frequent) + 0.5)))
     held = frozenset(
-        frequent[i] for i in sorted(rng.choice(len(frequent), size=n_held, replace=False))
+        frequent[i] for i in sorted(held_rng.choice(len(frequent), size=n_held, replace=False))
     )
 
     # In file order: a shuffle's draws depend only on the list's length
@@ -403,14 +412,14 @@ def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
     test_side = [row for row in file_rows if corpus.annotations[row] & held]
     train_side = [row for row in file_rows if not (corpus.annotations[row] & held)]
 
-    def split_side(rows: list[int], label: str) -> tuple[frozenset[int], frozenset[int]]:
+    def split_side(rows: list[int], rng) -> tuple[frozenset[int], frozenset[int]]:
         order = list(rows)
-        stream(cfg.seed, "split", label).shuffle(order)
+        rng.shuffle(order)
         cut = int(round(cfg.classifier_split * len(order)))
         return frozenset(order[:cut]), frozenset(order[cut:])
 
-    tr_ct, tr_cx = split_side(train_side, "policy-train")
-    te_ct, te_cx = split_side(test_side, "policy-test")
+    tr_ct, tr_cx = split_side(train_side, train_rng)
+    te_ct, te_cx = split_side(test_side, test_rng)
     return CorpusSplit(
         policy_train_classifier_train=tr_ct,
         policy_train_classifier_test=tr_cx,

@@ -11,8 +11,9 @@ episode they only gate which query pairs remain askable.
 An episode's one label record, `known`, holds one Python list of ints per
 view predicate, over its active-train objects: +1 or -1 where the view's
 classifiers or this episode hold a label for the pair, 0 where none does.
-An oracle answer reads and writes one cell. `asked` is a list of bools over
-the view's predicates, True once a predicate was example-queried.
+An oracle answer reads and writes one cell. `asked` is the ascending list
+of the view rows that were example-queried, which the beam excludes from its
+example draws.
 
 An action is (kind, view row, active-train column) (actions.py); `step`, the
 oracle and `_record` index `known` and `asked` with its integers. Pending
@@ -22,6 +23,7 @@ labels (predicate, region row, label) and the guess hold region rows
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,7 +93,7 @@ class Episode:
         self.pending_labels: list[tuple[str, int, int]] = []
         self.transcript: list[TranscriptStep] = []
         self.known = view.labels()
-        self.asked = [False] * len(view.predicates)  # example-queried predicates
+        self.asked: list[int] = []  # example-queried view rows, ascending
 
     # -- label bookkeeping ------------------------------------------------
 
@@ -159,7 +161,8 @@ class Episode:
             reward = self.rewards.per_query
         elif kind == EXAMPLE_QUERY:
             self.answer_example_query(row)
-            self.asked[row] = True
+            if row not in self.asked:
+                insort(self.asked, row)
             reward = self.rewards.per_query
         else:
             raise ProtocolError(f"unknown action {action!r}")

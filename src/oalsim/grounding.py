@@ -76,7 +76,7 @@ def batch_stacks(batch: BatchRows) -> list[tuple[list[int], DescriptionStack]]:
             [[batch.index[p] for p in i.description_predicates] for i in interactions],
             dtype=np.intp,
         )
-        cols = np.searchsorted(batch.test_rows, [i.active_test for i in interactions])
+        cols = np.stack([batch.test_cols[e] for e in episodes])
         decisions = batch.decisions[rows[:, :, None], cols[:, None, :]]
         stack = DescriptionStack(batch.f1[rows], rows, decisions, batch.test_rows[cols])
         out.append((episodes, stack))

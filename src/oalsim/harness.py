@@ -9,7 +9,10 @@ labels there, the policy does not).
 
 All randomness is derived from the master seed by (phase, batch, episode,
 purpose) paths, so interaction sequences are identical across policy and
-ablation conditions, and resuming from a checkpoint is bit-exact.
+ablation conditions, and resuming from a checkpoint is bit-exact. A batch
+derives the seed words of its interactions in one call and those of its
+dialogs' oracle, beam and policy streams in another (seeding.episode_words);
+each dialog builds its generators from its own words when it starts.
 
 A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
 """
@@ -65,13 +68,15 @@ from .policy import (
     static_policy_act,
 )
 from .querygen import build_beam
-from .seeding import stream
+from .seeding import episode_words, generator
 from .snapshot import BatchRows, EpisodeView
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 CHECKPOINT_VERSION = "oalsim-checkpoint/5"
 
 PHASE_NAMES = ("init", "train", "test")
+
+DIALOG_STREAMS = ("oracle", "beam", "policy")  # a dialog's seed streams, by purpose
 
 RATES = ("success_rate", "mean_length", "mean_queries")  # BatchMetrics' rates, in file order
 
@@ -214,7 +219,8 @@ class BatchSetup:
     (snapshot.BatchRows), the query rows of the feature table
     (features.query_rows; the agent's stats are frozen until the batch end)
     and every dialog's grounding and guess features are built. `episode(e)`
-    gathers episode e's own copies from them.
+    builds episode e's view and feature context from them when its dialog
+    starts, so a batch holds no view of a dialog that has not started.
     """
 
     def __init__(self, experiment: Experiment, agent: Agent, interactions: Sequence[Interaction]):
@@ -289,10 +295,11 @@ class Experiment:
     def interactions(self, plan: PhasePlan, phase_idx: int, batch_idx: int) -> list[Interaction]:
         """The batch's interactions, one per dialog, each drawn from its own seed stream."""
         sizes = self.config.episode.sizes()
+        words = episode_words(self.master, ("interaction",), phase_idx, batch_idx,
+                              self.config.experiment.batch_size)
         return [
-            sample_interaction(self.corpus, self.split, plan.side, sizes,
-                               stream(self.master, "interaction", phase_idx, batch_idx, ep_idx))
-            for ep_idx in range(self.config.experiment.batch_size)
+            sample_interaction(self.corpus, self.split, plan.side, sizes, generator(w))
+            for w in words[:, 0]
         ]
 
     # -- episode ------------------------------------------------------------
@@ -303,17 +310,14 @@ class Experiment:
         agent: Agent,
         theta: np.ndarray,
         policy_kind: str,
-        phase_idx: int,
-        batch_idx: int,
-        ep_idx: int,
+        words: np.ndarray,
     ) -> tuple[EpisodeOutcome, Episode]:
+        """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS)."""
         cfg = self.config
         interaction, view, ctx = setup.interaction, setup.view, setup.features
         desc = interaction.description_predicates
 
-        oracle_rng = stream(self.master, "oracle", phase_idx, batch_idx, ep_idx)
-        beam_rng = stream(self.master, "beam", phase_idx, batch_idx, ep_idx)
-        policy_rng = stream(self.master, "policy", phase_idx, batch_idx, ep_idx)
+        oracle_rng, beam_rng, policy_rng = map(generator, words)
         immediate = cfg.episode.immediate_updates
 
         episode = Episode(
@@ -416,10 +420,11 @@ class Experiment:
         merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
         interactions = self.interactions(plan, phase_idx, batch_idx)
         setups = BatchSetup(self, agent, interactions)
+        words = episode_words(self.master, DIALOG_STREAMS, phase_idx, batch_idx, len(interactions))
         for ep_idx in range(len(interactions)):
             setup = setups.episode(ep_idx)
             outcome, episode = self.run_episode(
-                setup, agent, theta, plan.policy_kind, phase_idx, batch_idx, ep_idx
+                setup, agent, theta, plan.policy_kind, words[ep_idx]
             )
             # Episode drops labels the agent held at the batch start, and the
             # agent's models do not change within a batch.

@@ -11,10 +11,10 @@ The beam reads the view's sampling weights, their one CDF (SamplingCDF,
 rebuilt by an immediate refit), the trained flags and the active-train
 columns ordered by margin per predicate (snapshot.EpisodeView), plus the
 episode's Python lists (dialog.Episode): one signed label row per predicate,
-0 where a pair has no label, and the example-queried flags. A row with no 0
-left is exhausted. Every draw picks the index Generator.choice picks over
-the live weights; sample_predicates finds it on the view's CDF and proves it
-with a rounding margin, or builds the live vector's own CDF. A beam is a
+0 where a pair has no label, and the ascending example-queried rows. A row
+with no 0 left is exhausted. Every draw picks the index Generator.choice
+picks over the live weights; sample_predicates finds it on the view's CDF
+and proves it with a rounding margin, or builds the live vector's own CDF. A beam is a
 list of (kind, view row, active-train column) actions (actions.py): the
 guess, then the queries drawn.
 """
@@ -265,17 +265,18 @@ def build_beam(
     t_max: int,
     view: EpisodeView,
     labeled: list[list[int]],
-    asked: list[bool],
+    asked: list[int],
     cfg: BeamConfig,
     rng: np.random.Generator,
 ) -> list[Action]:
     """The guess, then up to n_label label queries and n_example example queries.
 
     `labeled` is the episode's label record, one row per view predicate over
-    the active-train columns, nonzero where a pair has a label; `asked` flags
-    the predicates already example-queried this episode. At the turn cap the
-    beam collapses to the forced guess. Label candidates skip predicates
-    whose rows hold no 0; example candidates skip asked predicates.
+    the active-train columns, nonzero where a pair has a label; `asked` is
+    the ascending list of the rows already example-queried this episode, the
+    draws' `excluded`. At the turn cap the beam collapses to the forced guess.
+    Label candidates skip predicates whose rows hold no 0; example candidates
+    skip asked predicates.
     """
     beam: list[Action] = [GUESS_ACTION]
     if turn >= t_max:
@@ -288,8 +289,7 @@ def build_beam(
         col = best_object_for_predicate(view, row, labels, rng)
         beam.append((LABEL_QUERY, row, col))
 
-    done = [row for row, held in enumerate(asked) if held]
-    if len(done) < len(asked):
-        for row in sample_predicates(view.sampling_cdf, cfg.n_example, rng, done):
+    if len(asked) < len(view.predicates):
+        for row in sample_predicates(view.sampling_cdf, cfg.n_example, rng, asked):
             beam.append((EXAMPLE_QUERY, row, -1))
     return beam

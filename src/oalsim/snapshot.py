@@ -5,16 +5,21 @@ immediate updates, for one predicate at a time inside an episode). BatchRows
 is the one representation of a batch's classifier state: built at the batch
 start from the agent's classifiers, it holds the rows of the batch's
 predicates over the batch's objects (F1, trained flags, sampling weights,
-margins, decisions and labels), never sized by the corpus. An EpisodeView
-is one episode's gather from them: it owns its arrays, holds the one CDF of
-its sampling weights that every beam draw reads (querygen.SamplingCDF),
-orders each row's train columns by margin, then region row, and seeds the
+margins, decisions and labels), never sized by the corpus, and every
+episode's train and test columns. The views of one predicate set share a
+RowSet, built once per batch when the first of them starts: the set's
+predicates, models, F1, trained flags, sampling weights and the one CDF of
+those weights that every beam draw reads (querygen.SamplingCDF). An
+EpisodeView is one episode's slice of these: it takes its row set's arrays,
+gathers its own margins, decisions and labels over its columns, orders
+each row's train columns by margin, then region row, and seeds the
 episode's label record (dialog.Episode.known) with its label rows.
 `entries` writes every classifier row from classifier_rows' arrays: a
-batch's rows, and an immediate refit's row (EpisodeView.update, which also
-builds the view's CDF again). A predicate whose labels hold one class is
-never refit (harness.Experiment._refresh_models): its row stays that of no
-classifier, while the view's copy of its model gathers the new labels.
+batch's rows, and an immediate refit's row (EpisodeView.update, which first
+copies the row set's arrays it writes and builds the view's CDF again). A
+predicate whose labels hold one class is never refit
+(harness.Experiment._refresh_models): its row stays that of no classifier,
+while the view's copy of its model gathers the new labels.
 Beams, grounding and guess features read these arrays; nothing scores one
 object against one classifier at a time.
 
@@ -100,9 +105,12 @@ class BatchRows:
     that of their active-test rows, both ascending: at most batch size x
     active_train and batch size x active_test columns, whatever the corpus
     size. `labels` is the classifiers' signed label table on the train
-    columns, 0 for none. `first` is the first episode whose view holds each
-    predicate, -1 for the agent's: the views' predicate sets only grow along
-    the batch.
+    columns, 0 for none. `train_cols[e]` and `test_cols[e]` are episode e's
+    columns, in its interaction's order, all found by one searchsorted.
+    `first` is the first episode whose view holds each predicate, -1 for the
+    agent's: the views' predicate sets only grow along the batch, so episode
+    e's view holds the `sizes[e]` rows whose `first` is at most e, and the
+    views of one size share one RowSet (row_set).
     """
 
     def __init__(
@@ -121,11 +129,16 @@ class BatchRows:
         self.predicates = tuple(sorted(first))
         self.index = {p: i for i, p in enumerate(self.predicates)}
         self.first = np.array([first[p] for p in self.predicates], dtype=np.intp)
+        self.sizes = np.searchsorted(
+            np.sort(self.first), np.arange(len(interactions)), side="right"
+        ).tolist()
         self.models = [models.get(p) for p in self.predicates]
         self.params = params
         self.X = X
         self.train_rows = _union(i.active_train for i in interactions)
         self.test_rows = _union(i.active_test for i in interactions)
+        self.train_cols = _columns(self.train_rows, [i.active_train for i in interactions])
+        self.test_cols = _columns(self.test_rows, [i.active_test for i in interactions])
         self.f1, self.sampling, self.trained, self.margins, self.decisions = entries(
             *classifier_rows(self.models, X.shape[1], params),
             X[self.train_rows],
@@ -140,6 +153,39 @@ class BatchRows:
                 )
                 signs = np.fromiter(model.labels.values(), dtype=np.int8, count=len(held))
                 self.labels[i, cols] = signs[found]
+        self._row_sets: dict[int, RowSet] = {}
+
+    def row_set(self, episode: int) -> RowSet:
+        """The rows of episode `episode`'s view, built at the first view that holds them."""
+        size = self.sizes[episode]
+        shared = self._row_sets.get(size)
+        if shared is None:
+            shared = self._row_sets[size] = RowSet(self, np.flatnonzero(self.first <= episode))
+        return shared
+
+
+class RowSet:
+    """What the views of one predicate set share: their rows' predicates, models and weights.
+
+    `rows` are the batch rows, ascending, and `grid` the same as a column
+    for gathering (row, column) blocks. f1, sampling, trained and the
+    sampling CDF are read-only: a view copies them before its first write.
+    """
+
+    __slots__ = ("rows", "grid", "predicates", "index", "models", "f1", "sampling",
+                 "trained", "sampling_cdf")
+
+    def __init__(self, batch: BatchRows, rows: np.ndarray):
+        listed = rows.tolist()
+        self.rows = rows
+        self.grid = rows[:, None]
+        self.predicates = tuple(batch.predicates[r] for r in listed)
+        self.index = {p: i for i, p in enumerate(self.predicates)}
+        self.models = tuple(batch.models[r] for r in listed)
+        self.f1 = batch.f1[rows]
+        self.sampling = batch.sampling[rows]
+        self.trained = batch.trained[rows]
+        self.sampling_cdf = SamplingCDF(self.sampling)
 
 
 def _union(groups: Iterable[Sequence[int]]) -> np.ndarray:
@@ -147,48 +193,55 @@ def _union(groups: Iterable[Sequence[int]]) -> np.ndarray:
     return np.array(sorted(set(chain.from_iterable(groups))), dtype=np.intp)
 
 
+def _columns(rows: np.ndarray, groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Each group's positions in the ascending `rows`, in the group's order."""
+    flat = np.fromiter(chain.from_iterable(groups), dtype=np.intp)
+    cols = np.searchsorted(rows, flat)
+    return np.split(cols, np.cumsum([len(g) for g in groups[:-1]], dtype=np.intp))
+
+
+def _by_margin(margins: np.ndarray, cols: np.ndarray) -> list:
+    """Train columns of each row by ascending margin, ties by ascending region row.
+
+    `cols` are the columns' batch columns, ascending with their region rows.
+    A row's first free column is then its least-margin free column, the one
+    best_object_for_predicate picks.
+    """
+    return np.lexsort((np.broadcast_to(cols, margins.shape), margins)).tolist()
+
+
 class EpisodeView:
     """A batch episode's predicates (sorted) against its active-train and -test objects.
 
     Row i is predicates[i], batch row rows[i]; train columns follow
     train_rows (active_train), test columns test_rows (active_test), both
-    region rows. Every array is the view's own gather from its batch's, so
-    `update`, which swaps in a refit classifier for one row, writes this
-    view only. `sampling_cdf` is the CDF of the sampling weights that the
-    beam draws from.
+    region rows. Predicates, models, F1, sampling weights, trained flags and
+    `sampling_cdf`, the CDF of the sampling weights that the beam draws
+    from, come from the batch's RowSet of the view's rows. Margins,
+    decisions, labels and `by_margin` are the view's own gather. `update`,
+    which swaps in a refit classifier for one row, copies what it writes
+    first, so it writes this view only.
     """
 
     def __init__(self, batch: BatchRows, episode: int):
+        shared = batch.row_set(episode)
         interaction = batch.interactions[episode]
-        self.rows = rows = np.flatnonzero(batch.first <= episode)
-        listed = rows.tolist()
-        self.predicates = tuple(batch.predicates[r] for r in listed)
-        self.index = {p: i for i, p in enumerate(self.predicates)}
-        self.models = [batch.models[r] for r in listed]
+        self.rows = shared.rows
+        self.predicates = shared.predicates
+        self.index = shared.index
+        self.models = list(shared.models)
+        self.f1, self.sampling, self.trained = shared.f1, shared.sampling, shared.trained
+        self.sampling_cdf = shared.sampling_cdf
         self.train_rows = tuple(interaction.active_train)
         self.test_rows = tuple(interaction.active_test)
         self._batch = batch
-        train_cols = np.searchsorted(batch.train_rows, self.train_rows)
-        test_cols = np.searchsorted(batch.test_rows, self.test_rows)
-        self.train_by_row = np.argsort(train_cols, kind="stable")
-        self.f1 = batch.f1[rows]
-        self.sampling = batch.sampling[rows]
-        self.sampling_cdf = SamplingCDF(self.sampling)
-        self.trained = batch.trained[rows]
-        grid = rows[:, None]
-        self.margins = batch.margins[grid, train_cols]
-        self.decisions = batch.decisions[grid, test_cols]
-        self._labels = batch.labels[grid, train_cols]
-        self.by_margin = self._by_margin(self.margins)
-
-    def _by_margin(self, margins: np.ndarray) -> list:
-        """Train columns of each row by ascending margin, ties by ascending region row.
-
-        A row's first free column is then its least-margin free column, the
-        one best_object_for_predicate picks.
-        """
-        order = np.argsort(margins[..., self.train_by_row], axis=-1, kind="stable")
-        return self.train_by_row[order].tolist()
+        self._shared = True  # f1, sampling and trained are the row set's
+        self._train_cols = cols = batch.train_cols[episode]
+        grid = shared.grid
+        self.margins = batch.margins[grid, cols]
+        self.decisions = batch.decisions[grid, batch.test_cols[episode]]
+        self._labels = batch.labels[grid, cols]
+        self.by_margin = _by_margin(self.margins, cols)
 
     def update(self, i: int, model: PredicateModel) -> None:
         """Replace the classifier of row i, as an immediate refit does.
@@ -198,13 +251,18 @@ class EpisodeView:
         sampling CDF is built again over the new weights.
         """
         self.models[i] = model
+        if self._shared:
+            self.f1, self.sampling, self.trained = (
+                self.f1.copy(), self.sampling.copy(), self.trained.copy()
+            )
+            self._shared = False
         X = self._batch.X
         rows = classifier_rows([model], X.shape[1], self._batch.params)
         objects = X[list(self.train_rows)], X[list(self.test_rows)]
         arrays = (self.f1, self.sampling, self.trained, self.margins, self.decisions)
         for dst, entry in zip(arrays, entries(*rows, *objects)):
             dst[i] = entry[0]
-        self.by_margin[i] = self._by_margin(self.margins[i])
+        self.by_margin[i] = _by_margin(self.margins[i], self._train_cols)
         self.sampling_cdf = SamplingCDF(self.sampling)
 
     def labels(self) -> list[list[int]]:

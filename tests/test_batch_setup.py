@@ -18,7 +18,7 @@ from oalsim.corpus import Interaction
 from oalsim.features import N_FEATURES
 from oalsim.harness import BatchSetup, Experiment
 from oalsim.perception import PredicateModel
-from oalsim.querygen import TriangularWeights, triangular_weight
+from oalsim.querygen import SamplingCDF, TriangularWeights, triangular_weight
 from oalsim.snapshot import BatchRows
 
 from classifier_oracle import triangular_weights
@@ -29,7 +29,7 @@ ARRAYS = ("f1", "sampling", "trained", "margins", "decisions")
 
 
 def assert_view_equals(view, want: OracleView):
-    assert view.predicates == want.predicates
+    assert view.predicates == want.predicates and view.index == want.index
     assert view.train_rows == want.train_rows and view.test_rows == want.test_rows
     assert all(a is b for a, b in zip(view.models, want.models, strict=True))
     for name in ARRAYS:
@@ -37,11 +37,13 @@ def assert_view_equals(view, want: OracleView):
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert got.tobytes() == ref.tobytes(), name
     assert view.by_margin == want.by_margin
+    cdf = SamplingCDF(want.sampling)
+    assert view.sampling_cdf.cdf == cdf.cdf and view.sampling_cdf.mass == cdf.mass
 
 
 def check_every_setup(exp: Experiment, monkeypatch) -> dict:
     """Run the experiment, comparing each episode's set-up with the oracle's at its start."""
-    seen = {"episodes": 0, "uneven_batches": 0, "unfit_descriptions": 0}
+    seen = {"episodes": 0, "uneven_batches": 0, "unfit_descriptions": 0, "most_row_sets": 0}
     batch = {}
     run_batch, run_episode = Experiment.run_batch, Experiment.run_episode
 
@@ -53,6 +55,7 @@ def check_every_setup(exp: Experiment, monkeypatch) -> dict:
         )
         out = run_batch(self, plan, phase_idx, batch_idx, agent, theta, transcript_sink)
         seen["uneven_batches"] += len(batch["sizes"]) > 1
+        seen["most_row_sets"] = max(seen["most_row_sets"], len(batch["sizes"]))
         return out
 
     def checked_episode(self, setup, agent, theta, *args):
@@ -125,6 +128,23 @@ def test_immediate_setups_equal_the_per_episode_build(
     assert seen["uneven_batches"] > 0 and seen["unfit_descriptions"] > 0
 
 
+def test_immediate_workload_setups_equal_the_per_episode_build(monkeypatch):
+    # the desk corpus with immediate refits and batches of 300, whose views
+    # come in many row sets; every view of each equals its own build
+    base = load_config(DESK_CONFIG)
+    cfg = dataclasses.replace(
+        base,
+        episode=dataclasses.replace(base.episode, immediate_updates=True),
+        experiment=dataclasses.replace(
+            base.experiment, policy_kind="static", init_batches=1, train_batches=1,
+            test_batches=1, batch_size=300,
+        ),
+    )
+    seen = check_every_setup(Experiment(cfg), monkeypatch)
+    assert seen["episodes"] == 900
+    assert seen["uneven_batches"] == 3 and seen["most_row_sets"] >= 5
+
+
 def _trained_agent(exp):
     agent = Agent()
     plan = exp.phase_plan()[0]
@@ -141,7 +161,11 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     rows = setups.rows
     held = {name: getattr(rows, name).copy() for name in ARRAYS + ("labels",)}
     queries = setups.queries.copy()
-    first = setups.episode(0)
+    first, twin = setups.episode(0), setups.episode(0)
+    shared = rows.row_set(0)
+    held_set = {name: getattr(shared, name).copy() for name in ("f1", "sampling", "trained")}
+    cdf = list(shared.sampling_cdf.cdf)
+    assert first.view.f1 is shared.f1 and twin.view.sampling_cdf is shared.sampling_cdf
     donor = next(m for m in agent.models.values() if m.weights is not None and m.f1 > 0.0)
     for i, p in enumerate(first.view.predicates):  # every row of episode 0 gets another classifier
         first.view.update(i, dataclasses.replace(donor.clone(), predicate=p))
@@ -149,19 +173,27 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     first.view.labels()[0][0] = 7
     for name, array in held.items():
         assert np.array_equal(getattr(rows, name), array), name
+    for name, array in held_set.items():
+        assert np.array_equal(getattr(shared, name), array), name
+    assert shared.sampling_cdf.cdf == cdf and rows.row_set(0) is shared
+    assert first.view.f1 is not shared.f1 and first.view.sampling_cdf is not shared.sampling_cdf
     assert np.array_equal(setups.queries, queries)
-    predicates = set(agent.stats.used) | set(interactions[0].description_predicates)
-    for e in (1, 2):
-        predicates |= set(interactions[e].description_predicates)
-        want, known, guess, table = oracle_setup(
+    predicates, wants = set(agent.stats.used), []
+    for interaction in interactions:
+        predicates |= set(interaction.description_predicates)
+        wants.append(oracle_setup(
             agent.models,
             predicates,
-            interactions[e],
+            interaction,
             exp.corpus.X,
             exp.config.triangular,
             agent.stats,
-        )
-        setup = setups.episode(e)
+        ))
+    # episode 0's twin, built before the refits and sharing its row set, and
+    # views built after them
+    for e, setup in ((0, twin), (0, setups.episode(0)), (1, setups.episode(1)),
+                     (2, setups.episode(2))):
+        want, known, guess, table = wants[e]
         assert_view_equals(setup.view, want)
         assert setup.view.labels() == known
         assert setup.guess == guess

@@ -93,6 +93,16 @@ class TestLoadRegions:
         with pytest.raises(ParseError, match=re.escape(f"{path}:2: {key} must be")):
             load_regions(path)
 
+    @pytest.mark.parametrize(
+        "key, kind", [("annotations", "annotation"), ("description", "description entry")]
+    )
+    def test_an_entry_that_is_not_a_string_names_its_line(self, tmp_path, key, kind):
+        # str() would read these as the predicates 1 5 a none red
+        path = tmp_path / "corpus.jsonl"
+        _write_jsonl(path, [_record("r0"), {**_record("r1"), key: [None, 5, {"a": 1}, ["red"]]}])
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {kind} must be a string")):
+            load_regions(path)
+
     def test_annotation_normalization(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         _write_jsonl(path, [_record("r0", annotations=["Red Box!"])])

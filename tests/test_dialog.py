@@ -140,7 +140,7 @@ class TestOracle:
         with pytest.raises(ProtocolError, match="outside"):
             ep.step(action)
         assert ep.known == known and ep.pending_labels == []
-        assert ep.asked == [False] * len(PREDICATES)
+        assert ep.asked == []
         assert ep.turn == 0 and ep.transcript == []
 
     def test_label_query_repeat_is_consistent(self):
@@ -219,6 +219,14 @@ class TestStep:
         assert sum(s.reward for s in ep.transcript) == 197
         assert ep.length() == 4
         assert ep.success
+
+    def test_asked_holds_the_example_queried_rows_ascending_once(self):
+        ep = _episode()
+        ep.step(_example("white"))
+        ep.step(_label("blue", "t1"))
+        ep.step(_example("blue"))
+        ep.step(_example("white"))  # a repeat leaves the list as it is
+        assert ep.asked == [ROW["blue"], ROW["white"]]
 
     def test_guess_reads_the_current_grounding(self):
         # run_episode reassigns the guess row when an immediate refit regrounds

@@ -403,10 +403,13 @@ class TestCheckpointing:
         cut = tmp_path / "cut.jsonl"
         exp = Experiment(cfg, small_corpus, small_split, small_density)
 
-        def run_episode(setup, agent, theta, kind, phase, batch, ep):
-            if (phase, batch, ep) == (1, 1, 5):
+        played = []
+
+        def run_episode(*args):
+            played.append(args)
+            if len(played) == (2 + 1) * 15 + 6:  # train batch 1's sixth dialog, 15 per batch
                 raise Interrupted
-            return Experiment.run_episode(exp, setup, agent, theta, kind, phase, batch, ep)
+            return Experiment.run_episode(exp, *args)
 
         monkeypatch.setattr(exp, "run_episode", run_episode)
         with pytest.raises(Interrupted):

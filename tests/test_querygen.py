@@ -175,7 +175,7 @@ class TestBuildBeam:
             t_max=t_max,
             view=view,
             labeled=[[int(row in labeled.get(p, ())) for row in rows] for p in view.predicates],
-            asked=[p in asked for p in view.predicates],
+            asked=[row for row, p in enumerate(view.predicates) if p in asked],
             cfg=BeamConfig(),
             rng=stream(11, "beam"),
         )
@@ -239,8 +239,10 @@ def test_every_beam_equals_the_numpy_oracle(
     def checked(turn, t_max, view, labeled, asked, cfg, rng):
         theirs = copy.deepcopy(rng)
         got = list_form(turn, t_max, view, labeled, asked, cfg, rng)
+        flags = np.zeros(len(view.predicates), dtype=bool)
+        flags[asked] = True
         want = beam_oracle.build_beam(
-            turn, t_max, view, np.array(labeled, dtype=np.int8), np.array(asked), cfg, theirs
+            turn, t_max, view, np.array(labeled, dtype=np.int8), flags, cfg, theirs
         )
         assert got == want
         assert rng.bit_generator.state == theirs.bit_generator.state
