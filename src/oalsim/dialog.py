@@ -55,10 +55,22 @@ class RewardConfig:
 
 @dataclass(slots=True)
 class TranscriptStep:
+    """One turn's action and reward, and the features that are read after the turn.
+
+    `features` is the chosen action's feature row, which the transcript
+    writer logs. In a phase that updates the policy, `beam_features` is the
+    (len(beam), N_FEATURES) array of the turn's beam and `chosen` the
+    action's index in it, and `probs` the learned policy's probabilities
+    over the beam (None when the static policy chose). Each is None when
+    nothing reads it after the turn.
+    """
+
     action: Action
     reward: float
-    beam_features: np.ndarray | None = None  # (n_candidates, F)
+    features: np.ndarray | None = None
+    beam_features: np.ndarray | None = None
     chosen: int | None = None
+    probs: np.ndarray | None = None
 
 
 NONE_ANSWER = None  # example query with no positive object in the active training set
@@ -140,10 +152,15 @@ class Episode:
     def step(
         self,
         action: Action,
+        features: np.ndarray | None = None,
         beam_features: np.ndarray | None = None,
         chosen: int | None = None,
+        probs: np.ndarray | None = None,
     ) -> tuple[float, bool]:
-        """Apply one action; the oracle refuses a query off the view's rows or columns."""
+        """Apply one action; the oracle refuses a query off the view's rows or columns.
+
+        The features are kept on the turn's TranscriptStep.
+        """
         if self.terminated:
             raise ProtocolError("step on a terminated episode")
         kind, row, col = action
@@ -169,7 +186,7 @@ class Episode:
 
         self.turn += 1
         self.transcript.append(
-            TranscriptStep(action=action, reward=reward, beam_features=beam_features, chosen=chosen)
+            TranscriptStep(action, reward, features, beam_features, chosen, probs)
         )
         return reward, self.terminated
 
@@ -203,14 +220,11 @@ def first_return(rewards: RewardConfig, success: bool, length: int) -> float:
 def transcript_records(episode_id: str, episode: Episode, ids: Sequence[str]):
     """One flat record per action: id, turn, descriptor, reward, chosen features."""
     for t, step in enumerate(episode.transcript):
-        feats = None
-        if step.beam_features is not None and step.chosen is not None:
-            feats = [float(v) for v in step.beam_features[step.chosen]]
         yield {
             "episode": episode_id,
             "turn": t,
             "action": describe(step.action, episode.view, ids),
             "reward": step.reward,
-            "features": feats,
+            "features": None if step.features is None else step.features.tolist(),
         }
 

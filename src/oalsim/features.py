@@ -5,18 +5,21 @@ and normalization of every feature, so ablation configs can address features
 by name and logged vectors stay comparable across runs. Entries that do not
 apply to an action type are exactly zero in its vector.
 
-A beam is featurized in one call, as one (len(beam), N_FEATURES) array. The
-inputs that stay fixed within an episode sit in a FeatureContext's row table:
-the guess row, then one label-query and one example-query row per view
-predicate. Its query rows are gathered from the batch's (`query_rows`, built
-once per batch from the frozen agent stats and classifier rows), and its
-guess row comes from `guess_features` over a stack of dialogs
-(grounding.DescriptionStack). A beam's array is one fancy index into the
-table, plus the label queries' object entries, turn_frac and the ablation
-mask. An action (actions.py) picks its table row by its view row, and a label
-query's column indexes the margins and, by train_rows, the density index.
-The per-action form is kept in tests/feature_oracle.py as the reference, and
-the array must equal it bit for bit.
+A list of actions is featurized in one call, as one (len(actions),
+N_FEATURES) array: a whole beam, or the one action a static turn chose. The
+inputs that stay fixed within an episode sit in a FeatureContext's row
+table: the guess row, then one label-query and one example-query row per
+view predicate. Its query rows come from the batch's (`query_rows`, built
+once per batch from the frozen agent stats and classifier rows), gathered
+once per row set of views (`row_set_queries`), and its guess row comes from
+`guess_features` over a stack of dialogs (grounding.DescriptionStack). An
+array is one fancy index into the table, plus the label queries' object
+entries, turn_frac and the ablation mask, so each action's row does not
+depend on the other actions of the call. An action (actions.py) picks its
+table row by its view row, and a label query's column indexes the margins
+and, by train_rows, the density index. The per-action form is kept in
+tests/feature_oracle.py as the reference, and the array must equal it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .actions import LABEL_QUERY, Action
+from .actions import EXAMPLE_QUERY, LABEL_QUERY, Action
 from .errors import ConfigError
 from .grounding import DescriptionStack, GuessScores
 from .perception import DensityIndex, density_stats
@@ -152,19 +155,30 @@ def query_rows(
     return table
 
 
+def row_set_queries(batch_queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The feature-table rows of the views whose predicates are the batch rows `rows`.
+
+    Row 0 of `batch_queries` (query_rows of the batch), then the label-query
+    and the example-query rows of `rows`: every view of one row set
+    (snapshot.RowSet) starts from this table, so a batch gathers it once per
+    row set and each FeatureContext copies it.
+    """
+    example = 1 + len(batch_queries) // 2  # the batch's first example-query row
+    return batch_queries[np.concatenate(([0], 1 + rows, example + rows))]
+
+
 @dataclass
 class FeatureContext:
-    """One episode's featurization state, gathered once per episode.
+    """One episode's featurization state, built once per episode.
 
     `table` holds 1 + 2P rows for the view's P predicates: row 0 is the guess
     row (`guess` with act_guess set), rows 1..P the label-query rows and rows
-    P+1..2P the example-query rows, gathered by the view's batch rows from
-    `batch_queries` (query_rows of the batch), with opportunistic cleared on
-    the description's rows. `queries` is the query rows as a
-    (2, P, N_FEATURES) view of the table. Agent stats and the description do
-    not change within an episode; after an immediate refit, `refit` rewrites
-    the refit predicate's rows and the harness calls `set_guess` when the
-    grounding changed.
+    P+1..2P the example-query rows, copied from `shared_table` (the view's
+    row_set_queries), with opportunistic cleared on the description's rows.
+    `queries` is the query rows as a (2, P, N_FEATURES) view of the table.
+    Agent stats and the description do not change within an episode; after
+    an immediate refit, `refit` rewrites the refit predicate's rows and the
+    harness calls `set_guess` when the grounding changed.
     """
 
     t_max: int
@@ -172,16 +186,14 @@ class FeatureContext:
     view: EpisodeView
     density: DensityIndex
     guess: np.ndarray  # guess_features of the current grounding
-    batch_queries: InitVar[np.ndarray]
+    shared_table: InitVar[np.ndarray]
     mask: np.ndarray | None = None
     table: np.ndarray = field(init=False, repr=False)
     queries: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, batch_queries: np.ndarray):
-        rows = self.view.rows
-        example = 1 + len(batch_queries) // 2  # the batch's first example-query row
-        self.table = batch_queries[np.concatenate(([0], 1 + rows, example + rows))]
-        self.queries = q = self.table[1:].reshape(2, len(rows), N_FEATURES)
+    def __post_init__(self, shared_table: np.ndarray):
+        self.table = shared_table.copy()
+        self.queries = q = self.table[1:].reshape(2, len(self.view.rows), N_FEATURES)
         q[:, [self.view.index[p] for p in self.description_predicates], _OPPORTUNISTIC] = 0.0
         self.set_guess(self.guess)
 
@@ -197,21 +209,25 @@ class FeatureContext:
         self.queries[:, row, _PREDICATE_F1] = self.view.f1[row]
 
 
-def featurize(beam: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndarray:
-    """(len(beam), N_FEATURES) features of a beam whose first action is the guess.
+def featurize(actions: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndarray:
+    """(len(actions), N_FEATURES) features of any actions, the guess included.
 
     Each action's row is its row of the context's table; label rows add the
-    object's margin and density entries.
+    object's margin and density entries. A row depends on its action alone,
+    so featurizing one action of a beam gives that action's row of the
+    beam's array, bit for bit.
     """
     view = ctx.view
     example = 1 + len(view.predicates)  # the first example-query row
-    picks, labels = [0], []
-    for i, (kind, row, col) in enumerate(beam[1:], 1):
+    picks, labels = [], []
+    for i, (kind, row, col) in enumerate(actions):
         if kind == LABEL_QUERY:
             picks.append(1 + row)
             labels.append((i, row, col))
-        else:
+        elif kind == EXAMPLE_QUERY:
             picks.append(example + row)
+        else:
+            picks.append(0)  # the guess
     out = ctx.table[picks]
     for i, row, col in labels:
         margin = view.margins[row, col]
@@ -227,8 +243,9 @@ def guess_features(stack: DescriptionStack, scores: GuessScores) -> np.ndarray:
     """The guess group's entries of each stacked dialog's grounding, zero elsewhere.
 
     They change only when a description predicate's classifier does, so the
-    harness computes them for a whole batch at its start (and for one dialog
-    after an immediate refit of such a classifier) and featurize copies them.
+    harness computes them for a whole batch at its start, when the batch
+    reads features (and for one dialog after an immediate refit of such a
+    classifier), and featurize copies them.
     Each (B, N_FEATURES) row equals the entries of its dialog computed alone.
     """
     f1, rows, decisions, _ = stack

@@ -14,6 +14,10 @@ derives the seed words of its interactions in one call and those of its
 dialogs' oracle, beam and policy streams in another (seeding.episode_words);
 each dialog builds its generators from its own words when it starts.
 
+A batch featurizes only what something reads: whole beams where the
+learned policy samples or REINFORCE updates, each turn's chosen action where
+only a transcript is written, nothing otherwise (FeatureReads).
+
 A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
 """
 
@@ -49,6 +53,7 @@ from .features import (
     guess_features,
     query_rows,
     resolve_mask,
+    row_set_queries,
 )
 from .grounding import DescriptionStack, batch_stacks, score_objects, view_stack
 from .perception import (
@@ -194,20 +199,51 @@ class RunResult:
         }
 
 
+@dataclass(frozen=True)
+class FeatureReads:
+    """What reads a batch's turn features, derived from its phase plan and transcript sink.
+
+    `beam`: every beam row is read, because the learned policy samples from
+    them or REINFORCE reads them (`update`, with the turn's probabilities,
+    after the dialog). `transcript`: the transcript writer reads each turn's
+    chosen row. A turn featurizes its whole beam, else only its chosen action
+    when just the transcript reads it, else nothing; a batch that reads no
+    features builds no feature table.
+    """
+
+    beam: bool
+    update: bool
+    transcript: bool
+
+    @classmethod
+    def of(cls, plan: PhasePlan, transcripts: bool) -> FeatureReads:
+        update = plan.update_policy
+        return cls(plan.policy_kind == "learned" or update, update, transcripts)
+
+    @property
+    def any(self) -> bool:
+        return self.beam or self.transcript
+
+
 @dataclass
 class EpisodeSetup:
-    """One episode's own view, feature context and grounded guess (a region row)."""
+    """One episode's own view, grounded guess (a region row) and what reads its features.
+
+    `features` is the episode's feature context, None when nothing reads
+    features (`reads.any` is false).
+    """
 
     interaction: Interaction
     view: EpisodeView
-    features: FeatureContext
+    features: FeatureContext | None
     guess: int
+    reads: FeatureReads
 
 
-def ground(stack: DescriptionStack) -> tuple[list[int], np.ndarray]:
-    """The region row each stacked dialog guesses, and its guess-feature row."""
+def ground(stack: DescriptionStack, features: bool = True) -> tuple[list[int], np.ndarray | None]:
+    """The region row each stacked dialog guesses, and its guess-feature row if `features`."""
     scores = score_objects(stack)
-    return scores.argmax, guess_features(stack, scores)
+    return scores.argmax, guess_features(stack, scores) if features else None
 
 
 class BatchSetup:
@@ -216,41 +252,63 @@ class BatchSetup:
     First comes the run's one batch-level fit, of the agent's unfit two-class
     models (new labels at the last batch end, or a resumed checkpoint) in one
     fit_models call. Then the classifier rows over the batch's objects
-    (snapshot.BatchRows), the query rows of the feature table
-    (features.query_rows; the agent's stats are frozen until the batch end)
-    and every dialog's grounding and guess features are built. `episode(e)`
-    builds episode e's view and feature context from them when its dialog
-    starts, so a batch holds no view of a dialog that has not started.
+    (snapshot.BatchRows) and every dialog's grounding are built. When
+    something reads the batch's features (`reads.any`), so are the query rows
+    of the feature table (features.query_rows; the agent's stats are frozen
+    until the batch end) and every dialog's guess features; otherwise
+    `queries` and `guess_rows` are None. `episode(e)` builds episode e's
+    view, and its feature context if features are read, when its dialog
+    starts, so a batch holds no view of a dialog that has not started. The
+    contexts of one row set copy its table, gathered at the first of them;
+    the batch holds the table of the latest row set only.
     """
 
-    def __init__(self, experiment: Experiment, agent: Agent, interactions: Sequence[Interaction]):
+    def __init__(
+        self,
+        experiment: Experiment,
+        agent: Agent,
+        interactions: Sequence[Interaction],
+        reads: FeatureReads,
+    ):
         cfg, X = experiment.config, experiment.corpus.X
         unfit = [m for _, m in sorted(agent.models.items()) if m.weights is None and m.trainable()]
         fit_models(unfit, X, cfg.classifier)
         self.rows = rows = BatchRows(
             agent.models, agent.stats.used, interactions, X, cfg.triangular
         )
-        self.queries = query_rows(rows.predicates, rows.f1, rows.trained, agent.stats)
+        self.reads = reads
+        self.queries = self.guess_rows = None
+        if reads.any:
+            self.queries = query_rows(rows.predicates, rows.f1, rows.trained, agent.stats)
+            self.guess_rows = np.empty((len(interactions), N_FEATURES))
         self.guesses = np.empty(len(interactions), dtype=np.intp)
-        self.guess_rows = np.empty((len(interactions), N_FEATURES))
         for episodes, stack in batch_stacks(rows):
-            self.guesses[episodes], self.guess_rows[episodes] = ground(stack)
+            self.guesses[episodes], guess_rows = ground(stack, reads.any)
+            if reads.any:
+                self.guess_rows[episodes] = guess_rows
+        self._table = (-1, None)  # the row-set size and row_set_queries of the last context
         self.experiment = experiment
 
     def episode(self, e: int) -> EpisodeSetup:
-        exp = self.experiment
         interaction = self.rows.interactions[e]
         view = EpisodeView(self.rows, e)
-        ctx = FeatureContext(
+        ctx = self._context(e, view) if self.reads.any else None
+        return EpisodeSetup(interaction, view, ctx, int(self.guesses[e]), self.reads)
+
+    def _context(self, e: int, view: EpisodeView) -> FeatureContext:
+        exp = self.experiment
+        size = self.rows.sizes[e]  # the views of one size share one row set
+        if self._table[0] != size:  # row sets only grow along a batch: keep the last one only
+            self._table = size, row_set_queries(self.queries, view.rows)
+        return FeatureContext(
             t_max=exp.config.episode.t_max,
-            description_predicates=interaction.description_predicates,
+            description_predicates=self.rows.interactions[e].description_predicates,
             view=view,
             density=exp.density,
             guess=self.guess_rows[e],
-            batch_queries=self.queries,
+            shared_table=self._table[1],
             mask=exp.mask,
         )
-        return EpisodeSetup(interaction, view, ctx, int(self.guesses[e]))
 
 
 def build_corpus(config: RunConfig) -> Corpus:
@@ -312,9 +370,15 @@ class Experiment:
         policy_kind: str,
         words: np.ndarray,
     ) -> tuple[EpisodeOutcome, Episode]:
-        """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS)."""
+        """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS).
+
+        A turn featurizes what `setup.reads` names: its whole beam, for the
+        learned policy or a policy update, which keeps the beam array, the
+        chosen index and the probabilities on the turn's TranscriptStep;
+        else, for a transcript only, the chosen action alone; else nothing.
+        """
         cfg = self.config
-        interaction, view, ctx = setup.interaction, setup.view, setup.features
+        interaction, view, ctx, reads = setup.interaction, setup.view, setup.features, setup.reads
         desc = interaction.description_predicates
 
         oracle_rng, beam_rng, policy_rng = map(generator, words)
@@ -340,7 +404,9 @@ class Experiment:
                 cfg=cfg.beam,
                 rng=beam_rng,
             )
-            beam_features = featurize(beam, episode.turn, ctx)
+            beam_features = probs = features = None
+            if reads.beam:
+                beam_features = featurize(beam, episode.turn, ctx)
             if policy_kind == "static":
                 chosen = static_policy_act(
                     episode.turn, beam, cfg.policy.static_n_queries, policy_rng
@@ -348,15 +414,25 @@ class Experiment:
             else:
                 probs = action_probabilities(theta, beam_features)
                 chosen = sample_action(probs, policy_rng)
+            if reads.transcript:
+                features = (
+                    beam_features[chosen].copy() if reads.beam
+                    else featurize([beam[chosen]], episode.turn, ctx)[0]
+                )
             n_before = len(episode.pending_labels)
-            episode.step(beam[chosen], beam_features, chosen)
+            if reads.update:
+                episode.step(beam[chosen], features, beam_features, chosen, probs)
+            else:
+                episode.step(beam[chosen], features)
             if immediate and len(episode.pending_labels) > n_before:
                 row = beam[chosen][1]  # a query's labels are all of its view row's predicate
                 if self._refresh_models(view, row, episode.pending_labels[n_before:], agent):
-                    ctx.refit(row)
+                    if ctx is not None:
+                        ctx.refit(row)
                     if view.predicates[row] in desc:  # grounding reads description rows only
-                        (episode.guess,), (guess,) = ground(view_stack(desc, view))
-                        ctx.set_guess(guess)
+                        (episode.guess,), guess = ground(view_stack(desc, view), ctx is not None)
+                        if ctx is not None:
+                            ctx.set_guess(guess[0])
 
         outcome = EpisodeOutcome(
             interaction=interaction,
@@ -407,19 +483,24 @@ class Experiment:
     ) -> tuple[BatchMetrics, dict[tuple[str, int], int], list[EpisodeOutcome]]:
         """Play one batch of dialogs against the agent's frozen classifiers and theta.
 
-        Each finished dialog is exported to the transcript sink, if any, and
-        then reduced to its EpisodeOutcome: with `plan.update_policy`, its
-        (grad_log_prob, G_t) steps at `theta`, computed here between dialogs
-        so that no beam array outlives its dialog and none of this work is
-        inside run_episode. Returns the batch's metrics, its new labels
-        merged by (predicate, region row), and the outcomes.
+        What the batch's turns featurize follows from the plan and whether
+        there is a sink (FeatureReads.of). Each finished dialog is exported
+        to the transcript sink, if any, and then reduced to its
+        EpisodeOutcome: with `plan.update_policy`, its (grad_log_prob, G_t)
+        steps at `theta`, computed here between dialogs from each turn's
+        beam array and, for the learned policy, the probabilities the turn
+        sampled from, so that no beam array outlives its dialog and none of
+        this work is inside run_episode. Returns the batch's metrics, its
+        new labels merged by (predicate, region row), and the outcomes.
         """
         cfg = self.config
         gamma = cfg.rewards.discount
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
         interactions = self.interactions(plan, phase_idx, batch_idx)
-        setups = BatchSetup(self, agent, interactions)
+        setups = BatchSetup(
+            self, agent, interactions, FeatureReads.of(plan, transcript_sink is not None)
+        )
         words = episode_words(self.master, DIALOG_STREAMS, phase_idx, batch_idx, len(interactions))
         for ep_idx in range(len(interactions)):
             setup = setups.episode(ep_idx)
@@ -438,7 +519,7 @@ class Experiment:
                 turns = episode.transcript
                 returns = episode_return([s.reward for s in turns], gamma)
                 outcome.steps = [
-                    (grad_log_prob(theta, s.beam_features, s.chosen), g)
+                    (grad_log_prob(theta, s.beam_features, s.chosen, s.probs), g)
                     for s, g in zip(turns, returns)
                 ]
             outcomes.append(outcome)

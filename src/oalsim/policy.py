@@ -69,9 +69,19 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return len(probs) - 1
 
 
-def grad_log_prob(theta: np.ndarray, beam_features: np.ndarray, chosen: int) -> np.ndarray:
-    """f(s, a_chosen) - sum_a' pi(a'|s) f(s, a')."""
-    probs = action_probabilities(theta, beam_features)
+def grad_log_prob(
+    theta: np.ndarray,
+    beam_features: np.ndarray,
+    chosen: int,
+    probs: np.ndarray | None = None,
+) -> np.ndarray:
+    """f(s, a_chosen) - sum_a' pi(a'|s) f(s, a').
+
+    `probs`, when given, is action_probabilities(theta, beam_features), as
+    the turn that sampled from it computed it; otherwise it is computed here.
+    """
+    if probs is None:
+        probs = action_probabilities(theta, beam_features)
     return beam_features[chosen] - probs @ beam_features
 
 

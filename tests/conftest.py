@@ -16,10 +16,12 @@ from oalsim.corpus import (
 )
 from oalsim.features import N_FEATURES, FeatureContext, query_rows
 from oalsim.grounding import view_stack
-from oalsim.harness import BatchSetup, Experiment, RunResult, ground
+from oalsim.harness import BatchSetup, Experiment, FeatureReads, RunResult, ground
 from oalsim.perception import DensityIndex
 from oalsim.querygen import TriangularWeights
 from oalsim.snapshot import BatchRows, EpisodeView
+
+READS_ALL = FeatureReads(beam=True, update=True, transcript=True)  # builds every feature table
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
@@ -60,7 +62,7 @@ def feature_context(view, description, stats, density, t_max=40, mask=None):
         view=view,
         density=density,
         guess=guess[0],
-        batch_queries=query_rows(view.predicates, view.f1, view.trained, stats),
+        shared_table=query_rows(view.predicates, view.f1, view.trained, stats),
         mask=mask,
     )
 
@@ -124,5 +126,5 @@ def desk_agent():
     for batch in range(2):
         _, merged, outcomes = exp.run_batch(plan, 0, batch, agent, np.zeros(N_FEATURES))
         exp.apply_batch_end(agent, merged, outcomes)
-    BatchSetup(exp, agent, [o.interaction for o in outcomes])
+    BatchSetup(exp, agent, [o.interaction for o in outcomes], READS_ALL)
     return exp, agent

@@ -5,7 +5,9 @@ a per-episode query table. `featurize_action` builds one action's vector
 entry by entry, reading the view, the agent stats the episode's batch froze
 and the density index directly;
 `featurize_beam` stacks it over a beam. Every beam array must equal the
-stacked oracle bit for bit.
+stacked oracle bit for bit. `featurize_alone` stacks one-action calls of
+featurize itself, as a static turn that logs only its chosen action makes
+them, the guess included; they must equal the beam's rows bit for bit too.
 
 An action is (kind, view row, active-train column). The oracle resolves it
 to the predicate's name and the object's region row first, then looks both
@@ -44,6 +46,13 @@ def featurize_action(action, turn: int, ctx: FeatureContext, stats) -> np.ndarra
 
 def featurize_beam(beam, turn: int, ctx: FeatureContext, stats) -> np.ndarray:
     return np.stack([featurize_action(a, turn, ctx, stats) for a in beam])
+
+
+def featurize_alone(featurize, beam, turn: int, ctx: FeatureContext) -> np.ndarray:
+    """The beam's rows, each from its own one-action call of `featurize`."""
+    rows = [featurize([action], turn, ctx) for action in beam]
+    assert all(row.shape == (1, N_FEATURES) for row in rows)
+    return np.concatenate(rows)
 
 
 def _fill_query(vec: np.ndarray, ctx: FeatureContext, stats, predicate: str) -> int:

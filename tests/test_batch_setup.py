@@ -4,7 +4,8 @@ The harness builds every episode's view, label record, grounding and feature
 table from its batch's arrays (harness.BatchSetup). tests/setup_oracle.py
 keeps the per-episode build it replaced; here every episode of real runs is
 checked against it at the episode's start, with tobytes() equality on float
-arrays, so -0.0 and 0.0 differ too.
+arrays, so -0.0 and 0.0 differ too. An episode whose batch reads no features
+has no feature table, and is checked to have none.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from oalsim.querygen import SamplingCDF, TriangularWeights, triangular_weight
 from oalsim.snapshot import BatchRows
 
 from classifier_oracle import triangular_weights
-from conftest import DESK_CONFIG, small_run_config
+from conftest import DESK_CONFIG, READS_ALL, small_run_config
 from setup_oracle import OracleView, oracle_setup
 
 ARRAYS = ("f1", "sampling", "trained", "margins", "decisions")
@@ -43,7 +44,8 @@ def assert_view_equals(view, want: OracleView):
 
 def check_every_setup(exp: Experiment, monkeypatch) -> dict:
     """Run the experiment, comparing each episode's set-up with the oracle's at its start."""
-    seen = {"episodes": 0, "uneven_batches": 0, "unfit_descriptions": 0, "most_row_sets": 0}
+    seen = {"episodes": 0, "tables": 0, "uneven_batches": 0, "unfit_descriptions": 0,
+            "most_row_sets": 0}
     batch = {}
     run_batch, run_episode = Experiment.run_batch, Experiment.run_episode
 
@@ -72,8 +74,12 @@ def check_every_setup(exp: Experiment, monkeypatch) -> dict:
         assert_view_equals(setup.view, want)
         assert setup.view.labels() == known
         assert setup.guess == guess
-        assert setup.features.table.shape == table.shape
-        assert setup.features.table.tobytes() == table.tobytes()
+        if setup.reads.any:
+            assert setup.features.table.shape == table.shape
+            assert setup.features.table.tobytes() == table.tobytes()
+            seen["tables"] += 1
+        else:
+            assert setup.features is None
         batch["sizes"].add(len(want.predicates))
         seen["episodes"] += 1
         seen["unfit_descriptions"] += any(
@@ -101,6 +107,7 @@ def test_desk_setups_equal_the_per_episode_build(monkeypatch):
         ),
     )
     seen = check_every_setup(Experiment(cfg), monkeypatch)
+    assert seen["tables"] == seen["episodes"]  # the learned arm reads features in every phase
     assert seen["uneven_batches"] >= 3  # every phase's first batch
     assert seen["unfit_descriptions"] > 0
 
@@ -130,7 +137,8 @@ def test_immediate_setups_equal_the_per_episode_build(
 
 def test_immediate_workload_setups_equal_the_per_episode_build(monkeypatch):
     # the desk corpus with immediate refits and batches of 300, whose views
-    # come in many row sets; every view of each equals its own build
+    # come in many row sets; every view of each equals its own build, and
+    # only the init batch, which updates the policy, reads features
     base = load_config(DESK_CONFIG)
     cfg = dataclasses.replace(
         base,
@@ -141,7 +149,7 @@ def test_immediate_workload_setups_equal_the_per_episode_build(monkeypatch):
         ),
     )
     seen = check_every_setup(Experiment(cfg), monkeypatch)
-    assert seen["episodes"] == 900
+    assert seen["episodes"] == 900 and seen["tables"] == 300
     assert seen["uneven_batches"] == 3 and seen["most_row_sets"] >= 5
 
 
@@ -157,11 +165,13 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     exp = Experiment(small_run_config(), small_corpus, small_split, small_density)
     agent, outcomes = _trained_agent(exp)
     interactions = [o.interaction for o in outcomes[:3]]
-    setups = BatchSetup(exp, agent, interactions)
+    setups = BatchSetup(exp, agent, interactions, READS_ALL)
     rows = setups.rows
     held = {name: getattr(rows, name).copy() for name in ARRAYS + ("labels",)}
     queries = setups.queries.copy()
     first, twin = setups.episode(0), setups.episode(0)
+    size, table = setups._table
+    table = table.copy()
     shared = rows.row_set(0)
     held_set = {name: getattr(shared, name).copy() for name in ("f1", "sampling", "trained")}
     cdf = list(shared.sampling_cdf.cdf)
@@ -178,6 +188,7 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     assert shared.sampling_cdf.cdf == cdf and rows.row_set(0) is shared
     assert first.view.f1 is not shared.f1 and first.view.sampling_cdf is not shared.sampling_cdf
     assert np.array_equal(setups.queries, queries)
+    assert setups._table[0] == size and setups._table[1].tobytes() == table.tobytes()
     predicates, wants = set(agent.stats.used), []
     for interaction in interactions:
         predicates |= set(interaction.description_predicates)

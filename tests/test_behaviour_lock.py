@@ -3,9 +3,10 @@
 perfbench/lock.json pins metrics.csv only. These digests also pin the
 transcripts (every logged feature vector) and each checkpoint (classifier
 labels, theta, metrics rows), for the learned arm with and without immediate updates,
-and for the learned arm on the same regions in reversed file order. In that
-corpus a region's file position differs from its rank in id order, which the
-synthetic corpora below 10,000 regions never show.
+for the learned arm on the same regions in reversed file order, and for the
+static arm, whose train and test phases log only each chosen action's
+features. In the reversed corpus a region's file position differs from its
+rank in id order, which the synthetic corpora below 10,000 regions never show.
 A change that is meant to alter any of these bytes re-pins them here and says
 why in CHANGES.md; a speedup must leave them as they are.
 """
@@ -51,11 +52,21 @@ PINNED = {
         "metrics.csv": "44f63fc6891ea1166c7ca3e27633ec9afea7788c29993b42d2440406311a5448",
         "transcripts.jsonl": "f663a40618e7648c0b0d1541847b89d70181588a6590264c87cb496dec3a4881",
     },
+    "static": {
+        "ck/checkpoint_p0_b0.json": "16eb4ae96840b6c26a53d195d989df7d251bf239d750b77101252a731e0ac653",
+        "ck/checkpoint_p0_b1.json": "ba4c000e5a4d94f0b22b611e218a329edb599b74fc68d8a5c01f61a27a086442",
+        "ck/checkpoint_p1_b0.json": "181f8c1cfc8784a8f79d52cb85e4abe046117b9f9a0e58c873ea5126616996ec",
+        "ck/checkpoint_p1_b1.json": "d6e558affd461b50add8b9a30c9470c509d2921a7013fb74972c97eb607516ce",
+        "ck/checkpoint_p2_b0.json": "3205f8029fdb8bcbc69eac6780860a04f48222eb2c4f76c0cd343db88557a418",
+        "ck/checkpoint_p2_b1.json": "c631e1c91a9517ed059a099ba5396ccd922db0f9729ecf0a9ca895ae2d1c591b",
+        "metrics.csv": "6399506ab615747115a66af4beec7befc38406800f4e30071195ef9cf2ba6cf7",
+        "transcripts.jsonl": "920ef56871be969427b1f9911039a8c46ade3a39b2470a1792c9a22dc740f85b",
+    },
 }
 
 
 def _config(name):
-    cfg = small_run_config()
+    cfg = small_run_config(policy_kind="static" if name == "static" else "learned")
     if name == "immediate":
         cfg = dataclasses.replace(
             cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)

@@ -293,11 +293,12 @@ class TestRewardConfig:
 
 
 def test_transcript_export():
+    # each turn logs the chosen action's feature row it was given, or null
     ep = _episode(guess="o1")
-    feats = np.zeros((3, 28))
-    ep.step(_label("red", "t0"), feats, 1)
-    ep.step(_example("white"), feats, 2)
-    ep.step(GUESS_ACTION, feats, 0)
+    feats = np.arange(3 * 28, dtype=np.float64).reshape(3, 28)
+    ep.step(_label("red", "t0"), feats[1])
+    ep.step(_example("white"))
+    ep.step(GUESS_ACTION, feats[0])
     ids = _toy_world()[0].ids
     lines = [json.loads(json.dumps(rec)) for rec in transcript_records("e0", ep, ids)]
     assert len(lines) == 3
@@ -306,4 +307,5 @@ def test_transcript_export():
     assert lines[1]["action"] == "example:white"
     assert lines[1]["turn"] == 1 and lines[1]["reward"] == -1
     assert lines[2]["action"] == "guess" and lines[2]["reward"] == 200
-    assert len(lines[0]["features"]) == 28
+    assert lines[0]["features"] == feats[1].tolist() and len(lines[0]["features"]) == 28
+    assert lines[1]["features"] is None and lines[2]["features"] == feats[0].tolist()

@@ -1,4 +1,7 @@
-"""The beam form of featurize against the one-action oracle, every turn of real runs."""
+"""The beam form of featurize against the one-action oracle, every turn of real runs.
+
+Each beam's rows also equal one-action calls of featurize, the guess included.
+"""
 
 import dataclasses
 
@@ -11,8 +14,8 @@ from oalsim.agent import Agent
 from oalsim.features import N_FEATURES
 from oalsim.harness import Experiment
 
-from conftest import episode_view, feature_context, small_run_config
-from feature_oracle import featurize_beam
+from conftest import READS_ALL, episode_view, feature_context, small_run_config
+from feature_oracle import featurize_alone, featurize_beam
 
 
 def _config(immediate, ablate):
@@ -54,6 +57,7 @@ def test_every_beam_equals_the_stacked_oracle(
         assert got.shape == (len(beam), N_FEATURES)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
+        assert featurize_alone(beam_form, beam, turn, ctx).tobytes() == got.tobytes()
         seen["turns"] += 1
         seen["labels"] += sum(kind == LABEL_QUERY for kind, _, _ in beam)
         seen["after_refit"] += bool(refits)
@@ -87,7 +91,8 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     _, merged, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
     exp.apply_batch_end(agent, merged, outcomes)
     inter = outcomes[0].interaction
-    harness.BatchSetup(exp, agent, [inter])  # fits the classifiers, as the next batch start does
+    # fits the classifiers, as the next batch start does
+    harness.BatchSetup(exp, agent, [inter], READS_ALL)
     desc = inter.description_predicates
     view = episode_view(
         agent.models,
@@ -104,3 +109,4 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
     ):
         got = harness.featurize(beam, turn, ctx)
         assert got.tobytes() == featurize_beam(beam, turn, ctx, agent.stats).tobytes()
+        assert featurize_alone(harness.featurize, beam, turn, ctx).tobytes() == got.tobytes()

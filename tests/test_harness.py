@@ -30,7 +30,7 @@ from oalsim.harness import (
 from oalsim.perception import PredicateModel
 from oalsim.policy import AgentStats, grad_log_prob
 
-from conftest import SMALL_SYNTH, episode_view, feature_context, small_run_config
+from conftest import READS_ALL, SMALL_SYNTH, episode_view, feature_context, small_run_config
 from setup_oracle import oracle_guess_features, oracle_scores
 
 
@@ -349,6 +349,139 @@ class TestPolicyUpdate:
         assert [ref for ref in beams if ref() is not None] == []
 
 
+class TestFeatureReads:
+    """A phase featurizes what its policy, its update and the transcript sink read."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Per phase: featurize calls as (rows, beam length), beam lengths and contexts built."""
+        seen = {"phase": None, "calls": [], "beams": [], "contexts": []}
+        run_batch, build, form = Experiment.run_batch, harness.build_beam, harness.featurize
+        context = harness.FeatureContext
+
+        def recorded_batch(self, plan, *args, **kwargs):
+            seen["phase"] = plan.name
+            return run_batch(self, plan, *args, **kwargs)
+
+        def recorded_beam(**kwargs):
+            beam = build(**kwargs)
+            seen["beams"].append((seen["phase"], len(beam)))
+            return beam
+
+        def recorded_featurize(actions, turn, ctx):
+            seen["calls"].append((seen["phase"], len(actions), seen["beams"][-1][1]))
+            return form(actions, turn, ctx)
+
+        def recorded_context(*args, **kwargs):
+            seen["contexts"].append(seen["phase"])
+            return context(*args, **kwargs)
+
+        monkeypatch.setattr(Experiment, "run_batch", recorded_batch)
+        monkeypatch.setattr(harness, "build_beam", recorded_beam)
+        monkeypatch.setattr(harness, "featurize", recorded_featurize)
+        monkeypatch.setattr(harness, "FeatureContext", recorded_context)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["static", "learned"])
+    @pytest.mark.parametrize("sink", [False, True], ids=["no-sink", "sink"])
+    def test_each_phase_featurizes_what_it_reads(
+        self, kind, sink, small_corpus, small_split, small_density, monkeypatch, tmp_path
+    ):
+        seen = self._record(monkeypatch)
+        cfg = small_run_config(policy_kind=kind)
+        exp = Experiment(cfg, small_corpus, small_split, small_density)
+        result = exp.run(transcript_path=tmp_path / "t.jsonl" if sink else None)
+        for phase in harness.PHASE_NAMES:
+            lengths = [n for m in result.metrics if m.phase == phase for n in m.lengths]
+            calls = [(rows, beam) for p, rows, beam in seen["calls"] if p == phase]
+            contexts = seen["contexts"].count(phase)
+            if phase == "init" or kind == "learned":  # every beam row is read
+                assert [rows for rows, _ in calls] == [n for p, n in seen["beams"] if p == phase]
+                assert contexts == len(lengths)
+            elif sink:  # the transcript reads one row a turn
+                assert [rows for rows, _ in calls] == [1] * sum(lengths)
+                assert contexts == len(lengths)
+            else:
+                assert calls == [] and contexts == 0
+            assert len(calls) in (0, sum(lengths))
+
+    def test_turns_keep_only_what_is_read(
+        self, small_corpus, small_split, small_density, live_transcripts, monkeypatch, tmp_path
+    ):
+        # update phases keep each beam and, for the learned policy, the
+        # probabilities it sampled from; the sink keeps each chosen row
+        phases = []
+        run_batch = Experiment.run_batch
+
+        def recorded_batch(self, plan, *args, **kwargs):
+            out = run_batch(self, plan, *args, **kwargs)
+            phases.extend([(plan, args[3])] * len(out[2]))  # args: phase, batch, agent, theta
+            return out
+
+        monkeypatch.setattr(Experiment, "run_batch", recorded_batch)
+        for sink in (None, tmp_path / "t.jsonl"):
+            live_transcripts.clear()
+            phases.clear()
+            Experiment(small_run_config(), small_corpus, small_split, small_density).run(
+                transcript_path=sink
+            )
+            assert len(phases) == len(live_transcripts) > 0
+            for (plan, theta), transcript in zip(phases, live_transcripts):
+                for step in transcript:
+                    self._check_step(step, plan, theta, sink is not None)
+
+    @staticmethod
+    def _check_step(step, plan, theta, sink):
+        feats, chosen = step.beam_features, step.chosen
+        if not plan.update_policy:
+            assert feats is None and chosen is None and step.probs is None
+        elif plan.policy_kind == "learned":
+            assert step.probs.tobytes() == harness.action_probabilities(theta, feats).tobytes()
+            want = grad_log_prob(theta, feats, chosen)
+            assert grad_log_prob(theta, feats, chosen, step.probs).tobytes() == want.tobytes()
+        else:
+            assert feats is not None and chosen is not None and step.probs is None
+        if not sink:
+            assert step.features is None
+            return
+        assert step.features.shape == (N_FEATURES,)
+        if feats is not None:
+            assert step.features.tobytes() == feats[chosen].tobytes()
+            assert step.features.base is None  # it holds no beam
+
+    def test_a_sink_changes_no_outcome(
+        self, small_corpus, small_split, small_density, tmp_path, monkeypatch
+    ):
+        # with immediate refits, a static dialog without features regrounds
+        # on the argmax alone and one with a sink through its feature context
+        cfg = small_run_config(policy_kind="static")
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+        regroundings = []  # whether each in-dialog regrounding built guess features
+        stacked, ground = harness.view_stack, harness.ground
+
+        def recorded_stack(*args):
+            regroundings.append(None)
+            return stacked(*args)
+
+        def recorded_ground(stack, features=True):
+            if regroundings and regroundings[-1] is None:
+                regroundings[-1] = features
+            return ground(stack, features)
+
+        monkeypatch.setattr(harness, "view_stack", recorded_stack)
+        monkeypatch.setattr(harness, "ground", recorded_ground)
+        runs = []
+        for path in (None, tmp_path / "t.jsonl"):
+            regroundings.clear()
+            exp = Experiment(cfg, small_corpus, small_split, small_density)
+            runs.append(exp.run(transcript_path=path))
+            assert (False in regroundings) == (path is None) and True in regroundings
+        assert runs[0].metrics == runs[1].metrics
+        assert runs[0].theta.tobytes() == runs[1].theta.tobytes()
+
+
 class TestCheckpointing:
     def test_resume_matches_uninterrupted(
         self, small_corpus, small_split, small_density, tmp_path
@@ -577,10 +710,10 @@ class TestCheckpointing:
             loaded.append(list(agent.models.values()))  # a reset replaces agent.models
             return agent
 
-        def recorded_setup(experiment, agent, interactions):
+        def recorded_setup(experiment, agent, interactions, reads):
             s = agent.stats  # the stats the batch reads
             stats.append((dict(s.used), dict(s.succeeded), s.dialogs))
-            return setup(experiment, agent, interactions)
+            return setup(experiment, agent, interactions, reads)
 
         monkeypatch.setattr(harness, "BatchSetup", recorded_setup)
         monkeypatch.setattr(harness, "BatchRows", recorded_rows)
@@ -901,7 +1034,8 @@ class TestImmediateUpdates:
         _, merged, outcomes = exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         exp.apply_batch_end(agent, merged, outcomes)
         inter = outcomes[0].interaction
-        harness.BatchSetup(exp, agent, [inter])  # fits the classifiers, as the next batch start does
+        # fits the classifiers, as the next batch start does
+        harness.BatchSetup(exp, agent, [inter], READS_ALL)
         desc = inter.description_predicates
         x = inter.active_train[0]
         rid = int(exp.density.knn[x, 0])
