@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from .corpus import InteractionSizes, SplitConfig, SyntheticConfig
+from .corpus import SplitConfig, SyntheticConfig
 from .dialog import RewardConfig
 from .errors import ConfigError, DataError, check_bool, check_int, check_real
 from .perception import ClassifierConfig
@@ -67,9 +67,6 @@ class EpisodeConfig:
         check_int("episode.active_train_size", self.active_train_size, 0)
         check_int("episode.active_test_size", self.active_test_size, 1)
         check_bool("episode.immediate_updates", self.immediate_updates)
-
-    def sizes(self) -> InteractionSizes:
-        return InteractionSizes(self.active_train_size, self.active_test_size)
 
 
 @dataclass(frozen=True)

@@ -429,12 +429,6 @@ def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
     )
 
 
-@dataclass(frozen=True)
-class InteractionSizes:
-    active_train: int = 8
-    active_test: int = 4
-
-
 MAX_DRAWS = 100  # interactions sample_interaction draws before it finds none describable
 
 
@@ -442,25 +436,26 @@ def sample_interaction(
     corpus: Corpus,
     split: CorpusSplit,
     side: str,
-    sizes: InteractionSizes,
+    active_train_size: int,
+    active_test_size: int,
     rng: np.random.Generator,
 ) -> Interaction:
     """Draw one interaction: train/test sets without replacement, describable target."""
     train_pool, test_pool = split.side(side)
-    if len(train_pool) < sizes.active_train:
+    if len(train_pool) < active_train_size:
         raise SamplingError(
             f"{side} classifier-train subset has {len(train_pool)} regions, "
-            f"needs {sizes.active_train}"
+            f"needs {active_train_size}"
         )
-    if len(test_pool) < sizes.active_test:
+    if len(test_pool) < active_test_size:
         raise SamplingError(
             f"{side} classifier-test subset has {len(test_pool)} regions, "
-            f"needs {sizes.active_test}"
+            f"needs {active_test_size}"
         )
     described = corpus.description_predicates
     for _ in range(MAX_DRAWS):
-        train_idx = rng.choice(len(train_pool), size=sizes.active_train, replace=False)
-        test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
+        train_idx = rng.choice(len(train_pool), size=active_train_size, replace=False)
+        test_idx = rng.choice(len(test_pool), size=active_test_size, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
         active_test = tuple(test_pool[i] for i in test_idx)
         if not any(described[row] for row in active_test):

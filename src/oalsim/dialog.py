@@ -55,22 +55,16 @@ class RewardConfig:
 
 @dataclass(slots=True)
 class TranscriptStep:
-    """One turn's action and reward, and the features that are read after the turn.
+    """One turn as transcript_records writes it: action, reward and chosen features.
 
-    `features` is the chosen action's feature row, which the transcript
-    writer logs. In a phase that updates the policy, `beam_features` is the
-    (len(beam), N_FEATURES) array of the turn's beam and `chosen` the
-    action's index in it, and `probs` the learned policy's probabilities
-    over the beam (None when the static policy chose). Each is None when
-    nothing reads it after the turn.
+    `features` is the chosen action's feature row, None when no transcript
+    is written. A policy update's per-turn data (beam, choice, probabilities)
+    stays with the harness, which plays the turn.
     """
 
     action: Action
     reward: float
     features: np.ndarray | None = None
-    beam_features: np.ndarray | None = None
-    chosen: int | None = None
-    probs: np.ndarray | None = None
 
 
 NONE_ANSWER = None  # example query with no positive object in the active training set
@@ -149,14 +143,7 @@ class Episode:
 
     # -- transitions --------------------------------------------------------
 
-    def step(
-        self,
-        action: Action,
-        features: np.ndarray | None = None,
-        beam_features: np.ndarray | None = None,
-        chosen: int | None = None,
-        probs: np.ndarray | None = None,
-    ) -> tuple[float, bool]:
+    def step(self, action: Action, features: np.ndarray | None = None) -> tuple[float, bool]:
         """Apply one action; the oracle refuses a query off the view's rows or columns.
 
         The features are kept on the turn's TranscriptStep.
@@ -185,9 +172,7 @@ class Episode:
             raise ProtocolError(f"unknown action {action!r}")
 
         self.turn += 1
-        self.transcript.append(
-            TranscriptStep(action, reward, features, beam_features, chosen, probs)
-        )
+        self.transcript.append(TranscriptStep(action, reward, features))
         return reward, self.terminated
 
     # -- derived quantities -------------------------------------------------

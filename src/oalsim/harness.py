@@ -16,7 +16,10 @@ each dialog builds its generators from its own words when it starts.
 
 A batch featurizes only what something reads: whole beams where the
 learned policy samples or REINFORCE updates, each turn's chosen action where
-only a transcript is written, nothing otherwise (FeatureReads).
+only a transcript is written, nothing otherwise (FeatureReads). The dialog
+(dialog.Episode) holds no policy-gradient state: run_episode returns each
+turn's beam features, chosen index and probabilities, and run_batch turns
+them into REINFORCE terms between dialogs.
 
 A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
 """
@@ -204,21 +207,18 @@ class FeatureReads:
     """What reads a batch's turn features, derived from its phase plan and transcript sink.
 
     `beam`: every beam row is read, because the learned policy samples from
-    them or REINFORCE reads them (`update`, with the turn's probabilities,
-    after the dialog). `transcript`: the transcript writer reads each turn's
-    chosen row. A turn featurizes its whole beam, else only its chosen action
-    when just the transcript reads it, else nothing; a batch that reads no
-    features builds no feature table.
+    them or a policy update reads them after the dialog. `transcript`: the
+    transcript writer reads each turn's chosen row. A turn featurizes its
+    whole beam, else only its chosen action when just the transcript reads
+    it, else nothing; a batch that reads no features builds no feature table.
     """
 
     beam: bool
-    update: bool
     transcript: bool
 
     @classmethod
     def of(cls, plan: PhasePlan, transcripts: bool) -> FeatureReads:
-        update = plan.update_policy
-        return cls(plan.policy_kind == "learned" or update, update, transcripts)
+        return cls(plan.policy_kind == "learned" or plan.update_policy, transcripts)
 
     @property
     def any(self) -> bool:
@@ -352,11 +352,12 @@ class Experiment:
 
     def interactions(self, plan: PhasePlan, phase_idx: int, batch_idx: int) -> list[Interaction]:
         """The batch's interactions, one per dialog, each drawn from its own seed stream."""
-        sizes = self.config.episode.sizes()
+        ep = self.config.episode
         words = episode_words(self.master, ("interaction",), phase_idx, batch_idx,
                               self.config.experiment.batch_size)
         return [
-            sample_interaction(self.corpus, self.split, plan.side, sizes, generator(w))
+            sample_interaction(self.corpus, self.split, plan.side, ep.active_train_size,
+                               ep.active_test_size, generator(w))
             for w in words[:, 0]
         ]
 
@@ -367,15 +368,17 @@ class Experiment:
         setup: EpisodeSetup,
         agent: Agent,
         theta: np.ndarray,
-        policy_kind: str,
+        plan: PhasePlan,
         words: np.ndarray,
-    ) -> tuple[EpisodeOutcome, Episode]:
+    ) -> tuple[EpisodeOutcome, Episode, list[tuple[np.ndarray, int, np.ndarray | None]]]:
         """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS).
 
         A turn featurizes what `setup.reads` names: its whole beam, for the
-        learned policy or a policy update, which keeps the beam array, the
-        chosen index and the probabilities on the turn's TranscriptStep;
-        else, for a transcript only, the chosen action alone; else nothing.
+        learned policy or a policy update; else, for a transcript only, the
+        chosen action alone; else nothing. Returns the outcome, the episode
+        and, with `plan.update_policy`, one (beam features, chosen index,
+        probabilities) turn per step, the probabilities None where the static
+        policy chose; without, no turns.
         """
         cfg = self.config
         interaction, view, ctx, reads = setup.interaction, setup.view, setup.features, setup.reads
@@ -383,6 +386,7 @@ class Experiment:
 
         oracle_rng, beam_rng, policy_rng = map(generator, words)
         immediate = cfg.episode.immediate_updates
+        turns = []
 
         episode = Episode(
             interaction=interaction,
@@ -407,7 +411,7 @@ class Experiment:
             beam_features = probs = features = None
             if reads.beam:
                 beam_features = featurize(beam, episode.turn, ctx)
-            if policy_kind == "static":
+            if plan.policy_kind == "static":
                 chosen = static_policy_act(
                     episode.turn, beam, cfg.policy.static_n_queries, policy_rng
                 )
@@ -419,11 +423,10 @@ class Experiment:
                     beam_features[chosen].copy() if reads.beam
                     else featurize([beam[chosen]], episode.turn, ctx)[0]
                 )
+            if plan.update_policy:
+                turns.append((beam_features, chosen, probs))
             n_before = len(episode.pending_labels)
-            if reads.update:
-                episode.step(beam[chosen], features, beam_features, chosen, probs)
-            else:
-                episode.step(beam[chosen], features)
+            episode.step(beam[chosen], features)
             if immediate and len(episode.pending_labels) > n_before:
                 row = beam[chosen][1]  # a query's labels are all of its view row's predicate
                 if self._refresh_models(view, row, episode.pending_labels[n_before:], agent):
@@ -440,7 +443,7 @@ class Experiment:
             length=episode.length(),
             pending=list(episode.pending_labels),
         )
-        return outcome, episode
+        return outcome, episode, turns
 
     def _refresh_models(
         self,
@@ -487,11 +490,12 @@ class Experiment:
         there is a sink (FeatureReads.of). Each finished dialog is exported
         to the transcript sink, if any, and then reduced to its
         EpisodeOutcome: with `plan.update_policy`, its (grad_log_prob, G_t)
-        steps at `theta`, computed here between dialogs from each turn's
-        beam array and, for the learned policy, the probabilities the turn
-        sampled from, so that no beam array outlives its dialog and none of
-        this work is inside run_episode. Returns the batch's metrics, its
-        new labels merged by (predicate, region row), and the outcomes.
+        steps at `theta`, computed here between dialogs from the turns
+        run_episode returns (each beam array, chosen index and, for the
+        learned policy, the probabilities it sampled from), so that no beam
+        array outlives its dialog and none of this work is inside
+        run_episode. Returns the batch's metrics, its new labels merged by
+        (predicate, region row), and the outcomes.
         """
         cfg = self.config
         gamma = cfg.rewards.discount
@@ -504,9 +508,7 @@ class Experiment:
         words = episode_words(self.master, DIALOG_STREAMS, phase_idx, batch_idx, len(interactions))
         for ep_idx in range(len(interactions)):
             setup = setups.episode(ep_idx)
-            outcome, episode = self.run_episode(
-                setup, agent, theta, plan.policy_kind, words[ep_idx]
-            )
+            outcome, episode, turns = self.run_episode(setup, agent, theta, plan, words[ep_idx])
             # Episode drops labels the agent held at the batch start, and the
             # agent's models do not change within a batch.
             for p, region, label in outcome.pending:
@@ -516,11 +518,10 @@ class Experiment:
                 for rec in transcript_records(episode_id, episode, self.corpus.ids):
                     transcript_sink.write(json.dumps(rec) + "\n")
             if plan.update_policy:
-                turns = episode.transcript
-                returns = episode_return([s.reward for s in turns], gamma)
+                returns = episode_return([s.reward for s in episode.transcript], gamma)
                 outcome.steps = [
-                    (grad_log_prob(theta, s.beam_features, s.chosen, s.probs), g)
-                    for s, g in zip(turns, returns)
+                    (grad_log_prob(theta, beam, chosen, probs), g)
+                    for (beam, chosen, probs), g in zip(turns, returns, strict=True)
                 ]
             outcomes.append(outcome)
 
@@ -578,7 +579,7 @@ class Experiment:
 
         sink = None
         if transcript_path:
-            kept = _transcript_kept_bytes(transcript_path, (start_phase, start_batch))
+            kept = _transcript_kept_bytes(transcript_path, metrics)
             if kept:
                 os.truncate(transcript_path, kept)
             sink = open(transcript_path, "a" if kept else "w", encoding="utf-8")
@@ -610,6 +611,8 @@ class Experiment:
                     del merged, outcomes
                     metrics.append(batch_metrics)
                     if checkpoint_dir is not None:
+                        if sink is not None:  # a checkpoint's batches are in the transcript
+                            sink.flush()
                         checkpoint_save(
                             Path(checkpoint_dir)
                             / f"checkpoint_p{phase_idx}_b{batch_idx}.json",
@@ -720,26 +723,41 @@ def checkpoint_save(path, state: dict) -> None:
         raise
 
 
-def _transcript_kept_bytes(path, cursor: tuple[int, int]) -> int:
-    """Length of the records an earlier run wrote for the batches before the cursor.
+def _transcript_kept_bytes(path, metrics: Sequence[BatchMetrics]) -> int:
+    """Length of the records an earlier run wrote for the finished batches, `metrics`.
 
     A resumed run keeps those records and drops the rest (a batch the
-    interrupted run left partial); a fresh run, at cursor (0, 0), keeps none.
-    A line before the cursor that is no transcript record is a CheckpointError.
+    interrupted run left partial); a fresh run keeps none, and so does a
+    resume that finds no file. The kept lines must be every turn of every
+    dialog of those batches, in play order, as the metrics rows count them:
+    a line among them that is no transcript record, or a record missing
+    where one is due, an empty file included, is a CheckpointError.
     """
-    if cursor == (0, 0) or not Path(path).exists():
+    if not metrics or not Path(path).exists():
         return 0
+    due = (
+        (f"{m.phase}/{m.batch}/{e}", turn)
+        for m in metrics
+        for e, length in enumerate(m.lengths)
+        for turn in range(length)
+    )
     kept = 0
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
+        for number, (episode, turn) in enumerate(due, 1):
+            line = fh.readline()
+            missing = f"{path} has no record of turn {turn} of episode {episode!r}"
             if not line.endswith(b"\n"):
-                break
+                raise CheckpointError(f"{missing}: line {number} is absent or cut short")
             try:
-                phase, batch, _ = json.loads(line)["episode"].split("/")
-                if (PHASE_NAMES.index(phase), int(batch)) >= cursor:
-                    break
+                record = json.loads(line)
+                phase, _, _ = record["episode"].split("/")
+                PHASE_NAMES.index(phase)  # a ValueError unless a run's phase
+                held = record["episode"], record["turn"]
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise CheckpointError(f"{path} line {number} is no transcript record: {exc!r}")
+            if held != (episode, turn):
+                raise CheckpointError(f"{missing}: line {number} holds turn {held[1]!r} "
+                                      f"of episode {held[0]!r}")
             kept += len(line)
     return kept
 

@@ -21,7 +21,7 @@ from oalsim.perception import DensityIndex
 from oalsim.querygen import TriangularWeights
 from oalsim.snapshot import BatchRows, EpisodeView
 
-READS_ALL = FeatureReads(beam=True, update=True, transcript=True)  # builds every feature table
+READS_ALL = FeatureReads(beam=True, transcript=True)  # builds every feature table
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
@@ -72,23 +72,40 @@ def desk_run(cfg: RunConfig) -> RunResult:
     return Experiment(cfg).run()
 
 
-@pytest.fixture
-def live_transcripts(monkeypatch) -> list:
-    """Each dialog's live `Episode.transcript`, in play order, kept by a run_episode wrapper.
-
-    A batch's outcomes keep no beams, so tests that read the beams or actions
-    of a dialog read them here. The caller clears the list to drop the beams.
-    """
-    transcripts = []
+def _record_dialogs(monkeypatch, keep) -> list:
+    """keep(outcome, episode, turns) of each dialog, in play order, by a run_episode wrapper."""
+    kept = []
     run_episode = Experiment.run_episode
 
     def recorded(self, *args):
-        outcome, episode = run_episode(self, *args)
-        transcripts.append(episode.transcript)
-        return outcome, episode
+        result = run_episode(self, *args)
+        kept.append(keep(*result))
+        return result
 
     monkeypatch.setattr(Experiment, "run_episode", recorded)
-    return transcripts
+    return kept
+
+
+@pytest.fixture
+def live_transcripts(monkeypatch) -> list:
+    """Each dialog's live `Episode.transcript`, in play order.
+
+    A batch's outcomes keep no actions, so tests that read the actions or
+    rewards of a dialog read them here.
+    """
+    return _record_dialogs(monkeypatch, lambda outcome, episode, turns: episode.transcript)
+
+
+@pytest.fixture
+def live_turns(monkeypatch) -> list:
+    """Each dialog's turns as run_episode returns them, in play order.
+
+    In a phase that updates the policy a dialog's turns are one (beam
+    features, chosen index, probabilities) triple per step, else none. A
+    batch's outcomes keep no beams, so tests that read them read them here.
+    The caller clears the list to drop the beams.
+    """
+    return _record_dialogs(monkeypatch, lambda outcome, episode, turns: turns)
 
 
 @pytest.fixture(scope="session")

@@ -98,8 +98,10 @@ def ground_truth_success(experiment, seed, final):
     hits = 0
     for ep_idx in range(len(final.success_indicators)):
         rng = stream(seed, "interaction", phase_idx, final.batch, ep_idx)
+        episode = experiment.config.episode
         inter = sample_interaction(
-            corpus, experiment.split, side, experiment.config.episode.sizes(), rng
+            corpus, experiment.split, side, episode.active_train_size, episode.active_test_size,
+            rng,
         )
         votes = {
             row: sum(1 if p in corpus.annotations[row] else -1
@@ -471,7 +473,7 @@ class TestC13DeterminismAndCheckpointing:
 
 
 class TestC14AblationHarness:
-    def test_masking_and_end_to_end_run(self, live_transcripts):
+    def test_masking_and_end_to_end_run(self, live_turns):
         # mask verification on logged feature vectors from the scaled corpus
         base = load_config(DESK_CONFIG)
         reduced = dataclasses.replace(
@@ -490,24 +492,21 @@ class TestC14AblationHarness:
         exp = Experiment(ablated_cfg, shared.corpus, shared.split, shared.density)
         plan = exp.phase_plan()[0]
         exp.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
-        transcripts = list(live_transcripts)
+        turns = list(live_turns)
         checked = 0
-        for transcript in transcripts:
-            for step in transcript:
-                feats = step.beam_features
+        for dialog in turns:
+            for feats, _, _ in dialog:
                 assert np.all(feats[:, mask] == 0)
                 checked += feats.shape[0]
         # the init phase is static-driven, so masked and unmasked runs traverse the
         # same states; their logged vectors must differ only inside the mask
         full_exp = Experiment(reduced, shared.corpus, shared.split, shared.density)
-        live_transcripts.clear()
+        live_turns.clear()
         full_exp.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
-        full_transcripts = list(live_transcripts)
+        full_turns = list(live_turns)
         off_mask_equal = True
-        for masked_t, full_t in zip(transcripts, full_transcripts):
-            for masked_step, full_step in zip(masked_t, full_t):
-                mf, mc = masked_step.beam_features, masked_step.chosen
-                ff, fc = full_step.beam_features, full_step.chosen
+        for masked_t, full_t in zip(turns, full_turns):
+            for (mf, mc, _), (ff, fc, _) in zip(masked_t, full_t):
                 off_mask_equal = off_mask_equal and mc == fc
                 off_mask_equal = off_mask_equal and np.array_equal(
                     mf[:, ~mask], ff[:, ~mask]

@@ -85,9 +85,9 @@ def check_every_setup(exp: Experiment, monkeypatch) -> dict:
         seen["unfit_descriptions"] += any(
             want.models[want.index[p]] is None for p in inter.description_predicates
         )
-        outcome, episode = run_episode(self, setup, agent, theta, *args)
+        outcome, episode, turns = run_episode(self, setup, agent, theta, *args)
         assert episode.known is not known
-        return outcome, episode
+        return outcome, episode, turns
 
     monkeypatch.setattr(Experiment, "run_batch", recorded_batch)
     monkeypatch.setattr(Experiment, "run_episode", checked_episode)

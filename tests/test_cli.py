@@ -413,6 +413,47 @@ class TestRun:
         assert f"{transcripts} line 2 " in error["message"] and problem in error["message"]
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("cut", ["missing-batch", "ends-early", "empty"])
+    def test_resume_refuses_a_transcript_missing_records_it_keeps(
+        self, tmp_path, config_path, capsys, cut
+    ):
+        # a resume from train batch 0's checkpoint keeps every record of the
+        # init and train batches; a file that lacks one is left as it is
+        out = tmp_path / "run"
+        args = ["run", "--config", str(config_path), "--out", str(out), "--export-transcripts"]
+        assert main([*args, "--checkpoints"]) == 0
+        transcripts = out / "transcripts.jsonl"
+        records = transcripts.read_text().splitlines(keepends=True)
+        episodes = [json.loads(record)["episode"] for record in records]
+        first_test = episodes.index("test/0/0")
+        if cut == "missing-batch":
+            records = [r for r, e in zip(records, episodes) if not e.startswith("train/0/")]
+            missing = "train/0/0"
+        elif cut == "ends-early":  # inside the last dialog before the resume point
+            records, missing = records[: first_test - 1], episodes[first_test - 1]
+        else:
+            records, missing = [], "init/0/0"
+        transcripts.write_text("".join(records))
+        capsys.readouterr()
+        code = main([*args, "--resume", str(out / "checkpoints" / "checkpoint_p1_b0.json")])
+        assert code == 4
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "CheckpointError"
+        assert str(transcripts) in error["message"] and repr(missing) in error["message"]
+        assert transcripts.read_text() == "".join(records)
+
+    def test_resume_without_a_transcript_file_starts_one(self, tmp_path, config_path):
+        # a resume that finds no transcript file writes the batches it plays
+        out = tmp_path / "run"
+        args = ["run", "--config", str(config_path), "--out", str(out), "--export-transcripts"]
+        assert main([*args, "--checkpoints"]) == 0
+        transcripts = out / "transcripts.jsonl"
+        records = transcripts.read_text().splitlines(keepends=True)
+        transcripts.unlink()
+        assert main([*args, "--resume", str(out / "checkpoints" / "checkpoint_p1_b0.json")]) == 0
+        rest = [r for r in records if json.loads(r)["episode"].startswith("test/")]
+        assert transcripts.read_text() == "".join(rest)
+
     def test_export_transcripts(self, tmp_path, config_path):
         out = tmp_path / "tr"
         assert main(["run", "--config", str(config_path), "--out", str(out),

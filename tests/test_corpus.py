@@ -10,7 +10,6 @@ from oalsim.config import load_config
 from oalsim.corpus import (
     Corpus,
     Interaction,
-    InteractionSizes,
     Region,
     SplitConfig,
     SyntheticConfig,
@@ -277,7 +276,7 @@ class TestSampleInteraction:
     def test_shapes_and_membership(self, small_corpus, small_split):
         rng = stream(0, "t")
         inter = sample_interaction(
-            small_corpus, small_split, "policy-train", InteractionSizes(), rng
+            small_corpus, small_split, "policy-train", 8, 4, rng
         )
         assert len(inter.active_train) == 8
         assert len(inter.active_test) == 4
@@ -297,7 +296,7 @@ class TestSampleInteraction:
             held_out_predicates=frozenset(),
         )
         inter = sample_interaction(
-            small_corpus, split, "policy-train", InteractionSizes(), stream(1, "t")
+            small_corpus, split, "policy-train", 8, 4, stream(1, "t")
         )
         assert set(inter.active_train) == set(rows[:8])
         assert set(inter.active_test) == set(rows[8:12])
@@ -315,7 +314,7 @@ class TestSampleInteraction:
         )
         with pytest.raises(SamplingError):
             sample_interaction(
-                small_corpus, split, "policy-train", InteractionSizes(), stream(2, "t")
+                small_corpus, split, "policy-train", 8, 4, stream(2, "t")
             )
 
     def test_target_uniform_over_classifier_test(self, small_corpus, small_split):
@@ -325,7 +324,7 @@ class TestSampleInteraction:
         n = 10_000
         for _ in range(n):
             inter = sample_interaction(
-                small_corpus, small_split, "policy-train", InteractionSizes(), rng
+                small_corpus, small_split, "policy-train", 8, 4, rng
             )
             counts[inter.target] += 1
         observed = [counts[row] for row in pool]
@@ -345,7 +344,7 @@ class TestSampleInteraction:
             assert small_split.side(side) == (tuple(sorted(ct)), tuple(sorted(cx)))
             for seed in range(200):
                 ours, theirs = stream(seed, "pools"), stream(seed, "pools")
-                got = sample_interaction(small_corpus, small_split, side, InteractionSizes(), ours)
+                got = sample_interaction(small_corpus, small_split, side, 8, 4, ours)
                 assert got == _sample_from_sorted_lists(small_corpus, ct, cx, theirs)
                 assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -354,7 +353,7 @@ class TestSampleInteraction:
             rng = stream(seed, "s")
             return [
                 sample_interaction(
-                    small_corpus, small_split, "policy-train", InteractionSizes(), rng
+                    small_corpus, small_split, "policy-train", 8, 4, rng
                 )
                 for _ in range(5)
             ]
@@ -363,12 +362,12 @@ class TestSampleInteraction:
         assert draw_five(9) != draw_five(10)
 
 
-def _sample_from_sorted_lists(corpus, ct, cx, rng, sizes=InteractionSizes()):
+def _sample_from_sorted_lists(corpus, ct, cx, rng, train_size=8, test_size=4):
     """sample_interaction as it was when it sorted both pools on every call."""
     train_pool, test_pool = sorted(ct), sorted(cx)
     while True:
-        train_idx = rng.choice(len(train_pool), size=sizes.active_train, replace=False)
-        test_idx = rng.choice(len(test_pool), size=sizes.active_test, replace=False)
+        train_idx = rng.choice(len(train_pool), size=train_size, replace=False)
+        test_idx = rng.choice(len(test_pool), size=test_size, replace=False)
         active_train = tuple(train_pool[i] for i in train_idx)
         active_test = tuple(test_pool[i] for i in test_idx)
         if not any(corpus.description_predicates[row] for row in active_test):

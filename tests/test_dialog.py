@@ -70,16 +70,22 @@ def _example(predicate):
     return EXAMPLE_QUERY, ROW[predicate], -1
 
 
-def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models=None):
-    if corpus is None:
-        corpus, interaction = _toy_world()
-    view = episode_view(
+def _toy_view(corpus, interaction, models=None):
+    return episode_view(
         models or {},
         PREDICATES,
         interaction.active_train,
         interaction.active_test,
         corpus.X,
     )
+
+
+def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models=None, view=None):
+    """A toy episode; `view`, if given, is the view of `corpus` and `interaction`."""
+    if corpus is None:
+        corpus, interaction = _toy_world()
+    if view is None:
+        view = _toy_view(corpus, interaction, models)
     return Episode(
         interaction=interaction,
         annotations=corpus.annotations,
@@ -172,14 +178,17 @@ class TestOracle:
         assert ("white", rid, 1) in ep.pending_labels
 
     def test_example_query_uniform_over_positives(self):
-        counts = {_row("t2"): 0, _row("t5"): 0}
+        # one toy world and view; a fresh episode, with its own oracle stream, per seed
+        corpus, interaction = _toy_world()
+        view = _toy_view(corpus, interaction)
+        counts = {corpus.row["t2"]: 0, corpus.row["t5"]: 0}
         n = 10_000
         for i in range(n):
-            ep = _episode(seed=i)
+            ep = _episode(seed=i, corpus=corpus, interaction=interaction, view=view)
             counts[ep.answer_example_query(ROW["white"])] += 1
         # binomial(n, 0.5): three sigma around n/2
         sigma = (n * 0.25) ** 0.5
-        assert abs(counts[_row("t2")] - n / 2) < 3 * sigma
+        assert abs(counts[corpus.row["t2"]] - n / 2) < 3 * sigma
 
     def test_example_query_none_labels_all_negative(self):
         ep = _episode()

@@ -14,7 +14,7 @@ from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.agent import Agent
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
-from oalsim.dialog import RewardConfig, episode_return
+from oalsim.dialog import RewardConfig, TranscriptStep, episode_return
 from oalsim.errors import CheckpointError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
@@ -159,9 +159,9 @@ class TestRunBatch:
         run_episode = Experiment.run_episode
 
         def recorded(self, *args):
-            outcome, episode = run_episode(self, *args)
+            outcome, episode, turns = run_episode(self, *args)
             episodes.append(episode)
-            return outcome, episode
+            return outcome, episode, turns
 
         monkeypatch.setattr(Experiment, "run_episode", recorded)
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
@@ -296,7 +296,7 @@ class TestExperimentRun:
 
 class TestPolicyUpdate:
     def test_each_update_is_the_reinforce_step_over_the_live_beams(
-        self, small_corpus, small_split, small_density, live_transcripts, monkeypatch
+        self, small_corpus, small_split, small_density, live_transcripts, live_turns, monkeypatch
     ):
         # a static init batch and a learned train batch under the running-mean
         # baseline: each update equals the step summed over the beams its
@@ -307,16 +307,17 @@ class TestPolicyUpdate:
         update, updates = harness.reinforce_update, []
 
         def recorded(theta, *args):
-            updates.append((theta, list(live_transcripts), update(theta, *args)))
+            updates.append((theta, list(live_transcripts), list(live_turns), update(theta, *args)))
             live_transcripts.clear()
-            return updates[-1][2]
+            live_turns.clear()
+            return updates[-1][3]
 
         monkeypatch.setattr(harness, "reinforce_update", recorded)
         result = Experiment(cfg, small_corpus, small_split, small_density).run()
         assert len(updates) == 2
         theta, mean, count = np.zeros(N_FEATURES), 0.0, 0
-        for b, (played, transcripts, new) in enumerate(updates):
-            assert len(transcripts) == cfg.experiment.batch_size
+        for b, (played, transcripts, turns, new) in enumerate(updates):
+            assert len(transcripts) == len(turns) == cfg.experiment.batch_size
             assert np.array_equal(played, theta)
             returns = [
                 episode_return([s.reward for s in t], cfg.rewards.discount) for t in transcripts
@@ -325,9 +326,9 @@ class TestPolicyUpdate:
                 count += 1
                 mean += (g[0] - mean) / count
             grad = np.zeros(N_FEATURES)
-            for transcript, gs in zip(transcripts, returns):
-                for step, g in zip(transcript, gs):
-                    grad += (g - mean) * grad_log_prob(theta, step.beam_features, step.chosen)
+            for dialog, gs in zip(turns, returns, strict=True):
+                for (feats, chosen, _), g in zip(dialog, gs, strict=True):
+                    grad += (g - mean) * grad_log_prob(theta, feats, chosen)
             theta = theta + policy.learning_rate * max(0.0, 1.0 - 0.5 * b) * grad
             assert np.array_equal(new, theta)
         assert np.any(theta) and np.array_equal(result.theta, theta)
@@ -406,10 +407,14 @@ class TestFeatureReads:
             assert len(calls) in (0, sum(lengths))
 
     def test_turns_keep_only_what_is_read(
-        self, small_corpus, small_split, small_density, live_transcripts, monkeypatch, tmp_path
+        self, small_corpus, small_split, small_density, live_transcripts, live_turns,
+        monkeypatch, tmp_path,
     ):
         # update phases keep each beam and, for the learned policy, the
-        # probabilities it sampled from; the sink keeps each chosen row
+        # probabilities it sampled from; the sink keeps each chosen row; a
+        # transcript step holds only what the transcript writer reads
+        fields = [f.name for f in dataclasses.fields(TranscriptStep)]
+        assert fields == ["action", "reward", "features"]
         phases = []
         run_batch = Experiment.run_batch
 
@@ -421,26 +426,31 @@ class TestFeatureReads:
         monkeypatch.setattr(Experiment, "run_batch", recorded_batch)
         for sink in (None, tmp_path / "t.jsonl"):
             live_transcripts.clear()
+            live_turns.clear()
             phases.clear()
             Experiment(small_run_config(), small_corpus, small_split, small_density).run(
                 transcript_path=sink
             )
-            assert len(phases) == len(live_transcripts) > 0
-            for (plan, theta), transcript in zip(phases, live_transcripts):
-                for step in transcript:
-                    self._check_step(step, plan, theta, sink is not None)
+            assert len(phases) == len(live_transcripts) == len(live_turns) > 0
+            for (plan, theta), transcript, turns in zip(phases, live_transcripts, live_turns):
+                if not plan.update_policy:
+                    assert turns == []
+                    turns = [(None, None, None)] * len(transcript)
+                assert len(turns) == len(transcript)
+                for step, turn in zip(transcript, turns):
+                    self._check_step(step, turn, plan, theta, sink is not None)
 
     @staticmethod
-    def _check_step(step, plan, theta, sink):
-        feats, chosen = step.beam_features, step.chosen
+    def _check_step(step, turn, plan, theta, sink):
+        feats, chosen, probs = turn
         if not plan.update_policy:
-            assert feats is None and chosen is None and step.probs is None
+            assert feats is None and chosen is None and probs is None
         elif plan.policy_kind == "learned":
-            assert step.probs.tobytes() == harness.action_probabilities(theta, feats).tobytes()
+            assert probs.tobytes() == harness.action_probabilities(theta, feats).tobytes()
             want = grad_log_prob(theta, feats, chosen)
-            assert grad_log_prob(theta, feats, chosen, step.probs).tobytes() == want.tobytes()
+            assert grad_log_prob(theta, feats, chosen, probs).tobytes() == want.tobytes()
         else:
-            assert feats is not None and chosen is not None and step.probs is None
+            assert feats is not None and chosen is not None and probs is None
         if not sink:
             assert step.features is None
             return
@@ -553,6 +563,23 @@ class TestCheckpointing:
             resume=resume, transcript_path=cut
         )
         assert cut.read_bytes() == full.read_bytes()
+
+    def test_each_checkpoint_follows_its_batches_records(
+        self, small_experiment, tmp_path, monkeypatch
+    ):
+        # the sink is flushed before each save: a process killed right after
+        # it leaves a record of every turn of the batches the checkpoint holds
+        save, held = harness.checkpoint_save, []
+        transcript = tmp_path / "t.jsonl"
+
+        def recorded(path, state):
+            turns = sum(n for m in state["metrics"] for n in m["lengths"])
+            held.append((transcript.read_text().count("\n"), turns))
+            save(path, state)
+
+        monkeypatch.setattr(harness, "checkpoint_save", recorded)
+        small_experiment.run(checkpoint_dir=tmp_path / "ck", transcript_path=transcript)
+        assert len(held) == 6 and all(lines == turns for lines, turns in held)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -1080,9 +1107,7 @@ class TestImmediateUpdates:
 
 
 class TestAblationHarness:
-    def test_group_masks_logged_vectors(
-        self, small_corpus, small_split, small_density, live_transcripts
-    ):
+    def test_group_masks_logged_vectors(self, small_corpus, small_split, small_density, live_turns):
         mask = resolve_mask(["guess"])
         cfg = small_run_config(ablate=("guess",))
         exp = Experiment(cfg, small_corpus, small_split, small_density)
@@ -1090,9 +1115,8 @@ class TestAblationHarness:
         agent = Agent()
         exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         seen_any = False
-        for transcript in live_transcripts[:10]:
-            for step in transcript:
-                feats = step.beam_features
+        for turns in live_turns[:10]:
+            for feats, _, _ in turns:
                 assert np.all(feats[:, mask] == 0)
                 seen_any = True
         assert seen_any
