@@ -24,7 +24,7 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, RewardConfig, episode_return, first_return
+from .dialog import Episode, RewardConfig, rewards_and_returns
 from .features import FeatureContext, N_FEATURES, REGISTRY, featurize, resolve_mask
 from .grounding import GuessScores, score_objects
 from .harness import (

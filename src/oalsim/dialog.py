@@ -8,6 +8,11 @@ annotation list is negative. Labels acquired in-episode queue up for the
 batch end, which records them on the agent's classifiers; within the
 episode they only gate which query pairs remain askable.
 
+The Episode is the oracle and the state machine only: it keeps no
+transcript and no rewards. A dialog's per-turn rewards and returns follow
+from its outcome, success and length (rewards_and_returns); the harness keeps
+each turn's action and features where something reads them.
+
 An episode's one label record, `known`, holds one Python list of ints per
 view predicate, over its active-train objects: +1 or -1 where the view's
 classifiers or this episode hold a label for the pair, 0 where none does.
@@ -18,7 +23,7 @@ example draws.
 An action is (kind, view row, active-train column) (actions.py); `step`, the
 oracle and `_record` index `known` and `asked` with its integers. Pending
 labels (predicate, region row, label) and the guess hold region rows
-(corpus.Corpus); transcript_records writes names and ids through describe.
+(corpus.Corpus).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY, Action, describe
+from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY, Action
 from .corpus import Interaction
 from .errors import ContractError, DataError, ProtocolError, check_real
 from .snapshot import EpisodeView
@@ -53,20 +58,6 @@ class RewardConfig:
             raise DataError("discount must lie in (0,1]")
 
 
-@dataclass(slots=True)
-class TranscriptStep:
-    """One turn as transcript_records writes it: action, reward and chosen features.
-
-    `features` is the chosen action's feature row, None when no transcript
-    is written. A policy update's per-turn data (beam, choice, probabilities)
-    stays with the harness, which plays the turn.
-    """
-
-    action: Action
-    reward: float
-    features: np.ndarray | None = None
-
-
 NONE_ANSWER = None  # example query with no positive object in the active training set
 
 
@@ -78,7 +69,6 @@ class Episode:
         interaction: Interaction,
         annotations: Sequence[frozenset[str]],
         view: EpisodeView,
-        rewards: RewardConfig,
         t_max: int,
         oracle_rng: np.random.Generator,
         guess: int,
@@ -88,7 +78,6 @@ class Episode:
         self.interaction = interaction
         self.annotations = annotations
         self.view = view
-        self.rewards = rewards
         self.t_max = t_max
         self._oracle_rng = oracle_rng
         self.guess = guess  # the grounding's region row; a regrounding reassigns it
@@ -97,7 +86,6 @@ class Episode:
         self.terminated = False
         self.success = False
         self.pending_labels: list[tuple[str, int, int]] = []
-        self.transcript: list[TranscriptStep] = []
         self.known = view.labels()
         self.asked: list[int] = []  # example-queried view rows, ascending
 
@@ -143,11 +131,8 @@ class Episode:
 
     # -- transitions --------------------------------------------------------
 
-    def step(self, action: Action, features: np.ndarray | None = None) -> tuple[float, bool]:
-        """Apply one action; the oracle refuses a query off the view's rows or columns.
-
-        The features are kept on the turn's TranscriptStep.
-        """
+    def step(self, action: Action) -> None:
+        """Apply one action; the oracle refuses a query off the view's rows or columns."""
         if self.terminated:
             raise ProtocolError("step on a terminated episode")
         kind, row, col = action
@@ -156,24 +141,16 @@ class Episode:
 
         if kind == GUESS:
             self.success = self.guess == self.interaction.target
-            reward = (
-                self.rewards.correct_guess if self.success else self.rewards.incorrect_guess
-            )
             self.terminated = True
         elif kind == LABEL_QUERY:
             self.answer_label_query(row, col)
-            reward = self.rewards.per_query
         elif kind == EXAMPLE_QUERY:
             self.answer_example_query(row)
             if row not in self.asked:
                 insort(self.asked, row)
-            reward = self.rewards.per_query
         else:
             raise ProtocolError(f"unknown action {action!r}")
-
         self.turn += 1
-        self.transcript.append(TranscriptStep(action, reward, features))
-        return reward, self.terminated
 
     # -- derived quantities -------------------------------------------------
 
@@ -184,32 +161,21 @@ class Episode:
         return self.turn
 
 
-def episode_return(rewards: Sequence[float], gamma: float) -> list[float]:
-    """Per-step discounted reward tails G_t."""
-    if not rewards:
-        raise ContractError("empty transcript")
-    out = [0.0] * len(rewards)
+def rewards_and_returns(
+    rewards: RewardConfig, success: bool, length: int
+) -> tuple[list[float], list[float]]:
+    """A dialog's per-turn rewards r_t and discounted reward tails G_t, from its outcome.
+
+    A dialog of `length` turns is its queries, each paid per_query, then one
+    guess, paid as it succeeded or failed.
+    """
+    if length < 1:
+        raise ContractError(f"a dialog of {length} turns: it has at least its guess")
+    per_turn = [rewards.per_query] * (length - 1)
+    per_turn.append(rewards.correct_guess if success else rewards.incorrect_guess)
+    out = [0.0] * length
     acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
+    for t in range(length - 1, -1, -1):
+        acc = per_turn[t] + rewards.discount * acc
         out[t] = acc
-    return out
-
-
-def first_return(rewards: RewardConfig, success: bool, length: int) -> float:
-    """G_0 of a dialog of `length` turns: its queries, then one guess, won or lost."""
-    guess = rewards.correct_guess if success else rewards.incorrect_guess
-    return episode_return([rewards.per_query] * (length - 1) + [guess], rewards.discount)[0]
-
-
-def transcript_records(episode_id: str, episode: Episode, ids: Sequence[str]):
-    """One flat record per action: id, turn, descriptor, reward, chosen features."""
-    for t, step in enumerate(episode.transcript):
-        yield {
-            "episode": episode_id,
-            "turn": t,
-            "action": describe(step.action, episode.view, ids),
-            "reward": step.reward,
-            "features": None if step.features is None else step.features.tolist(),
-        }
-
+    return per_turn, out

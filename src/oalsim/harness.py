@@ -17,9 +17,13 @@ each dialog builds its generators from its own words when it starts.
 A batch featurizes only what something reads: whole beams where the
 learned policy samples or REINFORCE updates, each turn's chosen action where
 only a transcript is written, nothing otherwise (FeatureReads). The dialog
-(dialog.Episode) holds no policy-gradient state: run_episode returns each
-turn's beam features, chosen index and probabilities, and run_batch turns
-them into REINFORCE terms between dialogs.
+(dialog.Episode) is the oracle and the state machine only. Where a policy
+update or a transcript reads them, run_episode keeps one record per turn:
+the action, the feature array the turn featurized, the chosen row's index in
+it and the probabilities. run_batch writes the transcript lines and the
+REINFORCE terms from those records between dialogs, with the per-turn
+rewards and returns derived from the dialog's success and length
+(dialog.rewards_and_returns).
 
 A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
 """
@@ -36,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .actions import describe
 from .agent import Agent
 from .config import RunConfig
 from .corpus import (
@@ -47,7 +52,7 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, RewardConfig, episode_return, first_return, transcript_records
+from .dialog import Episode, RewardConfig, rewards_and_returns
 from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_real
 from .features import (
     FeatureContext,
@@ -140,9 +145,11 @@ class BatchMetrics:
     def row(self) -> list:
         return [self.phase, self.batch, *map(repr, self.rates().values())]
 
-    def first_returns(self, rewards: RewardConfig) -> list[float]:
-        """Each dialog's G_0 (dialog.first_return), in order."""
-        return [first_return(rewards, s, n) for s, n in zip(self.success_indicators, self.lengths)]
+
+def start_returns(rewards: RewardConfig, batch) -> list[float]:
+    """The G_0 of each dialog of a mapping with `success_indicators` and `lengths`, in order."""
+    outcomes = zip(batch["success_indicators"], batch["lengths"])
+    return [rewards_and_returns(rewards, s, n)[1][0] for s, n in outcomes]
 
 
 @dataclass
@@ -158,7 +165,6 @@ class EpisodeOutcome:
     interaction: Interaction
     success: bool
     length: int
-    pending: list[tuple[str, int, int]]  # (predicate, region row, label)
     steps: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
     @property
@@ -370,15 +376,17 @@ class Experiment:
         theta: np.ndarray,
         plan: PhasePlan,
         words: np.ndarray,
-    ) -> tuple[EpisodeOutcome, Episode, list[tuple[np.ndarray, int, np.ndarray | None]]]:
+    ) -> tuple[EpisodeOutcome, Episode, list[tuple]]:
         """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS).
 
         A turn featurizes what `setup.reads` names: its whole beam, for the
         learned policy or a policy update; else, for a transcript only, the
         chosen action alone; else nothing. Returns the outcome, the episode
-        and, with `plan.update_policy`, one (beam features, chosen index,
-        probabilities) turn per step, the probabilities None where the static
-        policy chose; without, no turns.
+        and, where a policy update or a transcript reads them, one (action,
+        features, chosen, probabilities) record per turn: the array the turn
+        featurized, the chosen action's row in it, and the probabilities the
+        learned policy sampled from, None where the static policy chose.
+        Otherwise it returns no turns.
         """
         cfg = self.config
         interaction, view, ctx, reads = setup.interaction, setup.view, setup.features, setup.reads
@@ -386,13 +394,13 @@ class Experiment:
 
         oracle_rng, beam_rng, policy_rng = map(generator, words)
         immediate = cfg.episode.immediate_updates
+        keep = plan.update_policy or reads.transcript
         turns = []
 
         episode = Episode(
             interaction=interaction,
             annotations=self.corpus.annotations,
             view=view,
-            rewards=cfg.rewards,
             t_max=cfg.episode.t_max,
             oracle_rng=oracle_rng,
             guess=setup.guess,
@@ -408,27 +416,26 @@ class Experiment:
                 cfg=cfg.beam,
                 rng=beam_rng,
             )
-            beam_features = probs = features = None
+            features = probs = None
             if reads.beam:
-                beam_features = featurize(beam, episode.turn, ctx)
+                features = featurize(beam, episode.turn, ctx)
             if plan.policy_kind == "static":
                 chosen = static_policy_act(
                     episode.turn, beam, cfg.policy.static_n_queries, policy_rng
                 )
             else:
-                probs = action_probabilities(theta, beam_features)
+                probs = action_probabilities(theta, features)
                 chosen = sample_action(probs, policy_rng)
-            if reads.transcript:
-                features = (
-                    beam_features[chosen].copy() if reads.beam
-                    else featurize([beam[chosen]], episode.turn, ctx)[0]
+            action = beam[chosen]
+            if keep:
+                turns.append(
+                    (action, features, chosen, probs) if reads.beam
+                    else (action, featurize([action], episode.turn, ctx), 0, None)
                 )
-            if plan.update_policy:
-                turns.append((beam_features, chosen, probs))
             n_before = len(episode.pending_labels)
-            episode.step(beam[chosen], features)
+            episode.step(action)
             if immediate and len(episode.pending_labels) > n_before:
-                row = beam[chosen][1]  # a query's labels are all of its view row's predicate
+                row = action[1]  # a query's labels are all of its view row's predicate
                 if self._refresh_models(view, row, episode.pending_labels[n_before:], agent):
                     if ctx is not None:
                         ctx.refit(row)
@@ -437,12 +444,7 @@ class Experiment:
                         if ctx is not None:
                             ctx.set_guess(guess[0])
 
-        outcome = EpisodeOutcome(
-            interaction=interaction,
-            success=episode.success,
-            length=episode.length(),
-            pending=list(episode.pending_labels),
-        )
+        outcome = EpisodeOutcome(interaction, episode.success, episode.length())
         return outcome, episode, turns
 
     def _refresh_models(
@@ -487,18 +489,15 @@ class Experiment:
         """Play one batch of dialogs against the agent's frozen classifiers and theta.
 
         What the batch's turns featurize follows from the plan and whether
-        there is a sink (FeatureReads.of). Each finished dialog is exported
-        to the transcript sink, if any, and then reduced to its
-        EpisodeOutcome: with `plan.update_policy`, its (grad_log_prob, G_t)
-        steps at `theta`, computed here between dialogs from the turns
-        run_episode returns (each beam array, chosen index and, for the
-        learned policy, the probabilities it sampled from), so that no beam
-        array outlives its dialog and none of this work is inside
-        run_episode. Returns the batch's metrics, its new labels merged by
-        (predicate, region row), and the outcomes.
+        there is a sink (FeatureReads.of). Each finished dialog's turn records
+        (run_episode) are written to the transcript sink, if any, and the
+        dialog is reduced to its EpisodeOutcome: with `plan.update_policy`,
+        its (grad_log_prob, G_t) steps at `theta`, computed here between
+        dialogs, so that no beam array outlives its dialog and none of this
+        work is inside run_episode. Returns the batch's metrics, its new
+        labels merged by (predicate, region row), and the outcomes.
         """
         cfg = self.config
-        gamma = cfg.rewards.discount
         outcomes: list[EpisodeOutcome] = []
         merged: dict[tuple[str, int], int] = {}  # (predicate, region row) -> label
         interactions = self.interactions(plan, phase_idx, batch_idx)
@@ -511,17 +510,29 @@ class Experiment:
             outcome, episode, turns = self.run_episode(setup, agent, theta, plan, words[ep_idx])
             # Episode drops labels the agent held at the batch start, and the
             # agent's models do not change within a batch.
-            for p, region, label in outcome.pending:
+            for p, region, label in episode.pending_labels:
                 merged[(p, region)] = label
+            if turns:
+                rewards, returns = rewards_and_returns(
+                    cfg.rewards, outcome.success, outcome.length
+                )
             if transcript_sink is not None:
                 episode_id = f"{plan.name}/{batch_idx}/{ep_idx}"
-                for rec in transcript_records(episode_id, episode, self.corpus.ids):
-                    transcript_sink.write(json.dumps(rec) + "\n")
+                for t, ((action, features, chosen, _), reward) in enumerate(
+                    zip(turns, rewards, strict=True)
+                ):
+                    record = {
+                        "episode": episode_id,
+                        "turn": t,
+                        "action": describe(action, episode.view, self.corpus.ids),
+                        "reward": reward,
+                        "features": features[chosen].tolist(),
+                    }
+                    transcript_sink.write(json.dumps(record) + "\n")
             if plan.update_policy:
-                returns = episode_return([s.reward for s in episode.transcript], gamma)
                 outcome.steps = [
-                    (grad_log_prob(theta, beam, chosen, probs), g)
-                    for (beam, chosen, probs), g in zip(turns, returns, strict=True)
+                    (grad_log_prob(theta, features, chosen, probs), g)
+                    for (_, features, chosen, probs), g in zip(turns, returns, strict=True)
                 ]
             outcomes.append(outcome)
 
@@ -575,7 +586,9 @@ class Experiment:
             (start_phase, start_batch), theta, metrics, agent = self._resume_state(resume)
         updated = [m for m in metrics if plans[PHASE_NAMES.index(m.phase)].update_policy]
         updates = len(updated)
-        baseline = running_mean(0.0, 0, [g for m in updated for g in m.first_returns(cfg.rewards)])
+        baseline = running_mean(
+            0.0, 0, [g for m in updated for g in start_returns(cfg.rewards, vars(m))]
+        )
 
         sink = None
         if transcript_path:
@@ -598,7 +611,7 @@ class Experiment:
                         baseline = running_mean(
                             baseline,
                             updates * cfg.experiment.batch_size,
-                            batch_metrics.first_returns(cfg.rewards),
+                            start_returns(cfg.rewards, vars(batch_metrics)),
                         )
                         theta = reinforce_update(
                             theta,
@@ -829,10 +842,7 @@ def compare_final_batches(final, base, rewards: RewardConfig | None = None) -> d
     if rewards is None:
         return out
 
-    gains = [
-        first_return(rewards, s, n) - first_return(rewards, base_s, base_n)
-        for s, n, base_s, base_n in zip(success, final["lengths"], base_success, base["lengths"])
-    ]
+    gains = [a - b for a, b in zip(start_returns(rewards, final), start_returns(rewards, base))]
     out["return_gain"] = sum(gains) / len(gains)
     out["p_return"] = greater(gains)
     out["p_success_lower"] = greater([b - a for a, b in zip(success, base_success)])

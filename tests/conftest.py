@@ -72,7 +72,7 @@ def desk_run(cfg: RunConfig) -> RunResult:
     return Experiment(cfg).run()
 
 
-def _record_dialogs(monkeypatch, keep) -> list:
+def record_dialogs(monkeypatch, keep) -> list:
     """keep(outcome, episode, turns) of each dialog, in play order, by a run_episode wrapper."""
     kept = []
     run_episode = Experiment.run_episode
@@ -87,25 +87,31 @@ def _record_dialogs(monkeypatch, keep) -> list:
 
 
 @pytest.fixture
-def live_transcripts(monkeypatch) -> list:
-    """Each dialog's live `Episode.transcript`, in play order.
-
-    A batch's outcomes keep no actions, so tests that read the actions or
-    rewards of a dialog read them here.
-    """
-    return _record_dialogs(monkeypatch, lambda outcome, episode, turns: episode.transcript)
-
-
-@pytest.fixture
 def live_turns(monkeypatch) -> list:
-    """Each dialog's turns as run_episode returns them, in play order.
+    """Each dialog's turn records as run_episode returns them, in play order.
 
-    In a phase that updates the policy a dialog's turns are one (beam
-    features, chosen index, probabilities) triple per step, else none. A
-    batch's outcomes keep no beams, so tests that read them read them here.
-    The caller clears the list to drop the beams.
+    Where a policy update or a transcript reads them, a dialog's turns are
+    one (action, features, chosen, probabilities) record per step, else
+    none. A batch's outcomes keep no actions or beams, so tests that read
+    them read them here. The caller clears the list to drop the beams.
     """
-    return _record_dialogs(monkeypatch, lambda outcome, episode, turns: turns)
+    return record_dialogs(monkeypatch, lambda outcome, episode, turns: turns)
+
+
+def episode_return(rewards, gamma):
+    """Per-step discounted reward tails G_t of a list of rewards: the reference form."""
+    out = [0.0] * len(rewards)
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
+def list_rewards(rewards, success, length):
+    """A dialog's per-turn rewards as a list: its queries, then the guess."""
+    guess = rewards.correct_guess if success else rewards.incorrect_guess
+    return [rewards.per_query] * (length - 1) + [guess]
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,12 @@ across criteria. Everything else runs against small purpose-built inputs.
 """
 
 import dataclasses
+import io
+import json
 import multiprocessing
 import os
 import time
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -34,15 +37,15 @@ from oalsim.perception import (
     train_classifier,
 )
 from oalsim.policy import action_probabilities, grad_log_prob
-from oalsim.querygen import TriangularWeights
+from oalsim.querygen import SamplingCDF, TriangularWeights, sample_predicates
 from oalsim.seeding import stream
 from oalsim.stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
-from classifier_oracle import predicate_weight
+from classifier_oracle import predicate_weight, triangular_weights
 from conftest import desk_run, small_run_config
 from test_grounding import grounding_view, guessed_id, score_one
 from test_perception import _reference_cv_f1
-from test_querygen import best_object, sample_names
+from test_querygen import best_object
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 MASTER_SEEDS = (101, 505, 606)
@@ -285,10 +288,12 @@ class TestC06TriangularSampling:
             weights = np.array([predicate_weight(f1s[p], params) for p in preds])
             probs = weights / weights.sum()
             rng = stream(34, "tri", si)
-            counts = {p: 0 for p in preds}
+            # the weights and CDF that test_querygen.sample_names builds, once per setting
+            f1 = np.array([f1s[p] for p in preds], dtype=float)
+            sampling = SamplingCDF(triangular_weights(f1, params))
+            observed = [0] * len(preds)
             for _ in range(n):
-                counts[sample_names(preds, f1s.get, 1, params, rng)[0]] += 1
-            observed = [counts[p] for p in preds]
+                observed[sample_predicates(sampling, 1, rng)[0]] += 1
             _, p = sps.chisquare(observed, f_exp=n * probs)
             pvals.append(p)
         ok = all(p > 0.01 for p in pvals)
@@ -353,9 +358,8 @@ class TestC08F1Estimation:
 
 
 class TestC09RewardAccounting:
-    def test_ten_thousand_random_episodes(
-        self, small_corpus, small_split, small_density, live_transcripts
-    ):
+    def test_ten_thousand_random_episodes(self, small_corpus, small_split, small_density):
+        # each dialog's rewards as its transcript writes them
         cfg = small_run_config(batch_size=100)
         exp = Experiment(cfg, small_corpus, small_split, small_density)
         plan = PhasePlan("test", "policy-train", "learned", False, 100, False)
@@ -364,20 +368,24 @@ class TestC09RewardAccounting:
         episodes = 0
         t_max = cfg.episode.t_max
         for batch in range(100):
-            metrics, merged, outcomes = exp.run_batch(plan, 0, batch, agent, theta)
+            sink = io.StringIO()
+            metrics, merged, outcomes = exp.run_batch(plan, 0, batch, agent, theta, sink)
             exp.apply_batch_end(agent, merged, outcomes)
-            for o, transcript in zip(outcomes, live_transcripts, strict=True):
+            records = map(json.loads, sink.getvalue().splitlines())
+            transcripts = [list(t) for _, t in groupby(records, key=lambda r: r["episode"])]
+            for o, transcript in zip(outcomes, transcripts, strict=True):
                 episodes += 1
-                rewards = [step.reward for step in transcript]
+                rewards = [record["reward"] for record in transcript]
                 guess_reward = rewards[-1]
                 assert sum(rewards) == guess_reward - o.n_queries
+                guesses = [record["action"] == "guess" for record in transcript]
+                assert guesses == [False] * o.n_queries + [True]
                 assert o.length == o.n_queries + 1
                 assert o.length <= t_max + 1
                 inter = o.interaction
                 assert inter.target in inter.active_test
                 assert len(inter.active_train) == 8 and len(inter.active_test) == 4
                 assert not (set(inter.active_train) & set(inter.active_test))
-            live_transcripts.clear()
         report(9, "reward accounting", True, f"{episodes} episodes, zero violations")
         assert episodes == 10_000
 
@@ -495,7 +503,7 @@ class TestC14AblationHarness:
         turns = list(live_turns)
         checked = 0
         for dialog in turns:
-            for feats, _, _ in dialog:
+            for _, feats, _, _ in dialog:
                 assert np.all(feats[:, mask] == 0)
                 checked += feats.shape[0]
         # the init phase is static-driven, so masked and unmasked runs traverse the
@@ -506,7 +514,7 @@ class TestC14AblationHarness:
         full_turns = list(live_turns)
         off_mask_equal = True
         for masked_t, full_t in zip(turns, full_turns):
-            for (mf, mc, _), (ff, fc, _) in zip(masked_t, full_t):
+            for (_, mf, mc, _), (_, ff, fc, _) in zip(masked_t, full_t):
                 off_mask_equal = off_mask_equal and mc == fc
                 off_mask_equal = off_mask_equal and np.array_equal(
                     mf[:, ~mask], ff[:, ~mask]

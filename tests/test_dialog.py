@@ -1,22 +1,17 @@
-import json
-
 import numpy as np
 import pytest
 
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
+from oalsim.config import EpisodeConfig
 from oalsim.corpus import Corpus, Interaction, Region
-from oalsim.dialog import (
-    Episode,
-    RewardConfig,
-    episode_return,
-    first_return,
-    transcript_records,
-)
+from oalsim.dialog import Episode, RewardConfig, rewards_and_returns
 from oalsim.errors import ContractError, DataError, ProtocolError
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
 
-from conftest import episode_view
+from conftest import episode_return, episode_view, list_rewards
+
+REWARDS = RewardConfig()
 
 
 def _toy_world(positives_for_white=("t2", "t5")):
@@ -90,7 +85,6 @@ def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models
         interaction=interaction,
         annotations=corpus.annotations,
         view=view,
-        rewards=RewardConfig(),
         t_max=t_max,
         oracle_rng=stream(seed, "oracle"),
         guess=corpus.row[guess],
@@ -100,7 +94,8 @@ def _episode(guess="o1", seed=0, t_max=40, corpus=None, interaction=None, models
 class TestLifecycle:
     def test_fresh_state(self):
         ep = _episode()
-        assert ep.turn == 0 and not ep.terminated and ep.transcript == []
+        assert ep.turn == 0 and not ep.terminated
+        assert ep.pending_labels == [] and ep.asked == []
 
     def test_step_after_termination(self):
         ep = _episode()
@@ -147,7 +142,7 @@ class TestOracle:
             ep.step(action)
         assert ep.known == known and ep.pending_labels == []
         assert ep.asked == []
-        assert ep.turn == 0 and ep.transcript == []
+        assert ep.turn == 0 and not ep.terminated
 
     def test_label_query_repeat_is_consistent(self):
         ep = _episode()
@@ -203,21 +198,28 @@ class TestOracle:
             assert "red" in ep.annotations[rid]
 
 
+def _rewards(ep):
+    """The per-turn rewards of a finished toy episode, from its outcome."""
+    return rewards_and_returns(REWARDS, ep.success, ep.length())[0]
+
+
 class TestStep:
     def test_correct_guess_reward(self):
         ep = _episode(guess="o1")
-        reward, done = ep.step(GUESS_ACTION)
-        assert reward == 200 and done and ep.success
+        assert ep.step(GUESS_ACTION) is None
+        assert _rewards(ep) == [200] and ep.terminated and ep.success
 
     def test_incorrect_guess_reward(self):
         ep = _episode(guess="o0")
-        reward, done = ep.step(GUESS_ACTION)
-        assert reward == -100 and done and not ep.success
+        ep.step(GUESS_ACTION)
+        assert _rewards(ep) == [-100] and ep.terminated and not ep.success
 
     def test_label_query_reward(self):
         ep = _episode()
-        reward, done = ep.step(_label("red", "t0"))
-        assert reward == -1 and not done
+        ep.step(_label("red", "t0"))
+        assert not ep.terminated and ep.turn == 1
+        ep.step(GUESS_ACTION)
+        assert _rewards(ep)[0] == -1
 
     def test_three_queries_then_correct_guess(self):
         ep = _episode(guess="o1")
@@ -225,7 +227,7 @@ class TestStep:
         ep.step(_example("white"))
         ep.step(_label("blue", "t1"))
         ep.step(GUESS_ACTION)
-        assert sum(s.reward for s in ep.transcript) == 197
+        assert sum(_rewards(ep)) == 197
         assert ep.length() == 4
         assert ep.success
 
@@ -242,8 +244,8 @@ class TestStep:
         ep = _episode(guess="o0")
         ep.step(_label("red", "t0"))
         ep.guess = _row("o1")
-        reward, done = ep.step(GUESS_ACTION)
-        assert done and ep.success and reward == 200
+        ep.step(GUESS_ACTION)
+        assert ep.terminated and ep.success and _rewards(ep)[-1] == 200
 
     def test_turn_cap_forces_guess(self):
         ep = _episode(t_max=2)
@@ -258,24 +260,35 @@ class TestStep:
         ep = _episode(guess="o0")
         ep.step(_example("white"))
         ep.step(GUESS_ACTION)
-        rewards = [s.reward for s in ep.transcript]
+        rewards = _rewards(ep)
         assert rewards[:-1] == [-1.0] * (len(rewards) - 1)
         assert rewards[-1] in (200.0, -100.0)
 
 
 class TestReturns:
     def test_tail_sums_undiscounted(self):
-        assert episode_return([-1, -1, 200], 1.0) == [198, 199, 200]
+        assert rewards_and_returns(REWARDS, True, 3) == ([-1, -1, 200], [198, 199, 200])
 
     def test_single_step(self):
-        assert episode_return([200], 1.0) == [200]
+        assert rewards_and_returns(REWARDS, True, 1) == ([200], [200])
 
     def test_discounted(self):
-        assert episode_return([-1, -100], 0.5) == [-51, -100]
+        rewards = RewardConfig(discount=0.5)
+        assert rewards_and_returns(rewards, False, 2) == ([-1, -100], [-51, -100])
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            episode_return([], 1.0)
+            rewards_and_returns(REWARDS, True, 0)
+
+    @pytest.mark.parametrize("discount", [1.0, 0.9, 0.5])
+    @pytest.mark.parametrize("success", [True, False])
+    def test_equals_the_list_form_at_every_length(self, success, discount):
+        # the rewards and G_t, bit for bit, that the per-turn reward list gives
+        rewards = RewardConfig(per_query=-1.5, discount=discount)
+        for length in range(1, EpisodeConfig().t_max + 2):
+            per_turn = list_rewards(rewards, success, length)
+            want = per_turn, episode_return(per_turn, discount)
+            assert rewards_and_returns(rewards, success, length) == want
 
     @pytest.mark.parametrize(
         "success, length, discount",
@@ -288,7 +301,8 @@ class TestReturns:
             rewards.per_query * sum(discount**t for t in range(length - 1))
             + discount ** (length - 1) * guess
         )
-        assert first_return(rewards, success, length) == pytest.approx(closed, rel=1e-12)
+        g0 = rewards_and_returns(rewards, success, length)[1][0]
+        assert g0 == pytest.approx(closed, rel=1e-12)
 
 
 class TestRewardConfig:
@@ -299,22 +313,3 @@ class TestRewardConfig:
             RewardConfig(incorrect_guess=0)
         with pytest.raises(DataError):
             RewardConfig(discount=0.0)
-
-
-def test_transcript_export():
-    # each turn logs the chosen action's feature row it was given, or null
-    ep = _episode(guess="o1")
-    feats = np.arange(3 * 28, dtype=np.float64).reshape(3, 28)
-    ep.step(_label("red", "t0"), feats[1])
-    ep.step(_example("white"))
-    ep.step(GUESS_ACTION, feats[0])
-    ids = _toy_world()[0].ids
-    lines = [json.loads(json.dumps(rec)) for rec in transcript_records("e0", ep, ids)]
-    assert len(lines) == 3
-    assert lines[0]["action"] == "label:red@t0"
-    assert lines[0]["turn"] == 0 and lines[0]["reward"] == -1
-    assert lines[1]["action"] == "example:white"
-    assert lines[1]["turn"] == 1 and lines[1]["reward"] == -1
-    assert lines[2]["action"] == "guess" and lines[2]["reward"] == 200
-    assert lines[0]["features"] == feats[1].tolist() and len(lines[0]["features"]) == 28
-    assert lines[1]["features"] is None and lines[2]["features"] == feats[0].tolist()

@@ -10,11 +10,11 @@ import pytest
 from scipy import stats as sps
 
 from oalsim import harness
-from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
+from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, describe
 from oalsim.agent import Agent
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
-from oalsim.dialog import RewardConfig, TranscriptStep, episode_return
+from oalsim.dialog import RewardConfig, rewards_and_returns
 from oalsim.errors import CheckpointError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
@@ -30,7 +30,16 @@ from oalsim.harness import (
 from oalsim.perception import PredicateModel
 from oalsim.policy import AgentStats, grad_log_prob
 
-from conftest import READS_ALL, SMALL_SYNTH, episode_view, feature_context, small_run_config
+from conftest import (
+    READS_ALL,
+    SMALL_SYNTH,
+    episode_return,
+    episode_view,
+    feature_context,
+    list_rewards,
+    record_dialogs,
+    small_run_config,
+)
 from setup_oracle import oracle_guess_features, oracle_scores
 
 
@@ -133,19 +142,20 @@ class TestRunBatch:
         assert set(agent.stats.used) == described
 
     def test_oracle_labels_match_half_space_ground_truth(
-        self, small_experiment, small_corpus
+        self, small_experiment, small_corpus, monkeypatch
     ):
         # closed world on synthetic data: annotations are exact half-space
         # memberships, so every acquired label must agree with them
+        pending = record_dialogs(monkeypatch, lambda o, episode, t: episode.pending_labels)
         plan = small_experiment.phase_plan()[0]
         _, merged, outcomes = small_experiment.run_batch(
             plan, 0, 0, Agent(), np.zeros(N_FEATURES)
         )
-        assert merged
+        assert merged and len(pending) == len(outcomes)
         for (p, row), label in merged.items():
             assert (label == 1) == (p in small_corpus.annotations[row])
-        for o in outcomes:
-            for p, row, label in o.pending:
+        for labels in pending:
+            for p, row, label in labels:
                 assert (label == 1) == (p in small_corpus.annotations[row])
 
     def test_pending_labels_exclude_base_labels(self, small_experiment, monkeypatch):
@@ -155,25 +165,19 @@ class TestRunBatch:
         _, merged, outcomes = small_experiment.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         small_experiment.apply_batch_end(agent, merged, outcomes)
         base = {p: m.labels for p, m in agent.models.items()}
-        episodes = []  # the second batch's dialogs, whose views name their actions' rows
-        run_episode = Experiment.run_episode
-
-        def recorded(self, *args):
-            outcome, episode, turns = run_episode(self, *args)
-            episodes.append(episode)
-            return outcome, episode, turns
-
-        monkeypatch.setattr(Experiment, "run_episode", recorded)
-        _, merged, outcomes = small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
+        # the second batch's dialogs, whose views name their actions' rows; an
+        # update phase keeps each turn's record
+        dialogs = record_dialogs(monkeypatch, lambda o, episode, turns: (episode, turns))
+        small_experiment.run_batch(plan, 0, 1, agent, np.zeros(N_FEATURES))
         asked = [
             (episode.view.predicates[row], rid)
-            for episode in episodes
-            for kind, row, _ in (step.action for step in episode.transcript)
+            for episode, turns in dialogs
+            for kind, row, _ in (action for action, _, _, _ in turns)
             if kind == EXAMPLE_QUERY
             for rid in episode.interaction.active_train
         ]
         assert any(rid in base.get(p, {}) for p, rid in asked)
-        pending = [(p, rid) for o in outcomes for p, rid, _ in o.pending]
+        pending = [(p, rid) for episode, _ in dialogs for p, rid, _ in episode.pending_labels]
         assert pending
         assert not any(rid in base.get(p, {}) for p, rid in pending)
 
@@ -296,38 +300,41 @@ class TestExperimentRun:
 
 class TestPolicyUpdate:
     def test_each_update_is_the_reinforce_step_over_the_live_beams(
-        self, small_corpus, small_split, small_density, live_transcripts, live_turns, monkeypatch
+        self, small_corpus, small_split, small_density, live_turns, monkeypatch
     ):
         # a static init batch and a learned train batch under the running-mean
         # baseline: each update equals the step summed over the beams its
-        # dialogs played, at the theta they played with
+        # dialogs played, at the theta they played with, and the returns of
+        # the per-turn reward lists their outcomes give
         cfg = small_run_config(init_batches=1, train_batches=1, test_batches=1)
         policy = dataclasses.replace(cfg.policy, use_baseline=True, learning_rate_decay=0.5)
         cfg = dataclasses.replace(cfg, policy=policy)
         update, updates = harness.reinforce_update, []
 
         def recorded(theta, *args):
-            updates.append((theta, list(live_transcripts), list(live_turns), update(theta, *args)))
-            live_transcripts.clear()
+            updates.append((theta, list(live_turns), update(theta, *args)))
             live_turns.clear()
-            return updates[-1][3]
+            return updates[-1][2]
 
         monkeypatch.setattr(harness, "reinforce_update", recorded)
         result = Experiment(cfg, small_corpus, small_split, small_density).run()
         assert len(updates) == 2
         theta, mean, count = np.zeros(N_FEATURES), 0.0, 0
-        for b, (played, transcripts, turns, new) in enumerate(updates):
-            assert len(transcripts) == len(turns) == cfg.experiment.batch_size
+        for b, (played, turns, new) in enumerate(updates):
+            m = result.metrics[b]  # the init batch, then the train batch
+            assert len(turns) == len(m.lengths) == cfg.experiment.batch_size
+            assert [len(t) for t in turns] == m.lengths
             assert np.array_equal(played, theta)
             returns = [
-                episode_return([s.reward for s in t], cfg.rewards.discount) for t in transcripts
+                episode_return(list_rewards(cfg.rewards, s, n), cfg.rewards.discount)
+                for s, n in zip(m.success_indicators, m.lengths)
             ]
             for g in returns:
                 count += 1
                 mean += (g[0] - mean) / count
             grad = np.zeros(N_FEATURES)
             for dialog, gs in zip(turns, returns, strict=True):
-                for (feats, chosen, _), g in zip(dialog, gs, strict=True):
+                for (_, feats, chosen, _), g in zip(dialog, gs, strict=True):
                     grad += (g - mean) * grad_log_prob(theta, feats, chosen)
             theta = theta + policy.learning_rate * max(0.0, 1.0 - 0.5 * b) * grad
             assert np.array_equal(new, theta)
@@ -348,6 +355,43 @@ class TestPolicyUpdate:
         _, _, outcomes = small_experiment.run_batch(plan, 0, 0, Agent(), np.zeros(N_FEATURES))
         assert beams and all(len(o.steps) == o.length for o in outcomes)
         assert [ref for ref in beams if ref() is not None] == []
+
+    def test_each_transcript_line_writes_the_row_its_update_reads(
+        self, small_corpus, small_split, small_density, monkeypatch, tmp_path
+    ):
+        # in the phases that both update the policy and write the transcript,
+        # each line's features are the chosen row of the recorded array that
+        # its REINFORCE term reads; its turn, action and reward are the turn's
+        cfg = small_run_config(init_batches=1, train_batches=1, test_batches=1)
+        exp = Experiment(cfg, small_corpus, small_split, small_density)
+        dialogs = record_dialogs(monkeypatch, lambda o, episode, turns: (o, episode, turns))
+        terms, form = [], harness.grad_log_prob
+
+        def recorded(theta, features, chosen, probs):
+            terms.append((features, chosen))
+            return form(theta, features, chosen, probs)
+
+        monkeypatch.setattr(harness, "grad_log_prob", recorded)
+        exp.run(transcript_path=tmp_path / "t.jsonl")
+        lines = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+        updating = dialogs[: 2 * cfg.experiment.batch_size]  # the init and train batches
+        assert all(o.steps for o, _, _ in updating)
+        assert not any(o.steps for o, _, _ in dialogs[len(updating) :])
+        assert len(terms) == sum(o.length for o, _, _ in updating) < len(lines)
+        turns = [
+            (t, turn, episode, reward)
+            for o, episode, record in updating
+            for t, (turn, reward) in enumerate(
+                zip(record, rewards_and_returns(cfg.rewards, o.success, o.length)[0])
+            )
+        ]
+        for line, (features, chosen), (t, turn, episode, reward) in zip(lines, terms, turns):
+            assert line["episode"].split("/")[0] in ("init", "train")
+            assert features is turn[1] and chosen == turn[2]
+            assert line["features"] == features[chosen].tolist()
+            assert len(line["features"]) == N_FEATURES
+            assert line["turn"] == t and line["reward"] == reward
+            assert line["action"] == describe(turn[0], episode.view, small_corpus.ids)
 
 
 class TestFeatureReads:
@@ -407,57 +451,49 @@ class TestFeatureReads:
             assert len(calls) in (0, sum(lengths))
 
     def test_turns_keep_only_what_is_read(
-        self, small_corpus, small_split, small_density, live_transcripts, live_turns,
-        monkeypatch, tmp_path,
+        self, small_corpus, small_split, small_density, live_turns, monkeypatch, tmp_path,
     ):
         # update phases keep each beam and, for the learned policy, the
-        # probabilities it sampled from; the sink keeps each chosen row; a
-        # transcript step holds only what the transcript writer reads
-        fields = [f.name for f in dataclasses.fields(TranscriptStep)]
-        assert fields == ["action", "reward", "features"]
+        # probabilities it sampled from; where only the sink reads them, a
+        # turn keeps its chosen action's one featurized row; elsewhere no turn
+        # is kept
         phases = []
         run_batch = Experiment.run_batch
 
         def recorded_batch(self, plan, *args, **kwargs):
             out = run_batch(self, plan, *args, **kwargs)
-            phases.extend([(plan, args[3])] * len(out[2]))  # args: phase, batch, agent, theta
+            phases.extend((plan, args[3], o.length) for o in out[2])  # args[3]: theta
             return out
 
         monkeypatch.setattr(Experiment, "run_batch", recorded_batch)
         for sink in (None, tmp_path / "t.jsonl"):
-            live_transcripts.clear()
             live_turns.clear()
             phases.clear()
             Experiment(small_run_config(), small_corpus, small_split, small_density).run(
                 transcript_path=sink
             )
-            assert len(phases) == len(live_transcripts) == len(live_turns) > 0
-            for (plan, theta), transcript, turns in zip(phases, live_transcripts, live_turns):
-                if not plan.update_policy:
+            assert len(phases) == len(live_turns) > 0
+            for (plan, theta, length), turns in zip(phases, live_turns):
+                if not (plan.update_policy or sink):
                     assert turns == []
-                    turns = [(None, None, None)] * len(transcript)
-                assert len(turns) == len(transcript)
-                for step, turn in zip(transcript, turns):
-                    self._check_step(step, turn, plan, theta, sink is not None)
+                    continue
+                assert len(turns) == length
+                for turn in turns:
+                    self._check_turn(turn, plan, theta)
 
     @staticmethod
-    def _check_step(step, turn, plan, theta, sink):
-        feats, chosen, probs = turn
-        if not plan.update_policy:
-            assert feats is None and chosen is None and probs is None
-        elif plan.policy_kind == "learned":
+    def _check_turn(turn, plan, theta):
+        action, feats, chosen, probs = turn
+        assert len(action) == 3 and feats.shape[1:] == (N_FEATURES,)
+        assert 0 <= chosen < len(feats)
+        if plan.policy_kind == "learned":
             assert probs.tobytes() == harness.action_probabilities(theta, feats).tobytes()
             want = grad_log_prob(theta, feats, chosen)
             assert grad_log_prob(theta, feats, chosen, probs).tobytes() == want.tobytes()
         else:
-            assert feats is not None and chosen is not None and probs is None
-        if not sink:
-            assert step.features is None
-            return
-        assert step.features.shape == (N_FEATURES,)
-        if feats is not None:
-            assert step.features.tobytes() == feats[chosen].tobytes()
-            assert step.features.base is None  # it holds no beam
+            assert probs is None
+        if not plan.update_policy and plan.policy_kind == "static":  # only the sink reads it
+            assert feats.shape == (1, N_FEATURES) and chosen == 0
 
     def test_a_sink_changes_no_outcome(
         self, small_corpus, small_split, small_density, tmp_path, monkeypatch
@@ -695,8 +731,7 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize("variant", ["baseline-decay", "immediate"])
     def test_resume_fits_at_its_first_batch_start_and_derives_the_updates(
-        self, small_corpus, small_split, small_density, live_transcripts, tmp_path,
-        monkeypatch, variant,
+        self, small_corpus, small_split, small_density, tmp_path, monkeypatch, variant,
     ):
         # a checkpoint stores no cursor, label sign, usage stats, weights, F1,
         # update counter or baseline: a resume that keeps the agent reads at
@@ -755,14 +790,15 @@ class TestCheckpointing:
         updating = [p.update_policy for p in exp.phase_plan() for _ in range(p.n_batches)]
         oracle, mean, count = [], 0.0, 0
         for b in [b for b, on in enumerate(updating) if on]:
-            for transcript in live_transcripts[b * size : (b + 1) * size]:
-                g0 = episode_return([s.reward for s in transcript], cfg.rewards.discount)[0]
+            m = full.metrics[b]
+            assert len(m.lengths) == size
+            for s, n in zip(m.success_indicators, m.lengths):
+                g0 = episode_return(list_rewards(cfg.rewards, s, n), cfg.rewards.discount)[0]
                 count += 1
                 mean += (g0 - mean) / count
             alpha = policy.learning_rate * max(0.0, 1.0 - policy.learning_rate_decay * len(oracle))
             oracle.append((alpha.hex(), mean.hex()))
         assert updates == oracle and len(oracle) == 4
-        live_transcripts.clear()
 
         checkpoints = sorted((tmp_path / "ck").glob("checkpoint_*.json"))
         assert len(checkpoints) == len(batches) == len(batch_stats) == 6
@@ -1116,7 +1152,7 @@ class TestAblationHarness:
         exp.run_batch(plan, 0, 0, agent, np.zeros(N_FEATURES))
         seen_any = False
         for turns in live_turns[:10]:
-            for feats, _, _ in turns:
+            for _, feats, _, _ in turns:
                 assert np.all(feats[:, mask] == 0)
                 seen_any = True
         assert seen_any

@@ -22,7 +22,7 @@ from oalsim.corpus import Interaction
 from oalsim.errors import DataError
 from oalsim.harness import Experiment
 from oalsim.querygen import SamplingCDF, TriangularWeights, sample_predicates
-from oalsim.seeding import stream
+from oalsim.seeding import stream, streams
 from oalsim.snapshot import BatchRows, EpisodeView, classifier_rows
 
 from beam_oracle import choice_reference
@@ -140,7 +140,9 @@ def test_inverse_cdf_draw_equals_generator_choice():
     # N up to 300 takes numpy's pairwise sum past its 128-entry blocks and
     # covers a view of 200 predicates; the excluded sets are random
     src = stream(41, "weights")
-    for trial in range(20_000):
+    paths = [("draw", trial) for trial in range(20_000)]
+    # trial t draws from its own path twice: ours, and the reference's copy
+    for ours, theirs in zip(streams(42, *paths), streams(42, *paths), strict=True):
         n = int(src.integers(2, 301))
         weights = _weights(src, n)
         out = src.random(n) < src.uniform(0.0, 0.9)
@@ -148,7 +150,6 @@ def test_inverse_cdf_draw_equals_generator_choice():
         if not len(pool):
             continue
         count = int(src.integers(1, 4))
-        ours, theirs = stream(42, "draw", trial), stream(42, "draw", trial)
         try:
             with np.errstate(invalid="ignore"):
                 want = pool[choice_reference(weights[pool], count, theirs)].tolist()
