@@ -199,12 +199,11 @@ def cmd_report(args) -> int:
     rows = []
     for r in runs:
         final = r["final"]
-        cmp = compare_final_batches(vars(final), vars(base_final))
         rows.append({
             "run": r["dir"].name,
             "success_rate": final.success_rate,
             "mean_length": final.mean_length,
-            **(dict.fromkeys(cmp) if r is baseline else cmp),
+            **compare_final_batches(final, base_final),
         })
 
     def fmt_p(p, is_baseline):

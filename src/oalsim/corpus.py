@@ -3,10 +3,11 @@
 Loaders and the generator pass regions around as Region records, each
 carrying a fixed-dimension feature vector, a set of normalized predicate
 annotations, and an optional description. A Corpus takes them apart into one
-table of row-order columns and keeps no Region. The four-way split
-(policy-train/policy-test x classifier-train/classifier-test) routes every
-region containing a held-out frequent predicate to the policy-test side, so
-test-time descriptions always involve at least one novel predicate.
+table of row-order columns and keeps no Region. The split gives each policy
+side (policy-train, policy-test) one pair of sorted row tuples,
+classifier-train and classifier-test. It routes every region containing a
+held-out frequent predicate to the policy-test side, so test-time
+descriptions always involve at least one novel predicate.
 
 Inside a run a region is an integer row, its rank in sorted-id order, so
 sorting rows sorts ids. Splits, interactions, labels, views and actions hold
@@ -103,33 +104,22 @@ class Corpus:
 
 @dataclass(frozen=True)
 class CorpusSplit:
-    """Four disjoint sets of region rows plus the held-out predicate set."""
+    """Each policy side's (classifier-train, classifier-test) rows, sorted; the held-out predicates.
 
-    policy_train_classifier_train: frozenset[int]
-    policy_train_classifier_test: frozenset[int]
-    policy_test_classifier_train: frozenset[int]
-    policy_test_classifier_test: frozenset[int]
+    The four row tuples are disjoint and cover the corpus.
+    """
+
+    policy_train: tuple[tuple[int, ...], tuple[int, ...]]
+    policy_test: tuple[tuple[int, ...], tuple[int, ...]]
     held_out_predicates: frozenset[str]
 
     def side(self, name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The side's classifier-train and classifier-test rows, each sorted."""
-        if name not in self._sorted_sides:
-            raise ValueError(f"unknown split side {name!r}")
-        return self._sorted_sides[name]
-
-    @cached_property
-    def _sorted_sides(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Sorted once per split: every sampled interaction draws from these."""
-        return {
-            "policy-train": (
-                tuple(sorted(self.policy_train_classifier_train)),
-                tuple(sorted(self.policy_train_classifier_test)),
-            ),
-            "policy-test": (
-                tuple(sorted(self.policy_test_classifier_train)),
-                tuple(sorted(self.policy_test_classifier_test)),
-            ),
-        }
+        """The side's classifier-train and classifier-test rows."""
+        if name == "policy-train":
+            return self.policy_train
+        if name == "policy-test":
+            return self.policy_test
+        raise ValueError(f"unknown split side {name!r}")
 
 
 @dataclass(frozen=True)
@@ -412,19 +402,14 @@ def make_splits(corpus: Corpus, cfg: SplitConfig) -> CorpusSplit:
     test_side = [row for row in file_rows if corpus.annotations[row] & held]
     train_side = [row for row in file_rows if not (corpus.annotations[row] & held)]
 
-    def split_side(rows: list[int], rng) -> tuple[frozenset[int], frozenset[int]]:
-        order = list(rows)
+    def split_side(order: list[int], rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
         rng.shuffle(order)
         cut = int(round(cfg.classifier_split * len(order)))
-        return frozenset(order[:cut]), frozenset(order[cut:])
+        return tuple(sorted(order[:cut])), tuple(sorted(order[cut:]))
 
-    tr_ct, tr_cx = split_side(train_side, train_rng)
-    te_ct, te_cx = split_side(test_side, test_rng)
     return CorpusSplit(
-        policy_train_classifier_train=tr_ct,
-        policy_train_classifier_test=tr_cx,
-        policy_test_classifier_train=te_ct,
-        policy_test_classifier_test=te_cx,
+        policy_train=split_side(train_side, train_rng),
+        policy_test=split_side(test_side, test_rng),
         held_out_predicates=held,
     )
 

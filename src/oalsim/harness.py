@@ -146,9 +146,9 @@ class BatchMetrics:
         return [self.phase, self.batch, *map(repr, self.rates().values())]
 
 
-def start_returns(rewards: RewardConfig, batch) -> list[float]:
-    """The G_0 of each dialog of a mapping with `success_indicators` and `lengths`, in order."""
-    outcomes = zip(batch["success_indicators"], batch["lengths"])
+def start_returns(rewards: RewardConfig, batch: BatchMetrics) -> list[float]:
+    """The G_0 of each of the batch's dialogs, in order."""
+    outcomes = zip(batch.success_indicators, batch.lengths)
     return [rewards_and_returns(rewards, s, n)[1][0] for s, n in outcomes]
 
 
@@ -587,7 +587,7 @@ class Experiment:
         updated = [m for m in metrics if plans[PHASE_NAMES.index(m.phase)].update_policy]
         updates = len(updated)
         baseline = running_mean(
-            0.0, 0, [g for m in updated for g in start_returns(cfg.rewards, vars(m))]
+            0.0, 0, [g for m in updated for g in start_returns(cfg.rewards, m)]
         )
 
         sink = None
@@ -611,13 +611,14 @@ class Experiment:
                         baseline = running_mean(
                             baseline,
                             updates * cfg.experiment.batch_size,
-                            start_returns(cfg.rewards, vars(batch_metrics)),
+                            start_returns(cfg.rewards, batch_metrics),
                         )
                         theta = reinforce_update(
                             theta,
                             [o.steps for o in outcomes],
                             learning_rate_at(cfg.policy, updates),
                             baseline if cfg.policy.use_baseline else 0.0,
+                            cfg.rewards.discount,
                         )
                         updates += 1
                     # free this batch's outcomes before the next batch plays its own
@@ -811,16 +812,19 @@ def write_summary(path, result: RunResult) -> None:
 # -- comparison against a baseline, ablation ---------------------------------------
 
 
-def compare_final_batches(final, base, rewards: RewardConfig | None = None) -> dict:
-    """Compare final test batches, each a mapping with `success_indicators` and `lengths`.
+def compare_final_batches(
+    final: BatchMetrics, base: BatchMetrics, rewards: RewardConfig | None = None
+) -> dict:
+    """Compare two final test batches on their success indicators and lengths.
 
     Returns the two-sided Welch p on each, `p_success` and `p_length`. Given
     `rewards`, the batches played the same dialogs, and it adds the mean gain
     in a dialog's G_0, `return_gain`, and the one-sided paired p of a gain,
     `p_return`, and of lower success, `p_success_lower`. A p is None under 2
     dialogs; constant samples whose means differ take t = +-inf, as scipy does.
+    A batch compared with itself (the same object) gets None for every value.
     """
-    success, base_success = final["success_indicators"], base["success_indicators"]
+    success, base_success = final.success_indicators, base.success_indicators
     enough = min(len(success), len(base_success)) >= 2
 
     def welch(a, b):
@@ -837,16 +841,14 @@ def compare_final_batches(final, base, rewards: RewardConfig | None = None) -> d
 
     out = {
         "p_success": welch(success, base_success),
-        "p_length": welch(final["lengths"], base["lengths"]),
+        "p_length": welch(final.lengths, base.lengths),
     }
-    if rewards is None:
-        return out
-
-    gains = [a - b for a, b in zip(start_returns(rewards, final), start_returns(rewards, base))]
-    out["return_gain"] = sum(gains) / len(gains)
-    out["p_return"] = greater(gains)
-    out["p_success_lower"] = greater([b - a for a, b in zip(success, base_success)])
-    return out
+    if rewards is not None:
+        gains = [a - b for a, b in zip(start_returns(rewards, final), start_returns(rewards, base))]
+        out["return_gain"] = sum(gains) / len(gains)
+        out["p_return"] = greater(gains)
+        out["p_success_lower"] = greater([b - a for a, b in zip(success, base_success)])
+    return dict.fromkeys(out) if final is base else out
 
 
 @dataclass
@@ -866,9 +868,7 @@ class AblationResult:
             }
             for label in ("static", "full"):
                 ref = self.conditions[label].final_test_batch()
-                cmp = compare_final_batches(vars(final), vars(ref), rewards)
-                if final is ref:
-                    cmp = dict.fromkeys(cmp)
+                cmp = compare_final_batches(final, ref, rewards)
                 row.update({f"{key}_vs_{label}": v for key, v in cmp.items()})
             rows.append(row)
         return rows

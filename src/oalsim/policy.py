@@ -90,19 +90,23 @@ def reinforce_update(
     batch: Sequence[Sequence[tuple[np.ndarray, float]]],
     alpha: float,
     baseline: float = 0.0,
+    discount: float = 1.0,
 ) -> np.ndarray:
     """One gradient-ascent step over a batch of episodes.
 
     Each episode is a sequence of (term, return_G_t) steps, where term is
-    grad_log_prob of the step's beam and chosen action at `theta`; the step
-    adds (G_t - baseline) * term, episode by episode and turn by turn.
+    grad_log_prob of the step's beam and chosen action at `theta`; turn t
+    adds discount**t * (G_t - baseline) * term, episode by episode and turn
+    by turn. The discount**t factor makes the step's expectation the
+    gradient of the expected discounted return E[G_0] (Sutton and Barto,
+    2018, sec. 13.3); at discount 1 it is 1.0 and changes no bit.
     Returns the new theta; the input is not modified.
     """
     grad = np.zeros_like(theta)
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness check
         for episode in batch:
-            for term, g in episode:
-                grad += (g - baseline) * term
+            for t, (term, g) in enumerate(episode):
+                grad += discount**t * (g - baseline) * term
         new_theta = theta + alpha * grad
     if not np.all(np.isfinite(new_theta)):
         raise PolicyUpdateError(

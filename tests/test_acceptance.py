@@ -129,7 +129,7 @@ class TestC01DirectionalReproduction:
         for seed in MASTER_SEEDS:
             learned = desk_runs[(seed, "learned")].final_test_batch()
             static = desk_runs[(seed, "static")].final_test_batch()
-            cmp = compare_final_batches(vars(learned), vars(static), rewards)
+            cmp = compare_final_batches(learned, static, rewards)
             p_return = cmp["p_return"]
             ok = p_return < 0.05 and cmp["p_success_lower"] >= 0.05
             wins += ok

@@ -9,7 +9,6 @@ from scipy import stats as sps
 from oalsim.config import load_config
 from oalsim.corpus import (
     Corpus,
-    Interaction,
     Region,
     SplitConfig,
     SyntheticConfig,
@@ -235,34 +234,23 @@ class TestMakeSplits:
         corpus = Corpus(regions)
         split = make_splits(corpus, SplitConfig(frequency_threshold=6, seed=2))
         assert split.held_out_predicates == frozenset({"freq"})
-        test_side = split.policy_test_classifier_train | split.policy_test_classifier_test
+        test_side = set().union(*split.side("policy-test"))
         assert test_side == {corpus.row[f"r{i:02d}"] for i in range(6)}
 
     def test_split_audit(self, small_corpus, small_split):
         held = small_split.held_out_predicates
-        train_side = (
-            small_split.policy_train_classifier_train
-            | small_split.policy_train_classifier_test
-        )
-        test_side = (
-            small_split.policy_test_classifier_train
-            | small_split.policy_test_classifier_test
-        )
+        train_side = set().union(*small_split.side("policy-train"))
+        test_side = set().union(*small_split.side("policy-test"))
         for row, anns in enumerate(small_corpus.annotations):
             assert (row in test_side) == bool(anns & held)
             assert (row in train_side) != bool(anns & held)
 
     def test_four_sets_partition(self, small_corpus, small_split):
-        sets = [
-            small_split.policy_train_classifier_train,
-            small_split.policy_train_classifier_test,
-            small_split.policy_test_classifier_train,
-            small_split.policy_test_classifier_test,
-        ]
+        sets = [*small_split.side("policy-train"), *small_split.side("policy-test")]
         union = set()
         total = 0
         for s in sets:
-            union |= s
+            union |= set(s)
             total += len(s)
         assert union == set(range(len(small_corpus)))
         assert total == len(small_corpus)
@@ -289,10 +277,8 @@ class TestSampleInteraction:
 
         rows = range(len(small_corpus))
         split = CorpusSplit(
-            policy_train_classifier_train=frozenset(rows[:8]),
-            policy_train_classifier_test=frozenset(rows[8:12]),
-            policy_test_classifier_train=frozenset(rows[12:20]),
-            policy_test_classifier_test=frozenset(rows[20:24]),
+            policy_train=(tuple(rows[:8]), tuple(rows[8:12])),
+            policy_test=(tuple(rows[12:20]), tuple(rows[20:24])),
             held_out_predicates=frozenset(),
         )
         inter = sample_interaction(
@@ -306,10 +292,8 @@ class TestSampleInteraction:
 
         rows = range(len(small_corpus))
         split = CorpusSplit(
-            policy_train_classifier_train=frozenset(rows[:4]),
-            policy_train_classifier_test=frozenset(rows[4:8]),
-            policy_test_classifier_train=frozenset(rows[8:16]),
-            policy_test_classifier_test=frozenset(rows[16:20]),
+            policy_train=(tuple(rows[:4]), tuple(rows[4:8])),
+            policy_test=(tuple(rows[8:16]), tuple(rows[16:20])),
             held_out_predicates=frozenset(),
         )
         with pytest.raises(SamplingError):
@@ -319,7 +303,7 @@ class TestSampleInteraction:
 
     def test_target_uniform_over_classifier_test(self, small_corpus, small_split):
         rng = stream(3, "uniform")
-        pool = sorted(small_split.policy_train_classifier_test)
+        pool = small_split.side("policy-train")[1]
         counts = {row: 0 for row in pool}
         n = 10_000
         for _ in range(n):
@@ -331,22 +315,14 @@ class TestSampleInteraction:
         _, p = sps.chisquare(observed)
         assert p > 0.001
 
-    def test_draws_equal_those_from_freshly_sorted_pools(self, small_corpus, small_split):
-        # the split sorts its pools once; each draw must be the one the
-        # per-call sort of the frozensets gave, with the generator left alike
-        assert small_split.side("policy-test") is small_split.side("policy-test")
-        for side, (ct, cx) in (
-            ("policy-train", (small_split.policy_train_classifier_train,
-                              small_split.policy_train_classifier_test)),
-            ("policy-test", (small_split.policy_test_classifier_train,
-                             small_split.policy_test_classifier_test)),
-        ):
-            assert small_split.side(side) == (tuple(sorted(ct)), tuple(sorted(cx)))
-            for seed in range(200):
-                ours, theirs = stream(seed, "pools"), stream(seed, "pools")
-                got = sample_interaction(small_corpus, small_split, side, 8, 4, ours)
-                assert got == _sample_from_sorted_lists(small_corpus, ct, cx, theirs)
-                assert ours.bit_generator.state == theirs.bit_generator.state
+    def test_each_side_is_strictly_increasing(self, small_split):
+        # sample_interaction indexes the pools, so their order fixes every draw
+        for name in ("policy-train", "policy-test"):
+            for pool in small_split.side(name):
+                assert type(pool) is tuple and pool
+                assert all(a < b for a, b in zip(pool, pool[1:]))
+        with pytest.raises(ValueError, match="unknown split side"):
+            small_split.side("classifier-train")
 
     def test_deterministic_stream(self, small_corpus, small_split):
         def draw_five(seed):
@@ -360,25 +336,3 @@ class TestSampleInteraction:
 
         assert draw_five(9) == draw_five(9)
         assert draw_five(9) != draw_five(10)
-
-
-def _sample_from_sorted_lists(corpus, ct, cx, rng, train_size=8, test_size=4):
-    """sample_interaction as it was when it sorted both pools on every call."""
-    train_pool, test_pool = sorted(ct), sorted(cx)
-    while True:
-        train_idx = rng.choice(len(train_pool), size=train_size, replace=False)
-        test_idx = rng.choice(len(test_pool), size=test_size, replace=False)
-        active_train = tuple(train_pool[i] for i in train_idx)
-        active_test = tuple(test_pool[i] for i in test_idx)
-        if not any(corpus.description_predicates[row] for row in active_test):
-            continue
-        while True:
-            target = active_test[int(rng.integers(len(active_test)))]
-            if corpus.description_predicates[target]:
-                break
-        return Interaction(
-            active_train=active_train,
-            active_test=active_test,
-            target=target,
-            description_predicates=corpus.description_predicates[target],
-        )

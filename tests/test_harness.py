@@ -44,8 +44,8 @@ from setup_oracle import oracle_guess_features, oracle_scores
 
 
 def batch(indicators, lengths):
-    """A final-test-batch record as summary.json holds it."""
-    return {"success_indicators": indicators, "lengths": lengths}
+    """A final test batch as a report reads it from summary.json."""
+    return BatchMetrics("test", -1, {}, indicators, lengths)
 
 
 def first_returns(indicators, lengths, rewards):
@@ -299,16 +299,19 @@ class TestExperimentRun:
 
 
 class TestPolicyUpdate:
+    @pytest.mark.parametrize("discount", [1.0, 0.9])
     def test_each_update_is_the_reinforce_step_over_the_live_beams(
-        self, small_corpus, small_split, small_density, live_turns, monkeypatch
+        self, small_corpus, small_split, small_density, live_turns, monkeypatch, discount
     ):
         # a static init batch and a learned train batch under the running-mean
         # baseline: each update equals the step summed over the beams its
         # dialogs played, at the theta they played with, and the returns of
-        # the per-turn reward lists their outcomes give
+        # the per-turn reward lists their outcomes give, turn t weighted by
+        # discount**t
         cfg = small_run_config(init_batches=1, train_batches=1, test_batches=1)
         policy = dataclasses.replace(cfg.policy, use_baseline=True, learning_rate_decay=0.5)
-        cfg = dataclasses.replace(cfg, policy=policy)
+        rewards = dataclasses.replace(cfg.rewards, discount=discount)
+        cfg = dataclasses.replace(cfg, policy=policy, rewards=rewards)
         update, updates = harness.reinforce_update, []
 
         def recorded(theta, *args):
@@ -334,8 +337,8 @@ class TestPolicyUpdate:
                 mean += (g[0] - mean) / count
             grad = np.zeros(N_FEATURES)
             for dialog, gs in zip(turns, returns, strict=True):
-                for (_, feats, chosen, _), g in zip(dialog, gs, strict=True):
-                    grad += (g - mean) * grad_log_prob(theta, feats, chosen)
+                for t, ((_, feats, chosen, _), g) in enumerate(zip(dialog, gs, strict=True)):
+                    grad += discount**t * (g - mean) * grad_log_prob(theta, feats, chosen)
             theta = theta + policy.learning_rate * max(0.0, 1.0 - 0.5 * b) * grad
             assert np.array_equal(new, theta)
         assert np.any(theta) and np.array_equal(result.theta, theta)
@@ -763,9 +766,9 @@ class TestCheckpointing:
             fit(models, *args)
             fits.append((list(models), models_at(models)))
 
-        def recorded_update(theta, steps, alpha, baseline):
-            updates.append((alpha.hex(), baseline.hex()))
-            return update(theta, steps, alpha, baseline)
+        def recorded_update(theta, steps, alpha, baseline, discount):
+            updates.append((alpha.hex(), baseline.hex(), discount))
+            return update(theta, steps, alpha, baseline, discount)
 
         def recorded_load(*args):
             agent = load(*args)
@@ -797,7 +800,7 @@ class TestCheckpointing:
                 count += 1
                 mean += (g0 - mean) / count
             alpha = policy.learning_rate * max(0.0, 1.0 - policy.learning_rate_decay * len(oracle))
-            oracle.append((alpha.hex(), mean.hex()))
+            oracle.append((alpha.hex(), mean.hex(), cfg.rewards.discount))
         assert updates == oracle and len(oracle) == 4
 
         checkpoints = sorted((tmp_path / "ck").glob("checkpoint_*.json"))
@@ -1248,6 +1251,14 @@ class TestCompareFinalBatches:
         assert cmp["p_return"] == ref == (0.0 if short < long else 1.0)
         # constant equal samples keep the t = 0 convention of oalsim.stats
         assert cmp["p_success"] == 1.0
+
+    def test_a_batch_compared_with_itself_gets_no_values(self):
+        final = batch([1, 0, 1], [3, 5, 4])
+        for rewards in (None, self.REWARDS):
+            # an equal batch that is another record is compared as any other
+            equal = compare_final_batches(final, batch([1, 0, 1], [3, 5, 4]), rewards)
+            assert None not in equal.values()
+            assert compare_final_batches(final, final, rewards) == dict.fromkeys(equal)
 
     def test_single_dialog_gives_no_p(self):
         cmp = compare_final_batches(batch([1], [3]), batch([0], [16]), self.REWARDS)

@@ -4,6 +4,7 @@ import pytest
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus
+from oalsim.dialog import RewardConfig, rewards_and_returns
 from oalsim.errors import PolicyUpdateError
 from oalsim.features import (
     GROUPS,
@@ -168,6 +169,76 @@ class TestReinforceUpdate:
         feats[1, 0] = -1e308
         with pytest.raises(PolicyUpdateError):
             reinforce_update(theta, [[(grad_log_prob(theta, feats, 0), 1e4)]], 1.0)
+
+
+class TestReinforceExpectation:
+    """Over every dialog of a small tree, the step's expectation under pi_theta is grad J.
+
+    J(theta) = sum over trajectories of pi_theta(trajectory) * G_0. Each turn
+    before the cap offers a guess, whose success is fixed, and queries that
+    lead to the next turn; at the cap the beam is the forced guess alone.
+    """
+
+    REWARDS = RewardConfig(discount=0.9)
+    T_MAX = 2
+
+    def node(self, rng, turn):
+        """A turn's fixed beam rows, and per action a guess's success or the next turn's node."""
+        if turn == self.T_MAX:
+            return rng.normal(size=(1, N_FEATURES)), [bool(rng.integers(2))]
+        feats = rng.normal(size=(int(rng.integers(2, 4)), N_FEATURES))
+        return feats, [bool(rng.integers(2))] + [self.node(rng, turn + 1) for _ in feats[1:]]
+
+    def trajectories(self, node, path=()):
+        """Each (((beam rows, chosen), ...), success) from `node` down."""
+        feats, outcomes = node
+        for chosen, out in enumerate(outcomes):
+            turns = path + ((feats, chosen),)
+            if isinstance(out, bool):
+                yield turns, out
+            else:
+                yield from self.trajectories(out, turns)
+
+    def test_on_policy_expectation_is_the_gradient(self):
+        rng = stream(5, "tree")
+        trajectories = list(self.trajectories(self.node(rng, 0)))
+        theta = rng.normal(scale=0.3, size=N_FEATURES)
+        assert len(trajectories) == 7 and len({s for _, s in trajectories}) == 2
+
+        def prob(th, turns):
+            return np.prod([action_probabilities(th, feats)[a] for feats, a in turns])
+
+        def expected_step(weight, baseline, discount=self.REWARDS.discount):
+            total = np.zeros(N_FEATURES)
+            for turns, success in trajectories:
+                returns = rewards_and_returns(self.REWARDS, success, len(turns))[1]
+                terms = [grad_log_prob(theta, feats, a) for feats, a in turns]
+                step = reinforce_update(theta, [list(zip(terms, returns))], 1.0, baseline, discount)
+                total += weight(turns) * (step - theta)
+            return total
+
+        def objective(th):
+            return sum(prob(th, turns) * rewards_and_returns(self.REWARDS, s, len(turns))[1][0]
+                       for turns, s in trajectories)
+
+        h = 1e-5
+        grad = np.array([(objective(theta + h * e) - objective(theta - h * e)) / (2 * h)
+                         for e in np.eye(N_FEATURES)])
+        scale = np.abs(grad).max()
+
+        def on_policy(turns):
+            return prob(theta, turns)
+
+        def uniform(turns):  # a behaviour policy other than pi_theta
+            return np.prod([1 / len(feats) for feats, _ in turns])
+
+        for baseline in (0.0, 50.0):
+            assert np.abs(expected_step(on_policy, baseline) - grad).max() < 1e-7 * scale
+            off = expected_step(uniform, baseline)
+            angle = np.degrees(np.arccos(off @ grad / np.linalg.norm(off) / np.linalg.norm(grad)))
+            assert angle > 10
+        # without the discount**t weights the step is not grad J below discount 1
+        assert np.abs(expected_step(on_policy, 0.0, discount=1.0) - grad).max() > 1e-3 * scale
 
 
 class TestLearningRateAndBaseline:

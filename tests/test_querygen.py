@@ -93,13 +93,11 @@ class TestSamplePredicates:
         assert pval > 0.001
 
     def test_triangular_ratio_first_draw(self):
-        f1 = {"a": 0.6, "b": 0.0}
+        # F1 0.6 and 0.0; one CDF serves every draw, as a view's does
+        cdf = SamplingCDF(triangular_weights(np.array([0.6, 0.0]), DEFAULTS))
         rng = stream(3, "s")
         n = 100_000
-        hits = 0
-        for _ in range(n):
-            if sample_names(["a", "b"], f1.get, 1, DEFAULTS, rng)[0] == "a":
-                hits += 1
+        hits = sum(sample_predicates(cdf, 1, rng)[0] == 0 for _ in range(n))
         expected = 1.0 / 1.1  # weights 1.0 : 0.1
         sigma = (n * expected * (1 - expected)) ** 0.5
         assert abs(hits - n * expected) < 3 * sigma
@@ -148,12 +146,13 @@ class TestBestObject:
             assert got == expected
 
     def test_untrained_uniform_fallback(self):
-        feats = {f"o{i}": np.zeros(2) for i in range(4)}
+        # one view over four unlabeled objects serves every draw, as a dialog's does
+        view = episode_view({}, ["p"], range(4), (), np.zeros((4, 2)))
         rng = stream(9, "s")
-        counts = {rid: 0 for rid in feats}
+        counts = dict.fromkeys(range(4), 0)
         n = 8000
         for _ in range(n):
-            counts[best_object(None, sorted(feats), feats, set(), rng)] += 1
+            counts[best_object_for_predicate(view, 0, [0] * 4, rng)] += 1
         _, pval = sps.chisquare(list(counts.values()))
         assert pval > 0.001
 
