@@ -183,12 +183,15 @@ def _load_run(run_dir: Path) -> dict:
 
 
 def cmd_report(args) -> int:
-    runs = [_load_run(_out_dir(d)) for d in args.run_dirs]
-    baseline_dir = _out_dir(args.baseline) if args.baseline else runs[0]["dir"]
-    baseline = next((r for r in runs if r["dir"].resolve() == baseline_dir.resolve()), None)
-    if baseline is None:
-        baseline = _load_run(baseline_dir)
-        runs.append(baseline)
+    # one row per distinct run directory, in the order first listed; the
+    # baseline is the first listed unless named, and is appended if unlisted
+    by_path: dict[Path, dict] = {}
+    for raw in [*args.run_dirs, *([args.baseline] if args.baseline else [])]:
+        run_dir = _out_dir(raw)
+        if run_dir.resolve() not in by_path:
+            by_path[run_dir.resolve()] = _load_run(run_dir)
+    runs = list(by_path.values())
+    baseline = by_path[_out_dir(args.baseline).resolve()] if args.baseline else runs[0]
     fingerprints = {r["fingerprint"] for r in runs}
     if len(fingerprints) > 1:
         raise DataError(

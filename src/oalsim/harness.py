@@ -16,11 +16,13 @@ each dialog builds its generators from its own words when it starts.
 
 A batch featurizes only what something reads: whole beams where the
 learned policy samples or REINFORCE updates, each turn's chosen action where
-only a transcript is written, nothing otherwise (FeatureReads). The dialog
-(dialog.Episode) is the oracle and the state machine only. Where a policy
-update or a transcript reads them, run_episode keeps one record per turn:
-the action, the feature array the turn featurized, the chosen row's index in
-it and the probabilities. run_batch writes the transcript lines and the
+only a transcript is written, nothing otherwise (FeatureReads). Where no
+beam is read, a static turn draws only the action it plays, kind first
+(querygen.static_action), leaving every generator as a whole beam does.
+The dialog (dialog.Episode) is the oracle and the state machine only. Where
+a policy update or a transcript reads them, run_episode keeps one record per
+turn: the action, the feature array the turn featurized, the chosen row's
+index in it and the probabilities. run_batch writes the transcript lines and the
 REINFORCE terms from those records between dialogs, with the per-turn
 rewards and returns derived from the dialog's success and length
 (dialog.rewards_and_returns).
@@ -80,7 +82,7 @@ from .policy import (
     sample_action,
     static_policy_act,
 )
-from .querygen import build_beam
+from .querygen import build_beam, static_action
 from .seeding import episode_words, generator
 from .snapshot import BatchRows, EpisodeView
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
@@ -381,11 +383,14 @@ class Experiment:
 
         A turn featurizes what `setup.reads` names: its whole beam, for the
         learned policy or a policy update; else, for a transcript only, the
-        chosen action alone; else nothing. Returns the outcome, the episode
-        and, where a policy update or a transcript reads them, one (action,
-        features, chosen, probabilities) record per turn: the array the turn
-        featurized, the chosen action's row in it, and the probabilities the
-        learned policy sampled from, None where the static policy chose.
+        chosen action alone; else nothing. Where nothing reads the beam (a
+        static phase with no update), a turn draws only the action the
+        static policy picks (querygen.static_action), not the beam. Returns
+        the outcome, the episode and, where a policy update or a transcript
+        reads them, one (action, features, chosen, probabilities) record per
+        turn: the array the turn featurized, the chosen action's row in it,
+        and the probabilities the learned policy sampled from, None where the
+        static policy chose.
         Otherwise it returns no turns.
         """
         cfg = self.config
@@ -407,31 +412,35 @@ class Experiment:
         )
 
         while not episode.terminated:
-            beam = build_beam(
-                turn=episode.turn,
-                t_max=cfg.episode.t_max,
-                view=view,
-                labeled=episode.known,
-                asked=episode.asked,
-                cfg=cfg.beam,
-                rng=beam_rng,
-            )
-            features = probs = None
             if reads.beam:
+                beam = build_beam(
+                    turn=episode.turn,
+                    t_max=cfg.episode.t_max,
+                    view=view,
+                    labeled=episode.known,
+                    asked=episode.asked,
+                    cfg=cfg.beam,
+                    rng=beam_rng,
+                )
                 features = featurize(beam, episode.turn, ctx)
-            if plan.policy_kind == "static":
-                chosen = static_policy_act(
-                    episode.turn, beam, cfg.policy.static_n_queries, policy_rng
+                probs = None
+                if plan.policy_kind == "static":
+                    chosen = static_policy_act(
+                        episode.turn, beam, cfg.policy.static_n_queries, policy_rng
+                    )
+                else:
+                    probs = action_probabilities(theta, features)
+                    chosen = sample_action(probs, policy_rng)
+                action = beam[chosen]
+                if keep:
+                    turns.append((action, features, chosen, probs))
+            else:  # a static phase with no update: nothing reads the beam
+                action = static_action(
+                    episode.turn, cfg.episode.t_max, view, episode.known, episode.asked,
+                    cfg.beam, cfg.policy.static_n_queries, beam_rng, policy_rng,
                 )
-            else:
-                probs = action_probabilities(theta, features)
-                chosen = sample_action(probs, policy_rng)
-            action = beam[chosen]
-            if keep:
-                turns.append(
-                    (action, features, chosen, probs) if reads.beam
-                    else (action, featurize([action], episode.turn, ctx), 0, None)
-                )
+                if reads.transcript:
+                    turns.append((action, featurize([action], episode.turn, ctx), 0, None))
             n_before = len(episode.pending_labels)
             episode.step(action)
             if immediate and len(episode.pending_labels) > n_before:

@@ -4,19 +4,22 @@ The policy is linear in state-action features: pi(a|s) = softmax over the
 candidate beam of theta . f(s, a). Updates are plain batched REINFORCE, with
 an optional running-mean return baseline for variance reduction. The static
 baseline ignores theta and alternates label/example queries for a fixed count
-before guessing.
+before guessing; its rule (static_kinds, then static_pick) reads only how
+many candidates of each kind a beam holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .actions import EXAMPLE_QUERY, LABEL_QUERY, Action
-from .config import PolicyConfig
+from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY, Action
 from .errors import PolicyUpdateError
+
+if TYPE_CHECKING:
+    from .config import PolicyConfig
 
 
 def learning_rate_at(policy: PolicyConfig, update: int) -> float:
@@ -117,23 +120,47 @@ def reinforce_update(
     return new_theta
 
 
+def static_kinds(turn: int, n_queries: int) -> tuple[int, ...]:
+    """The query kinds the static rule tries at `turn`, preferred first.
+
+    Label queries on even turns and example queries on odd ones, the other
+    kind as the fallback; none from turn n_queries on, where it guesses.
+    """
+    if turn >= n_queries:
+        return ()
+    return (LABEL_QUERY, EXAMPLE_QUERY) if turn % 2 == 0 else (EXAMPLE_QUERY, LABEL_QUERY)
+
+
+def static_pick(
+    kinds: Sequence[int], counts: Sequence[int], rng: np.random.Generator
+) -> tuple[int, int]:
+    """The static rule's (kind, index among that kind's candidates, in beam order).
+
+    `counts[kind]` is how many candidates of that kind the beam holds, by
+    the kind's value: (1, label queries, example queries). The first of
+    `kinds` with any gets one uniform index, rng.integers(count); with none,
+    the pick is the guess, (GUESS, 0), and draws nothing.
+    """
+    for kind in kinds:
+        if counts[kind]:
+            return kind, int(rng.integers(counts[kind]))
+    return GUESS, 0
+
+
 def static_policy_act(
     turn: int,
     beam: Sequence[Action],
     n_queries: int,
     rng: np.random.Generator,
 ) -> int:
-    """Alternate label/example queries (label first) for n_queries turns, then guess.
+    """The beam index the static rule picks: label first, alternating, for n_queries turns.
 
     Falls back to the other query type, then to the guess (beam entry 0), when
-    the preferred type has no candidates in the beam.
+    the preferred type has no candidates in the beam (static_kinds, static_pick).
+    The beam lists each kind's candidates together, as build_beam does.
+    querygen.static_action picks the same action, drawing only what this rule reads.
     """
-    if turn >= n_queries:
-        return 0
-    preferred = LABEL_QUERY if turn % 2 == 0 else EXAMPLE_QUERY
-    other = EXAMPLE_QUERY if preferred == LABEL_QUERY else LABEL_QUERY
-    for kind in (preferred, other):
-        idxs = [i for i, (k, _, _) in enumerate(beam) if k == kind]
-        if idxs:
-            return idxs[int(rng.integers(len(idxs)))]
-    return 0
+    kinds = [kind for kind, _, _ in beam]
+    counts = (1, kinds.count(LABEL_QUERY), kinds.count(EXAMPLE_QUERY))
+    kind, i = static_pick(static_kinds(turn, n_queries), counts, rng)
+    return kinds.index(kind) + i

@@ -16,7 +16,9 @@ with no 0 left is exhausted. Every draw picks the index Generator.choice
 picks over the live weights; sample_predicates finds it on the view's CDF
 and proves it with a rounding margin, or builds the live vector's own CDF. A beam is a
 list of (kind, view row, active-train column) actions (actions.py): the
-guess, then the queries drawn.
+guess, then the queries drawn. Where nothing reads the beam, a static turn
+draws only the one action the static rule picks from it (static_action),
+leaving the generators where the whole beam leaves them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, Action
 from .errors import DataError, check_int, check_real
+from .policy import static_kinds, static_pick, static_policy_act
 
 if TYPE_CHECKING:
     from .snapshot import EpisodeView
@@ -84,10 +87,13 @@ class SamplingCDF:
     `cdf` is the CDF _cdf builds from the weights, as a list, and `mass[i]`
     is cdf[i] - cdf[i-1] (cdf[0] for i = 0), both computed in floats. Both
     are None unless there are at most _MARGIN_MAX_N weights, all finite and
-    >= 0, with a positive sum: every draw then builds its live vector's own
-    CDF, which raises where Generator.choice's would. An EpisodeView holds
-    one over its sampling weights and builds it again when `update`
-    rewrites a weight.
+    > 0, with a finite sum: every draw then builds its live vector's own
+    CDF, which raises where Generator.choice's would. With a CDF no draw
+    fails, since a draw's pool always keeps a positive weight. A view's
+    weights are triangular weights, w_min > 0 or more, or NaN for an F1
+    outside [0,1], so only such an F1 or an empty view leaves it without
+    a CDF. An EpisodeView holds one over its sampling weights and builds
+    it again when `update` rewrites a weight.
     """
 
     __slots__ = ("weights", "cdf", "mass")
@@ -96,7 +102,7 @@ class SamplingCDF:
         self.weights = weights
         self.cdf = self.mass = None
         total = np.add.reduce(weights)
-        if 0.0 < total < math.inf and weights.min() >= 0.0 and len(weights) <= _MARGIN_MAX_N:
+        if 0.0 < total < math.inf and weights.min() > 0.0 and len(weights) <= _MARGIN_MAX_N:
             cdf = _cdf(weights)
             mass = cdf.copy()
             np.subtract(cdf[1:], cdf[:-1], out=mass[1:])
@@ -260,6 +266,23 @@ def best_object_for_predicate(
     raise DataError(f"all ({view.predicates[row]!r}, object) pairs already labeled")
 
 
+def _label_queries(
+    view: EpisodeView, labeled: list[list[int]], n_label: int, rng: np.random.Generator
+) -> list[Action]:
+    """The label queries of up to n_label drawn predicates, in draw order.
+
+    A drawn predicate whose label row is exhausted is skipped; the others
+    pair with best_object_for_predicate's column.
+    """
+    queries = []
+    for row in sample_predicates(view.sampling_cdf, n_label, rng):
+        labels = labeled[row]
+        if 0 in labels:
+            col = best_object_for_predicate(view, row, labels, rng)
+            queries.append((LABEL_QUERY, row, col))
+    return queries
+
+
 def build_beam(
     turn: int,
     t_max: int,
@@ -276,20 +299,67 @@ def build_beam(
     the ascending list of the rows already example-queried this episode, the
     draws' `excluded`. At the turn cap the beam collapses to the forced guess.
     Label candidates skip predicates whose rows hold no 0; example candidates
-    skip asked predicates.
+    skip asked predicates. Every turn of the learned policy, and every turn
+    of a phase that updates the policy, plays a whole beam; static_action
+    draws the one action a static turn reads where nothing reads the beam.
     """
     beam: list[Action] = [GUESS_ACTION]
     if turn >= t_max:
         return beam
 
-    for row in sample_predicates(view.sampling_cdf, cfg.n_label, rng):
-        labels = labeled[row]
-        if 0 not in labels:
-            continue
-        col = best_object_for_predicate(view, row, labels, rng)
-        beam.append((LABEL_QUERY, row, col))
-
+    beam += _label_queries(view, labeled, cfg.n_label, rng)
     if len(asked) < len(view.predicates):
         for row in sample_predicates(view.sampling_cdf, cfg.n_example, rng, asked):
             beam.append((EXAMPLE_QUERY, row, -1))
     return beam
+
+
+def static_action(
+    turn: int,
+    t_max: int,
+    view: EpisodeView,
+    labeled: list[list[int]],
+    asked: list[int],
+    cfg: BeamConfig,
+    n_queries: int,
+    rng: np.random.Generator,
+    policy_rng: np.random.Generator,
+) -> Action:
+    """The action static_policy_act picks from build_beam's beam, drawn kind first.
+
+    The static rule reads only how many label and example candidates the
+    beam holds, then one uniform index (policy.static_pick, from
+    `policy_rng`), so a turn whose beam nothing else reads draws only that:
+    - the label candidates, as build_beam draws them (their predicate draws
+      and untrained rows' uniform picks move `rng`);
+    - for an example pick, the example draws up to the picked one, then the
+      draw's later doubles alone: the doubles of rng.random(k) and then
+      rng.random(n - k) are those of rng.random(n), and each pick reads
+      only its own double and the picks before it;
+    - for a label pick or a guess, the example draw's doubles alone,
+      rng.random(n_example), where build_beam draws them.
+    Both generators end the turn in the state build_beam and
+    static_policy_act leave, except at a guess turn (turn >= n_queries):
+    that draws nothing, because the guess ends the dialog and `rng` is never
+    read again. Without a CDF of the view's weights a draw may fail, so the
+    turn plays build_beam and static_policy_act whole and fails where they do.
+    """
+    sampling = view.sampling_cdf
+    if sampling.cdf is None:
+        beam = build_beam(turn, t_max, view, labeled, asked, cfg, rng)
+        return beam[static_policy_act(turn, beam, n_queries, policy_rng)]
+    kinds = static_kinds(turn, n_queries)
+    if not kinds or turn >= t_max:  # at the cap the beam is the guess alone
+        return GUESS_ACTION
+    labels = _label_queries(view, labeled, cfg.n_label, rng)
+    pool = len(view.predicates) - len(asked)  # the unasked rows
+    kind, i = static_pick(kinds, (1, len(labels), min(cfg.n_example, pool)), policy_rng)
+    if kind == EXAMPLE_QUERY:
+        if pool <= cfg.n_example:  # the whole pool comes back, with no draw
+            return EXAMPLE_QUERY, sample_predicates(sampling, cfg.n_example, rng, asked)[i], -1
+        row = sample_predicates(sampling, i + 1, rng, asked)[i]
+        rng.random(cfg.n_example - i - 1)  # the draw's later doubles, which nothing reads
+        return EXAMPLE_QUERY, row, -1
+    if pool > cfg.n_example:  # the example draw's doubles, which nothing reads
+        rng.random(cfg.n_example)
+    return labels[i] if kind == LABEL_QUERY else GUESS_ACTION

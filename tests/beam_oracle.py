@@ -9,10 +9,16 @@ over the live weights (`choice_reference`), over view.sampling for label
 queries and view.sampling[pool] for example queries. `cdf` is the original
 expression of a sampling CDF. Every beam must equal the oracle's and leave
 the generator in the same state, and every CDF must equal `cdf`.
+
+`static_turn` is the reference of a static turn drawn kind first
+(`oalsim.querygen.static_action`): the whole beam of
+`oalsim.querygen.build_beam`, which must equal this file's, then the static
+rule as first written (`static_policy_act`).
 """
 
 import numpy as np
 
+from oalsim import querygen
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.errors import DataError
 
@@ -63,3 +69,22 @@ def build_beam(turn, t_max, view, labeled: np.ndarray, asked: np.ndarray, cfg, r
         for k in choice_reference(view.sampling[pool], cfg.n_example, rng):
             beam.append((EXAMPLE_QUERY, int(pool[k]), -1))
     return beam
+
+
+def static_policy_act(turn, beam, n_queries, rng) -> int:
+    """Alternate label/example queries (label first) for n_queries turns, then guess (entry 0)."""
+    if turn >= n_queries:
+        return 0
+    preferred = LABEL_QUERY if turn % 2 == 0 else EXAMPLE_QUERY
+    other = EXAMPLE_QUERY if preferred == LABEL_QUERY else LABEL_QUERY
+    for kind in (preferred, other):
+        idxs = [i for i, (k, _, _) in enumerate(beam) if k == kind]
+        if idxs:
+            return idxs[int(rng.integers(len(idxs)))]
+    return 0
+
+
+def static_turn(turn, t_max, view, labeled, asked, cfg, n_queries, rng, policy_rng):
+    """The action a static turn plays from its whole beam, built from the episode's lists."""
+    beam = querygen.build_beam(turn, t_max, view, labeled, asked, cfg, rng)
+    return beam[static_policy_act(turn, beam, n_queries, policy_rng)]

@@ -585,6 +585,38 @@ class TestReport:
         assert str(run / name) in error["message"] and problem in error["message"]
 
 
+    @pytest.mark.parametrize("argv", [
+        ["a", "static", "a"],
+        ["--baseline", "a", "a", "static"],
+        ["--baseline", "a", "a", "static", "a"],
+        ["static", "a", "static", "--baseline", "a"],
+    ], ids=["listed-twice", "named-and-listed", "named-and-listed-twice", "other-listed-twice"])
+    def test_a_run_listed_twice_is_one_row(self, argv, tmp_path, monkeypatch, capsys):
+        finals = {"a": ([1, 0, 1, 0], [3, 5, 4, 6]), "static": ([1, 1, 1, 0], [16, 16, 15, 16])}
+        for name, (indicators, lengths) in finals.items():
+            run = tmp_path / name
+            run.mkdir()
+            final = {"success_rate": sum(indicators) / 4, "mean_length": sum(lengths) / 4,
+                     "success_indicators": indicators, "lengths": lengths}
+            (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
+            (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+        monkeypatch.delenv("OALSIM_OUTPUT_ROOT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", *argv, "--out", "table.csv"]) == 0
+        # one row per distinct run, in the order first listed
+        rows = (tmp_path / "table.csv").read_text().splitlines()
+        order = list(dict.fromkeys(name for name in argv if name in finals))
+        assert [row.split(",")[0] for row in rows[1:]] == order
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert len(lines) == 2
+        for row, line in zip(rows[1:], lines):
+            if row.startswith("a,"):
+                assert row == "a,0.5,4.5,,"
+                assert line.split()[-2:] == ["baseline", "baseline"]
+            else:
+                assert row.split(",")[3:] != ["", ""] and "baseline" not in line
+
+
 class TestReportDegenerateSamples:
     @staticmethod
     def _write_run(run, indicators, lengths):

@@ -398,11 +398,11 @@ class TestPolicyUpdate:
 
 
 class TestFeatureReads:
-    """A phase featurizes what its policy, its update and the transcript sink read."""
+    """A phase builds beams and featurizes what its policy, its update and the sink read."""
 
     @staticmethod
     def _record(monkeypatch):
-        """Per phase: featurize calls as (rows, beam length), beam lengths and contexts built."""
+        """Per phase: featurize calls' row counts, built beams' lengths and contexts built."""
         seen = {"phase": None, "calls": [], "beams": [], "contexts": []}
         run_batch, build, form = Experiment.run_batch, harness.build_beam, harness.featurize
         context = harness.FeatureContext
@@ -417,7 +417,7 @@ class TestFeatureReads:
             return beam
 
         def recorded_featurize(actions, turn, ctx):
-            seen["calls"].append((seen["phase"], len(actions), seen["beams"][-1][1]))
+            seen["calls"].append((seen["phase"], len(actions)))
             return form(actions, turn, ctx)
 
         def recorded_context(*args, **kwargs):
@@ -441,16 +441,19 @@ class TestFeatureReads:
         result = exp.run(transcript_path=tmp_path / "t.jsonl" if sink else None)
         for phase in harness.PHASE_NAMES:
             lengths = [n for m in result.metrics if m.phase == phase for n in m.lengths]
-            calls = [(rows, beam) for p, rows, beam in seen["calls"] if p == phase]
+            calls = [rows for p, rows in seen["calls"] if p == phase]
+            beams = [n for p, n in seen["beams"] if p == phase]
             contexts = seen["contexts"].count(phase)
             if phase == "init" or kind == "learned":  # every beam row is read
-                assert [rows for rows, _ in calls] == [n for p, n in seen["beams"] if p == phase]
+                assert calls == beams and len(beams) == sum(lengths)
                 assert contexts == len(lengths)
-            elif sink:  # the transcript reads one row a turn
-                assert [rows for rows, _ in calls] == [1] * sum(lengths)
-                assert contexts == len(lengths)
-            else:
-                assert calls == [] and contexts == 0
+            else:  # no beam is read: a static turn draws only the action it plays
+                assert beams == []
+                if sink:  # the transcript reads one row a turn
+                    assert calls == [1] * sum(lengths)
+                    assert contexts == len(lengths)
+                else:
+                    assert calls == [] and contexts == 0
             assert len(calls) in (0, sum(lengths))
 
     def test_turns_keep_only_what_is_read(
