@@ -10,7 +10,6 @@ query and when to guess.
 
 __version__ = "0.1.0"
 
-from .agent import Agent
 from .config import RunConfig, from_dict, load_config
 from .corpus import (
     Corpus,
@@ -19,6 +18,7 @@ from .corpus import (
     Region,
     SplitConfig,
     SyntheticConfig,
+    extract_predicates,
     generate_synthetic,
     load_regions,
     make_splits,
@@ -28,6 +28,7 @@ from .dialog import Episode, RewardConfig, rewards_and_returns
 from .features import FeatureContext, N_FEATURES, REGISTRY, featurize, resolve_mask
 from .grounding import GuessScores, score_objects
 from .harness import (
+    Agent,
     BatchMetrics,
     Experiment,
     RunResult,
@@ -40,7 +41,6 @@ from .perception import (
     DensityIndex,
     PredicateModel,
     estimate_f1,
-    extract_predicates,
     train_classifier,
 )
 from .policy import (
@@ -51,7 +51,6 @@ from .policy import (
     reinforce_update,
     running_mean,
     sample_action,
-    static_policy_act,
 )
 from .querygen import (
     BeamConfig,
@@ -60,5 +59,6 @@ from .querygen import (
     best_object_for_predicate,
     build_beam,
     sample_predicates,
+    static_policy_act,
 )
 from .stats import one_sample_t_test, welch_t_test

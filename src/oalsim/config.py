@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from .corpus import SplitConfig, SyntheticConfig
+from .corpus import LOADERS, SplitConfig, SyntheticConfig
 from .dialog import RewardConfig
 from .errors import ConfigError, DataError, check_bool, check_int, check_real
 from .perception import ClassifierConfig
@@ -29,9 +29,9 @@ class CorpusSource:
     def __post_init__(self):
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError("corpus source needs exactly one of 'path' or 'synthetic'")
-        if self.format not in ("annotation-json", "tabular"):  # corpus.load_regions' formats
+        if self.format not in LOADERS:
             raise ConfigError(
-                f"corpus.format must be 'annotation-json' or 'tabular', got {self.format!r}"
+                f"corpus.format must be {' or '.join(map(repr, LOADERS))}, got {self.format!r}"
             )
 
 

@@ -1,8 +1,10 @@
-"""Region data model, ingestion, synthetic generation, and split construction.
+"""Region data model, ingestion, text normalization, synthetic generation, and splits.
 
 Loaders and the generator pass regions around as Region records, each
 carrying a fixed-dimension feature vector, a set of normalized predicate
-annotations, and an optional description. A Corpus takes them apart into one
+annotations, and an optional description; text becomes predicates here
+only (normalize_annotation, extract_predicates). LOADERS maps each corpus
+file format to its reader. A Corpus takes them apart into one
 table of row-order columns and keeps no Region. The split gives each policy
 side (policy-train, policy-test) one pair of sorted row tuples,
 classifier-train and classifier-test. It routes every region containing a
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     CorpusError,
+    DataError,
     GenerationError,
     ParseError,
     SamplingError,
@@ -38,7 +41,6 @@ from .errors import (
     check_int,
     check_real,
 )
-from .perception import extract_predicates, normalize_token
 from .seeding import stream, streams
 
 
@@ -132,6 +134,47 @@ class Interaction:
     description_predicates: tuple[str, ...]
 
 
+# Small closed-class list; enough to strip function words from short object
+# descriptions ("the red box" -> red, box) without an NLP dependency.
+STOPWORDS = frozenset(
+    """a an the of in on at is it its this that these those and or to with for
+    by from as are was were be been being has have had his her their there
+    here me my we us our you your i he she they them what which who whom am
+    do does did not no nor so if then than too very can will just""".split()
+)
+
+
+def normalize_token(token: str) -> str:
+    """Lower-case, strip non-alphanumerics, apply a light plural stemmer."""
+    return _stem("".join(c for c in token.lower() if c.isalnum()))
+
+
+def _stem(tok: str) -> str:
+    if tok.endswith("sses"):
+        return tok[:-2]
+    if tok.endswith("ies") and len(tok) > 4:
+        return tok[:-3] + "i"
+    if tok.endswith("ss"):
+        return tok
+    if tok.endswith("s") and len(tok) > 3:
+        return tok[:-1]
+    return tok
+
+
+def extract_predicates(description: str) -> list[str]:
+    """Tokenize, drop stopwords, stem; dedup preserving first occurrence."""
+    if not description or not description.strip():
+        raise DataError("empty description")
+    out: list[str] = []
+    for raw in description.split():
+        low = "".join(c for c in raw.lower() if c.isalnum())
+        if low and low not in STOPWORDS and (stemmed := _stem(low)) not in out:
+            out.append(stemmed)
+    if not out:
+        raise DataError(f"description {description!r} reduces to stopwords only")
+    return out
+
+
 def normalize_annotation(text: str) -> list[str]:
     """Annotation string -> normalized predicate tokens (lower, strip specials, stem)."""
     cleaned = "".join(c if (c.isalnum() or c.isspace()) else "" for c in text.lower())
@@ -179,21 +222,6 @@ def _region_from_record(
         annotations=frozenset(preds),
         description_predicates=desc_preds,
     )
-
-
-def load_regions(path, fmt: str = "annotation-json") -> list[Region]:
-    """Read a region file. Formats: annotation-json (JSONL) or tabular (CSV).
-
-    The regions are checked as a Corpus is: one feature dimension, unique ids.
-    """
-    if fmt == "annotation-json":
-        regions = _load_jsonl(path)
-    elif fmt == "tabular":
-        regions = _load_tabular(path)
-    else:
-        raise CorpusError(f"unknown corpus format {fmt!r}")
-    Corpus(regions)
-    return regions
 
 
 def _load_jsonl(path) -> list[Region]:
@@ -260,6 +288,21 @@ def _load_tabular(path) -> list[Region]:
                     f"{path}:{lineno}",
                 )
             )
+    return regions
+
+
+LOADERS = {"annotation-json": _load_jsonl, "tabular": _load_tabular}  # corpus format -> reader
+
+
+def load_regions(path, fmt: str = "annotation-json") -> list[Region]:
+    """Read a region file in a LOADERS format: annotation-json (JSONL) or tabular (CSV).
+
+    The regions are checked as a Corpus is: one feature dimension, unique ids.
+    """
+    if fmt not in LOADERS:
+        raise CorpusError(f"unknown corpus format {fmt!r}")
+    regions = LOADERS[fmt](path)
+    Corpus(regions)
     return regions
 
 

@@ -61,6 +61,11 @@ class RewardConfig:
 NONE_ANSWER = None  # example query with no positive object in the active training set
 
 
+def closed_world_label(annotations: Sequence[frozenset[str]], predicate: str, region: int) -> int:
+    """The oracle's answer on (predicate, region row): +1 if its annotations hold it, else -1."""
+    return 1 if predicate in annotations[region] else -1
+
+
 class Episode:
     """Mutable state of one interaction, plus the oracle that answers queries."""
 
@@ -110,7 +115,7 @@ class Episode:
         if not (0 <= row < len(self.known) and 0 <= col < len(self.interaction.active_train)):
             raise ProtocolError(f"label query on view row {row}, column {col}: outside the view")
         region = self.interaction.active_train[col]
-        label = 1 if self.view.predicates[row] in self.annotations[region] else -1
+        label = closed_world_label(self.annotations, self.view.predicates[row], region)
         self._record(row, col, label)
         return label
 

@@ -28,6 +28,11 @@ rewards and returns derived from the dialog's success and length
 (dialog.rewards_and_returns).
 
 A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
+
+The agent (Agent) is the classifiers, by predicate, and the usage stats,
+frozen during a batch. A checkpoint's labels section, each classifier's
+labeled region ids, is written by Agent.to_dict and read by Agent.from_dict,
+which signs each label by the oracle's rule (dialog.closed_world_label).
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .actions import describe
-from .agent import Agent
 from .config import RunConfig
 from .corpus import (
     Corpus,
@@ -54,7 +58,7 @@ from .corpus import (
     make_splits,
     sample_interaction,
 )
-from .dialog import Episode, RewardConfig, rewards_and_returns
+from .dialog import Episode, RewardConfig, closed_world_label, rewards_and_returns
 from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_real
 from .features import (
     FeatureContext,
@@ -74,17 +78,17 @@ from .perception import (
     train_classifier,
 )
 from .policy import (
+    AgentStats,
     action_probabilities,
     grad_log_prob,
     learning_rate_at,
     reinforce_update,
     running_mean,
     sample_action,
-    static_policy_act,
 )
-from .querygen import build_beam, static_action
+from .querygen import build_beam, static_action, static_policy_act
 from .seeding import episode_words, generator
-from .snapshot import BatchRows, EpisodeView
+from .snapshot import BatchRows, EpisodeView, RowSet
 from .stats import one_sample_t_test, one_sided_p_greater, welch_t_test
 
 CHECKPOINT_VERSION = "oalsim-checkpoint/5"
@@ -94,6 +98,54 @@ PHASE_NAMES = ("init", "train", "test")
 DIALOG_STREAMS = ("oracle", "beam", "policy")  # a dialog's seed streams, by purpose
 
 RATES = ("success_rate", "mean_length", "mean_queries")  # BatchMetrics' rates, in file order
+
+
+@dataclass
+class Agent:
+    models: dict[str, PredicateModel] = field(default_factory=dict)
+    stats: AgentStats = field(default_factory=AgentStats)
+
+    def reset(self) -> None:
+        """Drop all classifiers and stats (phase boundary)."""
+        self.models = {}
+        self.stats = AgentStats()
+
+    def to_dict(self, ids: Sequence[str]) -> dict[str, list[str]]:
+        """Each model's labeled region ids, in insertion order."""
+        return {p: [ids[row] for row in m.labels] for p, m in sorted(self.models.items())}
+
+    @classmethod
+    def from_dict(cls, data: dict, corpus: Corpus, regions: Collection[int]) -> "Agent":
+        """The labels to_dict wrote, signed as the oracle answers, with no classifier fit or stats.
+
+        A label names a region row of `regions`, the rows its dialogs could
+        label, and a predicate lists a region once.
+        """
+        try:
+            models = {}
+            for p, rids in data.items():
+                if not isinstance(rids, list):
+                    raise CheckpointError(f"labels of {p!r} must be a list of region ids")
+                unknown = [rid for rid in rids if rid not in corpus.row]
+                if unknown:
+                    raise CheckpointError(
+                        f"labels of {p!r}: region {unknown[0]!r}, not in the corpus"
+                    )
+                if len(set(rids)) < len(rids):
+                    raise CheckpointError(f"labels of {p!r} list a region twice")
+                rows = [corpus.row[rid] for rid in rids]
+                outside = [rid for rid, row in zip(rids, rows) if row not in regions]
+                if outside:
+                    raise CheckpointError(
+                        f"labels of {p!r}: region {outside[0]!r}, offered by no dialog of the phase"
+                    )
+                models[p] = PredicateModel(
+                    predicate=p,
+                    labels={row: closed_world_label(corpus.annotations, p, row) for row in rows},
+                )
+            return cls(models=models)
+        except (TypeError, AttributeError) as exc:
+            raise CheckpointError(f"malformed checkpoint labels: {exc}") from exc
 
 
 @dataclass
@@ -267,8 +319,8 @@ class BatchSetup:
     `queries` and `guess_rows` are None. `episode(e)` builds episode e's
     view, and its feature context if features are read, when its dialog
     starts, so a batch holds no view of a dialog that has not started. The
-    contexts of one row set copy its table, gathered at the first of them;
-    the batch holds the table of the latest row set only.
+    views of one size share a RowSet and its table rows, built at the first
+    of them; sizes only grow, so the batch keeps the current row set only.
     """
 
     def __init__(
@@ -294,29 +346,27 @@ class BatchSetup:
             self.guesses[episodes], guess_rows = ground(stack, reads.any)
             if reads.any:
                 self.guess_rows[episodes] = guess_rows
-        self._table = (-1, None)  # the row-set size and row_set_queries of the last context
+        self._row_set = (-1, None, None)  # the current row set's size, RowSet and table rows
         self.experiment = experiment
 
     def episode(self, e: int) -> EpisodeSetup:
-        interaction = self.rows.interactions[e]
-        view = EpisodeView(self.rows, e)
-        ctx = self._context(e, view) if self.reads.any else None
-        return EpisodeSetup(interaction, view, ctx, int(self.guesses[e]), self.reads)
-
-    def _context(self, e: int, view: EpisodeView) -> FeatureContext:
-        exp = self.experiment
-        size = self.rows.sizes[e]  # the views of one size share one row set
-        if self._table[0] != size:  # row sets only grow along a batch: keep the last one only
-            self._table = size, row_set_queries(self.queries, view.rows)
-        return FeatureContext(
+        rows, exp = self.rows, self.experiment
+        size, shared, table = self._row_set
+        if size != rows.sizes[e]:  # row sets only grow along a batch: keep the current one only
+            shared = RowSet(rows, e)
+            table = row_set_queries(self.queries, shared.rows) if self.reads.any else None
+            self._row_set = rows.sizes[e], shared, table
+        interaction, view = rows.interactions[e], EpisodeView(rows, e, shared)
+        ctx = FeatureContext(
             t_max=exp.config.episode.t_max,
-            description_predicates=self.rows.interactions[e].description_predicates,
+            description_predicates=interaction.description_predicates,
             view=view,
             density=exp.density,
             guess=self.guess_rows[e],
-            shared_table=self._table[1],
+            shared_table=table,
             mask=exp.mask,
-        )
+        ) if self.reads.any else None
+        return EpisodeSetup(interaction, view, ctx, int(self.guesses[e]), self.reads)
 
 
 def build_corpus(config: RunConfig) -> Corpus:

@@ -1,4 +1,4 @@
-"""Predicate extraction and per-predicate binary classifiers.
+"""Per-predicate binary classifiers and the density index.
 
 Every predicate gets its own linear classifier over region features, trained
 by full batch subgradient descent on a regularized hinge loss. Retraining is
@@ -13,6 +13,7 @@ every unfit classifier and its CV folds in one fit_models call, in a few
 stacked descents shared across predicates. An immediate refit, inside an
 episode, stays one train_classifier and one estimate_f1. Both give the same
 weights and F1 bit for bit.
+Text becomes predicates in corpus, not here.
 """
 
 from __future__ import annotations
@@ -24,50 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, check_int, check_real
-
-# Small closed-class list; enough to strip function words from short object
-# descriptions ("the red box" -> red, box) without an NLP dependency.
-STOPWORDS = frozenset(
-    """a an the of in on at is it its this that these those and or to with for
-    by from as are was were be been being has have had his her their there
-    here me my we us our you your i he she they them what which who whom am
-    do does did not no nor so if then than too very can will just""".split()
-)
-
-
-def normalize_token(token: str) -> str:
-    """Lower-case, strip non-alphanumerics, apply a light plural stemmer."""
-    tok = "".join(c for c in token.lower() if c.isalnum())
-    return _stem(tok)
-
-
-def _stem(tok: str) -> str:
-    if tok.endswith("sses"):
-        return tok[:-2]
-    if tok.endswith("ies") and len(tok) > 4:
-        return tok[:-3] + "i"
-    if tok.endswith("ss"):
-        return tok
-    if tok.endswith("s") and len(tok) > 3:
-        return tok[:-1]
-    return tok
-
-
-def extract_predicates(description: str) -> list[str]:
-    """Tokenize, drop stopwords, stem; dedup preserving first occurrence."""
-    if not description or not description.strip():
-        raise DataError("empty description")
-    out: list[str] = []
-    for raw in description.split():
-        low = "".join(c for c in raw.lower() if c.isalnum())
-        if not low or low in STOPWORDS:
-            continue
-        stemmed = _stem(low)
-        if stemmed and stemmed not in out:
-            out.append(stemmed)
-    if not out:
-        raise DataError(f"description {description!r} reduces to stopwords only")
-    return out
 
 
 @dataclass

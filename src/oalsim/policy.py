@@ -5,7 +5,8 @@ candidate beam of theta . f(s, a). Updates are plain batched REINFORCE, with
 an optional running-mean return baseline for variance reduction. The static
 baseline ignores theta and alternates label/example queries for a fixed count
 before guessing; its rule (static_kinds, then static_pick) reads only how
-many candidates of each kind a beam holds.
+many candidates of each kind a beam holds; querygen, which lays beams out,
+places its pick.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY, Action
+from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY
 from .errors import PolicyUpdateError
 
 if TYPE_CHECKING:
@@ -145,22 +146,3 @@ def static_pick(
         if counts[kind]:
             return kind, int(rng.integers(counts[kind]))
     return GUESS, 0
-
-
-def static_policy_act(
-    turn: int,
-    beam: Sequence[Action],
-    n_queries: int,
-    rng: np.random.Generator,
-) -> int:
-    """The beam index the static rule picks: label first, alternating, for n_queries turns.
-
-    Falls back to the other query type, then to the guess (beam entry 0), when
-    the preferred type has no candidates in the beam (static_kinds, static_pick).
-    The beam lists each kind's candidates together, as build_beam does.
-    querygen.static_action picks the same action, drawing only what this rule reads.
-    """
-    kinds = [kind for kind, _, _ in beam]
-    counts = (1, kinds.count(LABEL_QUERY), kinds.count(EXAMPLE_QUERY))
-    kind, i = static_pick(static_kinds(turn, n_queries), counts, rng)
-    return kinds.index(kind) + i

@@ -16,9 +16,11 @@ with no 0 left is exhausted. Every draw picks the index Generator.choice
 picks over the live weights; sample_predicates finds it on the view's CDF
 and proves it with a rounding margin, or builds the live vector's own CDF. A beam is a
 list of (kind, view row, active-train column) actions (actions.py): the
-guess, then the queries drawn. Where nothing reads the beam, a static turn
-draws only the one action the static rule picks from it (static_action),
-leaving the generators where the whole beam leaves them.
+guess first, then each kind's candidates together, a layout only this
+module knows: static_policy_act finds the static rule's pick in a beam.
+Where nothing reads the beam, a static turn draws only the one action the
+static rule picks from it (static_action), leaving the generators where the
+whole beam leaves them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, Action
 from .errors import DataError, check_int, check_real
-from .policy import static_kinds, static_pick, static_policy_act
+from .policy import static_kinds, static_pick
 
 if TYPE_CHECKING:
     from .snapshot import EpisodeView
@@ -312,6 +314,26 @@ def build_beam(
         for row in sample_predicates(view.sampling_cdf, cfg.n_example, rng, asked):
             beam.append((EXAMPLE_QUERY, row, -1))
     return beam
+
+
+def static_policy_act(
+    turn: int,
+    beam: Sequence[Action],
+    n_queries: int,
+    rng: np.random.Generator,
+) -> int:
+    """The beam index the static rule picks: label first, alternating, for n_queries turns.
+
+    Falls back to the other query type, then to the guess (beam entry 0), when
+    the preferred type has no candidates in the beam (policy.static_kinds,
+    policy.static_pick). The beam lists the guess, then each kind's
+    candidates together, as build_beam does. static_action picks the same
+    action, drawing only what this rule reads.
+    """
+    kinds = [kind for kind, _, _ in beam]
+    counts = (1, kinds.count(LABEL_QUERY), kinds.count(EXAMPLE_QUERY))
+    kind, i = static_pick(static_kinds(turn, n_queries), counts, rng)
+    return kinds.index(kind) + i
 
 
 def static_action(

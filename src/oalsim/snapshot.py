@@ -7,9 +7,9 @@ start from the agent's classifiers, it holds the rows of the batch's
 predicates over the batch's objects (F1, trained flags, sampling weights,
 margins, decisions and labels), never sized by the corpus, and every
 episode's train and test columns. The views of one predicate set share a
-RowSet, built once per batch when the first of them starts: the set's
-predicates, models, F1, trained flags, sampling weights and the one CDF of
-those weights that every beam draw reads (querygen.SamplingCDF). An
+RowSet, which harness.BatchSetup builds and keeps: the set's predicates,
+models, F1, trained flags, sampling weights and the one CDF of those
+weights that every beam draw reads (querygen.SamplingCDF). An
 EpisodeView is one episode's slice of these: it takes its row set's arrays,
 gathers its own margins, decisions and labels over its columns, orders
 each row's train columns by margin, then region row, and seeds the
@@ -110,7 +110,7 @@ class BatchRows:
     `first` is the first episode whose view holds each predicate, -1 for the
     agent's: the views' predicate sets only grow along the batch, so episode
     e's view holds the `sizes[e]` rows whose `first` is at most e, and the
-    views of one size share one RowSet (row_set).
+    views of one size can share one RowSet (harness.BatchSetup keeps it).
     """
 
     def __init__(
@@ -153,29 +153,23 @@ class BatchRows:
                 )
                 signs = np.fromiter(model.labels.values(), dtype=np.int8, count=len(held))
                 self.labels[i, cols] = signs[found]
-        self._row_sets: dict[int, RowSet] = {}
-
-    def row_set(self, episode: int) -> RowSet:
-        """The rows of episode `episode`'s view, built at the first view that holds them."""
-        size = self.sizes[episode]
-        shared = self._row_sets.get(size)
-        if shared is None:
-            shared = self._row_sets[size] = RowSet(self, np.flatnonzero(self.first <= episode))
-        return shared
 
 
 class RowSet:
     """What the views of one predicate set share: their rows' predicates, models and weights.
 
-    `rows` are the batch rows, ascending, and `grid` the same as a column
-    for gathering (row, column) blocks. f1, sampling, trained and the
-    sampling CDF are read-only: a view copies them before its first write.
+    RowSet(batch, episode) holds the rows of episode's view, and serves
+    every view of that size. `rows` are the batch rows, ascending, and
+    `grid` the same as a column for gathering (row, column) blocks. f1,
+    sampling, trained and the sampling CDF are read-only: a view copies
+    them before its first write.
     """
 
     __slots__ = ("rows", "grid", "predicates", "index", "models", "f1", "sampling",
                  "trained", "sampling_cdf")
 
-    def __init__(self, batch: BatchRows, rows: np.ndarray):
+    def __init__(self, batch: BatchRows, episode: int):
+        rows = np.flatnonzero(batch.first <= episode)
         listed = rows.tolist()
         self.rows = rows
         self.grid = rows[:, None]
@@ -217,14 +211,14 @@ class EpisodeView:
     train_rows (active_train), test columns test_rows (active_test), both
     region rows. Predicates, models, F1, sampling weights, trained flags and
     `sampling_cdf`, the CDF of the sampling weights that the beam draws
-    from, come from the batch's RowSet of the view's rows. Margins,
+    from, come from `shared`, the RowSet of the view's rows, which the
+    caller builds or reuses (harness.BatchSetup). Margins,
     decisions, labels and `by_margin` are the view's own gather. `update`,
     which swaps in a refit classifier for one row, copies what it writes
     first, so it writes this view only.
     """
 
-    def __init__(self, batch: BatchRows, episode: int):
-        shared = batch.row_set(episode)
+    def __init__(self, batch: BatchRows, episode: int, shared: RowSet):
         interaction = batch.interactions[episode]
         self.rows = shared.rows
         self.predicates = shared.predicates

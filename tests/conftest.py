@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oalsim.agent import Agent
 from oalsim.config import CorpusSource, ExperimentConfig, PolicyConfig, RunConfig, load_config
 from oalsim.corpus import (
     Corpus,
@@ -16,10 +15,10 @@ from oalsim.corpus import (
 )
 from oalsim.features import N_FEATURES, FeatureContext, query_rows
 from oalsim.grounding import view_stack
-from oalsim.harness import BatchSetup, Experiment, FeatureReads, RunResult, ground
+from oalsim.harness import Agent, BatchSetup, Experiment, FeatureReads, RunResult, ground
 from oalsim.perception import DensityIndex
 from oalsim.querygen import TriangularWeights
-from oalsim.snapshot import BatchRows, EpisodeView
+from oalsim.snapshot import BatchRows, EpisodeView, RowSet
 
 READS_ALL = FeatureReads(beam=True, transcript=True)  # builds every feature table
 
@@ -50,7 +49,8 @@ def episode_view(models, predicates, active_train, active_test, X, params=Triang
     `models` maps predicates to their classifiers; a predicate it lacks has none.
     """
     interaction = Interaction(tuple(active_train), tuple(active_test), -1, ())
-    return EpisodeView(BatchRows(models, predicates, [interaction], X, params), 0)
+    batch = BatchRows(models, predicates, [interaction], X, params)
+    return EpisodeView(batch, 0, RowSet(batch, 0))
 
 
 def feature_context(view, description, stats, density, t_max=40, mask=None):

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from oalsim.agent import Agent
 from oalsim.config import load_config
 from oalsim.corpus import Region, sample_interaction
 from oalsim.features import N_FEATURES, resolve_mask
 from oalsim.harness import (
+    Agent,
     Experiment,
     PhasePlan,
     checkpoint_load,

@@ -13,11 +13,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oalsim.agent import Agent
 from oalsim.config import load_config
 from oalsim.corpus import Interaction
 from oalsim.features import N_FEATURES
-from oalsim.harness import BatchSetup, Experiment
+from oalsim.harness import Agent, BatchSetup, Experiment
 from oalsim.perception import PredicateModel
 from oalsim.querygen import SamplingCDF, TriangularWeights, triangular_weight
 from oalsim.snapshot import BatchRows
@@ -170,9 +169,8 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
     held = {name: getattr(rows, name).copy() for name in ARRAYS + ("labels",)}
     queries = setups.queries.copy()
     first, twin = setups.episode(0), setups.episode(0)
-    size, table = setups._table
+    size, shared, table = setups._row_set
     table = table.copy()
-    shared = rows.row_set(0)
     held_set = {name: getattr(shared, name).copy() for name in ("f1", "sampling", "trained")}
     cdf = list(shared.sampling_cdf.cdf)
     assert first.view.f1 is shared.f1 and twin.view.sampling_cdf is shared.sampling_cdf
@@ -185,10 +183,10 @@ def test_a_refit_writes_its_own_view_only(small_corpus, small_split, small_densi
         assert np.array_equal(getattr(rows, name), array), name
     for name, array in held_set.items():
         assert np.array_equal(getattr(shared, name), array), name
-    assert shared.sampling_cdf.cdf == cdf and rows.row_set(0) is shared
+    assert shared.sampling_cdf.cdf == cdf and setups._row_set[1] is shared
     assert first.view.f1 is not shared.f1 and first.view.sampling_cdf is not shared.sampling_cdf
     assert np.array_equal(setups.queries, queries)
-    assert setups._table[0] == size and setups._table[1].tobytes() == table.tobytes()
+    assert setups._row_set[0] == size and setups._row_set[2].tobytes() == table.tobytes()
     predicates, wants = set(agent.stats.used), []
     for interaction in interactions:
         predicates |= set(interaction.description_predicates)

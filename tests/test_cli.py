@@ -1,10 +1,13 @@
+import csv
 import dataclasses
 import json
 
 import pytest
 
 from oalsim.cli import main
-from oalsim.corpus import SyntheticConfig
+from oalsim.corpus import Corpus, SyntheticConfig, load_regions
+
+from conftest import DESK_CONFIG
 
 
 SMALL_SYNTH = {"n_regions": 120, "dim": 16, "n_predicates": 8, "seed": 3}
@@ -86,6 +89,45 @@ class TestGenData:
         manifest = json.loads((out / "manifest.json").read_text())
         expected = json.loads(json.dumps(dataclasses.asdict(SyntheticConfig())))
         assert manifest["config"] == expected
+
+
+class TestFileCorpora:
+    # gen-data's defaults are desk's synthetic settings, so its file, and a
+    # CSV of the same regions, must load to desk's corpus and run as it does
+    DESK_FINGERPRINT = "73253c2ebaba60b5b46b2b2c80bae5ca405945528f13a4ebb8bb083b77d248fd"
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("file_corpora")
+        assert main(["gen-data", "--out", str(root)]) == 0
+        jsonl = root / "corpus.jsonl"
+        regions = load_regions(jsonl)
+        dim = len(regions[0].features)
+        tabular = root / "corpus.csv"
+        with open(tabular, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", *(f"f{j}" for j in range(dim)), "annotations", "description"])
+            for r in regions:
+                writer.writerow([r.id, *map(repr, r.features.tolist()),
+                                 "|".join(sorted(r.annotations)),
+                                 " ".join(r.description_predicates)])
+        return {"annotation-json": jsonl, "tabular": tabular}
+
+    @pytest.mark.parametrize("fmt", ["annotation-json", "tabular"])
+    def test_a_file_loads_to_the_desk_corpus(self, files, fmt):
+        assert Corpus(load_regions(files[fmt], fmt)).fingerprint == self.DESK_FINGERPRINT
+
+    def test_a_run_from_the_file_writes_the_synthetic_metrics(self, files, tmp_path):
+        desk = json.loads(DESK_CONFIG.read_text())
+        desk["experiment"] = {**SMALL_CONFIG["experiment"], **desk["experiment"]}  # desk's seed
+        outs = []
+        for name, corpus in (("synthetic", desk["corpus"]),
+                             ("file", {"path": str(files["annotation-json"])})):
+            path, out = tmp_path / f"{name}.json", tmp_path / name
+            path.write_text(json.dumps({**desk, "corpus": corpus}))
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            outs.append((out / "metrics.csv").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestRun:

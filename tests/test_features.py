@@ -10,9 +10,8 @@ import pytest
 
 from oalsim import harness
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
-from oalsim.agent import Agent
 from oalsim.features import N_FEATURES
-from oalsim.harness import Experiment
+from oalsim.harness import Agent, Experiment
 
 from conftest import READS_ALL, episode_view, feature_context, small_run_config
 from feature_oracle import featurize_alone, featurize_beam

@@ -11,13 +11,13 @@ from scipy import stats as sps
 
 from oalsim import harness
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, describe
-from oalsim.agent import Agent
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic
 from oalsim.dialog import RewardConfig, rewards_and_returns
 from oalsim.errors import CheckpointError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
+    Agent,
     CHECKPOINT_VERSION,
     BatchMetrics,
     Experiment,

@@ -8,7 +8,7 @@ import pytest
 from oalsim import perception
 from oalsim.config import load_config
 from oalsim.harness import Experiment
-from oalsim.corpus import generate_synthetic
+from oalsim.corpus import extract_predicates, generate_synthetic
 from oalsim.errors import ContractError, DataError
 from oalsim.perception import (
     ClassifierConfig,
@@ -16,7 +16,6 @@ from oalsim.perception import (
     PredicateModel,
     density_stats,
     estimate_f1,
-    extract_predicates,
     fit_models,
     train_classifier,
 )

@@ -24,8 +24,8 @@ from oalsim.policy import (
     reinforce_update,
     running_mean,
     sample_action,
-    static_policy_act,
 )
+from oalsim.querygen import static_policy_act
 from oalsim.seeding import stream
 
 from conftest import episode_view, feature_context

@@ -23,7 +23,7 @@ from oalsim.errors import DataError
 from oalsim.harness import Experiment
 from oalsim.querygen import SamplingCDF, TriangularWeights, sample_predicates
 from oalsim.seeding import stream, streams
-from oalsim.snapshot import BatchRows, EpisodeView, classifier_rows
+from oalsim.snapshot import BatchRows, EpisodeView, RowSet, classifier_rows
 
 from beam_oracle import choice_reference
 from classifier_oracle import decide, margin, score, triangular_weights
@@ -272,7 +272,8 @@ def test_draws_after_update_equal_generator_choice(desk_agent):
     batch = BatchRows(
         agent.models, agent.models, interactions, exp.corpus.X, exp.config.triangular
     )
-    views = [EpisodeView(batch, 0), EpisodeView(batch, 1)]
+    shared = RowSet(batch, 0)  # neither interaction has a description: one row set
+    views = [EpisodeView(batch, 0, shared), EpisodeView(batch, 1, shared)]
     donors = [m for m in agent.models.values() if m.weights is not None]
     src = stream(43, "asked")
     pools = [np.flatnonzero(src.random(len(agent.models)) < 0.8) for _ in range(3)]
