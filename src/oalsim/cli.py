@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import from_dict, read_config
-from .corpus import Corpus, SyntheticConfig, generate_synthetic, write_regions
+from .corpus import Corpus, generate_synthetic, write_regions
 from .errors import ConfigError, DataError, OalsimError, check_real
 from .features import registry_table
 from .harness import (
@@ -49,18 +49,14 @@ def _write_manifest(out: Path, payload: dict) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    data = read_config(args.config) if args.config else {"corpus": {"synthetic": {}}}
+    cfg = from_dict(_apply_overrides(data, args)).corpus.synthetic
+    if cfg is None:
+        raise ConfigError("gen-data writes a synthetic corpus; the config names a corpus path")
     out = _out_dir(args.out)
     corpus_path = out / "corpus.jsonl"
     if corpus_path.exists() and not args.force:
         raise DataError(f"{corpus_path} already exists; pass --force to overwrite")
-    cfg = SyntheticConfig(
-        n_regions=args.n_regions,
-        dim=args.dim,
-        n_predicates=args.n_predicates,
-        coverage=tuple(args.coverage),
-        description_length=tuple(args.desc_len),
-        seed=args.seed,
-    )
     regions = generate_synthetic(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_regions(corpus_path, regions)
@@ -78,7 +74,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _apply_overrides(data, args) -> dict:
-    """The config document with each --set written into it, then the experiment flags."""
+    """The config document with each --set written into it, then run's experiment flags."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     overrides = []
@@ -91,9 +87,10 @@ def _apply_overrides(data, args) -> dict:
         except json.JSONDecodeError:
             value = raw
         overrides.append((f"--set {dotted}", dotted, value))
-    for flag, key, value in (("--master-seed", "master_seed", args.master_seed),
-                             ("--policy", "policy_kind", args.policy),
-                             ("--ablate", "ablate", args.ablate or None)):
+    # gen-data has none of the experiment flags
+    for flag, key, value in (("--master-seed", "master_seed", getattr(args, "master_seed", None)),
+                             ("--policy", "policy_kind", getattr(args, "policy", None)),
+                             ("--ablate", "ablate", getattr(args, "ablate", None) or None)):
         if value is not None:
             overrides.append((flag, f"experiment.{key}", value))
     for where, dotted, value in overrides:
@@ -240,16 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    synth = SyntheticConfig()
-    gen.add_argument("--n-regions", type=int, default=synth.n_regions)
-    gen.add_argument("--dim", type=int, default=synth.dim)
-    gen.add_argument("--n-predicates", type=int, default=synth.n_predicates)
-    gen.add_argument("--coverage", type=float, nargs=2, default=synth.coverage,
-                     metavar=("LO", "HI"))
-    gen.add_argument("--desc-len", type=int, nargs=2, default=synth.description_length,
-                     metavar=("LO", "HI"))
-    gen.add_argument("--seed", type=int, default=synth.seed)
+    override = dict(action="append", default=None, metavar="SECTION.KEY=VALUE",
+                    help="override any config key, e.g. --set policy.learning_rate=1e-4")
+    gen = sub.add_parser("gen-data", help="write a run config's synthetic corpus")
+    gen.add_argument("--config", default=None,
+                     help="run config (default: the built-in corpus.synthetic settings)")
+    gen.add_argument("--set", **override)
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true")
     gen.set_defaults(handler=cmd_gen_data)
@@ -261,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", choices=["learned", "static"], default=None)
     run.add_argument("--ablate", nargs="*", default=None,
                      help="feature or group names to zero out")
-    run.add_argument("--set", action="append", default=None, metavar="SECTION.KEY=VALUE",
-                     help="override any config key, e.g. --set policy.learning_rate=1e-4")
+    run.add_argument("--set", **override)
     run.add_argument("--checkpoints", action="store_true")
     run.add_argument("--resume", default=None, help="checkpoint file to resume from")
     run.add_argument("--export-transcripts", action="store_true")

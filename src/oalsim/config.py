@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 from .corpus import LOADERS, SplitConfig, SyntheticConfig
 from .dialog import RewardConfig
-from .errors import ConfigError, DataError, check_bool, check_int, check_real
+from .errors import ConfigError, check_bool, check_int, check_real
 from .perception import ClassifierConfig
 from .querygen import BeamConfig, TriangularWeights
 
@@ -122,7 +122,7 @@ def _build(cls, data: dict, where: str, coercions: dict | None = None):
             kwargs[key] = fn(kwargs[key])
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, DataError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -265,13 +265,20 @@ def _load_tabular(path) -> list[Region]:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        feat_cols = [i for i, name in enumerate(header) if name.startswith("f")]
-        try:
-            id_col = header.index("id")
-            ann_col = header.index("annotations")
-        except ValueError as exc:
-            raise ParseError(f"{path}: header missing required column ({exc})") from exc
-        desc_col = header.index("description") if "description" in header else None
+        columns = {name: col for col, name in enumerate(header)}  # a repeat keeps its last
+        named = ("id", "annotations", "description")
+        features = [f"f{j}" for j in range(len(columns.keys() - set(named)))]  # feature j is f{j}
+        for col, name in enumerate(header):
+            if columns[name] != col:
+                raise ParseError(f"{path}: column {name!r} repeats")
+            if name not in (*named, *features):
+                raise ParseError(f"{path}: unknown column {name!r} (features are f0, f1, ...)")
+        for name in ("id", "annotations"):
+            if name not in columns:
+                raise ParseError(f"{path}: header missing required column {name!r}")
+        feat_cols = [columns[name] for name in features]
+        id_col, ann_col = columns["id"], columns["annotations"]
+        desc_col = columns.get("description")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -321,6 +328,11 @@ def write_regions(path, regions: list[Region]) -> None:
 
 @dataclass(frozen=True)
 class SyntheticConfig:
+    """A run config's `corpus.synthetic`, which `run` and `gen-data` read through `from_dict`.
+
+    Any setting that a run cannot use is a ConfigError naming its key.
+    """
+
     n_regions: int = 600
     dim: int = 32
     n_predicates: int = 24
@@ -329,30 +341,20 @@ class SyntheticConfig:
     seed: int = 13
 
     def __post_init__(self):
-        """Wrong types are a ConfigError; sizes a run cannot use, a GenerationError."""
-        for name in ("n_regions", "dim", "n_predicates", "seed"):
-            check_int(f"corpus.synthetic.{name}", getattr(self, name))
-        for name, check in (("coverage", check_real), ("description_length", check_int)):
+        # 12 regions are one interaction's worth
+        for name, minimum in (("n_regions", 12), ("dim", 1), ("n_predicates", 1), ("seed", None)):
+            check_int(f"corpus.synthetic.{name}", getattr(self, name), minimum)
+        for name, check, holds, rule in (
+            ("coverage", check_real, lambda lo, hi: 0.0 < lo <= hi < 1.0, "0 < low <= high < 1"),
+            ("description_length", check_int, lambda lo, hi: 1 <= lo <= hi, "1 <= low <= high"),
+        ):
             pair = getattr(self, name)
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ConfigError(f"corpus.synthetic.{name} must be a pair, got {pair!r}")
             for value in pair:
                 check(f"corpus.synthetic.{name}", value)
-        if self.n_regions < 12:
-            raise GenerationError(
-                f"n_regions={self.n_regions} is below one interaction's worth (12)"
-            )
-        for name in ("dim", "n_predicates"):
-            if getattr(self, name) < 1:
-                raise GenerationError(f"{name}={getattr(self, name)} < 1")
-        lo, hi = self.coverage
-        if not (0.0 < lo <= hi < 1.0):
-            raise GenerationError(f"coverage bounds {self.coverage} not in (0,1)")
-        dlo, dhi = self.description_length
-        if not (1 <= dlo <= dhi):
-            raise GenerationError(
-                f"description_length range {self.description_length} invalid"
-            )
+            if not holds(*pair):
+                raise ConfigError(f"corpus.synthetic.{name} must hold {rule}, got {pair!r}")
 
 
 MAX_RESAMPLES = 1000  # feature draws generate_synthetic makes for a region before it gives up

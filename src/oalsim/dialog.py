@@ -36,7 +36,7 @@ import numpy as np
 
 from .actions import EXAMPLE_QUERY, GUESS, LABEL_QUERY, Action
 from .corpus import Interaction
-from .errors import ContractError, DataError, ProtocolError, check_real
+from .errors import ConfigError, ContractError, DataError, ProtocolError, check_real
 from .snapshot import EpisodeView
 
 
@@ -51,11 +51,11 @@ class RewardConfig:
         for name in ("correct_guess", "incorrect_guess", "per_query", "discount"):
             check_real(f"rewards.{name}", getattr(self, name))
         if not (self.correct_guess > 0 > self.per_query):
-            raise DataError("need correct_guess > 0 > per_query")
+            raise ConfigError("rewards: need correct_guess > 0 > per_query")
         if not (self.incorrect_guess < self.per_query):
-            raise DataError("need incorrect_guess < per_query")
+            raise ConfigError("rewards: need incorrect_guess < per_query")
         if not (0.0 < self.discount <= 1.0):
-            raise DataError("discount must lie in (0,1]")
+            raise ConfigError(f"rewards.discount must lie in (0, 1], got {self.discount}")
 
 
 NONE_ANSWER = None  # example query with no positive object in the active training set

@@ -17,7 +17,7 @@ class ConfigError(OalsimError):
 
 
 class DataError(OalsimError):
-    """Problems with corpus files, splits, or sampling preconditions."""
+    """Problems with corpus files, splits or sampling; a bad setting is a ConfigError."""
 
 
 class CorpusError(DataError):
@@ -37,7 +37,7 @@ class SamplingError(DataError):
 
 
 class GenerationError(DataError):
-    """Synthetic generation failed (bad sizes, resample budget exhausted)."""
+    """Synthetic generation exhausted its resample budget on a region."""
 
 
 class ProtocolError(OalsimError):

@@ -879,8 +879,9 @@ def compare_final_batches(
     Returns the two-sided Welch p on each, `p_success` and `p_length`. Given
     `rewards`, the batches played the same dialogs, and it adds the mean gain
     in a dialog's G_0, `return_gain`, and the one-sided paired p of a gain,
-    `p_return`, and of lower success, `p_success_lower`. A p is None under 2
-    dialogs; constant samples whose means differ take t = +-inf, as scipy does.
+    `p_return`, and of lower success, `p_success_lower`; batches of unequal
+    sizes are a ValueError there. A p is None under 2 dialogs; constant
+    samples whose means differ take t = +-inf, as scipy does.
     A batch compared with itself (the same object) gets None for every value.
     """
     success, base_success = final.success_indicators, base.success_indicators
@@ -903,6 +904,10 @@ def compare_final_batches(
         "p_length": welch(final.lengths, base.lengths),
     }
     if rewards is not None:
+        if len(success) != len(base_success):
+            raise ValueError(
+                f"paired statistics need equal batches, got {len(success)} and {len(base_success)}"
+            )
         gains = [a - b for a, b in zip(start_returns(rewards, final), start_returns(rewards, base))]
         out["return_gain"] = sum(gains) / len(gains)
         out["p_return"] = greater(gains)

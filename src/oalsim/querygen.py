@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, Action
-from .errors import DataError, check_int, check_real
+from .errors import ConfigError, DataError, check_int, check_real
 from .policy import static_kinds, static_pick
 
 if TYPE_CHECKING:
@@ -50,9 +50,9 @@ class TriangularWeights:
         for name in ("w_min", "w_max", "c_max"):
             check_real(f"triangular.{name}", getattr(self, name))
         if not (0.0 < self.w_min < self.w_max):
-            raise DataError(f"need 0 < w_min < w_max, got {self.w_min}, {self.w_max}")
+            raise ConfigError(f"triangular: need 0 < w_min < w_max, got {self.w_min}, {self.w_max}")
         if not (0.0 < self.c_max < 1.0):
-            raise DataError(f"c_max must lie in (0,1), got {self.c_max}")
+            raise ConfigError(f"triangular.c_max must lie in (0, 1), got {self.c_max}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -61,8 +63,9 @@ def resume_tampered(tmp_path, config_path, capsys, edit, name="checkpoint_p0_b0.
 class TestGenData:
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
-        args = ["gen-data", "--n-regions", "40", "--dim", "8", "--n-predicates", "4",
-                "--seed", "7"]
+        args = ["gen-data", "--set", "corpus.synthetic.n_regions=40", "--set",
+                "corpus.synthetic.dim=8", "--set", "corpus.synthetic.n_predicates=4", "--set",
+                "corpus.synthetic.seed=7"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "corpus.jsonl").read_bytes() == (out2 / "corpus.jsonl").read_bytes()
@@ -72,7 +75,8 @@ class TestGenData:
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "c"
-        args = ["gen-data", "--n-regions", "40", "--dim", "8", "--n-predicates", "4",
+        args = ["gen-data", "--set", "corpus.synthetic.n_regions=40", "--set",
+                "corpus.synthetic.dim=8", "--set", "corpus.synthetic.n_predicates=4",
                 "--out", str(out)]
         assert main(args) == 0
         assert main(args) == 3
@@ -81,7 +85,48 @@ class TestGenData:
         assert main(args + ["--force"]) == 0
 
     def test_too_small_corpus_is_data_error(self, tmp_path):
-        assert main(["gen-data", "--n-regions", "5", "--out", str(tmp_path / "c")]) == 3
+        assert main(["gen-data", "--set", "corpus.synthetic.n_regions=5",
+                     "--out", str(tmp_path / "c")]) == 2
+
+    @pytest.mark.parametrize("config", [[], ["--config", str(DESK_CONFIG)]])
+    def test_writes_desk_s_corpus_file_byte_for_byte(self, tmp_path, config):
+        # the sha256 of the file that the per-field flags' defaults wrote
+        out = tmp_path / "c"
+        assert main(["gen-data", *config, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest() == (
+            "401afe0643270d8ec43d895445bab19cfd60ce17f164342be7b8598cf05508e7"
+        )
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["corpus.synthetic.n_regions=5", "corpus.synthetic.coverage=[0.5,0.2]",
+         "triangular.w_min=2", "rewards.discount=0"],
+    )
+    def test_a_bad_setting_is_the_config_error_run_reports(self, tmp_path, capsys, setting):
+        # the two corpus settings were a GenerationError from gen-data, exit 3
+        errors = []
+        for command in (["run", "--config", str(DESK_CONFIG)], ["gen-data"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--set", setting, "--out", str(out)]) == 2
+            errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0]["error"] == "ConfigError"
+        assert setting.split("=")[0].rsplit(".", 1)[0] in errors[0]["message"]
+
+    def test_refuses_a_path_corpus(self, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "corpus": {"path": "corpus.jsonl"}}))
+        out = tmp_path / "c"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_options_are_those_of_a_run_config(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen-data", "--help"])
+        options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert options == {"-h", "--help", "--config", "--set", "--out", "--force"}
 
     def test_defaults_are_the_synthetic_config_defaults(self, tmp_path):
         out = tmp_path / "c"
@@ -92,14 +137,14 @@ class TestGenData:
 
 
 class TestFileCorpora:
-    # gen-data's defaults are desk's synthetic settings, so its file, and a
-    # CSV of the same regions, must load to desk's corpus and run as it does
+    # gen-data's file of desk's synthetic corpus, and a CSV of the same
+    # regions, must load to desk's corpus and run as it does
     DESK_FINGERPRINT = "73253c2ebaba60b5b46b2b2c80bae5ca405945528f13a4ebb8bb083b77d248fd"
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("file_corpora")
-        assert main(["gen-data", "--out", str(root)]) == 0
+        assert main(["gen-data", "--config", str(DESK_CONFIG), "--out", str(root)]) == 0
         jsonl = root / "corpus.jsonl"
         regions = load_regions(jsonl)
         dim = len(regions[0].features)
@@ -335,8 +380,9 @@ class TestRun:
 
     def test_resume_refuses_a_changed_corpus_file(self, tmp_path, capsys):
         # a path corpus can change under an unchanged config
-        assert main(["gen-data", "--n-regions", "120", "--dim", "16", "--n-predicates", "8",
-                     "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        assert main(["gen-data", "--set", "corpus.synthetic.n_regions=120", "--set",
+                     "corpus.synthetic.dim=16", "--set", "corpus.synthetic.n_predicates=8",
+                     "--set", "corpus.synthetic.seed=3", "--out", str(tmp_path / "data")]) == 0
         corpus = tmp_path / "data" / "corpus.jsonl"
         config = tmp_path / "run.json"
         config.write_text(json.dumps({**SMALL_CONFIG, "corpus": {"path": str(corpus)}}))

@@ -19,7 +19,7 @@ from oalsim.corpus import (
     sample_interaction,
     write_regions,
 )
-from oalsim.errors import CorpusError, GenerationError, ParseError, SamplingError, SplitError
+from oalsim.errors import ConfigError, CorpusError, ParseError, SamplingError, SplitError
 from oalsim.harness import build_corpus
 from oalsim.seeding import stream
 
@@ -130,6 +130,28 @@ class TestLoadRegions:
         assert regions[0].description_predicates == ("red", "box")
         assert regions[1].features[1] == 2.0
 
+    def test_tabular_features_are_read_by_index(self, tmp_path):
+        # f1's value was dimension 0 when feature columns were read in header order
+        path = tmp_path / "corpus.csv"
+        path.write_text("id,f1,f0,annotations\nr1,1.0,0.5,red\n")
+        (region,) = load_regions(path, fmt="tabular")
+        assert region.features.tolist() == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [("id,f0,f1,flag,annotations", "flag"),  # was loaded as a third feature
+         ("id,f0,f2,annotations", "f2"),
+         ("id,f0,f1,f0,annotations", "f0"),
+         ("id,f0,annotations,id", "id")],
+    )
+    def test_a_tabular_column_that_is_not_in_the_schema_names_it(self, tmp_path, header, column):
+        path = tmp_path / "corpus.csv"
+        row = ",".join({"id": "r1", "annotations": "red"}.get(name, "0.5")
+                       for name in header.split(","))
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ParseError, match=f"column '{column}'"):
+            load_regions(path, fmt="tabular")
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(CorpusError):
             load_regions(tmp_path / "x", fmt="parquet")
@@ -157,7 +179,7 @@ class TestGenerateSynthetic:
         assert all(r.annotations == frozenset({"p00"}) for r in regions)
 
     def test_too_few_regions(self):
-        with pytest.raises(GenerationError):
+        with pytest.raises(ConfigError):
             generate_synthetic(SyntheticConfig(n_regions=5))
 
     def test_descriptions_subset_of_annotations(self, small_corpus):

@@ -5,7 +5,7 @@ from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
 from oalsim.config import EpisodeConfig
 from oalsim.corpus import Corpus, Interaction, Region
 from oalsim.dialog import Episode, RewardConfig, rewards_and_returns
-from oalsim.errors import ContractError, DataError, ProtocolError
+from oalsim.errors import ConfigError, ContractError, DataError, ProtocolError
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
 
@@ -307,9 +307,9 @@ class TestReturns:
 
 class TestRewardConfig:
     def test_invariants(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             RewardConfig(correct_guess=-5)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             RewardConfig(incorrect_guess=0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             RewardConfig(discount=0.0)

@@ -1263,6 +1263,14 @@ class TestCompareFinalBatches:
             assert None not in equal.values()
             assert compare_final_batches(final, final, rewards) == dict.fromkeys(equal)
 
+    def test_paired_statistics_refuse_batches_of_unequal_sizes(self):
+        # zip paired the first two dialogs and dropped the rest
+        final, base = batch([1, 1, 1, 1], [3, 3, 3, 3]), batch([0, 0], [16, 16])
+        with pytest.raises(ValueError, match="4 and 2"):
+            compare_final_batches(final, base, self.REWARDS)
+        # the unpaired Welch p-values, which a report reads, still compare them
+        assert set(compare_final_batches(final, base)) == {"p_success", "p_length"}
+
     def test_single_dialog_gives_no_p(self):
         cmp = compare_final_batches(batch([1], [3]), batch([0], [16]), self.REWARDS)
         assert cmp["p_success"] is cmp["p_length"] is None

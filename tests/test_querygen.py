@@ -8,7 +8,7 @@ from scipy import stats as sps
 import beam_oracle
 from oalsim import harness, querygen
 from oalsim.actions import EXAMPLE_QUERY, GUESS, GUESS_ACTION, LABEL_QUERY
-from oalsim.errors import DataError
+from oalsim.errors import ConfigError, DataError
 from oalsim.harness import Experiment
 from oalsim.perception import PredicateModel
 from oalsim.querygen import (
@@ -71,9 +71,9 @@ class TestPredicateWeight:
         assert max(vals) == pytest.approx(predicate_weight(0.6, DEFAULTS))
 
     def test_invalid_params(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             TriangularWeights(w_min=0.5, w_max=0.5)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             TriangularWeights(c_max=1.0)
 
 
