@@ -6,7 +6,7 @@ by name and logged vectors stay comparable across runs. Entries that do not
 apply to an action type are exactly zero in its vector.
 
 A list of actions is featurized in one call, as one (len(actions),
-N_FEATURES) array: a whole beam, or the one action a static turn chose. The
+N_FEATURES) array: a whole beam, or the actions a static dialog played. The
 inputs that stay fixed within an episode sit in a FeatureContext's row
 table: the guess row, then one label-query and one example-query row per
 view predicate. Its query rows come from the batch's (`query_rows`, built
@@ -209,13 +209,17 @@ class FeatureContext:
         self.queries[:, row, _PREDICATE_F1] = self.view.f1[row]
 
 
-def featurize(actions: Sequence[Action], turn: int, ctx: FeatureContext) -> np.ndarray:
+def featurize(
+    actions: Sequence[Action], turn: int | np.ndarray, ctx: FeatureContext
+) -> np.ndarray:
     """(len(actions), N_FEATURES) features of any actions, the guess included.
 
-    Each action's row is its row of the context's table; label rows add the
-    object's margin and density entries. A row depends on its action alone,
-    so featurizing one action of a beam gives that action's row of the
-    beam's array, bit for bit.
+    `turn` is the turn of every action (a beam's), or an int array of one
+    turn per action (a dialog's played actions). Each action's row is its row
+    of the context's table; label rows add the object's margin and density
+    entries, and turn_frac is written before the ablation mask. A row depends
+    on its action and its turn alone, so featurizing one action at its turn
+    gives that action's row of any call holding it, bit for bit.
     """
     view = ctx.view
     example = 1 + len(view.predicates)  # the first example-query row
@@ -233,7 +237,7 @@ def featurize(actions: Sequence[Action], turn: int, ctx: FeatureContext) -> np.n
         margin = view.margins[row, col]
         avg_dist, unlabeled = density_stats(ctx.density, view.train_rows[col], view.models[row])
         out[i, _LABEL_OBJECT] = margin, avg_dist, unlabeled
-    out[:, _TURN_FRAC] = turn / ctx.t_max
+    out[:, _TURN_FRAC] = turn / ctx.t_max  # an int array divides to each int's own bits
     if ctx.mask is not None:
         out[:, ctx.mask] = 0.0
     return out

@@ -15,17 +15,17 @@ dialogs' oracle, beam and policy streams in another (seeding.episode_words);
 each dialog builds its generators from its own words when it starts.
 
 A batch featurizes only what something reads: whole beams where the
-learned policy samples or REINFORCE updates, each turn's chosen action where
-only a transcript is written, nothing otherwise (FeatureReads). Where no
-beam is read, a static turn draws only the action it plays, kind first
-(querygen.static_action), leaving every generator as a whole beam does.
-The dialog (dialog.Episode) is the oracle and the state machine only. Where
-a policy update or a transcript reads them, run_episode keeps one record per
-turn: the action, the feature array the turn featurized, the chosen row's
-index in it and the probabilities. run_batch writes the transcript lines and the
-REINFORCE terms from those records between dialogs, with the per-turn
-rewards and returns derived from the dialog's success and length
-(dialog.rewards_and_returns).
+learned policy samples or REINFORCE updates, the actions a dialog played, in
+one call, where only a transcript is written, nothing otherwise
+(FeatureReads). Where no beam is read, a static turn draws only the action it
+plays, kind first (querygen.static_action), leaving every generator as a
+whole beam does. The dialog (dialog.Episode) is the oracle and the state
+machine only. Where a policy update or a transcript reads them, run_episode
+keeps one record per turn: the action, the feature array holding its row,
+the row's index in it and the probabilities. run_batch writes each dialog's
+transcript lines, in one write, and the REINFORCE terms from those records
+between dialogs, with the per-turn rewards and returns derived from the
+dialog's success and length (dialog.rewards_and_returns).
 
 A region is its corpus row (corpus.Corpus); checkpoints and transcripts hold ids.
 
@@ -269,8 +269,9 @@ class FeatureReads:
     `beam`: every beam row is read, because the learned policy samples from
     them or a policy update reads them after the dialog. `transcript`: the
     transcript writer reads each turn's chosen row. A turn featurizes its
-    whole beam, else only its chosen action when just the transcript reads
-    it, else nothing; a batch that reads no features builds no feature table.
+    whole beam; else, when just the transcript reads it, its dialog
+    featurizes the played actions together; else nothing is featurized. A
+    batch that reads no features builds no feature table.
     """
 
     beam: bool
@@ -304,6 +305,20 @@ def ground(stack: DescriptionStack, features: bool = True) -> tuple[list[int], n
     """The region row each stacked dialog guesses, and its guess-feature row if `features`."""
     scores = score_objects(stack)
     return scores.argmax, guess_features(stack, scores) if features else None
+
+
+def _featurize_played(played: list[tuple], ctx: FeatureContext | None, turns: list) -> None:
+    """Featurize the played (action, turn) pairs in one call, record their turns, clear them.
+
+    Each record is (action, the shared array, its row, None): the rows equal
+    those of featurizing each action at its own turn, as long as nothing the
+    context reads has changed since the action was played.
+    """
+    if played:
+        actions, at = zip(*played)
+        features = featurize(actions, np.array(at), ctx)
+        turns.extend((action, features, i, None) for i, action in enumerate(actions))
+        played.clear()
 
 
 class BatchSetup:
@@ -432,15 +447,17 @@ class Experiment:
         """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS).
 
         A turn featurizes what `setup.reads` names: its whole beam, for the
-        learned policy or a policy update; else, for a transcript only, the
-        chosen action alone; else nothing. Where nothing reads the beam (a
-        static phase with no update), a turn draws only the action the
-        static policy picks (querygen.static_action), not the beam. Returns
-        the outcome, the episode and, where a policy update or a transcript
-        reads them, one (action, features, chosen, probabilities) record per
-        turn: the array the turn featurized, the chosen action's row in it,
-        and the probabilities the learned policy sampled from, None where the
-        static policy chose.
+        learned policy or a policy update; else nothing. Where nothing reads
+        the beam (a static phase with no update), a turn draws only the
+        action the static policy picks (querygen.static_action), not the
+        beam, and for a transcript records the action and its turn: the
+        dialog's played actions are featurized in one call when it ends, or
+        earlier, before an immediate update changes the view's model.
+        Returns the outcome, the episode and, where a policy update or a
+        transcript reads them, one (action, features, chosen, probabilities)
+        record per turn: the beam's array or the played actions' shared one,
+        the action's row in it, and the probabilities the learned policy
+        sampled from, None where the static policy chose.
         Otherwise it returns no turns.
         """
         cfg = self.config
@@ -451,6 +468,7 @@ class Experiment:
         immediate = cfg.episode.immediate_updates
         keep = plan.update_policy or reads.transcript
         turns = []
+        played = []  # (action, turn) of static turns whose features only the transcript reads
 
         episode = Episode(
             interaction=interaction,
@@ -490,10 +508,12 @@ class Experiment:
                     cfg.beam, cfg.policy.static_n_queries, beam_rng, policy_rng,
                 )
                 if reads.transcript:
-                    turns.append((action, featurize([action], episode.turn, ctx), 0, None))
+                    played.append((action, episode.turn))
             n_before = len(episode.pending_labels)
             episode.step(action)
             if immediate and len(episode.pending_labels) > n_before:
+                # the labels recorded below change the view's model, which the played turns read
+                _featurize_played(played, ctx, turns)
                 row = action[1]  # a query's labels are all of its view row's predicate
                 if self._refresh_models(view, row, episode.pending_labels[n_before:], agent):
                     if ctx is not None:
@@ -503,6 +523,7 @@ class Experiment:
                         if ctx is not None:
                             ctx.set_guess(guess[0])
 
+        _featurize_played(played, ctx, turns)
         outcome = EpisodeOutcome(interaction, episode.success, episode.length())
         return outcome, episode, turns
 
@@ -577,17 +598,18 @@ class Experiment:
                 )
             if transcript_sink is not None:
                 episode_id = f"{plan.name}/{batch_idx}/{ep_idx}"
-                for t, ((action, features, chosen, _), reward) in enumerate(
-                    zip(turns, rewards, strict=True)
-                ):
-                    record = {
+                transcript_sink.write("".join(
+                    transcript_line({
                         "episode": episode_id,
                         "turn": t,
                         "action": describe(action, episode.view, self.corpus.ids),
                         "reward": reward,
                         "features": features[chosen].tolist(),
-                    }
-                    transcript_sink.write(json.dumps(record) + "\n")
+                    })
+                    for t, ((action, features, chosen, _), reward) in enumerate(
+                        zip(turns, rewards, strict=True)
+                    )
+                ))
             if plan.update_policy:
                 outcome.steps = [
                     (grad_log_prob(theta, features, chosen, probs), g)
@@ -794,6 +816,14 @@ def checkpoint_save(path, state: dict) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+_LINE_ENCODER = json.JSONEncoder()  # json.dumps' own settings
+
+
+def transcript_line(record: dict) -> str:
+    """One transcript line: the bytes of json.dumps(record), then a newline."""
+    return _LINE_ENCODER.encode(record) + "\n"
 
 
 def _transcript_kept_bytes(path, metrics: Sequence[BatchMetrics]) -> int:

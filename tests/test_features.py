@@ -1,6 +1,7 @@
 """The beam form of featurize against the one-action oracle, every turn of real runs.
 
-Each beam's rows also equal one-action calls of featurize, the guess included.
+Each beam's rows also equal one-action calls of featurize, the guess included,
+and so do the rows of one call that gives each action its own turn.
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ import pytest
 
 from oalsim import harness
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
-from oalsim.features import N_FEATURES
+from oalsim.features import INDEX, N_FEATURES, featurize, resolve_mask
 from oalsim.harness import Agent, Experiment
 
 from conftest import READS_ALL, episode_view, feature_context, small_run_config
@@ -81,9 +82,8 @@ def test_every_beam_equals_the_stacked_oracle(
         assert not refits
 
 
-def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small_density):
-    # beams the dialogs rarely build: the guess alone, and every predicate as
-    # an example query or as a label query on one object
+def _fitted_context(small_corpus, small_split, small_density, mask=None):
+    """A first-batch dialog's view and feature context, its classifiers fit on its batch's labels."""
     exp = Experiment(small_run_config(), small_corpus, small_split, small_density)
     agent = Agent()
     plan = exp.phase_plan()[0]
@@ -100,12 +100,37 @@ def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small
         inter.active_test,
         exp.corpus.X,
     )
-    ctx = feature_context(view, desc, agent.stats, small_density)
+    return view, agent.stats, feature_context(view, desc, agent.stats, small_density, mask=mask)
+
+
+def test_unusual_beams_equal_the_stacked_oracle(small_corpus, small_split, small_density):
+    # beams the dialogs rarely build: the guess alone, and every predicate as
+    # an example query or as a label query on one object
+    view, stats, ctx = _fitted_context(small_corpus, small_split, small_density)
     for beam, turn in (
         ([GUESS_ACTION], 40),
         ([GUESS_ACTION] + [(EXAMPLE_QUERY, row, -1) for row in range(len(view.predicates))], 3),
         ([GUESS_ACTION] + [(LABEL_QUERY, row, 1) for row in range(len(view.predicates))], 7),
     ):
         got = harness.featurize(beam, turn, ctx)
-        assert got.tobytes() == featurize_beam(beam, turn, ctx, agent.stats).tobytes()
+        assert got.tobytes() == featurize_beam(beam, turn, ctx, stats).tobytes()
         assert featurize_alone(harness.featurize, beam, turn, ctx).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("ablate", [(), ("turn_frac",), ("turn_frac", "query")])
+def test_one_turn_per_action_equals_each_action_alone(
+    ablate, small_corpus, small_split, small_density
+):
+    # a dialog's played actions, featurized in one call with their own turns,
+    # the turn fractions written before the mask zeroes their column
+    mask = resolve_mask(ablate) if ablate else None
+    view, _, ctx = _fitted_context(small_corpus, small_split, small_density, mask)
+    rows = range(len(view.predicates))
+    actions = [(LABEL_QUERY, row, row % 3) for row in rows]
+    actions += [(EXAMPLE_QUERY, row, -1) for row in rows] + [GUESS_ACTION]
+    turns = np.arange(len(actions)) * 7 % (ctx.t_max + 1)
+    got = featurize(actions, turns, ctx)
+    assert got.shape == (len(actions), N_FEATURES)
+    for action, turn, row in zip(actions, turns, got, strict=True):
+        assert row.tobytes() == featurize([action], int(turn), ctx)[0].tobytes()
+    assert len(set(got[:, INDEX["turn_frac"]].tolist())) == (1 if ablate else len(set(turns)))

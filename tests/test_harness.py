@@ -12,7 +12,7 @@ from scipy import stats as sps
 from oalsim import harness
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, describe
 from oalsim.config import PolicyConfig
-from oalsim.corpus import Corpus, generate_synthetic
+from oalsim.corpus import Corpus, generate_synthetic, load_regions, write_regions
 from oalsim.dialog import RewardConfig, rewards_and_returns
 from oalsim.errors import CheckpointError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
@@ -449,12 +449,11 @@ class TestFeatureReads:
                 assert contexts == len(lengths)
             else:  # no beam is read: a static turn draws only the action it plays
                 assert beams == []
-                if sink:  # the transcript reads one row a turn
-                    assert calls == [1] * sum(lengths)
+                if sink:  # the transcript reads one row a turn, in one call a dialog
+                    assert calls == lengths
                     assert contexts == len(lengths)
                 else:
                     assert calls == [] and contexts == 0
-            assert len(calls) in (0, sum(lengths))
 
     def test_turns_keep_only_what_is_read(
         self, small_corpus, small_split, small_density, live_turns, monkeypatch, tmp_path,
@@ -532,6 +531,42 @@ class TestFeatureReads:
             assert (False in regroundings) == (path is None) and True in regroundings
         assert runs[0].metrics == runs[1].metrics
         assert runs[0].theta.tobytes() == runs[1].theta.tobytes()
+
+    def test_played_actions_featurize_as_each_turn_alone_across_immediate_refits(
+        self, small_corpus, small_split, small_density, monkeypatch, tmp_path
+    ):
+        # a static dialog featurizes its played actions together, for the
+        # transcript only; an immediate refit changes the view's model, rows
+        # and guess mid-dialog, so each line must still hold the features of
+        # its action alone at its turn, taken before the turn's step
+        cfg = small_run_config(policy_kind="static")
+        cfg = dataclasses.replace(
+            cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
+        )
+        current, want, refits = {}, [], []
+        run_episode, step, refresh = Experiment.run_episode, harness.Episode.step, Experiment._refresh_models
+
+        def recorded_episode(self, setup, *args):
+            current["ctx"] = setup.features
+            return run_episode(self, setup, *args)
+
+        def recorded_step(self, action):
+            want.append(featurize([action], self.turn, current["ctx"])[0].tolist())
+            step(self, action)
+
+        def recorded_refresh(self, *args):
+            refits.append(refresh(self, *args))
+            return refits[-1]
+
+        monkeypatch.setattr(Experiment, "run_episode", recorded_episode)
+        monkeypatch.setattr(harness.Episode, "step", recorded_step)
+        monkeypatch.setattr(Experiment, "_refresh_models", recorded_refresh)
+        path = tmp_path / "t.jsonl"
+        Experiment(cfg, small_corpus, small_split, small_density).run(transcript_path=path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert True in refits and any(line["episode"].startswith("test/") for line in lines)
+        for line, features in zip(lines, want, strict=True):
+            assert json.dumps(line["features"]) == json.dumps(features), line["episode"]
 
 
 class TestCheckpointing:
@@ -1340,3 +1375,37 @@ def test_transcript_streaming(small_corpus, small_split, small_density, tmp_path
     for rec in lines[:50]:
         assert set(rec) == {"episode", "turn", "action", "reward", "features"}
         assert len(rec["features"]) == N_FEATURES
+
+
+def test_transcript_lines_are_json_dumps_of_awkward_records(tmp_path):
+    # region ids with a quote, a backslash and non-ASCII text, read from a
+    # corpus file, and features no finite float writes
+    regions = generate_synthetic(SMALL_SYNTH)
+    odd = ['r"quote', "r\\backslash", "rét☃"]
+    regions[:3] = [dataclasses.replace(r, id=rid) for r, rid in zip(regions, odd)]
+    write_regions(tmp_path / "odd.jsonl", regions)
+    corpus = Corpus(load_regions(tmp_path / "odd.jsonl"))
+    cols = [corpus.row[rid] for rid in odd]
+    predicates = sorted({p for r in regions for p in r.annotations})[:2]
+    view = episode_view({}, predicates, cols, cols, corpus.X)
+    actions = [
+        GUESS_ACTION,
+        (EXAMPLE_QUERY, 1, -1),
+        *((LABEL_QUERY, 0, col) for col in range(len(cols))),
+    ]
+    features = [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1 / 3, 2.0**-1074]
+    written = []
+    for turn, action in enumerate(actions):
+        record = {
+            "episode": "test/0/1",
+            "turn": turn,
+            "action": describe(action, view, corpus.ids),
+            "reward": -1.0 if turn else 20.0,
+            "features": features,
+        }
+        line = harness.transcript_line(record)
+        assert line == json.dumps(record) + "\n"
+        written.append(line)
+    text = "".join(written)
+    assert all(json.dumps(rid)[1:-1] in text for rid in odd)  # escaped, so all present
+    assert "NaN, Infinity, -Infinity, -0.0" in text and text.isascii()
