@@ -1,8 +1,9 @@
 """Command-line surface: synthetic data generation, experiment runs, reports.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
-Relative --out paths resolve under $OALSIM_OUTPUT_ROOT when it is set. Flag
-overrides beat config-file values, which beat built-in defaults.
+Relative --out paths resolve under $OALSIM_OUTPUT_ROOT when it is set. A
+setting reaches a run only through --set, which beats the config file, which
+beats the built-in defaults; a later --set of a key beats an earlier one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _write_manifest(out: Path, payload: dict) -> None:
 
 def cmd_gen_data(args) -> int:
     data = read_config(args.config) if args.config else {"corpus": {"synthetic": {}}}
-    cfg = from_dict(_apply_overrides(data, args)).corpus.synthetic
+    cfg = from_dict(_apply_overrides(data, args.set)).corpus.synthetic
     if cfg is None:
         raise ConfigError("gen-data writes a synthetic corpus; the config names a corpus path")
     out = _out_dir(args.out)
@@ -73,12 +74,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _apply_overrides(data, args) -> dict:
-    """The config document with each --set written into it, then run's experiment flags."""
+def _apply_overrides(data, items) -> dict:
+    """The config document with each --set written into it, in command-line order."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    overrides = []
-    for item in args.set or []:
+    for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
@@ -86,26 +86,18 @@ def _apply_overrides(data, args) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        overrides.append((f"--set {dotted}", dotted, value))
-    # gen-data has none of the experiment flags
-    for flag, key, value in (("--master-seed", "master_seed", getattr(args, "master_seed", None)),
-                             ("--policy", "policy_kind", getattr(args, "policy", None)),
-                             ("--ablate", "ablate", getattr(args, "ablate", None) or None)):
-        if value is not None:
-            overrides.append((flag, f"experiment.{key}", value))
-    for where, dotted, value in overrides:
         *sections, last = dotted.split(".")
         node = data
         for key in sections:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"{where}: {key} is not a section")
+                raise ConfigError(f"--set {dotted}: {key} is not a section")
         node[last] = value
     return data
 
 
 def cmd_run(args) -> int:
-    config = from_dict(_apply_overrides(read_config(args.config), args))
+    config = from_dict(_apply_overrides(read_config(args.config), args.set))
     # before the corpus and its O(N^2) density index: a bad checkpoint fails at once
     resume = checkpoint_load(args.resume) if args.resume else None
 
@@ -157,26 +149,22 @@ def _final_batch(final: dict) -> BatchMetrics:
     return batch
 
 
-def _fingerprint(fingerprint) -> str:
-    if not isinstance(fingerprint, str):
-        raise ValueError(f"corpus_fingerprint must be a string, got {fingerprint!r}")
-    return fingerprint
-
-
 def _load_run(run_dir: Path) -> dict:
-    """A run's corpus fingerprint and final test batch; a DataError names a file it cannot read."""
-    run = {"dir": run_dir}
-    for name, key, read in (
-        ("manifest", "fingerprint", lambda manifest: _fingerprint(manifest["corpus_fingerprint"])),
-        ("summary", "final", lambda summary: _final_batch(summary["final_test_batch"])),
-    ):
-        path = run_dir / f"{name}.json"
-        try:
-            with open(path, encoding="utf-8") as fh:
-                run[key] = read(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
-            raise DataError(f"cannot read {path}: {exc!r}") from None
-    return run
+    """A run's corpus fingerprint and final test batch, from its summary.json alone.
+
+    A DataError names the file when it cannot be read or lacks either.
+    """
+    path = run_dir / "summary.json"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+        fingerprint = summary["corpus_fingerprint"]
+        if not isinstance(fingerprint, str):
+            raise ValueError(f"corpus_fingerprint must be a string, got {fingerprint!r}")
+        final = _final_batch(summary["final_test_batch"])
+    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"cannot read {path}: {exc!r}") from None
+    return {"dir": run_dir, "fingerprint": fingerprint, "final": final}
 
 
 def cmd_report(args) -> int:
@@ -250,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the three-phase experiment")
     run.add_argument("--config", required=True)
     run.add_argument("--out", required=True)
-    run.add_argument("--master-seed", type=int, default=None)
-    run.add_argument("--policy", choices=["learned", "static"], default=None)
-    run.add_argument("--ablate", nargs="*", default=None,
-                     help="feature or group names to zero out")
     run.add_argument("--set", **override)
     run.add_argument("--checkpoints", action="store_true")
     run.add_argument("--resume", default=None, help="checkpoint file to resume from")

@@ -1,8 +1,8 @@
 """Declarative run configuration with a strict schema.
 
-A run is described by one JSON document (or the equivalent CLI flags). Unknown
-keys are errors, so typos in ablation names or section keys fail before any
-computation. Precedence is flags > config file > defaults.
+A run is described by one JSON document, into which the command line writes
+each --set. Unknown keys are errors, so typos in ablation names or section
+keys fail before any computation. Precedence is --set > config file > defaults.
 """
 
 from __future__ import annotations

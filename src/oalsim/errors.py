@@ -57,7 +57,7 @@ class CheckpointError(OalsimError):
 
 
 class DegenerateVarianceError(OalsimError):
-    """Welch t-test on samples whose variance structure admits no statistic."""
+    """A t-test on a sample of fewer than 2 elements, which has no variance."""
 
 
 def check_int(where: str, value, minimum: int | None = None) -> None:

@@ -59,7 +59,7 @@ from .corpus import (
     sample_interaction,
 )
 from .dialog import Episode, RewardConfig, closed_world_label, rewards_and_returns
-from .errors import CheckpointError, ConfigError, DegenerateVarianceError, check_real
+from .errors import CheckpointError, ConfigError, check_real
 from .features import (
     FeatureContext,
     N_FEATURES,
@@ -918,16 +918,10 @@ def compare_final_batches(
     enough = min(len(success), len(base_success)) >= 2
 
     def welch(a, b):
-        try:
-            return welch_t_test(a, b).p_two_sided if enough else None
-        except DegenerateVarianceError:
-            return 0.0
+        return welch_t_test(a, b).p_two_sided if enough else None
 
     def greater(diffs):
-        try:
-            return one_sided_p_greater(one_sample_t_test(diffs, 0.0)) if enough else None
-        except DegenerateVarianceError:
-            return 0.0 if diffs[0] > 0 else 1.0
+        return one_sided_p_greater(one_sample_t_test(diffs, 0.0)) if enough else None
 
     out = {
         "p_success": welch(success, base_success),

@@ -98,6 +98,13 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
+def _constant(diff: float, df: float) -> TTestResult:
+    """Constant samples: t = 0 and p = 1 at equal means, else t = +-inf and p = 0, as scipy."""
+    if diff == 0.0:
+        return TTestResult(t=0.0, df=df, p_two_sided=1.0)
+    return TTestResult(t=math.copysign(math.inf, diff), df=df, p_two_sided=0.0)
+
+
 def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     """Unpaired two-sample t-test without the equal-variance assumption."""
     if len(sample_a) < 2 or len(sample_b) < 2:
@@ -107,11 +114,7 @@ def welch_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestR
     va, vb = _var(sample_a), _var(sample_b)
     pooled = va / na + vb / nb
     if pooled == 0.0:
-        if ma == mb:
-            return TTestResult(t=0.0, df=float(na + nb - 2), p_two_sided=1.0)
-        raise DegenerateVarianceError(
-            "zero variance in both samples with unequal means"
-        )
+        return _constant(ma - mb, float(na + nb - 2))
     t = (ma - mb) / math.sqrt(pooled)
     df = pooled**2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return TTestResult(t=t, df=df, p_two_sided=student_t_two_sided_p(t, df))
@@ -125,9 +128,7 @@ def one_sample_t_test(sample: Sequence[float], mu0: float) -> TTestResult:
     m = _mean(sample)
     v = _var(sample)
     if v == 0.0:
-        if m == mu0:
-            return TTestResult(t=0.0, df=float(n - 1), p_two_sided=1.0)
-        raise DegenerateVarianceError("zero-variance sample with mean away from mu0")
+        return _constant(m - mu0, float(n - 1))
     t = (m - mu0) / math.sqrt(v / n)
     return TTestResult(t=t, df=float(n - 1), p_two_sided=student_t_two_sided_p(t, n - 1))
 

@@ -199,7 +199,7 @@ class TestRun:
     def test_policy_flag_dispatch(self, tmp_path, config_path):
         out = tmp_path / "static"
         assert main(["run", "--config", str(config_path), "--out", str(out),
-                     "--policy", "static"]) == 0
+                     "--set", "experiment.policy_kind=static"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["policy_kind"] == "static"
         # static arm keeps the 16-turn shape whenever query candidates exist
@@ -208,7 +208,7 @@ class TestRun:
     def test_flag_overrides_beat_config(self, tmp_path, config_path):
         out = tmp_path / "seeded"
         assert main(["run", "--config", str(config_path), "--out", str(out),
-                     "--master-seed", "77",
+                     "--set", "experiment.master_seed=9", "--set", "experiment.master_seed=77",
                      "--set", "policy.learning_rate=1e-05"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 77
@@ -234,10 +234,13 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "document, flags, named",
-        [([1, 2], [], "root"), ([1, 2], ["--master-seed", "5"], "root"),
-         ({**SMALL_CONFIG, "experiment": [1]}, ["--master-seed", "5"], "experiment"),
-         ({**SMALL_CONFIG, "experiment": [1]}, ["--policy", "static"], "experiment"),
-         ({**SMALL_CONFIG, "experiment": [1]}, ["--ablate", "guess"], "experiment")],
+        [([1, 2], [], "root"), ([1, 2], ["--set", "experiment.master_seed=5"], "root"),
+         ({**SMALL_CONFIG, "experiment": [1]}, ["--set", "experiment.master_seed=5"],
+          "experiment"),
+         ({**SMALL_CONFIG, "experiment": [1]}, ["--set", "experiment.policy_kind=static"],
+          "experiment"),
+         ({**SMALL_CONFIG, "experiment": [1]}, ["--set", 'experiment.ablate=["guess"]'],
+          "experiment")],
         ids=["root-list", "root-list-seed", "experiment-list-seed", "experiment-list-policy",
              "experiment-list-ablate"],
     )
@@ -331,7 +334,22 @@ class TestRun:
 
     def test_unknown_ablation_name_is_config_error(self, tmp_path, config_path):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x"),
-                     "--ablate", "bogus_feature"]) == 2
+                     "--set", 'experiment.ablate=["bogus_feature"]']) == 2
+
+    @pytest.mark.parametrize("flag", [["--master-seed", "5"], ["--policy", "static"],
+                                      ["--ablate", "guess"]])
+    def test_a_setting_has_no_flag_but_set(self, tmp_path, config_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--out", str(tmp_path / "x"), *flag])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_options_are_the_config_the_settings_and_the_outputs(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert options == {"-h", "--help", "--config", "--out", "--set", "--checkpoints",
+                           "--resume", "--export-transcripts"}
 
     def test_resume_from_checkpoint(self, tmp_path, config_path):
         full = tmp_path / "full"
@@ -562,6 +580,18 @@ BAD_FINAL_FIELDS = [
 ]
 
 
+def report_summary(final, fingerprint="AAA") -> str:
+    """The fields of a run's summary.json that report reads."""
+    return json.dumps({"corpus_fingerprint": fingerprint, "final_test_batch": final})
+
+
+def write_run(run, final, fingerprint="AAA") -> str:
+    """A run directory that holds only the summary.json report reads; its path."""
+    run.mkdir()
+    (run / "summary.json").write_text(report_summary(final, fingerprint))
+    return str(run)
+
+
 class TestReport:
     def _run(self, config_path, out, *extra):
         assert main(["run", "--config", str(config_path), "--out", str(out), *extra]) == 0
@@ -569,7 +599,7 @@ class TestReport:
     def test_two_run_table(self, tmp_path, config_path, capsys):
         learned, static = tmp_path / "learned", tmp_path / "static"
         self._run(config_path, learned)
-        self._run(config_path, static, "--policy", "static")
+        self._run(config_path, static, "--set", "experiment.policy_kind=static")
         capsys.readouterr()
         code = main(["report", str(learned), str(static), "--baseline", str(static),
                      "--out", str(tmp_path / "table.csv")])
@@ -579,6 +609,12 @@ class TestReport:
         table = (tmp_path / "table.csv").read_text().splitlines()
         assert table[0] == "run,success_rate,mean_length,p_success,p_length"
         assert len(table) == 3
+        # a run is read from its summary.json alone
+        for run in (learned, static):
+            (run / "manifest.json").unlink()
+        assert main(["report", str(learned), str(static), "--baseline", str(static),
+                     "--out", str(tmp_path / "again.csv")]) == 0
+        assert (tmp_path / "again.csv").read_text().splitlines() == table
 
     def test_fingerprint_mismatch(self, tmp_path, config_path):
         other_cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -591,26 +627,15 @@ class TestReport:
         assert main(["report", str(a), str(b)]) == 3
 
     def test_fingerprint_mismatch_through_baseline(self, tmp_path):
-        final = {"success_rate": 0.5, "mean_length": 4.5,
-                 "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
-        for name, fingerprint in (("a", "AAA"), ("b", "BBB")):
-            run = tmp_path / name
-            run.mkdir()
-            (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": fingerprint}))
-            (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        a = write_run(tmp_path / "a", REPORT_FINAL, "AAA")
+        b = write_run(tmp_path / "b", REPORT_FINAL, "BBB")
         assert main(["report", a, b]) == 3
         assert main(["report", a, "--baseline", b]) == 3
 
     def test_baseline_matched_by_resolved_path(self, tmp_path, monkeypatch):
         # a baseline named by another spelling of a listed run's path is that run
-        final = {"success_rate": 0.5, "mean_length": 4.5,
-                 "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
         for name in ("learned", "static"):
-            run = tmp_path / name
-            run.mkdir()
-            (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
-            (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+            write_run(tmp_path / name, REPORT_FINAL)
         monkeypatch.delenv("OALSIM_OUTPUT_ROOT", raising=False)
         monkeypatch.chdir(tmp_path)
         table = tmp_path / "table.csv"
@@ -628,40 +653,33 @@ class TestReport:
         empty.mkdir()
         assert main(["report", str(empty)]) == 3
 
-
     @pytest.mark.parametrize(
-        "name, content, problem",
-        [("manifest.json", "{not json", "JSON"),
-         ("summary.json", "", "JSON"),
-         ("manifest.json", "{}", "corpus_fingerprint"),
-         ("manifest.json", json.dumps({"corpus_fingerprint": ["AAA"]}), "corpus_fingerprint"),
-         ("summary.json", "[]", "TypeError"),
-         ("summary.json", json.dumps({"final_test_batch": {
-             "success_rate": 0.5, "mean_length": 4.5, "success_indicators": [1, 0]}}),
+        "content, problem",
+        [("", "JSON"),
+         (json.dumps({"final_test_batch": REPORT_FINAL}), "corpus_fingerprint"),
+         (report_summary(REPORT_FINAL, ["AAA"]), "corpus_fingerprint"),
+         ("[]", "TypeError"),
+         (report_summary({"success_rate": 0.5, "mean_length": 4.5, "success_indicators": [1, 0]}),
           "'lengths'"),
-         ("summary.json", json.dumps({"final_test_batch": {
-             **REPORT_FINAL, "success_indicators": [], "lengths": []}}), "success"),
-         ("summary.json", json.dumps({"final_test_batch": {
-             "success_rate": 0.9, "mean_length": 3.0,
-             "success_indicators": [0, 0, 0, 0], "lengths": [16, 16, 16, 16]}}), "success_rate"),
-         ("summary.json", json.dumps({"final_test_batch": {**REPORT_FINAL, "mean_length": 3.0}}),
-          "mean_length"),
-         *[("summary.json", json.dumps({"final_test_batch": {**REPORT_FINAL, key: value}}),
-            key.split("_")[0]) for key, value in BAD_FINAL_FIELDS]],
-        ids=["manifest-not-json", "summary-empty", "no-fingerprint", "fingerprint-list",
+         (report_summary({**REPORT_FINAL, "success_indicators": [], "lengths": []}), "success"),
+         (report_summary({"success_rate": 0.9, "mean_length": 3.0,
+                          "success_indicators": [0, 0, 0, 0], "lengths": [16, 16, 16, 16]}),
+          "success_rate"),
+         (report_summary({**REPORT_FINAL, "mean_length": 3.0}), "mean_length"),
+         *[(report_summary({**REPORT_FINAL, key: value}), key.split("_")[0])
+           for key, value in BAD_FINAL_FIELDS]],
+        ids=["summary-empty", "no-fingerprint", "fingerprint-list",
              "summary-list",
              "no-lengths", "no-dialogs", "rates-not-of-the-lists", "mean-length-not-of-the-lists",
              *[f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in BAD_FINAL_FIELDS]],
     )
     def test_a_run_file_report_cannot_read_is_a_data_error(
-        self, tmp_path, capsys, name, content, problem
+        self, tmp_path, capsys, content, problem
     ):
         run = tmp_path / "run"
-        run.mkdir()
-        (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
-        (run / "summary.json").write_text(json.dumps({"final_test_batch": REPORT_FINAL}))
+        write_run(run, REPORT_FINAL)
         assert main(["report", str(run)]) == 0
-        (run / name).write_text(content)
+        (run / "summary.json").write_text(content)
         capsys.readouterr()
         assert main(["report", str(run)]) == 3
         err = capsys.readouterr().err
@@ -670,7 +688,7 @@ class TestReport:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "DataError"
-        assert str(run / name) in error["message"] and problem in error["message"]
+        assert str(run / "summary.json") in error["message"] and problem in error["message"]
 
 
     @pytest.mark.parametrize("argv", [
@@ -682,12 +700,9 @@ class TestReport:
     def test_a_run_listed_twice_is_one_row(self, argv, tmp_path, monkeypatch, capsys):
         finals = {"a": ([1, 0, 1, 0], [3, 5, 4, 6]), "static": ([1, 1, 1, 0], [16, 16, 15, 16])}
         for name, (indicators, lengths) in finals.items():
-            run = tmp_path / name
-            run.mkdir()
             final = {"success_rate": sum(indicators) / 4, "mean_length": sum(lengths) / 4,
                      "success_indicators": indicators, "lengths": lengths}
-            (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
-            (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
+            write_run(tmp_path / name, final)
         monkeypatch.delenv("OALSIM_OUTPUT_ROOT", raising=False)
         monkeypatch.chdir(tmp_path)
         assert main(["report", *argv, "--out", "table.csv"]) == 0
@@ -708,13 +723,10 @@ class TestReport:
 class TestReportDegenerateSamples:
     @staticmethod
     def _write_run(run, indicators, lengths):
-        run.mkdir()
         final = {"success_rate": sum(indicators) / len(indicators),
                  "mean_length": sum(lengths) / len(lengths),
                  "success_indicators": indicators, "lengths": lengths}
-        (run / "manifest.json").write_text(json.dumps({"corpus_fingerprint": "AAA"}))
-        (run / "summary.json").write_text(json.dumps({"final_test_batch": final}))
-        return str(run)
+        return write_run(run, final)
 
     def test_constant_unequal_lengths(self, tmp_path, capsys):
         # a batch collapsed to one-turn guesses against static's 16-turn dialogs

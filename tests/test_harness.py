@@ -455,13 +455,14 @@ class TestFeatureReads:
                 else:
                     assert calls == [] and contexts == 0
 
+    @pytest.mark.parametrize("kind", ["static", "learned"])
     def test_turns_keep_only_what_is_read(
-        self, small_corpus, small_split, small_density, live_turns, monkeypatch, tmp_path,
+        self, kind, small_corpus, small_split, small_density, live_turns, monkeypatch, tmp_path,
     ):
         # update phases keep each beam and, for the learned policy, the
         # probabilities it sampled from; where only the sink reads them, a
-        # turn keeps its chosen action's one featurized row; elsewhere no turn
-        # is kept
+        # dialog's turns share one array of its played actions' rows;
+        # elsewhere no turn is kept
         phases = []
         run_batch = Experiment.run_batch
 
@@ -474,17 +475,25 @@ class TestFeatureReads:
         for sink in (None, tmp_path / "t.jsonl"):
             live_turns.clear()
             phases.clear()
-            Experiment(small_run_config(), small_corpus, small_split, small_density).run(
-                transcript_path=sink
-            )
+            Experiment(
+                small_run_config(policy_kind=kind), small_corpus, small_split, small_density
+            ).run(transcript_path=sink)
             assert len(phases) == len(live_turns) > 0
+            sink_only = 0
             for (plan, theta, length), turns in zip(phases, live_turns):
                 if not (plan.update_policy or sink):
                     assert turns == []
                     continue
                 assert len(turns) == length
-                for turn in turns:
+                for t, turn in enumerate(turns):
                     self._check_turn(turn, plan, theta)
+                    if not plan.update_policy and plan.policy_kind == "static":
+                        _, feats, chosen, probs = turn
+                        assert feats is turns[0][1] and len(feats) == length
+                        assert chosen == t and probs is None
+                        sink_only += 1
+            # the static arm's train and test phases are read only by the sink
+            assert (sink_only > 0) == (kind == "static" and sink is not None)
 
     @staticmethod
     def _check_turn(turn, plan, theta):
@@ -497,8 +506,6 @@ class TestFeatureReads:
             assert grad_log_prob(theta, feats, chosen, probs).tobytes() == want.tobytes()
         else:
             assert probs is None
-        if not plan.update_policy and plan.policy_kind == "static":  # only the sink reads it
-            assert feats.shape == (1, N_FEATURES) and chosen == 0
 
     def test_a_sink_changes_no_outcome(
         self, small_corpus, small_split, small_density, tmp_path, monkeypatch

@@ -27,9 +27,14 @@ class TestWelch:
         res = welch_t_test([2, 2, 2], [2, 2, 2])
         assert res.p_two_sided == 1.0
 
-    def test_zero_variance_unequal_means(self):
-        with pytest.raises(DegenerateVarianceError):
-            welch_t_test([2, 2, 2], [3, 3, 3])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("a, b", [([1, 1, 1], [0, 0, 0]), ([2, 2, 2], [3, 3, 3])])
+    def test_zero_variance_unequal_means_is_scipy_s_answer(self, a, b):
+        # t = +-inf and p = 0 for both tests; the one-sample test of a against b's mean
+        for mine, ref in ((welch_t_test(a, b), sps.ttest_ind(a, b, equal_var=False)),
+                          (one_sample_t_test(a, b[0]), sps.ttest_1samp(a, b[0]))):
+            assert mine.t == ref.statistic and abs(mine.t) == float("inf")
+            assert mine.p_two_sided == ref.pvalue == 0.0
 
     def test_tiny_samples_rejected(self):
         with pytest.raises(DegenerateVarianceError):
