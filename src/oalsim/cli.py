@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import datetime
 import json
 import os
 import sys
@@ -20,14 +18,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import from_dict, read_config
-from .corpus import Corpus, generate_synthetic, write_regions
-from .errors import ConfigError, DataError, OalsimError, check_real
+from .corpus import generate_synthetic, write_regions
+from .errors import ConfigError, DataError, OalsimError
 from .features import registry_table
 from .harness import (
-    BatchMetrics,
     Experiment,
     checkpoint_load,
     compare_final_batches,
+    read_batch_records,
     write_metrics_csv,
     write_summary,
 )
@@ -39,14 +37,6 @@ def _out_dir(raw: str) -> Path:
     if root and not path.is_absolute():
         path = Path(root) / path
     return path
-
-
-def _write_manifest(out: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["version"] = __version__
-    payload["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def cmd_gen_data(args) -> int:
@@ -61,15 +51,6 @@ def cmd_gen_data(args) -> int:
     regions = generate_synthetic(cfg)
     out.mkdir(parents=True, exist_ok=True)
     write_regions(corpus_path, regions)
-    _write_manifest(
-        out,
-        {
-            "command": "gen-data",
-            "config": dataclasses.asdict(cfg),
-            "corpus_fingerprint": Corpus(regions).fingerprint,
-            "outputs": {"corpus": str(corpus_path)},
-        },
-    )
     print(f"wrote {len(regions)} regions to {corpus_path}")
     return 0
 
@@ -100,10 +81,10 @@ def cmd_run(args) -> int:
     config = from_dict(_apply_overrides(read_config(args.config), args.set))
     # before the corpus and its O(N^2) density index: a bad checkpoint fails at once
     resume = checkpoint_load(args.resume) if args.resume else None
+    experiment = Experiment(config)  # a bad corpus file fails before --out is made
 
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    experiment = Experiment(config)
 
     checkpoint_dir = out / "checkpoints" if args.checkpoints else None
     transcript_path = out / "transcripts.jsonl" if args.export_transcripts else None
@@ -111,25 +92,10 @@ def cmd_run(args) -> int:
         resume=resume, checkpoint_dir=checkpoint_dir, transcript_path=transcript_path
     )
 
-    metrics_path = out / "metrics.csv"
-    summary_path = out / "summary.json"
-    write_metrics_csv(metrics_path, result.metrics)
-    write_summary(summary_path, result)
+    write_metrics_csv(out / "metrics.csv", result.metrics)
+    write_summary(out / "summary.json", result)
     with open(out / "feature_registry.json", "w", encoding="utf-8") as fh:
         json.dump(registry_table(), fh, indent=2)
-    outputs = {"metrics": str(metrics_path), "summary": str(summary_path)}
-    if transcript_path:
-        outputs["transcripts"] = str(transcript_path)
-    _write_manifest(
-        out,
-        {
-            "command": "run",
-            "config": config.to_dict(),
-            "master_seed": config.experiment.master_seed,
-            "corpus_fingerprint": result.corpus_fingerprint,
-            "outputs": outputs,
-        },
-    )
     final = result.final_test_batch()
     print(
         f"run complete: final test batch success_rate={final.success_rate:.3f} "
@@ -138,21 +104,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _final_batch(final: dict) -> BatchMetrics:
-    """A summary's final test batch, whose stored rates must be those of its lists."""
-    # a summary keeps no batch index
-    batch = BatchMetrics("test", -1, {}, final["success_indicators"], final["lengths"])
-    for name in ("success_rate", "mean_length"):
-        check_real(name, final[name])
-        if final[name] != getattr(batch, name):
-            raise ValueError(f"{name} {final[name]!r} is not the lists' {getattr(batch, name)!r}")
-    return batch
-
-
 def _load_run(run_dir: Path) -> dict:
     """A run's corpus fingerprint and final test batch, from its summary.json alone.
 
-    A DataError names the file when it cannot be read or lacks either.
+    The final test batch is the last of the summary's batch records. A
+    DataError names the file when it cannot be read, lacks the fingerprint or
+    the records, or its last record is not a test-phase batch.
     """
     path = run_dir / "summary.json"
     try:
@@ -161,10 +118,12 @@ def _load_run(run_dir: Path) -> dict:
         fingerprint = summary["corpus_fingerprint"]
         if not isinstance(fingerprint, str):
             raise ValueError(f"corpus_fingerprint must be a string, got {fingerprint!r}")
-        final = _final_batch(summary["final_test_batch"])
-    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+        batches = read_batch_records(summary["batches"])
+        if not batches or batches[-1].phase != "test":
+            raise ValueError("batches must end with a test-phase batch")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read {path}: {exc!r}") from None
-    return {"dir": run_dir, "fingerprint": fingerprint, "final": final}
+    return {"dir": run_dir, "fingerprint": fingerprint, "final": batches[-1]}
 
 
 def cmd_report(args) -> int:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from .corpus import LOADERS, SplitConfig, SyntheticConfig
 from .dialog import RewardConfig
 from .errors import ConfigError, check_bool, check_int, check_real
+from .features import resolve_mask
 from .perception import ClassifierConfig
 from .querygen import BeamConfig, TriangularWeights
 
@@ -85,6 +86,7 @@ class ExperimentConfig:
         check_int("experiment.master_seed", self.master_seed)
         if self.policy_kind not in POLICY_KINDS:
             raise ConfigError(f"policy_kind must be one of {POLICY_KINDS}")
+        resolve_mask(self.ablate)  # a ConfigError on an unknown name
 
 
 @dataclass(frozen=True)

@@ -305,10 +305,14 @@ def load_regions(path, fmt: str = "annotation-json") -> list[Region]:
     """Read a region file in a LOADERS format: annotation-json (JSONL) or tabular (CSV).
 
     The regions are checked as a Corpus is: one feature dimension, unique ids.
+    A file that cannot be opened or is not UTF-8 is a CorpusError naming it.
     """
     if fmt not in LOADERS:
         raise CorpusError(f"unknown corpus format {fmt!r}")
-    regions = LOADERS[fmt](path)
+    try:
+        regions = LOADERS[fmt](path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     Corpus(regions)
     return regions
 

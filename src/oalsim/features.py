@@ -124,7 +124,7 @@ def resolve_mask(names: Sequence[str]) -> np.ndarray:
         elif name in INDEX:
             mask[INDEX[name]] = True
         else:
-            raise ConfigError(f"unknown feature or group name {name!r}")
+            raise ConfigError(f"experiment.ablate: unknown feature or group name {name!r}")
     return mask
 
 

@@ -200,6 +200,18 @@ class BatchMetrics:
         return [self.phase, self.batch, *map(repr, self.rates().values())]
 
 
+def batch_records(metrics: Sequence[BatchMetrics]) -> list[dict]:
+    """The on-disk form of finished batches: a checkpoint's `metrics`, summary.json's `batches`."""
+    return [dict(vars(m)) for m in metrics]
+
+
+def read_batch_records(rows) -> list[BatchMetrics]:
+    """The BatchMetrics of batch_records' rows; TypeError or ValueError on any other value."""
+    if not isinstance(rows, list):
+        raise TypeError(f"batch records must be a list, got {type(rows).__name__}")
+    return [BatchMetrics(**row) for row in rows]
+
+
 def start_returns(rewards: RewardConfig, batch: BatchMetrics) -> list[float]:
     """The G_0 of each of the batch's dialogs, in order."""
     outcomes = zip(batch.success_indicators, batch.lengths)
@@ -245,21 +257,6 @@ class RunResult:
 
     def final_test_batch(self) -> BatchMetrics:
         return self.metrics[-1]
-
-    def summary(self) -> dict:
-        final = self.final_test_batch()
-        return {
-            "master_seed": self.config.experiment.master_seed,
-            "policy_kind": self.config.experiment.policy_kind,
-            "ablate": list(self.config.experiment.ablate),
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "final_test_batch": {
-                **final.rates(),
-                "success_indicators": final.success_indicators,
-                "lengths": final.lengths,
-            },
-            "batches": [{"phase": m.phase, "batch": m.batch, **m.rates()} for m in self.metrics],
-        }
 
 
 @dataclass(frozen=True)
@@ -735,7 +732,7 @@ class Experiment:
             "corpus_fingerprint": self.corpus.fingerprint,
             "theta": [float(v) for v in theta],
             "labels": agent.to_dict(self.corpus.ids),
-            "metrics": [dict(vars(m)) for m in metrics],
+            "metrics": batch_records(metrics),
         }
 
     def _resume_state(self, state: dict) -> tuple[tuple, np.ndarray, list, Agent]:
@@ -764,7 +761,7 @@ class Experiment:
         cursors = [(p, b) for p, plan in enumerate(plans) for b in range(plan.n_batches)]
         cursors.append((len(plans), 0))
         try:
-            metrics = [BatchMetrics(**row) for row in state.get("metrics")]
+            metrics = read_batch_records(state.get("metrics"))
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint metrics: {exc}") from exc
         size = self.config.experiment.batch_size
@@ -892,8 +889,12 @@ def write_metrics_csv(path, metrics: Sequence[BatchMetrics]) -> None:
 
 
 def write_summary(path, result: RunResult) -> None:
-    summary = result.summary()
-    summary["config"] = result.config.to_dict()
+    """summary.json: the config, the corpus fingerprint and every batch's record, in order."""
+    summary = {
+        "config": result.config.to_dict(),
+        "corpus_fingerprint": result.corpus_fingerprint,
+        "batches": batch_records(result.metrics),
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
 
@@ -967,22 +968,21 @@ def run_ablation(config: RunConfig, names: Sequence[str]) -> AblationResult:
 
     Every arm shares the first arm's corpus, split and density index.
     """
-    for name in names:
-        resolve_mask([name])  # fail fast on unknown names
 
     def variant(**exp_overrides) -> RunConfig:
         experiment = dataclasses.replace(config.experiment, **exp_overrides)
         return dataclasses.replace(config, experiment=experiment)
 
-    full = Experiment(variant(policy_kind="learned", ablate=()))
-    shared = (full.corpus, full.split, full.density)
+    # every arm's config before any arm plays: an unknown name is a ConfigError at once
+    full = variant(policy_kind="learned", ablate=())
+    arms = {
+        "static": variant(policy_kind="static", ablate=()),
+        **{name: variant(policy_kind="learned", ablate=(name,)) for name in names},
+    }
+    experiment = Experiment(full)
+    shared = (experiment.corpus, experiment.split, experiment.density)
     result = AblationResult()
-    result.conditions["full"] = full.run()
-    result.conditions["static"] = Experiment(
-        variant(policy_kind="static", ablate=()), *shared
-    ).run()
-    for name in names:
-        result.conditions[name] = Experiment(
-            variant(policy_kind="learned", ablate=(name,)), *shared
-        ).run()
+    result.conditions["full"] = experiment.run()
+    for name, arm in arms.items():
+        result.conditions[name] = Experiment(arm, *shared).run()
     return result

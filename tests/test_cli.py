@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import re
@@ -7,7 +6,7 @@ import re
 import pytest
 
 from oalsim.cli import main
-from oalsim.corpus import Corpus, SyntheticConfig, load_regions
+from oalsim.corpus import Corpus, SyntheticConfig, generate_synthetic, load_regions
 
 from conftest import DESK_CONFIG
 
@@ -68,10 +67,9 @@ class TestGenData:
                 "corpus.synthetic.seed=7"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
+        for out in (out1, out2):
+            assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
         assert (out1 / "corpus.jsonl").read_bytes() == (out2 / "corpus.jsonl").read_bytes()
-        manifest = json.loads((out1 / "manifest.json").read_text())
-        assert manifest["command"] == "gen-data"
-        assert "corpus_fingerprint" in manifest
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -131,9 +129,8 @@ class TestGenData:
     def test_defaults_are_the_synthetic_config_defaults(self, tmp_path):
         out = tmp_path / "c"
         assert main(["gen-data", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        expected = json.loads(json.dumps(dataclasses.asdict(SyntheticConfig())))
-        assert manifest["config"] == expected
+        expected = Corpus(generate_synthetic(SyntheticConfig())).fingerprint
+        assert Corpus(load_regions(out / "corpus.jsonl")).fingerprint == expected
 
 
 class TestFileCorpora:
@@ -179,40 +176,58 @@ class TestRun:
     def test_run_writes_artifacts(self, tmp_path, config_path):
         out = tmp_path / "run1"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "feature_registry.json", "metrics.csv", "summary.json"]
         rows = (out / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 3  # header + one batch per phase
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["policy_kind"] == "learned"
-        assert len(summary["final_test_batch"]["success_indicators"]) == 10
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["master_seed"] == 11
+        assert set(summary) == {"config", "corpus_fingerprint", "batches"}
+        assert summary["config"]["experiment"]["policy_kind"] == "learned"
+        assert summary["config"]["experiment"]["master_seed"] == 11
+        assert [(b["phase"], b["batch"]) for b in summary["batches"]] == [
+            ("init", 0), ("train", 0), ("test", 0)]
+        assert len(summary["batches"][-1]["success_indicators"]) == 10
         registry = json.loads((out / "feature_registry.json").read_text())
         assert registry[0]["index"] == 0
 
     def test_metrics_identical_across_invocations(self, tmp_path, config_path):
+        # every file of a run directory, checkpoints and transcripts included
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        main(["run", "--config", str(config_path), "--out", str(out1)])
-        main(["run", "--config", str(config_path), "--out", str(out2)])
-        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        for out in (out1, out2):
+            assert main(["run", "--config", str(config_path), "--out", str(out),
+                         "--checkpoints", "--export-transcripts"]) == 0
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        assert len(files) == 4 + 3  # one checkpoint per batch
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_summary_batches_are_the_last_checkpoint_s_metrics(self, tmp_path, config_path):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out),
+                     "--checkpoints"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        last = json.loads((out / "checkpoints" / "checkpoint_p2_b0.json").read_text())
+        assert summary["batches"] == last["metrics"]
+        assert summary["corpus_fingerprint"] == last["corpus_fingerprint"]
 
     def test_policy_flag_dispatch(self, tmp_path, config_path):
         out = tmp_path / "static"
         assert main(["run", "--config", str(config_path), "--out", str(out),
                      "--set", "experiment.policy_kind=static"]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["policy_kind"] == "static"
+        assert summary["config"]["experiment"]["policy_kind"] == "static"
         # static arm keeps the 16-turn shape whenever query candidates exist
-        assert summary["final_test_batch"]["mean_length"] <= 16.0
+        assert max(summary["batches"][-1]["lengths"]) <= 16
 
     def test_flag_overrides_beat_config(self, tmp_path, config_path):
         out = tmp_path / "seeded"
         assert main(["run", "--config", str(config_path), "--out", str(out),
                      "--set", "experiment.master_seed=9", "--set", "experiment.master_seed=77",
                      "--set", "policy.learning_rate=1e-05"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["master_seed"] == 77
-        assert manifest["config"]["policy"]["learning_rate"] == 1e-05
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["experiment"]["master_seed"] == 77
+        assert config["policy"]["learning_rate"] == 1e-05
 
     def test_invalid_reward_override_is_config_error(self, tmp_path, config_path, capsys):
         out = tmp_path / "bad"
@@ -332,9 +347,36 @@ class TestRun:
         assert err["error"] == "ConfigError"
         assert f"{section}.{key}" in err["message"]
 
-    def test_unknown_ablation_name_is_config_error(self, tmp_path, config_path):
+    def test_unknown_ablation_name_is_config_error(
+        self, tmp_path, config_path, capsys, monkeypatch
+    ):
+        def unreachable(config):
+            raise RuntimeError("corpus built for an unknown ablation name")
+
+        monkeypatch.setattr("oalsim.harness.build_corpus", unreachable)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "x"),
                      "--set", 'experiment.ablate=["bogus_feature"]']) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "experiment.ablate" in err["message"] and "bogus_feature" in err["message"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cause", ["missing", "directory", "not-utf-8"])
+    def test_an_unreadable_corpus_file_is_a_data_error(self, tmp_path, capsys, cause):
+        corpus = tmp_path / "corpus.jsonl"
+        if cause == "directory":
+            corpus.mkdir()
+        elif cause == "not-utf-8":
+            corpus.write_bytes(b'{"id": "r\xe9"}\n')
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "corpus": {"path": str(corpus)}}))
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error = json.loads(err.strip())
+        assert error["error"] == "CorpusError" and str(corpus) in error["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--master-seed", "5"], ["--policy", "static"],
                                       ["--ablate", "guess"]])
@@ -567,22 +609,27 @@ class TestRun:
         assert (out / "transcripts.jsonl").exists()
 
 
-REPORT_FINAL = {"success_rate": 0.5, "mean_length": 4.5,
-                "success_indicators": [1, 0, 1, 0], "lengths": [3, 5, 4, 6]}
-# final-test-batch fields present but of a kind no run writes
+def final_record(indicators, lengths) -> dict:
+    """A final test batch's record, as summary.json holds it."""
+    return {"phase": "test", "batch": 0, "label_counts": {},
+            "success_indicators": indicators, "lengths": lengths}
+
+
+REPORT_FINAL = final_record([1, 0, 1, 0], [3, 5, 4, 6])
+# final-test-batch fields of a kind no run writes, or one no record holds
 BAD_FINAL_FIELDS = [
     ("lengths", "ab"), ("lengths", [3, 5, 4]), ("lengths", [3, 0, 4, 6]),
     ("lengths", [3, 5.0, 4, 6]), ("lengths", [3, True, 4, 6]), ("lengths", None),
     ("success_indicators", [1, 0, 2, 0]), ("success_indicators", [True, False, True, False]),
     ("success_indicators", "1010"), ("success_indicators", {"0": 1}),
-    ("success_rate", "0.5"), ("success_rate", True), ("success_rate", None),
-    ("mean_length", float("nan")), ("mean_length", [4.5]),
+    ("label_counts", [1]), ("batch", True), ("success_rate", 0.5),
 ]
 
 
 def report_summary(final, fingerprint="AAA") -> str:
-    """The fields of a run's summary.json that report reads."""
-    return json.dumps({"corpus_fingerprint": fingerprint, "final_test_batch": final})
+    """The fields of a run's summary.json that report reads; `final` is the last batch."""
+    earlier = {**final, "phase": "init"}
+    return json.dumps({"corpus_fingerprint": fingerprint, "batches": [earlier, final]})
 
 
 def write_run(run, final, fingerprint="AAA") -> str:
@@ -611,7 +658,8 @@ class TestReport:
         assert len(table) == 3
         # a run is read from its summary.json alone
         for run in (learned, static):
-            (run / "manifest.json").unlink()
+            for name in ("metrics.csv", "feature_registry.json"):
+                (run / name).unlink()
         assert main(["report", str(learned), str(static), "--baseline", str(static),
                      "--out", str(tmp_path / "again.csv")]) == 0
         assert (tmp_path / "again.csv").read_text().splitlines() == table
@@ -656,21 +704,22 @@ class TestReport:
     @pytest.mark.parametrize(
         "content, problem",
         [("", "JSON"),
-         (json.dumps({"final_test_batch": REPORT_FINAL}), "corpus_fingerprint"),
+         (json.dumps({"batches": [REPORT_FINAL]}), "corpus_fingerprint"),
          (report_summary(REPORT_FINAL, ["AAA"]), "corpus_fingerprint"),
          ("[]", "TypeError"),
-         (report_summary({"success_rate": 0.5, "mean_length": 4.5, "success_indicators": [1, 0]}),
+         (json.dumps({"corpus_fingerprint": "AAA"}), "'batches'"),
+         (json.dumps({"corpus_fingerprint": "AAA", "batches": []}), "test-phase"),
+         (json.dumps({"corpus_fingerprint": "AAA", "batches": {"0": REPORT_FINAL}}), "list"),
+         (json.dumps({"corpus_fingerprint": "AAA", "batches": REPORT_FINAL}), "list"),
+         (report_summary({**REPORT_FINAL, "phase": "train"}), "test-phase"),
+         (report_summary({k: v for k, v in REPORT_FINAL.items() if k != "lengths"}),
           "'lengths'"),
          (report_summary({**REPORT_FINAL, "success_indicators": [], "lengths": []}), "success"),
-         (report_summary({"success_rate": 0.9, "mean_length": 3.0,
-                          "success_indicators": [0, 0, 0, 0], "lengths": [16, 16, 16, 16]}),
-          "success_rate"),
-         (report_summary({**REPORT_FINAL, "mean_length": 3.0}), "mean_length"),
          *[(report_summary({**REPORT_FINAL, key: value}), key.split("_")[0])
            for key, value in BAD_FINAL_FIELDS]],
         ids=["summary-empty", "no-fingerprint", "fingerprint-list",
-             "summary-list",
-             "no-lengths", "no-dialogs", "rates-not-of-the-lists", "mean-length-not-of-the-lists",
+             "summary-list", "no-batches", "batches-empty", "batches-dict", "batches-a-record",
+             "last-batch-not-test", "no-lengths", "no-dialogs",
              *[f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in BAD_FINAL_FIELDS]],
     )
     def test_a_run_file_report_cannot_read_is_a_data_error(
@@ -700,9 +749,7 @@ class TestReport:
     def test_a_run_listed_twice_is_one_row(self, argv, tmp_path, monkeypatch, capsys):
         finals = {"a": ([1, 0, 1, 0], [3, 5, 4, 6]), "static": ([1, 1, 1, 0], [16, 16, 15, 16])}
         for name, (indicators, lengths) in finals.items():
-            final = {"success_rate": sum(indicators) / 4, "mean_length": sum(lengths) / 4,
-                     "success_indicators": indicators, "lengths": lengths}
-            write_run(tmp_path / name, final)
+            write_run(tmp_path / name, final_record(indicators, lengths))
         monkeypatch.delenv("OALSIM_OUTPUT_ROOT", raising=False)
         monkeypatch.chdir(tmp_path)
         assert main(["report", *argv, "--out", "table.csv"]) == 0
@@ -723,10 +770,7 @@ class TestReport:
 class TestReportDegenerateSamples:
     @staticmethod
     def _write_run(run, indicators, lengths):
-        final = {"success_rate": sum(indicators) / len(indicators),
-                 "mean_length": sum(lengths) / len(lengths),
-                 "success_indicators": indicators, "lengths": lengths}
-        return write_run(run, final)
+        return write_run(run, final_record(indicators, lengths))
 
     def test_constant_unequal_lengths(self, tmp_path, capsys):
         # a batch collapsed to one-turn guesses against static's 16-turn dialogs

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oalsim.config import CorpusSource, RunConfig, from_dict, load_config
+from oalsim.config import CorpusSource, ExperimentConfig, RunConfig, from_dict, load_config
 from oalsim.corpus import SyntheticConfig
 from oalsim.errors import ConfigError
 
@@ -91,13 +91,13 @@ def test_ablate_must_be_a_list():
         from_dict(data)
 
 
-def test_ablate_names_checked_at_experiment_build(small_corpus, small_split, small_density):
-    from oalsim.harness import Experiment
-    from conftest import small_run_config
-
-    cfg = small_run_config(ablate=("no_such_feature",))
-    with pytest.raises(ConfigError):
-        Experiment(cfg, small_corpus, small_split, small_density)
+def test_ablate_names_checked_at_config_build():
+    data = json.loads(json.dumps(BASE))
+    data["experiment"] = {"ablate": ["guess", "no_such_feature"]}
+    with pytest.raises(ConfigError, match="^experiment.ablate: .*'no_such_feature'"):
+        from_dict(data)
+    with pytest.raises(ConfigError, match="^experiment.ablate: "):
+        ExperimentConfig(ablate=("no_such_feature",))
 
 
 def test_digest_stable_and_sensitive():

@@ -14,18 +14,21 @@ from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, describe
 from oalsim.config import PolicyConfig
 from oalsim.corpus import Corpus, generate_synthetic, load_regions, write_regions
 from oalsim.dialog import RewardConfig, rewards_and_returns
-from oalsim.errors import CheckpointError
+from oalsim.errors import CheckpointError, ConfigError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
     Agent,
     CHECKPOINT_VERSION,
     BatchMetrics,
     Experiment,
+    batch_records,
     checkpoint_load,
     checkpoint_save,
     compare_final_batches,
+    read_batch_records,
     run_ablation,
     write_metrics_csv,
+    write_summary,
 )
 from oalsim.perception import PredicateModel
 from oalsim.policy import AgentStats, grad_log_prob
@@ -44,7 +47,7 @@ from setup_oracle import oracle_guess_features, oracle_scores
 
 
 def batch(indicators, lengths):
-    """A final test batch as a report reads it from summary.json."""
+    """A final test batch, as compare_final_batches takes it."""
     return BatchMetrics("test", -1, {}, indicators, lengths)
 
 
@@ -1228,6 +1231,14 @@ class TestAblationHarness:
         assert full_row["p_return_vs_static"] == pytest.approx(ref.pvalue, abs=1e-9)
         assert static_row["p_return_vs_static"] is None
 
+    def test_run_ablation_refuses_an_unknown_name_before_any_arm_plays(self, monkeypatch):
+        def unreachable(config):
+            raise AssertionError("an arm was built before every name was checked")
+
+        monkeypatch.setattr(harness, "build_corpus", unreachable)
+        with pytest.raises(ConfigError, match="experiment.ablate: .*'gues'"):
+            run_ablation(small_run_config(), ["guess", "gues"])
+
     def test_ablating_always_zero_feature_is_noop(
         self, small_corpus, small_split, small_density
     ):
@@ -1359,14 +1370,19 @@ class TestMetricsFiles:
         header = a.read_text().splitlines()[0]
         assert header == "phase,batch,success_rate,mean_length,mean_queries"
 
-    def test_summary_contents(self, small_result):
-        summary = small_result.summary()
-        final = summary["final_test_batch"]
-        assert len(final["success_indicators"]) == 15
-        assert final["success_rate"] == pytest.approx(
-            sum(final["success_indicators"]) / 15
-        )
-        assert len(summary["batches"]) == len(small_result.metrics)
+    def test_summary_holds_the_config_the_fingerprint_and_the_batch_records(
+        self, small_result, tmp_path
+    ):
+        path = tmp_path / "summary.json"
+        write_summary(path, small_result)
+        summary = json.loads(path.read_text())
+        assert summary == json.loads(json.dumps({
+            "config": small_result.config.to_dict(),
+            "corpus_fingerprint": small_result.corpus_fingerprint,
+            "batches": batch_records(small_result.metrics),
+        }))
+        assert read_batch_records(summary["batches"]) == small_result.metrics
+        assert len(summary["batches"][-1]["success_indicators"]) == 15
 
 
 def test_transcript_streaming(small_corpus, small_split, small_density, tmp_path):
