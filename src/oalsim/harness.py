@@ -59,7 +59,7 @@ from .corpus import (
     sample_interaction,
 )
 from .dialog import Episode, RewardConfig, closed_world_label, rewards_and_returns
-from .errors import CheckpointError, ConfigError, check_real
+from .errors import CheckpointError, ConfigError, ContractError, check_real
 from .features import (
     FeatureContext,
     N_FEATURES,
@@ -398,12 +398,24 @@ class Experiment:
         split: CorpusSplit | None = None,
         density: DensityIndex | None = None,
     ):
+        """Build what is not given: the corpus, its split and the density index.
+
+        The index serves the split's classifier-train rows of both sides, the
+        only rows whose density a label query reads. A given index is shared
+        (run_ablation shares one across arms) and must serve every one of
+        them: a ContractError names the first it lacks.
+        """
         self.config = config
         self.corpus = corpus if corpus is not None else build_corpus(config)
         self.split = split if split is not None else make_splits(self.corpus, config.split)
+        served = self.split.policy_train[0] + self.split.policy_test[0]
         if density is None:
             rows = self.corpus.file_rows  # the distance sums run in file order
-            density = DensityIndex(self.corpus.X[rows], rows, k=config.classifier.knn_k)
+            density = DensityIndex(self.corpus.X[rows], rows, served, k=config.classifier.knn_k)
+        elif missing := density.unserved(served):
+            raise ContractError(
+                f"the density index does not serve classifier-train row {missing[0]} of the split"
+            )
         self.density = density
         mask = resolve_mask(config.experiment.ablate)
         self.mask = mask if mask.any() else None

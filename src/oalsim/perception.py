@@ -6,7 +6,9 @@ a pure function of the labeled set, so label acquisition order never matters.
 Classifier trust is the cross-validated F1 on the labels acquired so far.
 
 Labels are keyed by region row (corpus.Corpus); a fit gathers its sorted rows
-from the corpus matrix. DensityIndex holds (N,) and (N, k) arrays by row.
+from the corpus matrix. DensityIndex holds (N,) and (N, k) arrays by row,
+computed over every region for the rows it serves: a run's classifier-train
+rows, the only ones a label query asks about.
 
 A new label drops a classifier's fit. A batch start (harness.BatchSetup) fits
 every unfit classifier and its CV folds in one fit_models call, in a few
@@ -19,6 +21,7 @@ Text becomes predicates in corpus, not here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -466,9 +469,12 @@ def _nearest(dist: np.ndarray, k: int, rank: np.ndarray) -> np.ndarray:
     out = np.argpartition(dist, k - 1, axis=1)[:, :k].copy()  # frees the (rows, N) indices
     near = dist[np.arange(n_rows)[:, None], out]
     kth = near.max(axis=1, keepdims=True)
-    tied = np.count_nonzero(dist <= kth, axis=1) > k
     out = np.take_along_axis(out, np.lexsort((rank[out], near), axis=1), axis=1)
-    if tied.any():
+    candidate = dist <= kth
+    # every row has at least its k columns at or below kth: one count over
+    # the block finds whether any has more, a third of the time of a count per row
+    if np.count_nonzero(candidate) > k * n_rows:
+        tied = np.count_nonzero(candidate, axis=1) > k
         out[tied] = _nearest_with_ties(dist[tied], kth[tied], k, rank)
     return out
 
@@ -485,49 +491,109 @@ def _nearest_with_ties(dist: np.ndarray, kth: np.ndarray, k: int, rank: np.ndarr
     return col[order][start[:, None] + np.arange(k)]
 
 
+def _served_blocks(served: np.ndarray):
+    """Yield (take, keep): the rows of unit that one product takes, and which of them are served.
+
+    served marks the served positions of unit. The full build multiplies
+    DENSITY_BLOCK rows of unit at a time, and each served row here goes
+    into a product of the same shape, at the same place in it, so its
+    distances equal the full build's bit for bit. A product of gathered
+    rows would not: a BLAS may round a row by its place in a product
+    (OpenBLAS 0.3.31 on an AVX-512 host does, in products of a few hundred
+    columns), numpy takes a one-row product by gemv, and the product of a
+    whole matrix and its transpose by syrk. So:
+      - at N <= DENSITY_BLOCK, the full build's one block, the whole
+        matrix, is taken as a slice, which numpy multiplies by syrk too;
+      - the rows of full blocks are packed by place: packed block i holds,
+        at place p, the i-th served position at place p (p modulo
+        DENSITY_BLOCK), and position p, not kept, where there is none;
+      - the rows past the last full block are the full build's short last
+        block, taken as a slice.
+    """
+    n, size = len(served), DENSITY_BLOCK
+    if n <= size:
+        if served.any():
+            yield slice(0, n), served
+        return
+    cut = n - n % size
+    grid = served[:cut].reshape(-1, size)  # grid[t, p]: position t * size + p is served
+    slot = grid.cumsum(axis=0) - 1  # the packed block of each served position
+    t, p = grid.nonzero()
+    blocks = np.tile(np.arange(size), (int(grid.sum(axis=0).max()), 1))
+    kept = np.zeros(blocks.shape, dtype=bool)
+    blocks[slot[t, p], p] = t * size + p
+    kept[slot[t, p], p] = True
+    yield from zip(blocks, kept)
+    if served[cut:].any():
+        yield slice(cut, n), served[cut:]
+
+
 class DensityIndex:
-    """Per-region average cosine distance and k-NN rows over the full corpus.
+    """Average cosine distance and k-NN rows, over the full corpus, of the regions it serves.
 
     X[i] holds the features of region row rows[i], a permutation of
-    range(len(X)). The distances are computed over X in its given order (a
-    corpus's file order, whose column sums fix the averages' last bits) and
-    the results scattered to rows: `avg[row]` is the row's average distance
-    to every other region (0 in a one-region corpus) and `knn[row]` its k
-    neighbour rows, ordered by (distance, row). Distances are computed
-    DENSITY_BLOCK rows at a time, so no N x N matrix is ever held, and each
-    block is read by _nearest and then consumed by _mean_over_others, with
-    no copy of it: the build holds the block and argpartition's indices of
-    the same shape, about 3.2 MiB of numpy allocations at N = 2400.
+    range(len(X)); served lists the region rows whose values are computed.
+    The distances are computed over X in its given order (a corpus's file
+    order, whose column sums fix the averages' last bits) and the results
+    scattered to rows: a served row's `avg[row]` is its average distance to
+    every other region (0 in a one-region corpus) and `knn[row]` its k
+    neighbour rows among all regions, ordered by (distance, row). An
+    unserved row holds NaN and k neighbours -1, and density_stats refuses
+    it. Each served row equals the build that serves every row, bit for bit
+    (_served_blocks). A run serves the classifier-train rows of both split
+    sides, the only rows a label query can ask about: 1,440 of the 2,400 at
+    the scale benchmark, where the build takes 63% of the time of one that
+    serves every row. Distances are computed DENSITY_BLOCK rows at a time,
+    so no N x N matrix is ever held, and each block's served rows are read
+    by _nearest and then consumed by _mean_over_others. A block is dropped
+    once its served rows are copied, and the last block's rows once the
+    next product is made, so the build holds two blocks at a time, about
+    3.3 MiB of numpy allocations at N = 2400.
     """
 
-    def __init__(self, X: np.ndarray, rows: np.ndarray, k: int = 10):
+    def __init__(self, X: np.ndarray, rows: np.ndarray, served: Sequence[int], k: int = 10):
         n = X.shape[0]
         rows = np.asarray(rows, dtype=np.intp)
         if not np.array_equal(np.sort(rows), np.arange(n)):
             raise DataError("rows are not a permutation of the feature matrix's rows")
+        served = np.asarray(served, dtype=np.intp)
+        if served.size and not 0 <= served.min() <= served.max() < n:
+            raise DataError("served rows are not rows of the feature matrix")
         if not np.isfinite(X).all():
             raise DataError("feature matrix holds a non-finite value")
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1e-12
         unit = X / norms
         self.k = min(k, n - 1)
-        self.avg = np.zeros(n)
-        self.knn = np.zeros((n, max(self.k, 0)), dtype=np.intp)
-        for a in range(0, n, DENSITY_BLOCK):
-            b = min(a + DENSITY_BLOCK, n)
-            block = np.arange(a, b)
-            dist = unit[a:b] @ unit.T
+        self.avg = np.full(n, np.nan)
+        self.knn = np.full((n, max(self.k, 0)), -1, dtype=np.intp)
+        position = np.arange(n)
+        for take, keep in _served_blocks(np.isin(rows, served)):
+            block, dist = position[take], unit[take] @ unit.T
+            if not keep.all():  # the served rows' copy; the product is dropped
+                block, dist = block[keep], dist[keep]
             np.subtract(1.0, dist, out=dist)
-            dist[block - a, block] = np.inf
-            self.knn[rows[a:b]] = rows[_nearest(dist, self.k, rows)]
-            self.avg[rows[a:b]] = _mean_over_others(dist, block)
+            dist[np.arange(len(block)), block] = np.inf
+            self.knn[rows[block]] = rows[_nearest(dist, self.k, rows)]
+            self.avg[rows[block]] = _mean_over_others(dist, block)
+
+    def unserved(self, regions: Sequence[int]) -> list[int]:
+        """The region rows among these that the index holds no value for, in their order."""
+        regions = np.asarray(regions, dtype=np.intp)
+        return regions[np.isnan(self.avg[regions])].tolist()
 
 
 def density_stats(
     index: DensityIndex, region: int, model: PredicateModel | None
 ) -> tuple[float, float]:
-    """(average cosine distance, fraction of k-NN with no label for this predicate)."""
+    """(average cosine distance, fraction of k-NN with no label for this predicate).
+
+    A region the index does not serve is a ContractError naming its row.
+    """
+    avg = index.avg.item(region)
+    if math.isnan(avg):
+        raise ContractError(f"the density index does not serve region row {region}")
     near = index.knn[region].tolist()
     labeled = model.labels if model is not None else {}
     unlabeled = len(near) - sum(map(labeled.__contains__, near))
-    return index.avg.item(region), unlabeled / len(near) if near else 1.0
+    return avg, unlabeled / len(near) if near else 1.0

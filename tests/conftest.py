@@ -43,6 +43,11 @@ def small_run_config(**experiment_overrides) -> RunConfig:
     )
 
 
+def classifier_train_rows(split) -> tuple[int, ...]:
+    """The rows a run's density index serves: both sides' classifier-train rows."""
+    return split.policy_train[0] + split.policy_test[0]
+
+
 def episode_view(models, predicates, active_train, active_test, X, params=TriangularWeights()):
     """The view of a batch of one episode that holds exactly these predicates.
 
@@ -125,9 +130,10 @@ def small_split(small_corpus):
 
 
 @pytest.fixture(scope="session")
-def small_density(small_corpus):
+def small_density(small_corpus, small_split):
+    """The index Experiment builds for the small corpus and split."""
     rows = small_corpus.file_rows
-    return DensityIndex(small_corpus.X[rows], rows, k=10)
+    return DensityIndex(small_corpus.X[rows], rows, classifier_train_rows(small_split), k=10)
 
 
 @pytest.fixture(scope="session")

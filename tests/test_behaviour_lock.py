@@ -7,6 +7,8 @@ for the learned arm on the same regions in reversed file order, and for the
 static arm, whose train and test phases log only each chosen action's
 features. In the reversed corpus a region's file position differs from its
 rank in id order, which the synthetic corpora below 10,000 regions never show.
+The tiny run plays the learned arm on 64 regions, at most one DENSITY_BLOCK,
+where the density index takes the distance matrix in one product.
 A change that is meant to alter any of these bytes re-pins them here and says
 why in CHANGES.md; a speedup must leave them as they are.
 """
@@ -16,10 +18,14 @@ import hashlib
 
 import pytest
 
-from oalsim.corpus import Corpus, generate_synthetic
+from oalsim.corpus import Corpus, SplitConfig, SyntheticConfig, generate_synthetic
 from oalsim.harness import Experiment, write_metrics_csv
 
 from conftest import SMALL_SYNTH, small_run_config
+
+# 64 regions: a split whose classifier-train and -test subsets all hold an
+# interaction's 8 and 4 objects, and no more rows than one density block
+TINY_SYNTH = SyntheticConfig(n_regions=64, dim=8, n_predicates=10, coverage=(0.08, 0.25), seed=5)
 
 PINNED = {
     "learned": {
@@ -52,6 +58,16 @@ PINNED = {
         "metrics.csv": "44f63fc6891ea1166c7ca3e27633ec9afea7788c29993b42d2440406311a5448",
         "transcripts.jsonl": "f663a40618e7648c0b0d1541847b89d70181588a6590264c87cb496dec3a4881",
     },
+    "tiny": {
+        "ck/checkpoint_p0_b0.json": "a8703de03fb9508af4bf8e5c6a3f7f054664bf9df3c8fd5a30eca711642c0440",
+        "ck/checkpoint_p0_b1.json": "2ffe77c7cf5f834412d28d5eb3048c0d93c15fb6bce8a6f101af652acb61434e",
+        "ck/checkpoint_p1_b0.json": "2c64befdddac88922523bdb0426dbe02e4ff1ed1f927fae4dbbea82499ed3b74",
+        "ck/checkpoint_p1_b1.json": "c0b9331bea32dd54dfc0f02592a2e1def9c2eef0557ee354f8a78e1023ec9f5a",
+        "ck/checkpoint_p2_b0.json": "2695ad2513a992114c13b1e915a48f9c8d1cc87cdedde28b633c9c38f20bc0dc",
+        "ck/checkpoint_p2_b1.json": "b5d708dcba4d88457014a11374dc17ce7d59753cdbe65be388cd309caa9959cd",
+        "metrics.csv": "97d792e31e6bf037fe5c00e316dc136d50da68a57366aa3f3039905ff0373d0a",
+        "transcripts.jsonl": "7725702707039af67f6546844fe894cfa1f7316ed5f45111426b62ee36a187a8",
+    },
     "static": {
         "ck/checkpoint_p0_b0.json": "16eb4ae96840b6c26a53d195d989df7d251bf239d750b77101252a731e0ac653",
         "ck/checkpoint_p0_b1.json": "ba4c000e5a4d94f0b22b611e218a329edb599b74fc68d8a5c01f61a27a086442",
@@ -71,6 +87,12 @@ def _config(name):
         cfg = dataclasses.replace(
             cfg, episode=dataclasses.replace(cfg.episode, immediate_updates=True)
         )
+    if name == "tiny":
+        cfg = dataclasses.replace(
+            small_run_config(batch_size=6),
+            corpus=dataclasses.replace(cfg.corpus, synthetic=TINY_SYNTH),
+            split=SplitConfig(frequency_threshold=12, seed=1),
+        )
     return cfg
 
 
@@ -78,6 +100,8 @@ def _config(name):
 def test_run_output_digests(name, small_corpus, small_split, small_density, tmp_path):
     if name == "reversed":
         exp = Experiment(_config(name), Corpus(list(reversed(generate_synthetic(SMALL_SYNTH)))))
+    elif name == "tiny":
+        exp = Experiment(_config(name))
     else:
         exp = Experiment(_config(name), small_corpus, small_split, small_density)
     result = exp.run(

@@ -12,9 +12,16 @@ from scipy import stats as sps
 from oalsim import harness
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY, describe
 from oalsim.config import PolicyConfig
-from oalsim.corpus import Corpus, generate_synthetic, load_regions, write_regions
+from oalsim.corpus import (
+    Corpus,
+    SplitConfig,
+    generate_synthetic,
+    load_regions,
+    make_splits,
+    write_regions,
+)
 from oalsim.dialog import RewardConfig, rewards_and_returns
-from oalsim.errors import CheckpointError, ConfigError
+from oalsim.errors import CheckpointError, ConfigError, ContractError
 from oalsim.features import INDEX, N_FEATURES, FeatureContext, featurize, resolve_mask
 from oalsim.harness import (
     Agent,
@@ -30,12 +37,13 @@ from oalsim.harness import (
     write_metrics_csv,
     write_summary,
 )
-from oalsim.perception import PredicateModel
+from oalsim.perception import DensityIndex, PredicateModel
 from oalsim.policy import AgentStats, grad_log_prob
 
 from conftest import (
     READS_ALL,
     SMALL_SYNTH,
+    classifier_train_rows,
     episode_return,
     episode_view,
     feature_context,
@@ -1208,9 +1216,17 @@ class TestAblationHarness:
                 seen_any = True
         assert seen_any
 
-    def test_run_ablation_end_to_end(self):
+    def test_run_ablation_end_to_end(self, monkeypatch):
+        real, built = harness.DensityIndex, []
+
+        def density_index(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "DensityIndex", density_index)
         cfg = small_run_config()
         result = run_ablation(cfg, ["guess", "query"])
+        assert len(built) == 1  # every arm shares the first arm's index
         assert set(result.conditions) == {"full", "static", "guess", "query"}
         rows = result.comparison_rows()
         assert len(rows) == 4
@@ -1230,6 +1246,19 @@ class TestAblationHarness:
         )
         assert full_row["p_return_vs_static"] == pytest.approx(ref.pvalue, abs=1e-9)
         assert static_row["p_return_vs_static"] is None
+
+    def test_a_shared_density_index_must_serve_the_splits_classifier_train_rows(
+        self, small_corpus, small_split
+    ):
+        # an index served for another split's rows lacks some of this split's
+        other = make_splits(small_corpus, SplitConfig(frequency_threshold=30, seed=2))
+        rows = small_corpus.file_rows
+        index = DensityIndex(small_corpus.X[rows], rows, classifier_train_rows(other))
+        missing = index.unserved(classifier_train_rows(small_split))
+        assert missing
+        with pytest.raises(ContractError, match=f"classifier-train row {missing[0]} of the split"):
+            Experiment(small_run_config(), small_corpus, small_split, index)
+        assert Experiment(small_run_config(), small_corpus, other, index).density is index
 
     def test_run_ablation_refuses_an_unknown_name_before_any_arm_plays(self, monkeypatch):
         def unreachable(config):

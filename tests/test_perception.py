@@ -23,7 +23,7 @@ from oalsim.seeding import stream
 
 import density_oracle
 from classifier_oracle import UndefinedMarginError, decide, fit_hinge, margin
-from conftest import small_run_config
+from conftest import classifier_train_rows, small_run_config
 
 CFG = ClassifierConfig()
 
@@ -839,23 +839,24 @@ class TestStretches:
 
 
 class TestDensity:
-    def test_unlabeled_fraction_bounds(self, small_density):
+    def test_unlabeled_fraction_bounds(self, small_density, small_split):
+        region = small_split.policy_train[0][0]
         blank = PredicateModel(predicate="p")
-        avg, frac = density_stats(small_density, 0, blank)
+        avg, frac = density_stats(small_density, region, blank)
         assert frac == 1.0
         assert 0.0 <= avg <= 2.0
 
         full = PredicateModel(predicate="p")
-        for n in small_density.knn[0].tolist():
+        for n in small_density.knn[region].tolist():
             full.record_label(n, -1)
-        _, frac_all = density_stats(small_density, 0, full)
+        _, frac_all = density_stats(small_density, region, full)
         assert frac_all == 0.0
 
     def test_duplicated_point_same_average_distance(self):
         rng = stream(8, "dup")
         X = rng.normal(size=(6, 4))
         X[5] = X[2]  # duplicate feature point
-        idx = DensityIndex(X, np.arange(6), k=3)
+        idx = DensityIndex(X, np.arange(6), np.arange(6), k=3)
         # brute force for region 2
         unit = X / np.linalg.norm(X, axis=1, keepdims=True)
         dist = 1.0 - unit @ unit.T
@@ -863,12 +864,29 @@ class TestDensity:
         assert idx.avg[2] == pytest.approx(expected)
         assert idx.avg[5] == pytest.approx(expected)
 
-    def test_knn_excludes_self_and_size(self, small_density):
-        for row in range(5):
+    def test_knn_excludes_self_and_size(self, small_density, small_split):
+        for row in classifier_train_rows(small_split)[:5]:
             knn = small_density.knn[row].tolist()
             assert len(knn) == 10
             assert row not in knn
             assert len(set(knn)) == 10
+
+    def test_an_unserved_region_is_refused(self, small_density, small_split):
+        # a run's index serves the classifier-train rows; every other row
+        # holds NaN and -1s, which density_stats never returns
+        served = set(classifier_train_rows(small_split))
+        unserved = sorted(set(range(len(small_density.avg))) - served)
+        assert len(unserved) == 48 and len(served) == 72
+        for row in unserved:
+            assert np.isnan(small_density.avg[row])
+            assert (small_density.knn[row] == -1).all()
+            with pytest.raises(ContractError, match=f"does not serve region row {row}$"):
+                density_stats(small_density, row, None)
+        for row in served:
+            avg, frac = density_stats(small_density, row, None)
+            assert 0.0 <= avg <= 2.0 and frac == 1.0
+            assert (small_density.knn[row] >= 0).all()
+        assert small_density.unserved(range(120)) == unserved
 
 
 class _ReferenceDensityIndex:
@@ -910,7 +928,7 @@ def _assert_matches_reference(ids, X, **kwargs):
     The index holds rows; each row's neighbour rows are read back as ids.
     """
     rows = _rows(ids)
-    got = DensityIndex(X, rows, **kwargs)
+    got = DensityIndex(X, rows, rows, **kwargs)
     want = _ReferenceDensityIndex(ids, X, **kwargs)
     assert got.k == want.k
     assert got.avg.shape == (len(ids),) and got.knn.shape == (len(ids), max(want.k, 0))
@@ -991,7 +1009,7 @@ class TestDensityAgainstReference:
             monkeypatch.setattr(perception, "DENSITY_BLOCK", block)
         ids, X = _tied_points()
         _assert_matches_reference(ids[:n], X[:n], k=10)
-        idx = DensityIndex(X[:n], _rows(ids[:n]), k=10)
+        idx = DensityIndex(X[:n], _rows(ids[:n]), np.arange(n), k=10)
         assert idx.k == n - 1
         for row in range(n):
             assert len(idx.knn[row]) == n - 1
@@ -1010,12 +1028,12 @@ class TestDensityAgainstReference:
         X = np.ones((3, 2))
         X[1, 0] = np.nan
         with pytest.raises(DataError):
-            DensityIndex(X, np.arange(3))
+            DensityIndex(X, np.arange(3), np.arange(3))
 
     @pytest.mark.parametrize("rows", [[0, 1], [0, 1, 1], [1, 2, 3]])
     def test_rows_that_are_not_a_permutation_rejected(self, rows):
         with pytest.raises(DataError, match="permutation"):
-            DensityIndex(np.ones((3, 2)), np.array(rows))
+            DensityIndex(np.ones((3, 2)), np.array(rows), [0])
 
 
 def test_density_index_memory_is_far_below_one_full_matrix():
@@ -1025,21 +1043,24 @@ def test_density_index_memory_is_far_below_one_full_matrix():
     X = stream(6, "density-memory").normal(size=(n, 32))
     tracemalloc.start()
     try:
-        DensityIndex(X, np.arange(n))
+        DensityIndex(X, np.arange(n), np.arange(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
 
 
-def test_density_index_memory_is_a_few_blocks():
-    # the lean build holds one DENSITY_BLOCK x N distance block and
-    # argpartition's index array of the same size at a time
+@pytest.mark.parametrize("served", [2400, 1440])
+def test_density_index_memory_is_a_few_blocks(served):
+    # the lean build holds one DENSITY_BLOCK x N distance block, or a copy
+    # of its served rows, and argpartition's index array of the same size
+    # at a time
     n = 2400
-    X = stream(6, "density-memory").normal(size=(n, 32))
+    rng = stream(6, "density-memory")
+    X = rng.normal(size=(n, 32))
     tracemalloc.start()
     try:
-        DensityIndex(X, np.arange(n))
+        DensityIndex(X, np.arange(n), rng.choice(n, served, replace=False))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1050,7 +1071,7 @@ ORACLE_BLOCK = 256  # the copying build's block size
 
 
 def _assert_equals_copying_build(X, rows, k):
-    got = DensityIndex(X, rows, k=k)
+    got = DensityIndex(X, rows, rows, k=k)
     avg, knn = density_oracle.density_arrays(X, rows, k, ORACLE_BLOCK)
     assert _same_bits(got.avg, avg)
     assert _same_bits(got.knn, knn)
@@ -1113,6 +1134,91 @@ class TestDensityAgainstCopyingBuild:
         X = rng.integers(-1, 2, size=(300, 3)).astype(float)
         _assert_equals_copying_build(X, rng.permutation(300), k)
         assert bool(tie_calls) == (k > 0)
+
+
+def _assert_serves(idx, served, full):
+    """idx holds full's avg and knn bytes at the served rows, NaN and -1 elsewhere."""
+    served = np.unique(np.asarray(served, dtype=np.intp))
+    unserved = np.setdiff1d(np.arange(len(full.avg)), served)
+    assert _same_bits(idx.avg[served], full.avg[served])
+    assert _same_bits(idx.knn[served], full.knn[served])
+    assert np.isnan(idx.avg[unserved]).all() and (idx.knn[unserved] == -1).all()
+    assert idx.unserved(range(len(full.avg))) == unserved.tolist()
+
+
+@pytest.fixture(scope="module")
+def benchmark_runs():
+    """Each benchmark corpus's Experiment: desk's config, and at 2400 regions scale's."""
+    desk = load_config(DESK_CONFIG)
+    scale = dataclasses.replace(
+        desk,
+        corpus=dataclasses.replace(
+            desk.corpus, synthetic=dataclasses.replace(desk.corpus.synthetic, n_regions=2400)
+        ),
+        split=dataclasses.replace(desk.split, frequency_threshold=600),
+    )
+    return {"desk": Experiment(desk), "scale": Experiment(scale)}
+
+
+class TestServedRows:
+    """Each served row's avg and knn equal the build serving every row byte for byte.
+
+    The full build is checked against the copying build at DENSITY_BLOCK:
+    at N <= 256 the copying build's 256-row block is numpy's product of the
+    whole matrix and its transpose, whose bits differ at d = 16, N = 65.
+    """
+
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("d", [3, 16, 32])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+    def test_random_points(self, n, d, k):
+        rng = stream(100 * n + d, "density-served")
+        X, rows = rng.normal(size=(n, d)), rng.permutation(n)
+        full = DensityIndex(X, rows, rows, k=k)
+        avg, knn = density_oracle.density_arrays(X, rows, k, perception.DENSITY_BLOCK)
+        assert _same_bits(full.avg, avg) and _same_bits(full.knn, knn)
+        # by file position: the first, and the last, alone in a short last block at 65 and 129
+        for served in ([rows[0]], [rows[-1]], rng.choice(n, round(0.6 * n), replace=False)):
+            _assert_serves(DensityIndex(X, rows, served, k=k), served, full)
+
+    @pytest.mark.parametrize("d", [3, 16, 32])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
+    def test_products_equal_the_full_builds_blocks(self, n, d):
+        # the distances themselves: a last-bit difference in one need not
+        # reach a mean or a neighbour order
+        rng = stream(100 * n + d, "density-served-products")
+        X = rng.normal(size=(n, d))
+        unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+        size = perception.DENSITY_BLOCK
+        want = np.vstack([unit[a : a + size] @ unit.T for a in range(0, n, size)])
+        subsets = [[0], [n - 1], np.arange(n)]
+        subsets += [rng.choice(n, round(share * n), replace=False) for share in (0.3, 0.6, 0.9)]
+        for positions in subsets:
+            served = np.zeros(n, dtype=bool)
+            served[positions] = True
+            yielded = [np.empty(0, dtype=np.intp)]
+            for take, keep in perception._served_blocks(served):
+                block = np.arange(n)[take][keep]
+                assert _same_bits((unit[take] @ unit.T)[keep], want[block])
+                yielded.append(block)
+            assert np.array_equal(np.sort(np.concatenate(yielded)), np.flatnonzero(served))
+
+    @pytest.mark.parametrize("name, n_served", [("desk", 360), ("scale", 1440)])
+    def test_benchmark_splits(self, name, n_served, benchmark_runs):
+        exp = benchmark_runs[name]
+        served = classifier_train_rows(exp.split)
+        assert len(served) == n_served
+        rows, k = exp.corpus.file_rows, exp.config.classifier.knn_k
+        X = exp.corpus.X[rows]
+        full = DensityIndex(X, rows, rows, k=k)
+        avg, knn = density_oracle.density_arrays(X, rows, k, perception.DENSITY_BLOCK)
+        assert _same_bits(full.avg, avg) and _same_bits(full.knn, knn)
+        _assert_serves(exp.density, served, full)
+
+    @pytest.mark.parametrize("served", [[-1], [3], [0, 3]])
+    def test_rows_outside_the_corpus_rejected(self, served):
+        with pytest.raises(DataError, match="served rows"):
+            DensityIndex(np.ones((3, 2)), np.arange(3), served)
 
 
 class TestStepSizes:

@@ -303,7 +303,7 @@ def _guess_context(models, stats=None, mask=None):
     models = models if models is not None else models_
     corpus = Corpus(regions)  # o1, o2, o3 are rows 0, 1, 2
     rows = corpus.file_rows
-    density = DensityIndex(corpus.X[rows], rows, k=2)
+    density = DensityIndex(corpus.X[rows], rows, rows, k=2)
     askable = set(models) | set(preds) | {"zeta", "unseen"}
     view = episode_view(models, askable, rows, rows, corpus.X)
     return feature_context(view, preds, stats or AgentStats(), density, mask=mask)
