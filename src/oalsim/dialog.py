@@ -16,9 +16,12 @@ each turn's action and features where something reads them.
 An episode's one label record, `known`, holds one Python list of ints per
 view predicate, over its active-train objects: +1 or -1 where the view's
 classifiers or this episode hold a label for the pair, 0 where none does.
-An oracle answer reads and writes one cell. `asked` is the ascending list
-of the view rows that were example-queried, which the beam excludes from its
-example draws.
+An oracle answer reads and writes one cell. `open_rows` counts the rows of
+`known` that still hold a 0: the beam's label draw reads it and, with none,
+takes only its doubles (querygen._label_queries). It falls by one when an
+answer fills a row's last 0; an immediate refit changes the view's model,
+never `known`. `asked` is the ascending list of the view rows that were
+example-queried, which the beam excludes from its example draws.
 
 An action is (kind, view row, active-train column) (actions.py); `step`, the
 oracle and `_record` index `known` and `asked` with its integers. Pending
@@ -67,7 +70,12 @@ def closed_world_label(annotations: Sequence[frozenset[str]], predicate: str, re
 
 
 class Episode:
-    """Mutable state of one interaction, plus the oracle that answers queries."""
+    """Mutable state of one interaction, plus the oracle that answers queries.
+
+    The state is the turn, the outcome, the labels pending for the batch
+    end, the label record `known` with `open_rows`, the count of its rows
+    that still hold a 0, and the example-queried rows `asked`.
+    """
 
     def __init__(
         self,
@@ -92,6 +100,7 @@ class Episode:
         self.success = False
         self.pending_labels: list[tuple[str, int, int]] = []
         self.known = view.labels()
+        self.open_rows = sum(0 in row for row in self.known)  # rows with a pair left to label
         self.asked: list[int] = []  # example-queried view rows, ascending
 
     # -- label bookkeeping ------------------------------------------------
@@ -106,6 +115,8 @@ class Episode:
                 raise ContractError(f"oracle flipped label for ({predicate!r}, row {region})")
             return
         labels[col] = label
+        if 0 not in labels:
+            self.open_rows -= 1
         self.pending_labels.append((predicate, region, label))
 
     # -- oracle -----------------------------------------------------------

@@ -455,8 +455,12 @@ class Experiment:
     ) -> tuple[EpisodeOutcome, Episode, list[tuple]]:
         """Play one dialog; `words` seeds its oracle, beam and policy streams (DIALOG_STREAMS).
 
-        A turn featurizes what `setup.reads` names: its whole beam, for the
-        learned policy or a policy update; else nothing. Where nothing reads
+        The run's constants (the turn cap, the beam config, the static
+        rule's query count and whether the phase's policy is static) are read
+        once, before the turn loop. A turn's draws read the episode's label
+        record and its count of open rows (dialog.Episode.open_rows). A turn
+        featurizes what `setup.reads` names: its whole beam, for the learned
+        policy or a policy update; else nothing. Where nothing reads
         the beam (a static phase with no update), a turn draws only the
         action the static policy picks (querygen.static_action), not the
         beam, and for a transcript records the action and its turn: the
@@ -472,6 +476,9 @@ class Experiment:
         cfg = self.config
         interaction, view, ctx, reads = setup.interaction, setup.view, setup.features, setup.reads
         desc = interaction.description_predicates
+        # the run's constants, read once a dialog
+        t_max, beam_cfg, n_queries = cfg.episode.t_max, cfg.beam, cfg.policy.static_n_queries
+        static = plan.policy_kind == "static"
 
         oracle_rng, beam_rng, policy_rng = map(generator, words)
         immediate = cfg.episode.immediate_updates
@@ -479,32 +486,21 @@ class Experiment:
         turns = []
         played = []  # (action, turn) of static turns whose features only the transcript reads
 
-        episode = Episode(
-            interaction=interaction,
-            annotations=self.corpus.annotations,
-            view=view,
-            t_max=cfg.episode.t_max,
-            oracle_rng=oracle_rng,
-            guess=setup.guess,
-        )
+        episode = Episode(interaction, self.corpus.annotations, view, t_max, oracle_rng,
+                          setup.guess)
+        # the episode's record, which its steps change in place
+        known, asked, pending = episode.known, episode.asked, episode.pending_labels
 
         while not episode.terminated:
+            turn = episode.turn
             if reads.beam:
                 beam = build_beam(
-                    turn=episode.turn,
-                    t_max=cfg.episode.t_max,
-                    view=view,
-                    labeled=episode.known,
-                    asked=episode.asked,
-                    cfg=cfg.beam,
-                    rng=beam_rng,
+                    turn, t_max, view, known, episode.open_rows, asked, beam_cfg, beam_rng
                 )
-                features = featurize(beam, episode.turn, ctx)
+                features = featurize(beam, turn, ctx)
                 probs = None
-                if plan.policy_kind == "static":
-                    chosen = static_policy_act(
-                        episode.turn, beam, cfg.policy.static_n_queries, policy_rng
-                    )
+                if static:
+                    chosen = static_policy_act(turn, beam, n_queries, policy_rng)
                 else:
                     probs = action_probabilities(theta, features)
                     chosen = sample_action(probs, policy_rng)
@@ -513,18 +509,18 @@ class Experiment:
                     turns.append((action, features, chosen, probs))
             else:  # a static phase with no update: nothing reads the beam
                 action = static_action(
-                    episode.turn, cfg.episode.t_max, view, episode.known, episode.asked,
-                    cfg.beam, cfg.policy.static_n_queries, beam_rng, policy_rng,
+                    turn, t_max, view, known, episode.open_rows, asked, beam_cfg, n_queries,
+                    beam_rng, policy_rng,
                 )
                 if reads.transcript:
-                    played.append((action, episode.turn))
-            n_before = len(episode.pending_labels)
+                    played.append((action, turn))
+            n_before = len(pending)
             episode.step(action)
-            if immediate and len(episode.pending_labels) > n_before:
+            if immediate and len(pending) > n_before:
                 # the labels recorded below change the view's model, which the played turns read
                 _featurize_played(played, ctx, turns)
                 row = action[1]  # a query's labels are all of its view row's predicate
-                if self._refresh_models(view, row, episode.pending_labels[n_before:], agent):
+                if self._refresh_models(view, row, pending[n_before:], agent):
                     if ctx is not None:
                         ctx.refit(row)
                     if view.predicates[row] in desc:  # grounding reads description rows only

@@ -56,10 +56,11 @@ def action_probabilities(theta: np.ndarray, beam_features: np.ndarray) -> np.nda
     """Softmax over theta . f for each beam candidate, overflow-safe."""
     if beam_features.shape[0] == 0:
         raise ValueError("empty beam")
-    logits = beam_features @ theta
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
+    probs = beam_features @ theta  # the logits, shifted, exponentiated and normalised in place
+    probs -= np.maximum.reduce(probs)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs)
+    return probs
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:

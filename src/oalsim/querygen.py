@@ -10,14 +10,16 @@ untrained predicates fall back to a uniform object pick.
 The beam reads the view's sampling weights, their one CDF (SamplingCDF,
 rebuilt by an immediate refit), the trained flags and the active-train
 columns ordered by margin per predicate (snapshot.EpisodeView), plus the
-episode's Python lists (dialog.Episode): one signed label row per predicate,
-0 where a pair has no label, and the ascending example-queried rows. A row
-with no 0 left is exhausted. Every draw picks the index Generator.choice
-picks over the live weights; sample_predicates finds it on the view's CDF
-and proves it with a rounding margin, or builds the live vector's own CDF. A beam is a
-list of (kind, view row, active-train column) actions (actions.py): the
-guess first, then each kind's candidates together, a layout only this
-module knows: static_policy_act finds the static rule's pick in a beam.
+episode's record (dialog.Episode): one signed label row per predicate, 0
+where a pair has no label, the count of rows that still hold a 0, and the
+ascending example-queried rows. A row with no 0 left is exhausted; with
+every row exhausted, a label draw takes only its doubles. Every draw picks
+the index Generator.choice picks over the live weights; sample_predicates
+finds it on the view's CDF and proves it with a rounding margin, or builds
+the live vector's own CDF. A beam is a list of (kind, view row, active-train
+column) actions (actions.py): the guess first, then each kind's candidates
+together, a layout only this module knows: static_policy_act finds the
+static rule's pick in a beam.
 Where nothing reads the beam, a static turn draws only the one action the
 static rule picks from it (static_action), leaving the generators where the
 whole beam leaves them.
@@ -78,7 +80,7 @@ def triangular_weight(f1: float, params: TriangularWeights) -> float:
     return params.w_min + ((1.0 - f1) / (1.0 - params.c_max)) * span
 
 
-# The most weights for which _margin_pick's bound holds; SamplingCDF keeps
+# The most weights for which sample_predicates' margin holds; SamplingCDF keeps
 # no CDF of more.
 _MARGIN_MAX_N = 1 << 20
 
@@ -124,45 +126,18 @@ def sample_predicates(
     doubles r of rng.random(count) picks the index that
     Generator.choice(len(live), p=live / live.sum()) picks with it, where
     `live` is the pool's sub-vector of the weights with the earlier picks
-    zeroed, so the generator ends in the same state too. _margin_pick finds
-    the pick on the one CDF of `sampling`; where its rounding margin cannot
-    prove the pick, or `sampling` has no CDF, _exact_pick bisects the CDF of
-    `live` itself.
-    """
-    weights, cdf, mass = sampling.weights, sampling.cdf, sampling.mass
-    removed = sorted(excluded)  # and then the drawn indices, ascending
-    size = len(weights) - len(removed)
-    if size == 0:
-        raise DataError("no predicates to sample from")
-    if size <= count:
-        skip = set(removed)
-        return [i for i in range(len(weights)) if i not in skip]
-    gone = sum([mass[i] for i in removed]) if cdf is not None and removed else 0.0
-    delta = _margin(len(weights), len(removed) + count - 1)  # the most removed at any draw
-    chosen: list[int] = []
-    for r in rng.random(count).tolist():  # the doubles of `count` scalar draws
-        pick = -1 if cdf is None else _margin_pick(cdf, mass, removed, gone, r, delta)
-        if pick < 0:
-            pick = _exact_pick(weights, removed, chosen, r)
-        chosen.append(pick)
-        insort(removed, pick)
-        if cdf is not None:
-            gone += mass[pick]
-    return chosen
+    zeroed, so the generator ends in the same state too.
 
-
-def _margin_pick(
-    cdf: list[float], mass: list[float], removed: list[int], gone: float, r: float, delta: float
-) -> int:
-    """The pick of the double r, found on the CDF of all weights, or -1 where the margin fails.
-
-    `removed` holds the excluded and drawn indices, ascending, and `gone`
-    the sum of their masses. The target is t = r * (1 - gone), r times the
-    live mass. The walk bisects `cdf` at t plus `below`, the masses of the
-    removed indices under the pick, one bisect_right more per removed index
-    it passes. It ends on j with lo = cdf[j-1] - below <= t < hi = cdf[j] -
-    below, and j is the pick if it is live and both hi - t and t - lo exceed
-    delta, at least _margin(N, M) for N weights and M removed indices.
+    The loop finds each pick on the one CDF of `sampling`. `removed` holds
+    the excluded and drawn indices, ascending, and `gone` the sum of their
+    masses. The target is t = r * (1 - gone), r times the live mass. The
+    walk bisects `cdf` at t plus `below`, the masses of the removed indices
+    under the pick, one bisect_right more per removed index it passes. It
+    ends on j with lo = cdf[j-1] - below <= t < hi = cdf[j] - below, and j
+    is the pick if it is live and both hi - t and t - lo exceed delta, at
+    least _margin(N, M) for N weights and M removed indices. Where that
+    margin cannot prove the pick, or `sampling` has no CDF, _exact_pick
+    bisects the CDF of `live` itself.
 
     The margin comes from two bounds, for N <= _MARGIN_MAX_N weights
     w_i >= 0 of exact sum W > 0, exact masses m_i = w_i / W and exact CDF
@@ -192,25 +167,42 @@ def _margin_pick(
     below (5.21 M + 3.21)(2N + 1) u + 2^-1030, under the margin
     (6M + 4)(2N + 1) u that _margin returns.
     """
-    t = r * (1.0 - gone)
-    j = bisect_right(cdf, t)
-    below, top = 0.0, -1  # top: the last removed index walked past
-    for i in removed:
-        if i > j:
-            break
-        below += mass[i]
-        top = i
-        j = bisect_right(cdf, t + below, j)
-    if j == len(cdf) or top == j:
-        return -1
-    lo = (cdf[j - 1] if j else 0.0) - below
-    if cdf[j] - below - t > delta and t - lo > delta:
-        return j
-    return -1
+    weights, cdf, mass = sampling.weights, sampling.cdf, sampling.mass
+    n = len(weights)
+    removed = sorted(excluded)  # and then the drawn indices, ascending
+    size = n - len(removed)
+    if size == 0:
+        raise DataError("no predicates to sample from")
+    if size <= count:
+        skip = set(removed)
+        return [i for i in range(n) if i not in skip]
+    gone = sum([mass[i] for i in removed]) if cdf is not None and removed else 0.0
+    delta = _margin(n, len(removed) + count - 1)  # the most removed at any draw
+    chosen: list[int] = []
+    for r in rng.random(count).tolist():  # the doubles of `count` scalar draws
+        if cdf is None:
+            j = _exact_pick(weights, removed, chosen, r)
+        else:
+            t = r * (1.0 - gone)
+            j = bisect_right(cdf, t)
+            below, top = 0.0, -1  # top: the last removed index walked past
+            for i in removed:
+                if i > j:
+                    break
+                below += mass[i]
+                top = i
+                j = bisect_right(cdf, t + below, j)
+            lo = (cdf[j - 1] if j else 0.0) - below
+            if j == n or top == j or not (cdf[j] - below - t > delta and t - lo > delta):
+                j = _exact_pick(weights, removed, chosen, r)
+            gone += mass[j]
+        chosen.append(j)
+        insort(removed, j)
+    return chosen
 
 
 def _margin(n: int, m: int) -> float:
-    """_margin_pick's rounding margin for n weights and m removed indices: (6m + 4)(2n + 1) 2^-53.
+    """The rounding margin of sample_predicates, n weights, m removed: (6m + 4)(2n + 1) 2^-53.
 
     The integer product is exact and below 2^53 for n, m <= _MARGIN_MAX_N.
     """
@@ -269,15 +261,25 @@ def best_object_for_predicate(
 
 
 def _label_queries(
-    view: EpisodeView, labeled: list[list[int]], n_label: int, rng: np.random.Generator
+    view: EpisodeView, labeled: list[list[int]], open_rows: int, n_label: int,
+    rng: np.random.Generator,
 ) -> list[Action]:
     """The label queries of up to n_label drawn predicates, in draw order.
 
     A drawn predicate whose label row is exhausted is skipped; the others
-    pair with best_object_for_predicate's column.
+    pair with best_object_for_predicate's column. `open_rows` counts the
+    rows of `labeled` that still hold a 0. With none, every drawn predicate
+    would be skipped, so where the view's weights have a CDF (no draw can
+    fail) the draw takes only its doubles, rng.random(n_label), and only
+    where the pool exceeds n_label, as sample_predicates draws them.
     """
+    sampling = view.sampling_cdf
+    if not open_rows and sampling.cdf is not None:
+        if len(sampling.weights) > n_label:
+            rng.random(n_label)  # the draw's doubles, which nothing reads
+        return []
     queries = []
-    for row in sample_predicates(view.sampling_cdf, n_label, rng):
+    for row in sample_predicates(sampling, n_label, rng):
         labels = labeled[row]
         if 0 in labels:
             col = best_object_for_predicate(view, row, labels, rng)
@@ -290,6 +292,7 @@ def build_beam(
     t_max: int,
     view: EpisodeView,
     labeled: list[list[int]],
+    open_rows: int,
     asked: list[int],
     cfg: BeamConfig,
     rng: np.random.Generator,
@@ -297,19 +300,22 @@ def build_beam(
     """The guess, then up to n_label label queries and n_example example queries.
 
     `labeled` is the episode's label record, one row per view predicate over
-    the active-train columns, nonzero where a pair has a label; `asked` is
-    the ascending list of the rows already example-queried this episode, the
-    draws' `excluded`. At the turn cap the beam collapses to the forced guess.
-    Label candidates skip predicates whose rows hold no 0; example candidates
-    skip asked predicates. Every turn of the learned policy, and every turn
-    of a phase that updates the policy, plays a whole beam; static_action
-    draws the one action a static turn reads where nothing reads the beam.
+    the active-train columns, nonzero where a pair has a label, and
+    `open_rows` the count of its rows that still hold a 0 (dialog.Episode);
+    `asked` is the ascending list of the rows already example-queried this
+    episode, the draws' `excluded`. At the turn cap the beam collapses to
+    the forced guess. Label candidates skip predicates whose rows hold no 0,
+    and with no open row the label draw takes only its doubles
+    (_label_queries); example candidates skip asked predicates. Every turn
+    of the learned policy, and every turn of a phase that updates the
+    policy, plays a whole beam; static_action draws the one action a static
+    turn reads where nothing reads the beam.
     """
     beam: list[Action] = [GUESS_ACTION]
     if turn >= t_max:
         return beam
 
-    beam += _label_queries(view, labeled, cfg.n_label, rng)
+    beam += _label_queries(view, labeled, open_rows, cfg.n_label, rng)
     if len(asked) < len(view.predicates):
         for row in sample_predicates(view.sampling_cdf, cfg.n_example, rng, asked):
             beam.append((EXAMPLE_QUERY, row, -1))
@@ -341,6 +347,7 @@ def static_action(
     t_max: int,
     view: EpisodeView,
     labeled: list[list[int]],
+    open_rows: int,
     asked: list[int],
     cfg: BeamConfig,
     n_queries: int,
@@ -353,7 +360,8 @@ def static_action(
     beam holds, then one uniform index (policy.static_pick, from
     `policy_rng`), so a turn whose beam nothing else reads draws only that:
     - the label candidates, as build_beam draws them (their predicate draws
-      and untrained rows' uniform picks move `rng`);
+      and untrained rows' uniform picks move `rng`; with no open row, the
+      draw's doubles alone);
     - for an example pick, the example draws up to the picked one, then the
       draw's later doubles alone: the doubles of rng.random(k) and then
       rng.random(n - k) are those of rng.random(n), and each pick reads
@@ -368,12 +376,12 @@ def static_action(
     """
     sampling = view.sampling_cdf
     if sampling.cdf is None:
-        beam = build_beam(turn, t_max, view, labeled, asked, cfg, rng)
+        beam = build_beam(turn, t_max, view, labeled, open_rows, asked, cfg, rng)
         return beam[static_policy_act(turn, beam, n_queries, policy_rng)]
     kinds = static_kinds(turn, n_queries)
     if not kinds or turn >= t_max:  # at the cap the beam is the guess alone
         return GUESS_ACTION
-    labels = _label_queries(view, labeled, cfg.n_label, rng)
+    labels = _label_queries(view, labeled, open_rows, cfg.n_label, rng)
     pool = len(view.predicates) - len(asked)  # the unasked rows
     kind, i = static_pick(kinds, (1, len(labels), min(cfg.n_example, pool)), policy_rng)
     if kind == EXAMPLE_QUERY:

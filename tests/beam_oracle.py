@@ -84,7 +84,7 @@ def static_policy_act(turn, beam, n_queries, rng) -> int:
     return 0
 
 
-def static_turn(turn, t_max, view, labeled, asked, cfg, n_queries, rng, policy_rng):
+def static_turn(turn, t_max, view, labeled, open_rows, asked, cfg, n_queries, rng, policy_rng):
     """The action a static turn plays from its whole beam, built from the episode's lists."""
-    beam = querygen.build_beam(turn, t_max, view, labeled, asked, cfg, rng)
+    beam = querygen.build_beam(turn, t_max, view, labeled, open_rows, asked, cfg, rng)
     return beam[static_policy_act(turn, beam, n_queries, policy_rng)]

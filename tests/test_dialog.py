@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oalsim.actions import EXAMPLE_QUERY, GUESS_ACTION, LABEL_QUERY
-from oalsim.config import EpisodeConfig
+from oalsim.config import EpisodeConfig, load_config
 from oalsim.corpus import Corpus, Interaction, Region
 from oalsim.dialog import Episode, RewardConfig, rewards_and_returns
 from oalsim.errors import ConfigError, ContractError, DataError, ProtocolError
+from oalsim.harness import Experiment
 from oalsim.perception import PredicateModel
 from oalsim.seeding import stream
 
-from conftest import episode_return, episode_view, list_rewards
+from conftest import DESK_CONFIG, episode_return, episode_view, list_rewards
 
 REWARDS = RewardConfig()
 
@@ -313,3 +316,59 @@ class TestRewardConfig:
             RewardConfig(incorrect_guess=0)
         with pytest.raises(ConfigError):
             RewardConfig(discount=0.0)
+
+
+def _open_rows(known):
+    """The rows of a label record that still hold a 0, counted by brute force."""
+    return sum(0 in row for row in known)
+
+
+class TestOpenRows:
+    """Episode.open_rows is the count of `known` rows that still hold a 0."""
+
+    def test_label_queries_close_a_row_at_its_last_0(self):
+        model = PredicateModel(predicate="blue")
+        for i in range(8):
+            model.record_label(_row(f"t{i}"), 1 if i % 2 else -1)  # blue's row starts closed
+        ep = _episode(models={"blue": model})
+        assert ep.open_rows == _open_rows(ep.known) == 3
+        for i in range(8):
+            ep.step(_label("red", f"t{i}"))
+            assert ep.open_rows == _open_rows(ep.known) == (3 if i < 7 else 2)
+        ep.step(_label("red", "t0"))  # a repeat writes nothing
+        assert ep.open_rows == 2
+
+    def test_an_example_query_with_no_positive_labels_every_column(self):
+        model = PredicateModel(predicate="green")
+        model.record_label(_row("t3"), -1)  # the row starts with one column labeled
+        ep = _episode(models={"green": model})
+        assert ep.open_rows == _open_rows(ep.known) == 4
+        ep.step(_example("green"))  # no active-train region is green
+        assert ep.known[ROW["green"]] == [-1] * 8
+        assert ep.open_rows == _open_rows(ep.known) == 3
+        ep.step(_example("green"))
+        assert ep.open_rows == _open_rows(ep.known) == 3
+        ep.step(_example("white"))  # one positive: one column of white's row
+        assert ep.open_rows == _open_rows(ep.known) == 3
+
+
+@pytest.mark.parametrize("kind", ["learned", "static"])
+def test_open_rows_equals_the_brute_force_count_at_every_step_of_a_desk_run(kind, monkeypatch):
+    base = load_config(DESK_CONFIG)
+    cfg = dataclasses.replace(
+        base, experiment=dataclasses.replace(base.experiment, policy_kind=kind)
+    )
+    steps = {"all": 0, "no-open-row": 0}
+    step = Episode.step
+
+    def checked(self, action):
+        assert self.open_rows == _open_rows(self.known)
+        step(self, action)
+        assert self.open_rows == _open_rows(self.known)
+        steps["all"] += 1
+        steps["no-open-row"] += not self.open_rows
+
+    monkeypatch.setattr(Episode, "step", checked)
+    result = Experiment(cfg).run()
+    assert steps["all"] == sum(sum(m.lengths) for m in result.metrics)
+    assert 0 < steps["no-open-row"] < steps["all"]

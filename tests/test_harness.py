@@ -422,8 +422,8 @@ class TestFeatureReads:
             seen["phase"] = plan.name
             return run_batch(self, plan, *args, **kwargs)
 
-        def recorded_beam(**kwargs):
-            beam = build(**kwargs)
+        def recorded_beam(*args):
+            beam = build(*args)
             seen["beams"].append((seen["phase"], len(beam)))
             return beam
 

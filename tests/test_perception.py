@@ -1067,12 +1067,17 @@ def test_density_index_memory_is_a_few_blocks(served):
     assert peak < 4 * perception.DENSITY_BLOCK * n * 8
 
 
-ORACLE_BLOCK = 256  # the copying build's block size
-
-
 def _assert_equals_copying_build(X, rows, k):
+    """The build serving every row equals the copying build in DENSITY_BLOCK-row blocks.
+
+    Both take each distance in a product of the same block shape. A block
+    of another size need not round the same: on an AVX-512 host with
+    OpenBLAS's SkylakeX kernels, the copying build's 256-row block, one
+    product of the whole matrix at N = 255, differs from the 64-row blocks
+    at d = 16.
+    """
     got = DensityIndex(X, rows, rows, k=k)
-    avg, knn = density_oracle.density_arrays(X, rows, k, ORACLE_BLOCK)
+    avg, knn = density_oracle.density_arrays(X, rows, k, perception.DENSITY_BLOCK)
     assert _same_bits(got.avg, avg)
     assert _same_bits(got.knn, knn)
 
@@ -1102,11 +1107,12 @@ def scale_features():
 class TestDensityAgainstCopyingBuild:
     """avg and knn equal the np.delete and partition-plus-mask build byte for byte."""
 
+    @pytest.mark.parametrize("d", [8, 16])
     @pytest.mark.parametrize("k", [0, 1, 10])
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 255, 256, 257])
-    def test_random_points_around_the_block_sizes(self, n, k):
+    def test_random_points_around_the_block_sizes(self, n, k, d):
         rng = stream(n, "density-copying-build")
-        _assert_equals_copying_build(rng.normal(size=(n, 8)), rng.permutation(n), k)
+        _assert_equals_copying_build(rng.normal(size=(n, d)), rng.permutation(n), k)
 
     @pytest.mark.parametrize("k", [0, 1, 10])
     @pytest.mark.parametrize("corpus", ["desk_features", "scale_features"])

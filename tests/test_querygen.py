@@ -169,11 +169,13 @@ class TestBuildBeam:
         labeled = labeled or {}
         rows = range(8)
         view = episode_view({}, predicates, rows, (), X, DEFAULTS)
+        record = [[int(row in labeled.get(p, ())) for row in rows] for p in view.predicates]
         return build_beam(
             turn=turn,
             t_max=t_max,
             view=view,
-            labeled=[[int(row in labeled.get(p, ())) for row in rows] for p in view.predicates],
+            labeled=record,
+            open_rows=sum(0 in row for row in record),
             asked=[row for row, p in enumerate(view.predicates) if p in asked],
             cfg=BeamConfig(),
             rng=stream(11, "beam"),
@@ -235,9 +237,10 @@ def test_every_beam_equals_the_numpy_oracle(
     seen = {"beams": 0, "labels": 0, "examples": 0, "untrained": 0}
     list_form = harness.build_beam
 
-    def checked(turn, t_max, view, labeled, asked, cfg, rng):
+    def checked(turn, t_max, view, labeled, open_rows, asked, cfg, rng):
+        assert open_rows == sum(0 in row for row in labeled)
         theirs = copy.deepcopy(rng)
-        got = list_form(turn, t_max, view, labeled, asked, cfg, rng)
+        got = list_form(turn, t_max, view, labeled, open_rows, asked, cfg, rng)
         flags = np.zeros(len(view.predicates), dtype=bool)
         flags[asked] = True
         want = beam_oracle.build_beam(
@@ -262,3 +265,82 @@ def test_every_beam_equals_the_numpy_oracle(
     assert seen["beams"] == sum(sum(m.lengths) for m in result.metrics)
     assert seen["labels"] > 0 and seen["examples"] > 0
     assert 0 < seen["untrained"] < seen["labels"]
+
+
+def _exhausted_view(n, seed):
+    """A view of n predicates, some trained and some not, over 8 columns, and a full record."""
+    src = stream(seed, "exhausted")
+    models = {
+        f"p{i}": PredicateModel(predicate=f"p{i}", weights=src.normal(size=3),
+                                f1=float(src.random()))
+        for i in range(0, n, 2)
+    }
+    view = episode_view(models, [f"p{i}" for i in range(n)], range(8), (), src.normal(size=(8, 2)))
+    labeled = [[1 if src.random() < 0.5 else -1 for _ in range(8)] for _ in range(n)]
+    return view, labeled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12])
+def test_a_label_draw_over_exhausted_rows_takes_only_its_doubles(n):
+    # with no open row the label draw returns nothing and moves the beam
+    # generator as the oracle's full draw does: by n_label doubles where the
+    # pool exceeds n_label, and not at all where it does not (n <= 3)
+    view, labeled = _exhausted_view(n, n)
+    assert view.sampling_cdf.cdf is not None and 0 < sum(view.trained) <= n
+    cfg, n_queries = BeamConfig(), 15
+    src = stream(n, "exhausted-asked")
+    for seed in range(20):
+        asked = sorted(src.choice(n, int(src.integers(n + 1)), replace=False).tolist())
+        flags = np.zeros(n, dtype=bool)
+        flags[asked] = True
+        for turn in (0, 1):  # the static rule prefers a label query, then an example query
+            rng, theirs = stream(seed, "beam"), stream(seed, "beam")
+            got = build_beam(turn, 40, view, labeled, 0, asked, cfg, rng)
+            want = beam_oracle.build_beam(
+                turn, 40, view, np.array(labeled, dtype=np.int8), flags, cfg, theirs
+            )
+            assert got == want and LABEL_QUERY not in [kind for kind, _, _ in got]
+            assert rng.bit_generator.state == theirs.bit_generator.state
+
+            rng, policy_rng = stream(seed, "beam"), stream(seed, "policy")
+            theirs, their_policy = stream(seed, "beam"), stream(seed, "policy")
+            action = querygen.static_action(
+                turn, 40, view, labeled, 0, asked, cfg, n_queries, rng, policy_rng
+            )
+            beam = beam_oracle.build_beam(
+                turn, 40, view, np.array(labeled, dtype=np.int8), flags, cfg, theirs
+            )
+            assert action == beam[beam_oracle.static_policy_act(turn, beam, n_queries,
+                                                                their_policy)]
+            assert action[0] != LABEL_QUERY
+            assert rng.bit_generator.state == theirs.bit_generator.state
+            assert policy_rng.bit_generator.state == their_policy.bit_generator.state
+
+        drawn = stream(seed, "beam")
+        assert querygen._label_queries(view, labeled, 0, cfg.n_label, drawn) == []
+        doubles = stream(seed, "beam")
+        if n > cfg.n_label:
+            doubles.random(cfg.n_label)
+        assert drawn.bit_generator.state == doubles.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["learned", "tiny"])
+def test_the_behaviour_lock_runs_draw_over_exhausted_rows(
+    name, small_corpus, small_split, small_density, monkeypatch
+):
+    from test_behaviour_lock import _config
+
+    draws = {"all": 0, "no-open-row": 0}
+    label_queries = querygen._label_queries
+
+    def counted(view, labeled, open_rows, n_label, rng):
+        draws["all"] += 1
+        draws["no-open-row"] += not open_rows and view.sampling_cdf.cdf is not None
+        return label_queries(view, labeled, open_rows, n_label, rng)
+
+    monkeypatch.setattr(querygen, "_label_queries", counted)
+    if name == "tiny":
+        Experiment(_config(name)).run()
+    else:
+        Experiment(_config(name), small_corpus, small_split, small_density).run()
+    assert 0 < draws["no-open-row"] < draws["all"]

@@ -43,14 +43,15 @@ def _desk_config(seed, overrides):
     return from_dict(data)
 
 
-def _check_turn(turn, t_max, view, labeled, asked, cfg, n_queries, rng, policy_rng):
+def _check_turn(turn, t_max, view, labeled, open_rows, asked, cfg, n_queries, rng, policy_rng):
     """static_action's action, after checking it and both generators against the reference."""
     before = rng.bit_generator.state, policy_rng.bit_generator.state
-    want = beam_oracle.static_turn(turn, t_max, view, labeled, asked, cfg, n_queries, rng,
-                                   policy_rng)
+    want = beam_oracle.static_turn(turn, t_max, view, labeled, open_rows, asked, cfg, n_queries,
+                                   rng, policy_rng)
     after = rng.bit_generator.state, policy_rng.bit_generator.state
     rng.bit_generator.state, policy_rng.bit_generator.state = before
-    got = static_action(turn, t_max, view, labeled, asked, cfg, n_queries, rng, policy_rng)
+    got = static_action(turn, t_max, view, labeled, open_rows, asked, cfg, n_queries, rng,
+                        policy_rng)
     assert got == want
     assert policy_rng.bit_generator.state == after[1]
     if turn >= n_queries:  # the guess ends the dialog: no beam draw
@@ -86,9 +87,10 @@ def test_every_static_turn_equals_the_whole_beam(name, monkeypatch, tmp_path):
     cfg = _desk_config(seed, overrides)
     kinds = []
 
-    def recorded(turn, t_max, view, labeled, asked, beam_cfg, n_queries, rng, policy_rng):
-        action = _check_turn(turn, t_max, view, labeled, asked, beam_cfg, n_queries, rng,
-                             policy_rng)
+    def recorded(turn, t_max, view, labeled, open_rows, asked, beam_cfg, n_queries, rng,
+                 policy_rng):
+        action = _check_turn(turn, t_max, view, labeled, open_rows, asked, beam_cfg, n_queries,
+                             rng, policy_rng)
         kinds.append(action[0])
         return action
 
@@ -111,19 +113,20 @@ def _play(view, cfg, n_queries, t_max, labeled, asked, seed, nan_at=None):
     rng, policy_rng = stream(seed, "beam"), stream(seed, "policy")
     played = []
     for turn in range(t_max + 1):
+        open_rows = sum(0 in row for row in labeled)
         if turn == nan_at:
             view.sampling = view.sampling.copy()
             view.sampling[1] = np.nan
             view.sampling_cdf = SamplingCDF(view.sampling)
             with pytest.raises(ValueError):
-                beam_oracle.static_turn(turn, t_max, view, labeled, asked, cfg, n_queries,
-                                        copy.deepcopy(rng), copy.deepcopy(policy_rng))
+                beam_oracle.static_turn(turn, t_max, view, labeled, open_rows, asked, cfg,
+                                        n_queries, copy.deepcopy(rng), copy.deepcopy(policy_rng))
             with pytest.raises(ValueError):
-                static_action(turn, t_max, view, labeled, asked, cfg, n_queries, rng,
+                static_action(turn, t_max, view, labeled, open_rows, asked, cfg, n_queries, rng,
                               policy_rng)
             return played
-        kind, row, col = _check_turn(turn, t_max, view, labeled, asked, cfg, n_queries, rng,
-                                     policy_rng)
+        kind, row, col = _check_turn(turn, t_max, view, labeled, open_rows, asked, cfg, n_queries,
+                                     rng, policy_rng)
         played.append(kind)
         if kind == GUESS:
             return played
